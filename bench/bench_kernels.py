@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Time the hot kernels on representative workloads.
 
-Runs each hot kernel on representative workloads under both backends and
-prints a timing table. The numpy path is selected by re-executing this
-script with MOTIONGRAPH_DISABLE_NUMBA=1, so both timings come from a fresh
-interpreter with the same code path a user would hit.
+Prints which backend ran (``numba`` when it imports, else ``numpy``; set
+MOTIONGRAPH_DISABLE_NUMBA=1 to force numpy) and the best-of-3 wall time of
+each kernel. The walk entries time a search-like load: the edge layout a
+search builds once, then one 45-step distance table for each of 20 starts on
+a 2000-node graph with the bundled fixture's edge density.
 
-    python bench/bench_kernels.py            # compares both backends
-    python bench/bench_kernels.py --inner    # one backend (internal use)
+    python bench/bench_kernels.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -56,55 +51,36 @@ def run_benchmarks():
     pairs = rng.integers(0, masks.shape[0], size=(20000, 2))
     results["popcount_20k_pairs"] = _time(lambda: kernels.pair_intersections(packed, pairs))
 
-    # Walk-cost relaxation: 2000 nodes, ~26k edges, 40-step horizon.
+    # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
+    # graph has 154k), 20 starts x 45 steps, as one search segment sees them.
     n = 2000
     nat_src = np.arange(n - 1)
-    syn_src = rng.integers(0, n, size=24000)
-    syn_off = rng.choice([-120, -3, -2, 2, 3, 120], size=24000)
-    syn_dst = np.clip(syn_src + syn_off, 0, n - 1)
+    syn_src = rng.integers(0, n, size=150000)
+    syn_dst = rng.integers(0, n, size=150000)
     keep = syn_dst != syn_src
     src = np.concatenate([nat_src, syn_src[keep]])
     dst = np.concatenate([nat_src + 1, syn_dst[keep]])
     cost = np.concatenate([np.zeros(n - 1), rng.uniform(0.01, 0.5, size=keep.sum())])
     allowed = np.ones(n, dtype=bool)
     allowed[rng.integers(0, n, size=60)] = False
+    results["walk_layout_150k_edges"] = _time(lambda: kernels.edge_layout(src, dst, cost, n))
+    layout = kernels.edge_layout(src, dst, cost, n)
+    starts = rng.choice(n, size=20, replace=False)
 
     def dp():
-        for start in (5, 500, 1500):
-            kernels.walk_distances(src, dst, cost, n, start, allowed, 40)
+        for start in starts:
+            kernels.walk_distances(layout, int(start), allowed, 45)
 
-    results["walk_dp_3starts_40steps"] = _time(dp)
+    results["walk_dp_20starts_45steps"] = _time(dp)
     return results
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--inner", action="store_true", help="run one backend and dump JSON")
-    args = parser.parse_args()
-
-    if args.inner:
-        print(json.dumps(run_benchmarks()))
-        return
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    rows = []
-    for disable in ("0", "1"):
-        env = dict(os.environ, MOTIONGRAPH_DISABLE_NUMBA=disable)
-        out = subprocess.run(
-            [sys.executable, os.path.join(here, "bench_kernels.py"), "--inner"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        rows.append(json.loads(out.stdout.strip().splitlines()[-1]))
-
-    names = [k for k in rows[0] if k != "backend"]
-    width = max(len(n) for n in names)
-    print(f"{'kernel':<{width}}  {rows[0]['backend']:>12}  {rows[1]['backend']:>12}  speedup")
-    for name in names:
-        a, b = rows[0][name], rows[1][name]
-        print(f"{name:<{width}}  {a:>11.4f}s  {b:>11.4f}s  {b / a:>6.1f}x")
+    results = run_benchmarks()
+    print(f"backend: {results.pop('backend')}")
+    width = max(len(name) for name in results)
+    for name, seconds in results.items():
+        print(f"{name:<{width}}  {seconds:>9.4f}s")
 
 
 if __name__ == "__main__":

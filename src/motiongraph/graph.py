@@ -94,11 +94,11 @@ class VideoMotionGraph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonically ordered (src, dst, cost) arrays for the search kernels."""
-        order = sorted(range(len(self.edges)), key=lambda i: (self.edges[i].src, self.edges[i].dst))
-        src = np.array([self.edges[i].src for i in order], dtype=np.int64)
-        dst = np.array([self.edges[i].dst for i in order], dtype=np.int64)
-        cost = np.array([self.edges[i].cost for i in order], dtype=np.float64)
-        return src, dst, cost
+        src = np.array([e.src for e in self.edges], dtype=np.int64)
+        dst = np.array([e.dst for e in self.edges], dtype=np.int64)
+        cost = np.array([e.cost for e in self.edges], dtype=np.float64)
+        order = np.lexsort((dst, src))
+        return src[order], dst[order], cost[order]
 
     def edge_index(self) -> dict[tuple[int, int], GraphEdge]:
         return {(e.src, e.dst): e for e in self.edges}

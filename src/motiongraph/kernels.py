@@ -1,8 +1,9 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
 Three inner loops dominate the engine's runtime: capsule rasterization,
 popcount-based mask intersection over candidate frame pairs, and the
-step-synchronous relaxation inside the beam search. Each exists twice:
+step-synchronous relaxation inside the beam search. The first two exist
+twice:
 
 * a numba ``@njit`` kernel (default when numba imports cleanly), and
 * a pure-numpy fallback with identical arithmetic.
@@ -10,12 +11,15 @@ step-synchronous relaxation inside the beam search. Each exists twice:
 Set ``MOTIONGRAPH_DISABLE_NUMBA=1`` to force the numpy path (useful for
 debugging and for the bench/ comparison). Both backends are exact integer /
 same-order float arithmetic, so results are bit-identical; the test suite
-asserts this whenever numba is importable.
+asserts this whenever numba is importable. The walk relaxation is numpy
+only: one gather-add and one segmented minimum per step over an edge layout
+built once per search.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,82 +225,88 @@ def pair_intersections(packed, pairs):
 #
 # dist[l, v] = min cost of an l-edge walk from the start node to v whose
 # intermediate nodes are all flagged allowed (the start itself is exempt).
-# Ties resolve to the smallest predecessor index, making the table
-# independent of edge order and identical across backends.
+# Only distances are stored. A walk is recovered afterwards, one step at a
+# time, as the smallest-index in-neighbour u whose sum prev[u] + cost(u, v)
+# equals dist[l, v]: the same float the relaxation produced, so the walk is
+# independent of edge order.
 # ---------------------------------------------------------------------------
 
 
-def _dp_numpy(src, dst, cost, n_nodes, start, allowed, n_steps):
-    inf = np.inf
-    # Group edges by destination once (within a group, ascending source, so
-    # the first minimal candidate has the smallest predecessor index).
+@dataclass(frozen=True)
+class EdgeLayout:
+    """Edges grouped by destination (CSR), sources ascending within a group.
+
+    The in-edges of node v are ``src[indptr[v]:indptr[v + 1]]`` with costs
+    ``cost[indptr[v]:indptr[v + 1]]``. ``group_dst``/``group_start`` list the
+    nodes that have in-edges and where their groups begin.
+    """
+
+    n_nodes: int
+    indptr: np.ndarray
+    src: np.ndarray
+    cost: np.ndarray
+    group_dst: np.ndarray
+    group_start: np.ndarray
+
+
+def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
+    """Group (src, dst, cost) edge arrays by destination for ``walk_distances``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    cost = np.asarray(cost, dtype=np.float64)
     order = np.lexsort((src, dst))
-    src_o = src[order]
-    cost_o = cost[order]
-    group_dst, group_start = np.unique(dst[order], return_index=True)
-    group_sizes = np.diff(np.append(group_start, src_o.size))
-    edge_pos = np.arange(src_o.size)
-
-    dist = np.full((n_steps + 1, n_nodes), inf)
-    parent = np.full((n_steps + 1, n_nodes), -1, dtype=np.int64)
-    dist[0, start] = 0.0
-    for step in range(1, n_steps + 1):
-        prev = dist[step - 1].copy()
-        if step > 1:
-            prev[~allowed] = inf
-        cand = prev[src_o] + cost_o
-        mins = np.minimum.reduceat(cand, group_start)
-        finite = np.isfinite(mins)
-        if not finite.any():
-            break
-        hit = cand == np.repeat(mins, group_sizes)
-        first = np.minimum.reduceat(np.where(hit, edge_pos, src_o.size), group_start)
-        sel = group_dst[finite]
-        dist[step, sel] = mins[finite]
-        parent[step, sel] = src_o[first[finite]]
-    return dist, parent
+    counts = np.bincount(dst, minlength=n_nodes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    group_dst = np.flatnonzero(counts)
+    return EdgeLayout(
+        n_nodes=int(n_nodes),
+        indptr=indptr,
+        src=src[order],
+        cost=cost[order],
+        group_dst=group_dst,
+        group_start=indptr[group_dst],
+    )
 
 
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _dp_numba(src, dst, cost, n_nodes, start, allowed, n_steps):
-        inf = np.inf
-        dist = np.full((n_steps + 1, n_nodes), inf)
-        parent = np.full((n_steps + 1, n_nodes), -1, dtype=np.int64)
-        dist[0, start] = 0.0
-        for step in range(1, n_steps + 1):
-            any_finite = False
-            for e in range(src.shape[0]):
-                s = src[e]
-                base = dist[step - 1, s]
-                if not np.isfinite(base):
-                    continue
-                if step > 1 and not allowed[s]:
-                    continue
-                c = base + cost[e]
-                d = dst[e]
-                if c < dist[step, d] or (c == dist[step, d] and s < parent[step, d]):
-                    dist[step, d] = c
-                    parent[step, d] = s
-                    any_finite = True
-                else:
-                    any_finite = True
-            if not any_finite:
-                break
-        return dist, parent
-
-
-def walk_distances(src, dst, cost, n_nodes, start, allowed, n_steps):
+def walk_distances(layout: EdgeLayout, start, allowed, n_steps, dist=None):
     """Exact-length walk costs from ``start`` with restricted interior nodes.
 
-    Returns ``(dist, parent)`` of shape (n_steps+1, n_nodes): minimal cost
-    over walks of exactly ``l`` edges and the predecessor realizing it.
+    Returns ``dist`` of shape (n_steps+1, n_nodes): the minimal cost over
+    walks of exactly ``l`` edges, ``inf`` where there is none. Pass the table
+    of an earlier call for the same start and ``allowed`` as ``dist`` to
+    extend it: only the missing steps are computed.
     """
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    allowed = np.ascontiguousarray(allowed, dtype=bool)
-    if HAVE_NUMBA:
-        return _dp_numba(src, dst, cost, int(n_nodes), int(start), allowed, int(n_steps))
-    return _dp_numpy(src, dst, cost, int(n_nodes), int(start), allowed, int(n_steps))
+    if dist is not None and dist.shape[0] > n_steps:
+        return dist
+    table = np.full((n_steps + 1, layout.n_nodes), np.inf)
+    if dist is None:
+        done = 0
+        table[0, start] = 0.0
+    else:
+        done = dist.shape[0] - 1
+        table[: done + 1] = dist
+    for step in range(done + 1, n_steps + 1):
+        prev = table[step - 1]
+        if step > 1:
+            prev = np.where(allowed, prev, np.inf)
+        mins = np.minimum.reduceat(prev[layout.src] + layout.cost, layout.group_start)
+        if not np.isfinite(mins).any():
+            break
+        table[step, layout.group_dst] = mins
+    return table
+
+
+def walk_back(layout: EdgeLayout, dist, allowed, length, node):
+    """The walk realizing the finite ``dist[length, node]``, start first."""
+    walk = [int(node)]
+    for step in range(length, 0, -1):
+        lo, hi = layout.indptr[node], layout.indptr[node + 1]
+        preds = layout.src[lo:hi]
+        prev = dist[step - 1, preds]
+        if step > 1:
+            prev = np.where(allowed[preds], prev, np.inf)
+        node = int(preds[np.flatnonzero(prev + layout.cost[lo:hi] == dist[step, node])[0]])
+        walk.append(node)
+    walk.reverse()
+    return walk

@@ -113,14 +113,44 @@ def in_duration_window(
     return window[0] <= ratio <= window[1]
 
 
-def _matches(node, feature: EndpointFeature) -> bool:
-    if feature.kind == "end":
-        return True
-    if feature.kind == "onset":
-        return node.onset
-    if feature.kind == "keyword":
-        return node.keyword == feature.word
-    raise ValidationError(f"unknown endpoint feature kind {feature.kind!r}")
+class _SearchState:
+    """What one search shares across its segments: the edge layout, the node
+    masks, and one walk-distance table per distinct start node (extended,
+    not recomputed, when a later segment needs more steps)."""
+
+    def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
+        n = len(graph)
+        self.layout = kernels.edge_layout(*graph.edge_arrays(), n)
+        self.onset = graph.onset_flags
+        if config.avoid_onsets_mid_segment:
+            self.allowed = ~self.onset
+        else:
+            self.allowed = np.ones(n, dtype=bool)
+        self.keywords = np.array([node.keyword for node in graph.nodes])
+        self.matches: dict[tuple[str, str], np.ndarray] = {}
+        self.tables: dict[int, np.ndarray] = {}
+
+    def match(self, feature: EndpointFeature) -> np.ndarray:
+        key = (feature.kind, feature.word)
+        mask = self.matches.get(key)
+        if mask is None:
+            if feature.kind == "end":
+                mask = np.ones(self.onset.size, dtype=bool)
+            elif feature.kind == "onset":
+                mask = self.onset
+            elif feature.kind == "keyword":
+                mask = self.keywords == feature.word
+            else:
+                raise ValidationError(f"unknown endpoint feature kind {feature.kind!r}")
+            self.matches[key] = mask
+        return mask
+
+    def table(self, start: int, n_steps: int) -> np.ndarray:
+        dist = self.tables.get(start)
+        if dist is None or dist.shape[0] <= n_steps:
+            dist = kernels.walk_distances(self.layout, start, self.allowed, n_steps, dist)
+            self.tables[start] = dist
+        return dist
 
 
 def _sort_key(candidate: PathCandidate, duration_weight: float):
@@ -138,13 +168,19 @@ def expand_segment(
     target_length: int,
     config: BeamConfig = BeamConfig(),
     segment_index: int = 0,
-    _arrays=None,
+    keep: int | None = None,
+    _state: _SearchState | None = None,
 ) -> list[PathCandidate]:
     """Extend every candidate across one target segment.
 
-    Returns all extensions whose appended walk ends on a matching node with
-    a window-accepted length; the caller prunes. Raises
-    SegmentUnreachableError when no candidate admits any such walk.
+    An extension appends a walk that ends on a matching node with a
+    window-accepted length. Without ``keep``, returns all extensions in
+    generation order (start node, length, end node ascending, then
+    candidate order). With ``keep``, returns the first ``keep`` of them in
+    beam order, ``(total cost, last node, node sequence)`` with ties in
+    generation order: extensions are ranked on cost arrays and only those
+    that can make the cut are built. Raises SegmentUnreachableError when no
+    candidate admits any such walk.
     """
     if not candidates:
         raise ValidationError("expand_segment needs at least one start candidate")
@@ -163,53 +199,80 @@ def expand_segment(
             f"segment {segment_index}: expansion cap {cap} below minimum length {lo_len}",
         )
 
-    src, dst, cost = _arrays if _arrays is not None else graph.edge_arrays()
-    n = len(graph)
-    if config.avoid_onsets_mid_segment:
-        allowed = ~graph.onset_flags
-    else:
-        allowed = np.ones(n, dtype=bool)
-    match = np.array([_matches(node, target_feature) for node in graph.nodes], dtype=bool)
+    state = _state if _state is not None else _SearchState(graph, config)
+    match = state.match(target_feature)
+    # Division is monotonic, so every length in lo_len..hi_len is in the window.
+    dur_incs = [abs(1.0 - length / target_length) for length in range(lo_len, hi_len + 1)]
+    dur_inc = np.array(dur_incs)
+    transition = np.array([c.transition_cost for c in candidates])
+    duration = np.array([c.duration_cost for c in candidates])
 
-    by_start: dict[int, list[PathCandidate]] = {}
-    for cand in candidates:
-        by_start.setdefault(cand.node_sequence[-1], []).append(cand)
+    by_start: dict[int, list[int]] = {}
+    for i, cand in enumerate(candidates):
+        by_start.setdefault(cand.node_sequence[-1], []).append(i)
 
-    extended: list[PathCandidate] = []
+    # One row per extension, in generation order: (start, length index, end
+    # node, candidate index, total cost as PathCandidate.total_cost computes it).
+    parts = []
     for start, group in sorted(by_start.items()):
-        dist, parent = kernels.walk_distances(src, dst, cost, n, start, allowed, hi_len)
-        for length in range(lo_len, hi_len + 1):
-            if not in_duration_window(length, target_length, (low, high)):
-                continue
-            row = dist[length]
-            hits = np.flatnonzero(np.isfinite(row) & match)
-            if hits.size == 0:
-                continue
-            dur_inc = abs(1.0 - length / target_length)
-            for v in hits:
-                walk = [int(v)]
-                node = int(v)
-                for step in range(length, 0, -1):
-                    node = int(parent[step, node])
-                    walk.append(node)
-                walk.reverse()  # walk[0] == start
-                for cand in group:
-                    extended.append(
-                        PathCandidate(
-                            node_sequence=cand.node_sequence + tuple(walk[1:]),
-                            transition_cost=cand.transition_cost + float(row[v]),
-                            duration_cost=cand.duration_cost + dur_inc,
-                            segment_boundaries=cand.segment_boundaries
-                            + (cand.segment_boundaries[-1] + length,),
-                        )
-                    )
-    if not extended:
+        rows = state.table(start, hi_len)[lo_len : hi_len + 1]
+        hit_len, hit_node = np.nonzero(np.isfinite(rows) & match)
+        if hit_len.size == 0:
+            continue
+        group = np.array(group)
+        t = transition[group][None, :] + rows[hit_len, hit_node][:, None]
+        d = duration[group][None, :] + dur_inc[hit_len][:, None]
+        total = t + config.duration_weight * d
+        parts.append(
+            (
+                np.full(total.size, start),
+                np.repeat(hit_len, group.size),
+                np.repeat(hit_node, group.size),
+                np.tile(group, hit_len.size),
+                total.ravel(),
+            )
+        )
+    if not parts:
         raise SegmentUnreachableError(
             segment_index,
             f"segment {segment_index}: no walk of length {lo_len}..{hi_len} reaches a "
             f"node matching {target_feature.kind}"
             + (f"({target_feature.word})" if target_feature.word else ""),
         )
+    starts, len_idx, ends, cand_idx, totals = (np.concatenate(col) for col in zip(*parts))
+
+    chosen = np.arange(totals.size)
+    if keep is not None and keep < totals.size:
+        # Everything up to and including the keep-th (total, last node) key,
+        # so ties at the cut are settled below on the full key.
+        cut = np.lexsort((ends, totals))[keep - 1]
+        chosen = np.flatnonzero(
+            (totals < totals[cut]) | ((totals == totals[cut]) & (ends <= ends[cut]))
+        )
+
+    walks: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    extended = []
+    survivors = (starts[chosen], len_idx[chosen], ends[chosen], cand_idx[chosen])
+    for start, li, v, ci in zip(*(col.tolist() for col in survivors)):
+        length = lo_len + li
+        dist = state.tables[start]
+        walk = walks.get((start, length, v))
+        if walk is None:
+            walk = tuple(kernels.walk_back(state.layout, dist, state.allowed, length, v)[1:])
+            walks[start, length, v] = walk
+        cand = candidates[ci]
+        extended.append(
+            PathCandidate(
+                node_sequence=cand.node_sequence + walk,
+                transition_cost=cand.transition_cost + float(dist[length, v]),
+                duration_cost=cand.duration_cost + dur_incs[li],
+                segment_boundaries=cand.segment_boundaries
+                + (cand.segment_boundaries[-1] + length,),
+            )
+        )
+    if keep is not None:
+        extended.sort(key=lambda c: _sort_key(c, config.duration_weight))
+        del extended[keep:]
     return extended
 
 
@@ -247,7 +310,9 @@ def beam_search(
         )
         for s in starts
     ]
-    arrays = graph.edge_arrays()
+    state = _SearchState(graph, config)
+    # Deduplication must see every extension, so it prunes after the fact.
+    keep = None if config.dedup else config.beam_width
     durations = segments.durations
     for s in range(segments.segment_count):
         candidates = expand_segment(
@@ -257,13 +322,14 @@ def beam_search(
             durations[s],
             config,
             segment_index=s,
-            _arrays=arrays,
+            keep=keep,
+            _state=state,
         )
         if config.dedup:
             unique = {c.node_sequence: c for c in candidates}
-            candidates = list(unique.values())
-        candidates.sort(key=lambda c: _sort_key(c, config.duration_weight))
-        candidates = candidates[: config.beam_width]
+            candidates = sorted(
+                unique.values(), key=lambda c: _sort_key(c, config.duration_weight)
+            )[: config.beam_width]
     return SearchResult(paths=tuple(candidates), seed=seed, config=config)
 
 

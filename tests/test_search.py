@@ -154,6 +154,33 @@ class TestExpandSegment:
             )
         assert err.value.segment == 3
 
+    def test_keep_limit_is_prefix_of_sorted_unlimited(self):
+        def beam_key(c):
+            return (c.total_cost(), c.node_sequence[-1], c.node_sequence)
+
+        graph = toy_graph(
+            40, synthetic=[(3, 20, 0.05, 0.05), (21, 5, 0.05, 0.05), (12, 30, 0.1, 0.0)]
+        )
+        candidates = [
+            PathCandidate((7, 0), 0.2, 0.0, (0, 1)),
+            PathCandidate((12, 10), 0.2, 0.0, (0, 1)),
+            PathCandidate((3, 0), 0.2, 0.0, (0, 1)),
+            # same node sequence and total as the first, different split
+            PathCandidate((7, 0), 0.1, 0.1, (0, 1)),
+            PathCandidate((25, 26), 0.0, 0.15, (0, 1)),
+        ]
+        feature = EndpointFeature("end")
+        full = expand_segment(graph, candidates, feature, 10, BeamConfig())
+        ranked = sorted(full, key=beam_key)
+        keys = [beam_key(c) for c in ranked]
+        # the toy must put ties on every part of the key at some cut
+        assert any(a[:2] == b[:2] and a[2] != b[2] for a, b in zip(keys, keys[1:]))
+        assert any(a[0] == b[0] and a[1] != b[1] for a, b in zip(keys, keys[1:]))
+        assert any(a == b and x != y for a, b, x, y in zip(keys, keys[1:], ranked, ranked[1:]))
+        for keep in range(1, len(full) + 2):
+            limited = expand_segment(graph, candidates, feature, 10, BeamConfig(), keep=keep)
+            assert limited == ranked[:keep], keep
+
     def test_synthetic_edge_cost_accumulates(self):
         graph = toy_graph(12, synthetic=[(3, 8, 0.25, 0.25)])
         start = PathCandidate((0,), 0.0, 0.0, (0,))
