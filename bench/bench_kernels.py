@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Time the hot kernels on representative workloads.
 
-Prints which backend ran (``numba`` when it imports, else ``numpy``; set
-MOTIONGRAPH_DISABLE_NUMBA=1 to force numpy) and the best-of-3 wall time of
-each kernel. The walk entries time a search-like load: the edge layout a
-search builds once, then one 45-step distance table for each of 20 starts on
-a 2000-node graph with the bundled fixture's edge density.
+Prints the best-of-3 wall time of each kernel. The walk entries time a
+search-like load: the edge layout a search builds once, then one 45-step
+distance table for each of 20 starts on a 2000-node graph with the bundled
+fixture's edge density.
 
     python bench/bench_kernels.py
 """
@@ -18,7 +17,7 @@ import numpy as np
 
 
 def _time(fn, repeats=3):
-    fn()  # warm-up (includes JIT compilation on the numba path)
+    fn()  # warm-up
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -32,7 +31,7 @@ def run_benchmarks():
     from motiongraph.pose import compute_joint_states
     from motiongraph.silhouette import default_camera, rasterize_sequence
 
-    results = {"backend": kernels.BACKEND}
+    results = {}
     rng = np.random.default_rng(7)
 
     # Rasterization: 200 puppet frames at 256x256.
@@ -77,7 +76,6 @@ def run_benchmarks():
 
 def main():
     results = run_benchmarks()
-    print(f"backend: {results.pop('backend')}")
     width = max(len(name) for name in results)
     for name, seconds in results.items():
         print(f"{name:<{width}}  {seconds:>9.4f}s")

@@ -68,22 +68,27 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: STFT window length in samples.
+ONSET_WINDOW_SIZE = 2048
+#: Half-width in seconds of the median window an onset's flux is compared to.
+ONSET_SMOOTH_HALFWIDTH_S = 0.5
+
+
 @dataclass(frozen=True)
 class OnsetConfig:
     """Spectral-flux detector parameters.
 
-    One STFT frame is evaluated per video frame (hop = sample_rate / fps,
-    window centered on the frame time), so the flux curve is already in video
-    frame indexing. A frame is an onset iff its flux is a local maximum and
-    exceeds (1 + delta) times the median flux within +-smooth_halfwidth_s.
-    The median threshold is relative, so peak positions are invariant to
-    amplitude scaling, and it stays robust when several onsets share one
-    window. delta's default was tuned on the synthetic metronome fixtures.
+    One STFT frame of ONSET_WINDOW_SIZE samples is evaluated per video frame
+    (hop = sample_rate / fps, window centered on the frame time), so the flux
+    curve is already in video frame indexing. A frame is an onset iff its
+    flux is a local maximum and exceeds (1 + delta) times the median flux
+    within +-ONSET_SMOOTH_HALFWIDTH_S. The median threshold is relative, so
+    peak positions are invariant to amplitude scaling, and it stays robust
+    when several onsets share one window. delta's default was tuned on the
+    synthetic metronome fixtures.
     """
 
-    window_size: int = 2048
     threshold_delta: float = 2.0
-    smooth_halfwidth_s: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def detect_onsets(
     if n_frames < 1:
         raise ValidationError("audio shorter than one video frame")
 
-    win = config.window_size
+    win = ONSET_WINDOW_SIZE
     half = win // 2
     taper = np.hanning(win)
     padded = np.concatenate([np.zeros(half), samples, np.zeros(win)])
@@ -127,7 +132,7 @@ def detect_onsets(
         diff = mags[1:] - mags[:-1]
         flux[1:] = np.maximum(diff, 0.0).sum(axis=1)
 
-    w = max(1, int(round(config.smooth_halfwidth_s * fps)))
+    w = max(1, int(round(ONSET_SMOOTH_HALFWIDTH_S * fps)))
     flags = np.zeros(n_frames, dtype=bool)
     for t in range(n_frames):
         v = flux[t]

@@ -72,6 +72,10 @@ class VideoMotionGraph:
         seen: set[tuple[int, int]] = set()
         natural = set()
         for e in self.edges:
+            if not (0 <= e.src < n and 0 <= e.dst < n):
+                raise ValidationError(
+                    f"edge ({e.src}, {e.dst}) has an endpoint outside frames 0..{n - 1}"
+                )
             if e.src == e.dst:
                 raise ValidationError(f"self-edge at frame {e.src}")
             if (e.src, e.dst) in seen:
@@ -83,6 +87,8 @@ class VideoMotionGraph:
                         f"natural edge ({e.src}, {e.dst}) must connect consecutive frames"
                     )
                 natural.add(e.src)
+            elif e.kind != "synthetic":
+                raise ValidationError(f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}")
         if n >= 2 and natural != set(range(n - 1)):
             raise ValidationError("natural edges must form the full chain 0..N-1")
         for i, node in enumerate(self.nodes):

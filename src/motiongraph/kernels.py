@@ -1,46 +1,23 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, in numpy.
 
 Three inner loops dominate the engine's runtime: capsule rasterization,
 popcount-based mask intersection over candidate frame pairs, and the
-step-synchronous relaxation inside the beam search. The first two exist
-twice:
-
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a pure-numpy fallback with identical arithmetic.
-
-Set ``MOTIONGRAPH_DISABLE_NUMBA=1`` to force the numpy path (useful for
-debugging and for the bench/ comparison). Both backends are exact integer /
-same-order float arithmetic, so results are bit-identical; the test suite
-asserts this whenever numba is importable. The walk relaxation is numpy
-only: one gather-add and one segmented minimum per step over an edge layout
-built once per search.
+step-synchronous relaxation inside the beam search. Each has one
+implementation. Popcount uses ``np.bitwise_count`` where numpy provides it
+(numpy >= 2.0) and a byte lookup table otherwise; both count the same bits.
+The walk relaxation is one gather-add and one segmented minimum per step
+over an edge layout built once per search.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-_DISABLE = os.environ.get("MOTIONGRAPH_DISABLE_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-
-if not _DISABLE:
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-#: Name of the backend actually in use ("numba" or "numpy").
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+#: Recorded by callers that report which backend ran; numpy is the only one.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
@@ -56,7 +33,22 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 # ---------------------------------------------------------------------------
 
 
-def _raster_numpy(p0, p1, iz0, iz1, radius, focal, width, height, out):
+def rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
+    """Rasterize projected bone capsules into a fresh (height, width) bool mask.
+
+    ``p0``/``p1`` are (B, 2) screen-space segment endpoints in pixels,
+    ``iz0``/``iz1`` the matching inverse camera depths, ``radius`` the
+    per-bone world radii in meters.
+    """
+    out = np.zeros((height, width), dtype=bool)
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    iz0 = np.asarray(iz0, dtype=np.float64)
+    iz1 = np.asarray(iz1, dtype=np.float64)
+    radius = np.asarray(radius, dtype=np.float64)
+    focal = float(focal)
+    width = int(width)
+    height = int(height)
     for b in range(p0.shape[0]):
         ax, ay = p0[b]
         bx, by = p1[b]
@@ -85,73 +77,6 @@ def _raster_numpy(p0, p1, iz0, iz1, radius, focal, width, height, out):
         d2 = (px - sx) ** 2 + (py - sy) ** 2
         inside = d2 <= rho * rho
         out[y_lo : y_hi + 1, x_lo : x_hi + 1] |= inside
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _raster_numba(p0, p1, iz0, iz1, radius, focal, width, height, out):
-        for b in range(p0.shape[0]):
-            ax = p0[b, 0]
-            ay = p0[b, 1]
-            bx = p1[b, 0]
-            by = p1[b, 1]
-            rmax = focal * radius[b] * max(iz0[b], iz1[b])
-            x_lo = max(int(np.floor(min(ax, bx) - rmax - 1.0)), 0)
-            x_hi = min(int(np.ceil(max(ax, bx) + rmax + 1.0)), width - 1)
-            y_lo = max(int(np.floor(min(ay, by) - rmax - 1.0)), 0)
-            y_hi = min(int(np.ceil(max(ay, by) + rmax + 1.0)), height - 1)
-            if x_lo > x_hi or y_lo > y_hi:
-                continue
-            dx = bx - ax
-            dy = by - ay
-            denom = dx * dx + dy * dy
-            for yi in range(y_lo, y_hi + 1):
-                py = yi + 0.5
-                for xi in range(x_lo, x_hi + 1):
-                    px = xi + 0.5
-                    if denom > 0.0:
-                        t = ((px - ax) * dx + (py - ay) * dy) / denom
-                        if t < 0.0:
-                            t = 0.0
-                        elif t > 1.0:
-                            t = 1.0
-                    else:
-                        t = 0.0
-                    sx = ax + t * dx
-                    sy = ay + t * dy
-                    iz = (1.0 - t) * iz0[b] + t * iz1[b]
-                    rho = focal * radius[b] * iz
-                    d2 = (px - sx) ** 2 + (py - sy) ** 2
-                    if d2 <= rho * rho:
-                        out[yi, xi] = True
-
-
-def rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
-    """Rasterize projected bone capsules into a fresh (height, width) bool mask.
-
-    ``p0``/``p1`` are (B, 2) screen-space segment endpoints in pixels,
-    ``iz0``/``iz1`` the matching inverse camera depths, ``radius`` the
-    per-bone world radii in meters.
-    """
-    out = np.zeros((height, width), dtype=bool)
-    if p0.shape[0] == 0:
-        return out
-    args = (
-        np.ascontiguousarray(p0, dtype=np.float64),
-        np.ascontiguousarray(p1, dtype=np.float64),
-        np.ascontiguousarray(iz0, dtype=np.float64),
-        np.ascontiguousarray(iz1, dtype=np.float64),
-        np.ascontiguousarray(radius, dtype=np.float64),
-        float(focal),
-        int(width),
-        int(height),
-        out,
-    )
-    if HAVE_NUMBA:
-        _raster_numba(*args)
-    else:
-        _raster_numpy(*args)
     return out
 
 
@@ -171,7 +96,9 @@ def pack_masks(masks):
     return packed8.view(np.uint64)
 
 
-def _pair_intersections_numpy(packed, pairs):
+def pair_intersections(packed, pairs):
+    """Count intersecting set bits for each (m, n) row pair of ``packed``."""
+    pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
     packed8 = packed.view(np.uint8)
     out = np.empty(pairs.shape[0], dtype=np.int64)
     chunk = max(1, (1 << 24) // max(packed8.shape[1], 1))
@@ -184,40 +111,6 @@ def _pair_intersections_numpy(packed, pairs):
         else:
             out[lo : lo + chunk] = _POPCOUNT8[both].sum(axis=1)
     return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @numba.njit(cache=True, parallel=True)
-    def _pair_intersections_numba(packed, pairs, out):
-        for k in numba.prange(pairs.shape[0]):
-            m = pairs[k, 0]
-            n = pairs[k, 1]
-            acc = np.uint64(0)
-            for w in range(packed.shape[1]):
-                acc += _popcount64(packed[m, w] & packed[n, w])
-            out[k] = np.int64(acc)
-
-
-def pair_intersections(packed, pairs):
-    """Count intersecting set bits for each (m, n) row pair of ``packed``."""
-    pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if HAVE_NUMBA:
-        out = np.empty(pairs.shape[0], dtype=np.int64)
-        _pair_intersections_numba(np.ascontiguousarray(packed), pairs, out)
-        return out
-    return _pair_intersections_numpy(packed, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
 DEFAULT_DURATION_WINDOW = (0.9, 1.1)
-EXPANSION_SLACK = 8
 
 SEARCH_RESULT_FORMAT = "search-result/1"
 
@@ -38,7 +37,6 @@ SEARCH_RESULT_FORMAT = "search-result/1"
 class BeamConfig:
     beam_width: int = DEFAULT_BEAM_WIDTH
     duration_window: tuple[float, float] = DEFAULT_DURATION_WINDOW
-    max_expansion_frames: int | None = None  # per-segment cap; None = derived
     duration_weight: float = 1.0
     avoid_onsets_mid_segment: bool = True
     dedup: bool = False
@@ -189,15 +187,6 @@ def expand_segment(
 
     low, high = config.duration_window
     lo_len, hi_len = duration_bounds(target_length, low, high)
-    cap = config.max_expansion_frames
-    if cap is None:
-        cap = math.ceil(high * target_length) + EXPANSION_SLACK
-    hi_len = min(hi_len, cap)
-    if hi_len < lo_len:
-        raise SegmentUnreachableError(
-            segment_index,
-            f"segment {segment_index}: expansion cap {cap} below minimum length {lo_len}",
-        )
 
     state = _state if _state is not None else _SearchState(graph, config)
     match = state.match(target_feature)

@@ -6,7 +6,6 @@ per-segment sequential cost accumulation) but shares no code with the DP:
 it is a plain recursive walk over the adjacency list.
 """
 
-import math
 from collections import defaultdict
 
 from motiongraph.search import duration_bounds, in_duration_window
@@ -41,10 +40,6 @@ def enumerate_paths(graph, segments, config, starts):
         target = segments.durations[s]
         feature = segments.features[s + 1]
         lo, hi = duration_bounds(target, low, high)
-        cap = config.max_expansion_frames
-        if cap is None:
-            cap = math.ceil(high * target) + 8
-        hi = min(hi, cap)
         extended = []
         for seq, t_cost, d_cost in candidates:
             stack = [(seq[-1], 0, [], 0.0)]

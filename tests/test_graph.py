@@ -207,6 +207,15 @@ class TestBuildGraph:
         assert a.edges == b.edges
 
 
+# Each breaks only the endpoint-range or the kind rule when added to a
+# 3- or 4-frame natural chain.
+BAD_EDGES = [
+    pytest.param(GraphEdge(0, 7, "synthetic", 0.0, 0.0), "outside frames", id="dst-past-end"),
+    pytest.param(GraphEdge(-1, 2, "synthetic", 0.0, 0.0), "outside frames", id="negative-src"),
+    pytest.param(GraphEdge(2, 0, "bogus", 0.0, 0.0), "unknown kind", id="bogus-kind"),
+]
+
+
 class TestGraphInvariants:
     def _nodes(self, n):
         return [GraphNode(i, False, "") for i in range(n)]
@@ -231,6 +240,11 @@ class TestGraphInvariants:
         ]
         with pytest.raises(ValidationError):
             VideoMotionGraph(self._nodes(4), edges, Thresholds(0, 0, 4))
+
+    @pytest.mark.parametrize("bad, reason", BAD_EDGES)
+    def test_bad_edge_rejected(self, bad, reason):
+        with pytest.raises(ValidationError, match=reason):
+            VideoMotionGraph(self._nodes(4), self._chain(4) + [bad], Thresholds(0, 0, 4))
 
 
 class TestSerialization:
@@ -262,6 +276,13 @@ class TestSerialization:
             load_graph(b"\xff\xfe not json")
         with pytest.raises(GraphParseError):
             load_graph(b'{"format": "something-else"}')
+
+    @pytest.mark.parametrize("bad, reason", BAD_EDGES)
+    def test_bad_edge_is_parse_error(self, bad, reason):
+        g = self._toy_graph()
+        g.edges.append(bad)  # after validation, so save_graph writes it out
+        with pytest.raises(GraphParseError, match=reason):
+            load_graph(save_graph(g))
 
     def test_random_graph_roundtrip(self, smooth_setup):
         rng = np.random.default_rng(10)

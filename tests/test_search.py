@@ -80,13 +80,23 @@ class TestDurationWindow:
         assert not in_duration_window(89, 100, (0.9, 1.1))
         assert in_duration_window(90, 100, (0.9, 1.1))
 
-    @pytest.mark.parametrize("target", [10, 100, 333])
-    def test_ratio_rule(self, target):
-        lo, hi = duration_bounds(target, 0.9, 1.1)
-        assert lo / target >= 0.9
-        assert (lo - 1) / target < 0.9
-        assert hi / target <= 1.1
-        assert (hi + 1) / target > 1.1
+    @pytest.mark.parametrize(
+        "low, high, target",
+        [pytest.param(0.9, 1.1, t, id=str(t)) for t in (10, 100, 333)]
+        + [
+            pytest.param(low, high, t, id=f"{low}-{high}-{t}")
+            for low, high in ((1.0, 1.0), (0.5, 2.0), (0.97, 1.03), (0.9, 1.1))
+            for t in (1, 2, 3, 7)
+        ],
+    )
+    def test_ratio_rule(self, low, high, target):
+        lo, hi = duration_bounds(target, low, high)
+        assert lo / target >= low
+        assert (lo - 1) / target < low
+        assert hi / target <= high
+        assert (hi + 1) / target > high
+        # Every window holds 1, so the target length itself is always accepted.
+        assert lo <= target <= hi
 
     def test_exact_boundary_ratios_accepted(self):
         # 9/10 == 0.9 exactly; floor/ceil of 0.9*10 in floats would misfire.
