@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio import AudioFeatureTrack, SegmentList
-from .errors import AssemblyError, StructuralError, ValidationError
+from .errors import AssemblyError, StructuralError, ValidationError, read_document
 from .graph import VideoMotionGraph
 from .pose import PoseFrame, Skeleton, Joint, forward_kinematics, interpolate_pose
 from .search import PathCandidate, PlaybackEntry, resample_segment
@@ -253,7 +253,7 @@ def assemble_edl(
             entries.append(TransitionEntry(schedule=schedules[r - 1]))
         if not core or alloc[r] == 0:
             continue
-        resampled = resample_segment(core, alloc[r], window=None)
+        resampled = resample_segment(core, alloc[r])
         entries.append(
             RunEntry(
                 source_start=core[0],
@@ -294,15 +294,9 @@ def assemble_edl(
 
 @dataclass(frozen=True)
 class RenderConfig:
-    image_size: tuple[int, int] = (256, 256)
-    camera: CameraModel | None = None  # None = default camera at image_size
+    camera: CameraModel | None = None  # None = default camera; it sets the image size
     stroke_radius: float | None = None  # meters; None = skeleton capsule radii
     output_dir: str | Path = "preview"
-
-    def __post_init__(self):
-        w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"image_size must be positive, got {self.image_size}")
 
 
 def _render_skeleton(skeleton: Skeleton, stroke_radius: float | None) -> Skeleton:
@@ -326,28 +320,19 @@ def render_frames(
     Run frames draw the nearest source pose; transition frames draw the
     stored interpolated pose. Deterministic for fixed inputs.
     """
-    camera = config.camera or default_camera(config.image_size)
-    if tuple(camera.image_size) != tuple(config.image_size):
-        raise ValidationError(
-            f"camera image_size {camera.image_size} != render image_size {config.image_size}"
-        )
+    camera = config.camera or default_camera()
     draw_skel = _render_skeleton(skeleton, config.stroke_radius)
     for entry in edl.entries:
         if isinstance(entry, RunEntry):
             for pb in entry.frames:
                 if not 0 <= pb.source_frame < len(poses):
                     raise AssemblyError(f"missing source frame {pb.source_frame}")
-                pose = poses[pb.source_frame]
-                mask = rasterize_silhouette(
-                    draw_skel, forward_kinematics(draw_skel, pose), camera
-                )
-                yield mask.bits.astype(np.uint8) * 255
+            entry_poses = [poses[pb.source_frame] for pb in entry.frames]
         else:
-            for step in entry.schedule.steps:
-                mask = rasterize_silhouette(
-                    draw_skel, forward_kinematics(draw_skel, step.pose), camera
-                )
-                yield mask.bits.astype(np.uint8) * 255
+            entry_poses = [step.pose for step in entry.schedule.steps]
+        for pose in entry_poses:
+            mask = rasterize_silhouette(draw_skel, forward_kinematics(draw_skel, pose), camera)
+            yield mask.bits.astype(np.uint8) * 255
 
 
 def render_preview(
@@ -423,52 +408,52 @@ def save_edl(path: str | Path, edl: EditDecisionList) -> None:
 
 
 def load_edl(path: str | Path) -> EditDecisionList:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != EDL_FORMAT:
-        raise ValidationError(f"{path}: unknown EDL format {doc.get('format')!r}")
-    entries: list = []
-    for e in doc["entries"]:
-        if e["type"] == "run":
-            entries.append(
-                RunEntry(
-                    source_start=int(e["source_start"]),
-                    source_end=int(e["source_end"]),
-                    speed_factor=float(e["speed_factor"]),
-                    frames=tuple(
-                        PlaybackEntry(int(f["source"]), float(f["position"]))
-                        for f in e["frames"]
-                    ),
-                )
-            )
-        else:
-            steps = tuple(
-                BlendStep(
-                    alpha=float(s["alpha"]),
-                    src_frame=int(s["src"]),
-                    dst_frame=int(s["dst"]),
-                    pose=PoseFrame(
-                        frame_index=int(s["src"]),
-                        root_translation=np.array(s["root"]),
-                        joint_rotations=np.array(s["rotations"]),
-                    ),
-                )
-                for s in e["steps"]
-            )
-            entries.append(
-                TransitionEntry(
-                    schedule=BlendSchedule(
-                        src_window=tuple(e["src_window"]),
-                        dst_window=tuple(e["dst_window"]),
-                        steps=steps,
+    def build(doc):
+        entries: list = []
+        for e in doc["entries"]:
+            if e["type"] == "run":
+                entries.append(
+                    RunEntry(
+                        source_start=int(e["source_start"]),
+                        source_end=int(e["source_end"]),
+                        speed_factor=float(e["speed_factor"]),
+                        frames=tuple(
+                            PlaybackEntry(int(f["source"]), float(f["position"]))
+                            for f in e["frames"]
+                        ),
                     )
                 )
-            )
-    return EditDecisionList(
-        fps=float(doc["fps"]),
-        total_frames=int(doc["total_frames"]),
-        start_frame=int(doc["start_frame"]),
-        blend_k=int(doc["blend_k"]),
-        entries=entries,
-        provenance=dict(doc["provenance"]),
-        speech_frames=tuple(int(i) for i in doc["speech_frames"]),
-    )
+            else:
+                steps = tuple(
+                    BlendStep(
+                        alpha=float(s["alpha"]),
+                        src_frame=int(s["src"]),
+                        dst_frame=int(s["dst"]),
+                        pose=PoseFrame(
+                            frame_index=int(s["src"]),
+                            root_translation=np.array(s["root"]),
+                            joint_rotations=np.array(s["rotations"]),
+                        ),
+                    )
+                    for s in e["steps"]
+                )
+                entries.append(
+                    TransitionEntry(
+                        schedule=BlendSchedule(
+                            src_window=tuple(e["src_window"]),
+                            dst_window=tuple(e["dst_window"]),
+                            steps=steps,
+                        )
+                    )
+                )
+        return EditDecisionList(
+            fps=float(doc["fps"]),
+            total_frames=int(doc["total_frames"]),
+            start_frame=int(doc["start_frame"]),
+            blend_k=int(doc["blend_k"]),
+            entries=entries,
+            provenance=dict(doc["provenance"]),
+            speech_frames=tuple(int(i) for i in doc["speech_frames"]),
+        )
+
+    return read_document(Path(path).read_bytes(), f"EDL {path}", EDL_FORMAT, build)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError
+from .errors import GraphParseError, StructuralError, ValidationError, read_document
 
 log = logging.getLogger(__name__)
 
@@ -39,14 +39,20 @@ SEGMENTS_FORMAT = "segments/1"
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Load a 16-bit PCM WAV as mono float64 samples in [-1, 1)."""
-    with wave.open(str(path), "rb") as wav:
-        if wav.getsampwidth() != 2:
-            raise ValidationError(
-                f"{path}: expected 16-bit PCM, got sample width {wav.getsampwidth()} bytes"
-            )
-        rate = wav.getframerate()
-        channels = wav.getnchannels()
-        raw = wav.readframes(wav.getnframes())
+    try:
+        with wave.open(str(path), "rb") as wav:
+            if wav.getsampwidth() != 2:
+                raise ValidationError(
+                    f"{path}: expected 16-bit PCM, got sample width {wav.getsampwidth()} bytes"
+                )
+            rate = wav.getframerate()
+            channels = wav.getnchannels()
+            raw = wav.readframes(wav.getnframes())
+    except (wave.Error, EOFError) as exc:
+        reason = str(exc) or "file ends early"
+        raise GraphParseError(f"WAV file {path} is malformed: {reason}") from exc
+    if len(raw) % (2 * channels):
+        raise GraphParseError(f"WAV file {path} is malformed: data ends inside a sample frame")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
@@ -198,14 +204,14 @@ class KeywordDictionary:
 def default_dictionary() -> KeywordDictionary:
     """The dictionary of common referential-gesture keywords shipped with
     the package."""
-    text = resources.files("motiongraph").joinpath("data/keywords.json").read_text("utf-8")
-    doc = json.loads(text)
-    return KeywordDictionary({cat: tuple(words) for cat, words in doc.items()})
+    return load_dictionary(resources.files("motiongraph").joinpath("data/keywords.json"))
 
 
 def load_dictionary(path: str | Path) -> KeywordDictionary:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return KeywordDictionary({cat: tuple(words) for cat, words in doc.items()})
+    def build(doc):
+        return KeywordDictionary({cat: tuple(words) for cat, words in doc.items()})
+
+    return read_document(Path(path).read_bytes(), f"keyword dictionary {path}", None, build)
 
 
 def match_keywords(
@@ -365,13 +371,14 @@ def segment_target(track: AudioFeatureTrack) -> SegmentList:
 
 def load_transcript(path: str | Path) -> list[TranscriptWord]:
     """Transcript file: JSON list of {word, start_time, end_time}."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        TranscriptWord(
-            word=str(w["word"]), start_time=float(w["start_time"]), end_time=float(w["end_time"])
-        )
-        for w in doc
-    ]
+
+    def build(doc):
+        return [
+            TranscriptWord(str(w["word"]), float(w["start_time"]), float(w["end_time"]))
+            for w in doc
+        ]
+
+    return read_document(Path(path).read_bytes(), f"transcript {path}", None, build)
 
 
 def save_transcript(path: str | Path, words: Sequence[TranscriptWord]) -> None:
@@ -401,17 +408,17 @@ def save_features(path: str | Path, track: AudioFeatureTrack) -> None:
 
 
 def load_features(path: str | Path) -> AudioFeatureTrack:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != FEATURES_FORMAT:
-        raise ValidationError(f"{path}: unknown feature-file format {doc.get('format')!r}")
-    n = int(doc["n_frames"])
-    onsets = np.zeros(n, dtype=bool)
-    onsets[np.asarray(doc["onsets"], dtype=np.int64)] = True
-    labels = [""] * n
-    for start, end, word in doc["keywords"]:
-        for i in range(int(start), int(end)):
-            labels[i] = str(word)
-    return AudioFeatureTrack(fps=float(doc["fps"]), onsets=onsets, keywords=tuple(labels))
+    def build(doc):
+        n = int(doc["n_frames"])
+        onsets = np.zeros(n, dtype=bool)
+        onsets[np.asarray(doc["onsets"], dtype=np.int64)] = True
+        labels = [""] * n
+        for start, end, word in doc["keywords"]:
+            for i in range(int(start), int(end)):
+                labels[i] = str(word)
+        return AudioFeatureTrack(fps=float(doc["fps"]), onsets=onsets, keywords=tuple(labels))
+
+    return read_document(Path(path).read_bytes(), f"feature file {path}", FEATURES_FORMAT, build)
 
 
 def save_segments(path: str | Path, segments: SegmentList) -> None:
@@ -425,13 +432,14 @@ def save_segments(path: str | Path, segments: SegmentList) -> None:
 
 
 def load_segments(path: str | Path) -> SegmentList:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != SEGMENTS_FORMAT:
-        raise ValidationError(f"{path}: unknown segment-file format {doc.get('format')!r}")
-    return SegmentList(
-        n_frames=int(doc["n_frames"]),
-        endpoints=tuple(int(a) for a in doc["endpoints"]),
-        features=tuple(
-            EndpointFeature(kind=str(f["kind"]), word=str(f["word"])) for f in doc["features"]
-        ),
-    )
+    def build(doc):
+        return SegmentList(
+            n_frames=int(doc["n_frames"]),
+            endpoints=tuple(int(a) for a in doc["endpoints"]),
+            features=tuple(
+                EndpointFeature(kind=str(f["kind"]), word=str(f["word"]))
+                for f in doc["features"]
+            ),
+        )
+
+    return read_document(Path(path).read_bytes(), f"segment file {path}", SEGMENTS_FORMAT, build)

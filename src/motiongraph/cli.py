@@ -17,6 +17,7 @@ stage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 from pathlib import Path
@@ -25,22 +26,15 @@ from . import assembly, audio, graph as graph_mod, pose, search, silhouette
 from .errors import MotionGraphError
 
 STATUS_FAILURE = 1
-STATUS_USAGE = 2
 
 
-class _Stage:
+@contextlib.contextmanager
+def _stage(name: str):
     """Context that converts engine errors into stage-named diagnostics."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, MotionGraphError):
-            raise SystemExit(f"error in {self.name}: {exc}")
-        return False
+    try:
+        yield
+    except MotionGraphError as exc:
+        raise SystemExit(f"error in {name}: {exc}") from exc
 
 
 def _require_files(parser: argparse.ArgumentParser, *paths) -> None:
@@ -63,6 +57,34 @@ def _load_camera_arg(path: str | None) -> silhouette.CameraModel:
     if path is None:
         return silhouette.default_camera()
     return silhouette.load_camera(path)
+
+
+def _add_camera_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--camera", default=None, help="camera JSON (default: built-in camera)")
+
+
+def _add_audio_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dictionary", default=None,
+                     help="keyword dictionary JSON (default: built-in)")
+    sub.add_argument("--fps", type=float, default=30.0, help="video frame rate (default 30)")
+    sub.add_argument("--onset-delta", type=float, default=audio.OnsetConfig().threshold_delta,
+                     help="an onset's flux must exceed (1 + delta) x the local median")
+
+
+def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--threshold-offset", type=int, default=graph_mod.DEFAULT_OFFSET_L,
+                     help="frame offset l for threshold calibration (default 4)")
+    sub.add_argument("--min-jump", type=int, default=graph_mod.DEFAULT_MIN_JUMP,
+                     help="minimum |m-n| for synthetic transitions (default 2)")
+    sub.add_argument("--velocity-weight", type=float, default=1.0,
+                     help="weight of the velocity term in d_feat (default 1.0)")
+    sub.add_argument("--dump-masks", default=None, metavar="DIR",
+                     help="also write per-frame silhouette PGMs")
+
+
+def _add_blend_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--blend-k", type=int, default=assembly.DEFAULT_BLEND_K,
+                     help="blend neighborhood size k (default 4)")
 
 
 def _add_search_flags(sub: argparse.ArgumentParser) -> None:
@@ -99,7 +121,7 @@ def _beam_config(args) -> search.BeamConfig:
 
 def _cmd_build_graph(parser, args) -> int:
     _require_files(parser, args.poses, args.features, args.camera)
-    with _Stage("build-graph"):
+    with _stage("build-graph"):
         skeleton, sequence = pose.load_pose_track(args.poses)
         features = audio.load_features(args.features)
         if len(features) != len(sequence):
@@ -144,7 +166,7 @@ def _cmd_build_graph(parser, args) -> int:
 
 def _cmd_analyze_audio(parser, args) -> int:
     _require_files(parser, args.wav, args.transcript, args.dictionary)
-    with _Stage("analyze-audio"):
+    with _stage("analyze-audio"):
         samples, rate = audio.read_wav(args.wav)
         transcript = audio.load_transcript(args.transcript) if args.transcript else []
         dictionary = (
@@ -168,7 +190,7 @@ def _cmd_analyze_audio(parser, args) -> int:
 
 def _cmd_search(parser, args) -> int:
     _require_files(parser, args.graph, args.segments)
-    with _Stage("search"):
+    with _stage("search"):
         built = graph_mod.load_graph_file(args.graph)
         segments = audio.load_segments(args.segments)
         result = search.beam_search(
@@ -186,7 +208,7 @@ def _cmd_search(parser, args) -> int:
 
 def _cmd_assemble(parser, args) -> int:
     _require_files(parser, args.graph, args.poses, args.segments, args.path, args.target_features)
-    with _Stage("assemble"):
+    with _stage("assemble"):
         built = graph_mod.load_graph_file(args.graph)
         _, sequence = pose.load_pose_track(args.poses)
         segments = audio.load_segments(args.segments)
@@ -232,12 +254,11 @@ def _cmd_assemble(parser, args) -> int:
 
 def _cmd_preview(parser, args) -> int:
     _require_files(parser, args.edl, args.poses, args.camera)
-    with _Stage("preview"):
+    with _stage("preview"):
         edl = assembly.load_edl(args.edl)
         skeleton, sequence = pose.load_pose_track(args.poses)
         camera = _load_camera_arg(args.camera)
         config = assembly.RenderConfig(
-            image_size=tuple(camera.image_size),
             camera=camera,
             stroke_radius=args.stroke_radius,
             output_dir=args.out_dir,
@@ -258,11 +279,10 @@ def _cmd_run(parser, args) -> int:
     ns = argparse.Namespace(**vars(args))
     ns.features_out = out / "reference_features.json"
     ns.segments_out = out / "reference_segments.json"
-    saved_wav, saved_tr = args.wav, args.transcript
     ns.wav, ns.transcript = args.ref_wav, args.ref_transcript
     _cmd_analyze_audio(parser, ns)
 
-    ns.wav, ns.transcript = saved_wav, saved_tr
+    ns.wav, ns.transcript = args.wav, args.transcript
     ns.features_out = out / "target_features.json"
     ns.segments_out = out / "target_segments.json"
     _cmd_analyze_audio(parser, ns)
@@ -302,25 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="pose track + features -> graph file")
     p.add_argument("--poses", required=True, help="pose track JSON")
     p.add_argument("--features", required=True, help="reference audio features JSON")
-    p.add_argument("--camera", default=None, help="camera JSON (default: built-in camera)")
+    _add_camera_flag(p)
     p.add_argument("--out", required=True, help="output graph file")
-    p.add_argument("--threshold-offset", type=int, default=graph_mod.DEFAULT_OFFSET_L,
-                   help="frame offset l for threshold calibration (default 4)")
-    p.add_argument("--min-jump", type=int, default=graph_mod.DEFAULT_MIN_JUMP,
-                   help="minimum |m-n| for synthetic transitions (default 2)")
-    p.add_argument("--velocity-weight", type=float, default=1.0,
-                   help="weight of the velocity term in d_feat (default 1.0)")
-    p.add_argument("--dump-masks", default=None, metavar="DIR",
-                   help="also write per-frame silhouette PGMs")
+    _add_graph_flags(p)
     p.set_defaults(func=_cmd_build_graph)
 
     p = sub.add_parser("analyze-audio", help="WAV + transcript -> feature/segment files")
     p.add_argument("--wav", required=True, help="16-bit PCM WAV (mono or stereo)")
     p.add_argument("--transcript", default=None, help="word-timing JSON")
-    p.add_argument("--dictionary", default=None, help="keyword dictionary JSON (default: built-in)")
-    p.add_argument("--fps", type=float, default=30.0, help="video frame rate (default 30)")
-    p.add_argument("--onset-delta", type=float, default=audio.OnsetConfig().threshold_delta,
-                   help="onset peak threshold in local std units")
+    _add_audio_flags(p)
     p.add_argument("--features-out", required=True)
     p.add_argument("--segments-out", required=True)
     p.set_defaults(func=_cmd_analyze_audio)
@@ -339,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="search-result file")
     p.add_argument("--target-features", default=None,
                    help="target feature file, for speech marks in the EDL")
-    p.add_argument("--blend-k", type=int, default=assembly.DEFAULT_BLEND_K,
-                   help="blend neighborhood size k (default 4)")
+    _add_blend_flag(p)
     p.add_argument("--path-index", type=int, default=None,
                    help="assemble exactly this path rank (default: best that fits)")
     p.add_argument("--out", required=True)
@@ -349,30 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preview", help="EDL -> numbered PGM frames")
     p.add_argument("--edl", required=True)
     p.add_argument("--poses", required=True)
-    p.add_argument("--camera", default=None)
+    _add_camera_flag(p)
     p.add_argument("--stroke-radius", type=float, default=None,
                    help="override capsule radii (meters) when drawing")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_preview)
 
     p = sub.add_parser("run", help="end-to-end pipeline")
-    p.add_argument("--poses", required=True)
-    p.add_argument("--ref-wav", required=True)
-    p.add_argument("--ref-transcript", default=None)
+    p.add_argument("--poses", required=True, help="pose track JSON")
+    p.add_argument("--ref-wav", required=True, help="reference audio WAV")
+    p.add_argument("--ref-transcript", default=None, help="reference transcript JSON")
     p.add_argument("--wav", required=True, help="target audio WAV")
     p.add_argument("--transcript", default=None, help="target transcript JSON")
-    p.add_argument("--camera", default=None)
-    p.add_argument("--dictionary", default=None)
-    p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--onset-delta", type=float, default=audio.OnsetConfig().threshold_delta)
-    p.add_argument("--threshold-offset", type=int, default=graph_mod.DEFAULT_OFFSET_L)
-    p.add_argument("--min-jump", type=int, default=graph_mod.DEFAULT_MIN_JUMP)
-    p.add_argument("--velocity-weight", type=float, default=1.0)
-    p.add_argument("--blend-k", type=int, default=assembly.DEFAULT_BLEND_K)
-    p.add_argument("--dump-masks", default=None)
+    _add_camera_flag(p)
+    _add_audio_flags(p)
+    _add_graph_flags(p)
+    _add_search_flags(p)
+    _add_blend_flag(p)
     p.add_argument("--preview", action="store_true", help="also render the PGM preview")
     p.add_argument("--out-dir", required=True)
-    _add_search_flags(p)
     p.set_defaults(func=_cmd_run)
 
     return parser
@@ -383,8 +387,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except SystemExit:
-        raise
     except MotionGraphError as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return STATUS_FAILURE

@@ -1,6 +1,10 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the decoder every engine
+file goes through, which reports a malformed file as one of them."""
 
 from __future__ import annotations
+
+import json
+from typing import Any, Callable
 
 
 class MotionGraphError(Exception):
@@ -41,3 +45,26 @@ class SegmentUnreachableError(MotionGraphError):
 
 class AssemblyError(MotionGraphError):
     """A path cannot be turned into an edit decision list."""
+
+
+def read_document(data: bytes, what: str, fmt: str | None, build: Callable[[Any], Any]):
+    """Decode an engine file: UTF-8 JSON, its ``format`` tag unless ``fmt`` is
+    None, then ``build(doc)``. Any failure, including a field that ``build``
+    finds missing or mistyped, raises GraphParseError naming ``what``."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{what} is not UTF-8: {exc}", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise GraphParseError(f"{what} is not valid JSON: {exc}", offset=offset) from exc
+    if fmt is not None and (not isinstance(doc, dict) or doc.get("format") != fmt):
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise GraphParseError(f"{what} has format {found!r}, expected {fmt!r}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise GraphParseError(f"{what} is malformed: missing field {exc}") from exc
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError,
+            MotionGraphError) as exc:
+        raise GraphParseError(f"{what} is malformed: {exc}") from exc

@@ -9,6 +9,7 @@ mean distance between frames ``l`` apart.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import GraphParseError, StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, read_document
 from .pose import JointState, pose_distance
 
 DEFAULT_OFFSET_L = 4
@@ -81,6 +82,8 @@ class VideoMotionGraph:
             if (e.src, e.dst) in seen:
                 raise ValidationError(f"duplicate edge ({e.src}, {e.dst})")
             seen.add((e.src, e.dst))
+            if not (math.isfinite(e.d_feat) and math.isfinite(e.d_img)):
+                raise ValidationError(f"edge ({e.src}, {e.dst}) has a non-finite distance")
             if e.kind == "natural":
                 if e.dst != e.src + 1:
                     raise ValidationError(
@@ -89,6 +92,8 @@ class VideoMotionGraph:
                 natural.add(e.src)
             elif e.kind != "synthetic":
                 raise ValidationError(f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}")
+            elif abs(e.dst - e.src) < self.min_jump:
+                raise ValidationError(f"synthetic edge ({e.src}, {e.dst}) jumps less than min_jump")
         if n >= 2 and natural != set(range(n - 1)):
             raise ValidationError("natural edges must form the full chain 0..N-1")
         for i, node in enumerate(self.nodes):
@@ -125,8 +130,6 @@ def compute_thresholds(
     A larger ``offset_l`` admits more dissimilar frame pairs into the
     average, raising both thresholds and densifying the graph.
     """
-    from .silhouette import SilhouetteMask, image_distance
-
     n = len(joint_states)
     if offset_l < 1:
         raise ValidationError(f"offset_l must be >= 1, got {offset_l}")
@@ -136,16 +139,27 @@ def compute_thresholds(
         )
     if masks.shape[0] != n:
         raise StructuralError(f"{masks.shape[0]} masks for {n} joint states")
-    h, w = masks.shape[1], masks.shape[2]
+    count = n - offset_l
+    first = np.arange(count)
+    d_img = _image_distances(masks, np.stack([first, first + offset_l], axis=1))
     feat = 0.0
     img = 0.0
-    for m in range(n - offset_l):
+    for m in range(count):
         feat += pose_distance(joint_states[m], joint_states[m + offset_l], velocity_weight)
-        img += image_distance(
-            SilhouetteMask(w, h, masks[m]), SilhouetteMask(w, h, masks[m + offset_l])
-        )
-    count = n - offset_l
+        img += d_img[m]
     return Thresholds(tau_feat=feat / count, tau_img=img / count, offset_l=offset_l)
+
+
+def _image_distances(masks: np.ndarray, pairs: np.ndarray) -> list[float]:
+    """d_img = 1 - IoU of each (m, n) row of ``pairs``, from exact popcounts
+    of the bit-packed masks: bit-equal to ``silhouette.image_distance``."""
+    packed = kernels.pack_masks(masks)
+    rows = np.arange(packed.shape[0])
+    # A row ANDed with itself counts its own bits: the mask's area.
+    areas = kernels.pair_intersections(packed, np.stack([rows, rows], axis=1))
+    inter = kernels.pair_intersections(packed, pairs)
+    union = areas[pairs[:, 0]] + areas[pairs[:, 1]] - inter
+    return [0.0 if u == 0 else 1.0 - i / u for i, u in zip(inter.tolist(), union.tolist())]
 
 
 def _approx_pair_distances(joint_states: Sequence[JointState], velocity_weight: float):
@@ -214,13 +228,8 @@ def build_graph(
             keep.append((int(m), int(k)))
             feat_vals.append(d)
     if keep:
-        pairs = np.array(keep, dtype=np.int64)
-        packed = kernels.pack_masks(masks)
-        areas = masks.reshape(n, -1).sum(axis=1).astype(np.int64)
-        inter = kernels.pair_intersections(packed, pairs)
-        union = areas[pairs[:, 0]] + areas[pairs[:, 1]] - inter
-        for (m, k), d_feat, i, u in zip(keep, feat_vals, inter, union):
-            d_img = 0.0 if u == 0 else 1.0 - int(i) / int(u)
+        d_imgs = _image_distances(masks, np.array(keep, dtype=np.int64))
+        for (m, k), d_feat, d_img in zip(keep, feat_vals, d_imgs):
             if d_img <= thresholds.tau_img:
                 edges.append(GraphEdge(m, k, "synthetic", d_feat, d_img))
                 edges.append(GraphEdge(k, m, "synthetic", d_feat, d_img))
@@ -272,19 +281,9 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
 
 
 def load_graph(stream: bytes) -> VideoMotionGraph:
-    try:
-        doc = json.loads(stream.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise GraphParseError(f"graph stream is not UTF-8: {exc}", offset=exc.start) from exc
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"graph stream is not valid JSON: {exc.msg}", offset=exc.pos) from exc
-    if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
-        raise GraphParseError(
-            f"unsupported graph format {doc.get('format')!r}" if isinstance(doc, dict) else "graph document must be a JSON object"
-        )
-    try:
+    def build(doc):
         nodes = [
-            GraphNode(frame_index=int(n["frame"]), onset=bool(n["onset"]), keyword=str(n["keyword"]))
+            GraphNode(int(n["frame"]), bool(n["onset"]), str(n["keyword"]))
             for n in doc["nodes"]
         ]
         edges = [
@@ -302,7 +301,7 @@ def load_graph(stream: bytes) -> VideoMotionGraph:
             tau_img=float(doc["thresholds"]["tau_img"]),
             offset_l=int(doc["thresholds"]["offset_l"]),
         )
-        graph = VideoMotionGraph(
+        return VideoMotionGraph(
             nodes=nodes,
             edges=edges,
             thresholds=thresholds,
@@ -310,9 +309,8 @@ def load_graph(stream: bytes) -> VideoMotionGraph:
             min_jump=int(doc["min_jump"]),
             velocity_weight=float(doc["velocity_weight"]),
         )
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise GraphParseError(f"graph document is malformed: {exc}") from exc
-    return graph
+
+    return read_document(stream, "graph document", GRAPH_FORMAT, build)
 
 
 def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:

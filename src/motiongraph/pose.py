@@ -9,12 +9,12 @@ plus one axis-angle rotation per joint; rotations compose parent-to-child.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, read_document
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,10 @@ class JointState:
 
 @dataclass
 class MotionSequence:
-    """Ordered pose frames at a fixed frame rate, with derived joint states."""
+    """Ordered pose frames at a fixed frame rate."""
 
     fps: float
     frames: list[PoseFrame]
-    joint_states: list[JointState] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not self.fps > 0:
@@ -189,9 +188,7 @@ def compute_joint_states(skeleton: Skeleton, sequence: MotionSequence) -> list[J
         velocities[-1] = velocities[-2]
     elif t == 2:
         velocities[0] = velocities[1] = positions[1] - positions[0]
-    states = [JointState(positions[i], velocities[i]) for i in range(t)]
-    sequence.joint_states = states
-    return states
+    return [JointState(positions[i], velocities[i]) for i in range(t)]
 
 
 def pose_distance(
@@ -273,31 +270,25 @@ def save_pose_track(path: str | Path, skeleton: Skeleton, sequence: MotionSequen
 
 def load_pose_track(path: str | Path) -> tuple[Skeleton, MotionSequence]:
     """Read a pose-track JSON document back into skeleton + sequence."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"pose track {path}: {exc}") from exc
-    if doc.get("format") != POSE_TRACK_FORMAT:
-        raise ValidationError(
-            f"pose track {path}: expected format {POSE_TRACK_FORMAT!r}, "
-            f"got {doc.get('format')!r}"
+
+    def build(doc):
+        joints = tuple(
+            Joint(
+                name=j["name"],
+                parent=j["parent"],
+                rest_offset=tuple(j["offset"]),
+                capsule_radius=j["radius"],
+            )
+            for j in doc["skeleton"]["joints"]
         )
-    joints = tuple(
-        Joint(
-            name=j["name"],
-            parent=j["parent"],
-            rest_offset=tuple(j["offset"]),
-            capsule_radius=j["radius"],
-        )
-        for j in doc["skeleton"]["joints"]
-    )
-    skeleton = Skeleton(joints)
-    frames = [
-        PoseFrame(
-            frame_index=i,
-            root_translation=np.array(f["root"]),
-            joint_rotations=np.array(f["rotations"]),
-        )
-        for i, f in enumerate(doc["frames"])
-    ]
-    return skeleton, MotionSequence(fps=float(doc["fps"]), frames=frames)
+        frames = [
+            PoseFrame(
+                frame_index=i,
+                root_translation=np.array(f["root"]),
+                joint_rotations=np.array(f["rotations"]),
+            )
+            for i, f in enumerate(doc["frames"])
+        ]
+        return Skeleton(joints), MotionSequence(fps=float(doc["fps"]), frames=frames)
+
+    return read_document(Path(path).read_bytes(), f"pose track {path}", POSE_TRACK_FORMAT, build)

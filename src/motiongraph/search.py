@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .audio import EndpointFeature, SegmentList
-from .errors import SegmentUnreachableError, StructuralError, ValidationError
+from .errors import SegmentUnreachableError, StructuralError, ValidationError, read_document
 from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
@@ -82,10 +82,6 @@ class SearchResult:
         if not self.paths:
             raise ValidationError("search produced no paths")
         return self.paths[0]
-
-    @property
-    def achieved_durations(self) -> tuple[int, ...]:
-        return self.best.durations
 
 
 def duration_bounds(target_length: int, low: float, high: float) -> tuple[int, int]:
@@ -369,18 +365,14 @@ class ResampledRun:
     speed_factor: float  # L' / L_s; >1 plays faster than source
 
 
-def resample_segment(
-    node_run,
-    target_length: int,
-    window: tuple[float, float] | None = DEFAULT_DURATION_WINDOW,
-) -> ResampledRun:
+def resample_segment(node_run, target_length: int) -> ResampledRun:
     """Uniformly resample a frame run to ``target_length`` playback entries.
 
     Nearest-frame selection with round-half-up on the run position
     i * (L'-1) / (L_s-1); endpoints always map to the run's first and last
-    frames. Pass ``window=None`` to skip the ratio validation (the search has
-    already gated segment lengths; assembly re-resamples trimmed runs whose
-    ratios may drift slightly).
+    frames. The ratio is not checked against the duration window: the search
+    has already gated segment lengths, and assembly resamples trimmed runs
+    whose ratios may leave it.
     """
     run = [int(f) for f in node_run]
     if not run:
@@ -388,11 +380,6 @@ def resample_segment(
     if target_length < 1:
         raise ValidationError(f"target_length must be >= 1, got {target_length}")
     ratio = len(run) / target_length
-    if window is not None and not in_duration_window(len(run), target_length, window):
-        raise ValidationError(
-            f"run length {len(run)} vs target {target_length}: ratio {ratio} "
-            f"outside window {window}"
-        )
     entries = []
     if target_length == 1:
         positions = [float(len(run) - 1)]
@@ -429,21 +416,23 @@ def save_search_result(path: str | Path, result: SearchResult) -> None:
 
 
 def load_search_result(path: str | Path) -> SearchResult:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != SEARCH_RESULT_FORMAT:
-        raise ValidationError(f"{path}: unknown search-result format {doc.get('format')!r}")
-    config = BeamConfig(
-        beam_width=int(doc["beam_width"]),
-        duration_window=tuple(doc["duration_window"]),
-        duration_weight=float(doc["duration_weight"]),
-    )
-    paths = tuple(
-        PathCandidate(
-            node_sequence=tuple(int(v) for v in p["nodes"]),
-            transition_cost=float(p["transition_cost"]),
-            duration_cost=float(p["duration_cost"]),
-            segment_boundaries=tuple(int(b) for b in p["boundaries"]),
+    def build(doc):
+        config = BeamConfig(
+            beam_width=int(doc["beam_width"]),
+            duration_window=tuple(doc["duration_window"]),
+            duration_weight=float(doc["duration_weight"]),
         )
-        for p in doc["paths"]
+        paths = tuple(
+            PathCandidate(
+                node_sequence=tuple(int(v) for v in p["nodes"]),
+                transition_cost=float(p["transition_cost"]),
+                duration_cost=float(p["duration_cost"]),
+                segment_boundaries=tuple(int(b) for b in p["boundaries"]),
+            )
+            for p in doc["paths"]
+        )
+        return SearchResult(paths=paths, seed=int(doc["seed"]), config=config)
+
+    return read_document(
+        Path(path).read_bytes(), f"search result {path}", SEARCH_RESULT_FORMAT, build
     )
-    return SearchResult(paths=paths, seed=int(doc["seed"]), config=config)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, read_document
 from .pose import Skeleton
 
 #: Depth (meters) below which geometry counts as behind the camera.
@@ -54,6 +54,8 @@ class CameraModel:
         w, h = self.image_size
         if w <= 0 or h <= 0:
             raise ValidationError(f"image_size must be positive, got {self.image_size}")
+        if len(self.principal_point) != 2:
+            raise ValidationError(f"principal_point must be (x, y), got {self.principal_point}")
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValidationError("camera rotation must be (3,3) and translation (3,)")
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-6) or not np.isclose(
@@ -207,16 +209,13 @@ def save_camera(path: str | Path, camera: CameraModel) -> None:
 
 
 def load_camera(path: str | Path) -> CameraModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"camera file {path}: {exc}") from exc
-    if doc.get("format") != CAMERA_FORMAT:
-        raise ValidationError(f"camera file {path}: unknown format {doc.get('format')!r}")
-    return CameraModel(
-        focal_length=float(doc["focal_length"]),
-        principal_point=tuple(doc["principal_point"]),
-        image_size=tuple(int(v) for v in doc["image_size"]),
-        rotation=np.array(doc["rotation"]),
-        translation=np.array(doc["translation"]),
-    )
+    def build(doc):
+        return CameraModel(
+            focal_length=float(doc["focal_length"]),
+            principal_point=tuple(doc["principal_point"]),
+            image_size=tuple(int(v) for v in doc["image_size"]),
+            rotation=np.array(doc["rotation"]),
+            translation=np.array(doc["translation"]),
+        )
+
+    return read_document(Path(path).read_bytes(), f"camera file {path}", CAMERA_FORMAT, build)

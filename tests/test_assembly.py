@@ -195,7 +195,7 @@ class TestPreview:
         path = PathCandidate(tuple(range(5, 16)), 0.0, 0.0, (0, 10))
         edl = assemble_edl(path, graph, segment_list(11, []), wavy_poses, k=2)
         cam = default_camera((64, 64), focal_length=60.0)
-        config = RenderConfig(image_size=(64, 64), camera=cam)
+        config = RenderConfig(camera=cam)
         frames = list(render_frames(edl, chain_skeleton, wavy_poses, config))
         assert len(frames) == 10
         for i, img in enumerate(frames):
@@ -209,7 +209,7 @@ class TestPreview:
         path = PathCandidate(nodes, 0.2, 0.0, (0, len(nodes) - 1))
         edl = assemble_edl(path, graph, segment_list(41, []), wavy_poses, k=4)
         cam = default_camera((64, 64), focal_length=60.0)
-        config = RenderConfig(image_size=(64, 64), camera=cam)
+        config = RenderConfig(camera=cam)
         frames = list(render_frames(edl, chain_skeleton, wavy_poses, config))
         trans_start = len(edl.entries[0].frames)
         # alpha=0 frame renders source frame 56 exactly
@@ -236,8 +236,7 @@ class TestPreview:
         graph = toy_graph(60)
         path = PathCandidate(tuple(range(0, 6)), 0.0, 0.0, (0, 5))
         edl = assemble_edl(path, graph, segment_list(6, []), wavy_poses, k=2)
-        config = RenderConfig(image_size=(32, 32), camera=default_camera((32, 32), 30.0),
-                              output_dir=tmp_path / "frames")
+        config = RenderConfig(camera=default_camera((32, 32), 30.0), output_dir=tmp_path / "frames")
         written = render_preview(edl, chain_skeleton, wavy_poses, config)
         assert [p.name for p in written] == [f"frame_{i:06d}.pgm" for i in range(5)]
         for p in written:
@@ -248,11 +247,9 @@ class TestPreview:
         nodes = tuple(range(40, 61)) + tuple(range(120, 140))
         path = PathCandidate(nodes, 0.2, 0.0, (0, len(nodes) - 1))
         edl = assemble_edl(path, graph, segment_list(41, []), wavy_poses, k=4)
-        config = RenderConfig(image_size=(48, 48), camera=default_camera((48, 48), 45.0),
-                              output_dir=tmp_path / "a")
+        config = RenderConfig(camera=default_camera((48, 48), 45.0), output_dir=tmp_path / "a")
         a = render_preview(edl, chain_skeleton, wavy_poses, config)
-        config_b = RenderConfig(image_size=(48, 48), camera=default_camera((48, 48), 45.0),
-                                output_dir=tmp_path / "b")
+        config_b = RenderConfig(camera=default_camera((48, 48), 45.0), output_dir=tmp_path / "b")
         b = render_preview(edl, chain_skeleton, wavy_poses, config_b)
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()

@@ -8,6 +8,7 @@ from motiongraph.audio import load_features, load_segments
 from motiongraph.fixtures import make_fixture
 from motiongraph.graph import load_graph_file
 from motiongraph.search import load_search_result
+from motiongraph.silhouette import default_camera, save_camera
 
 REF_FRAMES = 800
 TGT_FRAMES = 280
@@ -198,6 +199,16 @@ class TestDefaults:
              "--path", "x", "--out", "o"]
         )
         assert args.blend_k == 4
+        args = parser.parse_args(
+            ["run", "--poses", "p", "--ref-wav", "r", "--wav", "w", "--out-dir", "o"]
+        )
+        assert args.beam_width == 20
+        assert tuple(args.duration_window) == (0.9, 1.1)
+        assert args.seed == 0
+        assert args.threshold_offset == 4
+        assert args.min_jump == 2
+        assert args.velocity_weight == 1.0
+        assert args.blend_k == 4
 
 
 class TestUsageErrors:
@@ -233,3 +244,128 @@ class TestUsageErrors:
                  "--segments", str(bad), "--out", str(tmp_path / "p.json")]
             )
         assert "search" in str(err.value)
+
+
+def _truncated(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _edited(edit):
+    """Mutation of a JSON file: decode, apply ``edit`` to the document, encode."""
+
+    def mutate(data: bytes) -> bytes:
+        doc = json.loads(data)
+        edit(doc)
+        return json.dumps(doc).encode()
+
+    return mutate
+
+
+def _drop(key):
+    return _edited(lambda doc: doc.pop(key))
+
+
+def _set(key, value):
+    return _edited(lambda doc: doc.update({key: value}))
+
+
+AUDIO_OUT = ["--features-out", "@f", "--segments-out", "@s"]
+
+# Input kind -> (a well-formed file of that kind, the flag that passes it,
+# the subcommand that reads it, that subcommand's other arguments). Other
+# arguments name well-formed files by key, or outputs with a leading "@".
+READERS = {
+    "pose-track": ("poses", "--poses", "build-graph",
+                   ["--features", "ref_features", "--out", "@g"]),
+    "camera": ("camera", "--camera", "build-graph",
+               ["--poses", "poses", "--features", "ref_features", "--out", "@g"]),
+    "dictionary": ("dictionary", "--dictionary", "analyze-audio",
+                   ["--wav", "target_wav", *AUDIO_OUT]),
+    "transcript": ("target_transcript", "--transcript", "analyze-audio",
+                   ["--wav", "target_wav", *AUDIO_OUT]),
+    "wav": ("target_wav", "--wav", "analyze-audio", AUDIO_OUT),
+    "features": ("ref_features", "--features", "build-graph",
+                 ["--poses", "poses", "--out", "@g"]),
+    "segments": ("segments", "--segments", "search", ["--graph", "graph", "--out", "@p"]),
+    "graph": ("graph", "--graph", "search", ["--segments", "segments", "--out", "@p"]),
+    "search-result": ("path", "--path", "assemble",
+                      ["--graph", "graph", "--poses", "poses", "--segments", "segments",
+                       "--out", "@e"]),
+    "edl": ("edl", "--edl", "preview", ["--poses", "poses", "--out-dir", "@frames"]),
+}
+
+MALFORMED = {
+    "pose-track": {"broken-json": _truncated, "missing-field": _drop("frames"),
+                   "wrong-format": _set("format", "pose-track/9")},
+    "camera": {"broken-json": _truncated, "missing-field": _drop("focal_length"),
+               "wrong-format": _set("format", "camera/9"),
+               "3d-principal-point": _set("principal_point", [128.0, 128.0, 1.0])},
+    "dictionary": {"broken-json": _truncated,
+                   "list-not-map": lambda data: b'["hello"]'},
+    "transcript": {"broken-json": _truncated,
+                   "missing-field": _edited(lambda doc: doc[0].pop("end_time"))},
+    "wav": {"not-riff": lambda data: b"plain text, not a RIFF file",
+            "truncated-header": lambda data: data[:20]},
+    "features": {"broken-json": _truncated, "missing-field": _drop("n_frames"),
+                 "wrong-format": _set("format", "audio-features/9")},
+    "segments": {"broken-json": _truncated, "missing-field": _drop("endpoints"),
+                 "wrong-format": _set("format", "segments/9"),
+                 "infinite-count": _set("n_frames", float("inf"))},
+    "graph": {"broken-json": _truncated, "missing-field": _drop("edges"),
+              "wrong-format": _set("format", "motion-graph/9")},
+    "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
+                      "wrong-format": _set("format", "search-result/9")},
+    "edl": {"broken-json": _truncated, "missing-field": _drop("entries"),
+            "wrong-format": _set("format", "edl/9")},
+}
+
+
+@pytest.fixture(scope="session")
+def input_files(tmp_path_factory, fixture_files, pipeline):
+    """A well-formed file of every input kind."""
+    out = tmp_path_factory.mktemp("inputs")
+    save_camera(out / "camera.json", default_camera())
+    (out / "dictionary.json").write_text(json.dumps({"greeting": ["hello"]}))
+    return dict(
+        fixture_files,
+        camera=out / "camera.json",
+        dictionary=out / "dictionary.json",
+        ref_features=pipeline / "reference_features.json",
+        segments=pipeline / "target_segments.json",
+        graph=pipeline / "graph.json",
+        path=pipeline / "path.json",
+        edl=pipeline / "edl.json",
+    )
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "kind, mutate",
+        [
+            pytest.param(kind, mutate, id=f"{kind}-{case}")
+            for kind, cases in MALFORMED.items()
+            for case, mutate in cases.items()
+        ],
+    )
+    def test_exits_1_with_stage_diagnostic(self, tmp_path, capsys, input_files, kind, mutate):
+        source, flag, command, rest = READERS[kind]
+        bad = tmp_path / f"bad-{input_files[source].name}"
+        bad.write_bytes(mutate(input_files[source].read_bytes()))
+        argv = [command, flag, str(bad)]
+        for arg in rest:
+            if arg.startswith("@"):
+                arg = str(tmp_path / arg[1:])
+            elif not arg.startswith("--"):
+                arg = str(input_files[arg])
+            argv.append(arg)
+        # Any exception but SystemExit escaping main() would be a traceback.
+        # For SystemExit("...") the interpreter prints the text to stderr
+        # and exits 1.
+        try:
+            status = cli.main(argv)
+            message = capsys.readouterr().err
+        except SystemExit as exc:
+            status, message = (1, exc.code) if isinstance(exc.code, str) else (exc.code, "")
+        assert status == 1
+        assert message.startswith(f"error in {command}: ")
+        assert "Traceback" not in message

@@ -207,12 +207,14 @@ class TestBuildGraph:
         assert a.edges == b.edges
 
 
-# Each breaks only the endpoint-range or the kind rule when added to a
-# 3- or 4-frame natural chain.
+# Each breaks exactly one edge rule (endpoint range, kind, finite distance,
+# min_jump = 2) when added to a 3- or 4-frame natural chain.
 BAD_EDGES = [
     pytest.param(GraphEdge(0, 7, "synthetic", 0.0, 0.0), "outside frames", id="dst-past-end"),
     pytest.param(GraphEdge(-1, 2, "synthetic", 0.0, 0.0), "outside frames", id="negative-src"),
     pytest.param(GraphEdge(2, 0, "bogus", 0.0, 0.0), "unknown kind", id="bogus-kind"),
+    pytest.param(GraphEdge(2, 0, "synthetic", math.nan, 0.0), "non-finite", id="nan-distance"),
+    pytest.param(GraphEdge(2, 1, "synthetic", 0.0, 0.0), "min_jump", id="short-jump"),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motiongraph.audio import EndpointFeature, SegmentList
-from motiongraph.errors import SegmentUnreachableError, ValidationError
+from motiongraph.errors import SegmentUnreachableError
 from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
@@ -327,11 +327,6 @@ class TestResample:
         assert sources == sorted(sources)
         assert len(set(sources)) < len(sources)  # some frames repeat
 
-    def test_window_validation(self):
-        with pytest.raises(ValidationError):
-            resample_segment(list(range(50)), 100)
-        resample_segment(list(range(50)), 100, window=None)
-
     def test_single_entry_emits_terminal(self):
-        out = resample_segment([7, 8, 9], 1, window=None)
+        out = resample_segment([7, 8, 9], 1)
         assert [e.source_frame for e in out.entries] == [9]
