@@ -4,7 +4,9 @@
 Prints the best-of-3 wall time of each kernel. The walk entries time a
 search-like load: the edge layout a search builds once, then one 45-step
 distance table for each of 20 starts on a 2000-node graph with the bundled
-fixture's edge density.
+fixture's edge density. The gating entry times the graph build's d_feat
+pre-gate over all frame pairs of a 4000-frame puppet reference, and also
+prints the traced peak memory (tracemalloc) of one gating call.
 
     python bench/bench_kernels.py
 """
@@ -12,6 +14,7 @@ fixture's edge density.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -27,8 +30,8 @@ def _time(fn, repeats=3):
 
 
 def run_benchmarks():
-    from motiongraph import fixtures, kernels
-    from motiongraph.pose import compute_joint_states
+    from motiongraph import fixtures, graph, kernels
+    from motiongraph.pose import compute_joint_states, pose_distance
     from motiongraph.silhouette import default_camera, rasterize_sequence
 
     results = {}
@@ -40,15 +43,31 @@ def run_benchmarks():
     states = compute_joint_states(skeleton, sequence)
     camera = default_camera()
     positions = [s.positions for s in states]
-    results["rasterize_200f_256px"] = _time(
-        lambda: rasterize_sequence(skeleton, positions, camera)
+    results["rasterize_200f_256px"] = (
+        _time(lambda: rasterize_sequence(skeleton, positions, camera)), "s"
     )
 
     # Pairwise mask intersections: 20k random pairs of packed 256x256 masks.
-    masks = rasterize_sequence(skeleton, positions, camera)
-    packed = kernels.pack_masks(masks)
-    pairs = rng.integers(0, masks.shape[0], size=(20000, 2))
-    results["popcount_20k_pairs"] = _time(lambda: kernels.pair_intersections(packed, pairs))
+    packed = rasterize_sequence(skeleton, positions, camera)
+    pairs = rng.integers(0, packed.shape[0], size=(20000, 2))
+    results["popcount_20k_pairs"] = (_time(lambda: kernels.pair_intersections(packed, pairs)), "s")
+
+    # Pair gating: every pair of a 4000-frame reference against the mean
+    # offset-4 pose distance, the threshold compute_thresholds calibrates.
+    long_states = compute_joint_states(skeleton, fixtures.puppet_sequence(4000))
+    offset = graph.DEFAULT_OFFSET_L
+    tau = float(np.mean([
+        pose_distance(a, b) for a, b in zip(long_states, long_states[offset:])
+    ]))
+
+    def gate():
+        return graph._gate_pairs(long_states, 1.0, tau, graph.DEFAULT_MIN_JUMP)
+
+    results["gate_4000f"] = (_time(gate), "s")
+    tracemalloc.start()
+    gate()
+    results["gate_4000f_traced_peak"] = (tracemalloc.get_traced_memory()[1] / 2**20, "MB")
+    tracemalloc.stop()
 
     # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
     # graph has 154k), 20 starts x 45 steps, as one search segment sees them.
@@ -62,7 +81,9 @@ def run_benchmarks():
     cost = np.concatenate([np.zeros(n - 1), rng.uniform(0.01, 0.5, size=keep.sum())])
     allowed = np.ones(n, dtype=bool)
     allowed[rng.integers(0, n, size=60)] = False
-    results["walk_layout_150k_edges"] = _time(lambda: kernels.edge_layout(src, dst, cost, n))
+    results["walk_layout_150k_edges"] = (
+        _time(lambda: kernels.edge_layout(src, dst, cost, n)), "s"
+    )
     layout = kernels.edge_layout(src, dst, cost, n)
     starts = rng.choice(n, size=20, replace=False)
 
@@ -70,15 +91,15 @@ def run_benchmarks():
         for start in starts:
             kernels.walk_distances(layout, int(start), allowed, 45)
 
-    results["walk_dp_20starts_45steps"] = _time(dp)
+    results["walk_dp_20starts_45steps"] = (_time(dp), "s")
     return results
 
 
 def main():
     results = run_benchmarks()
     width = max(len(name) for name in results)
-    for name, seconds in results.items():
-        print(f"{name:<{width}}  {seconds:>9.4f}s")
+    for name, (value, unit) in results.items():
+        print(f"{name:<{width}}  {value:>9.4f} {unit}")
 
 
 if __name__ == "__main__":

@@ -86,6 +86,7 @@ from .silhouette import (
     image_distance,
     rasterize_sequence,
     rasterize_silhouette,
+    unpack_mask,
     write_pgm,
 )
 

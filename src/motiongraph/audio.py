@@ -411,11 +411,16 @@ def load_features(path: str | Path) -> AudioFeatureTrack:
     def build(doc):
         n = int(doc["n_frames"])
         onsets = np.zeros(n, dtype=bool)
-        onsets[np.asarray(doc["onsets"], dtype=np.int64)] = True
+        frames = np.asarray(doc["onsets"], dtype=np.int64)
+        if frames.size and frames.min() < 0:
+            raise ValidationError(f"onset frame {frames.min()} is negative")
+        onsets[frames] = True
         labels = [""] * n
         for start, end, word in doc["keywords"]:
-            for i in range(int(start), int(end)):
-                labels[i] = str(word)
+            start, end = int(start), int(end)
+            if not 0 <= start <= end <= n:
+                raise ValidationError(f"keyword run [{start}, {end}) is not within frames 0..{n}")
+            labels[start:end] = [str(word)] * (end - start)
         return AudioFeatureTrack(fps=float(doc["fps"]), onsets=onsets, keywords=tuple(labels))
 
     return read_document(Path(path).read_bytes(), f"feature file {path}", FEATURES_FORMAT, build)

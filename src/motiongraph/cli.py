@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import assembly, audio, graph as graph_mod, pose, search, silhouette
-from .errors import MotionGraphError
+from .errors import MotionGraphError, ValidationError
 
 STATUS_FAILURE = 1
 
@@ -51,6 +51,13 @@ def _parse_window(text: str) -> tuple[float, float]:
             f"expected two comma-separated numbers, got {text!r}"
         )
     return low, high
+
+
+def _path_rank(text: str) -> int:
+    rank = int(text)
+    if rank < 0:
+        raise argparse.ArgumentTypeError(f"a path rank is >= 0, got {rank}")
+    return rank
 
 
 def _load_camera_arg(path: str | None) -> silhouette.CameraModel:
@@ -138,10 +145,8 @@ def _cmd_build_graph(parser, args) -> int:
             dump = Path(args.dump_masks)
             dump.mkdir(parents=True, exist_ok=True)
             w, h = camera.image_size
-            for i in range(masks.shape[0]):
-                silhouette.write_pgm(
-                    silhouette.SilhouetteMask(w, h, masks[i]), dump / f"mask_{i:06d}.pgm"
-                )
+            for i, row in enumerate(masks):
+                silhouette.write_pgm(silhouette.unpack_mask(row, w, h), dump / f"mask_{i:06d}.pgm")
         thresholds = graph_mod.compute_thresholds(
             states, masks, offset_l=args.threshold_offset, velocity_weight=args.velocity_weight
         )
@@ -221,6 +226,11 @@ def _cmd_assemble(parser, args) -> int:
             "search_seed": result.seed,
         }
         if args.path_index is not None:
+            if args.path_index >= len(result.paths):
+                raise ValidationError(
+                    f"--path-index {args.path_index} is out of range: {args.path} "
+                    f"holds {len(result.paths)} paths"
+                )
             chosen = [(args.path_index, result.paths[args.path_index])]
         else:
             chosen = list(enumerate(result.paths))
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-features", default=None,
                    help="target feature file, for speech marks in the EDL")
     _add_blend_flag(p)
-    p.add_argument("--path-index", type=int, default=None,
+    p.add_argument("--path-index", type=_path_rank, default=None,
                    help="assemble exactly this path rank (default: best that fits)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_assemble)

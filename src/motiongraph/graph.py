@@ -25,6 +25,10 @@ DEFAULT_MIN_JUMP = 2
 
 GRAPH_FORMAT = "motion-graph/1"
 
+#: Rows of the pair matrix gated at a time. Each gating temporary holds at
+#: most GATE_BLOCK x N float64 values, so the build never holds an N x N one.
+GATE_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class GraphNode:
@@ -119,6 +123,15 @@ class VideoMotionGraph:
         return np.array([node.onset for node in self.nodes], dtype=bool)
 
 
+def _check_packed(masks, n: int) -> None:
+    """``masks`` must be the packed (N, W64) uint64 rows of ``rasterize_sequence``."""
+    if not (isinstance(masks, np.ndarray) and masks.ndim == 2 and masks.dtype == np.uint64):
+        got = f"{masks.dtype} {masks.shape}" if isinstance(masks, np.ndarray) else type(masks)
+        raise StructuralError(f"masks must be packed (N, W64) uint64 rows, got {got}")
+    if masks.shape[0] != n:
+        raise StructuralError(f"{masks.shape[0]} masks for {n} joint states")
+
+
 def compute_thresholds(
     joint_states: Sequence[JointState],
     masks: np.ndarray,
@@ -127,7 +140,8 @@ def compute_thresholds(
 ) -> Thresholds:
     """Mean distance between frames (m, m + l), per metric.
 
-    A larger ``offset_l`` admits more dissimilar frame pairs into the
+    ``masks`` are the packed silhouette rows of ``rasterize_sequence``. A
+    larger ``offset_l`` admits more dissimilar frame pairs into the
     average, raising both thresholds and densifying the graph.
     """
     n = len(joint_states)
@@ -137,8 +151,7 @@ def compute_thresholds(
         raise ValidationError(
             f"sequence of {n} frames is too short for threshold offset l={offset_l}"
         )
-    if masks.shape[0] != n:
-        raise StructuralError(f"{masks.shape[0]} masks for {n} joint states")
+    _check_packed(masks, n)
     count = n - offset_l
     first = np.arange(count)
     d_img = _image_distances(masks, np.stack([first, first + offset_l], axis=1))
@@ -150,10 +163,9 @@ def compute_thresholds(
     return Thresholds(tau_feat=feat / count, tau_img=img / count, offset_l=offset_l)
 
 
-def _image_distances(masks: np.ndarray, pairs: np.ndarray) -> list[float]:
+def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> list[float]:
     """d_img = 1 - IoU of each (m, n) row of ``pairs``, from exact popcounts
-    of the bit-packed masks: bit-equal to ``silhouette.image_distance``."""
-    packed = kernels.pack_masks(masks)
+    of the packed masks: bit-equal to ``silhouette.image_distance``."""
     rows = np.arange(packed.shape[0])
     # A row ANDed with itself counts its own bits: the mask's area.
     areas = kernels.pair_intersections(packed, np.stack([rows, rows], axis=1))
@@ -162,17 +174,46 @@ def _image_distances(masks: np.ndarray, pairs: np.ndarray) -> list[float]:
     return [0.0 if u == 0 else 1.0 - i / u for i, u in zip(inter.tolist(), union.tolist())]
 
 
-def _approx_pair_distances(joint_states: Sequence[JointState], velocity_weight: float):
-    """Full pairwise d_feat matrix via the Gram trick (gating only)."""
+def _gate_pairs(
+    joint_states: Sequence[JointState],
+    velocity_weight: float,
+    tau_feat: float,
+    min_jump: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (m, n), n - m >= min_jump, in row-major order, whose
+    approximate d_feat (Gram trick) is within a small margin of ``tau_feat``.
+
+    The upper triangle is visited ``GATE_BLOCK`` rows at a time, so memory
+    is O(GATE_BLOCK * N). Every entry is computed with the same operations,
+    in the same order, as the full-matrix formula.
+    """
+    n = len(joint_states)
     pos = np.stack([s.positions.ravel() for s in joint_states]).astype(np.float64)
     vel = np.stack([s.velocities.ravel() for s in joint_states]).astype(np.float64)
+    sq_pos = np.sum(pos * pos, axis=1)
+    sq_vel = np.sum(vel * vel, axis=1)
+    gate = tau_feat + 1e-8 * (1.0 + tau_feat)
 
-    def sq_dists(x):
-        sq = np.sum(x * x, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        return np.maximum(d2, 0.0)
+    def dists(x, sq, rows, cols):
+        d = sq[rows, None] + sq[None, cols]
+        d -= 2.0 * (x[rows] @ x[cols].T)
+        np.maximum(d, 0.0, out=d)
+        return np.sqrt(d, out=d)
 
-    return np.sqrt(sq_dists(pos)) + velocity_weight * np.sqrt(sq_dists(vel))
+    mm, nn = [], []
+    for lo in range(0, n - min_jump, GATE_BLOCK):
+        rows = slice(lo, min(lo + GATE_BLOCK, n - min_jump))
+        cols = slice(lo + min_jump, n)
+        approx = dists(pos, sq_pos, rows, cols)
+        approx += velocity_weight * dists(vel, sq_vel, rows, cols)
+        # Block entry (i, j) is the pair (lo + i, lo + min_jump + j): the
+        # upper triangle n - m >= min_jump is j >= i.
+        r, c = np.nonzero(np.triu(approx <= gate))
+        mm.append(r + lo)
+        nn.append(c + lo + min_jump)
+    if not mm:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(mm), np.concatenate(nn)
 
 
 def build_graph(
@@ -196,11 +237,9 @@ def build_graph(
     n = len(joint_states)
     if n < 2:
         raise ValidationError("need at least 2 frames to build a graph")
-    if masks.shape[0] != n or len(features) != n:
-        raise StructuralError(
-            f"length mismatch: {n} joint states, {masks.shape[0]} masks, "
-            f"{len(features)} feature records"
-        )
+    _check_packed(masks, n)
+    if len(features) != n:
+        raise StructuralError(f"{len(features)} feature records for {n} joint states")
     if min_jump < 2:
         raise ValidationError(f"min_jump must be >= 2, got {min_jump}")
 
@@ -213,11 +252,7 @@ def build_graph(
         for i in range(n - 1)
     ]
 
-    approx = _approx_pair_distances(joint_states, velocity_weight)
-    margin = 1e-8 * (1.0 + thresholds.tau_feat)
-    mm, nn = np.triu_indices(n, k=min_jump)
-    cand = approx[mm, nn] <= thresholds.tau_feat + margin
-    mm, nn = mm[cand], nn[cand]
+    mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
 
     # Exact d_feat filter.
     keep = []

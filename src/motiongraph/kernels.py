@@ -11,6 +11,7 @@ over an edge layout built once per search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
 def pack_masks(masks):
     """Bit-pack (N, H, W) boolean masks into (N, W64) uint64 rows."""
     arr = np.asarray(masks, dtype=bool)
-    flat = arr.reshape(arr.shape[0], -1)
+    flat = arr.reshape(arr.shape[0], math.prod(arr.shape[1:]))
     packed8 = np.packbits(flat, axis=1)
     pad = (-packed8.shape[1]) % 8
     if pad:
@@ -101,7 +102,9 @@ def pair_intersections(packed, pairs):
     pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
     packed8 = packed.view(np.uint8)
     out = np.empty(pairs.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(packed8.shape[1], 1))
+    # About 1 MiB of rows per temporary: small enough to stay in cache and
+    # to be reused by the allocator instead of mapped fresh for each chunk.
+    chunk = max(1, (1 << 20) // max(packed8.shape[1], 1))
     hw_popcount = getattr(np, "bitwise_count", None)
     for lo in range(0, pairs.shape[0], chunk):
         sel = pairs[lo : lo + chunk]

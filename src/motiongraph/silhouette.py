@@ -158,14 +158,24 @@ def rasterize_silhouette(
 def rasterize_sequence(
     skeleton: Skeleton, positions_per_frame, camera: CameraModel
 ) -> np.ndarray:
-    """Stack of per-frame silhouette bits, shape (N, height, width)."""
-    masks = [
-        rasterize_silhouette(skeleton, pos, camera).bits for pos in positions_per_frame
-    ]
+    """Bit-packed per-frame silhouettes: one ``kernels.pack_masks`` row per
+    frame, shape (N, W64) ``uint64``. Each frame is packed as soon as it is
+    drawn, so at most one unpacked mask is alive at a time; ``unpack_mask``
+    turns a row back into a ``SilhouetteMask``."""
     w, h = camera.image_size
-    if not masks:
-        return np.zeros((0, h, w), dtype=bool)
-    return np.stack(masks, axis=0)
+    rows = [
+        kernels.pack_masks(rasterize_silhouette(skeleton, pos, camera).bits[None])[0]
+        for pos in positions_per_frame
+    ]
+    if not rows:
+        return kernels.pack_masks(np.zeros((0, h, w), dtype=bool))
+    return np.stack(rows, axis=0)
+
+
+def unpack_mask(row: np.ndarray, width: int, height: int) -> SilhouetteMask:
+    """The mask of one packed row of ``rasterize_sequence`` (padding dropped)."""
+    bits = np.unpackbits(row.view(np.uint8), count=width * height).view(bool)
+    return SilhouetteMask(width, height, bits.reshape(height, width))
 
 
 def image_distance(mask_m: SilhouetteMask, mask_n: SilhouetteMask) -> float:

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used by the search tests and acceptance.
+"""Independent brute-force oracles used by the search and graph tests and
+acceptance.
 
 The enumeration mirrors the engine's documented semantics (duration window
 on the ratio, feature matching at segment terminals, onset-free interiors,
@@ -7,6 +8,8 @@ it is a plain recursive walk over the adjacency list.
 """
 
 from collections import defaultdict
+
+import numpy as np
 
 from motiongraph.search import duration_bounds, in_duration_window
 
@@ -72,3 +75,22 @@ def enumerate_paths(graph, segments, config, starts):
 
 def optimum(paths, duration_weight=1.0):
     return min(t + duration_weight * d for _, t, d in paths)
+
+
+def full_matrix_gate(joint_states, velocity_weight, tau_feat, min_jump):
+    """Candidate pairs of the graph build's d_feat pre-gate, from the full
+    N x N Gram-trick distance matrix and ``np.triu_indices``: (mm, nn) in
+    row-major order."""
+    pos = np.stack([s.positions.ravel() for s in joint_states]).astype(np.float64)
+    vel = np.stack([s.velocities.ravel() for s in joint_states]).astype(np.float64)
+
+    def sq_dists(x):
+        sq = np.sum(x * x, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        return np.maximum(d2, 0.0)
+
+    approx = np.sqrt(sq_dists(pos)) + velocity_weight * np.sqrt(sq_dists(vel))
+    margin = 1e-8 * (1.0 + tau_feat)
+    mm, nn = np.triu_indices(len(joint_states), k=min_jump)
+    cand = approx[mm, nn] <= tau_feat + margin
+    return mm[cand], nn[cand]

@@ -105,17 +105,15 @@ def test_criterion_2_threshold_reproduction():
     masks = rasterize_sequence(skeleton, (s.positions for s in states), camera)
     thresholds = compute_thresholds(states, masks, offset_l=4)
 
-    h, w = masks.shape[1:]
-
-    def mask(i):
-        return SilhouetteMask(w, h, masks[i])
+    # Reference masks, drawn one frame at a time: never unpacked from ``masks``.
+    refs = [rasterize_silhouette(skeleton, s.positions, camera) for s in states]
 
     n = len(states)
     feat_sum = 0.0
     img_sum = 0.0
     for m in range(n - 4):
         feat_sum += pose_distance(states[m], states[m + 4])
-        img_sum += image_distance(mask(m), mask(m + 4))
+        img_sum += image_distance(refs[m], refs[m + 4])
     assert abs(thresholds.tau_feat - feat_sum / (n - 4)) <= 1e-9
     assert abs(thresholds.tau_img - img_sum / (n - 4)) <= 1e-9
 
@@ -128,7 +126,7 @@ def test_criterion_2_threshold_reproduction():
                 continue
             if pose_distance(states[m], states[k]) > thresholds.tau_feat:
                 continue
-            if image_distance(mask(m), mask(k)) > thresholds.tau_img:
+            if image_distance(refs[m], refs[k]) > thresholds.tau_img:
                 continue
             expected.add((m, k))
     assert got == expected

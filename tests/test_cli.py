@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,11 @@ from motiongraph.silhouette import default_camera, save_camera
 REF_FRAMES = 800
 TGT_FRAMES = 280
 SEED = 0
+
+#: sha256 over the bytes of every PGM that ``build-graph --dump-masks`` writes
+#: for the REF_FRAMES fixture, in file-name order. It pins the masks' pixels
+#: through the packed rows and their unpacking.
+MASK_DUMP_SHA256 = "6e182d1f2b5228a5e5ce64ab6a8daf4d214d62dd080afb35f96a466bcb5c13ce"
 
 
 @pytest.fixture(scope="session")
@@ -174,8 +180,12 @@ class TestStages:
             ]
         )
         assert rc == 0
-        masks = list((tmp_path / "masks").glob("mask_*.pgm"))
+        masks = sorted((tmp_path / "masks").glob("mask_*.pgm"))
         assert len(masks) == REF_FRAMES
+        digest = hashlib.sha256()
+        for mask in masks:
+            digest.update(mask.read_bytes())
+        assert digest.hexdigest() == MASK_DUMP_SHA256
         assert (tmp_path / "g.json").read_bytes() == (pipeline / "graph.json").read_bytes()
 
 
@@ -245,6 +255,32 @@ class TestUsageErrors:
             )
         assert "search" in str(err.value)
 
+    def _assemble(self, tmp_path, pipeline, fixture_files, rank):
+        return cli.main(
+            [
+                "assemble",
+                "--graph", str(pipeline / "graph.json"),
+                "--poses", str(fixture_files["poses"]),
+                "--segments", str(pipeline / "target_segments.json"),
+                "--path", str(pipeline / "path.json"),
+                "--path-index", rank,
+                "--out", str(tmp_path / "edl.json"),
+            ]
+        )
+
+    def test_negative_path_index_exits_2(self, tmp_path, capsys, pipeline, fixture_files):
+        with pytest.raises(SystemExit) as err:
+            self._assemble(tmp_path, pipeline, fixture_files, "-1")
+        assert err.value.code == 2
+        assert "argument --path-index: a path rank is >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "edl.json").exists()
+
+    def test_path_index_past_the_paths_is_stage_failure(self, tmp_path, pipeline, fixture_files):
+        with pytest.raises(SystemExit) as err:
+            self._assemble(tmp_path, pipeline, fixture_files, "99")
+        assert str(err.value.code).startswith("error in assemble: --path-index 99 is out of range")
+        assert not (tmp_path / "edl.json").exists()
+
 
 def _truncated(data: bytes) -> bytes:
     return data[: len(data) // 2]
@@ -307,7 +343,10 @@ MALFORMED = {
     "wav": {"not-riff": lambda data: b"plain text, not a RIFF file",
             "truncated-header": lambda data: data[:20]},
     "features": {"broken-json": _truncated, "missing-field": _drop("n_frames"),
-                 "wrong-format": _set("format", "audio-features/9")},
+                 "wrong-format": _set("format", "audio-features/9"),
+                 "negative-onset": _set("onsets", [-1]),
+                 "negative-keyword-start": _set("keywords", [[-3, 2, "hello"]]),
+                 "reversed-keyword-run": _set("keywords", [[5, 2, "hello"]])},
     "segments": {"broken-json": _truncated, "missing-field": _drop("endpoints"),
                  "wrong-format": _set("format", "segments/9"),
                  "infinite-count": _set("n_frames", float("inf"))},

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from motiongraph import graph as graph_mod, kernels
 from motiongraph.errors import GraphParseError, StructuralError, ValidationError
 from motiongraph.graph import (
     GraphEdge,
@@ -14,10 +16,18 @@ from motiongraph.graph import (
     load_graph,
     save_graph,
 )
-from motiongraph.pose import compute_joint_states, pose_distance
-from motiongraph.silhouette import SilhouetteMask, default_camera, image_distance, rasterize_sequence
+from motiongraph.pose import JointState, compute_joint_states, pose_distance
+from motiongraph.silhouette import (
+    default_camera,
+    image_distance,
+    rasterize_sequence,
+    rasterize_silhouette,
+)
 
 from conftest import make_sequence
+from oracles import full_matrix_gate
+
+SMOOTH_CAMERA = default_camera((64, 64), focal_length=60.0)
 
 
 def swing_pose_fn(amplitude=0.6, period=24.0):
@@ -34,9 +44,22 @@ def swing_pose_fn(amplitude=0.6, period=24.0):
 def smooth_setup(chain_skeleton):
     seq = make_sequence(chain_skeleton, swing_pose_fn(), 40)
     states = compute_joint_states(chain_skeleton, seq)
-    camera = default_camera((64, 64), focal_length=60.0)
-    masks = rasterize_sequence(chain_skeleton, (s.positions for s in states), camera)
+    masks = rasterize_sequence(chain_skeleton, (s.positions for s in states), SMOOTH_CAMERA)
     return states, masks
+
+
+@pytest.fixture
+def smooth_refs(chain_skeleton, smooth_setup):
+    """Reference masks of smooth_setup's frames, one rasterize_silhouette each."""
+    states, _ = smooth_setup
+    return [rasterize_silhouette(chain_skeleton, s.positions, SMOOTH_CAMERA) for s in states]
+
+
+def random_states(rng, n, joints=4):
+    return [
+        JointState(rng.normal(size=(joints, 3)), rng.normal(size=(joints, 3)))
+        for _ in range(n)
+    ]
 
 
 def no_feature(n):
@@ -44,18 +67,14 @@ def no_feature(n):
 
 
 class TestThresholds:
-    def test_mean_of_offset_pairs(self, smooth_setup):
+    def test_mean_of_offset_pairs(self, smooth_setup, smooth_refs):
         states, masks = smooth_setup
         thr = compute_thresholds(states, masks, offset_l=4)
         n = len(states)
-        h, w = masks.shape[1:]
         feat = [
             pose_distance(states[m], states[m + 4]) for m in range(n - 4)
         ]
-        img = [
-            image_distance(SilhouetteMask(w, h, masks[m]), SilhouetteMask(w, h, masks[m + 4]))
-            for m in range(n - 4)
-        ]
+        img = [image_distance(smooth_refs[m], smooth_refs[m + 4]) for m in range(n - 4)]
         assert thr.tau_feat == pytest.approx(sum(feat) / len(feat), abs=1e-12)
         assert thr.tau_img == pytest.approx(sum(img) / len(img), abs=1e-12)
         assert thr.offset_l == 4
@@ -120,11 +139,10 @@ class TestBuildGraph:
         natural = [e for e in g.edges if e.kind == "natural"]
         assert len(natural) == n - 1
 
-    def test_edges_satisfy_both_gates(self, smooth_setup):
+    def test_edges_satisfy_both_gates(self, smooth_setup, smooth_refs):
         states, masks = smooth_setup
         thr = compute_thresholds(states, masks, offset_l=4)
         g = build_graph(states, masks, no_feature(len(states)), thr)
-        h, w = masks.shape[1:]
         for e in g.edges:
             if e.kind == "natural":
                 assert e.d_feat == 0.0 and e.d_img == 0.0
@@ -134,15 +152,12 @@ class TestBuildGraph:
             assert abs(e.src - e.dst) >= 2
             # Stored distances match the pair operations bit-for-bit.
             assert e.d_feat == pose_distance(states[e.src], states[e.dst])
-            assert e.d_img == image_distance(
-                SilhouetteMask(w, h, masks[e.src]), SilhouetteMask(w, h, masks[e.dst])
-            )
+            assert e.d_img == image_distance(smooth_refs[e.src], smooth_refs[e.dst])
 
-    def test_full_pair_recheck(self, smooth_setup):
+    def test_full_pair_recheck(self, smooth_setup, smooth_refs):
         states, masks = smooth_setup
         thr = compute_thresholds(states, masks, offset_l=4)
         g = build_graph(states, masks, no_feature(len(states)), thr)
-        h, w = masks.shape[1:]
         got = {(e.src, e.dst) for e in g.edges if e.kind == "synthetic"}
         expected = set()
         n = len(states)
@@ -152,12 +167,7 @@ class TestBuildGraph:
                     continue
                 if pose_distance(states[m], states[k]) > thr.tau_feat:
                     continue
-                if (
-                    image_distance(
-                        SilhouetteMask(w, h, masks[m]), SilhouetteMask(w, h, masks[k])
-                    )
-                    > thr.tau_img
-                ):
+                if image_distance(smooth_refs[m], smooth_refs[k]) > thr.tau_img:
                     continue
                 expected.add((m, k))
         assert got == expected
@@ -199,12 +209,54 @@ class TestBuildGraph:
         with pytest.raises(StructuralError):
             build_graph(states, masks, no_feature(len(states) - 2), Thresholds(0, 0, 4))
 
+    def test_unpacked_masks_rejected(self, smooth_setup, smooth_refs):
+        states, masks = smooth_setup
+        stack = np.stack([ref.bits for ref in smooth_refs])  # (N, H, W) bool
+        thr = Thresholds(0.0, 0.0, 4)
+        for bad in (stack, masks.view(np.uint8), masks[:, 0], masks.tolist()):
+            with pytest.raises(StructuralError, match="packed"):
+                compute_thresholds(states, bad, offset_l=4)
+            with pytest.raises(StructuralError, match="packed"):
+                build_graph(states, bad, no_feature(len(states)), thr)
+
     def test_determinism(self, smooth_setup):
         states, masks = smooth_setup
         thr = compute_thresholds(states, masks, offset_l=4)
         a = build_graph(states, masks, no_feature(len(states)), thr)
         b = build_graph(states, masks, no_feature(len(states)), thr)
         assert a.edges == b.edges
+
+
+class TestPairGating:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("min_jump, velocity_weight", [(2, 1.0), (5, 0.5)])
+    def test_tiled_gate_equals_full_matrix(self, monkeypatch, block, min_jump, velocity_weight):
+        rng = np.random.default_rng(block)
+        states = random_states(rng, 50)
+        tau = float(np.median([pose_distance(states[0], s, velocity_weight) for s in states[1:]]))
+        monkeypatch.setattr(graph_mod, "GATE_BLOCK", block)
+        counts = []
+        for tau_feat in (0.0, tau, np.inf):
+            mm, nn = graph_mod._gate_pairs(states, velocity_weight, tau_feat, min_jump)
+            ref_mm, ref_nn = full_matrix_gate(states, velocity_weight, tau_feat, min_jump)
+            assert np.array_equal(mm, ref_mm) and np.array_equal(nn, ref_nn)
+            counts.append(len(mm))
+        # The median gate keeps some pairs and drops others.
+        assert counts[0] < counts[1] < counts[2]
+
+    def test_build_peak_memory_below_one_pair_matrix(self):
+        # One N x N float64 matrix at N = 3000 is 72 MB; the tiled gate keeps a
+        # few GATE_BLOCK x N blocks.
+        n = 3000
+        states = random_states(np.random.default_rng(0), n)
+        masks = kernels.pack_masks(np.zeros((n, 1, 1), dtype=bool))
+        tracemalloc.start()
+        try:
+            build_graph(states, masks, no_feature(n), Thresholds(0.0, 0.0, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, f"build_graph peaked at {peak / 1e6:.1f} MB"
 
 
 # Each breaks exactly one edge rule (endpoint range, kind, finite distance,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from motiongraph import kernels
 from motiongraph.errors import StructuralError, ValidationError
-from motiongraph.pose import Joint, Skeleton
+from motiongraph.pose import Joint, Skeleton, forward_kinematics
 from motiongraph.silhouette import (
     NEAR_PLANE,
     CameraModel,
@@ -12,8 +13,10 @@ from motiongraph.silhouette import (
     default_camera,
     image_distance,
     load_camera,
+    rasterize_sequence,
     rasterize_silhouette,
     save_camera,
+    unpack_mask,
     write_pgm,
 )
 
@@ -133,8 +136,6 @@ class TestRasterizer:
                 root=(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(2.5, 5.0)),
                 rotations=rng.normal(scale=0.7, size=(4, 3)),
             )
-            from motiongraph.pose import forward_kinematics
-
             positions = forward_kinematics(chain_skeleton, pose)
             fast = rasterize_silhouette(chain_skeleton, positions, cam).bits
             slow = brute_force_mask(chain_skeleton, positions, cam)
@@ -147,6 +148,28 @@ class TestRasterizer:
         oracle = brute_force_mask(two_joint_skeleton, positions, cam)
         assert mask.area > 0
         assert np.array_equal(mask.bits, oracle)
+
+    def test_sequence_rows_are_packed_frames(self, chain_skeleton):
+        # 61 x 37 = 2257 pixels: 36 words, the last one 47 bits of padding.
+        cam = default_camera((61, 37), focal_length=40.0)
+        rng = np.random.default_rng(5)
+        positions = [
+            forward_kinematics(
+                chain_skeleton,
+                make_pose(chain_skeleton, root=(0.0, 0.0, 3.0),
+                          rotations=rng.normal(scale=0.7, size=(4, 3))),
+            )
+            for _ in range(5)
+        ]
+        rows = rasterize_sequence(chain_skeleton, iter(positions), cam)
+        assert rows.dtype == np.uint64 and rows.shape == (5, 36)
+        for i, pos in enumerate(positions):
+            mask = rasterize_silhouette(chain_skeleton, pos, cam)
+            assert mask.area > 0
+            assert np.array_equal(unpack_mask(rows[i], 61, 37).bits, mask.bits)
+            # Padding bits are clear: the row's popcount is the mask's area.
+            assert kernels.pair_intersections(rows, [[i, i]])[0] == mask.area
+        assert rasterize_sequence(chain_skeleton, iter([]), cam).shape == (0, 36)
 
     def test_wrong_joint_count(self, chain_skeleton):
         cam = default_camera((32, 32))
