@@ -6,7 +6,9 @@ search-like load: the edge layout a search builds once, then one 45-step
 distance table for each of 20 starts on a 2000-node graph with the bundled
 fixture's edge density. The gating entry times the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
-prints the traced peak memory (tracemalloc) of one gating call.
+prints the traced peak memory (tracemalloc) of one gating call. The graph
+file entries save and load a 2000-node graph with the walk entries' edges,
+and print the traced peak of one save plus one load.
 
     python bench/bench_kernels.py
 """
@@ -92,6 +94,26 @@ def run_benchmarks():
             kernels.walk_distances(layout, int(start), allowed, 45)
 
     results["walk_dp_20starts_45steps"] = (_time(dp), "s")
+
+    # Graph file: the same 2000 nodes and edges, less repeated pairs and
+    # jumps shorter than min_jump, stored with random distances.
+    pairs = np.unique(np.stack([src[n - 1:], dst[n - 1:]], axis=1), axis=0)
+    pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= graph.DEFAULT_MIN_JUMP]
+    edges = [graph.GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
+    edges += [
+        graph.GraphEdge(m, k, "synthetic", *rng.uniform(0.0, 0.1, size=2).tolist())
+        for m, k in pairs.tolist()
+    ]
+    nodes = [graph.GraphNode(i, False, "") for i in range(n)]
+    motion_graph = graph.VideoMotionGraph(nodes, edges, graph.Thresholds(0.1, 0.1, 4))
+    blob = graph.save_graph(motion_graph)
+    results["graph_save_2000f"] = (_time(lambda: graph.save_graph(motion_graph)), "s")
+    results["graph_load_2000f"] = (_time(lambda: graph.load_graph(blob)), "s")
+    results["graph_file_2000f"] = (len(blob) / 2**20, "MB")
+    tracemalloc.start()
+    graph.load_graph(graph.save_graph(motion_graph))
+    results["graph_save_load_traced_peak"] = (tracemalloc.get_traced_memory()[1] / 2**20, "MB")
+    tracemalloc.stop()
     return results
 
 

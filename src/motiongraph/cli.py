@@ -73,7 +73,6 @@ def _add_camera_flag(sub: argparse.ArgumentParser) -> None:
 def _add_audio_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dictionary", default=None,
                      help="keyword dictionary JSON (default: built-in)")
-    sub.add_argument("--fps", type=float, default=30.0, help="video frame rate (default 30)")
     sub.add_argument("--onset-delta", type=float, default=audio.OnsetConfig().threshold_delta,
                      help="an onset's flux must exceed (1 + delta) x the local median")
 
@@ -131,10 +130,11 @@ def _cmd_build_graph(parser, args) -> int:
     with _stage("build-graph"):
         skeleton, sequence = pose.load_pose_track(args.poses)
         features = audio.load_features(args.features)
-        if len(features) != len(sequence):
-            parser.error(
-                f"feature file covers {len(features)} frames but pose track has "
-                f"{len(sequence)}"
+        if (len(features), features.fps) != (len(sequence), sequence.fps):
+            raise ValidationError(
+                f"feature file {args.features} covers {len(features)} frames at "
+                f"{features.fps:g} fps, but the pose track has {len(sequence)} frames "
+                f"at {sequence.fps:g} fps"
             )
         camera = _load_camera_arg(args.camera)
         states = pose.compute_joint_states(skeleton, sequence)
@@ -151,18 +151,13 @@ def _cmd_build_graph(parser, args) -> int:
             states, masks, offset_l=args.threshold_offset, velocity_weight=args.velocity_weight
         )
         built = graph_mod.build_graph(
-            states,
-            masks,
-            features.records(),
-            thresholds,
-            min_jump=args.min_jump,
-            velocity_weight=args.velocity_weight,
-            fps=sequence.fps,
+            states, masks, features.records(), thresholds,
+            min_jump=args.min_jump, velocity_weight=args.velocity_weight, fps=sequence.fps,
         )
         graph_mod.save_graph_file(built, args.out)
-    n_synth = sum(1 for e in built.edges if e.kind == "synthetic")
     print(
-        f"graph: {len(built)} nodes, {len(built.edges)} edges ({n_synth} synthetic), "
+        f"graph: {len(built)} nodes, {built.src.size} edges "
+        f"({int(built.synthetic.sum())} synthetic), "
         f"tau_feat={built.thresholds.tau_feat:.6g}, tau_img={built.thresholds.tau_img:.6g} "
         f"-> {args.out}"
     )
@@ -283,19 +278,18 @@ def _cmd_run(parser, args) -> int:
         parser, args.poses, args.ref_wav, args.ref_transcript, args.wav,
         args.transcript, args.camera, args.dictionary,
     )
+    # Both audio files are analyzed at the pose track's frame rate.
+    _, sequence = pose.load_pose_track(args.poses)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    ns = argparse.Namespace(**vars(args))
-    ns.features_out = out / "reference_features.json"
-    ns.segments_out = out / "reference_segments.json"
-    ns.wav, ns.transcript = args.ref_wav, args.ref_transcript
-    _cmd_analyze_audio(parser, ns)
-
-    ns.wav, ns.transcript = args.wav, args.transcript
-    ns.features_out = out / "target_features.json"
-    ns.segments_out = out / "target_segments.json"
-    _cmd_analyze_audio(parser, ns)
+    ns = argparse.Namespace(**vars(args), fps=sequence.fps)
+    for role, wav, transcript in (("reference", args.ref_wav, args.ref_transcript),
+                                  ("target", args.wav, args.transcript)):
+        ns.wav, ns.transcript = wav, transcript
+        ns.features_out = out / f"{role}_features.json"
+        ns.segments_out = out / f"{role}_segments.json"
+        _cmd_analyze_audio(parser, ns)
 
     ns.features = out / "reference_features.json"
     ns.out = out / "graph.json"
@@ -340,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-audio", help="WAV + transcript -> feature/segment files")
     p.add_argument("--wav", required=True, help="16-bit PCM WAV (mono or stereo)")
     p.add_argument("--transcript", default=None, help="word-timing JSON")
+    p.add_argument("--fps", type=float, default=30.0, help="video frame rate (default 30)")
     _add_audio_flags(p)
     p.add_argument("--features-out", required=True)
     p.add_argument("--segments-out", required=True)

@@ -9,8 +9,9 @@ mean distance between frames ``l`` apart.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -63,64 +64,115 @@ class Thresholds:
             raise ValidationError(f"offset_l must be >= 1, got {self.offset_l}")
 
 
-@dataclass
-class VideoMotionGraph:
-    nodes: list[GraphNode]
-    edges: list[GraphEdge]
-    thresholds: Thresholds
-    fps: float = 30.0
-    min_jump: int = DEFAULT_MIN_JUMP
-    velocity_weight: float = 1.0
+#: Edge kind names, indexed by the ``synthetic`` column.
+KINDS = ("natural", "synthetic")
 
-    def __post_init__(self):
-        n = len(self.nodes)
-        seen: set[tuple[int, int]] = set()
-        natural = set()
-        for e in self.edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise ValidationError(
-                    f"edge ({e.src}, {e.dst}) has an endpoint outside frames 0..{n - 1}"
-                )
-            if e.src == e.dst:
-                raise ValidationError(f"self-edge at frame {e.src}")
-            if (e.src, e.dst) in seen:
-                raise ValidationError(f"duplicate edge ({e.src}, {e.dst})")
-            seen.add((e.src, e.dst))
-            if not (math.isfinite(e.d_feat) and math.isfinite(e.d_img)):
-                raise ValidationError(f"edge ({e.src}, {e.dst}) has a non-finite distance")
-            if e.kind == "natural":
-                if e.dst != e.src + 1:
-                    raise ValidationError(
-                        f"natural edge ({e.src}, {e.dst}) must connect consecutive frames"
-                    )
-                natural.add(e.src)
-            elif e.kind != "synthetic":
-                raise ValidationError(f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}")
-            elif abs(e.dst - e.src) < self.min_jump:
-                raise ValidationError(f"synthetic edge ({e.src}, {e.dst}) jumps less than min_jump")
-        if n >= 2 and natural != set(range(n - 1)):
-            raise ValidationError("natural edges must form the full chain 0..N-1")
-        for i, node in enumerate(self.nodes):
-            if node.frame_index != i:
-                raise ValidationError("node frame indices must be 0..N-1 in order")
+
+class VideoMotionGraph:
+    """Reference frames joined by transitions, stored as columns.
+
+    Node i is reference frame i, with ``onset[i]`` and ``keyword[i]`` ("" when
+    no dictionary word is active). Edge j runs ``src[j] -> dst[j]``, is
+    synthetic when ``synthetic[j]`` (else natural) and costs
+    ``d_feat[j] + d_img[j]``. The columns are read-only arrays, checked in
+    one vectorized pass on construction. ``nodes`` and ``edges`` hold the
+    same graph as ``GraphNode``/``GraphEdge`` tuples, built on first access.
+    """
+
+    def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
+                 thresholds: Thresholds, fps: float = 30.0,
+                 min_jump: int = DEFAULT_MIN_JUMP, velocity_weight: float = 1.0):
+        """A graph from node and edge records, edges kept in the given order."""
+        self._init(*_record_columns(nodes, edges, getattr, "frame_index"),
+                   thresholds, fps, min_jump, velocity_weight)
+
+    @classmethod
+    def _from_columns(cls, *columns) -> VideoMotionGraph:
+        graph = cls.__new__(cls)
+        graph._init(*columns)
+        return graph
+
+    def _init(self, frame, onset, keyword, src, dst, kind, d_feat, d_img,
+              thresholds, fps, min_jump, velocity_weight) -> None:
+        synthetic = _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump)
+        for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
+            column.flags.writeable = False
+        self.onset, self.keyword, self.src, self.dst = onset, keyword, src, dst
+        self.synthetic, self.d_feat, self.d_img = synthetic, d_feat, d_img
+        self.thresholds, self.fps = thresholds, fps
+        self.min_jump, self.velocity_weight = min_jump, velocity_weight
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self.onset.size
+
+    @cached_property
+    def nodes(self) -> tuple[GraphNode, ...]:
+        return tuple(map(GraphNode, range(len(self)), self.onset.tolist(), self.keyword.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[GraphEdge, ...]:
+        kinds = [KINDS[s] for s in self.synthetic.tolist()]
+        return tuple(map(GraphEdge, self.src.tolist(), self.dst.tolist(), kinds,
+                         self.d_feat.tolist(), self.d_img.tolist()))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonically ordered (src, dst, cost) arrays for the search kernels."""
-        src = np.array([e.src for e in self.edges], dtype=np.int64)
-        dst = np.array([e.dst for e in self.edges], dtype=np.int64)
-        cost = np.array([e.cost for e in self.edges], dtype=np.float64)
-        order = np.lexsort((dst, src))
-        return src[order], dst[order], cost[order]
+        """(src, dst, cost) per edge, for the search kernels."""
+        return self.src, self.dst, self.d_feat + self.d_img
 
     def edge_index(self) -> dict[tuple[int, int], GraphEdge]:
         return {(e.src, e.dst): e for e in self.edges}
 
-    @property
-    def onset_flags(self) -> np.ndarray:
-        return np.array([node.onset for node in self.nodes], dtype=bool)
+
+def _record_columns(nodes, edges, get, frame: str) -> tuple[np.ndarray, ...]:
+    """Node and edge columns of records read by ``get(record, field)``. Values
+    convert as ``int``/``float``/``bool`` would, so a list-valued field fails
+    instead of adding a dimension; edge kinds are kept as given."""
+    edge_fields = (("src", np.int64), ("dst", np.int64), ("kind", object),
+                   ("d_feat", np.float64), ("d_img", np.float64))
+    return (
+        np.fromiter((get(v, frame) for v in nodes), np.int64),
+        np.fromiter((get(v, "onset") for v in nodes), bool),
+        np.array([get(v, "keyword") for v in nodes], dtype=str),
+        *(np.fromiter((get(e, name) for e in edges), dtype) for name, dtype in edge_fields),
+    )
+
+
+def _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
+    """Check the graph invariants and return the ``synthetic`` column. An
+    invalid edge raises ValidationError naming the first offending edge and
+    the first rule below that it breaks."""
+    n = frame.size
+    natural = kind == "natural"
+    synthetic = kind == "synthetic"
+    # A repeat follows an equal (src, dst) pair in the stable (src, dst) order.
+    order = np.lexsort((dst, src))
+    repeat = np.zeros(src.size, dtype=bool)
+    repeat[order[1:]] = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+    rules = (
+        ((src < 0) | (src >= n) | (dst < 0) | (dst >= n),
+         "edge ({s}, {d}) has an endpoint outside frames 0..{last}"),
+        (src == dst, "self-edge at frame {s}"),
+        (repeat, "duplicate edge ({s}, {d})"),
+        (~(np.isfinite(d_feat) & np.isfinite(d_img)), "edge ({s}, {d}) has a non-finite distance"),
+        (natural & (dst != src + 1), "natural edge ({s}, {d}) must connect consecutive frames"),
+        (~(natural | synthetic), "edge ({s}, {d}) has unknown kind {kind!r}"),
+        (synthetic & (np.abs(dst - src) < min_jump),
+         "synthetic edge ({s}, {d}) jumps less than min_jump"),
+    )
+    broken = np.logical_or.reduce([failed for failed, _ in rules])
+    if broken.any():
+        j = int(np.argmax(broken))
+        message = next(message for failed, message in rules if failed[j])
+        raise ValidationError(
+            message.format(s=int(src[j]), d=int(dst[j]), last=n - 1, kind=str(kind[j]))
+        )
+    # Valid natural edges are distinct (m, m + 1) pairs inside the graph, so
+    # n - 1 of them are the whole chain.
+    if n >= 2 and np.count_nonzero(natural) != n - 1:
+        raise ValidationError("natural edges must form the full chain 0..N-1")
+    if not np.array_equal(frame, np.arange(n)):
+        raise ValidationError("node frame indices must be 0..N-1 in order")
+    return synthetic
 
 
 def _check_packed(masks, n: int) -> None:
@@ -155,15 +207,14 @@ def compute_thresholds(
     count = n - offset_l
     first = np.arange(count)
     d_img = _image_distances(masks, np.stack([first, first + offset_l], axis=1))
-    feat = 0.0
-    img = 0.0
-    for m in range(count):
+    feat = img = 0.0
+    for m, d in enumerate(d_img.tolist()):
         feat += pose_distance(joint_states[m], joint_states[m + offset_l], velocity_weight)
-        img += d_img[m]
+        img += d
     return Thresholds(tau_feat=feat / count, tau_img=img / count, offset_l=offset_l)
 
 
-def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> list[float]:
+def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """d_img = 1 - IoU of each (m, n) row of ``pairs``, from exact popcounts
     of the packed masks: bit-equal to ``silhouette.image_distance``."""
     rows = np.arange(packed.shape[0])
@@ -171,7 +222,8 @@ def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> list[float]:
     areas = kernels.pair_intersections(packed, np.stack([rows, rows], axis=1))
     inter = kernels.pair_intersections(packed, pairs)
     union = areas[pairs[:, 0]] + areas[pairs[:, 1]] - inter
-    return [0.0 if u == 0 else 1.0 - i / u for i, u in zip(inter.tolist(), union.tolist())]
+    # Two empty masks are identical: distance 0.
+    return np.where(union == 0, 0.0, 1.0 - inter / np.maximum(union, 1))
 
 
 def _gate_pairs(
@@ -200,7 +252,7 @@ def _gate_pairs(
         np.maximum(d, 0.0, out=d)
         return np.sqrt(d, out=d)
 
-    mm, nn = [], []
+    mm, nn = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, n - min_jump, GATE_BLOCK):
         rows = slice(lo, min(lo + GATE_BLOCK, n - min_jump))
         cols = slice(lo + min_jump, n)
@@ -211,8 +263,6 @@ def _gate_pairs(
         r, c = np.nonzero(np.triu(approx <= gate))
         mm.append(r + lo)
         nn.append(c + lo + min_jump)
-    if not mm:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate(mm), np.concatenate(nn)
 
 
@@ -243,40 +293,30 @@ def build_graph(
     if min_jump < 2:
         raise ValidationError(f"min_jump must be >= 2, got {min_jump}")
 
-    nodes = [
-        GraphNode(frame_index=i, onset=bool(on), keyword=str(kw))
-        for i, (on, kw) in enumerate(features)
-    ]
-    edges = [
-        GraphEdge(src=i, dst=i + 1, kind="natural", d_feat=0.0, d_img=0.0)
-        for i in range(n - 1)
-    ]
-
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
+    # Exact d_feat filter: one pose_distance per gated pair.
+    d_feat = np.array([pose_distance(joint_states[m], joint_states[k], velocity_weight)
+                       for m, k in zip(mm.tolist(), nn.tolist())], dtype=np.float64)
+    keep = d_feat <= thresholds.tau_feat
+    mm, nn, d_feat = mm[keep], nn[keep], d_feat[keep]
+    d_img = _image_distances(masks, np.stack([mm, nn], axis=1))
+    keep = d_img <= thresholds.tau_img
+    mm, nn, d_feat, d_img = mm[keep], nn[keep], d_feat[keep], d_img[keep]
 
-    # Exact d_feat filter.
-    keep = []
-    feat_vals = []
-    for m, k in zip(mm, nn):
-        d = pose_distance(joint_states[m], joint_states[k], velocity_weight)
-        if d <= thresholds.tau_feat:
-            keep.append((int(m), int(k)))
-            feat_vals.append(d)
-    if keep:
-        d_imgs = _image_distances(masks, np.array(keep, dtype=np.int64))
-        for (m, k), d_feat, d_img in zip(keep, feat_vals, d_imgs):
-            if d_img <= thresholds.tau_img:
-                edges.append(GraphEdge(m, k, "synthetic", d_feat, d_img))
-                edges.append(GraphEdge(k, m, "synthetic", d_feat, d_img))
-
-    edges[n - 1 :] = sorted(edges[n - 1 :], key=lambda e: (e.src, e.dst))
-    return VideoMotionGraph(
-        nodes=nodes,
-        edges=edges,
-        thresholds=thresholds,
-        fps=fps,
-        min_jump=min_jump,
-        velocity_weight=velocity_weight,
+    # The natural chain, then both directions of every kept pair by (src, dst).
+    syn_src, syn_dst = np.concatenate([mm, nn]), np.concatenate([nn, mm])
+    order = np.lexsort((syn_dst, syn_src))
+    chain = np.arange(n - 1)
+    src = np.concatenate([chain, syn_src[order]])
+    dst = np.concatenate([chain + 1, syn_dst[order]])
+    zeros = np.zeros(n - 1)
+    return VideoMotionGraph._from_columns(
+        np.arange(n), np.fromiter((on for on, _ in features), bool),
+        np.array([kw for _, kw in features], dtype=str),
+        src, dst, np.repeat(KINDS, [n - 1, syn_src.size]),
+        np.concatenate([zeros, np.tile(d_feat, 2)[order]]),
+        np.concatenate([zeros, np.tile(d_img, 2)[order]]),
+        thresholds, fps, min_jump, velocity_weight,
     )
 
 
@@ -287,29 +327,21 @@ def build_graph(
 
 
 def save_graph(graph: VideoMotionGraph) -> bytes:
+    kinds = [KINDS[s] for s in graph.synthetic.tolist()]
     doc = {
         "format": GRAPH_FORMAT,
         "fps": graph.fps,
         "min_jump": graph.min_jump,
         "velocity_weight": graph.velocity_weight,
-        "thresholds": {
-            "tau_feat": graph.thresholds.tau_feat,
-            "tau_img": graph.thresholds.tau_img,
-            "offset_l": graph.thresholds.offset_l,
-        },
+        "thresholds": asdict(graph.thresholds),
         "nodes": [
-            {"frame": node.frame_index, "onset": node.onset, "keyword": node.keyword}
-            for node in graph.nodes
+            {"frame": i, "onset": onset, "keyword": keyword}
+            for i, (onset, keyword) in enumerate(zip(graph.onset.tolist(), graph.keyword.tolist()))
         ],
         "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "kind": e.kind,
-                "d_feat": e.d_feat,
-                "d_img": e.d_img,
-            }
-            for e in graph.edges
+            {"src": s, "dst": d, "kind": k, "d_feat": f, "d_img": i}
+            for s, d, k, f, i in zip(graph.src.tolist(), graph.dst.tolist(), kinds,
+                                     graph.d_feat.tolist(), graph.d_img.tolist())
         ],
     }
     return json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -317,32 +349,11 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
 
 def load_graph(stream: bytes) -> VideoMotionGraph:
     def build(doc):
-        nodes = [
-            GraphNode(int(n["frame"]), bool(n["onset"]), str(n["keyword"]))
-            for n in doc["nodes"]
-        ]
-        edges = [
-            GraphEdge(
-                src=int(e["src"]),
-                dst=int(e["dst"]),
-                kind=str(e["kind"]),
-                d_feat=float(e["d_feat"]),
-                d_img=float(e["d_img"]),
-            )
-            for e in doc["edges"]
-        ]
-        thresholds = Thresholds(
-            tau_feat=float(doc["thresholds"]["tau_feat"]),
-            tau_img=float(doc["thresholds"]["tau_img"]),
-            offset_l=int(doc["thresholds"]["offset_l"]),
-        )
-        return VideoMotionGraph(
-            nodes=nodes,
-            edges=edges,
-            thresholds=thresholds,
-            fps=float(doc["fps"]),
-            min_jump=int(doc["min_jump"]),
-            velocity_weight=float(doc["velocity_weight"]),
+        t = doc["thresholds"]
+        thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), int(t["offset_l"]))
+        return VideoMotionGraph._from_columns(
+            *_record_columns(doc["nodes"], doc["edges"], operator.getitem, "frame"),
+            thresholds, float(doc["fps"]), int(doc["min_jump"]), float(doc["velocity_weight"]),
         )
 
     return read_document(stream, "graph document", GRAPH_FORMAT, build)

@@ -115,29 +115,19 @@ class _SearchState:
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
         self.layout = kernels.edge_layout(*graph.edge_arrays(), n)
-        self.onset = graph.onset_flags
-        if config.avoid_onsets_mid_segment:
-            self.allowed = ~self.onset
-        else:
-            self.allowed = np.ones(n, dtype=bool)
-        self.keywords = np.array([node.keyword for node in graph.nodes])
-        self.matches: dict[tuple[str, str], np.ndarray] = {}
+        self.onset, self.keywords = graph.onset, graph.keyword
+        self.allowed = ~self.onset if config.avoid_onsets_mid_segment else np.ones(n, dtype=bool)
         self.tables: dict[int, np.ndarray] = {}
 
     def match(self, feature: EndpointFeature) -> np.ndarray:
-        key = (feature.kind, feature.word)
-        mask = self.matches.get(key)
-        if mask is None:
-            if feature.kind == "end":
-                mask = np.ones(self.onset.size, dtype=bool)
-            elif feature.kind == "onset":
-                mask = self.onset
-            elif feature.kind == "keyword":
-                mask = self.keywords == feature.word
-            else:
-                raise ValidationError(f"unknown endpoint feature kind {feature.kind!r}")
-            self.matches[key] = mask
-        return mask
+        """The nodes that can end a segment with ``feature``."""
+        if feature.kind == "end":
+            return np.ones(self.onset.size, dtype=bool)
+        if feature.kind == "onset":
+            return self.onset
+        if feature.kind == "keyword":
+            return self.keywords == feature.word
+        raise ValidationError(f"unknown endpoint feature kind {feature.kind!r}")
 
     def table(self, start: int, n_steps: int) -> np.ndarray:
         dist = self.tables.get(start)
@@ -311,10 +301,12 @@ def beam_search(
             _state=state,
         )
         if config.dedup:
-            unique = {c.node_sequence: c for c in candidates}
-            candidates = sorted(
-                unique.values(), key=lambda c: _sort_key(c, config.duration_weight)
-            )[: config.beam_width]
+            # Of the extensions sharing a node sequence, the first in beam
+            # order (the cheapest) stays.
+            unique = {}
+            for c in sorted(candidates, key=lambda c: _sort_key(c, config.duration_weight)):
+                unique.setdefault(c.node_sequence, c)
+            candidates = list(unique.values())[: config.beam_width]
     return SearchResult(paths=tuple(candidates), seed=seed, config=config)
 
 

@@ -94,3 +94,35 @@ def full_matrix_gate(joint_states, velocity_weight, tau_feat, min_jump):
     mm, nn = np.triu_indices(len(joint_states), k=min_jump)
     cand = approx[mm, nn] <= tau_feat + margin
     return mm[cand], nn[cand]
+
+
+def first_graph_violation(nodes, edges, min_jump):
+    """The message of the first graph invariant that ``nodes`` and ``edges``
+    (GraphNode/GraphEdge records) break, or None: the edge-by-edge loop that
+    VideoMotionGraph's vectorized check must agree with."""
+    n = len(nodes)
+    seen = set()
+    natural = set()
+    for e in edges:
+        if not (0 <= e.src < n and 0 <= e.dst < n):
+            return f"edge ({e.src}, {e.dst}) has an endpoint outside frames 0..{n - 1}"
+        if e.src == e.dst:
+            return f"self-edge at frame {e.src}"
+        if (e.src, e.dst) in seen:
+            return f"duplicate edge ({e.src}, {e.dst})"
+        seen.add((e.src, e.dst))
+        if not (np.isfinite(e.d_feat) and np.isfinite(e.d_img)):
+            return f"edge ({e.src}, {e.dst}) has a non-finite distance"
+        if e.kind == "natural":
+            if e.dst != e.src + 1:
+                return f"natural edge ({e.src}, {e.dst}) must connect consecutive frames"
+            natural.add(e.src)
+        elif e.kind != "synthetic":
+            return f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}"
+        elif abs(e.dst - e.src) < min_jump:
+            return f"synthetic edge ({e.src}, {e.dst}) jumps less than min_jump"
+    if n >= 2 and natural != set(range(n - 1)):
+        return "natural edges must form the full chain 0..N-1"
+    if any(node.frame_index != i for i, node in enumerate(nodes)):
+        return "node frame indices must be 0..N-1 in order"
+    return None

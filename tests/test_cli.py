@@ -242,6 +242,50 @@ class TestUsageErrors:
             cli.main([])
         assert err.value.code == 2
 
+    def test_run_has_no_fps_flag(self, tmp_path, capsys, fixture_files):
+        # run analyzes both audio files at the pose track's frame rate.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                [
+                    "run",
+                    "--poses", str(fixture_files["poses"]),
+                    "--ref-wav", str(fixture_files["ref_wav"]),
+                    "--wav", str(fixture_files["target_wav"]),
+                    "--fps", "25",
+                    "--out-dir", str(out),
+                ]
+            )
+        assert err.value.code == 2
+        assert "unrecognized arguments: --fps 25" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            pytest.param({"fps": 25.0}, f"{REF_FRAMES} frames at 25 fps", id="other-fps"),
+            pytest.param({"n_frames": REF_FRAMES + 10}, f"{REF_FRAMES + 10} frames at 30 fps",
+                         id="other-length"),
+        ],
+    )
+    def test_features_unlike_the_pose_track_are_stage_failure(
+        self, tmp_path, pipeline, fixture_files, edit, found
+    ):
+        doc = json.loads((pipeline / "reference_features.json").read_text())
+        doc.update(edit)
+        features = tmp_path / "features.json"
+        features.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                ["build-graph", "--poses", str(fixture_files["poses"]),
+                 "--features", str(features), "--out", str(tmp_path / "g.json")]
+            )
+        assert str(err.value.code).startswith("error in build-graph: feature file")
+        assert f"covers {found}, but the pose track has {REF_FRAMES} frames at 30 fps" in str(
+            err.value.code
+        )
+        assert not (tmp_path / "g.json").exists()
+
     def test_infeasible_search_is_stage_failure(self, tmp_path, pipeline):
         # Segments demanding a keyword absent from every node.
         segments = json.loads((pipeline / "target_segments.json").read_text())

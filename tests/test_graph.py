@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from motiongraph import graph as graph_mod, kernels
+from motiongraph.audio import EndpointFeature, SegmentList
 from motiongraph.errors import GraphParseError, StructuralError, ValidationError
 from motiongraph.graph import (
     GraphEdge,
@@ -17,6 +20,7 @@ from motiongraph.graph import (
     save_graph,
 )
 from motiongraph.pose import JointState, compute_joint_states, pose_distance
+from motiongraph.search import BeamConfig, beam_search
 from motiongraph.silhouette import (
     default_camera,
     image_distance,
@@ -25,7 +29,7 @@ from motiongraph.silhouette import (
 )
 
 from conftest import make_sequence
-from oracles import full_matrix_gate
+from oracles import first_graph_violation, full_matrix_gate
 
 SMOOTH_CAMERA = default_camera((64, 64), focal_length=60.0)
 
@@ -226,6 +230,28 @@ class TestBuildGraph:
         b = build_graph(states, masks, no_feature(len(states)), thr)
         assert a.edges == b.edges
 
+    def test_build_save_load_search_read_columns_only(self, monkeypatch, smooth_setup):
+        def refuse(graph):
+            raise AssertionError("a GraphNode/GraphEdge view was built")
+
+        monkeypatch.setattr(VideoMotionGraph, "nodes", property(refuse))
+        monkeypatch.setattr(VideoMotionGraph, "edges", property(refuse))
+        states, masks = smooth_setup
+        thr = compute_thresholds(states, masks, offset_l=4)
+        built = build_graph(states, masks, no_feature(len(states)), thr)
+        loaded = load_graph(save_graph(built))
+        assert loaded.synthetic.any()
+        end = EndpointFeature("end")
+        segments = SegmentList(n_frames=21, endpoints=(1, 11, 21), features=(end, end, end))
+        assert beam_search(loaded, segments, BeamConfig(), seed=0).paths
+
+    def test_columns_are_read_only(self, smooth_setup):
+        states, masks = smooth_setup
+        g = build_graph(states, masks, no_feature(len(states)), Thresholds(0.0, 0.0, 4))
+        for column in (g.onset, g.keyword, g.src, g.dst, g.synthetic, g.d_feat, g.d_img):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
 
 class TestPairGating:
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -300,6 +326,53 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError, match=reason):
             VideoMotionGraph(self._nodes(4), self._chain(4) + [bad], Thresholds(0, 0, 4))
 
+    def test_messages_match_the_edge_loop(self):
+        # Random small graphs, most with a defect: a missing chain link, a
+        # swapped frame index, or random extra edges.
+        rng = np.random.default_rng(11)
+        distances = [0.0, 0.25, 0.5, math.nan, math.inf]
+        raised = 0
+        for _ in range(600):
+            n = int(rng.integers(0, 7))
+            min_jump = int(rng.integers(2, 4))
+            nodes = self._nodes(n)
+            if n > 1 and rng.random() < 0.1:
+                nodes[0], nodes[1] = GraphNode(1, False, ""), GraphNode(0, False, "")
+            edges = [e for e in self._chain(n) if rng.random() > 0.05]
+            for _ in range(int(rng.integers(0, 6))):
+                edges.append(GraphEdge(
+                    int(rng.integers(-1, n + 1)), int(rng.integers(-1, n + 1)),
+                    str(rng.choice(["natural", "synthetic", "synthetic", "bogus"])),
+                    float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
+                    float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
+                ))
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+            expected = first_graph_violation(nodes, edges, min_jump)
+            if expected is None:
+                VideoMotionGraph(nodes, edges, Thresholds(0, 0, 4), min_jump=min_jump)
+                continue
+            with pytest.raises(ValidationError) as err:
+                VideoMotionGraph(nodes, edges, Thresholds(0, 0, 4), min_jump=min_jump)
+            assert str(err.value) == expected
+            raised += 1
+        assert 300 < raised < 600
+
+    def test_first_offending_edge_is_named(self):
+        bogus = GraphEdge(2, 0, "bogus", 0.0, 0.0)
+        outside = GraphEdge(0, 7, "synthetic", 0.0, 0.0)
+        with pytest.raises(ValidationError, match=r"edge \(2, 0\) has unknown kind 'bogus'"):
+            VideoMotionGraph(self._nodes(4), self._chain(4) + [bogus, outside], Thresholds(0, 0, 4))
+        with pytest.raises(ValidationError, match=r"edge \(0, 7\) has an endpoint outside"):
+            VideoMotionGraph(self._nodes(4), self._chain(4) + [outside, bogus], Thresholds(0, 0, 4))
+        # The second of two equal pairs is the duplicate.
+        with pytest.raises(ValidationError, match=r"duplicate edge \(3, 1\)"):
+            VideoMotionGraph(
+                self._nodes(4),
+                [GraphEdge(3, 1, "synthetic", 0.0, 0.0)] + self._chain(4)
+                + [GraphEdge(3, 1, "synthetic", 0.5, 0.5), bogus],
+                Thresholds(0, 0, 4),
+            )
+
 
 class TestSerialization:
     def _toy_graph(self):
@@ -333,10 +406,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad, reason", BAD_EDGES)
     def test_bad_edge_is_parse_error(self, bad, reason):
-        g = self._toy_graph()
-        g.edges.append(bad)  # after validation, so save_graph writes it out
+        doc = json.loads(save_graph(self._toy_graph()))
+        doc["edges"].append(dataclasses.asdict(bad))
         with pytest.raises(GraphParseError, match=reason):
-            load_graph(save_graph(g))
+            load_graph(json.dumps(doc).encode())
 
     def test_random_graph_roundtrip(self, smooth_setup):
         rng = np.random.default_rng(10)

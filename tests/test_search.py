@@ -290,6 +290,18 @@ class TestBeamSearch:
         wide = beam_search(graph, segments, BeamConfig(beam_width=40, dedup=True), seed=0)
         assert len(set(p.node_sequence for p in wide.paths)) == len(wide.paths)
 
+    def test_dedup_keeps_the_cheapest_duplicate(self):
+        # On a bare chain, boundaries (0, 9, 20), (0, 10, 20) and (0, 11, 20)
+        # give one node sequence; (0, 10, 20) alone meets both 10-frame
+        # targets exactly, but is not the last of the three generated.
+        graph = toy_graph(25)
+        segments = segment_list(21, [(11, EndpointFeature("end"))])
+        plain = beam_search(graph, segments, BeamConfig(), start_frame=0)
+        dedup = beam_search(graph, segments, BeamConfig(dedup=True), start_frame=0)
+        assert dedup.best == plain.best
+        assert dedup.best.segment_boundaries == (0, 10, 20)
+        assert dedup.best.duration_cost == 0.0
+
     def test_sorted_by_total_cost(self):
         graph = toy_graph(14, synthetic=[(2, 9, 0.3, 0.1), (9, 2, 0.1, 0.1)])
         segments = segment_list(10, [])

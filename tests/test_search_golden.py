@@ -5,7 +5,11 @@ The digests are sha256 sums of ``save_search_result`` files for searches on a
 (17 segments). They were recorded with the original search engine (per-call
 edge grouping, parent tables, every extension built before pruning), so any
 rewrite of the search must reproduce its ranking, tie-breaks and float
-accumulation exactly.
+accumulation exactly. The ``dedup`` digest was re-recorded when deduplication
+began keeping the cheapest of each duplicate, not the last generated.
+
+``GRAPH_SHA256`` pins the ``save_graph`` bytes of the same reference graph,
+recorded when the graph was still held as a list of edge objects.
 """
 
 import hashlib
@@ -27,7 +31,9 @@ GOLDEN = {
     ),
     "dedup": (
         {"seed": 0, "config": search.BeamConfig(dedup=True)},
-        "5c38a3a677162f49022090f85ab12571dc73c537dd3fd633cc29e5d076112592",
+        # The same file as seed0: keeping the cheapest of each duplicate, the
+        # dedup search ends on seed0's 20 paths, which are all distinct.
+        "dc706ad9e04e740333996a161e4230ead9ef98ab68ca581dd327d614efe894d9",
     ),
     "narrow_weighted": (
         {"seed": 3, "config": search.BeamConfig(beam_width=7, duration_weight=0.5)},
@@ -38,6 +44,8 @@ GOLDEN = {
         "4816eaa3c142cfc66a227cbcccf706b84fb21bb8fab1253e50e5e1441598efbe",
     ),
 }
+
+GRAPH_SHA256 = "ff93d8c8e8fe3429ef5a8077772ebbcfe54122c77cb0057a0da8c31c0f23a59d"
 
 
 def _features(wav, transcript):
@@ -75,3 +83,8 @@ def test_search_result_digest(name, graph_and_segments, tmp_path):
     out = tmp_path / "path.json"
     search.save_search_result(out, result)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_graph_file_digest(graph_and_segments):
+    built, _ = graph_and_segments
+    assert hashlib.sha256(graph_mod.save_graph(built)).hexdigest() == GRAPH_SHA256
