@@ -8,15 +8,32 @@ fixture's edge density. The gating entry times the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
 prints the traced peak memory (tracemalloc) of one gating call. The graph
 file entries save and load a 2000-node graph with the walk entries' edges,
-and print the traced peak of one save plus one load.
+and print the traced peak of one save plus one load; the file-writer
+entries time and trace one chunked write of that graph to a file. The
+onset entries run onset detection on 2000 frames of 48 kHz clicks. The
+search entries run one beam search for a 300-frame click target on the
+graph-file entries' edges, the nodes flagged as onsets at the bundled
+fixture's reference clicks.
 
-    python bench/bench_kernels.py
+    python bench/bench_kernels.py                          # print a table
+    python bench/bench_kernels.py --out BENCH_kernels.json  # also write JSON
+
+The JSON file holds every result with its unit, the git commit of the
+working tree (and whether it had uncommitted changes), and the Python,
+numpy, platform and CPU count it ran on.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import platform
+import subprocess
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +48,17 @@ def _time(fn, repeats=3):
     return best
 
 
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def run_benchmarks():
-    from motiongraph import fixtures, graph, kernels
+    from motiongraph import audio, fixtures, graph, kernels, search
     from motiongraph.pose import compute_joint_states, pose_distance
     from motiongraph.silhouette import default_camera, rasterize_sequence
 
@@ -66,10 +92,7 @@ def run_benchmarks():
         return graph._gate_pairs(long_states, 1.0, tau, graph.DEFAULT_MIN_JUMP)
 
     results["gate_4000f"] = (_time(gate), "s")
-    tracemalloc.start()
-    gate()
-    results["gate_4000f_traced_peak"] = (tracemalloc.get_traced_memory()[1] / 2**20, "MB")
-    tracemalloc.stop()
+    results["gate_4000f_traced_peak"] = (_traced_peak_mb(gate), "MB")
 
     # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
     # graph has 154k), 20 starts x 45 steps, as one search segment sees them.
@@ -110,18 +133,83 @@ def run_benchmarks():
     results["graph_save_2000f"] = (_time(lambda: graph.save_graph(motion_graph)), "s")
     results["graph_load_2000f"] = (_time(lambda: graph.load_graph(blob)), "s")
     results["graph_file_2000f"] = (len(blob) / 2**20, "MB")
-    tracemalloc.start()
-    graph.load_graph(graph.save_graph(motion_graph))
-    results["graph_save_load_traced_peak"] = (tracemalloc.get_traced_memory()[1] / 2**20, "MB")
-    tracemalloc.stop()
+    results["graph_save_load_traced_peak"] = (
+        _traced_peak_mb(lambda: graph.load_graph(graph.save_graph(motion_graph))), "MB"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        results["graph_save_file_2000f"] = (
+            _time(lambda: graph.save_graph_file(motion_graph, path)), "s"
+        )
+        results["graph_save_file_traced_peak"] = (
+            _traced_peak_mb(lambda: graph.save_graph_file(motion_graph, path)), "MB"
+        )
+
+    # Onset detection: 2000 video frames of 48 kHz audio, the reference clicks.
+    onsets = fixtures.click_frames(n, fixtures.REFERENCE_GAPS)
+    rate = fixtures.FIXTURE_SAMPLE_RATE
+    clicks = fixtures.click_signal(n, onsets, sample_rate=rate)
+    fps = fixtures.FIXTURE_FPS
+    results["onsets_2000f"] = (_time(lambda: audio.detect_onsets(clicks, rate, fps)), "s")
+    results["onsets_2000f_traced_peak"] = (
+        _traced_peak_mb(lambda: audio.detect_onsets(clicks, rate, fps)), "MB"
+    )
+
+    # Search: one 300-frame click target (its onsets as segment endpoints)
+    # on the graph-file entries' edges, its nodes flagged at the reference
+    # clicks, seed 0, default beam.
+    onset_set = set(onsets)
+    flagged = graph.VideoMotionGraph(
+        [graph.GraphNode(i, i in onset_set, "") for i in range(n)], edges,
+        graph.Thresholds(0.1, 0.1, 4),
+    )
+    target_clicks = fixtures.click_frames(300, fixtures.TARGET_GAPS, first=40)
+    track = audio.analyze_audio(
+        fixtures.click_signal(300, target_clicks, sample_rate=rate), rate, fps
+    )
+    segments = audio.segment_target(track)
+
+    def search_once():
+        return search.beam_search(flagged, segments, search.BeamConfig(), seed=0)
+
+    results["search_300f"] = (_time(search_once), "s")
+    results["search_traced_peak"] = (_traced_peak_mb(search_once), "MB")
     return results
 
 
-def main():
+def _environment():
+    def git(*args):
+        try:
+            return subprocess.run(["git", *args], capture_output=True, text=True,
+                                  check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Time the hot kernels.")
+    parser.add_argument("--out", type=Path, default=None, help="also write the results as JSON")
+    args = parser.parse_args(argv)
     results = run_benchmarks()
     width = max(len(name) for name in results)
     for name, (value, unit) in results.items():
         print(f"{name:<{width}}  {value:>9.4f} {unit}")
+    if args.out is not None:
+        doc = {
+            "environment": _environment(),
+            "results": {name: {"value": value, "unit": unit}
+                        for name, (value, unit) in results.items()},
+        }
+        args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

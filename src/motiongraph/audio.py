@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import wave
 from dataclasses import dataclass
 from importlib import resources
@@ -78,6 +79,9 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 ONSET_WINDOW_SIZE = 2048
 #: Half-width in seconds of the median window an onset's flux is compared to.
 ONSET_SMOOTH_HALFWIDTH_S = 0.5
+#: Video frames transformed at a time. Each STFT temporary holds at most
+#: ONSET_BLOCK x ONSET_WINDOW_SIZE values, however long the audio is.
+ONSET_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,12 @@ class OnsetConfig:
 
     threshold_delta: float = 2.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.threshold_delta):
+            raise ValidationError(
+                f"onset threshold delta must be finite, got {self.threshold_delta}"
+            )
+
 
 @dataclass(frozen=True)
 class OnsetTrack:
@@ -104,6 +114,48 @@ class OnsetTrack:
 
     def __len__(self) -> int:
         return len(self.flags)
+
+
+def onset_flux(samples: np.ndarray, sample_rate: int, fps: float) -> np.ndarray:
+    """Spectral flux per video frame: the summed rise of each STFT magnitude
+    bin since the previous frame (0 at frame 0).
+
+    Frames are transformed ONSET_BLOCK at a time, the last magnitude row of
+    one block carried into the next, so every value equals the one computed
+    from the whole N x ONSET_WINDOW_SIZE frame matrix at once. A window is
+    centred on its frame's first sample and zero-filled past either end of
+    the audio; each block copies only the samples its windows cover.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size == 0:
+        raise ValidationError("cannot detect onsets in empty audio")
+    if sample_rate < 8000:
+        raise ValidationError(f"sample_rate must be >= 8000 Hz, got {sample_rate}")
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValidationError(f"fps must be a finite number > 0, got {fps}")
+    n_frames = int(round(samples.size / sample_rate * fps))
+    if n_frames < 1:
+        raise ValidationError("audio shorter than one video frame")
+
+    win = ONSET_WINDOW_SIZE
+    half = win // 2
+    taper = np.hanning(win)
+    starts = np.round(np.arange(n_frames) * sample_rate / fps).astype(np.int64) - half
+    flux = np.zeros(n_frames)
+    last = np.zeros((0, win // 2 + 1))
+    for lo in range(0, n_frames, ONSET_BLOCK):
+        block = starts[lo : lo + ONSET_BLOCK]
+        first, stop = block[0], block[-1] + win
+        span = np.zeros(stop - first)
+        a, b = max(first, 0), min(stop, samples.size)
+        span[a - first : b - first] = samples[a:b]
+        frames = np.stack([span[s - first : s - first + win] for s in block])
+        mags = np.concatenate([last, np.abs(np.fft.rfft(frames * taper, axis=1))])
+        # Row i of rise is frame lo + i + 1 - len(last).
+        rise = np.maximum(mags[1:] - mags[:-1], 0.0).sum(axis=1)
+        flux[lo + 1 - len(last) : lo + len(frames)] = rise
+        last = mags[-1:]
+    return flux
 
 
 def detect_onsets(
@@ -116,28 +168,8 @@ def detect_onsets(
 
     Digital silence yields zero flux everywhere and therefore no onsets.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValidationError("cannot detect onsets in empty audio")
-    if sample_rate < 8000:
-        raise ValidationError(f"sample_rate must be >= 8000 Hz, got {sample_rate}")
-    n_frames = int(round(samples.size / sample_rate * fps))
-    if n_frames < 1:
-        raise ValidationError("audio shorter than one video frame")
-
-    win = ONSET_WINDOW_SIZE
-    half = win // 2
-    taper = np.hanning(win)
-    padded = np.concatenate([np.zeros(half), samples, np.zeros(win)])
-    centers = np.round(np.arange(n_frames) * sample_rate / fps).astype(np.int64)
-    frames = np.stack([padded[c : c + win] for c in centers], axis=0)
-    mags = np.abs(np.fft.rfft(frames * taper, axis=1))
-
-    flux = np.zeros(n_frames)
-    if n_frames > 1:
-        diff = mags[1:] - mags[:-1]
-        flux[1:] = np.maximum(diff, 0.0).sum(axis=1)
-
+    flux = onset_flux(samples, sample_rate, fps)
+    n_frames = flux.size
     w = max(1, int(round(ONSET_SMOOTH_HALFWIDTH_S * fps)))
     flags = np.zeros(n_frames, dtype=bool)
     for t in range(n_frames):

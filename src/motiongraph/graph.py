@@ -9,7 +9,9 @@ mean distance between frames ``l`` apart.
 from __future__ import annotations
 
 import json
+import math
 import operator
+import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,8 +60,11 @@ class Thresholds:
     offset_l: int
 
     def __post_init__(self):
-        if self.tau_feat < 0 or self.tau_img < 0:
-            raise ValidationError("thresholds must be >= 0")
+        # An infinite threshold is an open gate; NaN gates nothing.
+        if not (self.tau_feat >= 0 and self.tau_img >= 0):
+            raise ValidationError(
+                f"thresholds must be >= 0, got tau_feat={self.tau_feat}, tau_img={self.tau_img}"
+            )
         if self.offset_l < 1:
             raise ValidationError(f"offset_l must be >= 1, got {self.offset_l}")
 
@@ -94,6 +99,7 @@ class VideoMotionGraph:
 
     def _init(self, frame, onset, keyword, src, dst, kind, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
+        _check_velocity_weight(velocity_weight)
         synthetic = _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump)
         for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
             column.flags.writeable = False
@@ -175,6 +181,13 @@ def _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray
     return synthetic
 
 
+def _check_velocity_weight(velocity_weight: float) -> None:
+    if not (math.isfinite(velocity_weight) and velocity_weight >= 0):
+        raise ValidationError(
+            f"velocity_weight must be a finite number >= 0, got {velocity_weight}"
+        )
+
+
 def _check_packed(masks, n: int) -> None:
     """``masks`` must be the packed (N, W64) uint64 rows of ``rasterize_sequence``."""
     if not (isinstance(masks, np.ndarray) and masks.ndim == 2 and masks.dtype == np.uint64):
@@ -197,6 +210,7 @@ def compute_thresholds(
     average, raising both thresholds and densifying the graph.
     """
     n = len(joint_states)
+    _check_velocity_weight(velocity_weight)
     if offset_l < 1:
         raise ValidationError(f"offset_l must be >= 1, got {offset_l}")
     if n <= offset_l:
@@ -292,6 +306,7 @@ def build_graph(
         raise StructuralError(f"{len(features)} feature records for {n} joint states")
     if min_jump < 2:
         raise ValidationError(f"min_jump must be >= 2, got {min_jump}")
+    _check_velocity_weight(velocity_weight)
 
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
     # Exact d_feat filter: one pose_distance per gated pair.
@@ -326,9 +341,33 @@ def build_graph(
 # ---------------------------------------------------------------------------
 
 
-def save_graph(graph: VideoMotionGraph) -> bytes:
-    kinds = [KINDS[s] for s in graph.synthetic.tolist()]
-    doc = {
+def _check_file_thresholds(thresholds: Thresholds) -> None:
+    """JSON has no infinity: an open-gate threshold stays in memory."""
+    if not (math.isfinite(thresholds.tau_feat) and math.isfinite(thresholds.tau_img)):
+        raise ValidationError(f"a graph file's thresholds must be finite, got {thresholds}")
+
+
+#: Edges encoded per chunk by the graph writer.
+SAVE_CHUNK_EDGES = 4096
+
+
+def _graph_chunks(graph: VideoMotionGraph):
+    """The ``motion-graph/1`` document as UTF-8 chunks, ``SAVE_CHUNK_EDGES``
+    edges at a time. Joined, they are ``json.dumps(doc, sort_keys=True)``:
+    "edges" sorts first, and the other keys follow in the closing chunk."""
+    _check_file_thresholds(graph.thresholds)
+    yield b'{"edges": ['
+    for lo in range(0, graph.src.size, SAVE_CHUNK_EDGES):
+        part = slice(lo, lo + SAVE_CHUNK_EDGES)
+        edges = [
+            {"src": s, "dst": d, "kind": KINDS[k], "d_feat": f, "d_img": i}
+            for s, d, k, f, i in zip(graph.src[part].tolist(), graph.dst[part].tolist(),
+                                     graph.synthetic[part].tolist(),
+                                     graph.d_feat[part].tolist(), graph.d_img[part].tolist())
+        ]
+        text = json.dumps(edges, sort_keys=True)[1:-1]
+        yield (text if lo == 0 else ", " + text).encode("utf-8")
+    rest = {
         "format": GRAPH_FORMAT,
         "fps": graph.fps,
         "min_jump": graph.min_jump,
@@ -338,19 +377,19 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
             {"frame": i, "onset": onset, "keyword": keyword}
             for i, (onset, keyword) in enumerate(zip(graph.onset.tolist(), graph.keyword.tolist()))
         ],
-        "edges": [
-            {"src": s, "dst": d, "kind": k, "d_feat": f, "d_img": i}
-            for s, d, k, f, i in zip(graph.src.tolist(), graph.dst.tolist(), kinds,
-                                     graph.d_feat.tolist(), graph.d_img.tolist())
-        ],
     }
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
+    yield ("], " + json.dumps(rest, sort_keys=True)[1:]).encode("utf-8")
+
+
+def save_graph(graph: VideoMotionGraph) -> bytes:
+    return b"".join(_graph_chunks(graph))
 
 
 def load_graph(stream: bytes) -> VideoMotionGraph:
     def build(doc):
         t = doc["thresholds"]
         thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), int(t["offset_l"]))
+        _check_file_thresholds(thresholds)
         return VideoMotionGraph._from_columns(
             *_record_columns(doc["nodes"], doc["edges"], operator.getitem, "frame"),
             thresholds, float(doc["fps"]), int(doc["min_jump"]), float(doc["velocity_weight"]),
@@ -360,7 +399,21 @@ def load_graph(stream: bytes) -> VideoMotionGraph:
 
 
 def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:
-    Path(path).write_bytes(save_graph(graph))
+    """Write ``save_graph``'s bytes, one chunk at a time: the encoded document
+    is never held whole. The chunks go to ``<path>.partial``, which replaces
+    ``path`` only once complete, so a failed write leaves any earlier file."""
+    chunks = _graph_chunks(graph)
+    first = next(chunks)  # a graph that cannot be saved fails before any file opens
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "wb") as out:
+            out.write(first)
+            for chunk in chunks:
+                out.write(chunk)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_graph_file(path: str | Path) -> VideoMotionGraph:

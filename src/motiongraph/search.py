@@ -43,14 +43,17 @@ class BeamConfig:
 
     def __post_init__(self):
         low, high = self.duration_window
-        if not 0.0 < low <= 1.0 <= high:
+        if not 0.0 < low <= 1.0 <= high < math.inf:
             raise ValidationError(
-                f"duration window must satisfy 0 < low <= 1 <= high, got {self.duration_window}"
+                f"duration window must satisfy 0 < low <= 1 <= high < inf, "
+                f"got {self.duration_window}"
             )
         if self.beam_width < 1:
             raise ValidationError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.duration_weight < 0:
-            raise ValidationError("duration_weight must be >= 0")
+        if not (math.isfinite(self.duration_weight) and self.duration_weight >= 0):
+            raise ValidationError(
+                f"duration_weight must be a finite number >= 0, got {self.duration_weight}"
+            )
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,13 @@ def _sort_key(candidate: PathCandidate, duration_weight: float):
     )
 
 
+def _within_cut(totals: np.ndarray, ends: np.ndarray, keep: int) -> np.ndarray:
+    """Mask of the rows whose (total, end node) key is at most the keep-th
+    smallest key, ties included."""
+    cut = np.lexsort((ends, totals))[keep - 1]
+    return (totals < totals[cut]) | ((totals == totals[cut]) & (ends <= ends[cut]))
+
+
 def expand_segment(
     graph: VideoMotionGraph,
     candidates: list[PathCandidate],
@@ -197,15 +207,16 @@ def expand_segment(
         group = np.array(group)
         t = transition[group][None, :] + rows[hit_len, hit_node][:, None]
         d = duration[group][None, :] + dur_inc[hit_len][:, None]
-        total = t + config.duration_weight * d
+        total = (t + config.duration_weight * d).ravel()
+        # Row r is (hit_len[r // G], hit_node[r // G], group[r % G]).
+        hit, member = np.divmod(np.arange(total.size), group.size)
+        if keep is not None and keep < total.size:
+            # A row past this start's keep-th (total, end node) key has keep
+            # rows ahead of it here, so the global cut below never takes it.
+            picked = _within_cut(total, hit_node[hit], keep)
+            hit, member, total = hit[picked], member[picked], total[picked]
         parts.append(
-            (
-                np.full(total.size, start),
-                np.repeat(hit_len, group.size),
-                np.repeat(hit_node, group.size),
-                np.tile(group, hit_len.size),
-                total.ravel(),
-            )
+            (np.full(total.size, start), hit_len[hit], hit_node[hit], group[member], total)
         )
     if not parts:
         raise SegmentUnreachableError(
@@ -218,12 +229,8 @@ def expand_segment(
 
     chosen = np.arange(totals.size)
     if keep is not None and keep < totals.size:
-        # Everything up to and including the keep-th (total, last node) key,
-        # so ties at the cut are settled below on the full key.
-        cut = np.lexsort((ends, totals))[keep - 1]
-        chosen = np.flatnonzero(
-            (totals < totals[cut]) | ((totals == totals[cut]) & (ends <= ends[cut]))
-        )
+        # Ties at the cut are settled below on the full key.
+        chosen = np.flatnonzero(_within_cut(totals, ends, keep))
 
     walks: dict[tuple[int, int, int], tuple[int, ...]] = {}
     extended = []
@@ -289,7 +296,14 @@ def beam_search(
     # Deduplication must see every extension, so it prunes after the fact.
     keep = None if config.dedup else config.beam_width
     durations = segments.durations
-    for s in range(segments.segment_count):
+    n_segments = segments.segment_count
+    # starts_later[s]: the nodes that can start a segment after s, the ones
+    # matching one of features[s + 1 .. S - 1]. No other table is read again.
+    starts_later = np.zeros((n_segments, len(graph)), dtype=bool)
+    if n_segments > 1:
+        later = [state.match(f) for f in segments.features[n_segments - 1 : 0 : -1]]
+        starts_later[:-1] = np.logical_or.accumulate(later)[::-1]
+    for s in range(n_segments):
         candidates = expand_segment(
             graph,
             candidates,
@@ -300,6 +314,8 @@ def beam_search(
             keep=keep,
             _state=state,
         )
+        for start in [x for x in state.tables if not starts_later[s, x]]:
+            del state.tables[start]
         if config.dedup:
             # Of the extensions sharing a node sequence, the first in beam
             # order (the cheapest) stays.

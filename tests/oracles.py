@@ -126,3 +126,21 @@ def first_graph_violation(nodes, edges, min_jump):
     if any(node.frame_index != i for i, node in enumerate(nodes)):
         return "node frame indices must be 0..N-1 in order"
     return None
+
+
+def full_stft_flux(samples, sample_rate, fps):
+    """Spectral flux per video frame from the whole N x window frame matrix
+    at once: the formula ``audio.onset_flux`` computes block by block."""
+    from motiongraph.audio import ONSET_WINDOW_SIZE
+
+    samples = np.asarray(samples, dtype=np.float64)
+    n_frames = int(round(samples.size / sample_rate * fps))
+    win = ONSET_WINDOW_SIZE
+    padded = np.concatenate([np.zeros(win // 2), samples, np.zeros(win)])
+    centers = np.round(np.arange(n_frames) * sample_rate / fps).astype(np.int64)
+    frames = np.stack([padded[c : c + win] for c in centers], axis=0)
+    mags = np.abs(np.fft.rfft(frames * np.hanning(win), axis=1))
+    flux = np.zeros(n_frames)
+    if n_frames > 1:
+        flux[1:] = np.maximum(mags[1:] - mags[:-1], 0.0).sum(axis=1)
+    return flux

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from motiongraph import audio
 from motiongraph.audio import (
     AudioFeatureTrack,
+    OnsetConfig,
     KeywordDictionary,
     TranscriptWord,
     analyze_audio,
@@ -12,6 +16,7 @@ from motiongraph.audio import (
     load_segments,
     load_transcript,
     match_keywords,
+    onset_flux,
     read_wav,
     save_features,
     save_segments,
@@ -21,6 +26,8 @@ from motiongraph.audio import (
 )
 from motiongraph.errors import ValidationError
 from motiongraph.fixtures import FIXTURE_SAMPLE_RATE, click_signal
+
+from oracles import full_stft_flux
 
 FPS = 30.0
 SR = FIXTURE_SAMPLE_RATE
@@ -68,10 +75,49 @@ class TestOnsetDetection:
         with pytest.raises(ValidationError):
             detect_onsets(np.zeros(8000), 4000, FPS)
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -30.0, 0.0])
+    def test_bad_fps_rejected(self, fps):
+        with pytest.raises(ValidationError, match="fps must be a finite number > 0"):
+            detect_onsets(np.zeros(SR), SR, fps)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValidationError, match="threshold delta must be finite"):
+            OnsetConfig(threshold_delta=delta)
+
     def test_at_most_one_activation_per_frame(self):
         sig = click_signal(60, [10, 11, 40], FPS, SR)
         track = detect_onsets(sig, SR, FPS)
         assert track.flags.dtype == bool  # flags, not counts
+
+
+class TestBlockwiseFlux:
+    @pytest.mark.parametrize("block", [1, 7, audio.ONSET_BLOCK])
+    @pytest.mark.parametrize(
+        "rate, fps, n_frames",
+        [(8000, 30.0, 1), (44100, 29.97, 301), (48000, 24.0, 257), (22050, 25.0, 333)],
+    )
+    def test_equals_full_matrix(self, monkeypatch, block, rate, fps, n_frames):
+        rng = np.random.default_rng(n_frames)
+        samples = rng.standard_normal(int(round(n_frames / fps * rate)))
+        samples[rng.random(samples.size) < 0.5] = 0.0
+        samples[0] = samples[-1] = 1.0  # the zero fill meets real samples at both ends
+        monkeypatch.setattr(audio, "ONSET_BLOCK", block)
+        flux = onset_flux(samples, rate, fps)
+        assert flux.tobytes() == full_stft_flux(samples, rate, fps).tobytes()
+
+    def test_peak_memory_bounded_by_the_block(self):
+        # 2000 frames of 48 kHz audio: the whole frame matrix and its spectrum
+        # traced 118 MB, and a zero-padded copy of the signal alone is 26 MB.
+        # The blockwise transform holds one block's temporaries (about 9 MB).
+        samples = click_signal(2000, range(30, 2000, 20), FPS, 48000)
+        tracemalloc.start()
+        try:
+            detect_onsets(samples, 48000, FPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"detect_onsets peaked at {peak / 1e6:.1f} MB"
 
 
 class TestKeywordDictionary:

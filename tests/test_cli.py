@@ -326,6 +326,58 @@ class TestUsageErrors:
         assert not (tmp_path / "edl.json").exists()
 
 
+#: Parameter values that must fail their stage (exit 1): subcommand, its
+#: input files by key, the bad flag and value, and the diagnostic it gives.
+BAD_PARAMETERS = {
+    "fps-nan": ("analyze-audio", ["--wav", "target_wav"], ["--fps", "nan"],
+                "fps must be a finite number > 0, got nan"),
+    "fps-inf": ("analyze-audio", ["--wav", "target_wav"], ["--fps", "inf"],
+                "fps must be a finite number > 0, got inf"),
+    "fps-negative": ("analyze-audio", ["--wav", "target_wav"], ["--fps", "-30"],
+                     "fps must be a finite number > 0, got -30.0"),
+    "onset-delta-nan": ("analyze-audio", ["--wav", "target_wav"], ["--onset-delta", "nan"],
+                        "onset threshold delta must be finite, got nan"),
+    "duration-weight-nan": ("search", ["--graph", "graph", "--segments", "segments"],
+                            ["--duration-weight", "nan"],
+                            "duration_weight must be a finite number >= 0, got nan"),
+    "duration-weight-inf": ("search", ["--graph", "graph", "--segments", "segments"],
+                            ["--duration-weight", "inf"],
+                            "duration_weight must be a finite number >= 0, got inf"),
+    "duration-window-inf": ("search", ["--graph", "graph", "--segments", "segments"],
+                            ["--duration-window", "0.9,inf"],
+                            "duration window must satisfy 0 < low <= 1 <= high < inf"),
+    "velocity-weight-nan": ("build-graph", ["--poses", "poses", "--features", "ref_features"],
+                            ["--velocity-weight", "nan"],
+                            "velocity_weight must be a finite number >= 0, got nan"),
+    "velocity-weight-negative": ("build-graph",
+                                 ["--poses", "poses", "--features", "ref_features"],
+                                 ["--velocity-weight", "-1"],
+                                 "velocity_weight must be a finite number >= 0, got -1.0"),
+}
+
+OUTPUTS = {
+    "analyze-audio": ["--features-out", "f.json", "--segments-out", "s.json"],
+    "search": ["--out", "p.json"],
+    "build-graph": ["--out", "g.json"],
+}
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+    def test_stage_failure_without_writes(self, tmp_path, input_files, case):
+        command, inputs, flag, message = BAD_PARAMETERS[case]
+        argv = [command]
+        for key, value in zip(inputs[::2], inputs[1::2]):
+            argv += [key, str(input_files[value])]
+        outputs = OUTPUTS[command]
+        for key, name in zip(outputs[::2], outputs[1::2]):
+            argv += [key, str(tmp_path / name)]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + flag)
+        assert str(err.value.code).startswith(f"error in {command}: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+
 def _truncated(data: bytes) -> bytes:
     return data[: len(data) // 2]
 

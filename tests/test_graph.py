@@ -17,7 +17,9 @@ from motiongraph.graph import (
     build_graph,
     compute_thresholds,
     load_graph,
+    load_graph_file,
     save_graph,
+    save_graph_file,
 )
 from motiongraph.pose import JointState, compute_joint_states, pose_distance
 from motiongraph.search import BeamConfig, beam_search
@@ -119,6 +121,21 @@ class TestThresholds:
         states, masks = smooth_setup
         with pytest.raises(ValidationError):
             compute_thresholds(states[:4], masks[:4], offset_l=4)
+
+    @pytest.mark.parametrize("velocity_weight", [math.nan, math.inf, -1.0])
+    def test_bad_velocity_weight_rejected(self, smooth_setup, velocity_weight):
+        states, masks = smooth_setup
+        with pytest.raises(ValidationError, match="velocity_weight must be a finite number"):
+            compute_thresholds(states, masks, velocity_weight=velocity_weight)
+        with pytest.raises(ValidationError, match="velocity_weight must be a finite number"):
+            build_graph(states, masks, no_feature(len(states)), Thresholds(0.1, 0.1, 4),
+                        velocity_weight=velocity_weight)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValidationError):
+            Thresholds(math.nan, 0.1, 4)
+        with pytest.raises(ValidationError):
+            Thresholds(0.1, math.nan, 4)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError):
@@ -438,3 +455,86 @@ class TestSerialization:
     def test_bytes_stable(self):
         g = self._toy_graph()
         assert save_graph(g) == save_graph(load_graph(save_graph(g)))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, graph_mod.SAVE_CHUNK_EDGES])
+    def test_file_writer_writes_save_graph_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(graph_mod, "SAVE_CHUNK_EDGES", chunk)
+        one_node = VideoMotionGraph([GraphNode(0, True, "hello")], [], Thresholds(0.0, 0.0, 4))
+        for g in (self._toy_graph(), random_graph(np.random.default_rng(chunk), 50, 300),
+                  one_node):
+            save_graph_file(g, tmp_path / "g.json")
+            blob = (tmp_path / "g.json").read_bytes()
+            assert blob == save_graph(g)
+            assert blob == json.dumps(json.loads(blob), sort_keys=True).encode()
+            assert load_graph_file(tmp_path / "g.json").edges == g.edges
+
+    def test_file_writer_peak_memory_bounded_by_the_chunk(self, tmp_path):
+        # save_graph holds the whole document (a dict per edge, then its
+        # text): about 30 MB traced for these 60k edges. The file writer
+        # holds one chunk of edges at a time.
+        g = random_graph(np.random.default_rng(3), 2000, 60000)
+        tracemalloc.start()
+        try:
+            save_graph_file(g, tmp_path / "g.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"save_graph_file peaked at {peak / 1e6:.1f} MB"
+
+    def test_failed_file_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_mod, "SAVE_CHUNK_EDGES", 2)
+        g = self._toy_graph()
+        save_graph_file(g, tmp_path / "g.json")
+        before = (tmp_path / "g.json").read_bytes()
+
+        def interrupted(graph):
+            chunks = real_chunks(graph)
+            yield next(chunks)
+            yield next(chunks)
+            raise KeyboardInterrupt
+
+        real_chunks = graph_mod._graph_chunks
+        monkeypatch.setattr(graph_mod, "_graph_chunks", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_graph_file(random_graph(np.random.default_rng(5), 50, 300), tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+    def test_non_finite_thresholds_stay_out_of_files(self, tmp_path):
+        g = self._toy_graph()
+        open_gate = VideoMotionGraph(g.nodes, g.edges, Thresholds(math.inf, 0.6, 4))
+        with pytest.raises(ValidationError, match="thresholds must be finite"):
+            save_graph(open_gate)
+        with pytest.raises(ValidationError, match="thresholds must be finite"):
+            save_graph_file(open_gate, tmp_path / "g.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc["thresholds"].update(tau_feat=math.nan), id="nan-tau"),
+            pytest.param(lambda doc: doc["thresholds"].update(tau_img=math.inf), id="inf-tau"),
+            pytest.param(lambda doc: doc.update(velocity_weight=math.nan), id="nan-weight"),
+            pytest.param(lambda doc: doc.update(velocity_weight=-1.0), id="negative-weight"),
+        ],
+    )
+    def test_bad_header_is_parse_error(self, edit):
+        doc = json.loads(save_graph(self._toy_graph()))
+        edit(doc)
+        with pytest.raises(GraphParseError):
+            load_graph(json.dumps(doc).encode())
+
+
+def random_graph(rng, n, n_synthetic):
+    """A graph of n featureless nodes: the natural chain plus n_synthetic
+    distinct random jumps with random distances."""
+    pairs = set()
+    while len(pairs) < n_synthetic:
+        m, k = (int(v) for v in rng.integers(0, n, size=2))
+        if abs(m - k) >= 2:
+            pairs.add((m, k))
+    nodes = [GraphNode(i, False, "") for i in range(n)]
+    edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
+    edges += [GraphEdge(m, k, "synthetic", *rng.uniform(0.0, 0.1, size=2).tolist())
+              for m, k in sorted(pairs)]
+    return VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motiongraph.audio import EndpointFeature, SegmentList
-from motiongraph.errors import SegmentUnreachableError
+from motiongraph.errors import SegmentUnreachableError, ValidationError
 from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
@@ -191,6 +191,45 @@ class TestExpandSegment:
             limited = expand_segment(graph, candidates, feature, 10, BeamConfig(), keep=keep)
             assert limited == ranked[:keep], keep
 
+    def test_keep_is_prefix_of_sorted_unlimited_on_random_toys(self):
+        # Binary-fraction costs sum exactly, so totals tie across starts,
+        # lengths and candidates; several candidates share each start.
+        def beam_key(c):
+            return (c.total_cost(), c.node_sequence[-1], c.node_sequence)
+
+        rng = np.random.default_rng(2024)
+        grid = [0.0, 0.0625, 0.125, 0.25]
+        tied_cuts = 0
+        for _ in range(40):
+            n = int(rng.integers(8, 16))
+            synthetic = {}
+            for _ in range(int(rng.integers(3, 12))):
+                a, b = (int(v) for v in rng.integers(0, n, size=2))
+                if abs(a - b) >= 2:
+                    synthetic[a, b] = (float(rng.choice(grid)), float(rng.choice(grid)))
+            onsets = set(int(i) for i in rng.choice(n, size=3, replace=False))
+            graph = toy_graph(n, [(*k, *v) for k, v in synthetic.items()], onsets)
+            candidates = [
+                PathCandidate((i, int(start)), float(rng.choice(grid)), float(rng.choice(grid)),
+                              (0, 1))
+                for start in rng.choice(n, size=3, replace=False)
+                for i in range(int(rng.integers(1, 5)))
+            ]
+            feature = EndpointFeature(str(rng.choice(["end", "onset"])))
+            length = int(rng.integers(2, 7))
+            try:
+                full = expand_segment(graph, candidates, feature, length, BeamConfig())
+            except SegmentUnreachableError:
+                continue
+            ranked = sorted(full, key=beam_key)
+            keys = [beam_key(c)[:2] for c in ranked]
+            tied_cuts += sum(a == b for a, b in zip(keys, keys[1:]))
+            for keep in range(1, len(full) + 2):
+                limited = expand_segment(graph, candidates, feature, length, BeamConfig(),
+                                         keep=keep)
+                assert limited == ranked[:keep], keep
+        assert tied_cuts > 0
+
     def test_synthetic_edge_cost_accumulates(self):
         graph = toy_graph(12, synthetic=[(3, 8, 0.25, 0.25)])
         start = PathCandidate((0,), 0.0, 0.0, (0,))
@@ -207,6 +246,20 @@ class TestExpandSegment:
 class TestBeamSearch:
     def test_default_beam_width_is_20(self):
         assert BeamConfig().beam_width == 20
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"duration_weight": math.nan},
+            {"duration_weight": math.inf},
+            {"duration_weight": -1.0},
+            {"duration_window": (0.9, math.inf)},
+            {"duration_window": (math.nan, 1.1)},
+        ],
+    )
+    def test_non_finite_weights_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            BeamConfig(**kwargs)
 
     def test_matches_exhaustive_oracle_on_random_toys(self):
         rng = np.random.default_rng(1234)

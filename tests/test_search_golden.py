@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from motiongraph import audio, fixtures, graph as graph_mod, pose, search, silhouette
+from motiongraph import audio, fixtures, graph as graph_mod, kernels, pose, search, silhouette
 
 FPS = 30.0
 
@@ -88,3 +88,31 @@ def test_search_result_digest(name, graph_and_segments, tmp_path):
 def test_graph_file_digest(graph_and_segments):
     built, _ = graph_and_segments
     assert hashlib.sha256(graph_mod.save_graph(built)).hexdigest() == GRAPH_SHA256
+
+
+#: walk_distances calls per GOLDEN search, counted at the commit before
+#: searches began releasing the tables of nodes that start no later segment.
+WALK_DP_CALLS = {"seed0": 47, "seed1": 49, "seed2": 46, "seed5": 46, "start100": 19,
+                 "dedup": 47, "narrow_weighted": 20, "onsets_allowed": 48}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_released_tables_are_never_recomputed(name, graph_and_segments, monkeypatch):
+    built, segments = graph_and_segments
+    kwargs = dict(GOLDEN[name][0])
+    config = kwargs.pop("config", search.BeamConfig())
+    fresh = []
+    calls = 0
+    walk_distances = kernels.walk_distances
+
+    def counted(layout, start, allowed, n_steps, dist=None):
+        nonlocal calls
+        calls += 1
+        if dist is None:
+            fresh.append(start)
+        return walk_distances(layout, start, allowed, n_steps, dist)
+
+    monkeypatch.setattr(kernels, "walk_distances", counted)
+    search.beam_search(built, segments, config, **kwargs)
+    assert calls == WALK_DP_CALLS[name]
+    assert len(fresh) == len(set(fresh)), "a released table was computed again"
