@@ -29,7 +29,7 @@ import numpy as np
 from .audio import AudioFeatureTrack, SegmentList
 from .errors import AssemblyError, StructuralError, ValidationError, read_document
 from .graph import VideoMotionGraph
-from .pose import PoseFrame, Skeleton, Joint, forward_kinematics, interpolate_pose
+from .pose import PoseFrame, Skeleton, forward_kinematics, interpolate_pose
 from .search import PathCandidate, PlaybackEntry, resample_segment
 from .silhouette import CameraModel, default_camera, rasterize_silhouette
 
@@ -295,18 +295,7 @@ def assemble_edl(
 @dataclass(frozen=True)
 class RenderConfig:
     camera: CameraModel | None = None  # None = default camera; it sets the image size
-    stroke_radius: float | None = None  # meters; None = skeleton capsule radii
     output_dir: str | Path = "preview"
-
-
-def _render_skeleton(skeleton: Skeleton, stroke_radius: float | None) -> Skeleton:
-    if stroke_radius is None:
-        return skeleton
-    return Skeleton(
-        tuple(
-            Joint(j.name, j.parent, j.rest_offset, stroke_radius) for j in skeleton.joints
-        )
-    )
 
 
 def render_frames(
@@ -321,7 +310,6 @@ def render_frames(
     stored interpolated pose. Deterministic for fixed inputs.
     """
     camera = config.camera or default_camera()
-    draw_skel = _render_skeleton(skeleton, config.stroke_radius)
     for entry in edl.entries:
         if isinstance(entry, RunEntry):
             for pb in entry.frames:
@@ -331,7 +319,7 @@ def render_frames(
         else:
             entry_poses = [step.pose for step in entry.schedule.steps]
         for pose in entry_poses:
-            mask = rasterize_silhouette(draw_skel, forward_kinematics(draw_skel, pose), camera)
+            mask = rasterize_silhouette(skeleton, forward_kinematics(skeleton, pose), camera)
             yield mask.bits.astype(np.uint8) * 255
 
 

@@ -112,7 +112,6 @@ def _add_search_flags(sub: argparse.ArgumentParser) -> None:
         "--allow-onsets-mid-segment", action="store_true",
         help="let expansions pass through onset-activated nodes",
     )
-    sub.add_argument("--dedup", action="store_true", help="drop duplicate paths per beam step")
 
 
 def _beam_config(args) -> search.BeamConfig:
@@ -121,7 +120,6 @@ def _beam_config(args) -> search.BeamConfig:
         duration_window=tuple(args.duration_window),
         duration_weight=args.duration_weight,
         avoid_onsets_mid_segment=not args.allow_onsets_mid_segment,
-        dedup=args.dedup,
     )
 
 
@@ -191,10 +189,11 @@ def _cmd_analyze_audio(parser, args) -> int:
 def _cmd_search(parser, args) -> int:
     _require_files(parser, args.graph, args.segments)
     with _stage("search"):
+        config = _beam_config(args)
         built = graph_mod.load_graph_file(args.graph)
         segments = audio.load_segments(args.segments)
         result = search.beam_search(
-            built, segments, _beam_config(args), seed=args.seed, start_frame=args.start_frame
+            built, segments, config, seed=args.seed, start_frame=args.start_frame
         )
         search.save_search_result(args.out, result)
     best = result.best
@@ -263,11 +262,7 @@ def _cmd_preview(parser, args) -> int:
         edl = assembly.load_edl(args.edl)
         skeleton, sequence = pose.load_pose_track(args.poses)
         camera = _load_camera_arg(args.camera)
-        config = assembly.RenderConfig(
-            camera=camera,
-            stroke_radius=args.stroke_radius,
-            output_dir=args.out_dir,
-        )
+        config = assembly.RenderConfig(camera=camera, output_dir=args.out_dir)
         written = assembly.render_preview(edl, skeleton, sequence.frames, config)
     print(f"preview: {len(written)} frames -> {args.out_dir}")
     return 0
@@ -278,6 +273,9 @@ def _cmd_run(parser, args) -> int:
         parser, args.poses, args.ref_wav, args.ref_transcript, args.wav,
         args.transcript, args.camera, args.dictionary,
     )
+    # A bad search parameter fails before any input is read or output written.
+    with _stage("search"):
+        _beam_config(args)
     # Both audio files are analyzed at the pose track's frame rate.
     _, sequence = pose.load_pose_track(args.poses)
     out = Path(args.out_dir)
@@ -309,7 +307,6 @@ def _cmd_run(parser, args) -> int:
     if args.preview:
         ns.edl = out / "edl.json"
         ns.out_dir = out / "preview"
-        ns.stroke_radius = None
         _cmd_preview(parser, ns)
     print(f"run: artifacts in {out}")
     return 0
@@ -364,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edl", required=True)
     p.add_argument("--poses", required=True)
     _add_camera_flag(p)
-    p.add_argument("--stroke-radius", type=float, default=None,
-                   help="override capsule radii (meters) when drawing")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_preview)
 

@@ -39,7 +39,6 @@ class BeamConfig:
     duration_window: tuple[float, float] = DEFAULT_DURATION_WINDOW
     duration_weight: float = 1.0
     avoid_onsets_mid_segment: bool = True
-    dedup: bool = False
 
     def __post_init__(self):
         low, high = self.duration_window
@@ -140,14 +139,6 @@ class _SearchState:
         return dist
 
 
-def _sort_key(candidate: PathCandidate, duration_weight: float):
-    return (
-        candidate.total_cost(duration_weight),
-        candidate.node_sequence[-1],
-        candidate.node_sequence,
-    )
-
-
 def _within_cut(totals: np.ndarray, ends: np.ndarray, keep: int) -> np.ndarray:
     """Mask of the rows whose (total, end node) key is at most the keep-th
     smallest key, ties included."""
@@ -168,13 +159,12 @@ def expand_segment(
     """Extend every candidate across one target segment.
 
     An extension appends a walk that ends on a matching node with a
-    window-accepted length. Without ``keep``, returns all extensions in
-    generation order (start node, length, end node ascending, then
-    candidate order). With ``keep``, returns the first ``keep`` of them in
-    beam order, ``(total cost, last node, node sequence)`` with ties in
-    generation order: extensions are ranked on cost arrays and only those
-    that can make the cut are built. Raises SegmentUnreachableError when no
-    candidate admits any such walk.
+    window-accepted length. Returns the extensions in beam order,
+    ``(total cost, last node, node sequence)``, with ties in generation
+    order (start node, length, end node ascending, then candidate order).
+    With ``keep``, returns only the first ``keep``: extensions are ranked on
+    cost arrays and only those that can make the cut are built. Raises
+    SegmentUnreachableError when no candidate admits any such walk.
     """
     if not candidates:
         raise ValidationError("expand_segment needs at least one start candidate")
@@ -252,10 +242,10 @@ def expand_segment(
                 + (cand.segment_boundaries[-1] + length,),
             )
         )
-    if keep is not None:
-        extended.sort(key=lambda c: _sort_key(c, config.duration_weight))
-        del extended[keep:]
-    return extended
+    extended.sort(
+        key=lambda c: (c.total_cost(config.duration_weight), c.node_sequence[-1], c.node_sequence)
+    )
+    return extended[:keep]
 
 
 def beam_search(
@@ -293,8 +283,6 @@ def beam_search(
         for s in starts
     ]
     state = _SearchState(graph, config)
-    # Deduplication must see every extension, so it prunes after the fact.
-    keep = None if config.dedup else config.beam_width
     durations = segments.durations
     n_segments = segments.segment_count
     # starts_later[s]: the nodes that can start a segment after s, the ones
@@ -311,18 +299,11 @@ def beam_search(
             durations[s],
             config,
             segment_index=s,
-            keep=keep,
+            keep=config.beam_width,
             _state=state,
         )
         for start in [x for x in state.tables if not starts_later[s, x]]:
             del state.tables[start]
-        if config.dedup:
-            # Of the extensions sharing a node sequence, the first in beam
-            # order (the cheapest) stays.
-            unique = {}
-            for c in sorted(candidates, key=lambda c: _sort_key(c, config.duration_weight)):
-                unique.setdefault(c.node_sequence, c)
-            candidates = list(unique.values())[: config.beam_width]
     return SearchResult(paths=tuple(candidates), seed=seed, config=config)
 
 

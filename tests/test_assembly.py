@@ -242,6 +242,11 @@ class TestPreview:
         for p in written:
             assert p.read_bytes().startswith(b"P5\n32 32\n255\n")
 
+    def test_no_stroke_radius_override(self):
+        # The preview draws the skeleton's own capsule radii.
+        with pytest.raises(TypeError):
+            RenderConfig(stroke_radius=0.05)
+
     def test_preview_determinism(self, tmp_path, chain_skeleton, wavy_poses):
         graph = toy_graph(200, synthetic=[(60, 120, 0.1, 0.1)])
         nodes = tuple(range(40, 61)) + tuple(range(120, 140))

@@ -261,6 +261,26 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("search", ["--dedup"]), ("run", ["--dedup"]), ("preview", ["--stroke-radius", "0.05"])],
+    )
+    def test_removed_flags_exit_2(self, tmp_path, capsys, input_files, command, flag):
+        inputs = {
+            "search": ["--graph", "graph", "--segments", "segments", "--out", "@p.json"],
+            "run": ["--poses", "poses", "--ref-wav", "ref_wav", "--wav", "target_wav",
+                    "--out-dir", "@out"],
+            "preview": ["--edl", "edl", "--poses", "poses", "--out-dir", "@frames"],
+        }[command]
+        argv = [command]
+        for key, value in zip(inputs[::2], inputs[1::2]):
+            argv += [key, str(tmp_path / value[1:]) if value[0] == "@" else str(input_files[value])]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + flag)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "edit, found",
         [
             pytest.param({"fps": 25.0}, f"{REF_FRAMES} frames at 25 fps", id="other-fps"),
@@ -376,6 +396,39 @@ class TestBadParameters:
             cli.main(argv + flag)
         assert str(err.value.code).startswith(f"error in {command}: {message}")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSearchParametersFirst:
+    """A bad search parameter is reported before any input is read."""
+
+    def test_search_reports_the_parameter_not_a_broken_graph(self, tmp_path, input_files):
+        graph = tmp_path / "graph.json"
+        graph.write_bytes(input_files["graph"].read_bytes()[:100])
+        with pytest.raises(SystemExit) as err:
+            cli.main(["search", "--graph", str(graph), "--segments", str(input_files["segments"]),
+                      "--out", str(tmp_path / "p.json"), "--duration-weight", "nan"])
+        assert str(err.value.code) == (
+            "error in search: duration_weight must be a finite number >= 0, got nan"
+        )
+        assert not (tmp_path / "p.json").exists()
+
+    def test_run_writes_nothing(self, tmp_path, fixture_files):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                [
+                    "run",
+                    "--poses", str(fixture_files["poses"]),
+                    "--ref-wav", str(fixture_files["ref_wav"]),
+                    "--wav", str(fixture_files["target_wav"]),
+                    "--duration-weight", "nan",
+                    "--out-dir", str(out),
+                ]
+            )
+        assert str(err.value.code) == (
+            "error in search: duration_weight must be a finite number >= 0, got nan"
+        )
+        assert not out.exists()
 
 
 def _truncated(data: bytes) -> bytes:

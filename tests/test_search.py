@@ -230,6 +230,26 @@ class TestExpandSegment:
                 assert limited == ranked[:keep], keep
         assert tied_cuts > 0
 
+    def test_unlimited_expansion_is_in_beam_order(self):
+        def beam_key(c):
+            return (c.total_cost(), c.node_sequence[-1], c.node_sequence)
+
+        # Generated by start node, then length: start 2 before start 5, and
+        # length 9 before 10. The cheaper start is 5 and the exact length 10.
+        graph = toy_graph(30, synthetic=[(4, 20, 0.125, 0.0)])
+        candidates = [
+            PathCandidate((9, 2), 0.5, 0.0, (0, 1)),
+            PathCandidate((9, 5), 0.0, 0.0, (0, 1)),
+        ]
+        feature = EndpointFeature("end")
+        full = expand_segment(graph, candidates, feature, 10, BeamConfig())
+        assert full == sorted(full, key=beam_key)
+        assert [(c.node_sequence[1], c.durations[-1]) for c in full[:4]] == [
+            (5, 10), (5, 9), (5, 11), (2, 10)
+        ]
+        for keep in range(len(full), len(full) + 3):
+            assert expand_segment(graph, candidates, feature, 10, BeamConfig(), keep=keep) == full
+
     def test_synthetic_edge_cost_accumulates(self):
         graph = toy_graph(12, synthetic=[(3, 8, 0.25, 0.25)])
         start = PathCandidate((0,), 0.0, 0.0, (0,))
@@ -260,6 +280,10 @@ class TestBeamSearch:
     def test_non_finite_weights_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             BeamConfig(**kwargs)
+
+    def test_no_dedup_option(self):
+        with pytest.raises(TypeError):
+            BeamConfig(dedup=True)
 
     def test_matches_exhaustive_oracle_on_random_toys(self):
         rng = np.random.default_rng(1234)
@@ -336,24 +360,6 @@ class TestBeamSearch:
         result = beam_search(graph, segments, BeamConfig(beam_width=max(stage_counts)), seed=0)
         assert result.best.total_cost() == optimum(paths)
         assert result.best.transition_cost == 0.0
-
-    def test_dedup_flag(self):
-        graph = toy_graph(10)
-        segments = segment_list(9, [])
-        wide = beam_search(graph, segments, BeamConfig(beam_width=40, dedup=True), seed=0)
-        assert len(set(p.node_sequence for p in wide.paths)) == len(wide.paths)
-
-    def test_dedup_keeps_the_cheapest_duplicate(self):
-        # On a bare chain, boundaries (0, 9, 20), (0, 10, 20) and (0, 11, 20)
-        # give one node sequence; (0, 10, 20) alone meets both 10-frame
-        # targets exactly, but is not the last of the three generated.
-        graph = toy_graph(25)
-        segments = segment_list(21, [(11, EndpointFeature("end"))])
-        plain = beam_search(graph, segments, BeamConfig(), start_frame=0)
-        dedup = beam_search(graph, segments, BeamConfig(dedup=True), start_frame=0)
-        assert dedup.best == plain.best
-        assert dedup.best.segment_boundaries == (0, 10, 20)
-        assert dedup.best.duration_cost == 0.0
 
     def test_sorted_by_total_cost(self):
         graph = toy_graph(14, synthetic=[(2, 9, 0.3, 0.1), (9, 2, 0.1, 0.1)])

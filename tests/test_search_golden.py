@@ -5,8 +5,7 @@ The digests are sha256 sums of ``save_search_result`` files for searches on a
 (17 segments). They were recorded with the original search engine (per-call
 edge grouping, parent tables, every extension built before pruning), so any
 rewrite of the search must reproduce its ranking, tie-breaks and float
-accumulation exactly. The ``dedup`` digest was re-recorded when deduplication
-began keeping the cheapest of each duplicate, not the last generated.
+accumulation exactly.
 
 ``GRAPH_SHA256`` pins the ``save_graph`` bytes of the same reference graph,
 recorded when the graph was still held as a list of edge objects.
@@ -28,12 +27,6 @@ GOLDEN = {
     "start100": (
         {"seed": 0, "start_frame": 100},
         "f7aeac363dd1b203286f656cb9deaefedef2b8417749f29fc03d760a1e135ac2",
-    ),
-    "dedup": (
-        {"seed": 0, "config": search.BeamConfig(dedup=True)},
-        # The same file as seed0: keeping the cheapest of each duplicate, the
-        # dedup search ends on seed0's 20 paths, which are all distinct.
-        "dc706ad9e04e740333996a161e4230ead9ef98ab68ca581dd327d614efe894d9",
     ),
     "narrow_weighted": (
         {"seed": 3, "config": search.BeamConfig(beam_width=7, duration_weight=0.5)},
@@ -93,7 +86,7 @@ def test_graph_file_digest(graph_and_segments):
 #: walk_distances calls per GOLDEN search, counted at the commit before
 #: searches began releasing the tables of nodes that start no later segment.
 WALK_DP_CALLS = {"seed0": 47, "seed1": 49, "seed2": 46, "seed5": 46, "start100": 19,
-                 "dedup": 47, "narrow_weighted": 20, "onsets_allowed": 48}
+                 "narrow_weighted": 20, "onsets_allowed": 48}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
