@@ -3,17 +3,17 @@
 
 Prints the best-of-3 wall time of each kernel. The walk entries time a
 search-like load: the edge layout a search builds once, then one 45-step
-distance table for each of 20 starts on a 2000-node graph with the bundled
-fixture's edge density. The gating entry times the graph build's d_feat
+relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
+2000-node graph with the bundled fixture's edge density. The gating entry times the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
 prints the traced peak memory (tracemalloc) of one gating call. The graph
 file entries save and load a 2000-node graph with the walk entries' edges,
 and print the traced peak of one save plus one load; the file-writer
 entries time and trace one chunked write of that graph to a file. The
 onset entries run onset detection on 2000 frames of 48 kHz clicks. The
-search entries run one beam search for a 300-frame click target on the
-graph-file entries' edges, the nodes flagged as onsets at the bundled
-fixture's reference clicks.
+search entries run one default search (20 starts, k=4) for a 300-frame
+click target on the graph-file entries' edges, the nodes flagged as onsets
+at the bundled fixture's reference clicks.
 
     python bench/bench_kernels.py                          # print a table
     python bench/bench_kernels.py --out BENCH_kernels.json  # also write JSON
@@ -95,7 +95,7 @@ def run_benchmarks():
     results["gate_4000f_traced_peak"] = (_traced_peak_mb(gate), "MB")
 
     # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
-    # graph has 154k), 20 starts x 45 steps, as one search segment sees them.
+    # graph has 154k), 45 steps from 20 starts, as one search segment sees them.
     n = 2000
     nat_src = np.arange(n - 1)
     syn_src = rng.integers(0, n, size=150000)
@@ -104,17 +104,19 @@ def run_benchmarks():
     src = np.concatenate([nat_src, syn_src[keep]])
     dst = np.concatenate([nat_src + 1, syn_dst[keep]])
     cost = np.concatenate([np.zeros(n - 1), rng.uniform(0.01, 0.5, size=keep.sum())])
+    synthetic = np.arange(src.size) >= n - 1
     allowed = np.ones(n, dtype=bool)
     allowed[rng.integers(0, n, size=60)] = False
     results["walk_layout_150k_edges"] = (
-        _time(lambda: kernels.edge_layout(src, dst, cost, n)), "s"
+        _time(lambda: kernels.edge_layout(src, dst, cost, synthetic, n)), "s"
     )
-    layout = kernels.edge_layout(src, dst, cost, n)
-    starts = rng.choice(n, size=20, replace=False)
+    layout = kernels.edge_layout(src, dst, cost, synthetic, n)
+    states = kernels.BlendStates(search.DEFAULT_BLEND_K)
+    seed = np.full((states.size, n), np.inf)
+    seed[states.anchor, rng.choice(n, size=20, replace=False)] = 0.0
 
     def dp():
-        for start in starts:
-            kernels.walk_distances(layout, int(start), allowed, 45)
+        kernels.walk_distances(layout, seed, allowed, 45, states)
 
     results["walk_dp_20starts_45steps"] = (_time(dp), "s")
 

@@ -30,10 +30,9 @@ from .audio import AudioFeatureTrack, SegmentList
 from .errors import AssemblyError, StructuralError, ValidationError, read_document
 from .graph import VideoMotionGraph
 from .pose import PoseFrame, Skeleton, forward_kinematics, interpolate_pose
-from .search import PathCandidate, PlaybackEntry, resample_segment
+from .search import DEFAULT_BLEND_K, PathCandidate, PlaybackEntry, resample_segment
 from .silhouette import CameraModel, default_camera, rasterize_silhouette
 
-DEFAULT_BLEND_K = 4
 
 EDL_FORMAT = "edl/1"
 

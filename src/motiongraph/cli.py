@@ -88,16 +88,11 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
                      help="also write per-frame silhouette PGMs")
 
 
-def _add_blend_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--blend-k", type=int, default=assembly.DEFAULT_BLEND_K,
-                     help="blend neighborhood size k (default 4)")
-
-
 def _add_search_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="random seed for start nodes")
     sub.add_argument(
         "--beam-width", type=int, default=search.DEFAULT_BEAM_WIDTH,
-        help="number of candidate paths kept per segment",
+        help="number of random start nodes and of returned paths",
     )
     sub.add_argument(
         "--duration-window", type=_parse_window, default=search.DEFAULT_DURATION_WINDOW,
@@ -110,8 +105,10 @@ def _add_search_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--allow-onsets-mid-segment", action="store_true",
-        help="let expansions pass through onset-activated nodes",
+        help="let walks pass through onset-activated nodes",
     )
+    sub.add_argument("--blend-k", type=int, default=search.DEFAULT_BLEND_K,
+                     help="blend neighborhood size k the paths must host (default 4)")
 
 
 def _beam_config(args) -> search.BeamConfig:
@@ -120,6 +117,7 @@ def _beam_config(args) -> search.BeamConfig:
         duration_window=tuple(args.duration_window),
         duration_weight=args.duration_weight,
         avoid_onsets_mid_segment=not args.allow_onsets_mid_segment,
+        blend_k=args.blend_k,
     )
 
 
@@ -219,34 +217,16 @@ def _cmd_assemble(parser, args) -> int:
             "graph_sha256": hashlib.sha256(Path(args.graph).read_bytes()).hexdigest(),
             "search_seed": result.seed,
         }
-        if args.path_index is not None:
-            if args.path_index >= len(result.paths):
-                raise ValidationError(
-                    f"--path-index {args.path_index} is out of range: {args.path} "
-                    f"holds {len(result.paths)} paths"
-                )
-            chosen = [(args.path_index, result.paths[args.path_index])]
-        else:
-            chosen = list(enumerate(result.paths))
-        edl = None
-        for rank, candidate in chosen:
-            try:
-                edl = assembly.assemble_edl(
-                    candidate,
-                    built,
-                    segments,
-                    sequence.frames,
-                    k=args.blend_k,
-                    provenance=dict(provenance, path_rank=rank),
-                    speech_track=speech,
-                )
-                break
-            except MotionGraphError as exc:
-                if len(chosen) == 1:
-                    raise
-                print(f"assemble: path {rank} rejected ({exc}); trying next", file=sys.stderr)
-        if edl is None:
-            raise assembly.AssemblyError("no searched path can host the blend windows")
+        rank = args.path_index
+        if rank >= len(result.paths):
+            raise ValidationError(
+                f"--path-index {rank} is out of range: {args.path} "
+                f"holds {len(result.paths)} paths"
+            )
+        edl = assembly.assemble_edl(
+            result.paths[rank], built, segments, sequence.frames, k=result.config.blend_k,
+            provenance=dict(provenance, path_rank=rank), speech_track=speech,
+        )
         assembly.save_edl(args.out, edl)
     n_trans = sum(1 for e in edl.entries if isinstance(e, assembly.TransitionEntry))
     print(
@@ -300,7 +280,7 @@ def _cmd_run(parser, args) -> int:
 
     ns.path = out / "path.json"
     ns.target_features = out / "target_features.json"
-    ns.path_index = None
+    ns.path_index = 0
     ns.out = out / "edl.json"
     _cmd_assemble(parser, ns)
 
@@ -351,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="search-result file")
     p.add_argument("--target-features", default=None,
                    help="target feature file, for speech marks in the EDL")
-    _add_blend_flag(p)
-    p.add_argument("--path-index", type=_path_rank, default=None,
-                   help="assemble exactly this path rank (default: best that fits)")
+    p.add_argument("--path-index", type=_path_rank, default=0,
+                   help="assemble this path rank (default 0, the best)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_assemble)
 
@@ -374,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_audio_flags(p)
     _add_graph_flags(p)
     _add_search_flags(p)
-    _add_blend_flag(p)
     p.add_argument("--preview", action="store_true", help="also render the PGM preview")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_run)

@@ -25,7 +25,7 @@ FIXTURE_SAMPLE_RATE = 48000
 
 #: Click gap cycles. The target cycle is the reference cycle rotated to start
 #: where a silent lead-in can land (just after a 42-frame gap opens), so a
-#: fully natural zero-cost playback path exists and beam survivors stay
+#: fully natural zero-cost playback path exists and searched paths stay
 #: phase-aligned with the reference click schedule.
 REFERENCE_GAPS = (24, 30, 36, 30, 42, 30, 24, 36)
 TARGET_GAPS = (30, 24, 36, 24, 30, 36, 30, 42)

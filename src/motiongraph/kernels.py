@@ -2,11 +2,12 @@
 
 Three inner loops dominate the engine's runtime: capsule rasterization,
 popcount-based mask intersection over candidate frame pairs, and the
-step-synchronous relaxation inside the beam search. Each has one
+step-synchronous relaxation inside the search. Each has one
 implementation. Popcount uses ``np.bitwise_count`` where numpy provides it
 (numpy >= 2.0) and a byte lookup table otherwise; both count the same bits.
-The walk relaxation is one gather-add and one segmented minimum per step
-over an edge layout built once per search.
+The walk relaxation is a row shift along the natural chain plus one
+gather-add and one segmented minimum over the synthetic edges per step and
+target state, over an edge layout built once per search.
 """
 
 from __future__ import annotations
@@ -117,27 +118,29 @@ def pair_intersections(packed, pairs):
 
 
 # ---------------------------------------------------------------------------
-# step-synchronous shortest-path relaxation
+# step-synchronous relaxation over (blend state, node)
 #
-# dist[l, v] = min cost of an l-edge walk from the start node to v whose
-# intermediate nodes are all flagged allowed (the start itself is exempt).
-# Only distances are stored. A walk is recovered afterwards, one step at a
-# time, as the smallest-index in-neighbour u whose sum prev[u] + cost(u, v)
-# equals dist[l, v]: the same float the relaxation produced, so the walk is
-# independent of edge order.
+# table[l, q, v] = min cost of an l-edge walk from a finite entry of the
+# seed table, at that entry's cost, to node v in blend state q, whose
+# interior nodes are all flagged allowed. Only costs are stored. A walk is
+# recovered afterwards, one step at a time, as the smallest predecessor
+# (node, then state) whose sum prev + cost equals the stored cost: the same
+# float the relaxation produced, so the walk is independent of edge order.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EdgeLayout:
-    """Edges grouped by destination (CSR), sources ascending within a group.
+    """Natural edge costs by source, synthetic edges grouped by destination.
 
-    The in-edges of node v are ``src[indptr[v]:indptr[v + 1]]`` with costs
-    ``cost[indptr[v]:indptr[v + 1]]``. ``group_dst``/``group_start`` list the
-    nodes that have in-edges and where their groups begin.
+    ``natural[u]`` is the cost of u -> u+1. The synthetic in-edges of node v
+    are ``src[indptr[v]:indptr[v + 1]]`` (ascending) with costs
+    ``cost[indptr[v]:indptr[v + 1]]``; ``group_dst``/``group_start`` list the
+    nodes that have synthetic in-edges and where their groups begin.
     """
 
     n_nodes: int
+    natural: np.ndarray
     indptr: np.ndarray
     src: np.ndarray
     cost: np.ndarray
@@ -145,64 +148,132 @@ class EdgeLayout:
     group_start: np.ndarray
 
 
-def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
-    """Group (src, dst, cost) edge arrays by destination for ``walk_distances``."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    cost = np.asarray(cost, dtype=np.float64)
+def edge_layout(src, dst, cost, synthetic, n_nodes) -> EdgeLayout:
+    """Split a graph's edge columns for ``walk_distances``. The natural edges
+    must be the full chain 0 -> 1 -> ... -> n_nodes-1, as a graph's are."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    cost, synthetic = np.asarray(cost, dtype=np.float64), np.asarray(synthetic, dtype=bool)
+    natural = np.zeros(max(n_nodes - 1, 0))
+    natural[src[~synthetic]] = cost[~synthetic]
+    src, dst, cost = src[synthetic], dst[synthetic], cost[synthetic]
     order = np.lexsort((src, dst))
     counts = np.bincount(dst, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     group_dst = np.flatnonzero(counts)
-    return EdgeLayout(
-        n_nodes=int(n_nodes),
-        indptr=indptr,
-        src=src[order],
-        cost=cost[order],
-        group_dst=group_dst,
-        group_start=indptr[group_dst],
-    )
+    return EdgeLayout(int(n_nodes), natural, indptr, src[order], cost[order], group_dst,
+                      indptr[group_dst])
 
 
-def walk_distances(layout: EdgeLayout, start, allowed, n_steps, dist=None):
-    """Exact-length walk costs from ``start`` with restricted interior nodes.
+class BlendStates:
+    """The blend states of a path for blend size k, mirroring the trims of
+    ``assembly.assemble_edl``, so every walk they admit can be played.
 
-    Returns ``dist`` of shape (n_steps+1, n_nodes): the minimal cost over
-    walks of exactly ``l`` edges, ``inf`` where there is none. Pass the table
-    of an earlier call for the same start and ``allowed`` as ``dist`` to
-    extend it: only the missing steps are computed.
+    State 0 is the anchor, the path's first node, which plays no frame.
+    ``p0(c)``: no cut played yet, run length c = 1..k+2. ``b0(c)``/``b1(c)``:
+    after a cut, run length c = 1..2k+2, before/after some run kept a core
+    (the frames left once its blend windows are trimmed off). Each largest c
+    stands for "at least c". A natural edge adds 1 to c. A synthetic edge
+    leaves the anchor for p0(1) (a hard cut before the first frame), or a run
+    long enough for its blend windows (k+1 in phase 0, 2k+2 after a cut) for
+    a new run at c = 1.
     """
-    if dist is not None and dist.shape[0] > n_steps:
-        return dist
-    table = np.full((n_steps + 1, layout.n_nodes), np.inf)
-    if dist is None:
-        done = 0
-        table[0, start] = 0.0
-    else:
-        done = dist.shape[0] - 1
-        table[: done + 1] = dist
-    for step in range(done + 1, n_steps + 1):
-        prev = table[step - 1]
-        if step > 1:
-            prev = np.where(allowed, prev, np.inf)
-        mins = np.minimum.reduceat(prev[layout.src] + layout.cost, layout.group_start)
-        if not np.isfinite(mins).any():
-            break
-        table[step, layout.group_dst] = mins
+
+    def __init__(self, k: int):
+        self.k, self.size, self.anchor = k, 5 * k + 7, 0
+        p0, b0, b1, top = self.p0, self.b0, self.b1, 2 * k + 2
+        #: Predecessor states over a natural / a synthetic edge, ascending.
+        self.natural_preds = {
+            p0(1): (0,), p0(k + 2): (p0(k + 1), p0(k + 2)),
+            b1(top): (b0(top), b1(top - 1), b1(top)),
+            **{p0(c): (p0(c - 1),) for c in range(2, k + 2)},
+            **{b0(c): (b0(c - 1),) for c in range(2, top + 1)},
+            **{b1(c): (b1(c - 1),) for c in range(2, top)},
+        }
+        self.synthetic_preds = {p0(1): (0,), b0(1): (p0(k + 1), b0(top)),
+                                b1(1): (p0(k + 2), b1(top))}
+        #: A cut from a key state lands in b0, from its value state in b1,
+        #: which admits every continuation and ending b0 does. So a cut from
+        #: a key state is relaxed only where it is strictly cheaper.
+        self.dominated_by = {p0(k + 1): p0(k + 2), b0(top): b1(top)}
+        #: The states a path may end in: its last run hosts its blend window,
+        #: and some run keeps a core.
+        self.final = np.ones(self.size, dtype=bool)
+        self.final[[0, *range(b0(1), b0(k + 2)), *range(b1(1), b1(k + 1))]] = False
+
+    def cut_costs(self, table, p):
+        """Row ``p`` of a (state, node) table as the source of a cut: ``inf``
+        where the state dominating ``p`` is as cheap."""
+        if p not in self.dominated_by:
+            return table[p]
+        return np.where(table[p] < table[self.dominated_by[p]], table[p], np.inf)
+
+    def p0(self, c: int) -> int:
+        return c
+
+    def b0(self, c: int) -> int:
+        return self.k + 2 + c
+
+    def b1(self, c: int) -> int:
+        return 3 * self.k + 4 + c
+
+
+def walk_distances(layout: EdgeLayout, seed, allowed, n_steps, states: BlendStates):
+    """Exact-length walk costs from every finite entry of ``seed``.
+
+    ``seed`` is a (states.size, n_nodes) cost table. Returns ``table`` of
+    shape (n_steps+1, states.size, n_nodes) with ``table[0] = seed`` and
+    ``table[l]`` the minimal cost over walks of exactly ``l`` edges, ``inf``
+    where there is none; but cuts are relaxed from ``states.cut_costs``,
+    which keeps the cheapest admissible ending unchanged.
+    """
+    table = np.full((n_steps + 1, states.size, layout.n_nodes), np.inf)
+    table[0] = seed
+    for step in range(1, n_steps + 1):
+        prev = table[step - 1] if step == 1 else np.where(allowed, table[step - 1], np.inf)
+        new = table[step]
+        shifted = prev[:, :-1] + layout.natural if layout.natural.any() else prev[:, :-1]
+        for q, preds in states.natural_preds.items():
+            new[q, 1:] = shifted[preds[0]]
+            for p in preds[1:]:
+                np.minimum(new[q, 1:], shifted[p], out=new[q, 1:])
+        for q, preds in states.synthetic_preds.items():
+            ready = np.minimum.reduce([states.cut_costs(prev, p) for p in preds])
+            if layout.src.size and np.isfinite(ready).any():
+                sums = ready[layout.src]
+                sums += layout.cost
+                mins = np.minimum.reduceat(sums, layout.group_start)
+                new[q, layout.group_dst] = np.minimum(new[q, layout.group_dst], mins)
     return table
 
 
-def walk_back(layout: EdgeLayout, dist, allowed, length, node):
-    """The walk realizing the finite ``dist[length, node]``, start first."""
-    walk = [int(node)]
+def walk_back(layout: EdgeLayout, table, allowed, states: BlendStates, length, state, node):
+    """The walk realizing the finite ``table[length, state, node]``.
+
+    Returns its (state, node) pairs from step 0 to ``length`` and the cost of
+    each of its edges, in walk order.
+    """
+    q, v = int(state), int(node)
+    path, costs = [(q, v)], []
     for step in range(length, 0, -1):
-        lo, hi = layout.indptr[node], layout.indptr[node + 1]
-        preds = layout.src[lo:hi]
-        prev = dist[step - 1, preds]
-        if step > 1:
-            prev = np.where(allowed[preds], prev, np.inf)
-        node = int(preds[np.flatnonzero(prev + layout.cost[lo:hi] == dist[step, node])[0]])
-        walk.append(node)
-    walk.reverse()
-    return walk
+        target = table[step, q, v]
+        prev = table[step - 1]
+        best = None  # (predecessor node, state, edge cost)
+        for p in states.synthetic_preds.get(q, ()):
+            lo, hi = layout.indptr[v], layout.indptr[v + 1]
+            preds = layout.src[lo:hi]
+            vals = states.cut_costs(prev, p)[preds] + layout.cost[lo:hi]
+            if step > 1:
+                vals[~allowed[preds]] = np.inf
+            hits = np.flatnonzero(vals == target)
+            if hits.size and (best is None or preds[hits[0]] < best[0]):
+                best = (int(preds[hits[0]]), p, float(layout.cost[lo + hits[0]]))
+        if v >= 1 and (step == 1 or allowed[v - 1]) and (best is None or v - 1 < best[0]):
+            for p in states.natural_preds.get(q, ()):
+                if prev[p, v - 1] + layout.natural[v - 1] == target:
+                    best = (v - 1, p, float(layout.natural[v - 1]))
+                    break
+        v, q, cost = best
+        path.append((q, v))
+        costs.append(cost)
+    return path[::-1], costs[::-1]

@@ -1,23 +1,24 @@
-"""Beam search over the motion graph, matched to target audio segments.
+"""Search of the motion graph for paths matched to target audio segments.
 
 Each target segment a_s -> a_{s+1} of duration L_s must be covered by a walk
 that ends on a node whose audio feature matches the segment's endpoint
 feature and whose length L' stays within the duration window
-(low <= L'/L_s <= high). Candidates rank by transition cost
-(sum of d_feat + d_img over traversed edges) plus duration cost
-(sum of |1 - L'_s/L_s|); after every segment only the best ``beam_width``
-paths survive.
+(low <= L'/L_s <= high). A path costs its transition cost (sum of
+d_feat + d_img over traversed edges) plus its duration cost (sum of
+|1 - L'_s/L_s|), and ``assembly.assemble_edl`` must be able to play it with
+blend size k. The search is exact: a dynamic program over segments, blend
+states (``kernels.BlendStates``) and nodes.
 
 Because every segment interior is featureless in the target by construction,
-expansions route around onset-activated nodes: they may appear only as
-segment start/terminal nodes (configurable).
+walks route around onset-activated nodes: they may appear only as segment
+start/terminal nodes (configurable).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,14 @@ from .errors import SegmentUnreachableError, StructuralError, ValidationError, r
 from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
+DEFAULT_BLEND_K = 4
 DEFAULT_DURATION_WINDOW = (0.9, 1.1)
 
-SEARCH_RESULT_FORMAT = "search-result/1"
+SEARCH_RESULT_FORMAT = "search-result/2"
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,7 @@ class BeamConfig:
     duration_window: tuple[float, float] = DEFAULT_DURATION_WINDOW
     duration_weight: float = 1.0
     avoid_onsets_mid_segment: bool = True
+    blend_k: int = DEFAULT_BLEND_K
 
     def __post_init__(self):
         low, high = self.duration_window
@@ -47,12 +54,17 @@ class BeamConfig:
                 f"duration window must satisfy 0 < low <= 1 <= high < inf, "
                 f"got {self.duration_window}"
             )
-        if self.beam_width < 1:
-            raise ValidationError(f"beam_width must be >= 1, got {self.beam_width}")
-        if not (math.isfinite(self.duration_weight) and self.duration_weight >= 0):
-            raise ValidationError(
-                f"duration_weight must be a finite number >= 0, got {self.duration_weight}"
-            )
+        rules = {
+            "beam_width": (_is_count(self.beam_width), "an integer >= 1"),
+            "blend_k": (_is_count(self.blend_k), "an integer >= 1"),
+            "avoid_onsets_mid_segment": (isinstance(self.avoid_onsets_mid_segment, bool),
+                                         "a boolean"),
+            "duration_weight": (math.isfinite(self.duration_weight) and self.duration_weight >= 0,
+                                "a finite number >= 0"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -110,16 +122,14 @@ def in_duration_window(
 
 
 class _SearchState:
-    """What one search shares across its segments: the edge layout, the node
-    masks, and one walk-distance table per distinct start node (extended,
-    not recomputed, when a later segment needs more steps)."""
+    """The edge layout, blend states and node masks a search's segments share."""
 
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
-        self.layout = kernels.edge_layout(*graph.edge_arrays(), n)
+        self.layout = kernels.edge_layout(*graph.edge_arrays(), graph.synthetic, n)
+        self.states = kernels.BlendStates(config.blend_k)
         self.onset, self.keywords = graph.onset, graph.keyword
         self.allowed = ~self.onset if config.avoid_onsets_mid_segment else np.ones(n, dtype=bool)
-        self.tables: dict[int, np.ndarray] = {}
 
     def match(self, feature: EndpointFeature) -> np.ndarray:
         """The nodes that can end a segment with ``feature``."""
@@ -131,121 +141,69 @@ class _SearchState:
             return self.keywords == feature.word
         raise ValidationError(f"unknown endpoint feature kind {feature.kind!r}")
 
-    def table(self, start: int, n_steps: int) -> np.ndarray:
-        dist = self.tables.get(start)
-        if dist is None or dist.shape[0] <= n_steps:
-            dist = kernels.walk_distances(self.layout, start, self.allowed, n_steps, dist)
-            self.tables[start] = dist
-        return dist
+    def seed(self, starts) -> np.ndarray:
+        """The table F_{-1}: cost 0 in the anchor state at each start node."""
+        table = np.full((self.states.size, self.onset.size), np.inf)
+        table[self.states.anchor, starts] = 0.0
+        return table
 
 
-def _within_cut(totals: np.ndarray, ends: np.ndarray, keep: int) -> np.ndarray:
-    """Mask of the rows whose (total, end node) key is at most the keep-th
-    smallest key, ties included."""
-    cut = np.lexsort((ends, totals))[keep - 1]
-    return (totals < totals[cut]) | ((totals == totals[cut]) & (ends <= ends[cut]))
+def _length_costs(target_length: int, config: BeamConfig) -> tuple[int, int, list[float]]:
+    """The accepted lengths lo..hi and the weighted duration cost of each."""
+    lo, hi = duration_bounds(target_length, *config.duration_window)
+    # Division is monotonic, so every length in lo..hi is in the window.
+    return lo, hi, [config.duration_weight * abs(1.0 - n / target_length) for n in range(lo, hi + 1)]
 
 
 def expand_segment(
     graph: VideoMotionGraph,
-    candidates: list[PathCandidate],
+    prefix: np.ndarray,
     target_feature: EndpointFeature,
     target_length: int,
     config: BeamConfig = BeamConfig(),
     segment_index: int = 0,
-    keep: int | None = None,
     _state: _SearchState | None = None,
-) -> list[PathCandidate]:
-    """Extend every candidate across one target segment.
+) -> np.ndarray:
+    """One segment of the search: F_s from ``prefix``, F_{s-1}.
 
-    An extension appends a walk that ends on a matching node with a
-    window-accepted length. Returns the extensions in beam order,
-    ``(total cost, last node, node sequence)``, with ties in generation
-    order (start node, length, end node ascending, then candidate order).
-    With ``keep``, returns only the first ``keep``: extensions are ranked on
-    cost arrays and only those that can make the cut are built. Raises
-    SegmentUnreachableError when no candidate admits any such walk.
+    Both are (blend state, node) tables of prefix costs, duration terms
+    included; ``_SearchState.seed`` gives F_{-1}. F_s extends the prefixes by
+    window-accepted walks that end on a node matching ``target_feature``.
+    Raises SegmentUnreachableError when no such walk exists.
     """
-    if not candidates:
-        raise ValidationError("expand_segment needs at least one start candidate")
     if target_length < 1:
         raise ValidationError(f"target segment length must be >= 1, got {target_length}")
-
-    low, high = config.duration_window
-    lo_len, hi_len = duration_bounds(target_length, low, high)
-
     state = _state if _state is not None else _SearchState(graph, config)
-    match = state.match(target_feature)
-    # Division is monotonic, so every length in lo_len..hi_len is in the window.
-    dur_incs = [abs(1.0 - length / target_length) for length in range(lo_len, hi_len + 1)]
-    dur_inc = np.array(dur_incs)
-    transition = np.array([c.transition_cost for c in candidates])
-    duration = np.array([c.duration_cost for c in candidates])
-
-    by_start: dict[int, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        by_start.setdefault(cand.node_sequence[-1], []).append(i)
-
-    # One row per extension, in generation order: (start, length index, end
-    # node, candidate index, total cost as PathCandidate.total_cost computes it).
-    parts = []
-    for start, group in sorted(by_start.items()):
-        rows = state.table(start, hi_len)[lo_len : hi_len + 1]
-        hit_len, hit_node = np.nonzero(np.isfinite(rows) & match)
-        if hit_len.size == 0:
-            continue
-        group = np.array(group)
-        t = transition[group][None, :] + rows[hit_len, hit_node][:, None]
-        d = duration[group][None, :] + dur_inc[hit_len][:, None]
-        total = (t + config.duration_weight * d).ravel()
-        # Row r is (hit_len[r // G], hit_node[r // G], group[r % G]).
-        hit, member = np.divmod(np.arange(total.size), group.size)
-        if keep is not None and keep < total.size:
-            # A row past this start's keep-th (total, end node) key has keep
-            # rows ahead of it here, so the global cut below never takes it.
-            picked = _within_cut(total, hit_node[hit], keep)
-            hit, member, total = hit[picked], member[picked], total[picked]
-        parts.append(
-            (np.full(total.size, start), hit_len[hit], hit_node[hit], group[member], total)
-        )
-    if not parts:
+    lo, hi, length_costs = _length_costs(target_length, config)
+    table = kernels.walk_distances(state.layout, prefix, state.allowed, hi, state.states)
+    best = np.full_like(prefix, np.inf)
+    for length, cost in enumerate(length_costs, lo):
+        np.minimum(best, table[length] + cost, out=best)
+    best[:, ~state.match(target_feature)] = np.inf
+    if not np.isfinite(best).any():
         raise SegmentUnreachableError(
             segment_index,
-            f"segment {segment_index}: no walk of length {lo_len}..{hi_len} reaches a "
-            f"node matching {target_feature.kind}"
+            f"segment {segment_index}: no walk of length {lo}..{hi} that can host its "
+            f"blend windows (k={config.blend_k}) reaches a node matching {target_feature.kind}"
             + (f"({target_feature.word})" if target_feature.word else ""),
         )
-    starts, len_idx, ends, cand_idx, totals = (np.concatenate(col) for col in zip(*parts))
+    return best
 
-    chosen = np.arange(totals.size)
-    if keep is not None and keep < totals.size:
-        # Ties at the cut are settled below on the full key.
-        chosen = np.flatnonzero(_within_cut(totals, ends, keep))
 
-    walks: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    extended = []
-    survivors = (starts[chosen], len_idx[chosen], ends[chosen], cand_idx[chosen])
-    for start, li, v, ci in zip(*(col.tolist() for col in survivors)):
-        length = lo_len + li
-        dist = state.tables[start]
-        walk = walks.get((start, length, v))
-        if walk is None:
-            walk = tuple(kernels.walk_back(state.layout, dist, state.allowed, length, v)[1:])
-            walks[start, length, v] = walk
-        cand = candidates[ci]
-        extended.append(
-            PathCandidate(
-                node_sequence=cand.node_sequence + walk,
-                transition_cost=cand.transition_cost + float(dist[length, v]),
-                duration_cost=cand.duration_cost + dur_incs[li],
-                segment_boundaries=cand.segment_boundaries
-                + (cand.segment_boundaries[-1] + length,),
-            )
-        )
-    extended.sort(
-        key=lambda c: (c.total_cost(config.duration_weight), c.node_sequence[-1], c.node_sequence)
-    )
-    return extended[:keep]
+def _candidate(walks, durations) -> PathCandidate:
+    """The path of per-segment (steps, edge costs) walks, its costs summed
+    per segment, as ``recompute_costs`` sums them."""
+    nodes, bounds = [walks[0][0][0][1]], [0]
+    transition = duration = 0.0
+    for (steps, costs), target in zip(walks, durations):
+        seg_cost = 0.0
+        for cost in costs:
+            seg_cost += cost
+        transition += seg_cost
+        duration += abs(1.0 - len(costs) / target)
+        nodes += [v for _, v in steps[1:]]
+        bounds.append(len(nodes) - 1)
+    return PathCandidate(tuple(nodes), transition, duration, tuple(bounds))
 
 
 def beam_search(
@@ -255,11 +213,14 @@ def beam_search(
     seed: int = 0,
     start_frame: int | None = None,
 ) -> SearchResult:
-    """Find up to ``beam_width`` low-cost paths matching all target segments.
+    """The cheapest assemblable paths matching all target segments.
 
-    Starts are ``beam_width`` random nodes under ``seed`` (all nodes, when the
-    beam is at least as wide as the graph), or a single caller-pinned
-    ``start_frame``. Deterministic for fixed inputs and seed.
+    Starts are ``beam_width`` random nodes under ``seed`` (all nodes, when
+    ``beam_width`` is at least the graph's size), or a single caller-pinned
+    ``start_frame``. Returns the cheapest path to each of the (up to)
+    ``beam_width`` cheapest final nodes. Only the F_s tables are kept: the
+    traceback recomputes one segment's step tables at a time. Deterministic
+    for fixed inputs and seed.
     """
     if len(graph) < 1:
         raise ValidationError("graph has no nodes")
@@ -273,38 +234,37 @@ def beam_search(
         rng = np.random.default_rng(seed)
         starts = [int(s) for s in rng.choice(len(graph), size=config.beam_width, replace=False)]
 
-    candidates = [
-        PathCandidate(
-            node_sequence=(s,),
-            transition_cost=0.0,
-            duration_cost=0.0,
-            segment_boundaries=(0,),
-        )
-        for s in starts
-    ]
     state = _SearchState(graph, config)
     durations = segments.durations
-    n_segments = segments.segment_count
-    # starts_later[s]: the nodes that can start a segment after s, the ones
-    # matching one of features[s + 1 .. S - 1]. No other table is read again.
-    starts_later = np.zeros((n_segments, len(graph)), dtype=bool)
-    if n_segments > 1:
-        later = [state.match(f) for f in segments.features[n_segments - 1 : 0 : -1]]
-        starts_later[:-1] = np.logical_or.accumulate(later)[::-1]
-    for s in range(n_segments):
-        candidates = expand_segment(
-            graph,
-            candidates,
-            segments.features[s + 1],
-            durations[s],
-            config,
-            segment_index=s,
-            keep=config.beam_width,
-            _state=state,
+    tables = [state.seed(starts)]
+    for s, target in enumerate(durations):
+        tables.append(expand_segment(graph, tables[-1], segments.features[s + 1], target, config,
+                                     segment_index=s, _state=state))
+
+    final = np.where(state.states.final[:, None], tables[-1], np.inf)
+    ends = final.min(axis=0)
+    order = np.lexsort((np.arange(ends.size), ends))[: config.beam_width]
+    heads = [(int(np.argmin(final[:, v])), int(v)) for v in order if np.isfinite(ends[v])]
+    if not heads:
+        raise SegmentUnreachableError(
+            len(durations) - 1,
+            f"segment {len(durations) - 1}: no path ends in a run that can host the blend "
+            f"windows (k={config.blend_k}) with a frame left to play",
         )
-        for start in [x for x in state.tables if not starts_later[s, x]]:
-            del state.tables[start]
-    return SearchResult(paths=tuple(candidates), seed=seed, config=config)
+    walks: list[list] = [[] for _ in heads]  # per path, its segments' walks, last first
+    for s in reversed(range(len(durations))):
+        lo, hi, length_costs = _length_costs(durations[s], config)
+        table = kernels.walk_distances(state.layout, tables[s], state.allowed, hi, state.states)
+        for i, (q, v) in enumerate(heads):
+            length = next(n for n, cost in enumerate(length_costs, lo)
+                          if table[n, q, v] + cost == tables[s + 1][q, v])
+            walks[i].append(kernels.walk_back(state.layout, table, state.allowed, state.states,
+                                              length, q, v))
+            heads[i] = walks[i][-1][0][0]
+        del table  # one segment's step tables at a time
+    paths = sorted((_candidate(w[::-1], durations) for w in walks),
+                   key=lambda p: p.total_cost(config.duration_weight))
+    return SearchResult(paths=tuple(paths), seed=seed, config=config)
 
 
 def recompute_costs(
@@ -388,9 +348,7 @@ def save_search_result(path: str | Path, result: SearchResult) -> None:
     doc = {
         "format": SEARCH_RESULT_FORMAT,
         "seed": result.seed,
-        "beam_width": result.config.beam_width,
-        "duration_window": list(result.config.duration_window),
-        "duration_weight": result.config.duration_weight,
+        **asdict(result.config),
         "paths": [
             {
                 "nodes": list(p.node_sequence),
@@ -406,18 +364,11 @@ def save_search_result(path: str | Path, result: SearchResult) -> None:
 
 def load_search_result(path: str | Path) -> SearchResult:
     def build(doc):
-        config = BeamConfig(
-            beam_width=int(doc["beam_width"]),
-            duration_window=tuple(doc["duration_window"]),
-            duration_weight=float(doc["duration_weight"]),
-        )
+        params = {f.name: doc[f.name] for f in fields(BeamConfig)}
+        config = BeamConfig(**dict(params, duration_window=tuple(params["duration_window"])))
         paths = tuple(
-            PathCandidate(
-                node_sequence=tuple(int(v) for v in p["nodes"]),
-                transition_cost=float(p["transition_cost"]),
-                duration_cost=float(p["duration_cost"]),
-                segment_boundaries=tuple(int(b) for b in p["boundaries"]),
-            )
+            PathCandidate(tuple(map(int, p["nodes"])), float(p["transition_cost"]),
+                          float(p["duration_cost"]), tuple(map(int, p["boundaries"])))
             for p in doc["paths"]
         )
         return SearchResult(paths=paths, seed=int(doc["seed"]), config=config)

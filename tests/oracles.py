@@ -4,7 +4,8 @@ acceptance.
 The enumeration mirrors the engine's documented semantics (duration window
 on the ratio, feature matching at segment terminals, onset-free interiors,
 per-segment sequential cost accumulation) but shares no code with the DP:
-it is a plain recursive walk over the adjacency list.
+it is a plain recursive walk over the adjacency list. Which enumerated
+paths can be played is left to the assembler itself (``assemblable``).
 """
 
 from collections import defaultdict
@@ -23,9 +24,7 @@ def _matches(node, feature):
 
 
 def enumerate_paths(graph, segments, config, starts):
-    """All feasible complete paths as (node_seq, t_cost, d_cost) triples,
-    plus the per-stage candidate counts (for choosing an exhaustive beam
-    width)."""
+    """All feasible complete paths as (node_seq, t_cost, d_cost) triples."""
     adj = defaultdict(list)
     for e in graph.edges:
         adj[e.src].append((e.dst, e.cost))
@@ -38,7 +37,6 @@ def enumerate_paths(graph, segments, config, starts):
     ]
 
     candidates = [((s,), 0.0, 0.0) for s in starts]
-    stage_counts = []
     for s in range(segments.segment_count):
         target = segments.durations[s]
         feature = segments.features[s + 1]
@@ -67,14 +65,34 @@ def enumerate_paths(graph, segments, config, starts):
                 for dst, c in adj[node]:
                     stack.append((dst, steps + 1, walk + [dst], cost + c))
         candidates = extended
-        stage_counts.append(len(extended))
         if not candidates:
             break
-    return candidates, stage_counts
+    return candidates
 
 
 def optimum(paths, duration_weight=1.0):
     return min(t + duration_weight * d for _, t, d in paths)
+
+
+def assemblable(paths, graph, segments, k):
+    """The paths ``assemble_edl`` accepts with blend size ``k``: (node_seq,
+    t_cost, d_cost) triples as ``enumerate_paths`` gives them, or
+    ``PathCandidate``s. Blends run over placeholder poses."""
+    from motiongraph.assembly import assemble_edl
+    from motiongraph.errors import AssemblyError
+    from motiongraph.pose import PoseFrame
+    from motiongraph.search import PathCandidate
+
+    poses = [PoseFrame(i, np.zeros(3), np.zeros((1, 3))) for i in range(len(graph))]
+    kept = []
+    for path in paths:
+        candidate = path if isinstance(path, PathCandidate) else PathCandidate(path[0], 0.0, 0.0, (0,))
+        try:
+            assemble_edl(candidate, graph, segments, poses, k=k)
+        except AssemblyError:
+            continue
+        kept.append(path)
+    return kept
 
 
 def full_matrix_gate(joint_states, velocity_weight, tau_feat, min_jump):

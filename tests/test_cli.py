@@ -4,11 +4,13 @@ import json
 import pytest
 
 from motiongraph import cli
-from motiongraph.assembly import load_edl
+from motiongraph.assembly import TransitionEntry, assemble_edl, load_edl
 from motiongraph.audio import load_features, load_segments
+from motiongraph.errors import GraphParseError
 from motiongraph.fixtures import make_fixture
 from motiongraph.graph import load_graph_file
-from motiongraph.search import load_search_result
+from motiongraph.pose import load_pose_track
+from motiongraph.search import BeamConfig, beam_search, load_search_result
 from motiongraph.silhouette import default_camera, save_camera
 
 REF_FRAMES = 800
@@ -104,6 +106,22 @@ class TestRunPipeline:
             assert (out2 / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
+class TestEveryRankAssembles:
+    def test_seeds_0_to_9(self, fixture_files, pipeline):
+        graph = load_graph_file(pipeline / "graph.json")
+        segments = load_segments(pipeline / "target_segments.json")
+        _, sequence = load_pose_track(fixture_files["poses"])
+        blended = 0
+        for seed in range(10):
+            result = beam_search(graph, segments, BeamConfig(), seed=seed)
+            assert len(result.paths) == BeamConfig().beam_width
+            for rank, path in enumerate(result.paths):
+                edl = assemble_edl(path, graph, segments, sequence.frames)
+                if rank == 0:
+                    blended += any(isinstance(e, TransitionEntry) for e in edl.entries)
+        assert blended >= 1
+
+
 class TestStages:
     def test_analyze_audio_standalone(self, tmp_path, fixture_files):
         rc = cli.main(
@@ -138,6 +156,47 @@ class TestStages:
         result = load_search_result(tmp_path / "p.json")
         assert len(result.paths) <= 5
         assert result.config.beam_width == 5
+        assert result.config.avoid_onsets_mid_segment
+        assert result.config.blend_k == 4
+
+    def test_search_result_records_onsets_and_blend_k(self, tmp_path, fixture_files, pipeline):
+        rc = cli.main(
+            [
+                "search",
+                "--graph", str(pipeline / "graph.json"),
+                "--segments", str(pipeline / "target_segments.json"),
+                "--out", str(tmp_path / "p.json"),
+                "--allow-onsets-mid-segment",
+                "--blend-k", "2",
+            ]
+        )
+        assert rc == 0
+        result = load_search_result(tmp_path / "p.json")
+        assert not result.config.avoid_onsets_mid_segment
+        assert result.config.blend_k == 2
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert doc["format"] == "search-result/2"
+        assert (doc["avoid_onsets_mid_segment"], doc["blend_k"]) == (False, 2)
+        rc = cli.main(
+            [
+                "assemble",
+                "--graph", str(pipeline / "graph.json"),
+                "--poses", str(fixture_files["poses"]),
+                "--segments", str(pipeline / "target_segments.json"),
+                "--path", str(tmp_path / "p.json"),
+                "--out", str(tmp_path / "edl.json"),
+            ]
+        )
+        assert rc == 0
+        assert load_edl(tmp_path / "edl.json").blend_k == 2
+
+    def test_search_result_1_is_rejected(self, tmp_path, pipeline):
+        doc = json.loads((pipeline / "path.json").read_text())
+        doc["format"] = "search-result/1"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match="expected 'search-result/2'"):
+            load_search_result(old)
 
     def test_assemble_standalone(self, tmp_path, fixture_files, pipeline):
         rc = cli.main(
@@ -198,6 +257,7 @@ class TestDefaults:
         assert args.beam_width == 20
         assert tuple(args.duration_window) == (0.9, 1.1)
         assert args.seed == 0
+        assert args.blend_k == 4
         args = parser.parse_args(
             ["build-graph", "--poses", "p", "--features", "f", "--out", "o"]
         )
@@ -208,7 +268,8 @@ class TestDefaults:
             ["assemble", "--graph", "g", "--poses", "p", "--segments", "s",
              "--path", "x", "--out", "o"]
         )
-        assert args.blend_k == 4
+        assert args.path_index == 0
+        assert not hasattr(args, "blend_k")  # assemble reads k from the search result
         args = parser.parse_args(
             ["run", "--poses", "p", "--ref-wav", "r", "--wav", "w", "--out-dir", "o"]
         )
@@ -262,11 +323,14 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("search", ["--dedup"]), ("run", ["--dedup"]), ("preview", ["--stroke-radius", "0.05"])],
+        [("search", ["--dedup"]), ("run", ["--dedup"]), ("preview", ["--stroke-radius", "0.05"]),
+         ("assemble", ["--blend-k", "2"])],
     )
     def test_removed_flags_exit_2(self, tmp_path, capsys, input_files, command, flag):
         inputs = {
             "search": ["--graph", "graph", "--segments", "segments", "--out", "@p.json"],
+            "assemble": ["--graph", "graph", "--poses", "poses", "--segments", "segments",
+                         "--path", "path", "--out", "@edl.json"],
             "run": ["--poses", "poses", "--ref-wav", "ref_wav", "--wav", "target_wav",
                     "--out-dir", "@out"],
             "preview": ["--edl", "edl", "--poses", "poses", "--out-dir", "@frames"],
@@ -502,7 +566,9 @@ MALFORMED = {
     "graph": {"broken-json": _truncated, "missing-field": _drop("edges"),
               "wrong-format": _set("format", "motion-graph/9")},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
-                      "wrong-format": _set("format", "search-result/9")},
+                      "wrong-format": _set("format", "search-result/9"),
+                      "format-1": _set("format", "search-result/1"),
+                      "onsets-not-bool": _set("avoid_onsets_mid_segment", "no")},
     "edl": {"broken-json": _truncated, "missing-field": _drop("entries"),
             "wrong-format": _set("format", "edl/9")},
 }

@@ -17,97 +17,161 @@ def test_popcount_matches_direct_counting_any_backend(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# walk relaxation against a plain-Python exact-length Bellman-Ford
+# walk relaxation against a plain-Python exact-length Bellman-Ford over
+# (blend state, node), its transitions written out from the assembler's rules
 # ---------------------------------------------------------------------------
 
 
 def random_walk_graph(rng, n):
-    """Natural chain plus random extra edges, no self-edges or duplicates."""
+    """Natural chain plus random synthetic edges, no self-edges or duplicates."""
     pairs = {(i, i + 1): 0.0 for i in range(n - 1)}
+    synthetic = []
     for _ in range(3 * n):
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a != b and (a, b) not in pairs:
             # few distinct costs, so equal-cost walks (and ties) are common
-            pairs[a, b] = float(rng.choice([0.25, 0.5, 0.1, 0.3]))
+            pairs[a, b] = float(rng.choice([0.25, 0.5, 0.125, 0.375]))
+            synthetic.append(True)
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
     cost = np.array(list(pairs.values()))
-    return src, dst, cost
+    return src, dst, cost, np.array([False] * (n - 1) + synthetic, dtype=bool)
 
 
-def bellman_ford(src, dst, cost, n, start, allowed, n_steps):
-    """dist[l][v] and the smallest-index predecessor realizing it, in Python floats."""
+def successors(state, synthetic, k):
+    """The states after one edge: ("anchor",), ("p0", c) or ("p1", c, core)."""
+    if state == ("anchor",):
+        return [("p0", 1)]
+    if state[0] == "p0":
+        c = state[1]
+        if synthetic:
+            return [("p1", 1, c > k + 1)] if c >= k + 1 else []
+        return [("p0", min(c + 1, k + 2))]
+    _, c, core = state
+    if synthetic:
+        return [("p1", 1, core)] if c >= 2 * k + 2 else []
+    return [("p1", min(c + 1, 2 * k + 2), core or c + 1 > 2 * k + 2)]
+
+
+def index(states, state):
+    if state[0] == "anchor":
+        return states.anchor
+    if state[0] == "p0":
+        return states.p0(state[1])
+    return (states.b1 if state[2] else states.b0)(state[1])
+
+
+def all_states(k):
+    return ([("anchor",)] + [("p0", c) for c in range(1, k + 3)]
+            + [("p1", c, core) for core in (False, True) for c in range(1, 2 * k + 3)])
+
+
+def bellman_ford(src, dst, cost, synthetic, n, seed, allowed, n_steps, k):
+    """table[l][q][v] and the smallest (node, state) predecessor realizing it,
+    in Python floats. A cut into a run with no core yet is taken only where
+    it is strictly cheaper than the cut from the same node's cored state."""
+    states = kernels.BlendStates(k)
     inf = float("inf")
-    edges = sorted(zip(src.tolist(), dst.tolist(), cost.tolist()))
-    dist = [[inf] * n for _ in range(n_steps + 1)]
-    parent = [[-1] * n for _ in range(n_steps + 1)]
-    dist[0][start] = 0.0
+    edges = sorted(zip(src.tolist(), dst.tolist(), cost.tolist(), synthetic.tolist()))
+    table = [seed.tolist()] + [[[inf] * n for _ in range(states.size)] for _ in range(n_steps)]
+    parent = [None] + [{} for _ in range(n_steps)]
+    rivals = {states.p0(k + 1): states.p0(k + 2), states.b0(2 * k + 2): states.b1(2 * k + 2)}
     for step in range(1, n_steps + 1):
-        for u, v, c in edges:  # ascending u, so the first strict win is the smallest
-            base = dist[step - 1][u]
+        prev, new = table[step - 1], table[step]
+        for u, v, c, syn in edges:  # ascending u, so the first strict win is the smallest
             if step > 1 and not allowed[u]:
                 continue
-            if base + c < dist[step][v]:
-                dist[step][v] = base + c
-                parent[step][v] = u
-    return dist, parent
+            for state in all_states(k):  # ascending state index within a node
+                q = index(states, state)
+                if syn and q in rivals and not prev[q][u] < prev[rivals[q]][u]:
+                    continue
+                for nxt in successors(state, syn, k):
+                    r = index(states, nxt)
+                    if prev[q][u] + c < new[r][v]:
+                        new[r][v] = prev[q][u] + c
+                        parent[step][r, v] = (u, q)
+    return table, parent
 
 
 class TestWalkDistances:
+    def test_state_indices_cover_the_table(self):
+        for k in (1, 2, 4):
+            states = kernels.BlendStates(k)
+            assert sorted(index(states, s) for s in all_states(k)) == list(range(states.size))
+
     def test_bit_exact_with_smallest_predecessor(self):
         rng = np.random.default_rng(2)
         for trial in range(12):
-            n = int(rng.integers(5, 30))
-            src, dst, cost = random_walk_graph(rng, n)
+            n = int(rng.integers(5, 16))
+            k = 1 + trial % 2
+            states = kernels.BlendStates(k)
+            src, dst, cost, synthetic = random_walk_graph(rng, n)
             allowed = rng.random(n) > 0.2
-            start = int(rng.integers(0, n))
-            allowed[start] = trial % 2 == 0  # half the starts are themselves blocked
-            layout = kernels.edge_layout(src, dst, cost, n)
-            steps = 9
-            dist = kernels.walk_distances(layout, start, allowed, steps)
-            ref, parent = bellman_ford(src, dst, cost, n, start, allowed, steps)
-            assert dist.tobytes() == np.array(ref).tobytes()
+            seed = np.full((states.size, n), np.inf)
+            seed[states.anchor, rng.choice(n, size=2, replace=False)] = 0.0
+            if trial % 3 == 0:  # a later segment: prefixes in several states
+                seed[rng.integers(0, states.size, size=6), rng.integers(0, n, size=6)] = 0.5
+            layout = kernels.edge_layout(src, dst, cost, synthetic, n)
+            steps = 3 * k + 5
+            table = kernels.walk_distances(layout, seed, allowed, steps, states)
+            ref, parent = bellman_ford(src, dst, cost, synthetic, n, seed, allowed, steps, k)
+            assert table.tobytes() == np.array(ref).tobytes()
             for length in range(1, steps + 1):
-                for v in np.flatnonzero(np.isfinite(dist[length])):
-                    walk = kernels.walk_back(layout, dist, allowed, length, int(v))
-                    assert len(walk) == length + 1 and walk[0] == start
+                for q, v in zip(*np.nonzero(np.isfinite(table[length]))):
+                    walk, costs = kernels.walk_back(layout, table, allowed, states, length, q, v)
+                    assert len(walk) == length + 1 and walk[-1] == (q, v)
                     for step in range(length, 0, -1):
-                        assert walk[step - 1] == parent[step][walk[step]]
-                    assert all(allowed[u] for u in walk[1:-1])
+                        assert walk[step - 1][::-1] == parent[step][walk[step]]
+                    assert all(allowed[u] for _, u in walk[1:-1])
+                    total = seed[walk[0]]
+                    for c in costs:
+                        total += c
+                    assert total == table[length, q, v]
 
     def test_start_exempt_from_allowed(self):
-        # 0 -> 1 -> 2 -> 0: a blocked start may begin a walk but not recur in one.
-        src, dst, cost = np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([0.5, 0.25, 0.125])
+        # 0 -> 1 -> 2 naturally, 2 -> 0 synthetically: a blocked start may
+        # begin a walk but not recur in one.
+        src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
+        cost, synthetic = np.array([0.5, 0.25, 0.125]), np.array([False, False, True])
         allowed = np.array([False, True, True])
-        layout = kernels.edge_layout(src, dst, cost, 3)
-        dist = kernels.walk_distances(layout, 0, allowed, 5)
-        assert dist[1].tolist() == [np.inf, 0.5, np.inf]
-        assert dist[3].tolist() == [0.875, np.inf, np.inf]
-        assert np.isinf(dist[4:]).all()  # continuing past the blocked start is not allowed
-        assert kernels.walk_back(layout, dist, allowed, 3, 0) == [0, 1, 2, 0]
+        states = kernels.BlendStates(1)
+        layout = kernels.edge_layout(src, dst, cost, synthetic, 3)
+        seed = np.full((states.size, 3), np.inf)
+        seed[states.anchor, 0] = 0.0
+        table = kernels.walk_distances(layout, seed, allowed, 5, states)
+        assert table[1].min(axis=0).tolist() == [np.inf, 0.5, np.inf]
+        # the cut 2 -> 0 leaves a run of 2 = k + 1 frames, which has no core
+        assert table[3, states.b0(1)].tolist() == [0.875, np.inf, np.inf]
+        assert np.isinf(table[4:]).all()  # continuing past the blocked start is not allowed
+        walk, costs = kernels.walk_back(layout, table, allowed, states, 3, states.b0(1), 0)
+        assert [v for _, v in walk] == [0, 1, 2, 0] and costs == [0.5, 0.25, 0.125]
+
+    def test_cut_needs_a_run_long_enough_for_the_blend_windows(self):
+        # 0 -> 1 -> ... -> 5 plus a cut 2 -> 5: from the anchor at 0 the run
+        # before the cut is 1, 2, k + 1 frames only for k = 1.
+        src, dst = np.array([0, 1, 2, 3, 4, 2]), np.array([1, 2, 3, 4, 5, 5])
+        cost, synthetic = np.array([0.0] * 5 + [0.25]), np.array([False] * 5 + [True])
+        for k, reached in ((1, 0.25), (2, np.inf)):
+            states = kernels.BlendStates(k)
+            layout = kernels.edge_layout(src, dst, cost, synthetic, 6)
+            seed = np.full((states.size, 6), np.inf)
+            seed[states.anchor, 0] = 0.0
+            table = kernels.walk_distances(layout, seed, np.ones(6, dtype=bool), 3, states)
+            assert table[3, :, 5].min() == reached
 
     def test_unreachable_rows_stay_inf(self):
         n = 6
         src, dst = np.arange(n - 1), np.arange(1, n)
-        layout = kernels.edge_layout(src, dst, np.zeros(n - 1), n)
-        dist = kernels.walk_distances(layout, 3, np.ones(n, dtype=bool), 8)
-        assert dist.shape == (9, n)
-        assert dist[2, 5] == 0.0
-        assert np.isinf(dist[3:]).all()
-        assert np.isinf(np.delete(dist[1], 4)).all()
-        empty = kernels.edge_layout(np.zeros(0), np.zeros(0), np.zeros(0), 2)
-        only_start = kernels.walk_distances(empty, 1, np.ones(2, dtype=bool), 3)
-        assert only_start[0].tolist() == [np.inf, 0.0] and np.isinf(only_start[1:]).all()
-
-    def test_extended_table_equals_fresh(self):
-        rng = np.random.default_rng(4)
-        n = 25
-        src, dst, cost = random_walk_graph(rng, n)
-        allowed = rng.random(n) > 0.2
-        layout = kernels.edge_layout(src, dst, cost, n)
-        for start in (0, 11, 24):
-            fresh = kernels.walk_distances(layout, start, allowed, 14)
-            short = kernels.walk_distances(layout, start, allowed, 5)
-            extended = kernels.walk_distances(layout, start, allowed, 14, short)
-            assert extended.tobytes() == fresh.tobytes()
-            assert kernels.walk_distances(layout, start, allowed, 9, extended) is extended
+        states = kernels.BlendStates(4)
+        layout = kernels.edge_layout(src, dst, np.zeros(n - 1), np.zeros(n - 1, dtype=bool), n)
+        seed = np.full((states.size, n), np.inf)
+        seed[states.anchor, 3] = 0.0
+        table = kernels.walk_distances(layout, seed, np.ones(n, dtype=bool), 8, states)
+        assert table.shape == (9, states.size, n)
+        assert table[2, states.p0(2), 5] == 0.0
+        assert np.isinf(table[3:]).all()
+        assert np.isinf(np.delete(table[1].min(axis=0), 4)).all()
+        single = kernels.edge_layout(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), 1)
+        seed = np.zeros((states.size, 1))
+        only_seed = kernels.walk_distances(single, seed, np.ones(1, dtype=bool), 3, states)
+        assert (only_seed[0] == 0.0).all() and np.isinf(only_seed[1:]).all()

@@ -8,7 +8,7 @@ from motiongraph.errors import SegmentUnreachableError, ValidationError
 from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
-    PathCandidate,
+    _SearchState,
     beam_search,
     duration_bounds,
     expand_segment,
@@ -17,7 +17,7 @@ from motiongraph.search import (
     resample_segment,
 )
 
-from oracles import enumerate_paths, optimum
+from oracles import assemblable, enumerate_paths, optimum
 
 
 def toy_graph(n, synthetic=(), onsets=(), keywords=None):
@@ -105,12 +105,25 @@ class TestDurationWindow:
         assert duration_bounds(10, 0.9, 1.1) == (9, 11)
 
 
+def start_table(graph, start, config=BeamConfig()):
+    """F_{-1} of a search from the single node ``start``."""
+    return _SearchState(graph, config).seed([start])
+
+
+def ends(table):
+    """Cheapest cost per end node, over all blend states."""
+    return table.min(axis=0)
+
+
 class TestExpandSegment:
     def test_natural_chain_end_feature(self):
         graph = toy_graph(30)
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
-        out = expand_segment(graph, [start], EndpointFeature("end"), 10, BeamConfig(beam_width=1))
-        best = min(out, key=lambda c: c.total_cost())
+        config = BeamConfig(beam_width=1)
+        out = ends(expand_segment(graph, start_table(graph, 0), EndpointFeature("end"), 10,
+                                  config))
+        assert out[10] == 0.0
+        assert np.flatnonzero(np.isfinite(out)).tolist() == [9, 10, 11]
+        best = beam_search(graph, segment_list(11, []), config, start_frame=0).best
         assert best.transition_cost == 0.0
         assert best.duration_cost == 0.0
         assert best.durations == (10,)
@@ -118,154 +131,74 @@ class TestExpandSegment:
 
     def test_duration_cost_increment(self):
         graph = toy_graph(120)
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
-        out = expand_segment(graph, [start], EndpointFeature("end"), 100, BeamConfig())
-        by_len = {c.durations[0]: c for c in out}
-        assert by_len[95].duration_cost == abs(1.0 - 95 / 100)
-        assert by_len[100].duration_cost == 0.0
-        assert 89 not in by_len
-        assert 90 in by_len and 110 in by_len and 111 not in by_len
+        out = ends(expand_segment(graph, start_table(graph, 0), EndpointFeature("end"), 100,
+                                  BeamConfig()))
+        # On a chain from node 0, a walk of length l ends at node l.
+        assert out[95] == abs(1.0 - 95 / 100)
+        assert out[100] == 0.0
+        assert np.isinf(out[89])
+        assert np.isfinite(out[90]) and np.isfinite(out[110]) and np.isinf(out[111])
 
     def test_onset_terminal_matching(self):
         graph = toy_graph(20, onsets={10})
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
-        out = expand_segment(graph, [start], EndpointFeature("onset"), 10, BeamConfig())
-        assert {c.node_sequence[-1] for c in out} == {10}
+        out = ends(expand_segment(graph, start_table(graph, 0), EndpointFeature("onset"), 10,
+                                  BeamConfig()))
+        assert np.flatnonzero(np.isfinite(out)).tolist() == [10]
 
     def test_onset_nodes_blocked_mid_segment(self):
         # Onset at node 5 blocks the only walk to the terminal at node 10.
         graph = toy_graph(20, onsets={5, 10})
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
         with pytest.raises(SegmentUnreachableError):
-            expand_segment(graph, [start], EndpointFeature("onset"), 10,
+            expand_segment(graph, start_table(graph, 0), EndpointFeature("onset"), 10,
                            BeamConfig(duration_window=(1.0, 1.0)))
-        out = expand_segment(
-            graph,
-            [start],
-            EndpointFeature("onset"),
-            10,
-            BeamConfig(duration_window=(1.0, 1.0), avoid_onsets_mid_segment=False),
-        )
-        assert len(out) == 1
+        config = BeamConfig(duration_window=(1.0, 1.0), avoid_onsets_mid_segment=False)
+        out = expand_segment(graph, start_table(graph, 0, config), EndpointFeature("onset"), 10,
+                             config)
+        assert np.flatnonzero(np.isfinite(ends(out))).tolist() == [10]
 
     def test_start_node_exempt_from_onset_rule(self):
         graph = toy_graph(20, onsets={0, 10})
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
-        out = expand_segment(graph, [start], EndpointFeature("onset"), 10,
-                             BeamConfig(duration_window=(1.0, 1.0)))
-        assert out[0].node_sequence == tuple(range(11))
+        config = BeamConfig(duration_window=(1.0, 1.0))
+        out = expand_segment(graph, start_table(graph, 0), EndpointFeature("onset"), 10, config)
+        assert np.flatnonzero(np.isfinite(ends(out))).tolist() == [10]
+        result = beam_search(graph, segment_list(11, []), config, start_frame=0)
+        assert result.best.node_sequence == tuple(range(11))
 
     def test_unreachable_names_segment(self):
         graph = toy_graph(20)
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
         with pytest.raises(SegmentUnreachableError) as err:
             expand_segment(
-                graph, [start], EndpointFeature("keyword", "two"), 5, BeamConfig(), segment_index=3
+                graph, start_table(graph, 0), EndpointFeature("keyword", "two"), 5, BeamConfig(),
+                segment_index=3,
             )
         assert err.value.segment == 3
 
-    def test_keep_limit_is_prefix_of_sorted_unlimited(self):
-        def beam_key(c):
-            return (c.total_cost(), c.node_sequence[-1], c.node_sequence)
-
-        graph = toy_graph(
-            40, synthetic=[(3, 20, 0.05, 0.05), (21, 5, 0.05, 0.05), (12, 30, 0.1, 0.0)]
-        )
-        candidates = [
-            PathCandidate((7, 0), 0.2, 0.0, (0, 1)),
-            PathCandidate((12, 10), 0.2, 0.0, (0, 1)),
-            PathCandidate((3, 0), 0.2, 0.0, (0, 1)),
-            # same node sequence and total as the first, different split
-            PathCandidate((7, 0), 0.1, 0.1, (0, 1)),
-            PathCandidate((25, 26), 0.0, 0.15, (0, 1)),
-        ]
-        feature = EndpointFeature("end")
-        full = expand_segment(graph, candidates, feature, 10, BeamConfig())
-        ranked = sorted(full, key=beam_key)
-        keys = [beam_key(c) for c in ranked]
-        # the toy must put ties on every part of the key at some cut
-        assert any(a[:2] == b[:2] and a[2] != b[2] for a, b in zip(keys, keys[1:]))
-        assert any(a[0] == b[0] and a[1] != b[1] for a, b in zip(keys, keys[1:]))
-        assert any(a == b and x != y for a, b, x, y in zip(keys, keys[1:], ranked, ranked[1:]))
-        for keep in range(1, len(full) + 2):
-            limited = expand_segment(graph, candidates, feature, 10, BeamConfig(), keep=keep)
-            assert limited == ranked[:keep], keep
-
-    def test_keep_is_prefix_of_sorted_unlimited_on_random_toys(self):
-        # Binary-fraction costs sum exactly, so totals tie across starts,
-        # lengths and candidates; several candidates share each start.
-        def beam_key(c):
-            return (c.total_cost(), c.node_sequence[-1], c.node_sequence)
-
-        rng = np.random.default_rng(2024)
-        grid = [0.0, 0.0625, 0.125, 0.25]
-        tied_cuts = 0
-        for _ in range(40):
-            n = int(rng.integers(8, 16))
-            synthetic = {}
-            for _ in range(int(rng.integers(3, 12))):
-                a, b = (int(v) for v in rng.integers(0, n, size=2))
-                if abs(a - b) >= 2:
-                    synthetic[a, b] = (float(rng.choice(grid)), float(rng.choice(grid)))
-            onsets = set(int(i) for i in rng.choice(n, size=3, replace=False))
-            graph = toy_graph(n, [(*k, *v) for k, v in synthetic.items()], onsets)
-            candidates = [
-                PathCandidate((i, int(start)), float(rng.choice(grid)), float(rng.choice(grid)),
-                              (0, 1))
-                for start in rng.choice(n, size=3, replace=False)
-                for i in range(int(rng.integers(1, 5)))
-            ]
-            feature = EndpointFeature(str(rng.choice(["end", "onset"])))
-            length = int(rng.integers(2, 7))
-            try:
-                full = expand_segment(graph, candidates, feature, length, BeamConfig())
-            except SegmentUnreachableError:
-                continue
-            ranked = sorted(full, key=beam_key)
-            keys = [beam_key(c)[:2] for c in ranked]
-            tied_cuts += sum(a == b for a, b in zip(keys, keys[1:]))
-            for keep in range(1, len(full) + 2):
-                limited = expand_segment(graph, candidates, feature, length, BeamConfig(),
-                                         keep=keep)
-                assert limited == ranked[:keep], keep
-        assert tied_cuts > 0
-
-    def test_unlimited_expansion_is_in_beam_order(self):
-        def beam_key(c):
-            return (c.total_cost(), c.node_sequence[-1], c.node_sequence)
-
-        # Generated by start node, then length: start 2 before start 5, and
-        # length 9 before 10. The cheaper start is 5 and the exact length 10.
-        graph = toy_graph(30, synthetic=[(4, 20, 0.125, 0.0)])
-        candidates = [
-            PathCandidate((9, 2), 0.5, 0.0, (0, 1)),
-            PathCandidate((9, 5), 0.0, 0.0, (0, 1)),
-        ]
-        feature = EndpointFeature("end")
-        full = expand_segment(graph, candidates, feature, 10, BeamConfig())
-        assert full == sorted(full, key=beam_key)
-        assert [(c.node_sequence[1], c.durations[-1]) for c in full[:4]] == [
-            (5, 10), (5, 9), (5, 11), (2, 10)
-        ]
-        for keep in range(len(full), len(full) + 3):
-            assert expand_segment(graph, candidates, feature, 10, BeamConfig(), keep=keep) == full
-
     def test_synthetic_edge_cost_accumulates(self):
         graph = toy_graph(12, synthetic=[(3, 8, 0.25, 0.25)])
-        start = PathCandidate((0,), 0.0, 0.0, (0,))
-        out = expand_segment(
-            graph, [start], EndpointFeature("end"), 7,
-            BeamConfig(duration_window=(1.0, 1.0)),
-        )
-        costs = {c.node_sequence[-1]: c.transition_cost for c in out}
-        assert costs[7] == 0.0  # natural walk 0..7
+        config = BeamConfig(duration_window=(1.0, 1.0), blend_k=1)
+        out = ends(expand_segment(graph, start_table(graph, 0, config), EndpointFeature("end"), 7,
+                                  config))
+        assert out[7] == 0.0  # natural walk 0..7
         # 0..3 naturally, jump 3->8 paying d_feat+d_img, then 8..11: 7 steps
-        assert costs[11] == 0.25 + 0.25
+        assert out[11] == 0.25 + 0.25
+        # At k=4 the run 1..3 before the jump is too short for its blend window.
+        config = BeamConfig(duration_window=(1.0, 1.0))
+        out = ends(expand_segment(graph, start_table(graph, 0), EndpointFeature("end"), 7, config))
+        assert np.flatnonzero(np.isfinite(out)).tolist() == [7]
+
+
+def assemblable_optimum(graph, segments, config):
+    """Brute-force optimum over every start, of the paths assemble_edl accepts;
+    None when there is none."""
+    paths = enumerate_paths(graph, segments, config, starts=range(len(graph)))
+    kept = assemblable(paths, graph, segments, config.blend_k)
+    return optimum(kept, config.duration_weight) if kept else None
 
 
 class TestBeamSearch:
     def test_default_beam_width_is_20(self):
         assert BeamConfig().beam_width == 20
+        assert BeamConfig().blend_k == 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -281,37 +214,43 @@ class TestBeamSearch:
         with pytest.raises(ValidationError):
             BeamConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["beam_width", "blend_k"])
+    @pytest.mark.parametrize("value", [2.5, True, 0, -3, "4"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer >= 1"):
+            BeamConfig(**{name: value})
+
     def test_no_dedup_option(self):
         with pytest.raises(TypeError):
             BeamConfig(dedup=True)
 
     def test_matches_exhaustive_oracle_on_random_toys(self):
+        # The default width starts from every node of these toys (<= 20).
         rng = np.random.default_rng(1234)
         feasible_checked = 0
         infeasible_checked = 0
         while feasible_checked < 25 or infeasible_checked < 3:
-            graph, segments = random_toy(rng)
-            config = BeamConfig(beam_width=len(graph))
-            paths, stage_counts = enumerate_paths(
-                graph, segments, config, starts=range(len(graph))
-            )
-            if not paths:
+            graph, segments = random_toy(rng, max_nodes=20)
+            config = BeamConfig(blend_k=int(rng.integers(1, 3)))
+            expected = assemblable_optimum(graph, segments, config)
+            if expected is None:
                 infeasible_checked += 1
                 with pytest.raises(SegmentUnreachableError):
                     beam_search(graph, segments, config, seed=0)
                 continue
-            width = max(max(stage_counts), len(graph))
-            result = beam_search(
-                graph, segments, BeamConfig(beam_width=width), seed=0
-            )
+            result = beam_search(graph, segments, config, seed=0)
             feasible_checked += 1
-            assert result.best.total_cost() == optimum(paths)
+            assert result.best.total_cost() == expected
+            assert len(assemblable(result.paths, graph, segments, config.blend_k)) == len(
+                result.paths
+            )
 
     def test_seed_determinism(self):
         graph = toy_graph(14, synthetic=[(2, 9, 0.1, 0.1), (9, 3, 0.2, 0.1)], onsets={6, 11})
         segments = segment_list(13, [(7, EndpointFeature("onset"))])
-        a = beam_search(graph, segments, BeamConfig(beam_width=4), seed=99)
-        b = beam_search(graph, segments, BeamConfig(beam_width=4), seed=99)
+        config = BeamConfig(beam_width=4, blend_k=1)
+        a = beam_search(graph, segments, config, seed=99)
+        b = beam_search(graph, segments, config, seed=99)
         assert a == b
 
     def test_pinned_start(self):
@@ -338,8 +277,7 @@ class TestBeamSearch:
                 continue
             for path in result.paths:
                 t, d = recompute_costs(graph, path, segments.durations)
-                assert t == pytest.approx(path.transition_cost, abs=1e-9)
-                assert d == pytest.approx(path.duration_cost, abs=1e-9)
+                assert (t, d) == (path.transition_cost, path.duration_cost)
 
     def test_paths_are_valid_walks(self):
         graph = toy_graph(14, synthetic=[(2, 9, 0.1, 0.1), (10, 4, 0.05, 0.1)], onsets={8})
@@ -352,12 +290,12 @@ class TestBeamSearch:
 
     def test_natural_edge_never_beats_synthetic_detour(self):
         # A synthetic detour of equal length adds strictly positive cost, so
-        # the optimum found by the oracle-checked beam keeps natural edges.
+        # the optimum found by the oracle-checked search keeps natural edges.
         graph = toy_graph(12, synthetic=[(3, 5, 0.2, 0.1), (4, 2, 0.1, 0.1)])
         segments = segment_list(9, [])
-        config = BeamConfig(beam_width=len(graph))
-        paths, stage_counts = enumerate_paths(graph, segments, config, starts=range(12))
-        result = beam_search(graph, segments, BeamConfig(beam_width=max(stage_counts)), seed=0)
+        config = BeamConfig()  # 20 starts: every node of the toy
+        paths = enumerate_paths(graph, segments, config, starts=range(12))
+        result = beam_search(graph, segments, config, seed=0)
         assert result.best.total_cost() == optimum(paths)
         assert result.best.transition_cost == 0.0
 
