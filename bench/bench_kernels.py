@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Time the hot kernels on representative workloads.
 
-Prints the best-of-3 wall time of each kernel. The walk entries time a
+Prints the best-of-3 wall time of each kernel. The reference entries run
+the bundled fixture's 2000-frame puppet reference through the rasterizer
+and the graph build's exact d_feat filter, over the pairs its pre-gate
+passes at the calibrated threshold. The walk entries time a
 search-like load: the edge layout a search builds once, then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
 2000-node graph with the bundled fixture's edge density. The gating entry times the graph build's d_feat
@@ -59,7 +62,7 @@ def _traced_peak_mb(fn):
 
 def run_benchmarks():
     from motiongraph import audio, fixtures, graph, kernels, search
-    from motiongraph.pose import compute_joint_states, pose_distance
+    from motiongraph.pose import compute_joint_states, pair_distances, pose_distance, state_rows
     from motiongraph.silhouette import default_camera, rasterize_sequence
 
     results = {}
@@ -73,6 +76,20 @@ def run_benchmarks():
     positions = [s.positions for s in states]
     results["rasterize_200f_256px"] = (
         _time(lambda: rasterize_sequence(skeleton, positions, camera)), "s"
+    )
+
+    # The fixture reference: 2000 frames rasterized, then the exact d_feat
+    # of every pair the pre-gate passes at the calibrated threshold.
+    ref_states = compute_joint_states(skeleton, fixtures.puppet_sequence(2000))
+    ref_positions = [s.positions for s in ref_states]
+    results["rasterize_sequence_2000f"] = (
+        _time(lambda: rasterize_sequence(skeleton, ref_positions, camera)), "s"
+    )
+    ref_masks = rasterize_sequence(skeleton, ref_positions, camera)
+    tau_feat = graph.compute_thresholds(ref_states, ref_masks).tau_feat
+    mm, nn = graph._gate_pairs(ref_states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
+    results["exact_dfeat_filter"] = (
+        _time(lambda: pair_distances(*state_rows(ref_states), mm, nn)), "s"
     )
 
     # Pairwise mask intersections: 20k random pairs of packed 256x256 masks.

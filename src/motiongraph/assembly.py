@@ -110,19 +110,17 @@ class EditDecisionList:
             )
 
 
-def _split_runs(output_nodes, edge_index):
-    """Maximal natural stretches + the synthetic cuts between them."""
+def _split_runs(output_nodes, synthetic):
+    """Maximal natural stretches + the synthetic cuts between them;
+    ``synthetic[i]`` flags the step from ``output_nodes[i]`` to the next."""
     runs = [[output_nodes[0]]]
     cuts = []
-    for a, b in zip(output_nodes, output_nodes[1:]):
-        edge = edge_index.get((a, b))
-        if edge is None:
-            raise AssemblyError(f"path step ({a}, {b}) is not a graph edge")
-        if edge.kind == "natural":
-            runs[-1].append(b)
-        else:
+    for a, b, cut in zip(output_nodes, output_nodes[1:], synthetic):
+        if cut:
             cuts.append((a, b))
             runs.append([b])
+        else:
+            runs[-1].append(b)
     return runs, cuts
 
 
@@ -199,16 +197,14 @@ def assemble_edl(
         raise ValidationError(f"blend neighborhood k must be >= 1, got {k}")
     if len(path.node_sequence) < 2:
         raise ValidationError("path must contain at least one output frame")
-    output_nodes = list(path.node_sequence[1:])
-    edge_index = graph.edge_index()
-    first_edge = edge_index.get((path.node_sequence[0], path.node_sequence[1]))
-    if first_edge is None:
-        raise AssemblyError(
-            f"path step ({path.node_sequence[0]}, {path.node_sequence[1]}) is not a graph edge"
-        )
+    nodes = list(path.node_sequence)
+    rows = graph.edge_rows(nodes[:-1], nodes[1:])
+    if (rows < 0).any():
+        i = int(np.argmax(rows < 0))
+        raise AssemblyError(f"path step ({nodes[i]}, {nodes[i + 1]}) is not a graph edge")
     # A synthetic anchor edge is a cut before the first visible frame: there
     # is nothing played to blend with, so it is a hard cut without a schedule.
-    runs, cuts = _split_runs(output_nodes, edge_index)
+    runs, cuts = _split_runs(nodes[1:], graph.synthetic[rows[1:]].tolist())
 
     total = sum(segments.durations)
     slots_per_transition = 2 * k + 1

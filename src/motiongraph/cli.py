@@ -1,13 +1,15 @@
 """Command-line pipeline: reference performance in, edit decision list out.
 
-Stages communicate only via files, so each subcommand can run in isolation:
+Stages communicate via files, so each subcommand can run in isolation:
 
     build-graph    pose track + reference features -> graph file
     analyze-audio  WAV + transcript -> feature + segment files
     search         graph + segments -> path file (seeded)
     assemble       path -> EDL file
     preview        EDL -> numbered PGM frames
-    run            all of the above end-to-end
+    run            all of the above end-to-end; it still writes every file,
+                   but hands the parsed pose track and the built graph
+                   from stage to stage in memory
 
 Usage problems (unknown flags, missing input files) exit with code 2 before
 anything is written; pipeline failures exit 1 with a diagnostic naming the
@@ -124,7 +126,15 @@ def _beam_config(args) -> search.BeamConfig:
 def _cmd_build_graph(parser, args) -> int:
     _require_files(parser, args.poses, args.features, args.camera)
     with _stage("build-graph"):
-        skeleton, sequence = pose.load_pose_track(args.poses)
+        track = pose.load_pose_track(args.poses)
+    _build_graph(args, track)
+    return 0
+
+
+def _build_graph(args, track) -> graph_mod.VideoMotionGraph:
+    """Build the graph of the parsed pose track ``track`` and write it to ``args.out``."""
+    skeleton, sequence = track
+    with _stage("build-graph"):
         features = audio.load_features(args.features)
         if (len(features), features.fps) != (len(sequence), sequence.fps):
             raise ValidationError(
@@ -157,7 +167,7 @@ def _cmd_build_graph(parser, args) -> int:
         f"tau_feat={built.thresholds.tau_feat:.6g}, tau_img={built.thresholds.tau_img:.6g} "
         f"-> {args.out}"
     )
-    return 0
+    return built
 
 
 def _cmd_analyze_audio(parser, args) -> int:
@@ -187,11 +197,18 @@ def _cmd_analyze_audio(parser, args) -> int:
 def _cmd_search(parser, args) -> int:
     _require_files(parser, args.graph, args.segments)
     with _stage("search"):
-        config = _beam_config(args)
+        _beam_config(args)  # a bad search parameter fails before the graph is read
         built = graph_mod.load_graph_file(args.graph)
+    _search(args, built)
+    return 0
+
+
+def _search(args, built: graph_mod.VideoMotionGraph) -> None:
+    """Search ``built`` for the segments in ``args.segments``; write ``args.out``."""
+    with _stage("search"):
         segments = audio.load_segments(args.segments)
         result = search.beam_search(
-            built, segments, config, seed=args.seed, start_frame=args.start_frame
+            built, segments, _beam_config(args), seed=args.seed, start_frame=args.start_frame
         )
         search.save_search_result(args.out, result)
     best = result.best
@@ -200,7 +217,6 @@ def _cmd_search(parser, args) -> int:
         f"{best.total_cost(args.duration_weight):.6g} "
         f"({len(best.node_sequence)} nodes) -> {args.out}"
     )
-    return 0
 
 
 def _cmd_assemble(parser, args) -> int:
@@ -208,6 +224,14 @@ def _cmd_assemble(parser, args) -> int:
     with _stage("assemble"):
         built = graph_mod.load_graph_file(args.graph)
         _, sequence = pose.load_pose_track(args.poses)
+    _assemble(args, built, sequence)
+    return 0
+
+
+def _assemble(args, built: graph_mod.VideoMotionGraph, sequence: pose.MotionSequence) -> None:
+    """Assemble path ``args.path_index`` of ``args.path`` on ``built``, which
+    ``args.graph`` holds, and the pose frames of ``sequence``; write ``args.out``."""
+    with _stage("assemble"):
         segments = audio.load_segments(args.segments)
         result = search.load_search_result(args.path)
         speech = (
@@ -233,22 +257,31 @@ def _cmd_assemble(parser, args) -> int:
         f"edl: {edl.total_frames} output frames, {n_trans} transitions, "
         f"k={edl.blend_k} -> {args.out}"
     )
-    return 0
 
 
 def _cmd_preview(parser, args) -> int:
     _require_files(parser, args.edl, args.poses, args.camera)
     with _stage("preview"):
+        track = pose.load_pose_track(args.poses)
+    _preview(args, track)
+    return 0
+
+
+def _preview(args, track) -> None:
+    """Render ``args.edl`` over the parsed pose track ``track`` into ``args.out_dir``."""
+    skeleton, sequence = track
+    with _stage("preview"):
         edl = assembly.load_edl(args.edl)
-        skeleton, sequence = pose.load_pose_track(args.poses)
         camera = _load_camera_arg(args.camera)
         config = assembly.RenderConfig(camera=camera, output_dir=args.out_dir)
         written = assembly.render_preview(edl, skeleton, sequence.frames, config)
     print(f"preview: {len(written)} frames -> {args.out_dir}")
-    return 0
 
 
 def _cmd_run(parser, args) -> int:
+    """Every stage in turn, writing each stage's files. The pose track is
+    parsed once and the graph is built once; both pass to the later stages
+    in memory, and every other input is read back from the file written."""
     _require_files(
         parser, args.poses, args.ref_wav, args.ref_transcript, args.wav,
         args.transcript, args.camera, args.dictionary,
@@ -257,7 +290,8 @@ def _cmd_run(parser, args) -> int:
     with _stage("search"):
         _beam_config(args)
     # Both audio files are analyzed at the pose track's frame rate.
-    _, sequence = pose.load_pose_track(args.poses)
+    track = pose.load_pose_track(args.poses)
+    _, sequence = track
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -271,23 +305,23 @@ def _cmd_run(parser, args) -> int:
 
     ns.features = out / "reference_features.json"
     ns.out = out / "graph.json"
-    _cmd_build_graph(parser, ns)
+    built = _build_graph(ns, track)
 
     ns.graph = out / "graph.json"
     ns.segments = out / "target_segments.json"
     ns.out = out / "path.json"
-    _cmd_search(parser, ns)
+    _search(ns, built)
 
     ns.path = out / "path.json"
     ns.target_features = out / "target_features.json"
     ns.path_index = 0
     ns.out = out / "edl.json"
-    _cmd_assemble(parser, ns)
+    _assemble(ns, built, sequence)
 
     if args.preview:
         ns.edl = out / "edl.json"
         ns.out_dir = out / "preview"
-        _cmd_preview(parser, ns)
+        _preview(ns, track)
     print(f"run: artifacts in {out}")
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import StructuralError, ValidationError, read_document
-from .pose import JointState, pose_distance
+from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
 DEFAULT_MIN_JUMP = 2
@@ -125,8 +125,25 @@ class VideoMotionGraph:
         """(src, dst, cost) per edge, for the search kernels."""
         return self.src, self.dst, self.d_feat + self.d_img
 
-    def edge_index(self) -> dict[tuple[int, int], GraphEdge]:
-        return {(e.src, e.dst): e for e in self.edges}
+    def edge_rows(self, src, dst) -> np.ndarray:
+        """The row j of edge ``src[i] -> dst[i]`` for each i, or -1 where the
+        graph has no such edge. Node ids too large for int64 are absent too."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        n = len(self)
+        keys, rows = self._edge_keys
+        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        want = np.where(inside, src * n + dst, -1).astype(np.int64)
+        at = np.searchsorted(keys, want)
+        return np.where(keys[at] == want, rows[at], -1)
+
+    @cached_property
+    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge keys ``src * N + dst`` in increasing order and the row of
+        each, sorted once: the columns are read-only. A last key N * N, above
+        every edge's, keeps each ``searchsorted`` position inside the array."""
+        keys = self.src * len(self) + self.dst
+        order = np.argsort(keys)
+        return np.append(keys[order], len(self) ** 2), np.append(order, -1)
 
 
 def _record_columns(nodes, edges, get, frame: str) -> tuple[np.ndarray, ...]:
@@ -231,6 +248,8 @@ def compute_thresholds(
 def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """d_img = 1 - IoU of each (m, n) row of ``pairs``, from exact popcounts
     of the packed masks: bit-equal to ``silhouette.image_distance``."""
+    # Words that are zero in every mask add nothing to any count.
+    packed = packed[:, packed.any(axis=0)]
     rows = np.arange(packed.shape[0])
     # A row ANDed with itself counts its own bits: the mask's area.
     areas = kernels.pair_intersections(packed, np.stack([rows, rows], axis=1))
@@ -254,8 +273,7 @@ def _gate_pairs(
     in the same order, as the full-matrix formula.
     """
     n = len(joint_states)
-    pos = np.stack([s.positions.ravel() for s in joint_states]).astype(np.float64)
-    vel = np.stack([s.velocities.ravel() for s in joint_states]).astype(np.float64)
+    pos, vel = state_rows(joint_states)
     sq_pos = np.sum(pos * pos, axis=1)
     sq_vel = np.sum(vel * vel, axis=1)
     gate = tau_feat + 1e-8 * (1.0 + tau_feat)
@@ -309,9 +327,8 @@ def build_graph(
     _check_velocity_weight(velocity_weight)
 
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
-    # Exact d_feat filter: one pose_distance per gated pair.
-    d_feat = np.array([pose_distance(joint_states[m], joint_states[k], velocity_weight)
-                       for m, k in zip(mm.tolist(), nn.tolist())], dtype=np.float64)
+    # Exact d_feat filter: pose_distance of every gated pair.
+    d_feat = pair_distances(*state_rows(joint_states), mm, nn, velocity_weight)
     keep = d_feat <= thresholds.tau_feat
     mm, nn, d_feat = mm[keep], nn[keep], d_feat[keep]
     d_img = _image_distances(masks, np.stack([mm, nn], axis=1))

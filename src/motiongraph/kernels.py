@@ -43,27 +43,26 @@ def rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
     per-bone world radii in meters.
     """
     out = np.zeros((height, width), dtype=bool)
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    iz0 = np.asarray(iz0, dtype=np.float64)
-    iz1 = np.asarray(iz1, dtype=np.float64)
-    radius = np.asarray(radius, dtype=np.float64)
+    p0 = np.asarray(p0, dtype=np.float64).tolist()
+    p1 = np.asarray(p1, dtype=np.float64).tolist()
+    iz0 = np.asarray(iz0, dtype=np.float64).tolist()
+    iz1 = np.asarray(iz1, dtype=np.float64).tolist()
+    radius = np.asarray(radius, dtype=np.float64).tolist()
     focal = float(focal)
     width = int(width)
     height = int(height)
-    for b in range(p0.shape[0]):
-        ax, ay = p0[b]
-        bx, by = p1[b]
-        rmax = focal * radius[b] * max(iz0[b], iz1[b])
-        x_lo = max(int(np.floor(min(ax, bx) - rmax - 1.0)), 0)
-        x_hi = min(int(np.ceil(max(ax, bx) + rmax + 1.0)), width - 1)
-        y_lo = max(int(np.floor(min(ay, by) - rmax - 1.0)), 0)
-        y_hi = min(int(np.ceil(max(ay, by) + rmax + 1.0)), height - 1)
+    for (ax, ay), (bx, by), za, zb, r in zip(p0, p1, iz0, iz1, radius):
+        rmax = focal * r * max(za, zb)
+        x_lo = max(math.floor(min(ax, bx) - rmax - 1.0), 0)
+        x_hi = min(math.ceil(max(ax, bx) + rmax + 1.0), width - 1)
+        y_lo = max(math.floor(min(ay, by) - rmax - 1.0), 0)
+        y_hi = min(math.ceil(max(ay, by) + rmax + 1.0), height - 1)
         if x_lo > x_hi or y_lo > y_hi:
             continue
-        xs = np.arange(x_lo, x_hi + 1, dtype=np.float64) + 0.5
-        ys = np.arange(y_lo, y_hi + 1, dtype=np.float64) + 0.5
-        px, py = np.meshgrid(xs, ys)
+        # Pixel centers as one row and one column: every operation below
+        # broadcasts them to the box, pixel by pixel as a full grid would.
+        px = (np.arange(x_lo, x_hi + 1, dtype=np.float64) + 0.5)[None, :]
+        py = (np.arange(y_lo, y_hi + 1, dtype=np.float64) + 0.5)[:, None]
         dx = bx - ax
         dy = by - ay
         denom = dx * dx + dy * dy
@@ -71,11 +70,11 @@ def rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
             t = ((px - ax) * dx + (py - ay) * dy) / denom
             t = np.clip(t, 0.0, 1.0)
         else:
-            t = np.zeros_like(px)
+            t = np.zeros((py.size, px.size))
         sx = ax + t * dx
         sy = ay + t * dy
-        iz = (1.0 - t) * iz0[b] + t * iz1[b]
-        rho = focal * radius[b] * iz
+        iz = (1.0 - t) * za + t * zb
+        rho = focal * r * iz
         d2 = (px - sx) ** 2 + (py - sy) ** 2
         inside = d2 <= rho * rho
         out[y_lo : y_hi + 1, x_lo : x_hi + 1] |= inside
@@ -101,15 +100,16 @@ def pack_masks(masks):
 def pair_intersections(packed, pairs):
     """Count intersecting set bits for each (m, n) row pair of ``packed``."""
     pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
-    packed8 = packed.view(np.uint8)
+    hw_popcount = getattr(np, "bitwise_count", None)
+    # Hardware popcount counts whole 64-bit words; the table counts bytes.
+    words = packed if hw_popcount is not None else packed.view(np.uint8)
     out = np.empty(pairs.shape[0], dtype=np.int64)
     # About 1 MiB of rows per temporary: small enough to stay in cache and
     # to be reused by the allocator instead of mapped fresh for each chunk.
-    chunk = max(1, (1 << 20) // max(packed8.shape[1], 1))
-    hw_popcount = getattr(np, "bitwise_count", None)
+    chunk = max(1, (1 << 20) // max(words[:1].nbytes, 1))
     for lo in range(0, pairs.shape[0], chunk):
         sel = pairs[lo : lo + chunk]
-        both = packed8[sel[:, 0]] & packed8[sel[:, 1]]
+        both = words[sel[:, 0]] & words[sel[:, 1]]
         if hw_popcount is not None:
             out[lo : lo + chunk] = hw_popcount(both).sum(axis=1, dtype=np.int64)
         else:

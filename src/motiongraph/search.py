@@ -275,22 +275,22 @@ def recompute_costs(
     Accumulation mirrors the search exactly (per-segment partial sums), so
     equality with the reported costs is bitwise for identical inputs.
     """
-    index = graph.edge_index()
     bounds = candidate.segment_boundaries
     if len(bounds) != len(target_durations) + 1:
         raise StructuralError(
             f"{len(bounds) - 1} matched segments vs {len(target_durations)} targets"
         )
+    nodes = candidate.node_sequence
+    rows = graph.edge_rows(nodes[:-1], nodes[1:])
+    costs = (graph.d_feat[rows] + graph.d_img[rows]).tolist()
     transition = 0.0
     duration = 0.0
     for s, target in enumerate(target_durations):
         seg_cost = 0.0
         for i in range(bounds[s], bounds[s + 1]):
-            a, b = candidate.node_sequence[i], candidate.node_sequence[i + 1]
-            edge = index.get((a, b))
-            if edge is None:
-                raise ValidationError(f"path step ({a}, {b}) is not a graph edge")
-            seg_cost += edge.cost
+            if rows[i] < 0:
+                raise ValidationError(f"path step ({nodes[i]}, {nodes[i + 1]}) is not a graph edge")
+            seg_cost += costs[i]
         transition += seg_cost
         achieved = bounds[s + 1] - bounds[s]
         duration += abs(1.0 - achieved / target)

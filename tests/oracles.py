@@ -162,3 +162,40 @@ def full_stft_flux(samples, sample_rate, fps):
     if n_frames > 1:
         flux[1:] = np.maximum(mags[1:] - mags[:-1], 0.0).sum(axis=1)
     return flux
+
+
+def meshgrid_rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
+    """Capsule masks one bone at a time over a full ``np.meshgrid`` of its
+    box's pixel centers: the formula ``kernels.rasterize_capsules``
+    broadcasts from one row and one column."""
+    out = np.zeros((height, width), dtype=bool)
+    for b in range(len(p0)):
+        ax, ay = p0[b]
+        bx, by = p1[b]
+        rmax = focal * radius[b] * max(iz0[b], iz1[b])
+        x_lo = max(int(np.floor(min(ax, bx) - rmax - 1.0)), 0)
+        x_hi = min(int(np.ceil(max(ax, bx) + rmax + 1.0)), width - 1)
+        y_lo = max(int(np.floor(min(ay, by) - rmax - 1.0)), 0)
+        y_hi = min(int(np.ceil(max(ay, by) + rmax + 1.0)), height - 1)
+        if x_lo > x_hi or y_lo > y_hi:
+            continue
+        xs = np.arange(x_lo, x_hi + 1, dtype=np.float64) + 0.5
+        ys = np.arange(y_lo, y_hi + 1, dtype=np.float64) + 0.5
+        px, py = np.meshgrid(xs, ys)
+        dx = bx - ax
+        dy = by - ay
+        denom = dx * dx + dy * dy
+        if denom > 0.0:
+            t = np.clip(((px - ax) * dx + (py - ay) * dy) / denom, 0.0, 1.0)
+        else:
+            t = np.zeros_like(px)
+        sx = ax + t * dx
+        sy = ay + t * dy
+        rho = focal * radius[b] * ((1.0 - t) * iz0[b] + t * iz1[b])
+        out[y_lo : y_hi + 1, x_lo : x_hi + 1] |= (px - sx) ** 2 + (py - sy) ** 2 <= rho * rho
+    return out
+
+
+def edge_dict(graph):
+    """Row of each (src, dst) edge, from the ``graph.edges`` records."""
+    return {(e.src, e.dst): j for j, e in enumerate(graph.edges)}

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import motiongraph
 from motiongraph import cli
 from motiongraph.assembly import TransitionEntry, assemble_edl, load_edl
 from motiongraph.audio import load_features, load_segments
@@ -104,6 +109,82 @@ class TestRunPipeline:
         assert rc == 0
         for name in ("graph.json", "path.json", "edl.json"):
             assert (out2 / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def _run_args(fixture_files, out_dir, *extra):
+    return [
+        "run",
+        "--poses", str(fixture_files["poses"]),
+        "--ref-wav", str(fixture_files["ref_wav"]),
+        "--ref-transcript", str(fixture_files["ref_transcript"]),
+        "--wav", str(fixture_files["target_wav"]),
+        "--transcript", str(fixture_files["target_transcript"]),
+        "--seed", str(SEED),
+        *extra,
+        "--out-dir", str(out_dir),
+    ]
+
+
+class TestRunInMemory:
+    """``run`` hands the pose track and the graph between stages in memory;
+    its files must be the bytes the stand-alone subcommands write."""
+
+    def test_same_bytes_as_the_subcommands_one_by_one(self, tmp_path, fixture_files):
+        f = fixture_files
+        run, staged = tmp_path / "run", tmp_path / "staged"
+        assert cli.main(_run_args(f, run, "--preview")) == 0
+
+        staged.mkdir()
+        fps = load_pose_track(f["poses"])[1].fps
+        for role, wav, transcript in (("reference", f["ref_wav"], f["ref_transcript"]),
+                                      ("target", f["target_wav"], f["target_transcript"])):
+            assert cli.main(["analyze-audio", "--wav", str(wav), "--transcript", str(transcript),
+                             "--fps", repr(fps),
+                             "--features-out", str(staged / f"{role}_features.json"),
+                             "--segments-out", str(staged / f"{role}_segments.json")]) == 0
+        assert cli.main(["build-graph", "--poses", str(f["poses"]),
+                         "--features", str(staged / "reference_features.json"),
+                         "--out", str(staged / "graph.json")]) == 0
+        assert cli.main(["search", "--graph", str(staged / "graph.json"),
+                         "--segments", str(staged / "target_segments.json"),
+                         "--seed", str(SEED), "--out", str(staged / "path.json")]) == 0
+        assert cli.main(["assemble", "--graph", str(staged / "graph.json"),
+                         "--poses", str(f["poses"]),
+                         "--segments", str(staged / "target_segments.json"),
+                         "--path", str(staged / "path.json"),
+                         "--target-features", str(staged / "target_features.json"),
+                         "--out", str(staged / "edl.json")]) == 0
+        assert cli.main(["preview", "--edl", str(staged / "edl.json"), "--poses", str(f["poses"]),
+                         "--out-dir", str(staged / "preview")]) == 0
+
+        def files(root):
+            return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+        names = files(run)
+        assert names == files(staged)
+        frames = [n for n in names if n.startswith("preview")]
+        assert len(frames) == load_edl(run / "edl.json").total_frames > 0
+        for name in names:
+            assert (run / name).read_bytes() == (staged / name).read_bytes(), name
+
+    def test_later_stage_failure_names_the_stage(self, tmp_path, fixture_files):
+        out = tmp_path / "run"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(motiongraph.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "motiongraph.cli",
+             *_run_args(fixture_files, out, "--start-frame", str(REF_FRAMES + 5))],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"error in search: start_frame {REF_FRAMES + 5} outside 0..{REF_FRAMES - 1}"
+        )
+        assert "Traceback" not in proc.stderr
+        # The stages before the search wrote their files; none after it ran.
+        assert (out / "graph.json").is_file() and not (out / "path.json").exists()
 
 
 class TestEveryRankAssembles:

@@ -31,7 +31,7 @@ from motiongraph.silhouette import (
 )
 
 from conftest import make_sequence
-from oracles import first_graph_violation, full_matrix_gate
+from oracles import edge_dict, first_graph_violation, full_matrix_gate
 
 SMOOTH_CAMERA = default_camera((64, 64), focal_length=60.0)
 
@@ -389,6 +389,72 @@ class TestGraphInvariants:
                 + [GraphEdge(3, 1, "synthetic", 0.5, 0.5), bogus],
                 Thresholds(0, 0, 4),
             )
+
+
+def random_graph(rng, n, n_synthetic):
+    """A chain of ``n`` frames plus up to ``n_synthetic`` random synthetic
+    edges, some of them in both directions, all in a shuffled order."""
+    pairs = set()
+    for _ in range(n_synthetic):
+        a, b = (int(v) for v in rng.integers(0, n, size=2))
+        if abs(a - b) >= 2:
+            pairs.add((a, b))
+            if rng.random() < 0.5:
+                pairs.add((b, a))
+    edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
+    edges += [GraphEdge(a, b, "synthetic", *rng.uniform(0.0, 1.0, size=2).tolist())
+              for a, b in sorted(pairs)]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    return VideoMotionGraph([GraphNode(i, False, "") for i in range(n)], edges,
+                            Thresholds(1.0, 1.0, 4))
+
+
+class TestEdgeRows:
+    def check(self, graph, src, dst):
+        index = edge_dict(graph)
+        got = graph.edge_rows(src, dst)
+        assert got.tolist() == [index.get((a, b), -1) for a, b in zip(src, dst)]
+        return got
+
+    def test_matches_the_edge_records_on_random_graphs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            graph = random_graph(rng, n, int(rng.integers(0, 3 * n)))
+            edges = graph.edges
+            # Every edge, its reverse, and random pairs, endpoints outside
+            # the graph included.
+            src = [e.src for e in edges] + [e.dst for e in edges]
+            dst = [e.dst for e in edges] + [e.src for e in edges]
+            extra = rng.integers(-2, n + 2, size=(2, 50)).tolist()
+            got = self.check(graph, src + extra[0], dst + extra[1])
+            assert got[: len(edges)].tolist() == list(range(len(edges)))
+            assert (got[len(edges):] == -1).any()
+
+    def test_graph_without_synthetic_edges(self):
+        graph = random_graph(np.random.default_rng(1), 12, 0)
+        assert not graph.synthetic.any()
+        self.check(graph, list(range(12)) + [3, 5, 11], list(range(1, 13)) + [2, 7, 0])
+        assert self.check(graph, [0], [1]).tolist() == [0]
+
+    def test_single_frame_graph_has_no_edges(self):
+        graph = VideoMotionGraph([GraphNode(0, False, "")], [], Thresholds(1.0, 1.0, 4))
+        assert graph.edge_rows([0, 0, 1], [0, 1, 0]).tolist() == [-1, -1, -1]
+        assert graph.edge_rows([], []).shape == (0,)
+
+    def test_node_ids_beyond_int64_are_absent(self):
+        graph = random_graph(np.random.default_rng(2), 6, 4)
+        got = graph.edge_rows([0, 2**70, 1], [1, 2, -(2**70)]).tolist()
+        assert got == [edge_dict(graph)[0, 1], -1, -1]
+
+    def test_loaded_graph_in_unsorted_file_order(self):
+        graph = random_graph(np.random.default_rng(5), 30, 60)
+        loaded = load_graph(save_graph(graph))
+        keys = loaded.src * len(loaded) + loaded.dst
+        assert (np.diff(keys) < 0).any()  # the file's edge order is not sorted
+        pairs = np.random.default_rng(6).integers(0, 30, size=(2, 300)).tolist()
+        self.check(loaded, [e.src for e in loaded.edges] + pairs[0],
+                   [e.dst for e in loaded.edges] + pairs[1])
 
 
 class TestSerialization:

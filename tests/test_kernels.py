@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from motiongraph import kernels
+from oracles import meshgrid_rasterize_capsules
 
 
 def test_popcount_matches_direct_counting_any_backend(monkeypatch):
@@ -14,6 +16,78 @@ def test_popcount_matches_direct_counting_any_backend(monkeypatch):
     # numpy < 2.0 has no bitwise_count: the byte lookup table counts instead.
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     assert np.array_equal(kernels.pair_intersections(packed, pairs), direct)
+
+
+# ---------------------------------------------------------------------------
+# capsule rasterization against the full-grid formula
+# ---------------------------------------------------------------------------
+
+RASTER_W, RASTER_H, RASTER_FOCAL = 64, 48, 50.0
+
+
+def random_capsules(rng, n):
+    """``n`` bones anywhere from well off-screen to inside a RASTER_W x
+    RASTER_H image: endpoints, inverse depths in (0.2, 2) and world radii."""
+    p0 = rng.uniform((-30, -30), (RASTER_W + 30, RASTER_H + 30), size=(n, 2))
+    p1 = p0 + rng.normal(0.0, 12.0, size=(n, 2))
+    iz0, iz1 = rng.uniform(0.2, 2.0, size=(2, n))
+    radius = rng.uniform(0.005, 0.15, size=n)
+    return p0, p1, iz0, iz1, radius
+
+
+def box(p0, p1, iz0, iz1, radius):
+    """The kernel's (x_lo, x_hi, y_lo, y_hi) pixel box of one bone, before
+    clipping to the image."""
+    rmax = RASTER_FOCAL * radius * max(iz0, iz1)
+    lo = np.floor(np.minimum(p0, p1) - rmax - 1.0)
+    hi = np.ceil(np.maximum(p0, p1) + rmax + 1.0)
+    return lo[0], hi[0], lo[1], hi[1]
+
+
+class TestRasterizeCapsules:
+    def rasterize_both(self, *capsules):
+        args = (*capsules, RASTER_FOCAL, RASTER_W, RASTER_H)
+        return kernels.rasterize_capsules(*args), meshgrid_rasterize_capsules(*args)
+
+    def test_bit_equal_to_full_grid_on_random_capsules(self):
+        rng = np.random.default_rng(11)
+        clipped = set()
+        off_screen = drawn = 0
+        for _ in range(60):
+            capsules = random_capsules(rng, int(rng.integers(1, 16)))
+            got, want = self.rasterize_both(*capsules)
+            assert np.array_equal(got, want)
+            for bone in zip(*capsules):
+                x_lo, x_hi, y_lo, y_hi = box(*bone)
+                if x_hi < 0 or y_hi < 0 or x_lo > RASTER_W - 1 or y_lo > RASTER_H - 1:
+                    off_screen += 1
+                    continue
+                drawn += 1
+                clipped |= {side for side, out in (("left", x_lo < 0), ("top", y_lo < 0),
+                                                   ("right", x_hi > RASTER_W - 1),
+                                                   ("bottom", y_hi > RASTER_H - 1)) if out}
+        # The sample draws boxes cut by every image border, and misses some.
+        assert clipped == {"left", "top", "right", "bottom"}
+        assert off_screen > 0 and drawn > 0
+
+    @pytest.mark.parametrize("where", [(20.0, 30.0), (0.2, 0.3), (63.9, 47.7), (-3.0, 10.0)])
+    def test_zero_length_bones_are_discs(self, where):
+        rng = np.random.default_rng(4)
+        p = np.array([where] * 3)
+        got, want = self.rasterize_both(p, p.copy(), rng.uniform(0.2, 2.0, 3),
+                                        rng.uniform(0.2, 2.0, 3), np.array([0.02, 0.05, 0.1]))
+        assert np.array_equal(got, want)
+        assert got.any()
+
+    def test_boxes_entirely_off_screen_draw_nothing(self):
+        p0 = np.array([[-40.0, 10.0], [10.0, -40.0], [RASTER_W + 40.0, 5.0], [5.0, RASTER_H + 40.0]])
+        got, want = self.rasterize_both(p0, p0 + 3.0, np.ones(4), np.ones(4), np.full(4, 0.05))
+        assert not got.any() and not want.any()
+
+    def test_no_bones(self):
+        empty = np.zeros((0, 2))
+        got, want = self.rasterize_both(empty, empty, np.zeros(0), np.zeros(0), np.zeros(0))
+        assert got.shape == (RASTER_H, RASTER_W) and not got.any() and not want.any()
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ from motiongraph.pose import (
     compute_joint_states,
     forward_kinematics,
     interpolate_pose,
+    PAIR_CHUNK,
     load_pose_track,
+    pair_distances,
     pose_distance,
     save_pose_track,
+    state_rows,
 )
 
 from conftest import make_pose, make_sequence
@@ -201,6 +204,38 @@ class TestPoseDistance:
         b = JointState(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(StructuralError):
             pose_distance(a, b)
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("velocity_weight", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("n_pairs", [1, PAIR_CHUNK - 1, PAIR_CHUNK + 1, 2 * PAIR_CHUNK + 5])
+    def test_bit_equal_to_pose_distance(self, velocity_weight, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        # 15 joints, as the fixture puppet has: 45 values per row.
+        states = [JointState(rng.normal(size=(15, 3)), rng.normal(scale=0.1, size=(15, 3)))
+                  for _ in range(300)]
+        mm, nn = rng.integers(0, len(states), size=(2, n_pairs))
+        got = pair_distances(*state_rows(states), mm, nn, velocity_weight)
+        want = np.array([pose_distance(states[m], states[n], velocity_weight)
+                         for m, n in zip(mm.tolist(), nn.tolist())])
+        assert got.tobytes() == want.tobytes()
+
+    def test_joint_states_of_a_sequence(self, chain_skeleton):
+        sequence = make_sequence(
+            chain_skeleton,
+            lambda t: ((0.01 * t, 0.0, 0.0), np.full((4, 3), 0.05 * math.sin(t / 5))),
+            60,
+        )
+        states = compute_joint_states(chain_skeleton, sequence)
+        mm, nn = np.triu_indices(len(states), k=2)
+        got = pair_distances(*state_rows(states), mm, nn)
+        want = np.array([pose_distance(states[m], states[n]) for m, n in zip(mm, nn)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_pairs(self):
+        states = [JointState(np.zeros((2, 3)), np.zeros((2, 3)))] * 3
+        empty = np.zeros(0, dtype=np.int64)
+        assert pair_distances(*state_rows(states), empty, empty).shape == (0,)
 
 
 class TestInterpolatePose:
