@@ -7,16 +7,21 @@ and the graph build's exact d_feat filter, over the pairs its pre-gate
 passes at the calibrated threshold. The walk entries time a
 search-like load: the edge layout a search builds once, then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
-2000-node graph with the bundled fixture's edge density. The gating entry times the graph build's d_feat
+2000-node graph with the bundled fixture's edge density, accepting the
+lengths a 41-frame segment's duration window accepts (37..45), and the
+traceback's replay of its 45 step tables. The gating entry times the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
 prints the traced peak memory (tracemalloc) of one gating call. The graph
 file entries save and load a 2000-node graph with the walk entries' edges,
 and print the traced peak of one save plus one load; the file-writer
 entries time and trace one chunked write of that graph to a file. The
-onset entries run onset detection on 2000 frames of 48 kHz clicks. The
+FK entry computes the joint states of the fixture's 2000 reference
+frames. The onset entries run onset detection on 2000 frames of 48 kHz clicks. The
 search entries run one default search (20 starts, k=4) for a 300-frame
 click target on the graph-file entries' edges, the nodes flagged as onsets
-at the bundled fixture's reference clicks.
+at the bundled fixture's reference clicks; its forward pass (one relaxation
+per segment) and its traceback (replay and walk recovery) are also timed
+apart.
 
     python bench/bench_kernels.py                          # print a table
     python bench/bench_kernels.py --out BENCH_kernels.json  # also write JSON
@@ -80,7 +85,9 @@ def run_benchmarks():
 
     # The fixture reference: 2000 frames rasterized, then the exact d_feat
     # of every pair the pre-gate passes at the calibrated threshold.
-    ref_states = compute_joint_states(skeleton, fixtures.puppet_sequence(2000))
+    ref_sequence = fixtures.puppet_sequence(2000)
+    results["fk_2000f"] = (_time(lambda: compute_joint_states(skeleton, ref_sequence)), "s")
+    ref_states = compute_joint_states(skeleton, ref_sequence)
     ref_positions = [s.positions for s in ref_states]
     results["rasterize_sequence_2000f"] = (
         _time(lambda: rasterize_sequence(skeleton, ref_positions, camera)), "s"
@@ -132,10 +139,16 @@ def run_benchmarks():
     seed = np.full((states.size, n), np.inf)
     seed[states.anchor, rng.choice(n, size=20, replace=False)] = 0.0
 
+    length_costs = {n: abs(1.0 - n / 41) for n in range(37, 46)}
+
     def dp():
-        kernels.walk_distances(layout, seed, allowed, 45, states)
+        return kernels.walk_distances(layout, seed, allowed, length_costs, states)
 
     results["walk_dp_20starts_45steps"] = (_time(dp), "s")
+    _, cuts = dp()
+    results["walk_replay_45steps"] = (
+        _time(lambda: kernels.replay_walk(layout, seed, allowed, states, cuts)), "s"
+    )
 
     # Graph file: the same 2000 nodes and edges, less repeated pairs and
     # jumps shorter than min_jump, stored with random distances.
@@ -188,10 +201,27 @@ def run_benchmarks():
     )
     segments = audio.segment_target(track)
 
+    config = search.BeamConfig()
+
     def search_once():
-        return search.beam_search(flagged, segments, search.BeamConfig(), seed=0)
+        return search.beam_search(flagged, segments, config, seed=0)
+
+    def forward():
+        state = search._SearchState(flagged, config)
+        starts = search._starts(flagged, config, 0, None)
+        return state, search._forward(flagged, segments, config, state, starts)
+
+    state, tables = forward()
+    cuts = list(state.cuts)
+
+    def trace_back():
+        # The traceback consumes the tables and cuts it is given: hand it copies.
+        state.cuts = list(cuts)
+        search._trace_back(state, list(tables), segments.durations, config)
 
     results["search_300f"] = (_time(search_once), "s")
+    results["search_300f_forward"] = (_time(forward), "s")
+    results["search_300f_traceback"] = (_time(trace_back), "s")
     results["search_traced_peak"] = (_traced_peak_mb(search_once), "MB")
     return results
 

@@ -62,6 +62,7 @@ from .pose import (
     MotionSequence,
     PoseFrame,
     Skeleton,
+    batch_forward_kinematics,
     compute_joint_states,
     forward_kinematics,
     interpolate_pose,

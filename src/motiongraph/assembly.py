@@ -29,7 +29,14 @@ import numpy as np
 from .audio import AudioFeatureTrack, SegmentList
 from .errors import AssemblyError, StructuralError, ValidationError, read_document
 from .graph import VideoMotionGraph
-from .pose import PoseFrame, Skeleton, forward_kinematics, interpolate_pose
+# ``forward_kinematics`` stays importable from here: perfbench/tracing.py wraps it.
+from .pose import (  # noqa: F401
+    PoseFrame,
+    Skeleton,
+    batch_forward_kinematics,
+    forward_kinematics,
+    interpolate_pose,
+)
 from .search import DEFAULT_BLEND_K, PathCandidate, PlaybackEntry, resample_segment
 from .silhouette import CameraModel, default_camera, rasterize_silhouette
 
@@ -313,8 +320,8 @@ def render_frames(
             entry_poses = [poses[pb.source_frame] for pb in entry.frames]
         else:
             entry_poses = [step.pose for step in entry.schedule.steps]
-        for pose in entry_poses:
-            mask = rasterize_silhouette(skeleton, forward_kinematics(skeleton, pose), camera)
+        for positions in batch_forward_kinematics(skeleton, entry_poses):
+            mask = rasterize_silhouette(skeleton, positions, camera)
             yield mask.bits.astype(np.uint8) * 255
 
 

@@ -7,7 +7,8 @@ implementation. Popcount uses ``np.bitwise_count`` where numpy provides it
 (numpy >= 2.0) and a byte lookup table otherwise; both count the same bits.
 The walk relaxation is a row shift along the natural chain plus one
 gather-add and one segmented minimum over the synthetic edges per step and
-target state, over an edge layout built once per search.
+target state, over an edge layout built once per search. It records those
+minima, so a segment's step tables can be replayed from row shifts alone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import StructuralError
 
 #: Recorded by callers that report which backend ran; numpy is the only one.
 BACKEND = "numpy"
@@ -122,8 +125,10 @@ def pair_intersections(packed, pairs):
 #
 # table[l, q, v] = min cost of an l-edge walk from a finite entry of the
 # seed table, at that entry's cost, to node v in blend state q, whose
-# interior nodes are all flagged allowed. Only costs are stored. A walk is
-# recovered afterwards, one step at a time, as the smallest predecessor
+# interior nodes are all flagged allowed. The forward pass keeps only two
+# step tables and the cut minima of each step; ``replay_walk`` rebuilds a
+# segment's tables from them for the traceback. Only costs are stored. A walk
+# is recovered afterwards, one step at a time, as the smallest predecessor
 # (node, then state) whose sum prev + cost equals the stored cost: the same
 # float the relaxation produced, so the walk is independent of edge order.
 # ---------------------------------------------------------------------------
@@ -198,6 +203,9 @@ class BlendStates:
         self.dominated_by = {p0(k + 1): p0(k + 2), b0(top): b1(top)}
         #: The states a path may end in: its last run hosts its blend window,
         #: and some run keeps a core.
+        #: The states no natural edge enters: the anchor and the run starts
+        #: after a cut.
+        self.cut_only = [q for q in range(self.size) if q not in self.natural_preds]
         self.final = np.ones(self.size, dtype=bool)
         self.final[[0, *range(b0(1), b0(k + 2)), *range(b1(1), b1(k + 1))]] = False
 
@@ -218,32 +226,79 @@ class BlendStates:
         return 3 * self.k + 4 + c
 
 
-def walk_distances(layout: EdgeLayout, seed, allowed, n_steps, states: BlendStates):
-    """Exact-length walk costs from every finite entry of ``seed``.
+def _step(layout: EdgeLayout, prev, states: BlendStates, relaxed, out, blocked):
+    """Write the step table after ``prev`` into ``out``: natural edges as
+    row shifts, none from a node a walk may not continue from (``blocked``,
+    from ``_blocked``, or None), then the cut minima ``relaxed`` ({state:
+    minima over ``layout.group_dst``}) into the run-start states."""
+    out[:, 0] = np.inf
+    out[states.cut_only] = np.inf
+    shifted = prev[:, :-1] + layout.natural if layout.natural.any() else prev[:, :-1]
+    for q, preds in states.natural_preds.items():
+        out[q, 1:] = shifted[preds[0]]
+        for p in preds[1:]:
+            np.minimum(out[q, 1:], shifted[p], out=out[q, 1:])
+    if blocked is not None:
+        out[blocked] = np.inf
+    for q, mins in relaxed.items():
+        out[q, layout.group_dst] = np.minimum(out[q, layout.group_dst], mins)
 
-    ``seed`` is a (states.size, n_nodes) cost table. Returns ``table`` of
-    shape (n_steps+1, states.size, n_nodes) with ``table[0] = seed`` and
-    ``table[l]`` the minimal cost over walks of exactly ``l`` edges, ``inf``
-    where there is none; but cuts are relaxed from ``states.cut_costs``,
-    which keeps the cheapest admissible ending unchanged.
+
+def _blocked(allowed, states: BlendStates):
+    """The entries of a step table that natural edges reach from nodes not
+    ``allowed``: an index of the natural states' rows at the nodes after them."""
+    after = np.flatnonzero(~np.asarray(allowed, dtype=bool)[:-1]) + 1
+    return np.ix_(list(states.natural_preds), after)
+
+
+def walk_distances(layout: EdgeLayout, seed, allowed, length_costs, states: BlendStates):
+    """One segment's forward relaxation from every finite entry of ``seed``.
+
+    ``seed`` is a (states.size, n_nodes) cost table and ``length_costs``
+    maps each accepted walk length to its cost, ascending. With ``table[l]``
+    the minimal cost over walks of exactly ``l`` edges (``inf`` where there
+    is none; cuts are relaxed from ``states.cut_costs``, which keeps the
+    cheapest admissible ending unchanged), returns ``best``, the minimum
+    over accepted ``l`` of ``table[l] + length_costs[l]``, and ``cuts``: for
+    each step, the segmented minima it relaxed into the run-start states, as
+    {state: minima over ``layout.group_dst``}. ``replay_walk`` rebuilds the
+    tables from ``seed`` and ``cuts``. Two step tables are held at a time.
     """
-    table = np.full((n_steps + 1, states.size, layout.n_nodes), np.inf)
-    table[0] = seed
-    for step in range(1, n_steps + 1):
-        prev = table[step - 1] if step == 1 else np.where(allowed, table[step - 1], np.inf)
-        new = table[step]
-        shifted = prev[:, :-1] + layout.natural if layout.natural.any() else prev[:, :-1]
-        for q, preds in states.natural_preds.items():
-            new[q, 1:] = shifted[preds[0]]
-            for p in preds[1:]:
-                np.minimum(new[q, 1:], shifted[p], out=new[q, 1:])
+    blocked = np.flatnonzero(~np.asarray(allowed, dtype=bool))
+    natural_blocked = _blocked(allowed, states)
+    best = np.full_like(seed, np.inf)
+    buffers = np.empty((2, *seed.shape))
+    prev, cuts = seed, []
+    for step in range(1, max(length_costs) + 1):
+        new = buffers[step % 2]
+        relaxed = {}
         for q, preds in states.synthetic_preds.items():
             ready = np.minimum.reduce([states.cut_costs(prev, p) for p in preds])
+            if step > 1:
+                ready[blocked] = np.inf  # walks continue only through allowed nodes
             if layout.src.size and np.isfinite(ready).any():
                 sums = ready[layout.src]
                 sums += layout.cost
-                mins = np.minimum.reduceat(sums, layout.group_start)
-                new[q, layout.group_dst] = np.minimum(new[q, layout.group_dst], mins)
+                relaxed[q] = np.minimum.reduceat(sums, layout.group_start)
+        _step(layout, prev, states, relaxed, new, natural_blocked if step > 1 else None)
+        cuts.append(relaxed)
+        if step in length_costs:
+            np.minimum(best, new + length_costs[step], out=best)
+        prev = new
+    return best, cuts
+
+
+def replay_walk(layout: EdgeLayout, seed, allowed, states: BlendStates, cuts):
+    """The step tables of the relaxation ``walk_distances`` ran from ``seed``,
+    rebuilt from the ``cuts`` it recorded: (len(cuts)+1, states.size,
+    n_nodes), ``table[0] = seed`` and ``table[l]`` bit-equal to its ``l``-edge
+    table. Natural edges are row shifts, and no synthetic edge is read."""
+    natural_blocked = _blocked(allowed, states)
+    table = np.empty((len(cuts) + 1, *np.shape(seed)))
+    table[0] = seed
+    for step, relaxed in enumerate(cuts, 1):
+        _step(layout, table[step - 1], states, relaxed, table[step],
+              natural_blocked if step > 1 else None)
     return table
 
 
@@ -273,6 +328,11 @@ def walk_back(layout: EdgeLayout, table, allowed, states: BlendStates, length, s
                 if prev[p, v - 1] + layout.natural[v - 1] == target:
                     best = (v - 1, p, float(layout.natural[v - 1]))
                     break
+        if best is None:
+            raise StructuralError(
+                f"walk_back: no predecessor of state {q} at node {v} matches its cost "
+                f"{target!r} at step {step}"
+            )
         v, q, cost = best
         path.append((q, v))
         costs.append(cost)

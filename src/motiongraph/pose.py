@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -55,19 +56,24 @@ class Skeleton:
     def __len__(self) -> int:
         return len(self.joints)
 
-    @property
+    # The joint tuple is immutable, so each array is built once, read-only.
+    @cached_property
     def parents(self) -> np.ndarray:
-        return np.array(
-            [-1 if j.parent is None else j.parent for j in self.joints], dtype=np.int64
-        )
+        return _frozen([-1 if j.parent is None else j.parent for j in self.joints], np.int64)
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
-        return np.array([j.rest_offset for j in self.joints], dtype=np.float64)
+        return _frozen([j.rest_offset for j in self.joints], np.float64)
 
-    @property
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.array([j.capsule_radius for j in self.joints], dtype=np.float64)
+        return _frozen([j.capsule_radius for j in self.joints], np.float64)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -126,48 +132,71 @@ class MotionSequence:
         return len(self.frames)
 
 
-def _axis_angle_matrix(aa: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation for one axis-angle vector."""
-    angle = float(np.linalg.norm(aa))
-    if angle < 1e-12:
-        return np.eye(3)
-    x, y, z = aa / angle
+def _axis_angle_matrices(aa: np.ndarray) -> np.ndarray:
+    """Rodrigues rotations (M, 3, 3) of (M, 3) axis-angle rows; the identity
+    for angles below 1e-12.
+
+    Each angle is the square root of its row's BLAS dot with itself, the
+    norm ``np.linalg.norm`` takes; the entries are elementwise products and
+    sums of the unit axis, cos and sin, so every row gets the bits of a
+    one-row call.
+    """
+    angle = np.sqrt(aa[:, None, :] @ aa[:, :, None])[:, 0, 0]
+    small = angle < 1e-12
+    x, y, z = (aa / np.where(small, 1.0, angle)[:, None]).T
     c = np.cos(angle)
     s = np.sin(angle)
     t = 1.0 - c
-    return np.array(
+    rot = np.stack(
         [
-            [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
-            [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
-            [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
-        ]
-    )
+            t * x * x + c, t * x * y - s * z, t * x * z + s * y,
+            t * x * y + s * z, t * y * y + c, t * y * z - s * x,
+            t * x * z - s * y, t * y * z + s * x, t * z * z + c,
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
+    rot[small] = np.eye(3)
+    return rot
 
 
-def forward_kinematics(skeleton: Skeleton, pose: PoseFrame) -> np.ndarray:
-    """World positions (J, 3) of all joints for one pose.
+def batch_forward_kinematics(skeleton: Skeleton, frames: Sequence[PoseFrame]) -> np.ndarray:
+    """World positions (F, J, 3) of all joints for each of ``frames``.
 
     The root sits at ``root_translation``; each child sits at its parent's
     position displaced by the parent's world rotation applied to the child's
-    rest offset. The root's own rest offset is not used.
+    rest offset. The root's own rest offset is not used. The loop runs over
+    joints; each product is one ``np.matmul`` over the frames' stacked
+    (3, 3) matrices, which makes the same BLAS call per frame as one frame
+    alone, so a frame's positions do not depend on the other frames.
     """
     n = len(skeleton)
-    if pose.joint_rotations.shape[0] != n:
-        raise StructuralError(
-            f"pose has {pose.joint_rotations.shape[0]} rotations for a "
-            f"{n}-joint skeleton"
-        )
+    for pose in frames:
+        if pose.joint_rotations.shape[0] != n:
+            raise StructuralError(
+                f"pose has {pose.joint_rotations.shape[0]} rotations for a "
+                f"{n}-joint skeleton"
+            )
+    f = len(frames)
+    local = _axis_angle_matrices(
+        np.array([pose.joint_rotations for pose in frames]).reshape(f * n, 3)
+    ).reshape(f, n, 3, 3)
     parents = skeleton.parents
     offsets = skeleton.offsets
-    positions = np.empty((n, 3))
-    rotations = np.empty((n, 3, 3))
-    positions[0] = pose.root_translation
-    rotations[0] = _axis_angle_matrix(pose.joint_rotations[0])
+    positions = np.empty((f, n, 3))
+    rotations = np.empty((f, n, 3, 3))
+    positions[:, 0] = np.array([pose.root_translation for pose in frames]).reshape(f, 3)
+    rotations[:, 0] = local[:, 0]
     for i in range(1, n):
         p = parents[i]
-        positions[i] = positions[p] + rotations[p] @ offsets[i]
-        rotations[i] = rotations[p] @ _axis_angle_matrix(pose.joint_rotations[i])
+        positions[:, i] = positions[:, p] + rotations[:, p] @ offsets[i]
+        rotations[:, i] = rotations[:, p] @ local[:, i]
     return positions
+
+
+def forward_kinematics(skeleton: Skeleton, pose: PoseFrame) -> np.ndarray:
+    """World positions (J, 3) of all joints for one pose: the one-frame case
+    of ``batch_forward_kinematics``."""
+    return batch_forward_kinematics(skeleton, [pose])[0]
 
 
 def compute_joint_states(skeleton: Skeleton, sequence: MotionSequence) -> list[JointState]:
@@ -179,9 +208,7 @@ def compute_joint_states(skeleton: Skeleton, sequence: MotionSequence) -> list[J
     """
     if not sequence.frames:
         raise ValidationError("cannot compute joint states of an empty sequence")
-    positions = np.stack(
-        [forward_kinematics(skeleton, f) for f in sequence.frames], axis=0
-    )
+    positions = batch_forward_kinematics(skeleton, sequence.frames)
     t = positions.shape[0]
     velocities = np.zeros_like(positions)
     if t >= 3:

@@ -122,7 +122,8 @@ def in_duration_window(
 
 
 class _SearchState:
-    """The edge layout, blend states and node masks a search's segments share."""
+    """The edge layout, blend states and node masks a search's segments
+    share, and the cut minima each segment's relaxation recorded."""
 
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
@@ -130,6 +131,7 @@ class _SearchState:
         self.states = kernels.BlendStates(config.blend_k)
         self.onset, self.keywords = graph.onset, graph.keyword
         self.allowed = ~self.onset if config.avoid_onsets_mid_segment else np.ones(n, dtype=bool)
+        self.cuts: list[list[dict]] = []  # per segment, ``kernels.walk_distances``'s cuts
 
     def match(self, feature: EndpointFeature) -> np.ndarray:
         """The nodes that can end a segment with ``feature``."""
@@ -148,11 +150,11 @@ class _SearchState:
         return table
 
 
-def _length_costs(target_length: int, config: BeamConfig) -> tuple[int, int, list[float]]:
-    """The accepted lengths lo..hi and the weighted duration cost of each."""
+def _length_costs(target_length: int, config: BeamConfig) -> dict[int, float]:
+    """The weighted duration cost of each accepted length, ascending."""
     lo, hi = duration_bounds(target_length, *config.duration_window)
     # Division is monotonic, so every length in lo..hi is in the window.
-    return lo, hi, [config.duration_weight * abs(1.0 - n / target_length) for n in range(lo, hi + 1)]
+    return {n: config.duration_weight * abs(1.0 - n / target_length) for n in range(lo, hi + 1)}
 
 
 def expand_segment(
@@ -169,23 +171,23 @@ def expand_segment(
     Both are (blend state, node) tables of prefix costs, duration terms
     included; ``_SearchState.seed`` gives F_{-1}. F_s extends the prefixes by
     window-accepted walks that end on a node matching ``target_feature``.
-    Raises SegmentUnreachableError when no such walk exists.
+    The relaxation's cut minima are appended to ``_state.cuts``. Raises
+    SegmentUnreachableError when no such walk exists.
     """
     if target_length < 1:
         raise ValidationError(f"target segment length must be >= 1, got {target_length}")
     state = _state if _state is not None else _SearchState(graph, config)
-    lo, hi, length_costs = _length_costs(target_length, config)
-    table = kernels.walk_distances(state.layout, prefix, state.allowed, hi, state.states)
-    best = np.full_like(prefix, np.inf)
-    for length, cost in enumerate(length_costs, lo):
-        np.minimum(best, table[length] + cost, out=best)
+    length_costs = _length_costs(target_length, config)
+    best, cuts = kernels.walk_distances(state.layout, prefix, state.allowed, length_costs,
+                                        state.states)
+    state.cuts.append(cuts)
     best[:, ~state.match(target_feature)] = np.inf
     if not np.isfinite(best).any():
         raise SegmentUnreachableError(
             segment_index,
-            f"segment {segment_index}: no walk of length {lo}..{hi} that can host its "
-            f"blend windows (k={config.blend_k}) reaches a node matching {target_feature.kind}"
-            + (f"({target_feature.word})" if target_feature.word else ""),
+            f"segment {segment_index}: no walk of length {min(length_costs)}..{max(length_costs)} "
+            f"that can host its blend windows (k={config.blend_k}) reaches a node matching "
+            f"{target_feature.kind}" + (f"({target_feature.word})" if target_feature.word else ""),
         )
     return best
 
@@ -206,41 +208,79 @@ def _candidate(walks, durations) -> PathCandidate:
     return PathCandidate(tuple(nodes), transition, duration, tuple(bounds))
 
 
-def beam_search(
-    graph: VideoMotionGraph,
-    segments: SegmentList,
-    config: BeamConfig = BeamConfig(),
-    seed: int = 0,
-    start_frame: int | None = None,
-) -> SearchResult:
-    """The cheapest assemblable paths matching all target segments.
-
-    Starts are ``beam_width`` random nodes under ``seed`` (all nodes, when
-    ``beam_width`` is at least the graph's size), or a single caller-pinned
-    ``start_frame``. Returns the cheapest path to each of the (up to)
-    ``beam_width`` cheapest final nodes. Only the F_s tables are kept: the
-    traceback recomputes one segment's step tables at a time. Deterministic
-    for fixed inputs and seed.
-    """
-    if len(graph) < 1:
-        raise ValidationError("graph has no nodes")
+def _starts(graph: VideoMotionGraph, config: BeamConfig, seed: int, start_frame: int | None):
+    """``beam_width`` random nodes under ``seed`` (all nodes, when
+    ``beam_width`` is at least the graph's size), or the pinned ``start_frame``."""
     if start_frame is not None:
         if not 0 <= start_frame < len(graph):
             raise ValidationError(f"start_frame {start_frame} outside 0..{len(graph) - 1}")
-        starts = [start_frame]
-    elif config.beam_width >= len(graph):
-        starts = list(range(len(graph)))
-    else:
-        rng = np.random.default_rng(seed)
-        starts = [int(s) for s in rng.choice(len(graph), size=config.beam_width, replace=False)]
+        return [start_frame]
+    if config.beam_width >= len(graph):
+        return list(range(len(graph)))
+    rng = np.random.default_rng(seed)
+    return [int(s) for s in rng.choice(len(graph), size=config.beam_width, replace=False)]
 
-    state = _SearchState(graph, config)
-    durations = segments.durations
+
+def _forward(graph, segments: SegmentList, config: BeamConfig, state: _SearchState, starts):
+    """The tables F_{-1}..F_{S-1}, each segment's cuts recorded in ``state``."""
     tables = [state.seed(starts)]
-    for s, target in enumerate(durations):
+    for s, target in enumerate(segments.durations):
         tables.append(expand_segment(graph, tables[-1], segments.features[s + 1], target, config,
                                      segment_index=s, _state=state))
+    return tables
 
+
+#: Steps in a chunk of the traceback's replay. A segment is traced back one
+#: chunk of replayed step tables at a time: at most this many plus one, or
+#: the duration window's hi - lo + 2, plus one checkpoint table per chunk.
+REPLAY_CHUNK = 16
+
+
+def _walk_segment(state: _SearchState, seed, cuts, length_costs, reached, heads, s: int):
+    """The walk realizing each head (q, v) of ``reached`` (F_s), as
+    ``kernels.walk_back`` gives it, replayed from ``seed`` (F_{s-1}) and the
+    segment's ``cuts``.
+
+    The last chunk holds the last ``REPLAY_CHUNK`` steps, or all of the
+    duration window's. A first replay of the steps before it keeps the
+    allowed-masked step table every ``REPLAY_CHUNK`` steps and where the last
+    chunk starts. The chunks are replayed from these checkpoints, last chunk
+    first, and the walks go back through each.
+    """
+    lo, heads = min(length_costs), list(heads)
+    start = max(0, min(lo - 1, len(cuts) - REPLAY_CHUNK))
+    stops = [*range(0, start, REPLAY_CHUNK), start] if start else [0]
+    seeds = [seed]
+    for a, b in zip(stops, stops[1:]):
+        chunk = kernels.replay_walk(state.layout, seeds[-1], state.allowed, state.states, cuts[a:b])
+        seeds.append(np.where(state.allowed, chunk[-1], np.inf))
+    walks = [([], []) for _ in heads]  # per head, its chunks' steps and costs, last first
+    top = len(cuts)
+    for a in reversed(stops):
+        table = kernels.replay_walk(state.layout, seeds.pop(), state.allowed, state.states,
+                                    cuts[a:top])
+        for i, (q, v) in enumerate(heads):
+            length = top
+            if top == len(cuts):
+                length = next((n for n, cost in length_costs.items()
+                               if table[n - a, q, v] + cost == reached[q, v]), None)
+                if length is None:
+                    raise StructuralError(f"segment {s}: no replayed walk length gives the "
+                                          f"cost {reached[q, v]!r} of state {q} at node {v}")
+            steps, costs = kernels.walk_back(state.layout, table, state.allowed, state.states,
+                                             length - a, q, v)
+            walks[i][0].append(steps[1:])
+            walks[i][1].append(costs)
+            heads[i] = steps[0]
+        top = a
+    return [([heads[i]] + sum(reversed(steps), []), sum(reversed(costs), []))
+            for i, (steps, costs) in enumerate(walks)]
+
+
+def _trace_back(state: _SearchState, tables, durations, config: BeamConfig):
+    """The cheapest path to each of the (up to) ``beam_width`` cheapest final
+    nodes, cheapest first. Traces one segment at a time, last segment first,
+    and consumes ``tables`` and ``state.cuts`` as it goes."""
     final = np.where(state.states.final[:, None], tables[-1], np.inf)
     ends = final.min(axis=0)
     order = np.lexsort((np.arange(ends.size), ends))[: config.beam_width]
@@ -253,17 +293,38 @@ def beam_search(
         )
     walks: list[list] = [[] for _ in heads]  # per path, its segments' walks, last first
     for s in reversed(range(len(durations))):
-        lo, hi, length_costs = _length_costs(durations[s], config)
-        table = kernels.walk_distances(state.layout, tables[s], state.allowed, hi, state.states)
-        for i, (q, v) in enumerate(heads):
-            length = next(n for n, cost in enumerate(length_costs, lo)
-                          if table[n, q, v] + cost == tables[s + 1][q, v])
-            walks[i].append(kernels.walk_back(state.layout, table, state.allowed, state.states,
-                                              length, q, v))
-            heads[i] = walks[i][-1][0][0]
-        del table  # one segment's step tables at a time
-    paths = sorted((_candidate(w[::-1], durations) for w in walks),
-                   key=lambda p: p.total_cost(config.duration_weight))
+        reached = tables.pop()  # F_s
+        segment = _walk_segment(state, tables[-1], state.cuts.pop(),
+                                _length_costs(durations[s], config), reached, heads, s)
+        for i, walk in enumerate(segment):
+            walks[i].append(walk)
+            heads[i] = walk[0][0]
+    return sorted((_candidate(w[::-1], durations) for w in walks),
+                  key=lambda p: p.total_cost(config.duration_weight))
+
+
+def beam_search(
+    graph: VideoMotionGraph,
+    segments: SegmentList,
+    config: BeamConfig = BeamConfig(),
+    seed: int = 0,
+    start_frame: int | None = None,
+) -> SearchResult:
+    """The cheapest assemblable paths matching all target segments.
+
+    Starts are ``beam_width`` random nodes under ``seed`` (all nodes, when
+    ``beam_width`` is at least the graph's size), or a single caller-pinned
+    ``start_frame``. Returns the cheapest path to each of the (up to)
+    ``beam_width`` cheapest final nodes. The forward pass keeps the F_s
+    tables and each step's cut minima; the traceback replays one segment's
+    step tables at a time from them. Deterministic for fixed inputs and seed.
+    """
+    if len(graph) < 1:
+        raise ValidationError("graph has no nodes")
+    starts = _starts(graph, config, seed, start_frame)
+    state = _SearchState(graph, config)
+    tables = _forward(graph, segments, config, state, starts)
+    paths = _trace_back(state, tables, segments.durations, config)
     return SearchResult(paths=tuple(paths), seed=seed, config=config)
 
 

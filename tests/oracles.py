@@ -199,3 +199,38 @@ def meshgrid_rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
 def edge_dict(graph):
     """Row of each (src, dst) edge, from the ``graph.edges`` records."""
     return {(e.src, e.dst): j for j, e in enumerate(graph.edges)}
+
+
+def axis_angle_matrix(aa):
+    """Rodrigues rotation for one axis-angle vector."""
+    angle = float(np.linalg.norm(aa))
+    if angle < 1e-12:
+        return np.eye(3)
+    x, y, z = aa / angle
+    c = np.cos(angle)
+    s = np.sin(angle)
+    t = 1.0 - c
+    return np.array(
+        [
+            [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
+            [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
+            [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
+        ]
+    )
+
+
+def per_frame_forward_kinematics(skeleton, pose):
+    """World positions (J, 3) of one pose, one joint and one 3x3 product at a
+    time: the formula ``pose.batch_forward_kinematics`` stacks over frames."""
+    n = len(skeleton)
+    parents = [-1 if j.parent is None else j.parent for j in skeleton.joints]
+    offsets = np.array([j.rest_offset for j in skeleton.joints], dtype=np.float64)
+    positions = np.empty((n, 3))
+    rotations = np.empty((n, 3, 3))
+    positions[0] = pose.root_translation
+    rotations[0] = axis_angle_matrix(pose.joint_rotations[0])
+    for i in range(1, n):
+        p = parents[i]
+        positions[i] = positions[p] + rotations[p] @ offsets[i]
+        rotations[i] = rotations[p] @ axis_angle_matrix(pose.joint_rotations[i])
+    return positions

@@ -19,6 +19,7 @@ from motiongraph.search import PathCandidate
 from motiongraph.silhouette import default_camera, rasterize_silhouette
 
 from conftest import make_sequence
+from oracles import per_frame_forward_kinematics
 from test_search import segment_list, toy_graph
 
 
@@ -201,6 +202,27 @@ class TestPreview:
         for i, img in enumerate(frames):
             pose = wavy_poses[6 + i]
             mask = rasterize_silhouette(chain_skeleton, forward_kinematics(chain_skeleton, pose), cam)
+            assert np.array_equal(img, mask.bits.astype(np.uint8) * 255)
+
+    def test_same_images_as_per_frame_kinematics(self, chain_skeleton, wavy_poses):
+        # Two cuts, so the EDL holds runs and blend schedules.
+        graph = toy_graph(300, synthetic=[(60, 120, 0.1, 0.1), (150, 220, 0.1, 0.1)])
+        nodes = tuple(range(40, 61)) + tuple(range(120, 151)) + tuple(range(220, 240))
+        path = PathCandidate(nodes, 0.3, 0.0, (0, len(nodes) - 1))
+        edl = assemble_edl(path, graph, segment_list(len(nodes), []), wavy_poses, k=4)
+        assert sum(isinstance(e, TransitionEntry) for e in edl.entries) == 2
+        cam = default_camera((64, 64), focal_length=60.0)
+        frames = list(render_frames(edl, chain_skeleton, wavy_poses, RenderConfig(camera=cam)))
+        poses = []
+        for entry in edl.entries:
+            if isinstance(entry, RunEntry):
+                poses += [wavy_poses[pb.source_frame] for pb in entry.frames]
+            else:
+                poses += [step.pose for step in entry.schedule.steps]
+        assert len(frames) == len(poses) == edl.total_frames
+        for img, pose in zip(frames, poses):
+            mask = rasterize_silhouette(chain_skeleton,
+                                        per_frame_forward_kinematics(chain_skeleton, pose), cam)
             assert np.array_equal(img, mask.bits.astype(np.uint8) * 255)
 
     def test_transition_endpoint_continuity(self, chain_skeleton, wavy_poses):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from motiongraph import kernels
+from motiongraph.errors import StructuralError
 from oracles import meshgrid_rasterize_capsules
 
 
@@ -96,15 +97,19 @@ class TestRasterizeCapsules:
 # ---------------------------------------------------------------------------
 
 
-def random_walk_graph(rng, n):
-    """Natural chain plus random synthetic edges, no self-edges or duplicates."""
-    pairs = {(i, i + 1): 0.0 for i in range(n - 1)}
+COSTS = [0.25, 0.5, 0.125, 0.375]
+
+
+def random_walk_graph(rng, n, natural_costs=False):
+    """Natural chain plus random synthetic edges, no self-edges or duplicates.
+    Natural edges cost 0, or one of ``COSTS`` each with ``natural_costs``."""
+    pairs = {(i, i + 1): float(rng.choice(COSTS)) if natural_costs else 0.0 for i in range(n - 1)}
     synthetic = []
     for _ in range(3 * n):
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a != b and (a, b) not in pairs:
             # few distinct costs, so equal-cost walks (and ties) are common
-            pairs[a, b] = float(rng.choice([0.25, 0.5, 0.125, 0.375]))
+            pairs[a, b] = float(rng.choice(COSTS))
             synthetic.append(True)
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
@@ -167,6 +172,14 @@ def bellman_ford(src, dst, cost, synthetic, n, seed, allowed, n_steps, k):
     return table, parent
 
 
+def step_tables(layout, seed, allowed, n_steps, states):
+    """The 0..n_steps step tables of one relaxation, replayed from the cut
+    minima its forward pass recorded."""
+    _, cuts = kernels.walk_distances(layout, seed, allowed, {n_steps: 0.0}, states)
+    assert len(cuts) == n_steps
+    return kernels.replay_walk(layout, seed, allowed, states, cuts)
+
+
 class TestWalkDistances:
     def test_state_indices_cover_the_table(self):
         for k in (1, 2, 4):
@@ -187,7 +200,7 @@ class TestWalkDistances:
                 seed[rng.integers(0, states.size, size=6), rng.integers(0, n, size=6)] = 0.5
             layout = kernels.edge_layout(src, dst, cost, synthetic, n)
             steps = 3 * k + 5
-            table = kernels.walk_distances(layout, seed, allowed, steps, states)
+            table = step_tables(layout, seed, allowed, steps, states)
             ref, parent = bellman_ford(src, dst, cost, synthetic, n, seed, allowed, steps, k)
             assert table.tobytes() == np.array(ref).tobytes()
             for length in range(1, steps + 1):
@@ -212,7 +225,7 @@ class TestWalkDistances:
         layout = kernels.edge_layout(src, dst, cost, synthetic, 3)
         seed = np.full((states.size, 3), np.inf)
         seed[states.anchor, 0] = 0.0
-        table = kernels.walk_distances(layout, seed, allowed, 5, states)
+        table = step_tables(layout, seed, allowed, 5, states)
         assert table[1].min(axis=0).tolist() == [np.inf, 0.5, np.inf]
         # the cut 2 -> 0 leaves a run of 2 = k + 1 frames, which has no core
         assert table[3, states.b0(1)].tolist() == [0.875, np.inf, np.inf]
@@ -230,7 +243,7 @@ class TestWalkDistances:
             layout = kernels.edge_layout(src, dst, cost, synthetic, 6)
             seed = np.full((states.size, 6), np.inf)
             seed[states.anchor, 0] = 0.0
-            table = kernels.walk_distances(layout, seed, np.ones(6, dtype=bool), 3, states)
+            table = step_tables(layout, seed, np.ones(6, dtype=bool), 3, states)
             assert table[3, :, 5].min() == reached
 
     def test_unreachable_rows_stay_inf(self):
@@ -240,12 +253,96 @@ class TestWalkDistances:
         layout = kernels.edge_layout(src, dst, np.zeros(n - 1), np.zeros(n - 1, dtype=bool), n)
         seed = np.full((states.size, n), np.inf)
         seed[states.anchor, 3] = 0.0
-        table = kernels.walk_distances(layout, seed, np.ones(n, dtype=bool), 8, states)
+        table = step_tables(layout, seed, np.ones(n, dtype=bool), 8, states)
         assert table.shape == (9, states.size, n)
         assert table[2, states.p0(2), 5] == 0.0
         assert np.isinf(table[3:]).all()
         assert np.isinf(np.delete(table[1].min(axis=0), 4)).all()
         single = kernels.edge_layout(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), 1)
         seed = np.zeros((states.size, 1))
-        only_seed = kernels.walk_distances(single, seed, np.ones(1, dtype=bool), 3, states)
+        only_seed = step_tables(single, seed, np.ones(1, dtype=bool), 3, states)
         assert (only_seed[0] == 0.0).all() and np.isinf(only_seed[1:]).all()
+
+
+# ---------------------------------------------------------------------------
+# the traceback's replay against the forward relaxation
+# ---------------------------------------------------------------------------
+
+
+def random_replay_case(rng, k):
+    """A random toy with non-zero natural costs and onset-blocked nodes, one
+    of its starts on a blocked node, and a seed table as segment 0 or as a
+    later segment sees it."""
+    n = int(rng.integers(6, 14))
+    states = kernels.BlendStates(k)
+    src, dst, cost, synthetic = random_walk_graph(rng, n, natural_costs=True)
+    allowed = rng.random(n) > 0.25
+    allowed[0] = False
+    seed = np.full((states.size, n), np.inf)
+    seed[states.anchor, [0, int(rng.integers(1, n))]] = 0.0
+    if rng.random() < 0.4:  # a later segment: prefixes in several states, none in the anchor
+        seed = np.full((states.size, n), np.inf)
+        seed[rng.integers(1, states.size, size=8), rng.integers(0, n, size=8)] = rng.choice(COSTS, 8)
+    return kernels.edge_layout(src, dst, cost, synthetic, n), seed, allowed, states, (src, dst, cost,
+                                                                                      synthetic, n)
+
+
+class TestReplayWalk:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_bit_equal_to_forward_and_oracle(self, k):
+        rng = np.random.default_rng(30 + k)
+        for _ in range(6):
+            layout, seed, allowed, states, graph = random_replay_case(rng, k)
+            steps = 3 * k + 5
+            lo = int(rng.integers(1, steps + 1))
+            length_costs = {n: float(rng.choice(COSTS)) for n in range(lo, steps + 1)}
+            best, cuts = kernels.walk_distances(layout, seed, allowed, length_costs, states)
+            table = kernels.replay_walk(layout, seed, allowed, states, cuts)
+            ref, _ = bellman_ford(*graph, seed, allowed, steps, k)
+            assert table.tobytes() == np.array(ref).tobytes()
+            want = np.full_like(seed, np.inf)
+            for n, c in length_costs.items():
+                np.minimum(want, table[n] + c, out=want)
+            assert best.tobytes() == want.tobytes()
+            for n in (1, lo, steps):  # one accepted length: the forward's own step table
+                only, _ = kernels.walk_distances(layout, seed, allowed, {n: 0.0}, states)
+                assert only.tobytes() == table[n].tobytes()
+
+    def test_records_only_the_rows_each_step_relaxed(self):
+        rng = np.random.default_rng(5)
+        k = 2
+        states = kernels.BlendStates(k)
+        n = 40
+        layout = kernels.edge_layout(*random_walk_graph(rng, n), n)
+        seed = np.full((states.size, n), np.inf)
+        seed[states.anchor, [3, 17]] = 0.0
+        best, cuts = kernels.walk_distances(layout, seed, np.ones(n, dtype=bool), {12: 0.0}, states)
+        # From the anchor, step 1 cuts into p0(1) only; a run has k + 1 frames,
+        # enough for a cut into b0(1), from step k + 2 on.
+        assert [sorted(c) for c in cuts[: k + 2]] == [[states.p0(1)]] + [[]] * k + [[states.b0(1)]]
+        assert all(set(c) <= {states.b0(1), states.b1(1)} for c in cuts[1:])
+        assert {states.b1(1)} <= set().union(*cuts)
+        for c in cuts:
+            assert all(row.shape == layout.group_dst.shape for row in c.values())
+        # A later segment starts from F, whose anchor row is inf: no p0(1) row.
+        _, later = kernels.walk_distances(layout, best, np.ones(n, dtype=bool), {3: 0.0}, states)
+        assert all(set(c) <= {states.b0(1), states.b1(1)} for c in later)
+
+    def test_walk_back_names_the_step_a_corrupted_row_breaks(self):
+        rng = np.random.default_rng(8)
+        k = 1
+        for _ in range(40):
+            layout, seed, allowed, states, _ = random_replay_case(rng, k)
+            steps = 3 * k + 5
+            _, cuts = kernels.walk_distances(layout, seed, allowed, {steps: 0.0}, states)
+            hits = [(step, q, i) for step, c in enumerate(cuts, 1) for q, row in c.items()
+                    for i in np.flatnonzero(np.isfinite(row))]
+            if hits:
+                break
+        step, q, i = hits[len(hits) // 2]
+        cuts[step - 1][q] = cuts[step - 1][q].copy()
+        cuts[step - 1][q][i] -= 100.0  # cheaper than any predecessor can explain
+        table = kernels.replay_walk(layout, seed, allowed, states, cuts)
+        v = int(layout.group_dst[i])
+        with pytest.raises(StructuralError, match=f"state {q} at node {v} .* at step {step}"):
+            kernels.walk_back(layout, table, allowed, states, step, q, v)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from motiongraph import fixtures
 from motiongraph.errors import StructuralError, ValidationError
 from motiongraph.pose import (
     Joint,
     JointState,
+    PoseFrame,
     Skeleton,
+    batch_forward_kinematics,
     compute_joint_states,
     forward_kinematics,
     interpolate_pose,
@@ -20,6 +23,7 @@ from motiongraph.pose import (
 )
 
 from conftest import make_pose, make_sequence
+from oracles import per_frame_forward_kinematics
 
 
 class TestSkeletonValidation:
@@ -49,6 +53,22 @@ class TestSkeletonValidation:
     def test_positive_radius(self):
         with pytest.raises(ValidationError):
             Skeleton((Joint("root", None, (0, 0, 0), 0.0),))
+
+    def test_joint_arrays_are_cached_read_only(self, chain_skeleton):
+        want = {
+            "parents": [-1 if j.parent is None else j.parent for j in chain_skeleton.joints],
+            "offsets": [list(j.rest_offset) for j in chain_skeleton.joints],
+            "radii": [j.capsule_radius for j in chain_skeleton.joints],
+        }
+        for name, values in want.items():
+            arr = getattr(chain_skeleton, name)
+            assert arr.tolist() == values
+            assert getattr(chain_skeleton, name) is arr  # built once per skeleton
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        assert chain_skeleton.parents.dtype == np.int64
+        assert chain_skeleton.offsets.shape == (4, 3) and chain_skeleton.radii.shape == (4,)
 
 
 class TestForwardKinematics:
@@ -164,6 +184,61 @@ class TestJointStates:
 
         with pytest.raises(ValidationError):
             compute_joint_states(chain_skeleton, MotionSequence(fps=30.0, frames=[]))
+
+
+class TestBatchForwardKinematics:
+    """Bit-equality with the per-frame formula, one joint and one 3x3 product
+    at a time."""
+
+    def assert_bit_equal(self, skeleton, frames):
+        got = batch_forward_kinematics(skeleton, frames)
+        assert got.shape == (len(frames), len(skeleton), 3)
+        want = np.array([per_frame_forward_kinematics(skeleton, f) for f in frames])
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        return got
+
+    def test_fixture_reference_frames(self):
+        self.assert_bit_equal(fixtures.puppet_skeleton(), fixtures.puppet_sequence(2000).frames)
+
+    def test_zero_rotations(self, chain_skeleton):
+        frames = [make_pose(chain_skeleton, i, root=(0.1 * i, 0.0, 2.0)) for i in range(3)]
+        got = self.assert_bit_equal(chain_skeleton, frames)
+        assert got[1].tolist() == [[0.1, 0, 2], [1.1, 0, 2], [1.1, 2, 2], [1.1, 2, 2.5]]
+
+    def test_angles_around_the_identity_cutoff(self, chain_skeleton):
+        rng = np.random.default_rng(12)
+        below, above = np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0)
+        angles = [0.0, 1e-13, below, 1e-12, above, 2e-12, 1e-6, 1.0]
+        frames = []
+        for i, angle in enumerate(angles):
+            axes = rng.normal(size=(4, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            frames.append(make_pose(chain_skeleton, i, rotations=axes * angle))
+        frames.append(make_pose(chain_skeleton, len(angles), rotations=[[below, 0, 0], [above, 0, 0],
+                                                                        [0, 1e-12, 0], [0, 0, -above]]))
+        norms = [np.linalg.norm(r) for f in frames for r in f.joint_rotations]
+        assert min(norms) < 1e-12 <= max(n for n in norms if n < 1e-11)
+        self.assert_bit_equal(chain_skeleton, frames)
+
+    def test_one_joint_skeleton(self):
+        skeleton = Skeleton((Joint("root", None, (0.5, 0.0, 0.0), 0.1),))
+        frames = [PoseFrame(i, np.array([i, 1.0, 2.0]), np.full((1, 3), 0.3 * i)) for i in range(3)]
+        got = self.assert_bit_equal(skeleton, frames)
+        assert got[:, 0].tolist() == [[0, 1, 2], [1, 1, 2], [2, 1, 2]]
+
+    def test_single_frame_is_forward_kinematics(self, chain_skeleton):
+        rng = np.random.default_rng(2)
+        pose = make_pose(chain_skeleton, root=(0.2, -1.0, 3.0), rotations=rng.normal(size=(4, 3)))
+        got = self.assert_bit_equal(chain_skeleton, [pose])
+        assert forward_kinematics(chain_skeleton, pose).tobytes() == got[0].tobytes()
+
+    def test_no_frames(self, chain_skeleton):
+        assert batch_forward_kinematics(chain_skeleton, []).shape == (0, 4, 3)
+
+    def test_joint_count_mismatch_in_any_frame(self, chain_skeleton):
+        frames = [make_pose(chain_skeleton, 0), PoseFrame(1, np.zeros(3), np.zeros((3, 3)))]
+        with pytest.raises(StructuralError, match="3 rotations for a 4-joint skeleton"):
+            batch_forward_kinematics(chain_skeleton, frames)
 
 
 class TestPoseDistance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motiongraph.audio import EndpointFeature, SegmentList
-from motiongraph.errors import SegmentUnreachableError, ValidationError
+from motiongraph.errors import SegmentUnreachableError, StructuralError, ValidationError
 from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
@@ -296,6 +296,65 @@ class TestBeamSearch:
         result = beam_search(graph, segments, config, seed=0)
         assert result.best.total_cost() == optimum(paths)
         assert result.best.transition_cost == 0.0
+
+    def test_one_relaxation_per_segment(self, monkeypatch):
+        # The traceback replays each segment from its recorded cut minima
+        # instead of relaxing the synthetic edges a second time.
+        from motiongraph import kernels
+
+        calls = []
+        relax = kernels.walk_distances
+        monkeypatch.setattr(kernels, "walk_distances", lambda *a: calls.append(1) or relax(*a))
+        graph = toy_graph(30, synthetic=[(9, 3, 0.1, 0.1), (20, 12, 0.2, 0.1)], onsets={7, 16})
+        segments = segment_list(25, [(8, EndpointFeature("onset")), (17, EndpointFeature("onset"))])
+        result = beam_search(graph, segments, BeamConfig(blend_k=1), seed=0)
+        assert result.paths
+        assert len(calls) == segments.segment_count == 3
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_traceback_chunks_do_not_change_the_paths(self, monkeypatch, chunk):
+        # Long segments, so that the traceback replays them in several
+        # chunks from allowed-masked checkpoints (one per step at chunk=1).
+        from motiongraph import search
+
+        rng = np.random.default_rng(chunk)
+        n = 90
+        onsets = set(range(9, n, 13))
+        synthetic = set()
+        while len(synthetic) < 60:
+            a, b = (int(x) for x in rng.integers(0, n, size=2))
+            if abs(a - b) >= 4:
+                synthetic.add((a, b))
+        graph = toy_graph(n, [(a, b, *rng.choice([0.125, 0.25, 0.5], size=2)) for a, b in synthetic],
+                          onsets)
+        segments = segment_list(50, [(17, EndpointFeature("onset")), (33, EndpointFeature("onset"))])
+        config = BeamConfig(blend_k=1, beam_width=30)
+        whole = beam_search(graph, segments, config, seed=0)
+        assert whole.paths
+        monkeypatch.setattr(search, "REPLAY_CHUNK", chunk)
+        assert beam_search(graph, segments, config, seed=0) == whole
+
+    def test_traceback_rejects_cut_rows_the_forward_pass_did_not_record(self):
+        from motiongraph import search
+
+        graph = toy_graph(30, synthetic=[(9, 3, 0.1, 0.1), (20, 12, 0.2, 0.1)], onsets={7, 16})
+        segments = segment_list(25, [(8, EndpointFeature("onset")), (17, EndpointFeature("onset"))])
+        config = BeamConfig(blend_k=1)
+
+        def forward():
+            state = search._SearchState(graph, config)
+            starts = search._starts(graph, config, 0, None)
+            return state, search._forward(graph, segments, config, state, starts)
+
+        state, tables = forward()
+        assert search._trace_back(state, tables, segments.durations, config)
+        assert state.cuts == []  # each segment's rows are freed once it is traced
+        state, tables = forward()
+        for step in state.cuts[-1]:
+            for q in step:
+                step[q] = step[q] - 100.0
+        with pytest.raises(StructuralError):
+            search._trace_back(state, tables, segments.durations, config)
 
     def test_sorted_by_total_cost(self):
         graph = toy_graph(14, synthetic=[(2, 9, 0.3, 0.1), (9, 2, 0.1, 0.1)])
