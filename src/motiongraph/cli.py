@@ -237,8 +237,12 @@ def _assemble(args, built: graph_mod.VideoMotionGraph, sequence: pose.MotionSequ
         speech = (
             audio.load_features(args.target_features) if args.target_features else None
         )
+        digest = hashlib.sha256()
+        with open(args.graph, "rb") as graph_file:
+            for block in iter(lambda: graph_file.read(1 << 20), b""):  # 1 MiB at a time
+                digest.update(block)
         provenance = {
-            "graph_sha256": hashlib.sha256(Path(args.graph).read_bytes()).hexdigest(),
+            "graph_sha256": digest.hexdigest(),
             "search_seed": result.seed,
         }
         rank = args.path_index

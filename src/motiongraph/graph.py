@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from .pose import JointState, pair_distances, pose_distance, state_rows
 DEFAULT_OFFSET_L = 4
 DEFAULT_MIN_JUMP = 2
 
-GRAPH_FORMAT = "motion-graph/1"
+GRAPH_FORMAT = "motion-graph/2"
 
 #: Rows of the pair matrix gated at a time. Each gating temporary holds at
 #: most GATE_BLOCK x N float64 values, so the build never holds an N x N one.
@@ -87,9 +86,19 @@ class VideoMotionGraph:
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
                  thresholds: Thresholds, fps: float = 30.0,
                  min_jump: int = DEFAULT_MIN_JUMP, velocity_weight: float = 1.0):
-        """A graph from node and edge records, edges kept in the given order."""
-        self._init(*_record_columns(nodes, edges, getattr, "frame_index"),
+        """A graph from node and edge records, edges kept in the given order.
+        Values convert as ``int``/``float``/``bool`` would, so a list-valued
+        field fails instead of adding a dimension."""
+        edge_fields = (("src", np.int64), ("dst", np.int64), ("kind", object),
+                       ("d_feat", np.float64), ("d_img", np.float64))
+        self._init(np.fromiter((v.onset for v in nodes), bool),
+                   np.array([v.keyword for v in nodes], dtype=str),
+                   *(np.fromiter((getattr(e, name) for e in edges), dtype)
+                     for name, dtype in edge_fields),
                    thresholds, fps, min_jump, velocity_weight)
+        frame = np.fromiter((v.frame_index for v in nodes), np.int64)
+        if not np.array_equal(frame, np.arange(len(self))):
+            raise ValidationError("node frame indices must be 0..N-1 in order")
 
     @classmethod
     def _from_columns(cls, *columns) -> VideoMotionGraph:
@@ -97,10 +106,10 @@ class VideoMotionGraph:
         graph._init(*columns)
         return graph
 
-    def _init(self, frame, onset, keyword, src, dst, kind, d_feat, d_img,
+    def _init(self, onset, keyword, src, dst, kind, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
         _check_velocity_weight(velocity_weight)
-        synthetic = _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump)
+        synthetic = _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
         for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
             column.flags.writeable = False
         self.onset, self.keyword, self.src, self.dst = onset, keyword, src, dst
@@ -120,10 +129,6 @@ class VideoMotionGraph:
         kinds = [KINDS[s] for s in self.synthetic.tolist()]
         return tuple(map(GraphEdge, self.src.tolist(), self.dst.tolist(), kinds,
                          self.d_feat.tolist(), self.d_img.tolist()))
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, cost) per edge, for the search kernels."""
-        return self.src, self.dst, self.d_feat + self.d_img
 
     def edge_rows(self, src, dst) -> np.ndarray:
         """The row j of edge ``src[i] -> dst[i]`` for each i, or -1 where the
@@ -146,27 +151,13 @@ class VideoMotionGraph:
         return np.append(keys[order], len(self) ** 2), np.append(order, -1)
 
 
-def _record_columns(nodes, edges, get, frame: str) -> tuple[np.ndarray, ...]:
-    """Node and edge columns of records read by ``get(record, field)``. Values
-    convert as ``int``/``float``/``bool`` would, so a list-valued field fails
-    instead of adding a dimension; edge kinds are kept as given."""
-    edge_fields = (("src", np.int64), ("dst", np.int64), ("kind", object),
-                   ("d_feat", np.float64), ("d_img", np.float64))
-    return (
-        np.fromiter((get(v, frame) for v in nodes), np.int64),
-        np.fromiter((get(v, "onset") for v in nodes), bool),
-        np.array([get(v, "keyword") for v in nodes], dtype=str),
-        *(np.fromiter((get(e, name) for e in edges), dtype) for name, dtype in edge_fields),
-    )
-
-
-def _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
-    """Check the graph invariants and return the ``synthetic`` column. An
-    invalid edge raises ValidationError naming the first offending edge and
-    the first rule below that it breaks."""
-    n = frame.size
-    natural = kind == "natural"
-    synthetic = kind == "synthetic"
+def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
+    """Check the edges of an ``n``-node graph and return the ``synthetic``
+    column. ``kind`` is that column, or the records' kind names. An invalid
+    edge raises ValidationError naming the first offending edge and the
+    first rule below that it breaks."""
+    natural, synthetic = ((~kind, kind) if kind.dtype == bool
+                          else (kind == "natural", kind == "synthetic"))
     # A repeat follows an equal (src, dst) pair in the stable (src, dst) order.
     order = np.lexsort((dst, src))
     repeat = np.zeros(src.size, dtype=bool)
@@ -193,8 +184,6 @@ def _check_columns(frame, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray
     # n - 1 of them are the whole chain.
     if n >= 2 and np.count_nonzero(natural) != n - 1:
         raise ValidationError("natural edges must form the full chain 0..N-1")
-    if not np.array_equal(frame, np.arange(n)):
-        raise ValidationError("node frame indices must be 0..N-1 in order")
     return synthetic
 
 
@@ -343,9 +332,9 @@ def build_graph(
     dst = np.concatenate([chain + 1, syn_dst[order]])
     zeros = np.zeros(n - 1)
     return VideoMotionGraph._from_columns(
-        np.arange(n), np.fromiter((on for on, _ in features), bool),
+        np.fromiter((on for on, _ in features), bool),
         np.array([kw for _, kw in features], dtype=str),
-        src, dst, np.repeat(KINDS, [n - 1, syn_src.size]),
+        src, dst, np.repeat([False, True], [n - 1, syn_src.size]),
         np.concatenate([zeros, np.tile(d_feat, 2)[order]]),
         np.concatenate([zeros, np.tile(d_img, 2)[order]]),
         thresholds, fps, min_jump, velocity_weight,
@@ -364,41 +353,37 @@ def _check_file_thresholds(thresholds: Thresholds) -> None:
         raise ValidationError(f"a graph file's thresholds must be finite, got {thresholds}")
 
 
-#: Edges encoded per chunk by the graph writer.
+#: Values of one column encoded per chunk by the graph writer.
 SAVE_CHUNK_EDGES = 4096
+
+#: A graph file's columns, in ``VideoMotionGraph._init`` order, and the type
+#: of their entries: two per node (node i is frame i), then five per edge.
+FILE_COLUMNS = {"onset": bool, "keyword": str, "src": np.int64, "dst": np.int64,
+                "synthetic": bool, "d_feat": np.float64, "d_img": np.float64}
 
 
 def _graph_chunks(graph: VideoMotionGraph):
-    """The ``motion-graph/1`` document as UTF-8 chunks, ``SAVE_CHUNK_EDGES``
-    edges at a time. Joined, they are ``json.dumps(doc, sort_keys=True)``:
-    "edges" sorts first, and the other keys follow in the closing chunk."""
-    _check_file_thresholds(graph.thresholds)
-    yield b'{"edges": ['
-    for lo in range(0, graph.src.size, SAVE_CHUNK_EDGES):
-        part = slice(lo, lo + SAVE_CHUNK_EDGES)
-        edges = [
-            {"src": s, "dst": d, "kind": KINDS[k], "d_feat": f, "d_img": i}
-            for s, d, k, f, i in zip(graph.src[part].tolist(), graph.dst[part].tolist(),
-                                     graph.synthetic[part].tolist(),
-                                     graph.d_feat[part].tolist(), graph.d_img[part].tolist())
-        ]
-        text = json.dumps(edges, sort_keys=True)[1:-1]
-        yield (text if lo == 0 else ", " + text).encode("utf-8")
-    rest = {
-        "format": GRAPH_FORMAT,
-        "fps": graph.fps,
-        "min_jump": graph.min_jump,
-        "velocity_weight": graph.velocity_weight,
-        "thresholds": asdict(graph.thresholds),
-        "nodes": [
-            {"frame": i, "onset": onset, "keyword": keyword}
-            for i, (onset, keyword) in enumerate(zip(graph.onset.tolist(), graph.keyword.tolist()))
-        ],
-    }
-    yield ("], " + json.dumps(rest, sort_keys=True)[1:]).encode("utf-8")
+    """The ``motion-graph/2`` document as UTF-8 chunks, at most
+    ``SAVE_CHUNK_EDGES`` values of one column each. Joined, they are
+    ``json.dumps(doc, sort_keys=True)``."""
+    doc = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
+           "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
+           **{name: getattr(graph, name) for name in FILE_COLUMNS}}
+    for i, (key, value) in enumerate(sorted(doc.items())):
+        yield f"{', ' if i else '{'}{json.dumps(key)}: ".encode()
+        if not isinstance(value, np.ndarray):
+            yield json.dumps(value, sort_keys=True).encode()
+            continue
+        yield b"["
+        for lo in range(0, value.size, SAVE_CHUNK_EDGES):
+            text = json.dumps(value[lo : lo + SAVE_CHUNK_EDGES].tolist())[1:-1]
+            yield (", " + text if lo else text).encode()
+        yield b"]"
+    yield b"}"
 
 
 def save_graph(graph: VideoMotionGraph) -> bytes:
+    _check_file_thresholds(graph.thresholds)
     return b"".join(_graph_chunks(graph))
 
 
@@ -407,10 +392,19 @@ def load_graph(stream: bytes) -> VideoMotionGraph:
         t = doc["thresholds"]
         thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), int(t["offset_l"]))
         _check_file_thresholds(thresholds)
+        for name in ("onset", "synthetic"):
+            if not all(v is True or v is False for v in doc[name]):
+                raise ValidationError(f"{name} entries must be true or false")
+        # Other entries convert as int, float or str would.
+        columns = [np.array(doc[name], dtype=str) if dtype is str else np.fromiter(doc[name], dtype)
+                   for name, dtype in FILE_COLUMNS.items()]
+        onset, keyword, *edge_columns = columns
+        if keyword.shape != onset.shape or len({c.shape for c in edge_columns}) > 1:
+            raise StructuralError("graph columns differ in length: " + ", ".join(
+                f"{name} {c.shape}" for name, c in zip(FILE_COLUMNS, columns)))
         return VideoMotionGraph._from_columns(
-            *_record_columns(doc["nodes"], doc["edges"], operator.getitem, "frame"),
-            thresholds, float(doc["fps"]), int(doc["min_jump"]), float(doc["velocity_weight"]),
-        )
+            *columns, thresholds, float(doc["fps"]), int(doc["min_jump"]),
+            float(doc["velocity_weight"]))
 
     return read_document(stream, "graph document", GRAPH_FORMAT, build)
 
@@ -419,15 +413,12 @@ def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:
     """Write ``save_graph``'s bytes, one chunk at a time: the encoded document
     is never held whole. The chunks go to ``<path>.partial``, which replaces
     ``path`` only once complete, so a failed write leaves any earlier file."""
-    chunks = _graph_chunks(graph)
-    first = next(chunks)  # a graph that cannot be saved fails before any file opens
+    _check_file_thresholds(graph.thresholds)  # before any file opens
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "wb") as out:
-            out.write(first)
-            for chunk in chunks:
-                out.write(chunk)
+            out.writelines(_graph_chunks(graph))
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)

@@ -201,11 +201,11 @@ class BlendStates:
         #: which admits every continuation and ending b0 does. So a cut from
         #: a key state is relaxed only where it is strictly cheaper.
         self.dominated_by = {p0(k + 1): p0(k + 2), b0(top): b1(top)}
-        #: The states a path may end in: its last run hosts its blend window,
-        #: and some run keeps a core.
         #: The states no natural edge enters: the anchor and the run starts
         #: after a cut.
         self.cut_only = [q for q in range(self.size) if q not in self.natural_preds]
+        #: The states a path may end in: its last run hosts its blend window,
+        #: and some run keeps a core.
         self.final = np.ones(self.size, dtype=bool)
         self.final[[0, *range(b0(1), b0(k + 2)), *range(b1(1), b1(k + 1))]] = False
 

@@ -127,7 +127,8 @@ class _SearchState:
 
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
-        self.layout = kernels.edge_layout(*graph.edge_arrays(), graph.synthetic, n)
+        self.layout = kernels.edge_layout(graph.src, graph.dst, graph.d_feat + graph.d_img,
+                                          graph.synthetic, n)
         self.states = kernels.BlendStates(config.blend_k)
         self.onset, self.keywords = graph.onset, graph.keyword
         self.allowed = ~self.onset if config.avoid_onsets_mid_segment else np.ones(n, dtype=bool)

@@ -92,6 +92,12 @@ class TestRunPipeline:
         assert len(edl.provenance["graph_sha256"]) == 64
         assert edl.speech_frames  # the hello span marks output slots
 
+    def test_provenance_hashes_the_written_graph_file(self, pipeline):
+        edl = load_edl(pipeline / "edl.json")
+        graph_bytes = (pipeline / "graph.json").read_bytes()
+        assert len(graph_bytes) > 1 << 20  # assemble hashes it in more than one block
+        assert edl.provenance["graph_sha256"] == hashlib.sha256(graph_bytes).hexdigest()
+
     def test_byte_identical_rerun(self, tmp_path, fixture_files, pipeline):
         out2 = tmp_path / "rerun"
         rc = cli.main(
@@ -644,8 +650,9 @@ MALFORMED = {
     "segments": {"broken-json": _truncated, "missing-field": _drop("endpoints"),
                  "wrong-format": _set("format", "segments/9"),
                  "infinite-count": _set("n_frames", float("inf"))},
-    "graph": {"broken-json": _truncated, "missing-field": _drop("edges"),
-              "wrong-format": _set("format", "motion-graph/9")},
+    "graph": {"broken-json": _truncated, "missing-field": _drop("src"),
+              "wrong-format": _set("format", "motion-graph/9"),
+              "format-1": _set("format", "motion-graph/1")},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),

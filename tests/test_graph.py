@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -486,12 +485,70 @@ class TestSerialization:
             load_graph(b"\xff\xfe not json")
         with pytest.raises(GraphParseError):
             load_graph(b'{"format": "something-else"}')
+        # A motion-graph/1 document held one object per node and per edge.
+        format_1 = {
+            "format": "motion-graph/1", "fps": 25.0, "min_jump": 2, "velocity_weight": 1.0,
+            "thresholds": {"tau_feat": 0.2, "tau_img": 0.6, "offset_l": 4},
+            "nodes": [{"frame": 0, "onset": False, "keyword": ""},
+                      {"frame": 1, "onset": False, "keyword": ""}],
+            "edges": [{"src": 0, "dst": 1, "kind": "natural", "d_feat": 0.0, "d_img": 0.0}],
+        }
+        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/2'"):
+            load_graph(json.dumps(format_1).encode())
+
+    def test_file_holds_one_array_per_column(self):
+        doc = json.loads(save_graph(self._toy_graph()))
+        assert doc == {
+            "format": "motion-graph/2", "fps": 25.0, "min_jump": 2, "velocity_weight": 1.0,
+            "thresholds": {"tau_feat": 0.2, "tau_img": 0.6, "offset_l": 4},
+            "onset": [True, False, False], "keyword": ["", "", "hi"],
+            "src": [0, 1, 0], "dst": [1, 2, 2], "synthetic": [False, False, True],
+            "d_feat": [0.0, 0.0, 0.123456789012345678], "d_img": [0.0, 0.0, 0.5],
+        }
 
     @pytest.mark.parametrize("bad, reason", BAD_EDGES)
     def test_bad_edge_is_parse_error(self, bad, reason):
         doc = json.loads(save_graph(self._toy_graph()))
-        doc["edges"].append(dataclasses.asdict(bad))
+        for name in ("src", "dst", "d_feat", "d_img"):
+            doc[name].append(getattr(bad, name))
+        # A file holds a kind as a flag: an unknown kind is not a boolean.
+        doc["synthetic"].append({"natural": False, "synthetic": True}.get(bad.kind, bad.kind))
+        if bad.kind == "bogus":
+            reason = "synthetic entries must be true or false"
         with pytest.raises(GraphParseError, match=reason):
+            load_graph(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc["src"].pop(), id="short-src"),
+            pytest.param(lambda doc: doc["synthetic"].append(True), id="long-synthetic"),
+            # numpy would broadcast a length-1 column against the others.
+            pytest.param(lambda doc: doc.update(d_feat=[0.0]), id="length-1-d-feat"),
+            pytest.param(lambda doc: doc.update(d_img=[]), id="empty-d-img"),
+            pytest.param(lambda doc: doc["keyword"].append("hi"), id="long-keyword"),
+            pytest.param(lambda doc: doc.update(onset=[True]), id="length-1-onset"),
+        ],
+    )
+    def test_columns_of_unequal_length_are_parse_error(self, edit):
+        doc = json.loads(save_graph(self._toy_graph()))
+        edit(doc)
+        with pytest.raises(GraphParseError, match="columns differ in length"):
+            load_graph(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("column", ["synthetic", "onset"])
+    @pytest.mark.parametrize("value", [1, 0, 1.0, "true", None, [True]])
+    def test_flag_that_is_not_a_json_boolean_is_parse_error(self, column, value):
+        doc = json.loads(save_graph(self._toy_graph()))
+        doc[column][-1] = value
+        with pytest.raises(GraphParseError, match=f"{column} entries must be true or false"):
+            load_graph(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("value", [0, True, "true", {"true": True}])
+    def test_flags_column_that_is_not_a_list_is_parse_error(self, value):
+        doc = json.loads(save_graph(self._toy_graph()))
+        doc["synthetic"] = value
+        with pytest.raises(GraphParseError):
             load_graph(json.dumps(doc).encode())
 
     def test_random_graph_roundtrip(self, smooth_setup):
@@ -535,9 +592,8 @@ class TestSerialization:
             assert load_graph_file(tmp_path / "g.json").edges == g.edges
 
     def test_file_writer_peak_memory_bounded_by_the_chunk(self, tmp_path):
-        # save_graph holds the whole document (a dict per edge, then its
-        # text): about 30 MB traced for these 60k edges. The file writer
-        # holds one chunk of edges at a time.
+        # save_graph holds the whole document's text. The file writer holds
+        # one chunk of one column at a time.
         g = random_graph(np.random.default_rng(3), 2000, 60000)
         tracemalloc.start()
         try:

@@ -8,8 +8,12 @@ optimum, its choice of final nodes, its tie-breaks (smallest length, then
 smallest predecessor node, then smallest state) and its per-segment cost
 sums exactly.
 
-``GRAPH_SHA256`` pins the ``save_graph`` bytes of the same reference graph,
-recorded when the graph was still held as a list of edge objects.
+``GRAPH_SHA256`` pins the ``save_graph`` bytes of the same reference graph in
+the ``motion-graph/2`` column layout. ``GRAPH_VALUES_SHA256`` pins its values
+independently of any file format: the sha256 over its edges sorted by
+(src, dst), one ``"src dst kind d_feat.hex() d_img.hex()"`` line each. It was
+recorded from the ``motion-graph/1`` writer's graph, so the same digest now
+shows that the change of layout left every edge value as it was.
 """
 
 import hashlib
@@ -43,7 +47,8 @@ GOLDEN = {
     ),
 }
 
-GRAPH_SHA256 = "ff93d8c8e8fe3429ef5a8077772ebbcfe54122c77cb0057a0da8c31c0f23a59d"
+GRAPH_SHA256 = "19545242df5c86e3f1fc2f268557c42b652455e8d0ff5026bc4bf3bd7bc953b5"
+GRAPH_VALUES_SHA256 = "30b396ceea47d4cfccfb9a3a9b3c44379f97fd5230ab3a3c00328a84fa02de27"
 
 
 def _features(wav, transcript):
@@ -86,3 +91,13 @@ def test_search_result_digest(name, graph_and_segments, tmp_path):
 def test_graph_file_digest(graph_and_segments):
     built, _ = graph_and_segments
     assert hashlib.sha256(graph_mod.save_graph(built)).hexdigest() == GRAPH_SHA256
+
+
+def test_graph_values_digest(graph_and_segments):
+    built, _ = graph_and_segments
+    loaded = graph_mod.load_graph(graph_mod.save_graph(built))
+    for graph in (built, loaded):
+        h = hashlib.sha256()
+        for e in sorted(graph.edges, key=lambda e: (e.src, e.dst)):
+            h.update(f"{e.src} {e.dst} {e.kind} {e.d_feat.hex()} {e.d_img.hex()}\n".encode())
+        assert h.hexdigest() == GRAPH_VALUES_SHA256
