@@ -47,12 +47,12 @@ class AssemblyError(MotionGraphError):
     """A path cannot be turned into an edit decision list."""
 
 
-def read_document(data: bytes, what: str, fmt: str | None, build: Callable[[Any], Any]):
-    """Decode an engine file: UTF-8 JSON, its ``format`` tag unless ``fmt`` is
-    None, then ``build(doc)``. Any failure, including a field that ``build``
-    finds missing or mistyped, raises GraphParseError naming ``what``."""
+def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):
+    """Decode an engine file's bytes, read or mapped: UTF-8 JSON, its ``format``
+    tag unless ``fmt`` is None, then ``build(doc)``. Any failure, including a
+    field that ``build`` finds missing or mistyped, raises GraphParseError naming ``what``."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(str(data, "utf-8"))
     except UnicodeDecodeError as exc:
         raise GraphParseError(f"{what} is not UTF-8: {exc}", offset=exc.start) from exc
     except json.JSONDecodeError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -363,9 +364,8 @@ FILE_COLUMNS = {"onset": bool, "keyword": str, "src": np.int64, "dst": np.int64,
 
 
 def _graph_chunks(graph: VideoMotionGraph):
-    """The ``motion-graph/2`` document as UTF-8 chunks, at most
-    ``SAVE_CHUNK_EDGES`` values of one column each. Joined, they are
-    ``json.dumps(doc, sort_keys=True)``."""
+    """The ``motion-graph/2`` document as UTF-8 chunks of at most ``SAVE_CHUNK_EDGES``
+    values of one column. Joined, they are ``json.dumps(doc, sort_keys=True)``."""
     doc = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
            "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
            **{name: getattr(graph, name) for name in FILE_COLUMNS}}
@@ -387,7 +387,7 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
     return b"".join(_graph_chunks(graph))
 
 
-def load_graph(stream: bytes) -> VideoMotionGraph:
+def load_graph(stream: bytes | mmap.mmap) -> VideoMotionGraph:
     def build(doc):
         t = doc["thresholds"]
         thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), int(t["offset_l"]))
@@ -402,9 +402,8 @@ def load_graph(stream: bytes) -> VideoMotionGraph:
         if keyword.shape != onset.shape or len({c.shape for c in edge_columns}) > 1:
             raise StructuralError("graph columns differ in length: " + ", ".join(
                 f"{name} {c.shape}" for name, c in zip(FILE_COLUMNS, columns)))
-        return VideoMotionGraph._from_columns(
-            *columns, thresholds, float(doc["fps"]), int(doc["min_jump"]),
-            float(doc["velocity_weight"]))
+        return VideoMotionGraph._from_columns(*columns, thresholds, float(doc["fps"]),
+                                              int(doc["min_jump"]), float(doc["velocity_weight"]))
 
     return read_document(stream, "graph document", GRAPH_FORMAT, build)
 
@@ -425,4 +424,8 @@ def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:
 
 
 def load_graph_file(path: str | Path) -> VideoMotionGraph:
-    return load_graph(Path(path).read_bytes())
+    with open(path, "rb") as f:  # mapped, not read: glibc keeps later read copies resident
+        if not os.fstat(f.fileno()).st_size:  # empty files and pipes cannot be mapped
+            return load_graph(f.read())
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return load_graph(data)

@@ -622,6 +622,23 @@ class TestSerialization:
         assert (tmp_path / "g.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
+    def test_file_reader_decodes_as_load_graph_does(self, tmp_path):
+        # load_graph_file maps the file; an empty file cannot be mapped and is read.
+        blob = save_graph(self._toy_graph())
+        path = tmp_path / "g.json"
+        path.write_bytes(blob)
+        g = load_graph_file(path)
+        assert (g.nodes, g.edges, g.thresholds) == (lambda h: (h.nodes, h.edges, h.thresholds))(
+            load_graph(blob))
+        for bad in (b"", blob[: len(blob) // 2], b'{"format": "motion-graph/2", "x": "\xff"}'):
+            path.write_bytes(bad)
+            with pytest.raises(GraphParseError) as from_bytes:
+                load_graph(bad)
+            with pytest.raises(GraphParseError) as from_file:
+                load_graph_file(path)
+            assert (str(from_file.value), from_file.value.offset) == (
+                str(from_bytes.value), from_bytes.value.offset)
+
     def test_non_finite_thresholds_stay_out_of_files(self, tmp_path):
         g = self._toy_graph()
         open_gate = VideoMotionGraph(g.nodes, g.edges, Thresholds(math.inf, 0.6, 4))
