@@ -21,7 +21,9 @@ search entries run one default search (20 starts, k=4) for a 300-frame
 click target on the graph-file entries' edges, the nodes flagged as onsets
 at the bundled fixture's reference clicks; its forward pass (one relaxation
 per segment) and its traceback (replay and walk recovery) are also timed
-apart.
+apart. The render entry runs the README's quick start (`motiongraph run
+--seed 7` on the bundled fixture) once, untimed, and times
+`render_frames` over its 449-frame EDL, the images the preview writes.
 
     python bench/bench_kernels.py                          # print a table
     python bench/bench_kernels.py --out BENCH_kernels.json  # also write JSON
@@ -34,6 +36,8 @@ numpy, platform and CPU count it ran on.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -97,6 +101,29 @@ def run_benchmarks():
     mm, nn = graph._gate_pairs(ref_states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
     results["exact_dfeat_filter"] = (
         _time(lambda: pair_distances(*state_rows(ref_states), mm, nn)), "s"
+    )
+
+    # The preview: every image of the quick start's EDL (seed 7), rendered
+    # in memory.
+    from motiongraph import assembly, cli, pose
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = fixtures.make_fixture(Path(tmp) / "in")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([
+                "run", "--poses", str(inputs["poses"]), "--ref-wav", str(inputs["ref_wav"]),
+                "--ref-transcript", str(inputs["ref_transcript"]),
+                "--wav", str(inputs["target_wav"]),
+                "--transcript", str(inputs["target_transcript"]),
+                "--seed", "7", "--out-dir", str(out),
+            ])
+        edl = assembly.load_edl(out / "edl.json")
+        track_skeleton, track = pose.load_pose_track(inputs["poses"])
+    assert edl.total_frames == 449, edl.total_frames
+    results["render_frames_449f"] = (
+        _time(lambda: sum(1 for _ in assembly.render_frames(edl, track_skeleton, track.frames))),
+        "s",
     )
 
     # Pairwise mask intersections: 20k random pairs of packed 256x256 masks.

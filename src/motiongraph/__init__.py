@@ -85,6 +85,7 @@ from .silhouette import (
     SilhouetteMask,
     default_camera,
     image_distance,
+    rasterize_frames,
     rasterize_sequence,
     rasterize_silhouette,
     unpack_mask,

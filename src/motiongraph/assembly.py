@@ -38,7 +38,13 @@ from .pose import (  # noqa: F401
     interpolate_pose,
 )
 from .search import DEFAULT_BLEND_K, PathCandidate, PlaybackEntry, resample_segment
-from .silhouette import CameraModel, default_camera, rasterize_silhouette
+# ``rasterize_silhouette`` stays importable from here: perfbench/tracing.py wraps it.
+from .silhouette import (  # noqa: F401
+    CameraModel,
+    default_camera,
+    rasterize_chunks,
+    rasterize_silhouette,
+)
 
 
 EDL_FORMAT = "edl/1"
@@ -309,7 +315,10 @@ def render_frames(
     """Yield one uint8 (H, W) image per output frame (body=255, bg=0).
 
     Run frames draw the nearest source pose; transition frames draw the
-    stored interpolated pose. Deterministic for fixed inputs.
+    stored interpolated pose. Every run's source frames are checked before
+    the first image is yielded. Forward kinematics runs once per entry, and
+    the frames are rasterized ``silhouette.RASTER_CHUNK`` at a time across
+    entries. Deterministic for fixed inputs.
     """
     camera = config.camera or default_camera()
     for entry in edl.entries:
@@ -317,12 +326,17 @@ def render_frames(
             for pb in entry.frames:
                 if not 0 <= pb.source_frame < len(poses):
                     raise AssemblyError(f"missing source frame {pb.source_frame}")
-            entry_poses = [poses[pb.source_frame] for pb in entry.frames]
-        else:
-            entry_poses = [step.pose for step in entry.schedule.steps]
-        for positions in batch_forward_kinematics(skeleton, entry_poses):
-            mask = rasterize_silhouette(skeleton, positions, camera)
-            yield mask.bits.astype(np.uint8) * 255
+
+    def positions():
+        for entry in edl.entries:
+            if isinstance(entry, RunEntry):
+                entry_poses = [poses[pb.source_frame] for pb in entry.frames]
+            else:
+                entry_poses = [step.pose for step in entry.schedule.steps]
+            yield from batch_forward_kinematics(skeleton, entry_poses)
+
+    for masks in rasterize_chunks(skeleton, positions(), camera):
+        yield from masks.view(np.uint8) * 255
 
 
 def render_preview(

@@ -3,7 +3,9 @@
 Three inner loops dominate the engine's runtime: capsule rasterization,
 popcount-based mask intersection over candidate frame pairs, and the
 step-synchronous relaxation inside the search. Each has one
-implementation. Popcount uses ``np.bitwise_count`` where numpy provides it
+implementation. The rasterizer draws a chunk of frames one bone at a time,
+each bone on one tile over the chunk's frames, so its numpy calls are per
+bone and chunk, not per bone and frame. Popcount uses ``np.bitwise_count`` where numpy provides it
 (numpy >= 2.0) and a byte lookup table otherwise; both count the same bits.
 The walk relaxation is a row shift along the natural chain plus one
 gather-add and one segmented minimum over the synthetic edges per step and
@@ -35,52 +37,90 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 # iz0, iz1 and world radius r, the nearest segment point at parameter t has
 # projected radius f*r*((1-t)*iz0 + t*iz1). Inverse depth interpolates
 # linearly along the *projected* segment.
+#
+# The loop runs over bones. A bone's pixel box is about the same size from
+# one frame to the next, so each bone is drawn in all frames at once on one
+# (frames, box height, box width) tile, each frame's box at the tile's
+# origin and each frame's parameters broadcast as (frames, 1, 1). Every
+# pixel goes through the same float operations, in the same order, as when
+# its frame is drawn alone, so a frame's mask does not depend on the others.
 # ---------------------------------------------------------------------------
 
 
-def rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
-    """Rasterize projected bone capsules into a fresh (height, width) bool mask.
+def rasterize_capsules(p0, p1, iz0, iz1, radius, visible, focal, width, height):
+    """Rasterize projected bone capsules into fresh (F, height, width) bool masks.
 
-    ``p0``/``p1`` are (B, 2) screen-space segment endpoints in pixels,
-    ``iz0``/``iz1`` the matching inverse camera depths, ``radius`` the
-    per-bone world radii in meters.
+    ``p0``/``p1`` are (F, B, 2) screen-space segment endpoints in pixels,
+    ``iz0``/``iz1`` the matching (F, B) inverse camera depths, ``radius``
+    the world radii in meters (broadcast to (F, B)), and ``visible`` the
+    (F, B) flags of the bones to draw; the values of the others are not read.
     """
-    out = np.zeros((height, width), dtype=bool)
-    p0 = np.asarray(p0, dtype=np.float64).tolist()
-    p1 = np.asarray(p1, dtype=np.float64).tolist()
-    iz0 = np.asarray(iz0, dtype=np.float64).tolist()
-    iz1 = np.asarray(iz1, dtype=np.float64).tolist()
-    radius = np.asarray(radius, dtype=np.float64).tolist()
-    focal = float(focal)
-    width = int(width)
-    height = int(height)
-    for (ax, ay), (bx, by), za, zb, r in zip(p0, p1, iz0, iz1, radius):
-        rmax = focal * r * max(za, zb)
-        x_lo = max(math.floor(min(ax, bx) - rmax - 1.0), 0)
-        x_hi = min(math.ceil(max(ax, bx) + rmax + 1.0), width - 1)
-        y_lo = max(math.floor(min(ay, by) - rmax - 1.0), 0)
-        y_hi = min(math.ceil(max(ay, by) + rmax + 1.0), height - 1)
-        if x_lo > x_hi or y_lo > y_hi:
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    iz0 = np.asarray(iz0, dtype=np.float64)
+    frames, bones = iz0.shape
+    out = np.zeros((frames, height, width), dtype=bool)
+    flat = out.reshape(-1)
+    visible = np.asarray(visible, dtype=bool)
+    # One (7, F, B) stack, so each bone's frames are gathered in one call;
+    # hidden bones read as zeros.
+    params = np.where(visible, np.stack([
+        p0[..., 0], p0[..., 1], p1[..., 0], p1[..., 1], iz0,
+        np.asarray(iz1, dtype=np.float64),
+        focal * np.broadcast_to(np.asarray(radius, dtype=np.float64), (frames, bones)),
+    ]), 0.0)
+    # Every bone's pixel box in every frame. Clamping x_lo to at most width
+    # and x_hi to at least -1 keeps an off-screen box empty (x_lo > x_hi).
+    ax, ay, bx, by, za, zb, fr = params
+    rmax = fr * np.maximum(za, zb)
+    x_lo = np.clip(np.floor(np.minimum(ax, bx) - rmax - 1.0), 0, width).astype(np.int64)
+    x_hi = np.clip(np.ceil(np.maximum(ax, bx) + rmax + 1.0), -1, width - 1).astype(np.int64)
+    y_lo = np.clip(np.floor(np.minimum(ay, by) - rmax - 1.0), 0, height).astype(np.int64)
+    y_hi = np.clip(np.ceil(np.maximum(ay, by) + rmax + 1.0), -1, height - 1).astype(np.int64)
+    drawn = visible & (x_lo <= x_hi) & (y_lo <= y_hi)
+    first = np.arange(frames)[:, None] * (height * width) + y_lo * width + x_lo
+    boxes = np.stack([first, x_lo, y_lo, x_hi - x_lo + 1, y_hi - y_lo + 1])
+    for b in range(bones):
+        f_idx = np.flatnonzero(drawn[:, b])
+        if f_idx.size == 0:
             continue
-        # Pixel centers as one row and one column: every operation below
-        # broadcasts them to the box, pixel by pixel as a full grid would.
-        px = (np.arange(x_lo, x_hi + 1, dtype=np.float64) + 0.5)[None, :]
-        py = (np.arange(y_lo, y_hi + 1, dtype=np.float64) + 0.5)[:, None]
+        ax, ay, bx, by, za, zb, fr = params[:, f_idx, b, None, None]
+        first, x_lo, y_lo, box_w, box_h = boxes[:, f_idx, b, None, None]
+        cols = np.arange(box_w.max())
+        rows = np.arange(box_h.max())[:, None]
+        # Pixel centers as one row and one column per frame: every operation
+        # below broadcasts them to the tile, pixel by pixel.
+        px = (x_lo + cols) + 0.5
+        py = (y_lo + rows) + 0.5
         dx = bx - ax
         dy = by - ay
         denom = dx * dx + dy * dy
-        if denom > 0.0:
-            t = ((px - ax) * dx + (py - ay) * dy) / denom
-            t = np.clip(t, 0.0, 1.0)
-        else:
-            t = np.zeros((py.size, px.size))
-        sx = ax + t * dx
-        sy = ay + t * dy
-        iz = (1.0 - t) * za + t * zb
-        rho = focal * r * iz
-        d2 = (px - sx) ** 2 + (py - sy) ** 2
-        inside = d2 <= rho * rho
-        out[y_lo : y_hi + 1, x_lo : x_hi + 1] |= inside
+        # t, then the squared distance d2 and the squared radius rho2, each
+        # computed in place (a + b and a * b are the same floats as b + a
+        # and b * a).
+        t = (px - ax) * dx + (py - ay) * dy
+        t /= np.where(denom > 0.0, denom, 1.0)
+        np.clip(t, 0.0, 1.0, out=t)
+        t[denom[:, 0, 0] <= 0.0] = 0.0  # a zero-length bone is a disc
+        d2 = t * dx
+        d2 += ax
+        np.subtract(px, d2, out=d2)
+        d2 *= d2
+        rho2 = t * dy
+        rho2 += ay
+        np.subtract(py, rho2, out=rho2)
+        rho2 *= rho2
+        d2 += rho2
+        np.subtract(1.0, t, out=rho2)
+        rho2 *= za
+        t *= zb
+        rho2 += t
+        rho2 *= fr
+        rho2 *= rho2
+        inside = d2 <= rho2
+        # Drop the padding: the cells past each frame's own (clipped) box.
+        inside &= (rows < box_h) & (cols < box_w)
+        flat[(first + (rows * width + cols))[inside]] = True
     return out
 
 

@@ -165,9 +165,9 @@ def full_stft_flux(samples, sample_rate, fps):
 
 
 def meshgrid_rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
-    """Capsule masks one bone at a time over a full ``np.meshgrid`` of its
-    box's pixel centers: the formula ``kernels.rasterize_capsules``
-    broadcasts from one row and one column."""
+    """One frame's capsule mask, one bone at a time over a full
+    ``np.meshgrid`` of its box's pixel centers: the formula
+    ``kernels.rasterize_capsules`` broadcasts over each bone's tile."""
     out = np.zeros((height, width), dtype=bool)
     for b in range(len(p0)):
         ax, ay = p0[b]
@@ -234,3 +234,35 @@ def per_frame_forward_kinematics(skeleton, pose):
         positions[i] = positions[p] + rotations[p] @ offsets[i]
         rotations[i] = rotations[p] @ axis_angle_matrix(pose.joint_rotations[i])
     return positions
+
+
+def per_frame_silhouette(skeleton, joint_positions, camera):
+    """One frame's (H, W) silhouette on its own: its (B, 3) bone endpoints
+    through ``camera.to_camera``, the bones behind the camera dropped, the
+    others clipped to the near plane one at a time, projected and drawn by
+    ``meshgrid_rasterize_capsules``."""
+    from motiongraph.silhouette import NEAR_PLANE
+
+    w, h = camera.image_size
+    child = np.arange(1, len(skeleton))
+    a = camera.to_camera(np.asarray(joint_positions, dtype=np.float64)[skeleton.parents[child]])
+    b = camera.to_camera(np.asarray(joint_positions, dtype=np.float64)[child])
+    radii = skeleton.radii[child]
+    f = camera.focal_length
+    cx, cy = camera.principal_point
+    p0, p1, iz0, iz1, kept = [], [], [], [], []
+    for i in range(len(child)):
+        p, q = a[i].copy(), b[i].copy()
+        if p[2] <= NEAR_PLANE and q[2] <= NEAR_PLANE:
+            continue
+        if p[2] <= NEAR_PLANE:
+            p = p + (NEAR_PLANE - p[2]) / (q[2] - p[2]) * (q - p)
+        if q[2] <= NEAR_PLANE:
+            q = q + (NEAR_PLANE - q[2]) / (p[2] - q[2]) * (p - q)
+        iz0.append(1.0 / p[2])
+        iz1.append(1.0 / q[2])
+        p0.append((f * p[0] * iz0[-1] + cx, f * p[1] * iz0[-1] + cy))
+        p1.append((f * q[0] * iz1[-1] + cx, f * q[1] * iz1[-1] + cy))
+        kept.append(radii[i])
+    return meshgrid_rasterize_capsules(np.reshape(p0, (-1, 2)), np.reshape(p1, (-1, 2)),
+                                       iz0, iz1, kept, f, w, h)

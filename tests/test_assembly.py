@@ -16,10 +16,10 @@ from motiongraph.audio import AudioFeatureTrack
 from motiongraph.errors import AssemblyError
 from motiongraph.pose import forward_kinematics, interpolate_pose
 from motiongraph.search import PathCandidate
-from motiongraph.silhouette import default_camera, rasterize_silhouette
+from motiongraph.silhouette import RASTER_CHUNK, default_camera, rasterize_silhouette
 
 from conftest import make_sequence
-from oracles import per_frame_forward_kinematics
+from oracles import per_frame_forward_kinematics, per_frame_silhouette
 from test_search import segment_list, toy_graph
 
 
@@ -220,10 +220,32 @@ class TestPreview:
             else:
                 poses += [step.pose for step in entry.schedule.steps]
         assert len(frames) == len(poses) == edl.total_frames
+        # The frames are rasterized in chunks that straddle the entries.
+        assert edl.total_frames > 2 * RASTER_CHUNK
         for img, pose in zip(frames, poses):
-            mask = rasterize_silhouette(chain_skeleton,
-                                        per_frame_forward_kinematics(chain_skeleton, pose), cam)
+            positions = per_frame_forward_kinematics(chain_skeleton, pose)
+            mask = rasterize_silhouette(chain_skeleton, positions, cam)
             assert np.array_equal(img, mask.bits.astype(np.uint8) * 255)
+            assert np.array_equal(img > 0, per_frame_silhouette(chain_skeleton, positions, cam))
+
+    def test_missing_source_frame_raises_before_any_image(self, chain_skeleton, wavy_poses,
+                                                          tmp_path):
+        # The last run plays source frames from 220 on; the first runs and the
+        # transitions render from frames that exist.
+        graph = toy_graph(300, synthetic=[(60, 120, 0.1, 0.1), (150, 220, 0.1, 0.1)])
+        nodes = tuple(range(40, 61)) + tuple(range(120, 151)) + tuple(range(220, 240))
+        path = PathCandidate(nodes, 0.3, 0.0, (0, len(nodes) - 1))
+        edl = assemble_edl(path, graph, segment_list(len(nodes), []), wavy_poses, k=4)
+        last_run = [e for e in edl.entries if isinstance(e, RunEntry)][-1]
+        missing = min(pb.source_frame for pb in last_run.frames)
+        cam = default_camera((32, 32), focal_length=30.0)
+        images = render_frames(edl, chain_skeleton, wavy_poses[:missing], RenderConfig(camera=cam))
+        with pytest.raises(AssemblyError, match=f"missing source frame {missing}"):
+            next(images)
+        config = RenderConfig(camera=cam, output_dir=tmp_path / "frames")
+        with pytest.raises(AssemblyError):
+            render_preview(edl, chain_skeleton, wavy_poses[:missing], config)
+        assert not list((tmp_path / "frames").glob("*.pgm"))
 
     def test_transition_endpoint_continuity(self, chain_skeleton, wavy_poses):
         graph = toy_graph(200, synthetic=[(60, 120, 0.1, 0.1)])

@@ -390,7 +390,7 @@ class TestGraphInvariants:
             )
 
 
-def random_graph(rng, n, n_synthetic):
+def shuffled_graph(rng, n, n_synthetic):
     """A chain of ``n`` frames plus up to ``n_synthetic`` random synthetic
     edges, some of them in both directions, all in a shuffled order."""
     pairs = set()
@@ -417,10 +417,12 @@ class TestEdgeRows:
 
     def test_matches_the_edge_records_on_random_graphs(self):
         rng = np.random.default_rng(8)
+        unsorted = 0
         for _ in range(40):
             n = int(rng.integers(2, 40))
-            graph = random_graph(rng, n, int(rng.integers(0, 3 * n)))
+            graph = shuffled_graph(rng, n, int(rng.integers(0, 3 * n)))
             edges = graph.edges
+            unsorted += [(e.src, e.dst) for e in edges] != sorted((e.src, e.dst) for e in edges)
             # Every edge, its reverse, and random pairs, endpoints outside
             # the graph included.
             src = [e.src for e in edges] + [e.dst for e in edges]
@@ -429,12 +431,14 @@ class TestEdgeRows:
             got = self.check(graph, src + extra[0], dst + extra[1])
             assert got[: len(edges)].tolist() == list(range(len(edges)))
             assert (got[len(edges):] == -1).any()
+        assert unsorted > 30
 
     def test_graph_without_synthetic_edges(self):
-        graph = random_graph(np.random.default_rng(1), 12, 0)
+        graph = shuffled_graph(np.random.default_rng(1), 12, 0)
         assert not graph.synthetic.any()
         self.check(graph, list(range(12)) + [3, 5, 11], list(range(1, 13)) + [2, 7, 0])
-        assert self.check(graph, [0], [1]).tolist() == [0]
+        row = self.check(graph, [0], [1])[0]
+        assert (graph.src[row], graph.dst[row]) == (0, 1)
 
     def test_single_frame_graph_has_no_edges(self):
         graph = VideoMotionGraph([GraphNode(0, False, "")], [], Thresholds(1.0, 1.0, 4))
@@ -442,12 +446,12 @@ class TestEdgeRows:
         assert graph.edge_rows([], []).shape == (0,)
 
     def test_node_ids_beyond_int64_are_absent(self):
-        graph = random_graph(np.random.default_rng(2), 6, 4)
+        graph = shuffled_graph(np.random.default_rng(2), 6, 4)
         got = graph.edge_rows([0, 2**70, 1], [1, 2, -(2**70)]).tolist()
         assert got == [edge_dict(graph)[0, 1], -1, -1]
 
     def test_loaded_graph_in_unsorted_file_order(self):
-        graph = random_graph(np.random.default_rng(5), 30, 60)
+        graph = shuffled_graph(np.random.default_rng(5), 30, 60)
         loaded = load_graph(save_graph(graph))
         keys = loaded.src * len(loaded) + loaded.dst
         assert (np.diff(keys) < 0).any()  # the file's edge order is not sorted
@@ -667,6 +671,9 @@ class TestSerialization:
 def random_graph(rng, n, n_synthetic):
     """A graph of n featureless nodes: the natural chain plus n_synthetic
     distinct random jumps with random distances."""
+    if n_synthetic > (n - 1) * (n - 2):
+        raise ValueError(f"a {n}-frame graph has only {(n - 1) * (n - 2)} distinct jumps, "
+                         f"not {n_synthetic}")
     pairs = set()
     while len(pairs) < n_synthetic:
         m, k = (int(v) for v in rng.integers(0, n, size=2))
@@ -677,3 +684,10 @@ def random_graph(rng, n, n_synthetic):
     edges += [GraphEdge(m, k, "synthetic", *rng.uniform(0.0, 0.1, size=2).tolist())
               for m, k in sorted(pairs)]
     return VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))
+
+
+def test_random_graph_refuses_more_jumps_than_the_graph_has():
+    rng = np.random.default_rng(0)
+    assert int(random_graph(rng, 4, 6).synthetic.sum()) == 6
+    with pytest.raises(ValueError, match="only 2 distinct jumps"):
+        random_graph(rng, 3, 3)

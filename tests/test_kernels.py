@@ -45,10 +45,30 @@ def box(p0, p1, iz0, iz1, radius):
     return lo[0], hi[0], lo[1], hi[1]
 
 
+def oracle_frames(p0, p1, iz0, iz1, radius, visible):
+    """Each frame of a (F, B) batch drawn alone by the full-grid oracle,
+    from its visible bones only."""
+    masks = np.zeros((len(iz0), RASTER_H, RASTER_W), dtype=bool)
+    for f, keep in enumerate(visible):
+        masks[f] = meshgrid_rasterize_capsules(p0[f][keep], p1[f][keep], iz0[f][keep],
+                                               iz1[f][keep], radius[f][keep],
+                                               RASTER_FOCAL, RASTER_W, RASTER_H)
+    return masks
+
+
+def rasterize_batch(p0, p1, iz0, iz1, radius, visible):
+    return kernels.rasterize_capsules(p0, p1, iz0, iz1, radius, visible,
+                                      RASTER_FOCAL, RASTER_W, RASTER_H)
+
+
 class TestRasterizeCapsules:
     def rasterize_both(self, *capsules):
+        """One frame's bones, drawn as a batch of one and by the oracle."""
+        batch = [np.asarray(c)[None] for c in capsules]
+        got = rasterize_batch(*batch, np.ones(batch[-1].shape, dtype=bool))
+        assert got.shape == (1, RASTER_H, RASTER_W)
         args = (*capsules, RASTER_FOCAL, RASTER_W, RASTER_H)
-        return kernels.rasterize_capsules(*args), meshgrid_rasterize_capsules(*args)
+        return got[0], meshgrid_rasterize_capsules(*args)
 
     def test_bit_equal_to_full_grid_on_random_capsules(self):
         rng = np.random.default_rng(11)
@@ -89,6 +109,104 @@ class TestRasterizeCapsules:
         empty = np.zeros((0, 2))
         got, want = self.rasterize_both(empty, empty, np.zeros(0), np.zeros(0), np.zeros(0))
         assert got.shape == (RASTER_H, RASTER_W) and not got.any() and not want.any()
+
+    def test_every_frame_of_a_batch_equals_the_frame_drawn_alone(self):
+        rng = np.random.default_rng(12)
+        for frames, bones in ((1, 1), (7, 5), (33, 12)):
+            capsules = random_capsules(rng, frames * bones)
+            batch = [np.asarray(c).reshape(frames, bones, *np.shape(c)[1:]) for c in capsules]
+            visible = rng.random((frames, bones)) < 0.8
+            got = rasterize_batch(*batch, visible)
+            assert got.shape == (frames, RASTER_H, RASTER_W)
+            assert np.array_equal(got, oracle_frames(*batch, visible))
+
+    def test_one_bone_whose_box_size_varies_widely_across_frames(self):
+        # Bone 0 spans boxes from a few pixels to most of the image, so the
+        # small boxes sit in a tile padded far past their own width and height.
+        rng = np.random.default_rng(13)
+        frames = 24
+        p0, p1, iz0, iz1, radius = random_capsules(rng, 2 * frames)
+        p0, p1 = p0.reshape(frames, 2, 2), p1.reshape(frames, 2, 2)
+        iz0, iz1, radius = (v.reshape(frames, 2) for v in (iz0, iz1, radius))
+        p0[:, 0] = rng.uniform((10, 10), (30, 25), size=(frames, 2))
+        p1[:, 0] = p0[:, 0] + rng.uniform(-1.0, 1.0, size=(frames, 1)) * [30.0, 20.0]
+        radius[:, 0] = np.geomspace(0.002, 0.2, frames)
+        widths = [box(p0[f, 0], p1[f, 0], iz0[f, 0], iz1[f, 0], radius[f, 0]) for f in range(frames)]
+        sizes = [x_hi - x_lo for x_lo, x_hi, _, _ in widths]
+        assert min(sizes) < 8 and max(sizes) > 40
+        visible = np.ones((frames, 2), dtype=bool)
+        got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz0, iz1, radius, visible))
+
+    @pytest.mark.parametrize("corner", [(-6.0, 20.0), (30.0, -6.0), (RASTER_W + 5.0, 20.0),
+                                        (30.0, RASTER_H + 5.0), (-4.0, -4.0),
+                                        (RASTER_W + 3.0, RASTER_H + 3.0)])
+    def test_boxes_clipped_at_the_image_borders(self, corner):
+        # Every frame has one bone running out of the image past the given
+        # point, its box cut by that border, beside a bone drawn inside.
+        rng = np.random.default_rng(14)
+        frames = 9
+        p0 = np.stack([np.broadcast_to(corner, (frames, 2)) + rng.normal(0, 2, (frames, 2)),
+                       rng.uniform((15, 15), (45, 30), size=(frames, 2))], axis=1)
+        p1 = np.stack([rng.uniform((10, 10), (50, 35), size=(frames, 2)),
+                       rng.uniform((15, 15), (45, 30), size=(frames, 2))], axis=1)
+        iz0, iz1 = rng.uniform(0.5, 1.5, size=(2, frames, 2))
+        radius = rng.uniform(0.02, 0.1, size=(frames, 2))
+        visible = np.ones((frames, 2), dtype=bool)
+        got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz0, iz1, radius, visible))
+        x_lo, x_hi, y_lo, y_hi = np.array([box(p0[f, 0], p1[f, 0], iz0[f, 0], iz1[f, 0],
+                                               radius[f, 0]) for f in range(frames)]).T
+        assert ((x_lo < 0) | (y_lo < 0) | (x_hi > RASTER_W - 1) | (y_hi > RASTER_H - 1)).all()
+        # The clipped bone draws along a border it crosses.
+        left, top = got[:, :, 0].any(axis=1), got[:, 0, :].any(axis=1)
+        right, bottom = got[:, :, -1].any(axis=1), got[:, -1, :].any(axis=1)
+        crossed = {(-6.0, 20.0): left, (30.0, -6.0): top, (RASTER_W + 5.0, 20.0): right,
+                   (30.0, RASTER_H + 5.0): bottom, (-4.0, -4.0): left | top,
+                   (RASTER_W + 3.0, RASTER_H + 3.0): right | bottom}
+        assert crossed[corner].all()
+
+    def test_zero_length_bone_in_some_frames_only(self):
+        rng = np.random.default_rng(15)
+        frames, bones = 10, 3
+        p0, p1, iz0, iz1, radius = (np.asarray(v).reshape(frames, bones, *np.shape(v)[1:])
+                                    for v in random_capsules(rng, frames * bones))
+        p0[:, :, :] = rng.uniform((5, 5), (RASTER_W - 5, RASTER_H - 5), size=(frames, bones, 2))
+        point = np.arange(frames) % 2 == 0
+        p1[point] = p0[point]
+        visible = np.ones((frames, bones), dtype=bool)
+        got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz0, iz1, radius, visible))
+        assert got[point].any(axis=(1, 2)).all()
+
+    def test_bone_hidden_in_some_frames_only(self):
+        rng = np.random.default_rng(16)
+        frames, bones = 12, 4
+        p0, p1, iz0, iz1, radius = (np.asarray(v).reshape(frames, bones, *np.shape(v)[1:])
+                                    for v in random_capsules(rng, frames * bones))
+        p0[:, :, :] = rng.uniform((5, 5), (RASTER_W - 5, RASTER_H - 5), size=(frames, bones, 2))
+        visible = np.ones((frames, bones), dtype=bool)
+        visible[::3, 1] = False
+        visible[5, :] = False
+        # The values of a hidden bone are never read.
+        for v in (p0, p1, iz0, iz1, radius):
+            v[~visible] = np.nan
+        got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz0, iz1, radius, visible))
+        assert not got[5].any()
+        shown = np.ones((frames, bones), dtype=bool)
+        shown[5, :] = False
+        hidden_drawn = rasterize_batch(*(np.nan_to_num(v, nan=1.0) for v in (p0, p1, iz0, iz1, radius)),
+                                       shown)
+        assert not np.array_equal(got[::3], hidden_drawn[::3])
+
+    def test_no_frames_and_no_bones(self):
+        none = rasterize_batch(np.zeros((0, 3, 2)), np.zeros((0, 3, 2)), np.zeros((0, 3)),
+                               np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3), dtype=bool))
+        assert none.shape == (0, RASTER_H, RASTER_W)
+        empty = rasterize_batch(np.zeros((4, 0, 2)), np.zeros((4, 0, 2)), np.zeros((4, 0)),
+                                np.zeros((4, 0)), np.zeros((4, 0)), np.zeros((4, 0), dtype=bool))
+        assert empty.shape == (4, RASTER_H, RASTER_W) and not empty.any()
 
 
 # ---------------------------------------------------------------------------

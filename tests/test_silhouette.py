@@ -8,11 +8,13 @@ from motiongraph.errors import StructuralError, ValidationError
 from motiongraph.pose import Joint, Skeleton, forward_kinematics
 from motiongraph.silhouette import (
     NEAR_PLANE,
+    RASTER_CHUNK,
     CameraModel,
     SilhouetteMask,
     default_camera,
     image_distance,
     load_camera,
+    rasterize_frames,
     rasterize_sequence,
     rasterize_silhouette,
     save_camera,
@@ -21,6 +23,7 @@ from motiongraph.silhouette import (
 )
 
 from conftest import make_pose
+from oracles import per_frame_silhouette
 
 
 def sphere_skeleton(radius):
@@ -175,6 +178,93 @@ class TestRasterizer:
         cam = default_camera((32, 32))
         with pytest.raises(StructuralError):
             rasterize_silhouette(chain_skeleton, np.zeros((2, 3)), cam)
+        with pytest.raises(StructuralError):
+            rasterize_sequence(chain_skeleton, [np.zeros((4, 3)), np.zeros((2, 3))], cam)
+        with pytest.raises(StructuralError):
+            rasterize_frames(chain_skeleton, np.zeros((4, 3)), cam)
+
+
+def rotated_camera(rng, size=(61, 37)):
+    """A camera with a random proper rotation and an offset."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return CameraModel(focal_length=40.0, principal_point=(size[0] / 2.0, size[1] / 2.0),
+                       image_size=size, rotation=q, translation=rng.normal(scale=0.5, size=3))
+
+
+def random_posed_frames(skeleton, rng, n, camera=None):
+    """``n`` frames of (J, 3) world positions of ``skeleton``. With a
+    ``camera``, joints are placed at camera depths from -3 to 5, so some
+    bones cross the near plane and some are entirely behind it."""
+    if camera is None:
+        return [
+            forward_kinematics(skeleton, make_pose(skeleton, root=(0.0, 0.0, 3.0),
+                                                   rotations=rng.normal(scale=0.7, size=(4, 3))))
+            for _ in range(n)
+        ]
+    frames = []
+    for _ in range(n):
+        cam = rng.uniform((-1.0, -1.0, -3.0), (1.0, 1.0, 5.0), size=(len(skeleton), 3))
+        frames.append((cam - camera.translation) @ camera.rotation)
+    return frames
+
+
+class TestBatchedRasterizer:
+    @pytest.mark.parametrize("n", [0, 1, RASTER_CHUNK - 1, RASTER_CHUNK, RASTER_CHUNK + 1])
+    def test_sequence_equals_per_frame_silhouettes(self, chain_skeleton, n):
+        cam = default_camera((61, 37), focal_length=40.0)
+        positions = random_posed_frames(chain_skeleton, np.random.default_rng(n), n)
+        rows = rasterize_sequence(chain_skeleton, iter(positions), cam)
+        assert rows.shape == (n, 36)
+        for i, pos in enumerate(positions):
+            mask = rasterize_silhouette(chain_skeleton, pos, cam).bits
+            assert np.array_equal(unpack_mask(rows[i], 61, 37).bits, mask)
+            assert np.array_equal(mask, per_frame_silhouette(chain_skeleton, pos, cam))
+
+    @pytest.mark.parametrize("n", [0, 1, RASTER_CHUNK - 1, RASTER_CHUNK, RASTER_CHUNK + 1])
+    def test_rotated_camera_and_bones_crossing_the_near_plane(self, chain_skeleton, n):
+        rng = np.random.default_rng(100 + n)
+        cam = rotated_camera(rng)
+        assert not np.allclose(cam.rotation, np.eye(3))
+        positions = random_posed_frames(chain_skeleton, rng, n, cam)
+        rows = rasterize_sequence(chain_skeleton, iter(positions), cam)
+        assert rows.shape == (n, 36)
+        crossing = behind = drawn = 0
+        child = np.arange(1, len(chain_skeleton))
+        for i, pos in enumerate(positions):
+            mask = rasterize_silhouette(chain_skeleton, pos, cam).bits
+            assert np.array_equal(unpack_mask(rows[i], 61, 37).bits, mask)
+            assert np.array_equal(mask, per_frame_silhouette(chain_skeleton, pos, cam))
+            z = cam.to_camera(pos)[:, 2] > NEAR_PLANE
+            front = z[chain_skeleton.parents[child]].astype(int) + z[child]
+            crossing += int(np.sum(front == 1))
+            behind += int(np.sum(front == 0))
+            drawn += bool(mask.any())
+        if n >= RASTER_CHUNK - 1:
+            assert crossing > 0 and behind > 0 and drawn > 0
+
+    def test_batched_camera_transform_equals_per_frame(self):
+        # rasterize_frames transforms every frame's (B, 3) endpoints in one
+        # matmul; each frame must get the bits of its own transform.
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            cam = rotated_camera(rng)
+            points = rng.normal(scale=3.0, size=(40, 14, 3))
+            together = cam.to_camera(points)
+            for f in range(len(points)):
+                assert np.array_equal(together[f], cam.to_camera(points[f]))
+
+    def test_frames_equal_the_frame_alone(self, chain_skeleton):
+        rng = np.random.default_rng(8)
+        cam = rotated_camera(rng)
+        positions = np.stack(random_posed_frames(chain_skeleton, rng, 20, cam))
+        masks = rasterize_frames(chain_skeleton, positions, cam)
+        assert masks.shape == (20, 37, 61) and masks.dtype == bool
+        for pos, mask in zip(positions, masks):
+            assert np.array_equal(mask, rasterize_frames(chain_skeleton, pos[None], cam)[0])
+        assert rasterize_frames(chain_skeleton, positions[:0], cam).shape == (0, 37, 61)
 
 
 class TestImageDistance:
