@@ -24,7 +24,6 @@ from .audio import (
     EndpointFeature,
     KeywordDictionary,
     OnsetConfig,
-    OnsetTrack,
     SegmentList,
     TranscriptWord,
     analyze_audio,
@@ -82,7 +81,6 @@ from .search import (
 )
 from .silhouette import (
     CameraModel,
-    SilhouetteMask,
     default_camera,
     image_distance,
     rasterize_frames,

@@ -44,6 +44,7 @@ from .silhouette import (  # noqa: F401
     default_camera,
     rasterize_chunks,
     rasterize_silhouette,
+    write_pgm,
 )
 
 
@@ -261,13 +262,12 @@ def assemble_edl(
             entries.append(TransitionEntry(schedule=schedules[r - 1]))
         if not core or alloc[r] == 0:
             continue
-        resampled = resample_segment(core, alloc[r])
         entries.append(
             RunEntry(
                 source_start=core[0],
                 source_end=core[-1],
-                speed_factor=resampled.speed_factor,
-                frames=resampled.entries,
+                speed_factor=len(core) / alloc[r],
+                frames=resample_segment(core, alloc[r]),
             )
         )
 
@@ -350,10 +350,8 @@ def render_preview(
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for i, image in enumerate(render_frames(edl, skeleton, poses, config)):
-        h, w = image.shape
-        payload = f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
         target = out_dir / f"frame_{i:06d}.pgm"
-        target.write_bytes(payload)
+        write_pgm(image, target)
         written.append(target)
     return written
 

@@ -107,15 +107,6 @@ class OnsetConfig:
             )
 
 
-@dataclass(frozen=True)
-class OnsetTrack:
-    fps: float
-    flags: np.ndarray  # (N,) bool, one per video frame
-
-    def __len__(self) -> int:
-        return len(self.flags)
-
-
 def onset_flux(samples: np.ndarray, sample_rate: int, fps: float) -> np.ndarray:
     """Spectral flux per video frame: the summed rise of each STFT magnitude
     bin since the previous frame (0 at frame 0).
@@ -163,8 +154,8 @@ def detect_onsets(
     sample_rate: int,
     fps: float,
     config: OnsetConfig = OnsetConfig(),
-) -> OnsetTrack:
-    """Mark video frames containing an audio onset.
+) -> np.ndarray:
+    """(N,) bool flags marking the video frames that contain an audio onset.
 
     Digital silence yields zero flux everywhere and therefore no onsets.
     """
@@ -183,7 +174,7 @@ def detect_onsets(
         window = flux[max(0, t - w) : t + w + 1]
         if v > (1.0 + config.threshold_delta) * float(np.median(window)):
             flags[t] = True
-    return OnsetTrack(fps=fps, flags=flags)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +189,11 @@ class TranscriptWord:
     end_time: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_time) and math.isfinite(self.end_time)):
+            raise ValidationError(
+                f"word {self.word!r}: times must be finite, got "
+                f"[{self.start_time}, {self.end_time}]"
+            )
         if not 0.0 <= self.start_time < self.end_time:
             raise ValidationError(
                 f"word {self.word!r}: need 0 <= start < end, got "
@@ -255,8 +251,9 @@ def match_keywords(
     """Per-frame keyword labels from word-aligned transcripts.
 
     A dictionary word spanning [start, end) seconds labels frames
-    [round(start*fps), round(end*fps)). Overlaps resolve to the earlier
-    start time (logged); non-dictionary words contribute nothing.
+    [round(start*fps), round(end*fps)), each bound first clamped to
+    ``total_frames`` so a far-off time stays finite. Overlaps resolve to the
+    earlier start time (logged); non-dictionary words contribute nothing.
     """
     vocabulary = dictionary.words
     labels = [""] * total_frames
@@ -264,8 +261,8 @@ def match_keywords(
         word = tw.word.strip().lower()
         if word not in vocabulary:
             continue
-        lo = int(round(tw.start_time * fps))
-        hi = int(round(tw.end_time * fps))
+        lo = int(round(min(tw.start_time * fps, total_frames)))
+        hi = int(round(min(tw.end_time * fps, total_frames)))
         for i in range(max(lo, 0), min(hi, total_frames)):
             if labels[i]:
                 log.warning(
@@ -314,10 +311,10 @@ def analyze_audio(
     onset_config: OnsetConfig = OnsetConfig(),
 ) -> AudioFeatureTrack:
     """Full feature extraction: onsets + keyword labels on one track."""
-    track = detect_onsets(samples, sample_rate, fps, onset_config)
+    onsets = detect_onsets(samples, sample_rate, fps, onset_config)
     dictionary = dictionary or default_dictionary()
-    labels = match_keywords(transcript, dictionary, fps, len(track))
-    return AudioFeatureTrack(fps=fps, onsets=track.flags, keywords=tuple(labels))
+    labels = match_keywords(transcript, dictionary, fps, len(onsets))
+    return AudioFeatureTrack(fps=fps, onsets=onsets, keywords=tuple(labels))
 
 
 @dataclass(frozen=True)

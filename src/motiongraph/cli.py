@@ -24,6 +24,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import assembly, audio, graph as graph_mod, pose, search, silhouette
 from .errors import MotionGraphError, ValidationError
 
@@ -152,7 +154,8 @@ def _build_graph(args, track) -> graph_mod.VideoMotionGraph:
             dump.mkdir(parents=True, exist_ok=True)
             w, h = camera.image_size
             for i, row in enumerate(masks):
-                silhouette.write_pgm(silhouette.unpack_mask(row, w, h), dump / f"mask_{i:06d}.pgm")
+                mask = silhouette.unpack_mask(row, w, h)
+                silhouette.write_pgm(mask.view(np.uint8) * 255, dump / f"mask_{i:06d}.pgm")
         thresholds = graph_mod.compute_thresholds(
             states, masks, offset_l=args.threshold_offset, velocity_weight=args.velocity_weight
         )

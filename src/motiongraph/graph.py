@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -109,14 +110,14 @@ class VideoMotionGraph:
 
     def _init(self, onset, keyword, src, dst, kind, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
-        _check_velocity_weight(velocity_weight)
+        _check_header(fps, min_jump, velocity_weight)
         synthetic = _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
         for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
             column.flags.writeable = False
         self.onset, self.keyword, self.src, self.dst = onset, keyword, src, dst
         self.synthetic, self.d_feat, self.d_img = synthetic, d_feat, d_img
         self.thresholds, self.fps = thresholds, fps
-        self.min_jump, self.velocity_weight = min_jump, velocity_weight
+        self.min_jump, self.velocity_weight = int(min_jump), velocity_weight
 
     def __len__(self) -> int:
         return self.onset.size
@@ -186,6 +187,15 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
     if n >= 2 and np.count_nonzero(natural) != n - 1:
         raise ValidationError("natural edges must form the full chain 0..N-1")
     return synthetic
+
+
+def _check_header(fps: float, min_jump: int, velocity_weight: float) -> None:
+    """The scalars every graph carries: a bad ``fps`` would reach the EDL."""
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValidationError(f"fps must be a finite number > 0, got {fps}")
+    if not (isinstance(min_jump, numbers.Integral) and min_jump >= 2):
+        raise ValidationError(f"min_jump must be an integer >= 2, got {min_jump!r}")
+    _check_velocity_weight(velocity_weight)
 
 
 def _check_velocity_weight(velocity_weight: float) -> None:
@@ -312,9 +322,7 @@ def build_graph(
     _check_packed(masks, n)
     if len(features) != n:
         raise StructuralError(f"{len(features)} feature records for {n} joint states")
-    if min_jump < 2:
-        raise ValidationError(f"min_jump must be >= 2, got {min_jump}")
-    _check_velocity_weight(velocity_weight)
+    _check_header(fps, min_jump, velocity_weight)
 
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
     # Exact d_feat filter: pose_distance of every gated pair.
@@ -403,7 +411,7 @@ def load_graph(stream: bytes | mmap.mmap) -> VideoMotionGraph:
             raise StructuralError("graph columns differ in length: " + ", ".join(
                 f"{name} {c.shape}" for name, c in zip(FILE_COLUMNS, columns)))
         return VideoMotionGraph._from_columns(*columns, thresholds, float(doc["fps"]),
-                                              int(doc["min_jump"]), float(doc["velocity_weight"]))
+                                              doc["min_jump"], float(doc["velocity_weight"]))
 
     return read_document(stream, "graph document", GRAPH_FORMAT, build)
 

@@ -370,35 +370,25 @@ class PlaybackEntry:
     position: float  # fractional index into the run, for downstream blending
 
 
-@dataclass(frozen=True)
-class ResampledRun:
-    entries: tuple[PlaybackEntry, ...]
-    speed_factor: float  # L' / L_s; >1 plays faster than source
-
-
-def resample_segment(node_run, target_length: int) -> ResampledRun:
+def resample_segment(node_run, target_length: int) -> tuple[PlaybackEntry, ...]:
     """Uniformly resample a frame run to ``target_length`` playback entries.
 
     Nearest-frame selection with round-half-up on the run position
     i * (L'-1) / (L_s-1); endpoints always map to the run's first and last
-    frames. The ratio is not checked against the duration window: the search
-    has already gated segment lengths, and assembly resamples trimmed runs
-    whose ratios may leave it.
+    frames. The speed ratio L_s / L' is not checked against the duration
+    window: the search has already gated segment lengths, and assembly
+    resamples trimmed runs whose ratios may leave it.
     """
     run = [int(f) for f in node_run]
     if not run:
         raise ValidationError("cannot resample an empty run")
     if target_length < 1:
         raise ValidationError(f"target_length must be >= 1, got {target_length}")
-    ratio = len(run) / target_length
-    entries = []
     if target_length == 1:
         positions = [float(len(run) - 1)]
     else:
         positions = [i * (len(run) - 1) / (target_length - 1) for i in range(target_length)]
-    for pos in positions:
-        entries.append(PlaybackEntry(source_frame=run[math.floor(pos + 0.5)], position=pos))
-    return ResampledRun(entries=tuple(entries), speed_factor=ratio)
+    return tuple(PlaybackEntry(run[math.floor(pos + 0.5)], pos) for pos in positions)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,11 @@ class CameraModel:
         )
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not self.focal_length > 0:
-            raise ValidationError(f"focal_length must be > 0, got {self.focal_length}")
+        # A non-finite value would draw every silhouette empty.
+        if not (np.isfinite(self.focal_length) and self.focal_length > 0):
+            raise ValidationError(
+                f"focal_length must be a finite number > 0, got {self.focal_length}"
+            )
         w, h = self.image_size
         if w <= 0 or h <= 0:
             raise ValidationError(f"image_size must be positive, got {self.image_size}")
@@ -63,6 +66,9 @@ class CameraModel:
             raise ValidationError(f"principal_point must be (x, y), got {self.principal_point}")
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValidationError("camera rotation must be (3,3) and translation (3,)")
+        for name, value in (("principal_point", self.principal_point), ("translation", t)):
+            if not np.isfinite(value).all():
+                raise ValidationError(f"camera {name} must be finite, got {list(value)}")
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-6) or not np.isclose(
             np.linalg.det(r), 1.0, atol=1e-6
         ):
@@ -82,26 +88,6 @@ def default_camera(
         principal_point=(w / 2.0, h / 2.0),
         image_size=(w, h),
     )
-
-
-@dataclass(frozen=True)
-class SilhouetteMask:
-    """Binary occupancy of the projected body, row-major, True = visible."""
-
-    width: int
-    height: int
-    bits: np.ndarray  # (height, width) bool
-
-    def __post_init__(self):
-        if self.bits.shape != (self.height, self.width):
-            raise StructuralError(
-                f"mask bits {self.bits.shape} do not match "
-                f"(height={self.height}, width={self.width})"
-            )
-
-    @property
-    def area(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
 
 def _check_positions(skeleton: Skeleton, shape) -> None:
@@ -155,13 +141,12 @@ def rasterize_frames(skeleton: Skeleton, positions, camera: CameraModel) -> np.n
 
 def rasterize_silhouette(
     skeleton: Skeleton, joint_positions: np.ndarray, camera: CameraModel
-) -> SilhouetteMask:
-    """The silhouette of one frame's (J, 3) joint positions: the one-frame
-    case of ``rasterize_frames``."""
+) -> np.ndarray:
+    """The (H, W) bool silhouette of one frame's (J, 3) joint positions: the
+    one-frame case of ``rasterize_frames``."""
     joint_positions = np.asarray(joint_positions, dtype=np.float64)
     _check_positions(skeleton, joint_positions.shape)
-    w, h = camera.image_size
-    return SilhouetteMask(w, h, rasterize_frames(skeleton, joint_positions[None], camera)[0])
+    return rasterize_frames(skeleton, joint_positions[None], camera)[0]
 
 
 def rasterize_chunks(skeleton: Skeleton, positions_per_frame, camera: CameraModel):
@@ -186,8 +171,7 @@ def rasterize_sequence(
     """Bit-packed per-frame silhouettes: one ``kernels.pack_masks`` row per
     frame, shape (N, W64) ``uint64``. Frames are drawn and packed
     ``RASTER_CHUNK`` at a time, so at most one chunk of unpacked masks is
-    alive at a time; ``unpack_mask`` turns a row back into a
-    ``SilhouetteMask``."""
+    alive at a time; ``unpack_mask`` turns a row back into an (H, W) mask."""
     w, h = camera.image_size
     chunks = rasterize_chunks(skeleton, positions_per_frame, camera)
     rows = [kernels.pack_masks(masks) for masks in chunks]
@@ -196,31 +180,31 @@ def rasterize_sequence(
     return np.concatenate(rows)
 
 
-def unpack_mask(row: np.ndarray, width: int, height: int) -> SilhouetteMask:
-    """The mask of one packed row of ``rasterize_sequence`` (padding dropped)."""
+def unpack_mask(row: np.ndarray, width: int, height: int) -> np.ndarray:
+    """The (H, W) bool mask of one packed row of ``rasterize_sequence``
+    (padding dropped)."""
     bits = np.unpackbits(row.view(np.uint8), count=width * height).view(bool)
-    return SilhouetteMask(width, height, bits.reshape(height, width))
+    return bits.reshape(height, width)
 
 
-def image_distance(mask_m: SilhouetteMask, mask_n: SilhouetteMask) -> float:
-    """1 - IoU of two masks; 0 when both are empty."""
-    if (mask_m.width, mask_m.height) != (mask_n.width, mask_n.height):
-        raise StructuralError(
-            f"mask dimensions differ: {(mask_m.width, mask_m.height)} vs "
-            f"{(mask_n.width, mask_n.height)}"
-        )
-    inter = int(np.count_nonzero(mask_m.bits & mask_n.bits))
-    union = int(np.count_nonzero(mask_m.bits | mask_n.bits))
+def image_distance(mask_m: np.ndarray, mask_n: np.ndarray) -> float:
+    """1 - IoU of two (H, W) bool masks; 0 when both are empty."""
+    if mask_m.shape != mask_n.shape:
+        raise StructuralError(f"mask shapes differ: {mask_m.shape} vs {mask_n.shape}")
+    inter = int(np.count_nonzero(mask_m & mask_n))
+    union = int(np.count_nonzero(mask_m | mask_n))
     if union == 0:
         return 0.0
     return 1.0 - inter / union
 
 
-def write_pgm(mask: SilhouetteMask, path: str | Path) -> None:
-    """Dump a mask as a binary portable graymap (body = 255)."""
-    payload = (mask.bits.astype(np.uint8) * 255).tobytes()
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + payload)
+def write_pgm(image: np.ndarray, path: str | Path) -> None:
+    """Write an (H, W) uint8 image as a binary portable graymap. A bool mask
+    is refused; ``mask.view(np.uint8) * 255`` draws the body at 255."""
+    if image.dtype != np.uint8 or image.ndim != 2:
+        raise StructuralError(f"a PGM image is (H, W) uint8, got {image.shape} {image.dtype}")
+    h, w = image.shape
+    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from motiongraph.search import (
     recompute_costs,
 )
 from motiongraph.silhouette import (
-    SilhouetteMask,
     default_camera,
     image_distance,
     rasterize_sequence,
@@ -142,17 +141,15 @@ def test_criterion_3_iou_correctness():
     for _ in range(1000):
         a = rng.random((64, 64)) < rng.uniform(0.0, 0.9)
         b = rng.random((64, 64)) < rng.uniform(0.0, 0.9)
-        ma = SilhouetteMask(64, 64, a)
-        mb = SilhouetteMask(64, 64, b)
         inter = int(np.logical_and(a, b).sum())
         union = int(np.logical_or(a, b).sum())
         expected = 0.0 if union == 0 else 1.0 - inter / union
-        d = image_distance(ma, mb)
+        d = image_distance(a, b)
         assert d == expected
         assert 0.0 <= d <= 1.0
-        assert d == image_distance(mb, ma)
+        assert d == image_distance(b, a)
         if union:
-            assert image_distance(ma, ma) == 0.0
+            assert image_distance(a, a) == 0.0
 
 
 @criterion(4, "projected sphere-capsule area within 2% of the analytic disk over 20 combos")
@@ -174,7 +171,7 @@ def test_criterion_4_rasterizer_sanity():
         positions = np.array([[0.0, 0.0, depth], [0.0, 0.0, depth]])
         mask = rasterize_silhouette(skeleton, positions, camera)
         analytic = math.pi * (camera.focal_length * radius / depth) ** 2
-        assert abs(mask.area - analytic) <= 0.02 * analytic, (radius, depth)
+        assert abs(np.count_nonzero(mask) - analytic) <= 0.02 * analytic, (radius, depth)
 
 
 @criterion(5, "blend schedules: exact alpha grid, bit-exact endpoints, 8 created frames at k=4")
@@ -225,7 +222,7 @@ def test_criterion_7_onset_detector():
     burst = 0.9 * np.hanning(96) * np.where(np.arange(96) % 2 == 0, 1.0, -1.0)
 
     silence = detect_onsets(np.zeros(sr * 5), sr, fps)
-    assert not silence.flags.any()
+    assert not silence.any()
 
     for rate in (1, 2, 4):
         duration = 5.0
@@ -234,14 +231,14 @@ def test_criterion_7_onset_detector():
         for t in times:
             at = int(round(t * sr))
             samples[at : at + burst.size] += burst
-        track = detect_onsets(samples, sr, fps)
-        hits = np.flatnonzero(track.flags)
+        flags = detect_onsets(samples, sr, fps)
+        hits = np.flatnonzero(flags)
         assert len(hits) == len(times), f"{rate}/s: {len(hits)} vs {len(times)}"
         for t in times:
             assert np.min(np.abs(hits - t * fps)) <= 1.0 + 1e-9, f"{rate}/s at {t}s"
         for c in (0.1, 10.0):
             scaled = detect_onsets(samples * c, sr, fps)
-            assert np.array_equal(scaled.flags, track.flags)
+            assert np.array_equal(scaled, flags)
 
 
 @criterion(8, "end-to-end run with --seed 7 is byte-identical and finishes within 60s")

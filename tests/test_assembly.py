@@ -15,7 +15,7 @@ from motiongraph.assembly import (
 from motiongraph.audio import AudioFeatureTrack
 from motiongraph.errors import AssemblyError
 from motiongraph.pose import forward_kinematics, interpolate_pose
-from motiongraph.search import PathCandidate
+from motiongraph.search import PathCandidate, resample_segment
 from motiongraph.silhouette import RASTER_CHUNK, default_camera, rasterize_silhouette
 
 from conftest import make_sequence
@@ -123,6 +123,21 @@ class TestAssembleEdl:
         runs = [e for e in edl.entries if isinstance(e, RunEntry)]
         assert all(r.speed_factor != 0 for r in runs)
 
+    @pytest.mark.parametrize(
+        "run_frames, out_frames, speed", [(10, 10, 1.0), (110, 100, 1.1), (90, 100, 0.9)]
+    )
+    def test_speed_factor_is_source_frames_per_output_frame(
+        self, wavy_poses, run_frames, out_frames, speed
+    ):
+        # One natural run played as is, sped up and slowed down.
+        graph = toy_graph(200)
+        path = PathCandidate(tuple(range(run_frames + 1)), 0.0, 0.0, (0, run_frames))
+        edl = assemble_edl(path, graph, self._segments(out_frames + 1), wavy_poses, k=4)
+        (entry,) = edl.entries
+        assert entry.speed_factor == pytest.approx(speed)
+        assert entry.speed_factor == run_frames / out_frames
+        assert entry.frames == resample_segment(range(1, run_frames + 1), out_frames)
+
     def test_run_too_short_rejected(self, wavy_poses):
         graph = toy_graph(300, synthetic=[(80, 200, 0.1, 0.1), (202, 100, 0.1, 0.1)])
         nodes = tuple(range(70, 81)) + (200, 201, 202) + tuple(range(100, 120))
@@ -202,7 +217,7 @@ class TestPreview:
         for i, img in enumerate(frames):
             pose = wavy_poses[6 + i]
             mask = rasterize_silhouette(chain_skeleton, forward_kinematics(chain_skeleton, pose), cam)
-            assert np.array_equal(img, mask.bits.astype(np.uint8) * 255)
+            assert np.array_equal(img, mask.astype(np.uint8) * 255)
 
     def test_same_images_as_per_frame_kinematics(self, chain_skeleton, wavy_poses):
         # Two cuts, so the EDL holds runs and blend schedules.
@@ -225,7 +240,7 @@ class TestPreview:
         for img, pose in zip(frames, poses):
             positions = per_frame_forward_kinematics(chain_skeleton, pose)
             mask = rasterize_silhouette(chain_skeleton, positions, cam)
-            assert np.array_equal(img, mask.bits.astype(np.uint8) * 255)
+            assert np.array_equal(img, mask.astype(np.uint8) * 255)
             assert np.array_equal(img > 0, per_frame_silhouette(chain_skeleton, positions, cam))
 
     def test_missing_source_frame_raises_before_any_image(self, chain_skeleton, wavy_poses,
@@ -260,7 +275,7 @@ class TestPreview:
         mask56 = rasterize_silhouette(
             chain_skeleton, forward_kinematics(chain_skeleton, wavy_poses[56]), cam
         )
-        assert np.array_equal(frames[trans_start], mask56.bits.astype(np.uint8) * 255)
+        assert np.array_equal(frames[trans_start], mask56.astype(np.uint8) * 255)
 
     def test_alpha_half_matches_external_interpolation(self, chain_skeleton, wavy_poses):
         sched = make_blend_schedule(wavy_poses, 100, 400, 2)
@@ -274,7 +289,7 @@ class TestPreview:
         )
         img_a = rasterize_silhouette(chain_skeleton, forward_kinematics(chain_skeleton, mid_pose), cam)
         img_b = rasterize_silhouette(chain_skeleton, forward_kinematics(chain_skeleton, avg), cam)
-        assert np.array_equal(img_a.bits, img_b.bits)
+        assert np.array_equal(img_a, img_b)
 
     def test_preview_writes_numbered_pgms(self, tmp_path, chain_skeleton, wavy_poses):
         graph = toy_graph(60)

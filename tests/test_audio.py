@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,37 +36,37 @@ SR = FIXTURE_SAMPLE_RATE
 
 class TestOnsetDetection:
     def test_silence_has_no_onsets(self):
-        track = detect_onsets(np.zeros(SR * 3), SR, FPS)
-        assert len(track) == 90
-        assert not track.flags.any()
+        flags = detect_onsets(np.zeros(SR * 3), SR, FPS)
+        assert len(flags) == 90
+        assert not flags.any()
 
     def test_single_click_at_one_second(self):
         sig = click_signal(90, [30], FPS, SR)
-        track = detect_onsets(sig, SR, FPS)
-        hits = np.flatnonzero(track.flags)
+        flags = detect_onsets(sig, SR, FPS)
+        hits = np.flatnonzero(flags)
         assert len(hits) == 1
         assert abs(hits[0] - 30) <= 1
 
     def test_metronome_two_per_second(self):
         clicks = list(range(15, 150, 15))  # 2 clicks/s for 5 s at 30 fps
         sig = click_signal(150, clicks, FPS, SR)
-        track = detect_onsets(sig, SR, FPS)
-        hits = np.flatnonzero(track.flags)
+        flags = detect_onsets(sig, SR, FPS)
+        hits = np.flatnonzero(flags)
         assert len(hits) == len(clicks)
         spacing = np.diff(hits)
         assert np.all(np.abs(spacing - 15) <= 1)
 
     def test_amplitude_scale_invariance(self):
         sig = click_signal(120, [20, 50, 95], FPS, SR)
-        base = detect_onsets(sig, SR, FPS).flags
+        base = detect_onsets(sig, SR, FPS)
         for c in (0.1, 10.0):
-            scaled = detect_onsets(sig * c, SR, FPS).flags
+            scaled = detect_onsets(sig * c, SR, FPS)
             assert np.array_equal(scaled, base)
 
     def test_track_length_rounding(self):
         samples = np.zeros(int(SR * 1.51))
-        track = detect_onsets(samples, SR, FPS)
-        assert len(track) == round(1.51 * FPS)
+        flags = detect_onsets(samples, SR, FPS)
+        assert len(flags) == round(1.51 * FPS)
 
     def test_empty_audio_rejected(self):
         with pytest.raises(ValidationError):
@@ -87,8 +88,8 @@ class TestOnsetDetection:
 
     def test_at_most_one_activation_per_frame(self):
         sig = click_signal(60, [10, 11, 40], FPS, SR)
-        track = detect_onsets(sig, SR, FPS)
-        assert track.flags.dtype == bool  # flags, not counts
+        flags = detect_onsets(sig, SR, FPS)
+        assert flags.dtype == bool  # flags, not counts
 
 
 class TestBlockwiseFlux:
@@ -188,6 +189,42 @@ class TestMatchKeywords:
     def test_bad_times_rejected(self):
         with pytest.raises(ValidationError):
             TranscriptWord("hello", 0.9, 0.5)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(0.0, math.inf), (math.nan, 1.0), (0.5, math.nan), (math.inf, math.inf),
+         (-math.inf, 1.0)],
+    )
+    def test_non_finite_times_rejected(self, start, end):
+        with pytest.raises(ValidationError, match="times must be finite"):
+            TranscriptWord("hello", start, end)
+
+    def test_far_times_label_up_to_the_last_frame(self):
+        # 1e308 * fps overflows to inf: each bound is clamped before rounding.
+        words = [TranscriptWord("hello", 1.0, 1e308)]
+        assert match_keywords(words, default_dictionary(), FPS, 60) == [""] * 30 + ["hello"] * 30
+        words = [TranscriptWord("hello", 1e308 / 2, 1e308)]
+        assert match_keywords(words, default_dictionary(), FPS, 60) == [""] * 60
+
+    def test_in_range_words_keep_the_unclamped_labels(self):
+        rng = np.random.default_rng(3)
+        dictionary = default_dictionary()
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            words = []
+            for _ in range(int(rng.integers(0, 5))):
+                start = float(rng.uniform(0.0, 2 * n / FPS))
+                end = start + float(rng.uniform(0.01, n / FPS))
+                word = str(rng.choice(["hello", "two", "move", "the"]))
+                words.append(TranscriptWord(word, start, end))
+            # The rule without clamping: round(time * fps), cut to 0..n.
+            expected = [""] * n
+            for w in sorted(words, key=lambda w: (w.start_time, w.end_time, w.word)):
+                if w.word in dictionary.words:
+                    lo, hi = round(w.start_time * FPS), round(w.end_time * FPS)
+                    for i in range(max(lo, 0), min(hi, n)):
+                        expected[i] = expected[i] or w.word
+            assert match_keywords(words, dictionary, FPS, n) == expected
 
 
 class TestSegmentTarget:

@@ -26,6 +26,12 @@ SEED = 0
 #: for the REF_FRAMES fixture, in file-name order. It pins the masks' pixels
 #: through the packed rows and their unpacking.
 MASK_DUMP_SHA256 = "6e182d1f2b5228a5e5ce64ab6a8daf4d214d62dd080afb35f96a466bcb5c13ce"
+#: sha256 over the bytes of every PGM that ``preview`` writes for the
+#: pipeline's EDL, in file-name order: the PGM writer and the rendered pixels.
+PREVIEW_SHA256 = "0cb7424e5bbe339ed88f95f24dcd4828bcf28b45a65a4ca85d9ce9127ae1d848"
+#: sha256 of the pipeline's ``edl.json``: entries, speed factors, blend poses
+#: and the graph file's hash.
+EDL_SHA256 = "fc066a3b00b56807b50ccf5d533d6d5f5c2b3ad70e5db3d1abf2b6ae5291a742"
 
 
 @pytest.fixture(scope="session")
@@ -97,6 +103,9 @@ class TestRunPipeline:
         graph_bytes = (pipeline / "graph.json").read_bytes()
         assert len(graph_bytes) > 1 << 20  # assemble hashes it in more than one block
         assert edl.provenance["graph_sha256"] == hashlib.sha256(graph_bytes).hexdigest()
+
+    def test_edl_bytes_are_pinned(self, pipeline):
+        assert hashlib.sha256((pipeline / "edl.json").read_bytes()).hexdigest() == EDL_SHA256
 
     def test_byte_identical_rerun(self, tmp_path, fixture_files, pipeline):
         out2 = tmp_path / "rerun"
@@ -228,6 +237,22 @@ class TestStages:
         segments = load_segments(tmp_path / "s.json")
         assert sum(segments.durations) == TGT_FRAMES - 1
 
+    def test_far_word_end_labels_up_to_the_last_frame(self, tmp_path, fixture_files):
+        transcript = tmp_path / "t.json"
+        transcript.write_text('[{"word": "hello", "start_time": 1.0, "end_time": 1e308}]')
+        rc = cli.main(
+            [
+                "analyze-audio",
+                "--wav", str(fixture_files["target_wav"]),
+                "--transcript", str(transcript),
+                "--features-out", str(tmp_path / "f.json"),
+                "--segments-out", str(tmp_path / "s.json"),
+            ]
+        )
+        assert rc == 0
+        keywords = load_features(tmp_path / "f.json").keywords
+        assert keywords == ("",) * 30 + ("hello",) * (len(keywords) - 30)
+
     def test_search_standalone_respects_flags(self, tmp_path, pipeline):
         rc = cli.main(
             [
@@ -314,6 +339,10 @@ class TestStages:
         frames = sorted((tmp_path / "frames").glob("frame_*.pgm"))
         assert len(frames) == edl.total_frames
         assert frames[0].read_bytes().startswith(b"P5\n256 256\n255\n")
+        digest = hashlib.sha256()
+        for frame in frames:
+            digest.update(frame.read_bytes())
+        assert digest.hexdigest() == PREVIEW_SHA256
 
     def test_build_graph_mask_dump(self, tmp_path, fixture_files, pipeline):
         rc = cli.main(
@@ -635,11 +664,15 @@ MALFORMED = {
                    "wrong-format": _set("format", "pose-track/9")},
     "camera": {"broken-json": _truncated, "missing-field": _drop("focal_length"),
                "wrong-format": _set("format", "camera/9"),
-               "3d-principal-point": _set("principal_point", [128.0, 128.0, 1.0])},
+               "3d-principal-point": _set("principal_point", [128.0, 128.0, 1.0]),
+               "infinite-focal-length": _set("focal_length", float("inf")),
+               "nan-principal-point": _set("principal_point", [float("nan"), 128.0]),
+               "nan-translation": _set("translation", [0.0, float("nan"), 0.0])},
     "dictionary": {"broken-json": _truncated,
                    "list-not-map": lambda data: b'["hello"]'},
     "transcript": {"broken-json": _truncated,
-                   "missing-field": _edited(lambda doc: doc[0].pop("end_time"))},
+                   "missing-field": _edited(lambda doc: doc[0].pop("end_time")),
+                   "infinite-end-time": _edited(lambda doc: doc[0].update(end_time=float("inf")))},
     "wav": {"not-riff": lambda data: b"plain text, not a RIFF file",
             "truncated-header": lambda data: data[:20]},
     "features": {"broken-json": _truncated, "missing-field": _drop("n_frames"),
@@ -652,7 +685,9 @@ MALFORMED = {
                  "infinite-count": _set("n_frames", float("inf"))},
     "graph": {"broken-json": _truncated, "missing-field": _drop("src"),
               "wrong-format": _set("format", "motion-graph/9"),
-              "format-1": _set("format", "motion-graph/1")},
+              "format-1": _set("format", "motion-graph/1"),
+              "nan-fps": _set("fps", float("nan")),
+              "negative-min-jump": _set("min_jump", -3)},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),

@@ -35,6 +35,18 @@ from oracles import edge_dict, first_graph_violation, full_matrix_gate
 SMOOTH_CAMERA = default_camera((64, 64), focal_length=60.0)
 
 
+# Graph headers that no graph may carry, with the rule each one breaks.
+BAD_HEADERS = [
+    pytest.param({"fps": math.nan}, "fps must be a finite number > 0", id="fps-nan"),
+    pytest.param({"fps": 0.0}, "fps must be a finite number > 0", id="fps-zero"),
+    pytest.param({"fps": -5.0}, "fps must be a finite number > 0", id="fps-negative"),
+    pytest.param({"fps": math.inf}, "fps must be a finite number > 0", id="fps-inf"),
+    pytest.param({"min_jump": -3}, "min_jump must be an integer >= 2", id="min-jump-negative"),
+    pytest.param({"min_jump": 1}, "min_jump must be an integer >= 2", id="min-jump-1"),
+    pytest.param({"min_jump": 2.5}, "min_jump must be an integer >= 2", id="min-jump-fraction"),
+]
+
+
 def swing_pose_fn(amplitude=0.6, period=24.0):
     def fn(t):
         rot = np.zeros((4, 3))
@@ -213,6 +225,12 @@ class TestBuildGraph:
         )
         assert all(abs(e.src - e.dst) >= 8 for e in g.edges if e.kind == "synthetic")
 
+    @pytest.mark.parametrize("header, reason", BAD_HEADERS)
+    def test_bad_header_rejected_before_building(self, smooth_setup, header, reason):
+        states, masks = smooth_setup
+        with pytest.raises(ValidationError, match=reason):
+            build_graph(states, masks, no_feature(len(states)), Thresholds(0.1, 0.1, 4), **header)
+
     def test_features_attached_to_nodes(self, smooth_setup):
         states, masks = smooth_setup
         features = no_feature(len(states))
@@ -231,7 +249,7 @@ class TestBuildGraph:
 
     def test_unpacked_masks_rejected(self, smooth_setup, smooth_refs):
         states, masks = smooth_setup
-        stack = np.stack([ref.bits for ref in smooth_refs])  # (N, H, W) bool
+        stack = np.stack(smooth_refs)  # (N, H, W) bool
         thr = Thresholds(0.0, 0.0, 4)
         for bad in (stack, masks.view(np.uint8), masks[:, 0], masks.tolist()):
             with pytest.raises(StructuralError, match="packed"):
@@ -372,6 +390,16 @@ class TestGraphInvariants:
             assert str(err.value) == expected
             raised += 1
         assert 300 < raised < 600
+
+    @pytest.mark.parametrize("header, reason", BAD_HEADERS)
+    def test_bad_header_rejected(self, header, reason):
+        with pytest.raises(ValidationError, match=reason):
+            VideoMotionGraph(self._nodes(4), self._chain(4), Thresholds(0, 0, 4), **header)
+
+    def test_integer_min_jump_kept_as_int(self):
+        graph = VideoMotionGraph(self._nodes(4), self._chain(4), Thresholds(0, 0, 4),
+                                 min_jump=np.int64(3))
+        assert graph.min_jump == 3 and type(graph.min_jump) is int
 
     def test_first_offending_edge_is_named(self):
         bogus = GraphEdge(2, 0, "bogus", 0.0, 0.0)
@@ -659,6 +687,15 @@ class TestSerialization:
             pytest.param(lambda doc: doc["thresholds"].update(tau_img=math.inf), id="inf-tau"),
             pytest.param(lambda doc: doc.update(velocity_weight=math.nan), id="nan-weight"),
             pytest.param(lambda doc: doc.update(velocity_weight=-1.0), id="negative-weight"),
+            pytest.param(lambda doc: doc.update(fps=math.nan), id="nan-fps"),
+            pytest.param(lambda doc: doc.update(fps=0.0), id="zero-fps"),
+            pytest.param(lambda doc: doc.update(fps=-5.0), id="negative-fps"),
+            pytest.param(lambda doc: doc.update(fps=math.inf), id="inf-fps"),
+            pytest.param(lambda doc: doc.update(min_jump=-3), id="negative-min-jump"),
+            pytest.param(lambda doc: doc.update(min_jump=1), id="min-jump-1"),
+            pytest.param(lambda doc: doc.update(min_jump=2.5), id="fractional-min-jump"),
+            pytest.param(lambda doc: doc.update(min_jump="3"), id="text-min-jump"),
+            pytest.param(lambda doc: doc.update(min_jump=True), id="boolean-min-jump"),
         ],
     )
     def test_bad_header_is_parse_error(self, edit):

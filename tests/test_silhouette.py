@@ -1,16 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from motiongraph import kernels
-from motiongraph.errors import StructuralError, ValidationError
+from motiongraph.errors import GraphParseError, StructuralError, ValidationError
 from motiongraph.pose import Joint, Skeleton, forward_kinematics
 from motiongraph.silhouette import (
     NEAR_PLANE,
     RASTER_CHUNK,
     CameraModel,
-    SilhouetteMask,
     default_camera,
     image_distance,
     load_camera,
@@ -86,6 +86,26 @@ class TestCameraModel:
                 rotation=np.ones((3, 3)),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("focal_length", math.inf), ("focal_length", -math.inf), ("focal_length", math.nan),
+         ("principal_point", (math.nan, 8.0)), ("principal_point", (8.0, math.inf)),
+         ("translation", [0.0, math.nan, 0.0]), ("translation", [math.inf, 0.0, 0.0])],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, field, value):
+        # A non-finite camera draws every silhouette empty, and empty masks
+        # make every d_img 0.
+        good = dict(focal_length=10.0, principal_point=(8.0, 8.0), image_size=(16, 16),
+                    translation=[0.0, 0.0, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            CameraModel(**dict(good, **{field: value}))
+        save_camera(tmp_path / "cam.json", CameraModel(**good))
+        doc = json.loads((tmp_path / "cam.json").read_text())
+        doc[field] = list(value) if isinstance(value, (tuple, list)) else value
+        (tmp_path / "cam.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match="finite"):
+            load_camera(tmp_path / "cam.json")
+
     def test_file_roundtrip(self, tmp_path):
         cam = CameraModel(
             focal_length=123.5,
@@ -106,7 +126,7 @@ class TestRasterizer:
         cam = default_camera((64, 64), focal_length=60.0)
         positions = np.array([[0.0, 0.0, -2.0], [1.0, 0.0, -2.0]])
         mask = rasterize_silhouette(two_joint_skeleton, positions, cam)
-        assert mask.area == 0
+        assert np.count_nonzero(mask) == 0
 
     def test_vertical_capsule_left_right_symmetric(self):
         skel = Skeleton(
@@ -118,8 +138,8 @@ class TestRasterizer:
         cam = default_camera((64, 64), focal_length=60.0)
         positions = np.array([[0.0, -0.25, 2.0], [0.0, 0.25, 2.0]])
         mask = rasterize_silhouette(skel, positions, cam)
-        assert mask.area > 0
-        assert np.array_equal(mask.bits, mask.bits[:, ::-1])
+        assert np.count_nonzero(mask) > 0
+        assert np.array_equal(mask, mask[:, ::-1])
 
     @pytest.mark.parametrize("radius,depth", [(0.2, 2.0), (0.3, 3.0), (0.15, 1.5), (0.4, 5.0)])
     def test_disk_area_analytic(self, radius, depth):
@@ -128,7 +148,7 @@ class TestRasterizer:
         positions = np.array([[0.0, 0.0, depth], [0.0, 0.0, depth]])
         mask = rasterize_silhouette(skel, positions, cam)
         expected = math.pi * (cam.focal_length * radius / depth) ** 2
-        assert mask.area == pytest.approx(expected, rel=0.02)
+        assert np.count_nonzero(mask) == pytest.approx(expected, rel=0.02)
 
     def test_matches_brute_force_oracle(self, chain_skeleton):
         rng = np.random.default_rng(41)
@@ -140,7 +160,7 @@ class TestRasterizer:
                 rotations=rng.normal(scale=0.7, size=(4, 3)),
             )
             positions = forward_kinematics(chain_skeleton, pose)
-            fast = rasterize_silhouette(chain_skeleton, positions, cam).bits
+            fast = rasterize_silhouette(chain_skeleton, positions, cam)
             slow = brute_force_mask(chain_skeleton, positions, cam)
             assert np.array_equal(fast, slow)
 
@@ -149,8 +169,8 @@ class TestRasterizer:
         positions = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
         mask = rasterize_silhouette(two_joint_skeleton, positions, cam)
         oracle = brute_force_mask(two_joint_skeleton, positions, cam)
-        assert mask.area > 0
-        assert np.array_equal(mask.bits, oracle)
+        assert np.count_nonzero(mask) > 0
+        assert np.array_equal(mask, oracle)
 
     def test_sequence_rows_are_packed_frames(self, chain_skeleton):
         # 61 x 37 = 2257 pixels: 36 words, the last one 47 bits of padding.
@@ -168,10 +188,10 @@ class TestRasterizer:
         assert rows.dtype == np.uint64 and rows.shape == (5, 36)
         for i, pos in enumerate(positions):
             mask = rasterize_silhouette(chain_skeleton, pos, cam)
-            assert mask.area > 0
-            assert np.array_equal(unpack_mask(rows[i], 61, 37).bits, mask.bits)
+            assert np.count_nonzero(mask) > 0
+            assert np.array_equal(unpack_mask(rows[i], 61, 37), mask)
             # Padding bits are clear: the row's popcount is the mask's area.
-            assert kernels.pair_intersections(rows, [[i, i]])[0] == mask.area
+            assert kernels.pair_intersections(rows, [[i, i]])[0] == np.count_nonzero(mask)
         assert rasterize_sequence(chain_skeleton, iter([]), cam).shape == (0, 36)
 
     def test_wrong_joint_count(self, chain_skeleton):
@@ -219,8 +239,8 @@ class TestBatchedRasterizer:
         rows = rasterize_sequence(chain_skeleton, iter(positions), cam)
         assert rows.shape == (n, 36)
         for i, pos in enumerate(positions):
-            mask = rasterize_silhouette(chain_skeleton, pos, cam).bits
-            assert np.array_equal(unpack_mask(rows[i], 61, 37).bits, mask)
+            mask = rasterize_silhouette(chain_skeleton, pos, cam)
+            assert np.array_equal(unpack_mask(rows[i], 61, 37), mask)
             assert np.array_equal(mask, per_frame_silhouette(chain_skeleton, pos, cam))
 
     @pytest.mark.parametrize("n", [0, 1, RASTER_CHUNK - 1, RASTER_CHUNK, RASTER_CHUNK + 1])
@@ -234,8 +254,8 @@ class TestBatchedRasterizer:
         crossing = behind = drawn = 0
         child = np.arange(1, len(chain_skeleton))
         for i, pos in enumerate(positions):
-            mask = rasterize_silhouette(chain_skeleton, pos, cam).bits
-            assert np.array_equal(unpack_mask(rows[i], 61, 37).bits, mask)
+            mask = rasterize_silhouette(chain_skeleton, pos, cam)
+            assert np.array_equal(unpack_mask(rows[i], 61, 37), mask)
             assert np.array_equal(mask, per_frame_silhouette(chain_skeleton, pos, cam))
             z = cam.to_camera(pos)[:, 2] > NEAR_PLANE
             front = z[chain_skeleton.parents[child]].astype(int) + z[child]
@@ -269,8 +289,7 @@ class TestBatchedRasterizer:
 
 class TestImageDistance:
     def _mask(self, bits):
-        bits = np.asarray(bits, dtype=bool)
-        return SilhouetteMask(bits.shape[1], bits.shape[0], bits)
+        return np.asarray(bits, dtype=bool)
 
     def test_self_distance_zero(self):
         rng = np.random.default_rng(1)
@@ -344,9 +363,36 @@ class TestImageDistance:
 def test_pgm_output(tmp_path):
     bits = np.zeros((4, 6), dtype=bool)
     bits[1, 2] = True
-    mask = SilhouetteMask(6, 4, bits)
     out = tmp_path / "m.pgm"
-    write_pgm(mask, out)
+    write_pgm(bits.view(np.uint8) * 255, out)
     data = out.read_bytes()
     assert data.startswith(b"P5\n6 4\n255\n")
     assert data[-24:].count(255) == 1
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        pytest.param(np.zeros((4, 6), dtype=bool), id="bool-mask"),
+        pytest.param(np.zeros((4, 6), dtype=np.int64), id="int64"),
+        pytest.param(np.zeros((4, 6), dtype=np.float64), id="float64"),
+        pytest.param(np.zeros((2, 4, 6), dtype=np.uint8), id="3-d"),
+        pytest.param(np.zeros(24, dtype=np.uint8), id="1-d"),
+    ],
+)
+def test_pgm_refuses_anything_but_a_uint8_image(tmp_path, image):
+    out = tmp_path / "m.pgm"
+    with pytest.raises(StructuralError, match="uint8"):
+        write_pgm(image, out)
+    assert not out.exists()
+
+
+def test_masks_are_bool_images(chain_skeleton):
+    cam = default_camera((61, 37), focal_length=40.0)
+    pose = make_pose(chain_skeleton, root=(0.0, 0.0, 3.0))
+    positions = forward_kinematics(chain_skeleton, pose)
+    mask = rasterize_silhouette(chain_skeleton, positions, cam)
+    row = rasterize_sequence(chain_skeleton, iter([positions]), cam)[0]
+    for m in (mask, unpack_mask(row, 61, 37)):
+        assert isinstance(m, np.ndarray) and m.dtype == bool and m.shape == (37, 61)
+    assert np.array_equal(unpack_mask(row, 61, 37), mask) and mask.any()
