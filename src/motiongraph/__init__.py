@@ -9,7 +9,6 @@ from .assembly import (
     BlendSchedule,
     BlendStep,
     EditDecisionList,
-    RenderConfig,
     RunEntry,
     TransitionEntry,
     assemble_edl,

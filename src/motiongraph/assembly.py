@@ -300,17 +300,11 @@ def assemble_edl(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    camera: CameraModel | None = None  # None = default camera; it sets the image size
-    output_dir: str | Path = "preview"
-
-
 def render_frames(
     edl: EditDecisionList,
     skeleton: Skeleton,
     poses: Sequence[PoseFrame],
-    config: RenderConfig = RenderConfig(),
+    camera: CameraModel | None = None,
 ):
     """Yield one uint8 (H, W) image per output frame (body=255, bg=0).
 
@@ -318,9 +312,9 @@ def render_frames(
     stored interpolated pose. Every run's source frames are checked before
     the first image is yielded. Forward kinematics runs once per entry, and
     the frames are rasterized ``silhouette.RASTER_CHUNK`` at a time across
-    entries. Deterministic for fixed inputs.
+    entries through ``camera`` (default ``default_camera()``). Deterministic.
     """
-    camera = config.camera or default_camera()
+    camera = camera or default_camera()
     for entry in edl.entries:
         if isinstance(entry, RunEntry):
             for pb in entry.frames:
@@ -343,13 +337,14 @@ def render_preview(
     edl: EditDecisionList,
     skeleton: Skeleton,
     poses: Sequence[PoseFrame],
-    config: RenderConfig = RenderConfig(),
+    output_dir: str | Path = "preview",
+    camera: CameraModel | None = None,
 ) -> list[Path]:
-    """Write numbered PGM frames under ``config.output_dir``."""
-    out_dir = Path(config.output_dir)
+    """Write ``render_frames``' images as numbered PGM frames under ``output_dir``."""
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, image in enumerate(render_frames(edl, skeleton, poses, config)):
+    for i, image in enumerate(render_frames(edl, skeleton, poses, camera)):
         target = out_dir / f"frame_{i:06d}.pgm"
         write_pgm(image, target)
         written.append(target)

@@ -125,18 +125,12 @@ def _beam_config(args) -> search.BeamConfig:
     )
 
 
-def _cmd_build_graph(parser, args) -> int:
+def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
+    """Build the graph of the pose track, or of ``track`` when ``run`` passes
+    the one it parsed, and write it to ``args.out``."""
     _require_files(parser, args.poses, args.features, args.camera)
     with _stage("build-graph"):
-        track = pose.load_pose_track(args.poses)
-    _build_graph(args, track)
-    return 0
-
-
-def _build_graph(args, track) -> graph_mod.VideoMotionGraph:
-    """Build the graph of the parsed pose track ``track`` and write it to ``args.out``."""
-    skeleton, sequence = track
-    with _stage("build-graph"):
+        skeleton, sequence = track or pose.load_pose_track(args.poses)
         features = audio.load_features(args.features)
         if (len(features), features.fps) != (len(sequence), sequence.fps):
             raise ValidationError(
@@ -173,16 +167,12 @@ def _build_graph(args, track) -> graph_mod.VideoMotionGraph:
     return built
 
 
-def _cmd_analyze_audio(parser, args) -> int:
+def _cmd_analyze_audio(parser, args) -> None:
     _require_files(parser, args.wav, args.transcript, args.dictionary)
     with _stage("analyze-audio"):
         samples, rate = audio.read_wav(args.wav)
         transcript = audio.load_transcript(args.transcript) if args.transcript else []
-        dictionary = (
-            audio.load_dictionary(args.dictionary)
-            if args.dictionary
-            else audio.default_dictionary()
-        )
+        dictionary = audio.load_dictionary(args.dictionary) if args.dictionary else None
         config = audio.OnsetConfig(threshold_delta=args.onset_delta)
         track = audio.analyze_audio(
             samples, rate, args.fps, transcript, dictionary, config
@@ -194,24 +184,19 @@ def _cmd_analyze_audio(parser, args) -> int:
         f"features: {len(track)} frames, {int(track.onsets.sum())} onsets, "
         f"{segments.segment_count} segments -> {args.features_out}, {args.segments_out}"
     )
-    return 0
 
 
-def _cmd_search(parser, args) -> int:
+def _cmd_search(parser, args, built=None) -> None:
+    """Search the graph file, or ``built`` when ``run`` passes the graph it
+    built, for the segments in ``args.segments``; write ``args.out``."""
     _require_files(parser, args.graph, args.segments)
     with _stage("search"):
-        _beam_config(args)  # a bad search parameter fails before the graph is read
-        built = graph_mod.load_graph_file(args.graph)
-    _search(args, built)
-    return 0
-
-
-def _search(args, built: graph_mod.VideoMotionGraph) -> None:
-    """Search ``built`` for the segments in ``args.segments``; write ``args.out``."""
-    with _stage("search"):
+        config = _beam_config(args)  # a bad search parameter fails before the graph is read
+        if built is None:
+            built = graph_mod.load_graph_file(args.graph)
         segments = audio.load_segments(args.segments)
         result = search.beam_search(
-            built, segments, _beam_config(args), seed=args.seed, start_frame=args.start_frame
+            built, segments, config, seed=args.seed, start_frame=args.start_frame
         )
         search.save_search_result(args.out, result)
     best = result.best
@@ -222,19 +207,15 @@ def _search(args, built: graph_mod.VideoMotionGraph) -> None:
     )
 
 
-def _cmd_assemble(parser, args) -> int:
+def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
+    """Assemble path ``args.path_index`` of ``args.path`` on the graph file and the
+    pose track, or on ``built`` and ``sequence`` when ``run`` passes them; write ``args.out``."""
     _require_files(parser, args.graph, args.poses, args.segments, args.path, args.target_features)
     with _stage("assemble"):
-        built = graph_mod.load_graph_file(args.graph)
-        _, sequence = pose.load_pose_track(args.poses)
-    _assemble(args, built, sequence)
-    return 0
-
-
-def _assemble(args, built: graph_mod.VideoMotionGraph, sequence: pose.MotionSequence) -> None:
-    """Assemble path ``args.path_index`` of ``args.path`` on ``built``, which
-    ``args.graph`` holds, and the pose frames of ``sequence``; write ``args.out``."""
-    with _stage("assemble"):
+        if built is None:
+            built = graph_mod.load_graph_file(args.graph)
+        if sequence is None:
+            _, sequence = pose.load_pose_track(args.poses)
         segments = audio.load_segments(args.segments)
         result = search.load_search_result(args.path)
         speech = (
@@ -266,26 +247,20 @@ def _assemble(args, built: graph_mod.VideoMotionGraph, sequence: pose.MotionSequ
     )
 
 
-def _cmd_preview(parser, args) -> int:
+def _cmd_preview(parser, args, track=None) -> None:
+    """Render ``args.edl`` over the pose track, or over ``track`` when ``run``
+    passes the one it parsed, into ``args.out_dir``."""
     _require_files(parser, args.edl, args.poses, args.camera)
     with _stage("preview"):
-        track = pose.load_pose_track(args.poses)
-    _preview(args, track)
-    return 0
-
-
-def _preview(args, track) -> None:
-    """Render ``args.edl`` over the parsed pose track ``track`` into ``args.out_dir``."""
-    skeleton, sequence = track
-    with _stage("preview"):
+        skeleton, sequence = track or pose.load_pose_track(args.poses)
         edl = assembly.load_edl(args.edl)
-        camera = _load_camera_arg(args.camera)
-        config = assembly.RenderConfig(camera=camera, output_dir=args.out_dir)
-        written = assembly.render_preview(edl, skeleton, sequence.frames, config)
+        written = assembly.render_preview(
+            edl, skeleton, sequence.frames, args.out_dir, _load_camera_arg(args.camera)
+        )
     print(f"preview: {len(written)} frames -> {args.out_dir}")
 
 
-def _cmd_run(parser, args) -> int:
+def _cmd_run(parser, args) -> None:
     """Every stage in turn, writing each stage's files. The pose track is
     parsed once and the graph is built once; both pass to the later stages
     in memory, and every other input is read back from the file written."""
@@ -312,25 +287,24 @@ def _cmd_run(parser, args) -> int:
 
     ns.features = out / "reference_features.json"
     ns.out = out / "graph.json"
-    built = _build_graph(ns, track)
+    built = _cmd_build_graph(parser, ns, track)
 
     ns.graph = out / "graph.json"
     ns.segments = out / "target_segments.json"
     ns.out = out / "path.json"
-    _search(ns, built)
+    _cmd_search(parser, ns, built)
 
     ns.path = out / "path.json"
     ns.target_features = out / "target_features.json"
     ns.path_index = 0
     ns.out = out / "edl.json"
-    _assemble(ns, built, sequence)
+    _cmd_assemble(parser, ns, built, sequence)
 
     if args.preview:
         ns.edl = out / "edl.json"
         ns.out_dir = out / "preview"
-        _preview(ns, track)
+        _cmd_preview(parser, ns, track)
     print(f"run: artifacts in {out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,10 +379,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        args.func(parser, args)
     except MotionGraphError as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return STATUS_FAILURE
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Exception types shared across the engine, and the decoder every engine
-file goes through, which reports a malformed file as one of them."""
+"""Exception types shared across the engine, the integer test of every
+integer field, and the decoder every engine file goes through, which reports
+a malformed file as one of them."""
 
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any, Callable
 
 
@@ -45,6 +47,11 @@ class SegmentUnreachableError(MotionGraphError):
 
 class AssemblyError(MotionGraphError):
     """A path cannot be turned into an edit decision list."""
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, not a bool: a fraction is refused, never truncated."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import mmap
-import numbers
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, read_document
+from .errors import StructuralError, ValidationError, is_integer, read_document
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -66,8 +65,9 @@ class Thresholds:
             raise ValidationError(
                 f"thresholds must be >= 0, got tau_feat={self.tau_feat}, tau_img={self.tau_img}"
             )
-        if self.offset_l < 1:
-            raise ValidationError(f"offset_l must be >= 1, got {self.offset_l}")
+        if not (is_integer(self.offset_l) and self.offset_l >= 1):
+            raise ValidationError(f"offset_l must be an integer >= 1, got {self.offset_l!r}")
+        object.__setattr__(self, "offset_l", int(self.offset_l))  # the JSON writer needs an int
 
 
 #: Edge kind names, indexed by the ``synthetic`` column.
@@ -193,7 +193,7 @@ def _check_header(fps: float, min_jump: int, velocity_weight: float) -> None:
     """The scalars every graph carries: a bad ``fps`` would reach the EDL."""
     if not (math.isfinite(fps) and fps > 0):
         raise ValidationError(f"fps must be a finite number > 0, got {fps}")
-    if not (isinstance(min_jump, numbers.Integral) and min_jump >= 2):
+    if not (is_integer(min_jump) and min_jump >= 2):
         raise ValidationError(f"min_jump must be an integer >= 2, got {min_jump!r}")
     _check_velocity_weight(velocity_weight)
 
@@ -398,7 +398,7 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
 def load_graph(stream: bytes | mmap.mmap) -> VideoMotionGraph:
     def build(doc):
         t = doc["thresholds"]
-        thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), int(t["offset_l"]))
+        thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), t["offset_l"])
         _check_file_thresholds(thresholds)
         for name in ("onset", "synthetic"):
             if not all(v is True or v is False for v in doc[name]):

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError, read_document
+from .errors import StructuralError, ValidationError, is_integer, read_document
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,21 @@ class Skeleton:
                 f"expected exactly one root joint at index 0, got roots={roots}"
             )
         for i, j in enumerate(self.joints):
-            if j.parent is not None and not 0 <= j.parent < i:
+            if j.parent is not None and not (is_integer(j.parent) and 0 <= j.parent < i):
                 raise ValidationError(
-                    f"joint {i} ({j.name!r}) has parent {j.parent}, "
-                    "which breaks topological order"
+                    f"joint {i} ({j.name!r}) has parent {j.parent!r}, "
+                    "which is not the index of an earlier joint"
                 )
-            if not j.capsule_radius > 0:
-                raise ValidationError(f"joint {i} ({j.name!r}) capsule_radius must be > 0")
+            # An infinite radius would fill every silhouette, making every d_img 0.
+            if not 0 < j.capsule_radius < math.inf:
+                raise ValidationError(
+                    f"joint {i} ({j.name!r}) capsule_radius must be a finite number > 0, "
+                    f"got {j.capsule_radius}"
+                )
             if not np.all(np.isfinite(j.rest_offset)):
                 raise ValidationError(f"joint {i} ({j.name!r}) rest_offset not finite")
+        object.__setattr__(self, "joints", tuple(  # the JSON writer needs int parents
+            j if j.parent is None else replace(j, parent=int(j.parent)) for j in self.joints))
 
     def __len__(self) -> int:
         return len(self.joints)

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import kernels
 from .audio import EndpointFeature, SegmentList
-from .errors import SegmentUnreachableError, StructuralError, ValidationError, read_document
+from .errors import (SegmentUnreachableError, StructuralError, ValidationError, is_integer,
+                     read_document)
 from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
@@ -36,7 +37,7 @@ SEARCH_RESULT_FORMAT = "search-result/2"
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    return is_integer(value) and value >= 1
 
 
 @dataclass(frozen=True)

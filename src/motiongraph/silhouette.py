@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, read_document
+from .errors import StructuralError, ValidationError, is_integer, read_document
 from .pose import Skeleton
 
 #: Depth (meters) below which geometry counts as behind the camera.
@@ -60,8 +60,9 @@ class CameraModel:
                 f"focal_length must be a finite number > 0, got {self.focal_length}"
             )
         w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"image_size must be positive, got {self.image_size}")
+        if not (is_integer(w) and is_integer(h) and w > 0 and h > 0):
+            raise ValidationError(f"image_size must be two integers > 0, got {self.image_size}")
+        object.__setattr__(self, "image_size", (int(w), int(h)))  # the JSON writer needs ints
         if len(self.principal_point) != 2:
             raise ValidationError(f"principal_point must be (x, y), got {self.principal_point}")
         if r.shape != (3, 3) or t.shape != (3,):
@@ -231,7 +232,7 @@ def load_camera(path: str | Path) -> CameraModel:
         return CameraModel(
             focal_length=float(doc["focal_length"]),
             principal_point=tuple(doc["principal_point"]),
-            image_size=tuple(int(v) for v in doc["image_size"]),
+            image_size=tuple(doc["image_size"]),
             rotation=np.array(doc["rotation"]),
             translation=np.array(doc["translation"]),
         )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from motiongraph.assembly import (
-    RenderConfig,
     RunEntry,
     TransitionEntry,
     assemble_edl,
@@ -211,8 +210,7 @@ class TestPreview:
         path = PathCandidate(tuple(range(5, 16)), 0.0, 0.0, (0, 10))
         edl = assemble_edl(path, graph, segment_list(11, []), wavy_poses, k=2)
         cam = default_camera((64, 64), focal_length=60.0)
-        config = RenderConfig(camera=cam)
-        frames = list(render_frames(edl, chain_skeleton, wavy_poses, config))
+        frames = list(render_frames(edl, chain_skeleton, wavy_poses, camera=cam))
         assert len(frames) == 10
         for i, img in enumerate(frames):
             pose = wavy_poses[6 + i]
@@ -227,7 +225,7 @@ class TestPreview:
         edl = assemble_edl(path, graph, segment_list(len(nodes), []), wavy_poses, k=4)
         assert sum(isinstance(e, TransitionEntry) for e in edl.entries) == 2
         cam = default_camera((64, 64), focal_length=60.0)
-        frames = list(render_frames(edl, chain_skeleton, wavy_poses, RenderConfig(camera=cam)))
+        frames = list(render_frames(edl, chain_skeleton, wavy_poses, camera=cam))
         poses = []
         for entry in edl.entries:
             if isinstance(entry, RunEntry):
@@ -254,12 +252,12 @@ class TestPreview:
         last_run = [e for e in edl.entries if isinstance(e, RunEntry)][-1]
         missing = min(pb.source_frame for pb in last_run.frames)
         cam = default_camera((32, 32), focal_length=30.0)
-        images = render_frames(edl, chain_skeleton, wavy_poses[:missing], RenderConfig(camera=cam))
+        images = render_frames(edl, chain_skeleton, wavy_poses[:missing], camera=cam)
         with pytest.raises(AssemblyError, match=f"missing source frame {missing}"):
             next(images)
-        config = RenderConfig(camera=cam, output_dir=tmp_path / "frames")
         with pytest.raises(AssemblyError):
-            render_preview(edl, chain_skeleton, wavy_poses[:missing], config)
+            render_preview(edl, chain_skeleton, wavy_poses[:missing],
+                           output_dir=tmp_path / "frames", camera=cam)
         assert not list((tmp_path / "frames").glob("*.pgm"))
 
     def test_transition_endpoint_continuity(self, chain_skeleton, wavy_poses):
@@ -268,8 +266,7 @@ class TestPreview:
         path = PathCandidate(nodes, 0.2, 0.0, (0, len(nodes) - 1))
         edl = assemble_edl(path, graph, segment_list(41, []), wavy_poses, k=4)
         cam = default_camera((64, 64), focal_length=60.0)
-        config = RenderConfig(camera=cam)
-        frames = list(render_frames(edl, chain_skeleton, wavy_poses, config))
+        frames = list(render_frames(edl, chain_skeleton, wavy_poses, camera=cam))
         trans_start = len(edl.entries[0].frames)
         # alpha=0 frame renders source frame 56 exactly
         mask56 = rasterize_silhouette(
@@ -295,25 +292,27 @@ class TestPreview:
         graph = toy_graph(60)
         path = PathCandidate(tuple(range(0, 6)), 0.0, 0.0, (0, 5))
         edl = assemble_edl(path, graph, segment_list(6, []), wavy_poses, k=2)
-        config = RenderConfig(camera=default_camera((32, 32), 30.0), output_dir=tmp_path / "frames")
-        written = render_preview(edl, chain_skeleton, wavy_poses, config)
+        written = render_preview(edl, chain_skeleton, wavy_poses, output_dir=tmp_path / "frames",
+                                 camera=default_camera((32, 32), 30.0))
         assert [p.name for p in written] == [f"frame_{i:06d}.pgm" for i in range(5)]
         for p in written:
             assert p.read_bytes().startswith(b"P5\n32 32\n255\n")
 
-    def test_no_stroke_radius_override(self):
+    def test_no_stroke_radius_override(self, chain_skeleton, wavy_poses):
         # The preview draws the skeleton's own capsule radii.
+        edl = assemble_edl(PathCandidate(tuple(range(0, 6)), 0.0, 0.0, (0, 5)), toy_graph(60),
+                           segment_list(6, []), wavy_poses, k=2)
         with pytest.raises(TypeError):
-            RenderConfig(stroke_radius=0.05)
+            render_frames(edl, chain_skeleton, wavy_poses, stroke_radius=0.05)
 
     def test_preview_determinism(self, tmp_path, chain_skeleton, wavy_poses):
         graph = toy_graph(200, synthetic=[(60, 120, 0.1, 0.1)])
         nodes = tuple(range(40, 61)) + tuple(range(120, 140))
         path = PathCandidate(nodes, 0.2, 0.0, (0, len(nodes) - 1))
         edl = assemble_edl(path, graph, segment_list(41, []), wavy_poses, k=4)
-        config = RenderConfig(camera=default_camera((48, 48), 45.0), output_dir=tmp_path / "a")
-        a = render_preview(edl, chain_skeleton, wavy_poses, config)
-        config_b = RenderConfig(camera=default_camera((48, 48), 45.0), output_dir=tmp_path / "b")
-        b = render_preview(edl, chain_skeleton, wavy_poses, config_b)
+        a = render_preview(edl, chain_skeleton, wavy_poses, output_dir=tmp_path / "a",
+                           camera=default_camera((48, 48), 45.0))
+        b = render_preview(edl, chain_skeleton, wavy_poses, output_dir=tmp_path / "b",
+                           camera=default_camera((48, 48), 45.0))
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()

@@ -182,6 +182,20 @@ class TestRunInMemory:
         for name in names:
             assert (run / name).read_bytes() == (staged / name).read_bytes(), name
 
+    def test_parses_the_pose_track_once_and_never_reads_the_graph(
+        self, tmp_path, fixture_files, monkeypatch
+    ):
+        calls = {"load_pose_track": 0, "load_graph_file": 0}
+        # Patched where cli looks them up: the pose and graph modules.
+        for module, name in ((cli.pose, "load_pose_track"), (cli.graph_mod, "load_graph_file")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert cli.main(_run_args(fixture_files, tmp_path / "run", "--preview")) == 0
+        assert calls == {"load_pose_track": 1, "load_graph_file": 0}
+
     def test_later_stage_failure_names_the_stage(self, tmp_path, fixture_files):
         out = tmp_path / "run"
         env = dict(os.environ)
@@ -661,13 +675,18 @@ READERS = {
 
 MALFORMED = {
     "pose-track": {"broken-json": _truncated, "missing-field": _drop("frames"),
-                   "wrong-format": _set("format", "pose-track/9")},
+                   "wrong-format": _set("format", "pose-track/9"),
+                   "fractional-parent": _edited(
+                       lambda doc: doc["skeleton"]["joints"][2].update(parent=0.5)),
+                   "infinite-radius": _edited(
+                       lambda doc: doc["skeleton"]["joints"][1].update(radius=float("inf")))},
     "camera": {"broken-json": _truncated, "missing-field": _drop("focal_length"),
                "wrong-format": _set("format", "camera/9"),
                "3d-principal-point": _set("principal_point", [128.0, 128.0, 1.0]),
                "infinite-focal-length": _set("focal_length", float("inf")),
                "nan-principal-point": _set("principal_point", [float("nan"), 128.0]),
-               "nan-translation": _set("translation", [0.0, float("nan"), 0.0])},
+               "nan-translation": _set("translation", [0.0, float("nan"), 0.0]),
+               "fractional-image-size": _set("image_size", [256.9, 100.7])},
     "dictionary": {"broken-json": _truncated,
                    "list-not-map": lambda data: b'["hello"]'},
     "transcript": {"broken-json": _truncated,
@@ -687,7 +706,8 @@ MALFORMED = {
               "wrong-format": _set("format", "motion-graph/9"),
               "format-1": _set("format", "motion-graph/1"),
               "nan-fps": _set("fps", float("nan")),
-              "negative-min-jump": _set("min_jump", -3)},
+              "negative-min-jump": _set("min_jump", -3),
+              "fractional-offset-l": _edited(lambda doc: doc["thresholds"].update(offset_l=4.9))},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),

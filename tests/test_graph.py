@@ -152,6 +152,19 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             Thresholds(tau_feat=-0.1, tau_img=0.0, offset_l=4)
 
+    @pytest.mark.parametrize("offset_l", [4.9, 4.0, True, "4", 0, np.float64(4.0)])
+    def test_offset_must_be_an_integer_at_least_1(self, offset_l):
+        # A fractional offset is refused, not truncated.
+        with pytest.raises(ValidationError, match="offset_l must be an integer >= 1"):
+            Thresholds(0.1, 0.1, offset_l)
+
+    def test_numpy_integer_offset_accepted(self):
+        thresholds = Thresholds(0.1, 0.1, np.int64(4))
+        assert thresholds.offset_l == 4
+        assert type(thresholds.offset_l) is int  # so the graph writer can encode it
+        graph = VideoMotionGraph([GraphNode(0, False, "")], [], thresholds)
+        assert load_graph(save_graph(graph)).thresholds == thresholds
+
 
 class TestBuildGraph:
     def test_zero_thresholds_only_natural_chain(self, smooth_setup):
@@ -696,6 +709,10 @@ class TestSerialization:
             pytest.param(lambda doc: doc.update(min_jump=2.5), id="fractional-min-jump"),
             pytest.param(lambda doc: doc.update(min_jump="3"), id="text-min-jump"),
             pytest.param(lambda doc: doc.update(min_jump=True), id="boolean-min-jump"),
+            pytest.param(lambda doc: doc["thresholds"].update(offset_l=4.9),
+                         id="fractional-offset-l"),
+            pytest.param(lambda doc: doc["thresholds"].update(offset_l=True),
+                         id="boolean-offset-l"),
         ],
     )
     def test_bad_header_is_parse_error(self, edit):

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from motiongraph import fixtures
-from motiongraph.errors import StructuralError, ValidationError
+from motiongraph.errors import GraphParseError, StructuralError, ValidationError
 from motiongraph.pose import (
     Joint,
     JointState,
@@ -53,6 +54,28 @@ class TestSkeletonValidation:
     def test_positive_radius(self):
         with pytest.raises(ValidationError):
             Skeleton((Joint("root", None, (0, 0, 0), 0.0),))
+
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_finite_radius(self, radius):
+        # An infinite radius fills every silhouette, so every d_img would be 0.
+        with pytest.raises(ValidationError, match="capsule_radius must be a finite number > 0"):
+            Skeleton((Joint("root", None, (0, 0, 0), 0.1), Joint("a", 0, (1, 0, 0), radius)))
+
+    @pytest.mark.parametrize("parent", [0.5, 0.0, True, "0", np.float64(0.0)])
+    def test_parent_must_be_an_integer(self, parent):
+        # A fractional parent is refused, not truncated to the joint before it.
+        with pytest.raises(ValidationError, match="not the index of an earlier joint"):
+            Skeleton((Joint("root", None, (0, 0, 0), 0.1), Joint("a", parent, (1, 0, 0), 0.1)))
+
+    @pytest.mark.parametrize("parent", [np.int64(0), np.int32(0), np.uint8(0)])
+    def test_numpy_integer_parent_accepted(self, tmp_path, parent):
+        joints = (Joint("root", None, (0, 0, 0), 0.1), Joint("a", parent, (1, 0, 0), 0.1))
+        skeleton = Skeleton(joints)
+        assert skeleton.parents.tolist() == [-1, 0]
+        assert type(skeleton.joints[1].parent) is int  # so the pose-track writer can encode it
+        sequence = make_sequence(skeleton, lambda t: ((0, 0, 3.0), None), 2)
+        save_pose_track(tmp_path / "track.json", skeleton, sequence)
+        assert load_pose_track(tmp_path / "track.json")[0] == skeleton
 
     def test_joint_arrays_are_cached_read_only(self, chain_skeleton):
         want = {
@@ -372,3 +395,19 @@ class TestPoseTrackFile:
         for a, b in zip(seq.frames, seq2.frames):
             assert np.array_equal(a.root_translation, b.root_translation)
             assert np.array_equal(a.joint_rotations, b.joint_rotations)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("parent", 0.5, "not the index of an earlier joint"),
+         ("parent", True, "not the index of an earlier joint"),
+         ("radius", math.inf, "capsule_radius must be a finite number > 0")],
+    )
+    def test_bad_joint_is_parse_error(self, tmp_path, chain_skeleton, field, value, message):
+        path = tmp_path / "track.json"
+        sequence = make_sequence(chain_skeleton, lambda t: ((0, 0, 3.0), None), 3)
+        save_pose_track(path, chain_skeleton, sequence)
+        doc = json.loads(path.read_text())
+        doc["skeleton"]["joints"][2][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=message):
+            load_pose_track(path)

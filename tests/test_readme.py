@@ -29,3 +29,6 @@ def test_library_use_block_runs_on_a_fixture(tmp_path, monkeypatch):
     assert mask.dtype == bool and mask.shape == (256, 256) and mask.any()
     pgm = (tmp_path / "mask_0.pgm").read_bytes()
     assert pgm == b"P5\n256 256\n255\n" + (mask.view(np.uint8) * 255).tobytes()
+    names = [f"frame_{i:06d}.pgm" for i in range(edl.total_frames)]
+    assert scope["frames"] == [Path("preview", name) for name in names]
+    assert sorted(p.name for p in (tmp_path / "preview").iterdir()) == names

@@ -73,6 +73,36 @@ def random_toy(rng, max_nodes=15):
     return graph, segments
 
 
+class TestOutputBudget:
+    """Every rank the search returns plays in the windows where the README
+    promises it: a high end of at most 1 + 1/(2k+2) (ROADMAP item 5)."""
+
+    @staticmethod
+    def ranks_that_fail(seed, config):
+        graph, segments = random_toy(np.random.default_rng(seed))
+        result = beam_search(graph, segments, config, seed=0)
+        playable = assemblable(result.paths, graph, segments, config.blend_k)
+        return [p for p in result.paths if p not in playable]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_rank_assembles_within_the_bound(self, k):
+        config = BeamConfig(duration_window=(0.9, 1 + 1 / (2 * k + 2)), blend_k=k)
+        feasible = 0
+        for seed in range(150):
+            try:
+                assert self.ranks_that_fail(seed, config) == [], seed
+            except SegmentUnreachableError:
+                continue
+            feasible += 1
+        assert feasible >= 50
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the search does not encode "
+                       "the output budget, so a wide window can return an unplayable rank")
+    @pytest.mark.parametrize("seed", [5, 11, 29])
+    def test_wide_window_counterexample(self, seed):
+        assert self.ranks_that_fail(seed, BeamConfig(duration_window=(0.5, 2.0), blend_k=2)) == []
+
+
 class TestDurationWindow:
     def test_documented_boundaries(self):
         lo, hi = duration_bounds(100, 0.9, 1.1)

@@ -106,6 +106,28 @@ class TestCameraModel:
         with pytest.raises(GraphParseError, match="finite"):
             load_camera(tmp_path / "cam.json")
 
+    @pytest.mark.parametrize(
+        "size", [(256.9, 100.7), (16.0, 16), (16, True), ("16", 16), (np.float64(16), 16)]
+    )
+    def test_image_size_must_be_integers(self, tmp_path, size):
+        # A fractional size is refused, not truncated.
+        with pytest.raises(ValidationError, match="image_size must be two integers > 0"):
+            CameraModel(focal_length=10.0, principal_point=(8.0, 8.0), image_size=size)
+        save_camera(tmp_path / "cam.json", default_camera((16, 16)))
+        doc = json.loads((tmp_path / "cam.json").read_text())
+        doc["image_size"] = [v.item() if isinstance(v, np.generic) else v for v in size]
+        (tmp_path / "cam.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match="image_size must be two integers > 0"):
+            load_camera(tmp_path / "cam.json")
+
+    def test_numpy_integer_image_size_accepted(self, tmp_path):
+        cam = CameraModel(focal_length=10.0, principal_point=(8.0, 6.0),
+                          image_size=(np.int64(16), np.int32(12)))
+        assert cam.image_size == (16, 12)
+        assert all(type(v) is int for v in cam.image_size)  # so the camera writer can encode it
+        save_camera(tmp_path / "cam.json", cam)
+        assert load_camera(tmp_path / "cam.json").image_size == (16, 12)
+
     def test_file_roundtrip(self, tmp_path):
         cam = CameraModel(
             focal_length=123.5,
