@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio import AudioFeatureTrack, SegmentList
-from .errors import AssemblyError, StructuralError, ValidationError, read_document
+from .errors import AssemblyError, StructuralError, ValidationError, integer, read_document
 from .graph import VideoMotionGraph
 # ``forward_kinematics`` stays importable from here: perfbench/tracing.py wraps it.
 from .pose import (  # noqa: F401
@@ -169,8 +169,7 @@ def make_blend_schedule(
     with weight t/(2k): the blend walks the incoming window to the cut, then
     the outgoing window away from it, hitting (m, n) at weight 1/2.
     """
-    if k < 1:
-        raise ValidationError(f"blend neighborhood k must be >= 1, got {k}")
+    k = integer("blend neighborhood k", k, 1)
     if m - k < 0 or n + k >= len(poses):
         raise AssemblyError(
             f"transition ({m}, {n}): blend windows [{m - k}, {m}] and [{n}, {n + k}] "
@@ -207,10 +206,7 @@ def assemble_edl(
     short to host its blend window, or when the output budget cannot cover
     the transitions.
     """
-    if k < 1:
-        raise ValidationError(f"blend neighborhood k must be >= 1, got {k}")
-    if len(path.node_sequence) < 2:
-        raise ValidationError("path must contain at least one output frame")
+    k = integer("blend neighborhood k", k, 1)
     nodes = list(path.node_sequence)
     rows = graph.edge_rows(nodes[:-1], nodes[1:])
     if (rows < 0).any():

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, audio, graph as graph_mod, pose, search, silhouette
-from .errors import MotionGraphError, ValidationError
+from .errors import MotionGraphError, ValidationError, integer
 
 STATUS_FAILURE = 1
 
@@ -116,6 +116,10 @@ def _add_search_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _beam_config(args) -> search.BeamConfig:
+    """The search's config; ``--seed`` and ``--start-frame`` are checked here too."""
+    integer("seed", args.seed, 0)
+    if args.start_frame is not None:
+        integer("start_frame", args.start_frame, 0)  # the upper bound needs the graph
     return search.BeamConfig(
         beam_width=args.beam_width,
         duration_window=tuple(args.duration_window),

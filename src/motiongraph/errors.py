@@ -1,5 +1,5 @@
-"""Exception types shared across the engine, the integer test of every
-integer field, and the decoder every engine file goes through, which reports
+"""Exception types shared across the engine, the integer test and rule of
+every integer field, and the decoder every engine file goes through, which reports
 a malformed file as one of them."""
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ class AssemblyError(MotionGraphError):
 def is_integer(value) -> bool:
     """An int or numpy integer, not a bool: a fraction is refused, never truncated."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def integer(name: str, value, low: int) -> int:
+    """``value`` as a Python int if it ``is_integer`` and is >= ``low``, else ValidationError."""
+    if not (is_integer(value) and value >= low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):

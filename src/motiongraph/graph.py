@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, is_integer, read_document
+from .errors import StructuralError, ValidationError, integer, read_document
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -65,9 +65,7 @@ class Thresholds:
             raise ValidationError(
                 f"thresholds must be >= 0, got tau_feat={self.tau_feat}, tau_img={self.tau_img}"
             )
-        if not (is_integer(self.offset_l) and self.offset_l >= 1):
-            raise ValidationError(f"offset_l must be an integer >= 1, got {self.offset_l!r}")
-        object.__setattr__(self, "offset_l", int(self.offset_l))  # the JSON writer needs an int
+        object.__setattr__(self, "offset_l", integer("offset_l", self.offset_l, 1))
 
 
 #: Edge kind names, indexed by the ``synthetic`` column.
@@ -110,14 +108,14 @@ class VideoMotionGraph:
 
     def _init(self, onset, keyword, src, dst, kind, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
-        _check_header(fps, min_jump, velocity_weight)
+        min_jump = _check_header(fps, min_jump, velocity_weight)
         synthetic = _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
         for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
             column.flags.writeable = False
         self.onset, self.keyword, self.src, self.dst = onset, keyword, src, dst
         self.synthetic, self.d_feat, self.d_img = synthetic, d_feat, d_img
         self.thresholds, self.fps = thresholds, fps
-        self.min_jump, self.velocity_weight = int(min_jump), velocity_weight
+        self.min_jump, self.velocity_weight = min_jump, velocity_weight
 
     def __len__(self) -> int:
         return self.onset.size
@@ -189,13 +187,14 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
     return synthetic
 
 
-def _check_header(fps: float, min_jump: int, velocity_weight: float) -> None:
-    """The scalars every graph carries: a bad ``fps`` would reach the EDL."""
+def _check_header(fps: float, min_jump: int, velocity_weight: float) -> int:
+    """Check the scalars every graph carries (a bad ``fps`` would reach the
+    EDL) and return ``min_jump`` as an int."""
     if not (math.isfinite(fps) and fps > 0):
         raise ValidationError(f"fps must be a finite number > 0, got {fps}")
-    if not (is_integer(min_jump) and min_jump >= 2):
-        raise ValidationError(f"min_jump must be an integer >= 2, got {min_jump!r}")
+    min_jump = integer("min_jump", min_jump, 2)
     _check_velocity_weight(velocity_weight)
+    return min_jump
 
 
 def _check_velocity_weight(velocity_weight: float) -> None:
@@ -228,8 +227,7 @@ def compute_thresholds(
     """
     n = len(joint_states)
     _check_velocity_weight(velocity_weight)
-    if offset_l < 1:
-        raise ValidationError(f"offset_l must be >= 1, got {offset_l}")
+    offset_l = integer("offset_l", offset_l, 1)
     if n <= offset_l:
         raise ValidationError(
             f"sequence of {n} frames is too short for threshold offset l={offset_l}"

@@ -125,8 +125,8 @@ class MotionSequence:
     frames: list[PoseFrame]
 
     def __post_init__(self):
-        if not self.fps > 0:
-            raise ValidationError(f"fps must be > 0, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValidationError(f"fps must be a finite number > 0, got {self.fps}")
         for i, f in enumerate(self.frames):
             if f.frame_index != i:
                 raise ValidationError(
@@ -250,6 +250,10 @@ PAIR_CHUNK = 4096
 
 def state_rows(joint_states: Sequence[JointState]) -> tuple[np.ndarray, np.ndarray]:
     """Positions and velocities of each joint state, flattened to (N, 3J) rows."""
+    for i, s in enumerate(joint_states):
+        if s.positions.shape != joint_states[0].positions.shape:
+            raise StructuralError(f"joint state {i} has positions {s.positions.shape}, "
+                                  f"joint state 0 {joint_states[0].positions.shape}")
     pos = np.stack([s.positions.ravel() for s in joint_states]).astype(np.float64)
     vel = np.stack([s.velocities.ravel() for s in joint_states]).astype(np.float64)
     return pos, vel

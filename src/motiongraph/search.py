@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .audio import EndpointFeature, SegmentList
-from .errors import (SegmentUnreachableError, StructuralError, ValidationError, is_integer,
+from .errors import (SegmentUnreachableError, StructuralError, ValidationError, integer,
                      read_document)
 from .graph import VideoMotionGraph
 
@@ -34,10 +34,6 @@ DEFAULT_BLEND_K = 4
 DEFAULT_DURATION_WINDOW = (0.9, 1.1)
 
 SEARCH_RESULT_FORMAT = "search-result/2"
-
-
-def _is_count(value) -> bool:
-    return is_integer(value) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -49,15 +45,15 @@ class BeamConfig:
     blend_k: int = DEFAULT_BLEND_K
 
     def __post_init__(self):
-        low, high = self.duration_window
-        if not 0.0 < low <= 1.0 <= high < math.inf:
+        window = self.duration_window
+        if not (isinstance(window, tuple) and len(window) == 2
+                and 0.0 < window[0] <= 1.0 <= window[1] < math.inf):
             raise ValidationError(
-                f"duration window must satisfy 0 < low <= 1 <= high < inf, "
-                f"got {self.duration_window}"
+                f"duration window must satisfy 0 < low <= 1 <= high < inf, got {window}"
             )
+        for name in ("beam_width", "blend_k"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
         rules = {
-            "beam_width": (_is_count(self.beam_width), "an integer >= 1"),
-            "blend_k": (_is_count(self.blend_k), "an integer >= 1"),
             "avoid_onsets_mid_segment": (isinstance(self.avoid_onsets_mid_segment, bool),
                                          "a boolean"),
             "duration_weight": (math.isfinite(self.duration_weight) and self.duration_weight >= 0,
@@ -74,6 +70,12 @@ class PathCandidate:
     transition_cost: float
     duration_cost: float
     segment_boundaries: tuple[int, ...]  # indices into node_sequence, [0, ...]
+
+    def __post_init__(self):
+        bounds, last = self.segment_boundaries, len(self.node_sequence) - 1
+        if len(bounds) < 2 or (bounds[0], bounds[-1]) != (0, last) or min(self.durations) < 1:
+            raise ValidationError(
+                f"segment boundaries must rise strictly from 0 to {last}, got {bounds}")
 
     @property
     def durations(self) -> tuple[int, ...]:
@@ -194,20 +196,27 @@ def expand_segment(
     return best
 
 
-def _candidate(walks, durations) -> PathCandidate:
-    """The path of per-segment (steps, edge costs) walks, its costs summed
-    per segment, as ``recompute_costs`` sums them."""
-    nodes, bounds = [walks[0][0][0][1]], [0]
+def _path_costs(edge_costs, bounds, durations) -> tuple[float, float]:
+    """(transition_cost, duration_cost) of steps costing ``edge_costs``, cut at ``bounds``:
+    each segment's costs added in order (``sum`` compensates on Python 3.12+), then those."""
     transition = duration = 0.0
-    for (steps, costs), target in zip(walks, durations):
+    for a, b, target in zip(bounds, bounds[1:], durations):
         seg_cost = 0.0
-        for cost in costs:
+        for cost in edge_costs[a:b]:
             seg_cost += cost
         transition += seg_cost
-        duration += abs(1.0 - len(costs) / target)
+        duration += abs(1.0 - (b - a) / target)
+    return transition, duration
+
+
+def _candidate(walks, durations) -> PathCandidate:
+    """The path of per-segment (steps, edge costs) walks."""
+    nodes, bounds, costs = [walks[0][0][0][1]], [0], []
+    for steps, segment_costs in walks:
         nodes += [v for _, v in steps[1:]]
+        costs += segment_costs
         bounds.append(len(nodes) - 1)
-    return PathCandidate(tuple(nodes), transition, duration, tuple(bounds))
+    return PathCandidate(tuple(nodes), *_path_costs(costs, bounds, durations), tuple(bounds))
 
 
 def _starts(graph: VideoMotionGraph, config: BeamConfig, seed: int, start_frame: int | None):
@@ -323,6 +332,7 @@ def beam_search(
     """
     if len(graph) < 1:
         raise ValidationError("graph has no nodes")
+    seed = integer("seed", seed, 0)
     starts = _starts(graph, config, seed, start_frame)
     state = _SearchState(graph, config)
     tables = _forward(graph, segments, config, state, starts)
@@ -333,11 +343,8 @@ def beam_search(
 def recompute_costs(
     graph: VideoMotionGraph, candidate: PathCandidate, target_durations
 ) -> tuple[float, float]:
-    """Re-derive (transition_cost, duration_cost) from the graph.
-
-    Accumulation mirrors the search exactly (per-segment partial sums), so
-    equality with the reported costs is bitwise for identical inputs.
-    """
+    """Re-derive (transition_cost, duration_cost) from the graph through the
+    search's own ``_path_costs``, so they equal the reported costs bit for bit."""
     bounds = candidate.segment_boundaries
     if len(bounds) != len(target_durations) + 1:
         raise StructuralError(
@@ -345,19 +352,10 @@ def recompute_costs(
         )
     nodes = candidate.node_sequence
     rows = graph.edge_rows(nodes[:-1], nodes[1:])
-    costs = (graph.d_feat[rows] + graph.d_img[rows]).tolist()
-    transition = 0.0
-    duration = 0.0
-    for s, target in enumerate(target_durations):
-        seg_cost = 0.0
-        for i in range(bounds[s], bounds[s + 1]):
-            if rows[i] < 0:
-                raise ValidationError(f"path step ({nodes[i]}, {nodes[i + 1]}) is not a graph edge")
-            seg_cost += costs[i]
-        transition += seg_cost
-        achieved = bounds[s + 1] - bounds[s]
-        duration += abs(1.0 - achieved / target)
-    return transition, duration
+    if (rows < 0).any():
+        i = int(np.argmax(rows < 0))
+        raise ValidationError(f"path step ({nodes[i]}, {nodes[i + 1]}) is not a graph edge")
+    return _path_costs((graph.d_feat[rows] + graph.d_img[rows]).tolist(), bounds, target_durations)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,7 @@ def load_search_result(path: str | Path) -> SearchResult:
                           float(p["duration_cost"]), tuple(map(int, p["boundaries"])))
             for p in doc["paths"]
         )
-        return SearchResult(paths=paths, seed=int(doc["seed"]), config=config)
+        return SearchResult(paths=paths, seed=integer("seed", doc["seed"], 0), config=config)
 
     return read_document(
         Path(path).read_bytes(), f"search result {path}", SEARCH_RESULT_FORMAT, build

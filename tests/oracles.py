@@ -86,7 +86,8 @@ def assemblable(paths, graph, segments, k):
     poses = [PoseFrame(i, np.zeros(3), np.zeros((1, 3))) for i in range(len(graph))]
     kept = []
     for path in paths:
-        candidate = path if isinstance(path, PathCandidate) else PathCandidate(path[0], 0.0, 0.0, (0,))
+        candidate = path if isinstance(path, PathCandidate) else PathCandidate(
+            path[0], 0.0, 0.0, (0, len(path[0]) - 1))
         try:
             assemble_edl(candidate, graph, segments, poses, k=k)
         except AssemblyError:

@@ -12,7 +12,7 @@ from motiongraph.assembly import (
     save_edl,
 )
 from motiongraph.audio import AudioFeatureTrack
-from motiongraph.errors import AssemblyError
+from motiongraph.errors import AssemblyError, ValidationError
 from motiongraph.pose import forward_kinematics, interpolate_pose
 from motiongraph.search import PathCandidate, resample_segment
 from motiongraph.silhouette import RASTER_CHUNK, default_camera, rasterize_silhouette
@@ -75,6 +75,11 @@ class TestBlendSchedule:
             make_blend_schedule(wavy_poses, 2, 400, 4)
         with pytest.raises(AssemblyError):
             make_blend_schedule(wavy_poses, 100, len(wavy_poses) - 2, 4)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 0, "4"])
+    def test_k_must_be_an_integer_at_least_1(self, wavy_poses, k):
+        with pytest.raises(ValidationError, match="blend neighborhood k must be an integer >= 1"):
+            make_blend_schedule(wavy_poses, 100, 400, k)
 
 
 class TestAssembleEdl:
@@ -146,6 +151,17 @@ class TestAssembleEdl:
             assemble_edl(path, graph, segments, wavy_poses, k=4)
         assert "202" in str(err.value) or "200" in str(err.value)
 
+    @pytest.mark.parametrize("k", [True, 2.5, 0, "4"])
+    def test_k_must_be_an_integer_at_least_1(self, wavy_poses, k):
+        path = PathCandidate(tuple(range(0, 31)), 0.0, 0.0, (0, 30))
+        with pytest.raises(ValidationError, match="blend neighborhood k must be an integer >= 1"):
+            assemble_edl(path, toy_graph(60), self._segments(31), wavy_poses, k=k)
+
+    def test_step_that_is_not_an_edge_rejected(self, wavy_poses):
+        path = PathCandidate((0, 1, 40, 41), 0.0, 0.0, (0, 3))
+        with pytest.raises(AssemblyError, match=r"path step \(1, 40\) is not a graph edge"):
+            assemble_edl(path, toy_graph(60), self._segments(4), wavy_poses, k=1)
+
     def test_synthetic_anchor_edge_is_hard_cut(self, wavy_poses):
         graph = toy_graph(300, synthetic=[(10, 150, 0.1, 0.1)])
         nodes = (10,) + tuple(range(150, 180))
@@ -192,6 +208,15 @@ class TestEdlFile:
         save_edl(p1, edl)
         save_edl(p2, load_edl(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_k_is_stored_as_an_int_and_written(self, tmp_path, wavy_poses):
+        graph = toy_graph(200, synthetic=[(60, 120, 0.125, 0.25)])
+        nodes = tuple(range(40, 61)) + tuple(range(120, 140))
+        path = PathCandidate(nodes, 0.375, 0.0, (0, len(nodes) - 1))
+        edl = assemble_edl(path, graph, segment_list(41, []), wavy_poses, k=np.int64(4))
+        save_edl(tmp_path / "e.json", edl)
+        for loaded in (edl, load_edl(tmp_path / "e.json")):
+            assert loaded.blend_k == 4 and type(loaded.blend_k) is int
 
     def test_roundtrip_preserves_poses(self, tmp_path, wavy_poses):
         edl = self._edl(wavy_poses)

@@ -560,6 +560,11 @@ BAD_PARAMETERS = {
     "duration-window-inf": ("search", ["--graph", "graph", "--segments", "segments"],
                             ["--duration-window", "0.9,inf"],
                             "duration window must satisfy 0 < low <= 1 <= high < inf"),
+    "seed-negative": ("search", ["--graph", "graph", "--segments", "segments"],
+                      ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    "start-frame-negative": ("search", ["--graph", "graph", "--segments", "segments"],
+                             ["--start-frame", "-5"],
+                             "start_frame must be an integer >= 0, got -5"),
     "velocity-weight-nan": ("build-graph", ["--poses", "poses", "--features", "ref_features"],
                             ["--velocity-weight", "nan"],
                             "velocity_weight must be a finite number >= 0, got nan"),
@@ -624,6 +629,18 @@ class TestSearchParametersFirst:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, name", [("--seed", "-3", "seed"),
+                                                   ("--start-frame", "-5", "start_frame")])
+    def test_run_refuses_a_negative_seed_or_start_frame_first(self, tmp_path, fixture_files,
+                                                              flag, value, name):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main(_run_args(fixture_files, out, flag, value))
+        assert str(err.value.code) == (
+            f"error in search: {name} must be an integer >= 0, got {value}"
+        )
+        assert not out.exists()
+
 
 def _truncated(data: bytes) -> bytes:
     return data[: len(data) // 2]
@@ -646,6 +663,16 @@ def _drop(key):
 
 def _set(key, value):
     return _edited(lambda doc: doc.update({key: value}))
+
+
+def _swap_boundaries(doc):
+    bounds = doc["paths"][0]["boundaries"]
+    bounds[1], bounds[2] = bounds[2], bounds[1]
+
+
+def _boundary_past_the_path(doc):
+    path = doc["paths"][0]
+    path["boundaries"][-1] = len(path["nodes"]) + 5
 
 
 AUDIO_OUT = ["--features-out", "@f", "--segments-out", "@s"]
@@ -711,7 +738,10 @@ MALFORMED = {
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),
-                      "onsets-not-bool": _set("avoid_onsets_mid_segment", "no")},
+                      "onsets-not-bool": _set("avoid_onsets_mid_segment", "no"),
+                      "fractional-seed": _set("seed", 1.5),
+                      "swapped-boundaries": _edited(_swap_boundaries),
+                      "boundary-past-the-path": _edited(_boundary_past_the_path)},
     "edl": {"broken-json": _truncated, "missing-field": _drop("entries"),
             "wrong-format": _set("format", "edl/9")},
 }

@@ -158,6 +158,18 @@ class TestThresholds:
         with pytest.raises(ValidationError, match="offset_l must be an integer >= 1"):
             Thresholds(0.1, 0.1, offset_l)
 
+    @pytest.mark.parametrize("offset_l", [2.5, "4", True, 0])
+    def test_compute_offset_must_be_an_integer_at_least_1(self, smooth_setup, offset_l):
+        states, masks = smooth_setup
+        with pytest.raises(ValidationError, match="offset_l must be an integer >= 1"):
+            compute_thresholds(states, masks, offset_l=offset_l)
+
+    def test_compute_accepts_a_numpy_integer_offset(self, smooth_setup):
+        states, masks = smooth_setup
+        thresholds = compute_thresholds(states, masks, offset_l=np.int64(4))
+        assert thresholds == compute_thresholds(states, masks, offset_l=4)
+        assert type(thresholds.offset_l) is int
+
     def test_numpy_integer_offset_accepted(self):
         thresholds = Thresholds(0.1, 0.1, np.int64(4))
         assert thresholds.offset_l == 4
@@ -259,6 +271,15 @@ class TestBuildGraph:
             build_graph(states, masks[:-1], no_feature(len(states)), Thresholds(0, 0, 4))
         with pytest.raises(StructuralError):
             build_graph(states, masks, no_feature(len(states) - 2), Thresholds(0, 0, 4))
+
+    def test_joint_count_mismatch_names_the_state(self, smooth_setup):
+        states, masks = smooth_setup
+        states = list(states)
+        states[5] = JointState(np.zeros((3, 3)), np.zeros((3, 3)))
+        with pytest.raises(StructuralError, match="joint state 5"):
+            build_graph(states, masks, no_feature(len(states)), Thresholds(0.1, 0.1, 4))
+        with pytest.raises(StructuralError):
+            compute_thresholds(states, masks)
 
     def test_unpacked_masks_rejected(self, smooth_setup, smooth_refs):
         states, masks = smooth_setup

@@ -202,6 +202,13 @@ class TestJointStates:
         assert np.array_equal(states[0].velocities, states[1].velocities)
         assert np.array_equal(states[-1].velocities, states[-2].velocities)
 
+    @pytest.mark.parametrize("fps", [math.inf, math.nan, 0.0, -30.0])
+    def test_fps_must_be_finite_and_positive(self, fps):
+        from motiongraph.pose import MotionSequence
+
+        with pytest.raises(ValidationError, match="fps must be a finite number > 0"):
+            MotionSequence(fps=fps, frames=[])
+
     def test_empty_sequence_rejected(self, chain_skeleton):
         from motiongraph.pose import MotionSequence
 
@@ -330,6 +337,12 @@ class TestPairDistances:
         want = np.array([pose_distance(states[m], states[n]) for m, n in zip(mm, nn)])
         assert got.tobytes() == want.tobytes()
 
+    def test_joint_count_mismatch_names_the_state(self):
+        states = [JointState(np.zeros((2, 3)), np.zeros((2, 3)))] * 3
+        states.append(JointState(np.zeros((3, 3)), np.zeros((3, 3))))
+        with pytest.raises(StructuralError, match="joint state 3"):
+            state_rows(states)
+
     def test_no_pairs(self):
         states = [JointState(np.zeros((2, 3)), np.zeros((2, 3)))] * 3
         empty = np.zeros(0, dtype=np.int64)
@@ -395,6 +408,17 @@ class TestPoseTrackFile:
         for a, b in zip(seq.frames, seq2.frames):
             assert np.array_equal(a.root_translation, b.root_translation)
             assert np.array_equal(a.joint_rotations, b.joint_rotations)
+
+    @pytest.mark.parametrize("fps", [math.inf, math.nan])
+    def test_non_finite_fps_is_parse_error(self, tmp_path, chain_skeleton, fps):
+        path = tmp_path / "track.json"
+        sequence = make_sequence(chain_skeleton, lambda t: ((0, 0, 3.0), None), 3)
+        save_pose_track(path, chain_skeleton, sequence)
+        doc = json.loads(path.read_text())
+        doc["fps"] = fps
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match="fps must be a finite number > 0"):
+            load_pose_track(path)
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -8,13 +8,16 @@ from motiongraph.errors import SegmentUnreachableError, StructuralError, Validat
 from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
+    PathCandidate,
     _SearchState,
     beam_search,
     duration_bounds,
     expand_segment,
     in_duration_window,
+    load_search_result,
     recompute_costs,
     resample_segment,
+    save_search_result,
 )
 
 from oracles import assemblable, enumerate_paths, optimum
@@ -250,6 +253,30 @@ class TestBeamSearch:
         with pytest.raises(ValidationError, match=f"{name} must be an integer >= 1"):
             BeamConfig(**{name: value})
 
+    @pytest.mark.parametrize("window", [(0.9, 1.0, 1.1), (1.0,), 0.9, None])
+    def test_duration_window_must_be_a_pair(self, window):
+        with pytest.raises(ValidationError, match="duration window must satisfy"):
+            BeamConfig(duration_window=window)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        graph = toy_graph(12)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            beam_search(graph, segment_list(6, []), BeamConfig(beam_width=2, blend_k=1), seed=seed)
+
+    def test_numpy_integers_are_stored_as_ints_and_written(self, tmp_path):
+        graph = toy_graph(14, synthetic=[(2, 9, 0.1, 0.1), (9, 3, 0.2, 0.1)], onsets={6, 11})
+        segments = segment_list(13, [(7, EndpointFeature("onset"))])
+        config = BeamConfig(beam_width=np.int64(4), blend_k=np.int32(1))
+        result = beam_search(graph, segments, config, seed=np.uint8(99))
+        save_search_result(tmp_path / "p.json", result)
+        back = load_search_result(tmp_path / "p.json")
+        for loaded in (result, back):
+            values = (loaded.seed, loaded.config.beam_width, loaded.config.blend_k)
+            assert values == (99, 4, 1)
+            assert {type(v) for v in values} == {int}
+        assert back == result
+
     def test_no_dedup_option(self):
         with pytest.raises(TypeError):
             BeamConfig(dedup=True)
@@ -308,6 +335,12 @@ class TestBeamSearch:
             for path in result.paths:
                 t, d = recompute_costs(graph, path, segments.durations)
                 assert (t, d) == (path.transition_cost, path.duration_cost)
+
+    def test_recompute_refuses_a_step_that_is_not_an_edge(self):
+        graph = toy_graph(10)
+        path = PathCandidate((0, 1, 5, 6), 0.0, 0.0, (0, 3))
+        with pytest.raises(ValidationError, match=r"path step \(1, 5\) is not a graph edge"):
+            recompute_costs(graph, path, (3,))
 
     def test_paths_are_valid_walks(self):
         graph = toy_graph(14, synthetic=[(2, 9, 0.1, 0.1), (10, 4, 0.05, 0.1)], onsets={8})
@@ -392,6 +425,18 @@ class TestBeamSearch:
         result = beam_search(graph, segments, BeamConfig(beam_width=10), seed=0)
         costs = [p.total_cost() for p in result.paths]
         assert costs == sorted(costs)
+
+
+class TestPathCandidate:
+    @pytest.mark.parametrize(
+        "bounds", [(), (0,), (1, 5), (0, 4), (0, 6), (0, 3, 2, 5), (0, 3, 3, 5), (0, 0, 5)]
+    )
+    def test_boundaries_rise_strictly_from_0_to_the_last_node(self, bounds):
+        with pytest.raises(ValidationError, match="segment boundaries must rise strictly"):
+            PathCandidate(tuple(range(6)), 0.0, 0.0, bounds)
+
+    def test_rising_boundaries_accepted(self):
+        assert PathCandidate(tuple(range(6)), 0.0, 0.0, (0, 2, 5)).durations == (2, 3)
 
 
 class TestResample:
