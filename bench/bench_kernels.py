@@ -14,7 +14,10 @@ pre-gate over all frame pairs of a 4000-frame puppet reference, and also
 prints the traced peak memory (tracemalloc) of one gating call. The graph
 file entries save and load a 2000-node graph with the walk entries' edges,
 and print the traced peak of one save plus one load; the file-writer
-entries time and trace one chunked write of that graph to a file. The
+entries time and trace one write of that graph to a file. The 10k-node
+graph-file entries write a graph of 10,000 nodes and about 2.5M edges
+(random jumps, random distances) to a file and load it back, and print the
+file size and the traced peak of one write and of one load. The
 FK entry computes the joint states of the fixture's 2000 reference
 frames. The onset entries run onset detection on 2000 frames of 48 kHz clicks. The
 search entries run one default search (20 starts, k=4) for a 300-frame
@@ -203,6 +206,39 @@ def run_benchmarks():
         results["graph_save_file_traced_peak"] = (
             _traced_peak_mb(lambda: graph.save_graph_file(motion_graph, path)), "MB"
         )
+
+    # Graph file at 10k nodes: the natural chain plus about 2.5M distinct
+    # random jumps of at least min_jump frames, built from columns.
+    big_n, big_rng = 10000, np.random.default_rng(10)
+    keys = np.unique(big_rng.integers(0, big_n * big_n, size=2_600_000))
+    jump_src, jump_dst = keys // big_n, keys % big_n
+    keep = np.abs(jump_src - jump_dst) >= graph.DEFAULT_MIN_JUMP
+    jump_src, jump_dst = jump_src[keep], jump_dst[keep]
+    chain = np.arange(big_n - 1)
+    big_graph = graph.VideoMotionGraph._from_columns(
+        np.zeros(big_n, dtype=bool), np.full(big_n, "", dtype=str),
+        np.concatenate([chain, jump_src]), np.concatenate([chain + 1, jump_dst]),
+        np.repeat([False, True], [big_n - 1, jump_src.size]),
+        np.concatenate([np.zeros(big_n - 1), big_rng.uniform(0.0, 0.1, size=jump_src.size)]),
+        np.concatenate([np.zeros(big_n - 1), big_rng.uniform(0.0, 0.1, size=jump_src.size)]),
+        graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        results["graph_save_file_10k_nodes"] = (
+            _time(lambda: graph.save_graph_file(big_graph, path)), "s"
+        )
+        results["graph_load_file_10k_nodes"] = (
+            _time(lambda: graph.load_graph_file(path)), "s"
+        )
+        results["graph_file_10k_nodes"] = (path.stat().st_size / 2**20, "MB")
+        results["graph_save_file_10k_traced_peak"] = (
+            _traced_peak_mb(lambda: graph.save_graph_file(big_graph, path)), "MB"
+        )
+        results["graph_load_file_10k_traced_peak"] = (
+            _traced_peak_mb(lambda: graph.load_graph_file(path)), "MB"
+        )
+    del big_graph
 
     # Onset detection: 2000 video frames of 48 kHz audio, the reference clicks.
     onsets = fixtures.click_frames(n, fixtures.REFERENCE_GAPS)

@@ -401,52 +401,50 @@ def save_edl(path: str | Path, edl: EditDecisionList) -> None:
 
 
 def load_edl(path: str | Path) -> EditDecisionList:
+    def step(s):
+        src = integer("blend step src", s["src"], 0)
+        return BlendStep(
+            alpha=float(s["alpha"]),
+            src_frame=src,
+            dst_frame=integer("blend step dst", s["dst"], 0),
+            pose=PoseFrame(frame_index=src, root_translation=np.array(s["root"]),
+                           joint_rotations=np.array(s["rotations"])),
+        )
+
     def build(doc):
         entries: list = []
         for e in doc["entries"]:
             if e["type"] == "run":
                 entries.append(
                     RunEntry(
-                        source_start=int(e["source_start"]),
-                        source_end=int(e["source_end"]),
+                        source_start=integer("source_start", e["source_start"], 0),
+                        source_end=integer("source_end", e["source_end"], 0),
                         speed_factor=float(e["speed_factor"]),
                         frames=tuple(
-                            PlaybackEntry(int(f["source"]), float(f["position"]))
+                            PlaybackEntry(integer("frame source", f["source"], 0),
+                                          float(f["position"]))
                             for f in e["frames"]
                         ),
                     )
                 )
             else:
-                steps = tuple(
-                    BlendStep(
-                        alpha=float(s["alpha"]),
-                        src_frame=int(s["src"]),
-                        dst_frame=int(s["dst"]),
-                        pose=PoseFrame(
-                            frame_index=int(s["src"]),
-                            root_translation=np.array(s["root"]),
-                            joint_rotations=np.array(s["rotations"]),
-                        ),
-                    )
-                    for s in e["steps"]
-                )
                 entries.append(
                     TransitionEntry(
                         schedule=BlendSchedule(
                             src_window=tuple(e["src_window"]),
                             dst_window=tuple(e["dst_window"]),
-                            steps=steps,
+                            steps=tuple(map(step, e["steps"])),
                         )
                     )
                 )
         return EditDecisionList(
             fps=float(doc["fps"]),
-            total_frames=int(doc["total_frames"]),
-            start_frame=int(doc["start_frame"]),
-            blend_k=int(doc["blend_k"]),
+            total_frames=integer("total_frames", doc["total_frames"], 0),
+            start_frame=integer("start_frame", doc["start_frame"], 0),
+            blend_k=integer("blend_k", doc["blend_k"], 1),
             entries=entries,
             provenance=dict(doc["provenance"]),
-            speech_frames=tuple(int(i) for i in doc["speech_frames"]),
+            speech_frames=tuple(integer("speech frame", i, 0) for i in doc["speech_frames"]),
         )
 
     return read_document(Path(path).read_bytes(), f"EDL {path}", EDL_FORMAT, build)

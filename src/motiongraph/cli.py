@@ -31,6 +31,9 @@ from .errors import MotionGraphError, ValidationError, integer
 
 STATUS_FAILURE = 1
 
+#: Bytes of the graph file that ``assemble`` hashes at a time for the EDL.
+HASH_BLOCK = 1 << 20
+
 
 @contextlib.contextmanager
 def _stage(name: str):
@@ -227,7 +230,7 @@ def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
         )
         digest = hashlib.sha256()
         with open(args.graph, "rb") as graph_file:
-            for block in iter(lambda: graph_file.read(1 << 20), b""):  # 1 MiB at a time
+            for block in iter(lambda: graph_file.read(HASH_BLOCK), b""):
                 digest.update(block)
         provenance = {
             "graph_sha256": digest.hexdigest(),

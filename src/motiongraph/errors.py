@@ -1,4 +1,4 @@
-"""Exception types shared across the engine, the integer test and rule of
+"""Exception types shared across the engine, the number tests and the rule of
 every integer field, and the decoder every engine file goes through, which reports
 a malformed file as one of them."""
 
@@ -52,6 +52,11 @@ class AssemblyError(MotionGraphError):
 def is_integer(value) -> bool:
     """An int or numpy integer, not a bool: a fraction is refused, never truncated."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An int, float or numpy number that is not a bool or complex."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def integer(name: str, value, low: int) -> int:

@@ -8,6 +8,7 @@ mean distance between frames ``l`` apart.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import mmap
@@ -26,7 +27,7 @@ from .pose import JointState, pair_distances, pose_distance, state_rows
 DEFAULT_OFFSET_L = 4
 DEFAULT_MIN_JUMP = 2
 
-GRAPH_FORMAT = "motion-graph/2"
+GRAPH_FORMAT = "motion-graph/3"
 
 #: Rows of the pair matrix gated at a time. Each gating temporary holds at
 #: most GATE_BLOCK x N float64 values, so the build never holds an N x N one.
@@ -349,8 +350,8 @@ def build_graph(
 
 
 # ---------------------------------------------------------------------------
-# serialization (JSON; floats use repr round-tripping, so scalars are
-# bit-exact across save/load)
+# serialization (JSON with sorted keys; each numeric or flag column is one
+# base64 string of its little-endian bytes, so values are bit-exact)
 # ---------------------------------------------------------------------------
 
 
@@ -360,31 +361,28 @@ def _check_file_thresholds(thresholds: Thresholds) -> None:
         raise ValidationError(f"a graph file's thresholds must be finite, got {thresholds}")
 
 
-#: Values of one column encoded per chunk by the graph writer.
-SAVE_CHUNK_EDGES = 4096
-
-#: A graph file's columns, in ``VideoMotionGraph._init`` order, and the type
-#: of their entries: two per node (node i is frame i), then five per edge.
-FILE_COLUMNS = {"onset": bool, "keyword": str, "src": np.int64, "dst": np.int64,
-                "synthetic": bool, "d_feat": np.float64, "d_img": np.float64}
+#: A graph file's columns, in ``VideoMotionGraph._init`` order: two per node
+#: (node i is frame i), then five per edge. Each but ``keyword``, a JSON list
+#: of strings, is stored as the bytes of this dtype; a flag is one byte, 0 or 1.
+FILE_COLUMNS = {"onset": np.dtype("u1"), "keyword": None, "src": np.dtype("<i8"),
+                "dst": np.dtype("<i8"), "synthetic": np.dtype("u1"),
+                "d_feat": np.dtype("<f8"), "d_img": np.dtype("<f8")}
 
 
 def _graph_chunks(graph: VideoMotionGraph):
-    """The ``motion-graph/2`` document as UTF-8 chunks of at most ``SAVE_CHUNK_EDGES``
-    values of one column. Joined, they are ``json.dumps(doc, sort_keys=True)``."""
+    """The ``motion-graph/3`` document as UTF-8 chunks, at most one column's
+    bytes each. Joined, they are ``json.dumps(doc, sort_keys=True)``."""
     doc = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
            "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
-           **{name: getattr(graph, name) for name in FILE_COLUMNS}}
+           **{name: getattr(graph, name) for name in FILE_COLUMNS},
+           "keyword": graph.keyword.tolist()}
     for i, (key, value) in enumerate(sorted(doc.items())):
         yield f"{', ' if i else '{'}{json.dumps(key)}: ".encode()
-        if not isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
+            column = np.ascontiguousarray(value, FILE_COLUMNS[key])
+            yield from (b'"', base64.b64encode(column), b'"')
+        else:
             yield json.dumps(value, sort_keys=True).encode()
-            continue
-        yield b"["
-        for lo in range(0, value.size, SAVE_CHUNK_EDGES):
-            text = json.dumps(value[lo : lo + SAVE_CHUNK_EDGES].tolist())[1:-1]
-            yield (", " + text if lo else text).encode()
-        yield b"]"
     yield b"}"
 
 
@@ -393,17 +391,38 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
     return b"".join(_graph_chunks(graph))
 
 
+def _file_column(doc: dict, name: str) -> np.ndarray:
+    """Column ``name`` of a graph document, taken out of ``doc`` so that its
+    base64 text can be freed once decoded."""
+    value, dtype = doc.pop(name), FILE_COLUMNS[name]
+    if dtype is None:
+        return np.array(value, dtype=str)  # entries convert as str would
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a base64 string, got {type(value).__name__}")
+    try:
+        data = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValidationError(f"{name} is not base64 text: {exc}") from exc
+    if len(data) % dtype.itemsize:
+        raise ValidationError(f"{name} holds {len(data)} bytes, not whole "
+                              f"{dtype.itemsize}-byte values")
+    column = np.frombuffer(data, dtype)
+    if dtype.kind == "u":  # a flag column
+        if (column > 1).any():
+            raise ValidationError(f"{name} bytes must be 0 or 1")
+        return column.view(bool)
+    return column
+
+
 def load_graph(stream: bytes | mmap.mmap) -> VideoMotionGraph:
     def build(doc):
+        header = {"format", "fps", "min_jump", "thresholds", "velocity_weight"}
+        if unknown := doc.keys() - header - FILE_COLUMNS.keys():
+            raise ValidationError(f"unknown fields {sorted(unknown)}")
         t = doc["thresholds"]
         thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), t["offset_l"])
         _check_file_thresholds(thresholds)
-        for name in ("onset", "synthetic"):
-            if not all(v is True or v is False for v in doc[name]):
-                raise ValidationError(f"{name} entries must be true or false")
-        # Other entries convert as int, float or str would.
-        columns = [np.array(doc[name], dtype=str) if dtype is str else np.fromiter(doc[name], dtype)
-                   for name, dtype in FILE_COLUMNS.items()]
+        columns = [_file_column(doc, name) for name in FILE_COLUMNS]
         onset, keyword, *edge_columns = columns
         if keyword.shape != onset.shape or len({c.shape for c in edge_columns}) > 1:
             raise StructuralError("graph columns differ in length: " + ", ".join(

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .audio import EndpointFeature, SegmentList
 from .errors import (SegmentUnreachableError, StructuralError, ValidationError, integer,
-                     read_document)
+                     is_real, read_document)
 from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
@@ -46,7 +46,7 @@ class BeamConfig:
 
     def __post_init__(self):
         window = self.duration_window
-        if not (isinstance(window, tuple) and len(window) == 2
+        if not (isinstance(window, tuple) and len(window) == 2 and all(map(is_real, window))
                 and 0.0 < window[0] <= 1.0 <= window[1] < math.inf):
             raise ValidationError(
                 f"duration window must satisfy 0 < low <= 1 <= high < inf, got {window}"
@@ -56,8 +56,9 @@ class BeamConfig:
         rules = {
             "avoid_onsets_mid_segment": (isinstance(self.avoid_onsets_mid_segment, bool),
                                          "a boolean"),
-            "duration_weight": (math.isfinite(self.duration_weight) and self.duration_weight >= 0,
-                                "a finite number >= 0"),
+            "duration_weight": (is_real(self.duration_weight)
+                                and math.isfinite(self.duration_weight)
+                                and self.duration_weight >= 0, "a finite number >= 0"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:
@@ -418,8 +419,9 @@ def load_search_result(path: str | Path) -> SearchResult:
         params = {f.name: doc[f.name] for f in fields(BeamConfig)}
         config = BeamConfig(**dict(params, duration_window=tuple(params["duration_window"])))
         paths = tuple(
-            PathCandidate(tuple(map(int, p["nodes"])), float(p["transition_cost"]),
-                          float(p["duration_cost"]), tuple(map(int, p["boundaries"])))
+            PathCandidate(tuple(integer("node", v, 0) for v in p["nodes"]),
+                          float(p["transition_cost"]), float(p["duration_cost"]),
+                          tuple(integer("boundary", v, 0) for v in p["boundaries"]))
             for p in doc["paths"]
         )
         return SearchResult(paths=paths, seed=integer("seed", doc["seed"], 0), config=config)

@@ -8,6 +8,7 @@ it is a plain recursive walk over the adjacency list. Which enumerated
 paths can be played is left to the assembler itself (``assemblable``).
 """
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -114,6 +115,15 @@ def full_matrix_gate(joint_states, velocity_weight, tau_feat, min_jump):
     cand = approx[mm, nn] <= tau_feat + margin
     return mm[cand], nn[cand]
 
+
+
+def per_row_pair_distances(positions, velocities, mm, nn, velocity_weight=1.0):
+    """``pose.pair_distances`` as a loop over the pairs: one
+    ``math.sqrt(d.dot(d))`` per row difference, positions and velocities."""
+    return np.array([
+        math.sqrt(p.dot(p)) + velocity_weight * math.sqrt(v.dot(v))
+        for p, v in zip(positions[mm] - positions[nn], velocities[mm] - velocities[nn])
+    ], dtype=np.float64)
 
 def first_graph_violation(nodes, edges, min_jump):
     """The message of the first graph invariant that ``nodes`` and ``edges``

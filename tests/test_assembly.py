@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from motiongraph.assembly import (
     save_edl,
 )
 from motiongraph.audio import AudioFeatureTrack
-from motiongraph.errors import AssemblyError, ValidationError
+from motiongraph.errors import AssemblyError, GraphParseError, ValidationError
 from motiongraph.pose import forward_kinematics, interpolate_pose
 from motiongraph.search import PathCandidate, resample_segment
 from motiongraph.silhouette import RASTER_CHUNK, default_camera, rasterize_silhouette
@@ -218,6 +220,43 @@ class TestEdlFile:
         for loaded in (edl, load_edl(tmp_path / "e.json")):
             assert loaded.blend_k == 4 and type(loaded.blend_k) is int
 
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            pytest.param(lambda doc: doc.update(blend_k=True), "blend_k must be an integer >= 1",
+                         id="boolean-blend-k"),
+            pytest.param(lambda doc: doc.update(blend_k=2.5), "blend_k must be an integer >= 1",
+                         id="fractional-blend-k"),
+            pytest.param(lambda doc: doc.update(blend_k=0), "blend_k must be an integer >= 1",
+                         id="zero-blend-k"),
+            pytest.param(lambda doc: doc.update(start_frame=3.7),
+                         "start_frame must be an integer >= 0", id="fractional-start-frame"),
+            pytest.param(lambda doc: doc.update(start_frame=-1),
+                         "start_frame must be an integer >= 0", id="negative-start-frame"),
+            pytest.param(lambda doc: doc.update(total_frames=40.0),
+                         "total_frames must be an integer >= 0", id="float-total-frames"),
+            pytest.param(lambda doc: doc.update(speech_frames=[0.5]),
+                         "speech frame must be an integer", id="fractional-speech-frame"),
+            pytest.param(lambda doc: run_of(doc).update(source_start=1.5),
+                         "source_start must be an integer", id="fractional-source-start"),
+            pytest.param(lambda doc: run_of(doc).update(source_end=True),
+                         "source_end must be an integer", id="boolean-source-end"),
+            pytest.param(lambda doc: run_of(doc)["frames"][0].update(source="40"),
+                         "frame source must be an integer", id="text-frame-source"),
+            pytest.param(lambda doc: step_of(doc).update(src=60.5),
+                         "blend step src must be an integer", id="fractional-step-src"),
+            pytest.param(lambda doc: step_of(doc).update(dst=False),
+                         "blend step dst must be an integer", id="boolean-step-dst"),
+        ],
+    )
+    def test_file_integers_are_refused_not_truncated(self, tmp_path, wavy_poses, edit, name):
+        save_edl(tmp_path / "e.json", self._edl(wavy_poses))
+        doc = json.loads((tmp_path / "e.json").read_text())
+        edit(doc)
+        (tmp_path / "e.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=name):
+            load_edl(tmp_path / "e.json")
+
     def test_roundtrip_preserves_poses(self, tmp_path, wavy_poses):
         edl = self._edl(wavy_poses)
         save_edl(tmp_path / "e.json", edl)
@@ -227,6 +266,14 @@ class TestEdlFile:
         for a, b in zip(orig.schedule.steps, trans.schedule.steps):
             assert a.alpha == b.alpha
             assert np.array_equal(a.pose.joint_rotations, b.pose.joint_rotations)
+
+
+def run_of(doc):
+    return next(e for e in doc["entries"] if e["type"] == "run")
+
+
+def step_of(doc):
+    return next(e for e in doc["entries"] if e["type"] == "transition")["steps"][0]
 
 
 class TestPreview:

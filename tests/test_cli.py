@@ -31,7 +31,12 @@ MASK_DUMP_SHA256 = "6e182d1f2b5228a5e5ce64ab6a8daf4d214d62dd080afb35f96a466bcb5c
 PREVIEW_SHA256 = "0cb7424e5bbe339ed88f95f24dcd4828bcf28b45a65a4ca85d9ce9127ae1d848"
 #: sha256 of the pipeline's ``edl.json``: entries, speed factors, blend poses
 #: and the graph file's hash.
-EDL_SHA256 = "fc066a3b00b56807b50ccf5d533d6d5f5c2b3ad70e5db3d1abf2b6ae5291a742"
+EDL_SHA256 = "0c478e5044ed43a5eecc1b7ac141681b3caffbc45790e2776284835479b4706e"
+#: sha256 of the same EDL document without ``provenance.graph_sha256``,
+#: re-encoded with sorted keys: everything but the graph file's hash. It was
+#: recorded from the ``motion-graph/2`` writer's run, so the same digest shows
+#: that the graph file's layout changed nothing else in the EDL.
+EDL_WITHOUT_GRAPH_HASH_SHA256 = "124db397fb67d872c4be5702deb3fa7758368110c6d7f78c15330dc3ac7bbae1"
 
 
 @pytest.fixture(scope="session")
@@ -98,14 +103,29 @@ class TestRunPipeline:
         assert len(edl.provenance["graph_sha256"]) == 64
         assert edl.speech_frames  # the hello span marks output slots
 
-    def test_provenance_hashes_the_written_graph_file(self, pipeline):
+    def test_provenance_hashes_the_written_graph_file(self, tmp_path, monkeypatch,
+                                                      fixture_files, pipeline):
         edl = load_edl(pipeline / "edl.json")
         graph_bytes = (pipeline / "graph.json").read_bytes()
-        assert len(graph_bytes) > 1 << 20  # assemble hashes it in more than one block
         assert edl.provenance["graph_sha256"] == hashlib.sha256(graph_bytes).hexdigest()
+        # Blocks small enough that assemble hashes the file in more than one.
+        monkeypatch.setattr(cli, "HASH_BLOCK", 1 << 16)
+        assert len(graph_bytes) > cli.HASH_BLOCK
+        assert cli.main(["assemble", "--graph", str(pipeline / "graph.json"),
+                         "--poses", str(fixture_files["poses"]),
+                         "--segments", str(pipeline / "target_segments.json"),
+                         "--path", str(pipeline / "path.json"),
+                         "--out", str(tmp_path / "edl.json")]) == 0
+        assert load_edl(tmp_path / "edl.json").provenance == edl.provenance
 
     def test_edl_bytes_are_pinned(self, pipeline):
         assert hashlib.sha256((pipeline / "edl.json").read_bytes()).hexdigest() == EDL_SHA256
+
+    def test_edl_without_the_graph_hash_is_pinned(self, pipeline):
+        doc = json.loads((pipeline / "edl.json").read_bytes())
+        del doc["provenance"]["graph_sha256"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == EDL_WITHOUT_GRAPH_HASH_SHA256
 
     def test_byte_identical_rerun(self, tmp_path, fixture_files, pipeline):
         out2 = tmp_path / "rerun"
@@ -675,6 +695,10 @@ def _boundary_past_the_path(doc):
     path["boundaries"][-1] = len(path["nodes"]) + 5
 
 
+def _fractional_node(doc):
+    doc["paths"][0]["nodes"][1] += 0.5
+
+
 AUDIO_OUT = ["--features-out", "@f", "--segments-out", "@s"]
 
 # Input kind -> (a well-formed file of that kind, the flag that passes it,
@@ -732,6 +756,7 @@ MALFORMED = {
     "graph": {"broken-json": _truncated, "missing-field": _drop("src"),
               "wrong-format": _set("format", "motion-graph/9"),
               "format-1": _set("format", "motion-graph/1"),
+              "format-2": _set("format", "motion-graph/2"),
               "nan-fps": _set("fps", float("nan")),
               "negative-min-jump": _set("min_jump", -3),
               "fractional-offset-l": _edited(lambda doc: doc["thresholds"].update(offset_l=4.9))},
@@ -741,9 +766,11 @@ MALFORMED = {
                       "onsets-not-bool": _set("avoid_onsets_mid_segment", "no"),
                       "fractional-seed": _set("seed", 1.5),
                       "swapped-boundaries": _edited(_swap_boundaries),
-                      "boundary-past-the-path": _edited(_boundary_past_the_path)},
+                      "boundary-past-the-path": _edited(_boundary_past_the_path),
+                      "fractional-node": _edited(_fractional_node)},
     "edl": {"broken-json": _truncated, "missing-field": _drop("entries"),
-            "wrong-format": _set("format", "edl/9")},
+            "wrong-format": _set("format", "edl/9"),
+            "boolean-blend-k": _set("blend_k", True)},
 }
 
 
@@ -796,3 +823,29 @@ class TestMalformedInputs:
         assert status == 1
         assert message.startswith(f"error in {command}: ")
         assert "Traceback" not in message
+
+    @pytest.mark.parametrize("command", ["search", "assemble"])
+    def test_motion_graph_2_file_names_both_formats(self, tmp_path, capsys, input_files,
+                                                    command):
+        # The pipeline's graph in the motion-graph/2 layout: one JSON array per column.
+        graph = load_graph_file(input_files["graph"])
+        doc = {"format": "motion-graph/2", "fps": graph.fps, "min_jump": graph.min_jump,
+               "velocity_weight": graph.velocity_weight,
+               "thresholds": {"tau_feat": graph.thresholds.tau_feat,
+                              "tau_img": graph.thresholds.tau_img,
+                              "offset_l": graph.thresholds.offset_l},
+               **{name: getattr(graph, name).tolist()
+                  for name in ("onset", "keyword", "src", "dst", "synthetic", "d_feat", "d_img")}}
+        old = tmp_path / "graph_2.json"
+        old.write_text(json.dumps(doc, sort_keys=True))
+        files = {name: str(input_files[name]) for name in ("segments", "poses", "path")}
+        argv = {"search": ["search", "--graph", str(old), "--segments", files["segments"],
+                           "--out", str(tmp_path / "p.json")],
+                "assemble": ["assemble", "--graph", str(old), "--poses", files["poses"],
+                             "--segments", files["segments"], "--path", files["path"],
+                             "--out", str(tmp_path / "e.json")]}[command]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == (f"error in {command}: graph document has format "
+                                  "'motion-graph/2', expected 'motion-graph/3'")
+        assert list(tmp_path.iterdir()) == [old]

@@ -1,11 +1,13 @@
+import base64
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from motiongraph import graph as graph_mod, kernels
+from motiongraph import fixtures, graph as graph_mod, kernels
 from motiongraph.audio import EndpointFeature, SegmentList
 from motiongraph.errors import GraphParseError, StructuralError, ValidationError
 from motiongraph.graph import (
@@ -20,7 +22,13 @@ from motiongraph.graph import (
     save_graph,
     save_graph_file,
 )
-from motiongraph.pose import JointState, compute_joint_states, pose_distance
+from motiongraph.pose import (
+    JointState,
+    compute_joint_states,
+    pair_distances,
+    pose_distance,
+    state_rows,
+)
 from motiongraph.search import BeamConfig, beam_search
 from motiongraph.silhouette import (
     default_camera,
@@ -30,7 +38,7 @@ from motiongraph.silhouette import (
 )
 
 from conftest import make_sequence
-from oracles import edge_dict, first_graph_violation, full_matrix_gate
+from oracles import edge_dict, first_graph_violation, full_matrix_gate, per_row_pair_distances
 
 SMOOTH_CAMERA = default_camera((64, 64), focal_length=60.0)
 
@@ -338,6 +346,21 @@ class TestPairGating:
         # The median gate keeps some pairs and drops others.
         assert counts[0] < counts[1] < counts[2]
 
+    def test_exact_filter_bit_equal_to_the_per_row_loop(self):
+        # The demo fixture's 2000 reference frames and the pairs its pre-gate
+        # passes at compute_thresholds' tau_feat (the same sequential sum).
+        states = compute_joint_states(fixtures.puppet_skeleton(), fixtures.puppet_sequence(2000))
+        offset = graph_mod.DEFAULT_OFFSET_L
+        tau = sum(pose_distance(a, b) for a, b in zip(states, states[offset:]))
+        tau /= len(states) - offset
+        mm, nn = graph_mod._gate_pairs(states, 1.0, tau, graph_mod.DEFAULT_MIN_JUMP)
+        assert len(mm) == 114042
+        rows = state_rows(states)
+        for velocity_weight in (1.0, 0.37):
+            got = pair_distances(*rows, mm, nn, velocity_weight)
+            want = per_row_pair_distances(*rows, mm, nn, velocity_weight)
+            assert got.tobytes() == want.tobytes()
+
     def test_build_peak_memory_below_one_pair_matrix(self):
         # One N x N float64 matrix at N = 3000 is 72 MB; the tiled gate keeps a
         # few GATE_BLOCK x N blocks.
@@ -559,30 +582,97 @@ class TestSerialization:
                       {"frame": 1, "onset": False, "keyword": ""}],
             "edges": [{"src": 0, "dst": 1, "kind": "natural", "d_feat": 0.0, "d_img": 0.0}],
         }
-        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/2'"):
+        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/3'"):
             load_graph(json.dumps(format_1).encode())
 
-    def test_file_holds_one_array_per_column(self):
-        doc = json.loads(save_graph(self._toy_graph()))
-        assert doc == {
+    def test_format_2_document_names_both_formats(self):
+        # A motion-graph/2 document held each column as a JSON array.
+        format_2 = {
             "format": "motion-graph/2", "fps": 25.0, "min_jump": 2, "velocity_weight": 1.0,
             "thresholds": {"tau_feat": 0.2, "tau_img": 0.6, "offset_l": 4},
-            "onset": [True, False, False], "keyword": ["", "", "hi"],
-            "src": [0, 1, 0], "dst": [1, 2, 2], "synthetic": [False, False, True],
-            "d_feat": [0.0, 0.0, 0.123456789012345678], "d_img": [0.0, 0.0, 0.5],
+            "onset": [True, False], "keyword": ["", ""], "src": [0], "dst": [1],
+            "synthetic": [False], "d_feat": [0.0], "d_img": [0.0],
         }
+        with pytest.raises(GraphParseError, match="'motion-graph/2', expected 'motion-graph/3'"):
+            load_graph(json.dumps(format_2, sort_keys=True).encode())
+
+    def test_file_holds_one_array_per_column(self):
+        blob = save_graph(self._toy_graph())
+        doc = json.loads(blob)
+        # Each column but keyword is the base64 text of its little-endian bytes.
+        assert doc == {
+            "format": "motion-graph/3", "fps": 25.0, "min_jump": 2, "velocity_weight": 1.0,
+            "thresholds": {"tau_feat": 0.2, "tau_img": 0.6, "offset_l": 4},
+            "onset": "AQAA", "keyword": ["", "", "hi"], "synthetic": "AAAB",
+            "src": b64(struct.pack("<3q", 0, 1, 0)), "dst": b64(struct.pack("<3q", 1, 2, 2)),
+            "d_feat": b64(struct.pack("<3d", 0.0, 0.0, 0.123456789012345678)),
+            "d_img": b64(struct.pack("<3d", 0.0, 0.0, 0.5)),
+        }
+        assert decoded(blob)["synthetic"] == [0, 0, 1]
+
+    def test_roundtrip_is_bit_exact(self):
+        g = random_graph(np.random.default_rng(4), 20, 12)
+        edge_values = np.array([-0.0, 5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+                                np.finfo(np.float64).max, -np.finfo(np.float64).max, 1 / 3,
+                                0.1, 1e-300, 7.0, -1.0, np.nextafter(1.0, 2.0)])
+        doc = decoded(save_graph(g))
+        doc["d_feat"][-12:], doc["d_img"][-12:] = edge_values.tolist(), edge_values[::-1].tolist()
+        original = load_graph(encoded(doc))
+        loaded = load_graph(save_graph(original))
+        for name in ("d_feat", "d_img"):
+            assert np.array_equal(getattr(loaded, name).view(np.int64),
+                                  getattr(original, name).view(np.int64))
+        assert loaded.d_feat[-12:].view(np.int64).tolist() == edge_values.view(np.int64).tolist()
+        for name in ("onset", "keyword", "src", "dst", "synthetic"):
+            assert np.array_equal(getattr(loaded, name), getattr(original, name))
+            assert getattr(loaded, name).dtype == getattr(original, name).dtype
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda doc: doc.update(src="AAAA!AAA"), "src is not base64 text",
+                         id="not-base64"),
+            pytest.param(lambda doc: doc.update(d_img="AAAAAAAAAAA"), "d_img is not base64 text",
+                         id="bad-padding"),
+            pytest.param(lambda doc: doc.update(onset="AQ\u00e9A"), "onset is not base64 text",
+                         id="not-ascii"),
+            pytest.param(lambda doc: doc.update(dst=doc["dst"][:-4]),
+                         "dst holds 21 bytes, not whole 8-byte values", id="partial-value"),
+            pytest.param(lambda doc: doc.update(d_feat=[0.0, 0.0, 0.5]),
+                         "d_feat must be a base64 string, got list", id="list-column"),
+            pytest.param(lambda doc: doc.update(src=None), "src must be a base64 string",
+                         id="null-column"),
+            pytest.param(lambda doc: doc.pop("d_img"), "missing field 'd_img'",
+                         id="missing-column"),
+            pytest.param(lambda doc: doc.update(kind="AAAB"), r"unknown fields \['kind'\]",
+                         id="extra-column"),
+        ],
+    )
+    def test_bad_column_text_is_parse_error(self, edit, reason):
+        doc = json.loads(save_graph(self._toy_graph()))
+        edit(doc)
+        with pytest.raises(GraphParseError, match=reason):
+            load_graph(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("column", ["synthetic", "onset"])
+    @pytest.mark.parametrize("byte", [2, 255])
+    def test_flag_byte_that_is_not_0_or_1_is_parse_error(self, column, byte):
+        doc = decoded(save_graph(self._toy_graph()))
+        doc[column][-1] = byte
+        with pytest.raises(GraphParseError, match=f"{column} bytes must be 0 or 1"):
+            load_graph(encoded(doc))
 
     @pytest.mark.parametrize("bad, reason", BAD_EDGES)
     def test_bad_edge_is_parse_error(self, bad, reason):
-        doc = json.loads(save_graph(self._toy_graph()))
+        doc = decoded(save_graph(self._toy_graph()))
         for name in ("src", "dst", "d_feat", "d_img"):
             doc[name].append(getattr(bad, name))
-        # A file holds a kind as a flag: an unknown kind is not a boolean.
-        doc["synthetic"].append({"natural": False, "synthetic": True}.get(bad.kind, bad.kind))
+        # A file holds a kind as a flag byte: an unknown kind is neither 0 nor 1.
+        doc["synthetic"].append({"natural": 0, "synthetic": 1}.get(bad.kind, 2))
         if bad.kind == "bogus":
-            reason = "synthetic entries must be true or false"
+            reason = "synthetic bytes must be 0 or 1"
         with pytest.raises(GraphParseError, match=reason):
-            load_graph(json.dumps(doc).encode())
+            load_graph(encoded(doc))
 
     @pytest.mark.parametrize(
         "edit",
@@ -597,18 +687,21 @@ class TestSerialization:
         ],
     )
     def test_columns_of_unequal_length_are_parse_error(self, edit):
-        doc = json.loads(save_graph(self._toy_graph()))
+        doc = decoded(save_graph(self._toy_graph()))
         edit(doc)
         with pytest.raises(GraphParseError, match="columns differ in length"):
-            load_graph(json.dumps(doc).encode())
+            load_graph(encoded(doc))
 
     @pytest.mark.parametrize("column", ["synthetic", "onset"])
     @pytest.mark.parametrize("value", [1, 0, 1.0, "true", None, [True]])
     def test_flag_that_is_not_a_json_boolean_is_parse_error(self, column, value):
+        # A flag is a byte of the column's base64 text, so a flags list in
+        # the motion-graph/2 layout is refused, with a non-boolean entry or not.
         doc = json.loads(save_graph(self._toy_graph()))
-        doc[column][-1] = value
-        with pytest.raises(GraphParseError, match=f"{column} entries must be true or false"):
-            load_graph(json.dumps(doc).encode())
+        for flags in ([False, False, value], [False, False, True]):
+            doc[column] = flags
+            with pytest.raises(GraphParseError, match=f"{column} must be a base64 string"):
+                load_graph(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("value", [0, True, "true", {"true": True}])
     def test_flags_column_that_is_not_a_list_is_parse_error(self, value):
@@ -645,11 +738,10 @@ class TestSerialization:
         g = self._toy_graph()
         assert save_graph(g) == save_graph(load_graph(save_graph(g)))
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, graph_mod.SAVE_CHUNK_EDGES])
-    def test_file_writer_writes_save_graph_bytes(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(graph_mod, "SAVE_CHUNK_EDGES", chunk)
+    @pytest.mark.parametrize("seed", [1, 2, 7, 4096])
+    def test_file_writer_writes_save_graph_bytes(self, tmp_path, seed):
         one_node = VideoMotionGraph([GraphNode(0, True, "hello")], [], Thresholds(0.0, 0.0, 4))
-        for g in (self._toy_graph(), random_graph(np.random.default_rng(chunk), 50, 300),
+        for g in (self._toy_graph(), random_graph(np.random.default_rng(seed), 50, 300),
                   one_node):
             save_graph_file(g, tmp_path / "g.json")
             blob = (tmp_path / "g.json").read_bytes()
@@ -659,7 +751,7 @@ class TestSerialization:
 
     def test_file_writer_peak_memory_bounded_by_the_chunk(self, tmp_path):
         # save_graph holds the whole document's text. The file writer holds
-        # one chunk of one column at a time.
+        # one column's bytes and their base64 text at a time.
         g = random_graph(np.random.default_rng(3), 2000, 60000)
         tracemalloc.start()
         try:
@@ -670,7 +762,6 @@ class TestSerialization:
         assert peak < 8e6, f"save_graph_file peaked at {peak / 1e6:.1f} MB"
 
     def test_failed_file_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(graph_mod, "SAVE_CHUNK_EDGES", 2)
         g = self._toy_graph()
         save_graph_file(g, tmp_path / "g.json")
         before = (tmp_path / "g.json").read_bytes()
@@ -696,7 +787,7 @@ class TestSerialization:
         g = load_graph_file(path)
         assert (g.nodes, g.edges, g.thresholds) == (lambda h: (h.nodes, h.edges, h.thresholds))(
             load_graph(blob))
-        for bad in (b"", blob[: len(blob) // 2], b'{"format": "motion-graph/2", "x": "\xff"}'):
+        for bad in (b"", blob[: len(blob) // 2], b'{"format": "motion-graph/3", "x": "\xff"}'):
             path.write_bytes(bad)
             with pytest.raises(GraphParseError) as from_bytes:
                 load_graph(bad)
@@ -741,6 +832,28 @@ class TestSerialization:
         edit(doc)
         with pytest.raises(GraphParseError):
             load_graph(json.dumps(doc).encode())
+
+
+def b64(data):
+    return base64.b64encode(data).decode()
+
+
+def decoded(blob):
+    """A graph file's document with each base64 column decoded to a list."""
+    doc = json.loads(blob)
+    for name, dtype in graph_mod.FILE_COLUMNS.items():
+        if dtype is not None:
+            doc[name] = np.frombuffer(base64.b64decode(doc[name]), dtype).tolist()
+    return doc
+
+
+def encoded(doc):
+    """The file bytes of a document that ``decoded`` gave, edited or not."""
+    doc = dict(doc)
+    for name, dtype in graph_mod.FILE_COLUMNS.items():
+        if dtype is not None and name in doc:
+            doc[name] = b64(np.asarray(doc[name], dtype).tobytes())
+    return json.dumps(doc, sort_keys=True).encode()
 
 
 def random_graph(rng, n, n_synthetic):

@@ -1,10 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from motiongraph.audio import EndpointFeature, SegmentList
-from motiongraph.errors import SegmentUnreachableError, StructuralError, ValidationError
+from motiongraph.errors import (
+    GraphParseError,
+    SegmentUnreachableError,
+    StructuralError,
+    ValidationError,
+)
 from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
@@ -253,6 +259,27 @@ class TestBeamSearch:
         with pytest.raises(ValidationError, match=f"{name} must be an integer >= 1"):
             BeamConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, rule",
+        [
+            ({"duration_weight": "1"}, "duration_weight must be a finite number"),
+            ({"duration_weight": None}, "duration_weight must be a finite number"),
+            ({"duration_weight": True}, "duration_weight must be a finite number"),
+            ({"duration_window": (0.9, "1.1")}, "duration window must satisfy"),
+            ({"duration_window": ("0.9", 1.1)}, "duration window must satisfy"),
+            ({"duration_window": (None, 1.1)}, "duration window must satisfy"),
+            ({"duration_window": (0.9, [1.1])}, "duration window must satisfy"),
+        ],
+    )
+    def test_non_numbers_rejected(self, kwargs, rule):
+        with pytest.raises(ValidationError, match=rule):
+            BeamConfig(**kwargs)
+
+    def test_numpy_floats_accepted(self):
+        config = BeamConfig(duration_window=(np.float32(0.5), np.float64(1.5)),
+                            duration_weight=np.float64(0.25))
+        assert config.duration_weight == 0.25
+
     @pytest.mark.parametrize("window", [(0.9, 1.0, 1.1), (1.0,), 0.9, None])
     def test_duration_window_must_be_a_pair(self, window):
         with pytest.raises(ValidationError, match="duration window must satisfy"):
@@ -276,6 +303,21 @@ class TestBeamSearch:
             assert values == (99, 4, 1)
             assert {type(v) for v in values} == {int}
         assert back == result
+
+    @pytest.mark.parametrize("field", ["nodes", "boundaries"])
+    @pytest.mark.parametrize("value", [0.5, True, "1", -1])
+    def test_file_integers_are_refused_not_truncated(self, tmp_path, field, value):
+        graph = toy_graph(14, synthetic=[(2, 9, 0.1, 0.1), (9, 3, 0.2, 0.1)], onsets={6, 11})
+        result = beam_search(graph, segment_list(13, [(7, EndpointFeature("onset"))]),
+                             BeamConfig(beam_width=4, blend_k=1), seed=0)
+        save_search_result(tmp_path / "p.json", result)
+        doc = json.loads((tmp_path / "p.json").read_text())
+        entries = doc["paths"][0][field]
+        entries[1] = entries[1] + value if isinstance(value, float) else value
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        name = {"nodes": "node", "boundaries": "boundary"}[field]
+        with pytest.raises(GraphParseError, match=f"{name} must be an integer >= 0"):
+            load_search_result(tmp_path / "p.json")
 
     def test_no_dedup_option(self):
         with pytest.raises(TypeError):
