@@ -22,7 +22,6 @@ from .audio import (
     AudioFeatureTrack,
     EndpointFeature,
     KeywordDictionary,
-    OnsetConfig,
     SegmentList,
     TranscriptWord,
     analyze_audio,

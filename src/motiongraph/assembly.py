@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .audio import AudioFeatureTrack, SegmentList
-from .errors import AssemblyError, StructuralError, ValidationError, integer, read_document
+from .errors import (AssemblyError, StructuralError, ValidationError, integer, read_document,
+                     real)
 from .graph import VideoMotionGraph
 # ``forward_kinematics`` stays importable from here: perfbench/tracing.py wraps it.
 from .pose import (  # noqa: F401
@@ -70,7 +71,8 @@ class BlendSchedule:
     def __post_init__(self):
         k = self.src_window[1] - self.src_window[0]
         if k < 1 or self.dst_window[1] - self.dst_window[0] != k:
-            raise ValidationError(f"blend windows must both span k>=1 frames, got {self}")
+            raise ValidationError("blend windows must both span k>=1 frames, got "
+                                  f"src_window={self.src_window}, dst_window={self.dst_window}")
         if len(self.steps) != 2 * k + 1:
             raise StructuralError(f"expected {2 * k + 1} steps, got {len(self.steps)}")
         for i, step in enumerate(self.steps):
@@ -401,10 +403,13 @@ def save_edl(path: str | Path, edl: EditDecisionList) -> None:
 
 
 def load_edl(path: str | Path) -> EditDecisionList:
+    def window(name, frames):
+        return tuple(integer(name, v, 0) for v in frames)
+
     def step(s):
         src = integer("blend step src", s["src"], 0)
         return BlendStep(
-            alpha=float(s["alpha"]),
+            alpha=real("blend step alpha", s["alpha"]),
             src_frame=src,
             dst_frame=integer("blend step dst", s["dst"], 0),
             pose=PoseFrame(frame_index=src, root_translation=np.array(s["root"]),
@@ -419,10 +424,10 @@ def load_edl(path: str | Path) -> EditDecisionList:
                     RunEntry(
                         source_start=integer("source_start", e["source_start"], 0),
                         source_end=integer("source_end", e["source_end"], 0),
-                        speed_factor=float(e["speed_factor"]),
+                        speed_factor=real("speed_factor", e["speed_factor"]),
                         frames=tuple(
                             PlaybackEntry(integer("frame source", f["source"], 0),
-                                          float(f["position"]))
+                                          real("frame position", f["position"]))
                             for f in e["frames"]
                         ),
                     )
@@ -431,14 +436,14 @@ def load_edl(path: str | Path) -> EditDecisionList:
                 entries.append(
                     TransitionEntry(
                         schedule=BlendSchedule(
-                            src_window=tuple(e["src_window"]),
-                            dst_window=tuple(e["dst_window"]),
+                            src_window=window("src_window", e["src_window"]),
+                            dst_window=window("dst_window", e["dst_window"]),
                             steps=tuple(map(step, e["steps"])),
                         )
                     )
                 )
         return EditDecisionList(
-            fps=float(doc["fps"]),
+            fps=real("fps", doc["fps"]),
             total_frames=integer("total_frames", doc["total_frames"], 0),
             start_frame=integer("start_frame", doc["start_frame"], 0),
             blend_k=integer("blend_k", doc["blend_k"], 1),

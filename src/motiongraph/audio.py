@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GraphParseError, StructuralError, ValidationError, read_document
+from .errors import (GraphParseError, StructuralError, ValidationError, integer, read_document,
+                     real)
 
 log = logging.getLogger(__name__)
 
@@ -84,27 +85,9 @@ ONSET_SMOOTH_HALFWIDTH_S = 0.5
 ONSET_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class OnsetConfig:
-    """Spectral-flux detector parameters.
-
-    One STFT frame of ONSET_WINDOW_SIZE samples is evaluated per video frame
-    (hop = sample_rate / fps, window centered on the frame time), so the flux
-    curve is already in video frame indexing. A frame is an onset iff its
-    flux is a local maximum and exceeds (1 + delta) times the median flux
-    within +-ONSET_SMOOTH_HALFWIDTH_S. The median threshold is relative, so
-    peak positions are invariant to amplitude scaling, and it stays robust
-    when several onsets share one window. delta's default was tuned on the
-    synthetic metronome fixtures.
-    """
-
-    threshold_delta: float = 2.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.threshold_delta):
-            raise ValidationError(
-                f"onset threshold delta must be finite, got {self.threshold_delta}"
-            )
+#: Default ``threshold_delta`` of ``detect_onsets``, tuned on the synthetic
+#: metronome fixtures.
+ONSET_THRESHOLD_DELTA = 2.0
 
 
 def onset_flux(samples: np.ndarray, sample_rate: int, fps: float) -> np.ndarray:
@@ -122,8 +105,7 @@ def onset_flux(samples: np.ndarray, sample_rate: int, fps: float) -> np.ndarray:
         raise ValidationError("cannot detect onsets in empty audio")
     if sample_rate < 8000:
         raise ValidationError(f"sample_rate must be >= 8000 Hz, got {sample_rate}")
-    if not (math.isfinite(fps) and fps > 0):
-        raise ValidationError(f"fps must be a finite number > 0, got {fps}")
+    fps = real("fps", fps, 0, above=True)
     n_frames = int(round(samples.size / sample_rate * fps))
     if n_frames < 1:
         raise ValidationError("audio shorter than one video frame")
@@ -153,12 +135,20 @@ def detect_onsets(
     samples: np.ndarray,
     sample_rate: int,
     fps: float,
-    config: OnsetConfig = OnsetConfig(),
+    threshold_delta: float = ONSET_THRESHOLD_DELTA,
 ) -> np.ndarray:
     """(N,) bool flags marking the video frames that contain an audio onset.
 
-    Digital silence yields zero flux everywhere and therefore no onsets.
+    One STFT frame of ONSET_WINDOW_SIZE samples is evaluated per video frame
+    (hop = sample_rate / fps, window centered on the frame time), so the flux
+    curve is already in video frame indexing. A frame is an onset iff its
+    flux is a local maximum and exceeds (1 + threshold_delta) times the
+    median flux within +-ONSET_SMOOTH_HALFWIDTH_S. The median threshold is
+    relative, so peak positions are invariant to amplitude scaling, and it
+    stays robust when several onsets share one window. Digital silence yields
+    zero flux everywhere and therefore no onsets.
     """
+    threshold_delta = real("onset threshold delta", threshold_delta)
     flux = onset_flux(samples, sample_rate, fps)
     n_frames = flux.size
     w = max(1, int(round(ONSET_SMOOTH_HALFWIDTH_S * fps)))
@@ -172,7 +162,7 @@ def detect_onsets(
         if t < n_frames - 1 and not v >= flux[t + 1]:
             continue
         window = flux[max(0, t - w) : t + w + 1]
-        if v > (1.0 + config.threshold_delta) * float(np.median(window)):
+        if v > (1.0 + threshold_delta) * float(np.median(window)):
             flags[t] = True
     return flags
 
@@ -308,10 +298,10 @@ def analyze_audio(
     fps: float,
     transcript: Sequence[TranscriptWord] = (),
     dictionary: KeywordDictionary | None = None,
-    onset_config: OnsetConfig = OnsetConfig(),
+    threshold_delta: float = ONSET_THRESHOLD_DELTA,
 ) -> AudioFeatureTrack:
     """Full feature extraction: onsets + keyword labels on one track."""
-    onsets = detect_onsets(samples, sample_rate, fps, onset_config)
+    onsets = detect_onsets(samples, sample_rate, fps, threshold_delta)
     dictionary = dictionary or default_dictionary()
     labels = match_keywords(transcript, dictionary, fps, len(onsets))
     return AudioFeatureTrack(fps=fps, onsets=onsets, keywords=tuple(labels))
@@ -320,7 +310,16 @@ def analyze_audio(
 @dataclass(frozen=True)
 class EndpointFeature:
     kind: str  # "onset" | "keyword" | "end"
-    word: str = ""
+    word: str = ""  # the keyword; "" for the other kinds
+
+    def __post_init__(self):
+        if self.kind not in ("onset", "keyword", "end"):
+            raise ValidationError(
+                f"endpoint feature kind must be onset, keyword or end, got {self.kind!r}")
+        if not (isinstance(self.word, str) and bool(self.word) == (self.kind == "keyword")):
+            rule = "a non-empty string" if self.kind == "keyword" else '""'
+            raise ValidationError(
+                f"a {self.kind!r} feature's word must be {rule}, got {self.word!r}")
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,8 @@ def load_transcript(path: str | Path) -> list[TranscriptWord]:
 
     def build(doc):
         return [
-            TranscriptWord(str(w["word"]), float(w["start_time"]), float(w["end_time"]))
+            TranscriptWord(str(w["word"]), real("start_time", w["start_time"]),
+                           real("end_time", w["end_time"]))
             for w in doc
         ]
 
@@ -438,19 +438,17 @@ def save_features(path: str | Path, track: AudioFeatureTrack) -> None:
 
 def load_features(path: str | Path) -> AudioFeatureTrack:
     def build(doc):
-        n = int(doc["n_frames"])
+        n = integer("n_frames", doc["n_frames"], 0)
         onsets = np.zeros(n, dtype=bool)
-        frames = np.asarray(doc["onsets"], dtype=np.int64)
-        if frames.size and frames.min() < 0:
-            raise ValidationError(f"onset frame {frames.min()} is negative")
-        onsets[frames] = True
+        onsets[[integer("onset frame", f, 0) for f in doc["onsets"]]] = True
         labels = [""] * n
         for start, end, word in doc["keywords"]:
-            start, end = int(start), int(end)
-            if not 0 <= start <= end <= n:
+            start, end = integer("keyword run start", start, 0), integer("keyword run end", end, 0)
+            if not start <= end <= n:
                 raise ValidationError(f"keyword run [{start}, {end}) is not within frames 0..{n}")
             labels[start:end] = [str(word)] * (end - start)
-        return AudioFeatureTrack(fps=float(doc["fps"]), onsets=onsets, keywords=tuple(labels))
+        return AudioFeatureTrack(fps=real("fps", doc["fps"]), onsets=onsets,
+                                 keywords=tuple(labels))
 
     return read_document(Path(path).read_bytes(), f"feature file {path}", FEATURES_FORMAT, build)
 
@@ -468,12 +466,10 @@ def save_segments(path: str | Path, segments: SegmentList) -> None:
 def load_segments(path: str | Path) -> SegmentList:
     def build(doc):
         return SegmentList(
-            n_frames=int(doc["n_frames"]),
-            endpoints=tuple(int(a) for a in doc["endpoints"]),
-            features=tuple(
-                EndpointFeature(kind=str(f["kind"]), word=str(f["word"]))
-                for f in doc["features"]
-            ),
+            n_frames=integer("n_frames", doc["n_frames"], 1),
+            endpoints=tuple(integer("endpoint", a, 1) for a in doc["endpoints"]),
+            features=tuple(EndpointFeature(kind=f["kind"], word=f["word"])
+                           for f in doc["features"]),
         )
 
     return read_document(Path(path).read_bytes(), f"segment file {path}", SEGMENTS_FORMAT, build)

@@ -80,7 +80,7 @@ def _add_camera_flag(sub: argparse.ArgumentParser) -> None:
 def _add_audio_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dictionary", default=None,
                      help="keyword dictionary JSON (default: built-in)")
-    sub.add_argument("--onset-delta", type=float, default=audio.OnsetConfig().threshold_delta,
+    sub.add_argument("--onset-delta", type=float, default=audio.ONSET_THRESHOLD_DELTA,
                      help="an onset's flux must exceed (1 + delta) x the local median")
 
 
@@ -180,9 +180,8 @@ def _cmd_analyze_audio(parser, args) -> None:
         samples, rate = audio.read_wav(args.wav)
         transcript = audio.load_transcript(args.transcript) if args.transcript else []
         dictionary = audio.load_dictionary(args.dictionary) if args.dictionary else None
-        config = audio.OnsetConfig(threshold_delta=args.onset_delta)
         track = audio.analyze_audio(
-            samples, rate, args.fps, transcript, dictionary, config
+            samples, rate, args.fps, transcript, dictionary, args.onset_delta
         )
         audio.save_features(args.features_out, track)
         segments = audio.segment_target(track)

@@ -1,10 +1,11 @@
-"""Exception types shared across the engine, the number tests and the rule of
-every integer field, and the decoder every engine file goes through, which reports
-a malformed file as one of them."""
+"""Exception types shared across the engine, the number tests and the rules of
+every integer and real field, and the decoder every engine file goes through,
+which reports a malformed file as one of them."""
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from typing import Any, Callable
 
@@ -64,6 +65,21 @@ def integer(name: str, value, low: int) -> int:
     if not (is_integer(value) and value >= low):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def real(name: str, value, low: float | None = None, above: bool = False) -> float:
+    """``value`` as a Python float if it ``is_real``, is finite and is >= ``low``
+    (> ``low`` with ``above``), else ValidationError: a string or bool is refused,
+    never converted."""
+    try:
+        number = float(value) if is_real(value) else math.inf
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    bounded = low is None or (number > low if above else number >= low)
+    if not (math.isfinite(number) and bounded):
+        rule = "finite" if low is None else f"a finite number {'>' if above else '>='} {low}"
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return number
 
 
 def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):

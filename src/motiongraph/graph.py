@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, integer, read_document
+from .errors import StructuralError, ValidationError, integer, read_document, real
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -109,7 +109,7 @@ class VideoMotionGraph:
 
     def _init(self, onset, keyword, src, dst, kind, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
-        min_jump = _check_header(fps, min_jump, velocity_weight)
+        fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
         synthetic = _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
         for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
             column.flags.writeable = False
@@ -188,21 +188,11 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
     return synthetic
 
 
-def _check_header(fps: float, min_jump: int, velocity_weight: float) -> int:
+def _check_header(fps, min_jump, velocity_weight) -> tuple[float, int, float]:
     """Check the scalars every graph carries (a bad ``fps`` would reach the
-    EDL) and return ``min_jump`` as an int."""
-    if not (math.isfinite(fps) and fps > 0):
-        raise ValidationError(f"fps must be a finite number > 0, got {fps}")
-    min_jump = integer("min_jump", min_jump, 2)
-    _check_velocity_weight(velocity_weight)
-    return min_jump
-
-
-def _check_velocity_weight(velocity_weight: float) -> None:
-    if not (math.isfinite(velocity_weight) and velocity_weight >= 0):
-        raise ValidationError(
-            f"velocity_weight must be a finite number >= 0, got {velocity_weight}"
-        )
+    EDL) and return them as a float, an int and a float."""
+    return (real("fps", fps, 0, above=True), integer("min_jump", min_jump, 2),
+            real("velocity_weight", velocity_weight, 0))
 
 
 def _check_packed(masks, n: int) -> None:
@@ -227,7 +217,7 @@ def compute_thresholds(
     average, raising both thresholds and densifying the graph.
     """
     n = len(joint_states)
-    _check_velocity_weight(velocity_weight)
+    velocity_weight = real("velocity_weight", velocity_weight, 0)
     offset_l = integer("offset_l", offset_l, 1)
     if n <= offset_l:
         raise ValidationError(
@@ -321,7 +311,7 @@ def build_graph(
     _check_packed(masks, n)
     if len(features) != n:
         raise StructuralError(f"{len(features)} feature records for {n} joint states")
-    _check_header(fps, min_jump, velocity_weight)
+    fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
 
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
     # Exact d_feat filter: pose_distance of every gated pair.
@@ -396,7 +386,9 @@ def _file_column(doc: dict, name: str) -> np.ndarray:
     base64 text can be freed once decoded."""
     value, dtype = doc.pop(name), FILE_COLUMNS[name]
     if dtype is None:
-        return np.array(value, dtype=str)  # entries convert as str would
+        if not (isinstance(value, list) and all(isinstance(word, str) for word in value)):
+            raise ValidationError(f"{name} must be a list of strings")
+        return np.array(value, dtype=str)
     if not isinstance(value, str):
         raise ValidationError(f"{name} must be a base64 string, got {type(value).__name__}")
     try:
@@ -420,15 +412,15 @@ def load_graph(stream: bytes | mmap.mmap) -> VideoMotionGraph:
         if unknown := doc.keys() - header - FILE_COLUMNS.keys():
             raise ValidationError(f"unknown fields {sorted(unknown)}")
         t = doc["thresholds"]
-        thresholds = Thresholds(float(t["tau_feat"]), float(t["tau_img"]), t["offset_l"])
-        _check_file_thresholds(thresholds)
+        thresholds = Thresholds(real("tau_feat", t["tau_feat"]), real("tau_img", t["tau_img"]),
+                                t["offset_l"])
         columns = [_file_column(doc, name) for name in FILE_COLUMNS]
         onset, keyword, *edge_columns = columns
         if keyword.shape != onset.shape or len({c.shape for c in edge_columns}) > 1:
             raise StructuralError("graph columns differ in length: " + ", ".join(
                 f"{name} {c.shape}" for name, c in zip(FILE_COLUMNS, columns)))
-        return VideoMotionGraph._from_columns(*columns, thresholds, float(doc["fps"]),
-                                              doc["min_jump"], float(doc["velocity_weight"]))
+        return VideoMotionGraph._from_columns(*columns, thresholds, doc["fps"],
+                                              doc["min_jump"], doc["velocity_weight"])
 
     return read_document(stream, "graph document", GRAPH_FORMAT, build)
 

@@ -9,7 +9,6 @@ plus one axis-angle rotation per joint; rotations compose parent-to-child.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError, is_integer, read_document
+from .errors import StructuralError, ValidationError, is_integer, read_document, real
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,7 @@ class Skeleton:
                     "which is not the index of an earlier joint"
                 )
             # An infinite radius would fill every silhouette, making every d_img 0.
-            if not 0 < j.capsule_radius < math.inf:
-                raise ValidationError(
-                    f"joint {i} ({j.name!r}) capsule_radius must be a finite number > 0, "
-                    f"got {j.capsule_radius}"
-                )
+            real(f"joint {i} ({j.name!r}) capsule_radius", j.capsule_radius, 0, above=True)
             if not np.all(np.isfinite(j.rest_offset)):
                 raise ValidationError(f"joint {i} ({j.name!r}) rest_offset not finite")
         object.__setattr__(self, "joints", tuple(  # the JSON writer needs int parents
@@ -125,8 +120,7 @@ class MotionSequence:
     frames: list[PoseFrame]
 
     def __post_init__(self):
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValidationError(f"fps must be a finite number > 0, got {self.fps}")
+        self.fps = real("fps", self.fps, 0, above=True)
         for i, f in enumerate(self.frames):
             if f.frame_index != i:
                 raise ValidationError(
@@ -365,6 +359,6 @@ def load_pose_track(path: str | Path) -> tuple[Skeleton, MotionSequence]:
             )
             for i, f in enumerate(doc["frames"])
         ]
-        return Skeleton(joints), MotionSequence(fps=float(doc["fps"]), frames=frames)
+        return Skeleton(joints), MotionSequence(fps=doc["fps"], frames=frames)
 
     return read_document(Path(path).read_bytes(), f"pose track {path}", POSE_TRACK_FORMAT, build)

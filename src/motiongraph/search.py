@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .audio import EndpointFeature, SegmentList
 from .errors import (SegmentUnreachableError, StructuralError, ValidationError, integer,
-                     is_real, read_document)
+                     is_real, read_document, real)
 from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
@@ -53,16 +53,11 @@ class BeamConfig:
             )
         for name in ("beam_width", "blend_k"):
             object.__setattr__(self, name, integer(name, getattr(self, name), 1))
-        rules = {
-            "avoid_onsets_mid_segment": (isinstance(self.avoid_onsets_mid_segment, bool),
-                                         "a boolean"),
-            "duration_weight": (is_real(self.duration_weight)
-                                and math.isfinite(self.duration_weight)
-                                and self.duration_weight >= 0, "a finite number >= 0"),
-        }
-        for name, (ok, rule) in rules.items():
-            if not ok:
-                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if not isinstance(self.avoid_onsets_mid_segment, bool):
+            raise ValidationError("avoid_onsets_mid_segment must be a boolean, "
+                                  f"got {self.avoid_onsets_mid_segment!r}")
+        object.__setattr__(self, "duration_weight",
+                           real("duration_weight", self.duration_weight, 0))
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,7 @@ class _SearchState:
             return np.ones(self.onset.size, dtype=bool)
         if feature.kind == "onset":
             return self.onset
-        if feature.kind == "keyword":
-            return self.keywords == feature.word
-        raise ValidationError(f"unknown endpoint feature kind {feature.kind!r}")
+        return self.keywords == feature.word  # a keyword feature
 
     def seed(self, starts) -> np.ndarray:
         """The table F_{-1}: cost 0 in the anchor state at each start node."""
@@ -420,7 +413,8 @@ def load_search_result(path: str | Path) -> SearchResult:
         config = BeamConfig(**dict(params, duration_window=tuple(params["duration_window"])))
         paths = tuple(
             PathCandidate(tuple(integer("node", v, 0) for v in p["nodes"]),
-                          float(p["transition_cost"]), float(p["duration_cost"]),
+                          real("transition_cost", p["transition_cost"]),
+                          real("duration_cost", p["duration_cost"]),
                           tuple(integer("boundary", v, 0) for v in p["boundaries"]))
             for p in doc["paths"]
         )

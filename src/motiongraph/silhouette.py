@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, is_integer, read_document
+from .errors import StructuralError, ValidationError, is_integer, read_document, real
 from .pose import Skeleton
 
 #: Depth (meters) below which geometry counts as behind the camera.
@@ -55,10 +55,8 @@ class CameraModel:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
         # A non-finite value would draw every silhouette empty.
-        if not (np.isfinite(self.focal_length) and self.focal_length > 0):
-            raise ValidationError(
-                f"focal_length must be a finite number > 0, got {self.focal_length}"
-            )
+        object.__setattr__(self, "focal_length",
+                           real("focal_length", self.focal_length, 0, above=True))
         w, h = self.image_size
         if not (is_integer(w) and is_integer(h) and w > 0 and h > 0):
             raise ValidationError(f"image_size must be two integers > 0, got {self.image_size}")
@@ -230,7 +228,7 @@ def save_camera(path: str | Path, camera: CameraModel) -> None:
 def load_camera(path: str | Path) -> CameraModel:
     def build(doc):
         return CameraModel(
-            focal_length=float(doc["focal_length"]),
+            focal_length=doc["focal_length"],
             principal_point=tuple(doc["principal_point"]),
             image_size=tuple(doc["image_size"]),
             rotation=np.array(doc["rotation"]),

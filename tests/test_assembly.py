@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motiongraph.assembly import (
+    BlendSchedule,
     RunEntry,
     TransitionEntry,
     assemble_edl,
@@ -82,6 +83,15 @@ class TestBlendSchedule:
     def test_k_must_be_an_integer_at_least_1(self, wavy_poses, k):
         with pytest.raises(ValidationError, match="blend neighborhood k must be an integer >= 1"):
             make_blend_schedule(wavy_poses, 100, 400, k)
+
+    def test_unequal_windows_named_in_a_short_message(self, wavy_poses):
+        steps = make_blend_schedule(wavy_poses, 100, 400, 4).steps
+        with pytest.raises(ValidationError) as err:
+            BlendSchedule(src_window=(5, 10), dst_window=(20, 24), steps=steps)
+        message = str(err.value)
+        assert message == ("blend windows must both span k>=1 frames, got "
+                           "src_window=(5, 10), dst_window=(20, 24)")
+        assert len(message.encode()) < 200
 
 
 class TestAssembleEdl:
@@ -247,9 +257,33 @@ class TestEdlFile:
                          "blend step src must be an integer", id="fractional-step-src"),
             pytest.param(lambda doc: step_of(doc).update(dst=False),
                          "blend step dst must be an integer", id="boolean-step-dst"),
+            pytest.param(lambda doc: transition_of(doc).update(src_window=[56.5, 60.5]),
+                         "src_window must be an integer", id="fractional-src-window"),
+            pytest.param(lambda doc: transition_of(doc).update(dst_window=[True, 124]),
+                         "dst_window must be an integer", id="boolean-dst-window"),
         ],
     )
     def test_file_integers_are_refused_not_truncated(self, tmp_path, wavy_poses, edit, name):
+        save_edl(tmp_path / "e.json", self._edl(wavy_poses))
+        doc = json.loads((tmp_path / "e.json").read_text())
+        edit(doc)
+        (tmp_path / "e.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=name):
+            load_edl(tmp_path / "e.json")
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            pytest.param(lambda doc: doc.update(fps="30"), "fps must be finite", id="text-fps"),
+            pytest.param(lambda doc: run_of(doc).update(speed_factor="1"),
+                         "speed_factor must be finite", id="text-speed-factor"),
+            pytest.param(lambda doc: run_of(doc)["frames"][0].update(position=None),
+                         "frame position must be finite", id="null-position"),
+            pytest.param(lambda doc: step_of(doc).update(alpha=False),
+                         "blend step alpha must be finite", id="boolean-alpha"),
+        ],
+    )
+    def test_file_reals_are_refused_not_converted(self, tmp_path, wavy_poses, edit, name):
         save_edl(tmp_path / "e.json", self._edl(wavy_poses))
         doc = json.loads((tmp_path / "e.json").read_text())
         edit(doc)
@@ -272,8 +306,12 @@ def run_of(doc):
     return next(e for e in doc["entries"] if e["type"] == "run")
 
 
+def transition_of(doc):
+    return next(e for e in doc["entries"] if e["type"] == "transition")
+
+
 def step_of(doc):
-    return next(e for e in doc["entries"] if e["type"] == "transition")["steps"][0]
+    return transition_of(doc)["steps"][0]
 
 
 class TestPreview:

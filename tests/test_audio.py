@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from motiongraph import audio
 from motiongraph.audio import (
     AudioFeatureTrack,
-    OnsetConfig,
+    EndpointFeature,
     KeywordDictionary,
     TranscriptWord,
     analyze_audio,
@@ -25,7 +26,7 @@ from motiongraph.audio import (
     segment_target,
     write_wav,
 )
-from motiongraph.errors import ValidationError
+from motiongraph.errors import GraphParseError, ValidationError
 from motiongraph.fixtures import FIXTURE_SAMPLE_RATE, click_signal
 
 from oracles import full_stft_flux
@@ -76,15 +77,17 @@ class TestOnsetDetection:
         with pytest.raises(ValidationError):
             detect_onsets(np.zeros(8000), 4000, FPS)
 
-    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -30.0, 0.0])
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -30.0, 0.0, "30", True, None])
     def test_bad_fps_rejected(self, fps):
         with pytest.raises(ValidationError, match="fps must be a finite number > 0"):
             detect_onsets(np.zeros(SR), SR, fps)
+        with pytest.raises(ValidationError, match="fps must be a finite number > 0"):
+            onset_flux(np.zeros(SR), SR, fps)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValidationError, match="threshold delta must be finite"):
-            OnsetConfig(threshold_delta=delta)
+            detect_onsets(np.zeros(SR), SR, FPS, delta)
 
     def test_at_most_one_activation_per_frame(self):
         sig = click_signal(60, [10, 11, 40], FPS, SR)
@@ -331,6 +334,19 @@ class TestWavIO:
             read_wav(tmp_path / "b.wav")
 
 
+class TestEndpointFeature:
+    @pytest.mark.parametrize("kind", ["bogus", "", None])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValidationError, match="kind must be onset, keyword or end"):
+            EndpointFeature(kind)
+
+    @pytest.mark.parametrize("kind, word", [("keyword", ""), ("keyword", None), ("onset", "hi"),
+                                            ("end", "hi"), ("keyword", 7)])
+    def test_word_only_on_a_keyword_feature(self, kind, word):
+        with pytest.raises(ValidationError, match=f"a '{kind}' feature's word must be"):
+            EndpointFeature(kind, word)
+
+
 class TestFeatureFiles:
     def test_feature_roundtrip(self, tmp_path):
         n = 120
@@ -356,6 +372,60 @@ class TestFeatureFiles:
         save_segments(tmp_path / "s.json", segs)
         back = load_segments(tmp_path / "s.json")
         assert back == segs
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda doc: doc.update(n_frames=5.9), "n_frames must be an integer",
+                         id="fractional-count"),
+            pytest.param(lambda doc: doc.update(onsets=[1.5]), "onset frame must be an integer",
+                         id="fractional-onset"),
+            pytest.param(lambda doc: doc.update(onsets=[True]), "onset frame must be an integer",
+                         id="boolean-onset"),
+            pytest.param(lambda doc: doc.update(keywords=[[0.2, 2.7, "hello"]]),
+                         "keyword run start must be an integer", id="fractional-run"),
+            pytest.param(lambda doc: doc.update(fps="30"), "fps must be finite",
+                         id="text-fps"),
+        ],
+    )
+    def test_feature_file_values_are_refused_not_converted(self, tmp_path, edit, reason):
+        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6), ("",) * 6))
+        doc = json.loads((tmp_path / "f.json").read_text())
+        edit(doc)
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=reason):
+            load_features(tmp_path / "f.json")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda doc: doc["endpoints"].__setitem__(1, 4.9),
+                         "endpoint must be an integer", id="fractional-endpoint"),
+            pytest.param(lambda doc: doc.update(n_frames=9.0), "n_frames must be an integer",
+                         id="float-count"),
+            pytest.param(lambda doc: doc["features"][0].update(kind="bogus"),
+                         "kind must be onset, keyword or end", id="unknown-kind"),
+            pytest.param(lambda doc: doc["features"][0].update(word=7),
+                         "feature's word must be", id="numeric-word"),
+        ],
+    )
+    def test_segment_file_values_are_refused_not_converted(self, tmp_path, edit, reason):
+        flags = np.zeros(9, dtype=bool)
+        flags[4] = True
+        save_segments(tmp_path / "s.json", segment_target(AudioFeatureTrack(FPS, flags, ("",) * 9)))
+        doc = json.loads((tmp_path / "s.json").read_text())
+        edit(doc)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=reason):
+            load_segments(tmp_path / "s.json")
+
+    @pytest.mark.parametrize("field", ["start_time", "end_time"])
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_transcript_times_are_refused_not_converted(self, tmp_path, field, value):
+        (tmp_path / "t.json").write_text(json.dumps(
+            [dict({"word": "hello", "start_time": 0.5, "end_time": 0.9}, **{field: value})]))
+        with pytest.raises(GraphParseError, match=f"{field} must be finite"):
+            load_transcript(tmp_path / "t.json")
 
     def test_transcript_roundtrip(self, tmp_path):
         words = [TranscriptWord("hello", 0.5, 0.9), TranscriptWord("two", 1.0, 1.4)]

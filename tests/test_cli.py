@@ -699,6 +699,19 @@ def _fractional_node(doc):
     doc["paths"][0]["nodes"][1] += 0.5
 
 
+def _fractional_endpoint(doc):
+    doc["endpoints"][1] += 0.9
+
+
+def _keywords_not_strings(doc):
+    doc["keyword"][:3] = [1, None, 2.5]
+
+
+def _entry(kind, edit):
+    """Mutation of an EDL: ``edit`` applied to its first entry of type ``kind``."""
+    return _edited(lambda doc: edit(next(e for e in doc["entries"] if e["type"] == kind)))
+
+
 AUDIO_OUT = ["--features-out", "@f", "--segments-out", "@s"]
 
 # Input kind -> (a well-formed file of that kind, the flag that passes it,
@@ -730,7 +743,8 @@ MALFORMED = {
                    "fractional-parent": _edited(
                        lambda doc: doc["skeleton"]["joints"][2].update(parent=0.5)),
                    "infinite-radius": _edited(
-                       lambda doc: doc["skeleton"]["joints"][1].update(radius=float("inf")))},
+                       lambda doc: doc["skeleton"]["joints"][1].update(radius=float("inf"))),
+                   "boolean-fps": _set("fps", True), "text-fps": _set("fps", "30")},
     "camera": {"broken-json": _truncated, "missing-field": _drop("focal_length"),
                "wrong-format": _set("format", "camera/9"),
                "3d-principal-point": _set("principal_point", [128.0, 128.0, 1.0]),
@@ -742,24 +756,30 @@ MALFORMED = {
                    "list-not-map": lambda data: b'["hello"]'},
     "transcript": {"broken-json": _truncated,
                    "missing-field": _edited(lambda doc: doc[0].pop("end_time")),
-                   "infinite-end-time": _edited(lambda doc: doc[0].update(end_time=float("inf")))},
+                   "infinite-end-time": _edited(lambda doc: doc[0].update(end_time=float("inf"))),
+                   "text-start-time": _edited(lambda doc: doc[0].update(start_time="0.5"))},
     "wav": {"not-riff": lambda data: b"plain text, not a RIFF file",
             "truncated-header": lambda data: data[:20]},
     "features": {"broken-json": _truncated, "missing-field": _drop("n_frames"),
                  "wrong-format": _set("format", "audio-features/9"),
                  "negative-onset": _set("onsets", [-1]),
                  "negative-keyword-start": _set("keywords", [[-3, 2, "hello"]]),
-                 "reversed-keyword-run": _set("keywords", [[5, 2, "hello"]])},
+                 "reversed-keyword-run": _set("keywords", [[5, 2, "hello"]]),
+                 "fractional-count": _edited(
+                     lambda doc: doc.update(n_frames=doc["n_frames"] + 0.9))},
     "segments": {"broken-json": _truncated, "missing-field": _drop("endpoints"),
                  "wrong-format": _set("format", "segments/9"),
-                 "infinite-count": _set("n_frames", float("inf"))},
+                 "infinite-count": _set("n_frames", float("inf")),
+                 "fractional-endpoint": _edited(_fractional_endpoint),
+                 "unknown-kind": _edited(lambda doc: doc["features"][0].update(kind="bogus"))},
     "graph": {"broken-json": _truncated, "missing-field": _drop("src"),
               "wrong-format": _set("format", "motion-graph/9"),
               "format-1": _set("format", "motion-graph/1"),
               "format-2": _set("format", "motion-graph/2"),
               "nan-fps": _set("fps", float("nan")),
               "negative-min-jump": _set("min_jump", -3),
-              "fractional-offset-l": _edited(lambda doc: doc["thresholds"].update(offset_l=4.9))},
+              "fractional-offset-l": _edited(lambda doc: doc["thresholds"].update(offset_l=4.9)),
+              "keywords-not-strings": _edited(_keywords_not_strings)},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),
@@ -767,10 +787,15 @@ MALFORMED = {
                       "fractional-seed": _set("seed", 1.5),
                       "swapped-boundaries": _edited(_swap_boundaries),
                       "boundary-past-the-path": _edited(_boundary_past_the_path),
-                      "fractional-node": _edited(_fractional_node)},
+                      "fractional-node": _edited(_fractional_node),
+                      "nan-cost": _edited(
+                          lambda doc: doc["paths"][0].update(transition_cost=float("nan")))},
     "edl": {"broken-json": _truncated, "missing-field": _drop("entries"),
             "wrong-format": _set("format", "edl/9"),
-            "boolean-blend-k": _set("blend_k", True)},
+            "boolean-blend-k": _set("blend_k", True),
+            "text-speed-factor": _entry("run", lambda e: e.update(speed_factor="1")),
+            "fractional-window": _entry(
+                "transition", lambda e: e.update(src_window=[w + 0.5 for w in e["src_window"]]))},
 }
 
 

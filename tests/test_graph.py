@@ -49,6 +49,9 @@ BAD_HEADERS = [
     pytest.param({"fps": 0.0}, "fps must be a finite number > 0", id="fps-zero"),
     pytest.param({"fps": -5.0}, "fps must be a finite number > 0", id="fps-negative"),
     pytest.param({"fps": math.inf}, "fps must be a finite number > 0", id="fps-inf"),
+    pytest.param({"fps": True}, "fps must be a finite number > 0", id="fps-boolean"),
+    pytest.param({"velocity_weight": "1"}, "velocity_weight must be a finite number >= 0",
+                 id="velocity-weight-text"),
     pytest.param({"min_jump": -3}, "min_jump must be an integer >= 2", id="min-jump-negative"),
     pytest.param({"min_jump": 1}, "min_jump must be an integer >= 2", id="min-jump-1"),
     pytest.param({"min_jump": 2.5}, "min_jump must be an integer >= 2", id="min-jump-fraction"),
@@ -458,6 +461,12 @@ class TestGraphInvariants:
                                  min_jump=np.int64(3))
         assert graph.min_jump == 3 and type(graph.min_jump) is int
 
+    def test_numpy_header_reals_kept_as_floats(self):
+        graph = VideoMotionGraph(self._nodes(4), self._chain(4), Thresholds(0, 0, 4),
+                                 fps=np.float32(25.0), velocity_weight=np.int64(2))
+        assert (graph.fps, graph.velocity_weight) == (25.0, 2.0)
+        assert type(graph.fps) is float and type(graph.velocity_weight) is float
+
     def test_first_offending_edge_is_named(self):
         bogus = GraphEdge(2, 0, "bogus", 0.0, 0.0)
         outside = GraphEdge(0, 7, "synthetic", 0.0, 0.0)
@@ -646,6 +655,10 @@ class TestSerialization:
                          id="missing-column"),
             pytest.param(lambda doc: doc.update(kind="AAAB"), r"unknown fields \['kind'\]",
                          id="extra-column"),
+            pytest.param(lambda doc: doc.update(keyword=[1, None, 2.5]),
+                         "keyword must be a list of strings", id="keywords-not-strings"),
+            pytest.param(lambda doc: doc.update(keyword="hi"),
+                         "keyword must be a list of strings", id="keywords-not-a-list"),
         ],
     )
     def test_bad_column_text_is_parse_error(self, edit, reason):
@@ -825,6 +838,9 @@ class TestSerialization:
                          id="fractional-offset-l"),
             pytest.param(lambda doc: doc["thresholds"].update(offset_l=True),
                          id="boolean-offset-l"),
+            pytest.param(lambda doc: doc["thresholds"].update(tau_img="0.6"), id="text-tau"),
+            pytest.param(lambda doc: doc.update(fps=True), id="boolean-fps"),
+            pytest.param(lambda doc: doc.update(velocity_weight="1"), id="text-weight"),
         ],
     )
     def test_bad_header_is_parse_error(self, edit):

@@ -202,12 +202,18 @@ class TestJointStates:
         assert np.array_equal(states[0].velocities, states[1].velocities)
         assert np.array_equal(states[-1].velocities, states[-2].velocities)
 
-    @pytest.mark.parametrize("fps", [math.inf, math.nan, 0.0, -30.0])
+    @pytest.mark.parametrize("fps", [math.inf, math.nan, 0.0, -30.0, True, "30", None])
     def test_fps_must_be_finite_and_positive(self, fps):
         from motiongraph.pose import MotionSequence
 
         with pytest.raises(ValidationError, match="fps must be a finite number > 0"):
             MotionSequence(fps=fps, frames=[])
+
+    def test_fps_stored_as_a_float(self):
+        from motiongraph.pose import MotionSequence
+
+        for fps in (30, np.float32(30)):
+            assert type(MotionSequence(fps=fps, frames=[]).fps) is float
 
     def test_empty_sequence_rejected(self, chain_skeleton):
         from motiongraph.pose import MotionSequence
@@ -409,7 +415,7 @@ class TestPoseTrackFile:
             assert np.array_equal(a.root_translation, b.root_translation)
             assert np.array_equal(a.joint_rotations, b.joint_rotations)
 
-    @pytest.mark.parametrize("fps", [math.inf, math.nan])
+    @pytest.mark.parametrize("fps", [math.inf, math.nan, True, "30"])
     def test_non_finite_fps_is_parse_error(self, tmp_path, chain_skeleton, fps):
         path = tmp_path / "track.json"
         sequence = make_sequence(chain_skeleton, lambda t: ((0, 0, 3.0), None), 3)
@@ -424,7 +430,8 @@ class TestPoseTrackFile:
         "field, value, message",
         [("parent", 0.5, "not the index of an earlier joint"),
          ("parent", True, "not the index of an earlier joint"),
-         ("radius", math.inf, "capsule_radius must be a finite number > 0")],
+         ("radius", math.inf, "capsule_radius must be a finite number > 0"),
+         ("radius", "0.1", "capsule_radius must be a finite number > 0")],
     )
     def test_bad_joint_is_parse_error(self, tmp_path, chain_skeleton, field, value, message):
         path = tmp_path / "track.json"

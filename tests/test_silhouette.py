@@ -90,7 +90,8 @@ class TestCameraModel:
         "field, value",
         [("focal_length", math.inf), ("focal_length", -math.inf), ("focal_length", math.nan),
          ("principal_point", (math.nan, 8.0)), ("principal_point", (8.0, math.inf)),
-         ("translation", [0.0, math.nan, 0.0]), ("translation", [math.inf, 0.0, 0.0])],
+         ("translation", [0.0, math.nan, 0.0]), ("translation", [math.inf, 0.0, 0.0]),
+         ("focal_length", True), ("focal_length", "10"), ("focal_length", None)],
     )
     def test_non_finite_values_rejected(self, tmp_path, field, value):
         # A non-finite camera draws every silhouette empty, and empty masks
@@ -119,6 +120,13 @@ class TestCameraModel:
         (tmp_path / "cam.json").write_text(json.dumps(doc))
         with pytest.raises(GraphParseError, match="image_size must be two integers > 0"):
             load_camera(tmp_path / "cam.json")
+
+    def test_numpy_focal_length_stored_as_a_float(self, tmp_path):
+        cam = CameraModel(focal_length=np.float32(10.0), principal_point=(8.0, 6.0),
+                          image_size=(16, 12))
+        assert type(cam.focal_length) is float  # so the camera writer can encode it
+        save_camera(tmp_path / "cam.json", cam)
+        assert load_camera(tmp_path / "cam.json").focal_length == 10.0
 
     def test_numpy_integer_image_size_accepted(self, tmp_path):
         cam = CameraModel(focal_length=10.0, principal_point=(8.0, 6.0),
