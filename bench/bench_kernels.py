@@ -26,7 +26,9 @@ at the bundled fixture's reference clicks; its forward pass (one relaxation
 per segment) and its traceback (replay and walk recovery) are also timed
 apart. The render entry runs the README's quick start (`motiongraph run
 --seed 7` on the bundled fixture) once, untimed, and times
-`render_frames` over its 449-frame EDL, the images the preview writes.
+`render_frames` over its 449-frame EDL, the images the preview writes. The
+pose-track entry times `load_pose_track` on that fixture's 2000-frame
+reference, where every frame's arrays go through `errors.reals`.
 
     python bench/bench_kernels.py                          # print a table
     python bench/bench_kernels.py --out BENCH_kernels.json  # also write JSON
@@ -123,6 +125,9 @@ def run_benchmarks():
             ])
         edl = assembly.load_edl(out / "edl.json")
         track_skeleton, track = pose.load_pose_track(inputs["poses"])
+        results["pose_track_load_2000_frames"] = (
+            _time(lambda: pose.load_pose_track(inputs["poses"])), "s"
+        )
     assert edl.total_frames == 449, edl.total_frames
     results["render_frames_449f"] = (
         _time(lambda: sum(1 for _ in assembly.render_frames(edl, track_skeleton, track.frames))),

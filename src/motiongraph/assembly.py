@@ -119,6 +119,9 @@ class EditDecisionList:
     speech_frames: tuple[int, ...] = ()  # output slots where the target speaks
 
     def __post_init__(self):
+        if not isinstance(self.provenance, dict):
+            raise ValidationError(
+                f"provenance must be a dict, got {type(self.provenance).__name__}")
         emitted = sum(len(e) for e in self.entries)
         if emitted != self.total_frames:
             raise StructuralError(
@@ -412,8 +415,8 @@ def load_edl(path: str | Path) -> EditDecisionList:
             alpha=real("blend step alpha", s["alpha"]),
             src_frame=src,
             dst_frame=integer("blend step dst", s["dst"], 0),
-            pose=PoseFrame(frame_index=src, root_translation=np.array(s["root"]),
-                           joint_rotations=np.array(s["rotations"])),
+            pose=PoseFrame(frame_index=src, root_translation=s["root"],
+                           joint_rotations=s["rotations"]),
         )
 
     def build(doc):
@@ -448,7 +451,7 @@ def load_edl(path: str | Path) -> EditDecisionList:
             start_frame=integer("start_frame", doc["start_frame"], 0),
             blend_k=integer("blend_k", doc["blend_k"], 1),
             entries=entries,
-            provenance=dict(doc["provenance"]),
+            provenance=doc["provenance"],
             speech_frames=tuple(integer("speech frame", i, 0) for i in doc["speech_frames"]),
         )
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (GraphParseError, StructuralError, ValidationError, integer, read_document,
-                     real)
+                     real, string)
 
 log = logging.getLogger(__name__)
 
@@ -179,6 +179,7 @@ class TranscriptWord:
     end_time: float
 
     def __post_init__(self):
+        string("transcript word", self.word)
         if not (math.isfinite(self.start_time) and math.isfinite(self.end_time)):
             raise ValidationError(
                 f"word {self.word!r}: times must be finite, got "
@@ -201,12 +202,16 @@ class KeywordDictionary:
     def __post_init__(self):
         seen: set[str] = set()
         for cat, words in self.categories.items():
+            if not isinstance(words, (list, tuple)):
+                raise ValidationError(
+                    f"dictionary category {cat!r} must be a list of strings, got {words!r}")
             for w in words:
-                if w != w.lower():
+                if string(f"dictionary word ({cat})", w) != w.lower():
                     raise ValidationError(f"dictionary word {w!r} ({cat}) must be lowercase")
                 if w in seen:
                     raise ValidationError(f"dictionary word {w!r} appears twice")
                 seen.add(w)
+        object.__setattr__(self, "categories", {c: tuple(ws) for c, ws in self.categories.items()})
 
     @property
     def words(self) -> frozenset[str]:
@@ -226,10 +231,8 @@ def default_dictionary() -> KeywordDictionary:
 
 
 def load_dictionary(path: str | Path) -> KeywordDictionary:
-    def build(doc):
-        return KeywordDictionary({cat: tuple(words) for cat, words in doc.items()})
-
-    return read_document(Path(path).read_bytes(), f"keyword dictionary {path}", None, build)
+    return read_document(Path(path).read_bytes(), f"keyword dictionary {path}", None,
+                         KeywordDictionary)
 
 
 def match_keywords(
@@ -279,6 +282,8 @@ class AudioFeatureTrack:
 
     def __post_init__(self):
         object.__setattr__(self, "onsets", np.asarray(self.onsets, dtype=bool))
+        for label in self.keywords:
+            string("keyword label", label)
         if len(self.onsets) != len(self.keywords):
             raise StructuralError(
                 f"{len(self.onsets)} onset flags vs {len(self.keywords)} keyword labels"
@@ -402,7 +407,7 @@ def load_transcript(path: str | Path) -> list[TranscriptWord]:
 
     def build(doc):
         return [
-            TranscriptWord(str(w["word"]), real("start_time", w["start_time"]),
+            TranscriptWord(w["word"], real("start_time", w["start_time"]),
                            real("end_time", w["end_time"]))
             for w in doc
         ]
@@ -446,7 +451,7 @@ def load_features(path: str | Path) -> AudioFeatureTrack:
             start, end = integer("keyword run start", start, 0), integer("keyword run end", end, 0)
             if not start <= end <= n:
                 raise ValidationError(f"keyword run [{start}, {end}) is not within frames 0..{n}")
-            labels[start:end] = [str(word)] * (end - start)
+            labels[start:end] = [word] * (end - start)
         return AudioFeatureTrack(fps=real("fps", doc["fps"]), onsets=onsets,
                                  keywords=tuple(labels))
 

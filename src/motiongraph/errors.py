@@ -1,6 +1,6 @@
 """Exception types shared across the engine, the number tests and the rules of
-every integer and real field, and the decoder every engine file goes through,
-which reports a malformed file as one of them."""
+every integer, real, real-array and string field, and the decoder every engine
+file goes through, which reports a malformed file as one of them."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import json
 import math
 import numbers
 from typing import Any, Callable
+
+import numpy as np
 
 
 class MotionGraphError(Exception):
@@ -80,6 +82,39 @@ def real(name: str, value, low: float | None = None, above: bool = False) -> flo
         rule = "finite" if low is None else f"a finite number {'>' if above else '>='} {low}"
         raise ValidationError(f"{name} must be {rule}, got {value!r}")
     return number
+
+
+def reals(name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``value`` as a float64 array if ``np.asarray`` makes it an int, uint or float
+    array of ``shape`` (``None`` matches any length) with every entry finite, else
+    ValidationError: a bool or string entry is refused, never converted. A float64
+    array is returned uncopied; the message never formats it."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        problem = "a ragged nesting"
+    else:
+        if array.dtype.kind not in "iuf":
+            problem = f"dtype {array.dtype}"
+        # np.asarray([0.0, True]) is float64, so a list's own entries are looked at.
+        elif not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+                set(map(type, np.asarray(value, dtype=object).flat))):
+            problem = "a boolean entry"
+        elif array.ndim != len(shape) or any(
+                n not in (None, m) for n, m in zip(shape, array.shape)):
+            problem = f"shape {array.shape}"
+        elif not np.isfinite(array).all():
+            problem = "nan, inf or -inf"
+        else:
+            return array.astype(np.float64, copy=False)
+    raise ValidationError(f"{name} must be a finite real array of shape {shape}, got {problem}")
+
+
+def string(name: str, value) -> str:
+    """``value`` if it is a str, else ValidationError: a number is refused, never converted."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):

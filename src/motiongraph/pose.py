@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError, is_integer, read_document, real
+from .errors import (StructuralError, ValidationError, integer, is_integer, read_document,
+                     real, reals, string)
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,21 @@ class Skeleton:
             raise ValidationError(
                 f"expected exactly one root joint at index 0, got roots={roots}"
             )
+        joints = []
         for i, j in enumerate(self.joints):
+            string(f"joint {i} name", j.name)
+            name = f"joint {i} ({j.name!r})"
             if j.parent is not None and not (is_integer(j.parent) and 0 <= j.parent < i):
                 raise ValidationError(
-                    f"joint {i} ({j.name!r}) has parent {j.parent!r}, "
-                    "which is not the index of an earlier joint"
+                    f"{name} has parent {j.parent!r}, which is not the index of an earlier joint"
                 )
-            # An infinite radius would fill every silhouette, making every d_img 0.
-            real(f"joint {i} ({j.name!r}) capsule_radius", j.capsule_radius, 0, above=True)
-            if not np.all(np.isfinite(j.rest_offset)):
-                raise ValidationError(f"joint {i} ({j.name!r}) rest_offset not finite")
-        object.__setattr__(self, "joints", tuple(  # the JSON writer needs int parents
-            j if j.parent is None else replace(j, parent=int(j.parent)) for j in self.joints))
+            # The JSON writer needs int parents and float offsets and radii. An
+            # infinite radius would fill every silhouette, making every d_img 0.
+            joints.append(replace(
+                j, parent=None if j.parent is None else int(j.parent),
+                rest_offset=tuple(reals(f"{name} rest_offset", j.rest_offset, (3,)).tolist()),
+                capsule_radius=real(f"{name} capsule_radius", j.capsule_radius, 0, above=True)))
+        object.__setattr__(self, "joints", tuple(joints))
 
     def __len__(self) -> int:
         return len(self.joints)
@@ -86,22 +90,12 @@ class PoseFrame:
     joint_rotations: np.ndarray  # (J, 3) axis-angle, radians
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "root_translation", np.asarray(self.root_translation, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "joint_rotations", np.asarray(self.joint_rotations, dtype=np.float64)
-        )
-        if self.frame_index < 0:
-            raise ValidationError(f"frame_index must be >= 0, got {self.frame_index}")
-        if self.root_translation.shape != (3,):
-            raise StructuralError("root_translation must be a 3-vector")
-        if self.joint_rotations.ndim != 2 or self.joint_rotations.shape[1] != 3:
-            raise StructuralError("joint_rotations must be (J, 3)")
-        if not np.all(np.isfinite(self.root_translation)) or not np.all(
-            np.isfinite(self.joint_rotations)
-        ):
-            raise ValidationError(f"frame {self.frame_index}: non-finite pose values")
+        i = integer("frame_index", self.frame_index, 0)
+        object.__setattr__(self, "frame_index", i)
+        object.__setattr__(self, "root_translation",
+                           reals(f"frame {i} root_translation", self.root_translation, (3,)))
+        object.__setattr__(self, "joint_rotations",
+                           reals(f"frame {i} joint_rotations", self.joint_rotations, (None, 3)))
 
 
 @dataclass(frozen=True)
@@ -343,20 +337,12 @@ def load_pose_track(path: str | Path) -> tuple[Skeleton, MotionSequence]:
 
     def build(doc):
         joints = tuple(
-            Joint(
-                name=j["name"],
-                parent=j["parent"],
-                rest_offset=tuple(j["offset"]),
-                capsule_radius=j["radius"],
-            )
+            Joint(name=j["name"], parent=j["parent"], rest_offset=j["offset"],
+                  capsule_radius=j["radius"])
             for j in doc["skeleton"]["joints"]
         )
         frames = [
-            PoseFrame(
-                frame_index=i,
-                root_translation=np.array(f["root"]),
-                joint_rotations=np.array(f["rotations"]),
-            )
+            PoseFrame(frame_index=i, root_translation=f["root"], joint_rotations=f["rotations"])
             for i, f in enumerate(doc["frames"])
         ]
         return Skeleton(joints), MotionSequence(fps=doc["fps"], frames=frames)

@@ -46,11 +46,12 @@ class BeamConfig:
 
     def __post_init__(self):
         window = self.duration_window
-        if not (isinstance(window, tuple) and len(window) == 2 and all(map(is_real, window))
-                and 0.0 < window[0] <= 1.0 <= window[1] < math.inf):
+        if not (isinstance(window, (list, tuple)) and len(window) == 2
+                and all(map(is_real, window)) and 0.0 < window[0] <= 1.0 <= window[1] < math.inf):
             raise ValidationError(
                 f"duration window must satisfy 0 < low <= 1 <= high < inf, got {window}"
             )
+        object.__setattr__(self, "duration_window", tuple(window))
         for name in ("beam_width", "blend_k"):
             object.__setattr__(self, name, integer(name, getattr(self, name), 1))
         if not isinstance(self.avoid_onsets_mid_segment, bool):
@@ -111,13 +112,6 @@ def duration_bounds(target_length: int, low: float, high: float) -> tuple[int, i
     while hi / target_length > high:
         hi -= 1
     return lo, hi
-
-
-def in_duration_window(
-    achieved: int, target_length: int, window: tuple[float, float]
-) -> bool:
-    ratio = achieved / target_length
-    return window[0] <= ratio <= window[1]
 
 
 class _SearchState:
@@ -409,8 +403,7 @@ def save_search_result(path: str | Path, result: SearchResult) -> None:
 
 def load_search_result(path: str | Path) -> SearchResult:
     def build(doc):
-        params = {f.name: doc[f.name] for f in fields(BeamConfig)}
-        config = BeamConfig(**dict(params, duration_window=tuple(params["duration_window"])))
+        config = BeamConfig(**{f.name: doc[f.name] for f in fields(BeamConfig)})
         paths = tuple(
             PathCandidate(tuple(integer("node", v, 0) for v in p["nodes"]),
                           real("transition_cost", p["transition_cost"]),

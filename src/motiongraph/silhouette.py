@@ -11,13 +11,13 @@ IoU of their masks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, is_integer, read_document, real
+from .errors import StructuralError, ValidationError, is_integer, read_document, real, reals
 from .pose import Skeleton
 
 #: Depth (meters) below which geometry counts as behind the camera.
@@ -42,32 +42,22 @@ class CameraModel:
     focal_length: float  # pixels
     principal_point: tuple[float, float]  # pixels
     image_size: tuple[int, int]  # (width, height) pixels
-    rotation: np.ndarray = None  # (3, 3) world->camera
-    translation: np.ndarray = None  # (3,)
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))  # (3, 3) world->camera
+    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        r = np.eye(3) if self.rotation is None else np.asarray(self.rotation, dtype=np.float64)
-        t = (
-            np.zeros(3)
-            if self.translation is None
-            else np.asarray(self.translation, dtype=np.float64)
-        )
+        r = reals("camera rotation", self.rotation, (3, 3))
         object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", reals("camera translation", self.translation, (3,)))
         # A non-finite value would draw every silhouette empty.
         object.__setattr__(self, "focal_length",
                            real("focal_length", self.focal_length, 0, above=True))
+        object.__setattr__(self, "principal_point", tuple(  # the JSON writer needs floats
+            reals("camera principal_point", self.principal_point, (2,)).tolist()))
         w, h = self.image_size
         if not (is_integer(w) and is_integer(h) and w > 0 and h > 0):
             raise ValidationError(f"image_size must be two integers > 0, got {self.image_size}")
         object.__setattr__(self, "image_size", (int(w), int(h)))  # the JSON writer needs ints
-        if len(self.principal_point) != 2:
-            raise ValidationError(f"principal_point must be (x, y), got {self.principal_point}")
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValidationError("camera rotation must be (3,3) and translation (3,)")
-        for name, value in (("principal_point", self.principal_point), ("translation", t)):
-            if not np.isfinite(value).all():
-                raise ValidationError(f"camera {name} must be finite, got {list(value)}")
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-6) or not np.isclose(
             np.linalg.det(r), 1.0, atol=1e-6
         ):
@@ -229,10 +219,10 @@ def load_camera(path: str | Path) -> CameraModel:
     def build(doc):
         return CameraModel(
             focal_length=doc["focal_length"],
-            principal_point=tuple(doc["principal_point"]),
-            image_size=tuple(doc["image_size"]),
-            rotation=np.array(doc["rotation"]),
-            translation=np.array(doc["translation"]),
+            principal_point=doc["principal_point"],
+            image_size=doc["image_size"],
+            rotation=doc["rotation"],
+            translation=doc["translation"],
         )
 
     return read_document(Path(path).read_bytes(), f"camera file {path}", CAMERA_FORMAT, build)

@@ -13,7 +13,12 @@ from collections import defaultdict
 
 import numpy as np
 
-from motiongraph.search import duration_bounds, in_duration_window
+from motiongraph.search import duration_bounds
+
+
+def in_duration_window(achieved, target_length, window):
+    """Whether the ratio achieved / target_length lies in the closed window."""
+    return window[0] <= achieved / target_length <= window[1]
 
 
 def _matches(node, feature):

@@ -37,7 +37,6 @@ from motiongraph.search import (
     beam_search,
     duration_bounds,
     expand_segment,
-    in_duration_window,
     load_search_result,
     recompute_costs,
 )
@@ -49,7 +48,7 @@ from motiongraph.silhouette import (
 )
 from motiongraph.assembly import make_blend_schedule
 
-from oracles import assemblable, enumerate_paths, optimum
+from oracles import assemblable, enumerate_paths, in_duration_window, optimum
 from test_search import random_toy, toy_graph
 
 #: Cross-criterion artifacts (criterion 9 audits paths from 1 and 8).

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,28 @@ class TestEdlFile:
         edit(doc)
         (tmp_path / "e.json").write_text(json.dumps(doc))
         with pytest.raises(GraphParseError, match=name):
+            load_edl(tmp_path / "e.json")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda doc: step_of(doc).update(rotations=[[0.0, True, 0.0]] * 4),
+                         "joint_rotations must be a finite real array of shape (None, 3), "
+                         "got a boolean entry", id="boolean-rotations"),
+            pytest.param(lambda doc: step_of(doc).update(root=["0", "0", "3"]),
+                         "root_translation must be a finite real array of shape (3,), "
+                         "got dtype <U1", id="text-root"),
+            pytest.param(lambda doc: doc.update(provenance=[["path_rank", 0]]),
+                         "provenance must be a dict, got list", id="list-provenance"),
+        ],
+    )
+    def test_file_poses_and_provenance_are_refused_not_converted(self, tmp_path, wavy_poses,
+                                                                  edit, message):
+        save_edl(tmp_path / "e.json", self._edl(wavy_poses))
+        doc = json.loads((tmp_path / "e.json").read_text())
+        edit(doc)
+        (tmp_path / "e.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=re.escape(message)):
             load_edl(tmp_path / "e.json")
 
     def test_roundtrip_preserves_poses(self, tmp_path, wavy_poses):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,26 @@ class TestKeywordDictionary:
     def test_lowercase_enforced(self):
         with pytest.raises(ValidationError):
             KeywordDictionary({"a": ("Hi",)})
+
+
+    @pytest.mark.parametrize(
+        "categories, message",
+        [pytest.param({"greeting": "hi"},
+                      "dictionary category 'greeting' must be a list of strings, got 'hi'",
+                      id="string-category"),
+         pytest.param({"greeting": None},
+                      "dictionary category 'greeting' must be a list of strings, got None",
+                      id="null-category"),
+         pytest.param({"greeting": ["hi", 5]},
+                      "dictionary word (greeting) must be a string, got 5", id="number-word")],
+    )
+    def test_words_are_a_list_of_strings(self, tmp_path, categories, message):
+        with pytest.raises(ValidationError) as err:
+            KeywordDictionary(categories)
+        assert str(err.value) == message
+        (tmp_path / "d.json").write_text(json.dumps(categories))
+        with pytest.raises(GraphParseError, match=re.escape(message)):
+            audio.load_dictionary(tmp_path / "d.json")
 
 
 class TestMatchKeywords:
@@ -426,6 +447,22 @@ class TestFeatureFiles:
             [dict({"word": "hello", "start_time": 0.5, "end_time": 0.9}, **{field: value})]))
         with pytest.raises(GraphParseError, match=f"{field} must be finite"):
             load_transcript(tmp_path / "t.json")
+
+    def test_words_are_refused_not_converted(self, tmp_path):
+        with pytest.raises(ValidationError, match="transcript word must be a string, got 5"):
+            TranscriptWord(5, 0.0, 0.5)
+        with pytest.raises(ValidationError, match="keyword label must be a string, got 7"):
+            AudioFeatureTrack(FPS, np.zeros(2), ("", 7))
+        (tmp_path / "t.json").write_text(
+            json.dumps([{"word": 5, "start_time": 0.5, "end_time": 0.9}]))
+        with pytest.raises(GraphParseError, match="transcript word must be a string, got 5"):
+            load_transcript(tmp_path / "t.json")
+        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6), ("",) * 6))
+        doc = json.loads((tmp_path / "f.json").read_text())
+        doc["keywords"] = [[0, 2, 7]]
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match="keyword label must be a string, got 7"):
+            load_features(tmp_path / "f.json")
 
     def test_transcript_roundtrip(self, tmp_path):
         words = [TranscriptWord("hello", 0.5, 0.9), TranscriptWord("two", 1.0, 1.4)]

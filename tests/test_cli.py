@@ -707,6 +707,16 @@ def _keywords_not_strings(doc):
     doc["keyword"][:3] = [1, None, 2.5]
 
 
+def _boolean_rotations(doc):
+    frame = doc["frames"][0]
+    frame["rotations"] = [[True, False, True]] * len(frame["rotations"])
+
+
+def _boolean_step_rotations(entry):
+    step = entry["steps"][0]
+    step["rotations"] = [[True, False, True]] * len(step["rotations"])
+
+
 def _entry(kind, edit):
     """Mutation of an EDL: ``edit`` applied to its first entry of type ``kind``."""
     return _edited(lambda doc: edit(next(e for e in doc["entries"] if e["type"] == kind)))
@@ -744,20 +754,29 @@ MALFORMED = {
                        lambda doc: doc["skeleton"]["joints"][2].update(parent=0.5)),
                    "infinite-radius": _edited(
                        lambda doc: doc["skeleton"]["joints"][1].update(radius=float("inf"))),
-                   "boolean-fps": _set("fps", True), "text-fps": _set("fps", "30")},
+                   "boolean-fps": _set("fps", True), "text-fps": _set("fps", "30"),
+                   "text-root": _edited(
+                       lambda doc: doc["frames"][0].update(root=["0", "0", "2.5"])),
+                   "boolean-rotations": _edited(_boolean_rotations),
+                   "number-joint-name": _edited(
+                       lambda doc: doc["skeleton"]["joints"][1].update(name=7))},
     "camera": {"broken-json": _truncated, "missing-field": _drop("focal_length"),
                "wrong-format": _set("format", "camera/9"),
                "3d-principal-point": _set("principal_point", [128.0, 128.0, 1.0]),
                "infinite-focal-length": _set("focal_length", float("inf")),
                "nan-principal-point": _set("principal_point", [float("nan"), 128.0]),
                "nan-translation": _set("translation", [0.0, float("nan"), 0.0]),
-               "fractional-image-size": _set("image_size", [256.9, 100.7])},
+               "fractional-image-size": _set("image_size", [256.9, 100.7]),
+               "boolean-principal-point": _set("principal_point", [True, 128.0]),
+               "text-translation": _set("translation", ["0", "0", "0"])},
     "dictionary": {"broken-json": _truncated,
-                   "list-not-map": lambda data: b'["hello"]'},
+                   "list-not-map": lambda data: b'["hello"]',
+                   "string-category": lambda data: b'{"greeting": "hi"}'},
     "transcript": {"broken-json": _truncated,
                    "missing-field": _edited(lambda doc: doc[0].pop("end_time")),
                    "infinite-end-time": _edited(lambda doc: doc[0].update(end_time=float("inf"))),
-                   "text-start-time": _edited(lambda doc: doc[0].update(start_time="0.5"))},
+                   "text-start-time": _edited(lambda doc: doc[0].update(start_time="0.5")),
+                   "number-word": _edited(lambda doc: doc[0].update(word=5))},
     "wav": {"not-riff": lambda data: b"plain text, not a RIFF file",
             "truncated-header": lambda data: data[:20]},
     "features": {"broken-json": _truncated, "missing-field": _drop("n_frames"),
@@ -766,7 +785,8 @@ MALFORMED = {
                  "negative-keyword-start": _set("keywords", [[-3, 2, "hello"]]),
                  "reversed-keyword-run": _set("keywords", [[5, 2, "hello"]]),
                  "fractional-count": _edited(
-                     lambda doc: doc.update(n_frames=doc["n_frames"] + 0.9))},
+                     lambda doc: doc.update(n_frames=doc["n_frames"] + 0.9)),
+                 "number-keyword": _set("keywords", [[0, 2, 7]])},
     "segments": {"broken-json": _truncated, "missing-field": _drop("endpoints"),
                  "wrong-format": _set("format", "segments/9"),
                  "infinite-count": _set("n_frames", float("inf")),
@@ -795,7 +815,9 @@ MALFORMED = {
             "boolean-blend-k": _set("blend_k", True),
             "text-speed-factor": _entry("run", lambda e: e.update(speed_factor="1")),
             "fractional-window": _entry(
-                "transition", lambda e: e.update(src_window=[w + 0.5 for w in e["src_window"]]))},
+                "transition", lambda e: e.update(src_window=[w + 0.5 for w in e["src_window"]])),
+            "boolean-step-rotations": _entry("transition", _boolean_step_rotations),
+            "list-provenance": _set("provenance", [["path_rank", 0]])},
 }
 
 

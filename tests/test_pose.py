@@ -94,6 +94,69 @@ class TestSkeletonValidation:
         assert chain_skeleton.offsets.shape == (4, 3) and chain_skeleton.radii.shape == (4,)
 
 
+class TestPoseFrame:
+    @pytest.mark.parametrize("index", [1.5, True, -1, "0", None])
+    def test_frame_index_is_an_integer_at_least_0(self, index):
+        with pytest.raises(ValidationError, match="frame_index must be an integer >= 0"):
+            PoseFrame(index, np.zeros(3), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "root, rotations, message",
+        [
+            pytest.param(["0", "0", "2.5"], np.zeros((2, 3)),
+                         "frame 3 root_translation must be a finite real array of shape (3,), "
+                         "got dtype <U3", id="text-root"),
+            pytest.param(np.zeros(3), [[True, False, True], [0.0, 0.0, 0.0]],
+                         "frame 3 joint_rotations must be a finite real array of shape "
+                         "(None, 3), got a boolean entry", id="boolean-rotations"),
+            pytest.param(np.zeros(3), [[0.0, 0.0, 0.0], [0.0]],
+                         "frame 3 joint_rotations must be a finite real array of shape "
+                         "(None, 3), got a ragged nesting", id="ragged-rotations"),
+            pytest.param(np.zeros(2), np.zeros((2, 3)),
+                         "frame 3 root_translation must be a finite real array of shape (3,), "
+                         "got shape (2,)", id="short-root"),
+            pytest.param(np.zeros(3), np.zeros(6),
+                         "frame 3 joint_rotations must be a finite real array of shape "
+                         "(None, 3), got shape (6,)", id="flat-rotations"),
+            pytest.param(np.zeros(3), np.full((2, 3), math.inf),
+                         "frame 3 joint_rotations must be a finite real array of shape "
+                         "(None, 3), got nan, inf or -inf", id="infinite-rotations"),
+        ],
+    )
+    def test_arrays_are_refused_not_converted(self, root, rotations, message):
+        with pytest.raises(ValidationError) as err:
+            PoseFrame(3, root, rotations)
+        assert str(err.value) == message
+
+    def test_float64_arrays_are_kept_and_the_index_stored_as_an_int(self):
+        root, rotations = np.zeros(3), np.zeros((2, 3))
+        frame = PoseFrame(np.int64(2), root, rotations)
+        assert frame.root_translation is root and frame.joint_rotations is rotations
+        assert frame.frame_index == 2 and type(frame.frame_index) is int
+
+
+class TestJointValues:
+    @pytest.mark.parametrize(
+        "offset, problem",
+        [((1.0, 0.0), "shape (2,)"), ("abc", "dtype <U3"), ((1.0, True, 0.0), "a boolean entry"),
+         ((1.0, math.nan, 0.0), "nan, inf or -inf")],
+    )
+    def test_rest_offset_is_three_finite_numbers(self, offset, problem):
+        with pytest.raises(ValidationError) as err:
+            Skeleton((Joint("root", None, (0, 0, 0), 0.1), Joint("a", 0, offset, 0.1)))
+        assert str(err.value) == ("joint 1 ('a') rest_offset must be a finite real array of "
+                                  f"shape (3,), got {problem}")
+
+    def test_name_must_be_a_string(self):
+        with pytest.raises(ValidationError, match="joint 1 name must be a string, got 7"):
+            Skeleton((Joint("root", None, (0, 0, 0), 0.1), Joint(7, 0, (1, 0, 0), 0.1)))
+
+    def test_numpy_values_stored_as_python_floats(self):
+        joint = Skeleton((Joint("root", None, np.ones(3, np.float32), np.float32(0.25)),)).joints[0]
+        assert joint.rest_offset == (1.0, 1.0, 1.0) and joint.capsule_radius == 0.25
+        assert all(type(v) is float for v in (*joint.rest_offset, joint.capsule_radius))
+
+
 class TestForwardKinematics:
     def test_identity_pose_sums_offsets(self, chain_skeleton):
         pose = make_pose(chain_skeleton)

@@ -19,14 +19,13 @@ from motiongraph.search import (
     beam_search,
     duration_bounds,
     expand_segment,
-    in_duration_window,
     load_search_result,
     recompute_costs,
     resample_segment,
     save_search_result,
 )
 
-from oracles import assemblable, enumerate_paths, optimum
+from oracles import assemblable, enumerate_paths, in_duration_window, optimum
 
 
 def toy_graph(n, synthetic=(), onsets=(), keywords=None):

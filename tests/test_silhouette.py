@@ -121,6 +121,38 @@ class TestCameraModel:
         with pytest.raises(GraphParseError, match="image_size must be two integers > 0"):
             load_camera(tmp_path / "cam.json")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("principal_point", [True, 8.0],
+                         "camera principal_point must be a finite real array of shape (2,), "
+                         "got a boolean entry", id="boolean-principal-point"),
+            pytest.param("principal_point", (8.0, 8.0, 1.0),
+                         "camera principal_point must be a finite real array of shape (2,), "
+                         "got shape (3,)", id="3d-principal-point"),
+            pytest.param("translation", ["0", "0", "0"],
+                         "camera translation must be a finite real array of shape (3,), "
+                         "got dtype <U1", id="text-translation"),
+            pytest.param("rotation", np.eye(3)[:2],
+                         "camera rotation must be a finite real array of shape (3, 3), "
+                         "got shape (2, 3)", id="2x3-rotation"),
+            pytest.param("rotation", None,
+                         "camera rotation must be a finite real array of shape (3, 3), "
+                         "got dtype object", id="null-rotation"),
+        ],
+    )
+    def test_arrays_are_refused_not_converted(self, field, value, message):
+        good = dict(focal_length=10.0, principal_point=(8.0, 8.0), image_size=(16, 16))
+        with pytest.raises(ValidationError) as err:
+            CameraModel(**dict(good, **{field: value}))
+        assert str(err.value) == message
+
+    def test_principal_point_stored_as_floats(self):
+        cam = CameraModel(focal_length=10.0, principal_point=(np.int64(8), np.float32(6.0)),
+                          image_size=(16, 12))
+        assert cam.principal_point == (8.0, 6.0)
+        assert all(type(v) is float for v in cam.principal_point)
+
     def test_numpy_focal_length_stored_as_a_float(self, tmp_path):
         cam = CameraModel(focal_length=np.float32(10.0), principal_point=(8.0, 6.0),
                           image_size=(16, 12))
