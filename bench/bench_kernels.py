@@ -9,9 +9,13 @@ search-like load: the edge layout a search builds once, then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
 2000-node graph with the bundled fixture's edge density, accepting the
 lengths a 41-frame segment's duration window accepts (37..45), and the
-traceback's replay of its 45 step tables. The gating entry times the graph build's d_feat
+traceback's replay of its 45 step tables. The gating entries time the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
-prints the traced peak memory (tracemalloc) of one gating call. The graph
+print the traced peak memory (tracemalloc) of one gating call. The
+2000-frame gating entries time it on the fixture's reference: warm, and
+cold, as the first call in each of 5 fresh processes that first parse the
+pose track, then run FK, the rasterizer and the threshold calibration as
+`motiongraph run` does (median and max printed). The graph
 file entries save and load a 2000-node graph with the walk entries' edges,
 and print the traced peak of one save plus one load; the file-writer
 entries time and trace one write of that graph to a file. The 10k-node
@@ -24,9 +28,12 @@ search entries run one default search (20 starts, k=4) for a 300-frame
 click target on the graph-file entries' edges, the nodes flagged as onsets
 at the bundled fixture's reference clicks; its forward pass (one relaxation
 per segment) and its traceback (replay and walk recovery) are also timed
-apart. The render entry runs the README's quick start (`motiongraph run
+apart, and the traced peak of the traceback alone is printed beside the
+search's. The render entry runs the README's quick start (`motiongraph run
 --seed 7` on the bundled fixture) once, untimed, and times
 `render_frames` over its 449-frame EDL, the images the preview writes. The
+edges-view entries time and trace one read of `graph.edges` (154,527
+`GraphEdge` records) on that run's graph. The
 pose-track entry times `load_pose_track` on that fixture's 2000-frame
 reference, where every frame's arrays go through `errors.reals`.
 
@@ -44,12 +51,15 @@ import argparse
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import platform
+import statistics
 import subprocess
 import tempfile
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +82,26 @@ def _traced_peak_mb(fn):
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+#: Fresh processes that each time one cold gating call.
+COLD_GATE_PROCESSES = 5
+
+
+def _cold_gate_s(poses) -> float:
+    """The wall time of the first ``_gate_pairs`` call in this process, after
+    what ``motiongraph run`` does before it: parse the pose track, then FK,
+    rasterize and calibrate the thresholds."""
+    from motiongraph import graph, pose
+    from motiongraph.silhouette import default_camera, rasterize_sequence
+
+    skeleton, sequence = pose.load_pose_track(poses)
+    states = pose.compute_joint_states(skeleton, sequence)
+    masks = rasterize_sequence(skeleton, (s.positions for s in states), default_camera())
+    tau_feat = graph.compute_thresholds(states, masks).tau_feat
+    t0 = time.perf_counter()
+    graph._gate_pairs(states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
+    return time.perf_counter() - t0
 
 
 def run_benchmarks():
@@ -104,6 +134,9 @@ def run_benchmarks():
     ref_masks = rasterize_sequence(skeleton, ref_positions, camera)
     tau_feat = graph.compute_thresholds(ref_states, ref_masks).tau_feat
     mm, nn = graph._gate_pairs(ref_states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
+    results["gate_2000f"] = (
+        _time(lambda: graph._gate_pairs(ref_states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)), "s"
+    )
     results["exact_dfeat_filter"] = (
         _time(lambda: pair_distances(*state_rows(ref_states), mm, nn)), "s"
     )
@@ -128,6 +161,17 @@ def run_benchmarks():
         results["pose_track_load_2000_frames"] = (
             _time(lambda: pose.load_pose_track(inputs["poses"])), "s"
         )
+        fixture_graph = graph.load_graph_file(out / "graph.json")
+        results["graph_edges_view_2000f"] = (_time(lambda: fixture_graph.edges), "s")
+        results["graph_edges_view_traced_peak"] = (
+            _traced_peak_mb(lambda: fixture_graph.edges), "MB"
+        )
+        cold = []
+        for _ in range(COLD_GATE_PROCESSES):
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                cold.append(pool.submit(_cold_gate_s, inputs["poses"]).result())
+        results["gate_2000f_cold_median"] = (statistics.median(cold), "s")
+        results["gate_2000f_cold_max"] = (max(cold), "s")
     assert edl.total_frames == 449, edl.total_frames
     results["render_frames_449f"] = (
         _time(lambda: sum(1 for _ in assembly.render_frames(edl, track_skeleton, track.frames))),
@@ -291,6 +335,7 @@ def run_benchmarks():
     results["search_300f_forward"] = (_time(forward), "s")
     results["search_300f_traceback"] = (_time(trace_back), "s")
     results["search_traced_peak"] = (_traced_peak_mb(search_once), "MB")
+    results["search_traceback_traced_peak"] = (_traced_peak_mb(trace_back), "MB")
     return results
 
 

@@ -34,14 +34,14 @@ GRAPH_FORMAT = "motion-graph/3"
 GATE_BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphNode:
     frame_index: int
     onset: bool
     keyword: str  # "" when no dictionary word is active
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphEdge:
     src: int
     dst: int
@@ -80,8 +80,10 @@ class VideoMotionGraph:
     no dictionary word is active). Edge j runs ``src[j] -> dst[j]``, is
     synthetic when ``synthetic[j]`` (else natural) and costs
     ``d_feat[j] + d_img[j]``. The columns are read-only arrays, checked in
-    one vectorized pass on construction. ``nodes`` and ``edges`` hold the
-    same graph as ``GraphNode``/``GraphEdge`` tuples, built on first access.
+    one vectorized pass on construction. ``nodes`` and ``edges`` give the
+    same graph as ``GraphNode``/``GraphEdge`` tuples: ``nodes`` is built on
+    first access and kept, ``edges`` is built on every read and kept by no
+    one but the caller (184 B per edge).
     """
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
@@ -125,7 +127,7 @@ class VideoMotionGraph:
     def nodes(self) -> tuple[GraphNode, ...]:
         return tuple(map(GraphNode, range(len(self)), self.onset.tolist(), self.keyword.tolist()))
 
-    @cached_property
+    @property
     def edges(self) -> tuple[GraphEdge, ...]:
         kinds = [KINDS[s] for s in self.synthetic.tolist()]
         return tuple(map(GraphEdge, self.src.tolist(), self.dst.tolist(), kinds,

@@ -244,7 +244,8 @@ def _walk_segment(state: _SearchState, seed, cuts, length_costs, reached, heads,
     duration window's. A first replay of the steps before it keeps the
     allowed-masked step table every ``REPLAY_CHUNK`` steps and where the last
     chunk starts. The chunks are replayed from these checkpoints, last chunk
-    first, and the walks go back through each.
+    first, and the walks go back through each. Each chunk is freed before
+    the next replay, so one chunk of step tables is alive at a time.
     """
     lo, heads = min(length_costs), list(heads)
     start = max(0, min(lo - 1, len(cuts) - REPLAY_CHUNK))
@@ -253,6 +254,7 @@ def _walk_segment(state: _SearchState, seed, cuts, length_costs, reached, heads,
     for a, b in zip(stops, stops[1:]):
         chunk = kernels.replay_walk(state.layout, seeds[-1], state.allowed, state.states, cuts[a:b])
         seeds.append(np.where(state.allowed, chunk[-1], np.inf))
+        del chunk
     walks = [([], []) for _ in heads]  # per head, its chunks' steps and costs, last first
     top = len(cuts)
     for a in reversed(stops):
@@ -272,6 +274,7 @@ def _walk_segment(state: _SearchState, seed, cuts, length_costs, reached, heads,
             walks[i][1].append(costs)
             heads[i] = steps[0]
         top = a
+        del table
     return [([heads[i]] + sum(reversed(steps), []), sum(reversed(costs), []))
             for i, (steps, costs) in enumerate(walks)]
 

@@ -54,7 +54,10 @@ class CameraModel:
                            real("focal_length", self.focal_length, 0, above=True))
         object.__setattr__(self, "principal_point", tuple(  # the JSON writer needs floats
             reals("camera principal_point", self.principal_point, (2,)).tolist()))
-        w, h = self.image_size
+        try:
+            w, h = self.image_size
+        except (TypeError, ValueError):  # not two values
+            w = h = None
         if not (is_integer(w) and is_integer(h) and w > 0 and h > 0):
             raise ValidationError(f"image_size must be two integers > 0, got {self.image_size}")
         object.__setattr__(self, "image_size", (int(w), int(h)))  # the JSON writer needs ints

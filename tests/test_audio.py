@@ -410,7 +410,7 @@ class TestFeatureFiles:
         ],
     )
     def test_feature_file_values_are_refused_not_converted(self, tmp_path, edit, reason):
-        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6), ("",) * 6))
+        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6, dtype=bool), ("",) * 6))
         doc = json.loads((tmp_path / "f.json").read_text())
         edit(doc)
         (tmp_path / "f.json").write_text(json.dumps(doc))
@@ -452,16 +452,53 @@ class TestFeatureFiles:
         with pytest.raises(ValidationError, match="transcript word must be a string, got 5"):
             TranscriptWord(5, 0.0, 0.5)
         with pytest.raises(ValidationError, match="keyword label must be a string, got 7"):
-            AudioFeatureTrack(FPS, np.zeros(2), ("", 7))
+            AudioFeatureTrack(FPS, np.zeros(2, dtype=bool), ("", 7))
         (tmp_path / "t.json").write_text(
             json.dumps([{"word": 5, "start_time": 0.5, "end_time": 0.9}]))
         with pytest.raises(GraphParseError, match="transcript word must be a string, got 5"):
             load_transcript(tmp_path / "t.json")
-        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6), ("",) * 6))
+        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6, dtype=bool), ("",) * 6))
         doc = json.loads((tmp_path / "f.json").read_text())
         doc["keywords"] = [[0, 2, 7]]
         (tmp_path / "f.json").write_text(json.dumps(doc))
         with pytest.raises(GraphParseError, match="keyword label must be a string, got 7"):
+            load_features(tmp_path / "f.json")
+
+    @pytest.mark.parametrize(
+        "onsets, problem",
+        [
+            pytest.param([0.5, 2.0, 0.0], "entry 0.5", id="number-list"),
+            pytest.param(["no", "yes", ""], "entry 'no'", id="text-list"),
+            pytest.param([True, 1, False], "entry 1", id="integer-entry"),
+            pytest.param(np.array([0.0, 1.0, 0.0]), "dtype float64, shape (3,)", id="float-array"),
+            pytest.param(np.ones((1, 3), dtype=bool), "dtype bool, shape (1, 3)", id="2d-array"),
+            pytest.param("yes", "str", id="string"),
+            pytest.param(None, "NoneType", id="none"),
+        ],
+    )
+    def test_onsets_are_refused_not_converted(self, onsets, problem):
+        with pytest.raises(ValidationError) as err:
+            AudioFeatureTrack(FPS, onsets, ("",) * 3)
+        assert str(err.value) == (
+            f"onsets must be a 1-D bool array or a sequence of bools, got {problem}")
+
+    def test_onsets_taken_as_bools(self):
+        for onsets in ([True, False], (np.bool_(False), np.bool_(True)), np.array([True, False])):
+            track = AudioFeatureTrack(FPS, onsets, ("", ""))
+            assert track.onsets.dtype == bool and track.onsets.tolist() == list(map(bool, onsets))
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -5.0, 0.0, "30", True, None])
+    def test_bad_fps_refused(self, fps):
+        with pytest.raises(ValidationError, match="fps must be a finite number > 0"):
+            AudioFeatureTrack(fps, np.zeros(2, dtype=bool), ("", ""))
+
+    @pytest.mark.parametrize("fps", [-5.0, 0.0])
+    def test_file_fps_must_be_positive(self, tmp_path, fps):
+        save_features(tmp_path / "f.json", AudioFeatureTrack(FPS, np.zeros(6, dtype=bool), ("",) * 6))
+        doc = json.loads((tmp_path / "f.json").read_text())
+        doc["fps"] = fps
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match="fps must be a finite number > 0"):
             load_features(tmp_path / "f.json")
 
     def test_transcript_roundtrip(self, tmp_path):

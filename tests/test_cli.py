@@ -767,6 +767,7 @@ MALFORMED = {
                "nan-principal-point": _set("principal_point", [float("nan"), 128.0]),
                "nan-translation": _set("translation", [0.0, float("nan"), 0.0]),
                "fractional-image-size": _set("image_size", [256.9, 100.7]),
+               "3-entry-image-size": _set("image_size", [256, 256, 3]),
                "boolean-principal-point": _set("principal_point", [True, 128.0]),
                "text-translation": _set("translation", ["0", "0", "0"])},
     "dictionary": {"broken-json": _truncated,

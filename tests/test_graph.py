@@ -331,6 +331,18 @@ class TestBuildGraph:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
 
+    def test_edges_view_is_rebuilt_on_each_read_and_not_kept(self, smooth_setup):
+        states, masks = smooth_setup
+        g = build_graph(states, masks, no_feature(len(states)), Thresholds(0.5, 0.5, 4))
+        first, second = g.edges, g.edges
+        assert first == second and first is not second
+        assert "edges" not in vars(g)
+        assert g.nodes is g.nodes  # N small records, kept
+
+    def test_records_have_no_instance_dict(self):
+        for record in (GraphNode(0, False, ""), GraphEdge(0, 1, "natural", 0.0, 0.0)):
+            assert not hasattr(record, "__dict__")
+
 
 class TestPairGating:
     @pytest.mark.parametrize("block", [1, 7, 64])

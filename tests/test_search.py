@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -437,6 +438,27 @@ class TestBeamSearch:
         assert whole.paths
         monkeypatch.setattr(search, "REPLAY_CHUNK", chunk)
         assert beam_search(graph, segments, config, seed=0) == whole
+
+    def test_traceback_keeps_one_replayed_chunk_alive(self, monkeypatch):
+        # Short chunks, so that each segment replays several checkpoint
+        # chunks and several traceback chunks.
+        from motiongraph import kernels, search
+
+        replay, returned, alive = kernels.replay_walk, [], []
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in returned))
+            table = replay(*args)
+            returned.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(kernels, "replay_walk", tracked)
+        monkeypatch.setattr(search, "REPLAY_CHUNK", 3)
+        graph = toy_graph(30, synthetic=[(9, 3, 0.1, 0.1), (20, 12, 0.2, 0.1)], onsets={7, 16})
+        segments = segment_list(25, [(8, EndpointFeature("onset")), (17, EndpointFeature("onset"))])
+        assert beam_search(graph, segments, BeamConfig(blend_k=1), seed=0).paths
+        assert len(alive) > 2 * segments.segment_count
+        assert alive == [0] * len(alive)
 
     def test_traceback_rejects_cut_rows_the_forward_pass_did_not_record(self):
         from motiongraph import search

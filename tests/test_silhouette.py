@@ -108,7 +108,8 @@ class TestCameraModel:
             load_camera(tmp_path / "cam.json")
 
     @pytest.mark.parametrize(
-        "size", [(256.9, 100.7), (16.0, 16), (16, True), ("16", 16), (np.float64(16), 16)]
+        "size", [(256.9, 100.7), (16.0, 16), (16, True), ("16", 16), (np.float64(16), 16),
+                 (16, 16, 3), (16,)]
     )
     def test_image_size_must_be_integers(self, tmp_path, size):
         # A fractional size is refused, not truncated.
