@@ -17,11 +17,13 @@ cold, as the first call in each of 5 fresh processes that first parse the
 pose track, then run FK, the rasterizer and the threshold calibration as
 `motiongraph run` does (median and max printed). The graph
 file entries save and load a 2000-node graph with the walk entries' edges,
-and print the traced peak of one save plus one load; the file-writer
-entries time and trace one write of that graph to a file. The 10k-node
-graph-file entries write a graph of 10,000 nodes and about 2.5M edges
-(random jumps, random distances) to a file and load it back, and print the
-file size and the traced peak of one write and of one load. The
+and print the file size (MiB) and the traced peak of one save plus one
+load; the file-writer entries time and trace one write of that graph to a
+file. A graph file is a JSON header line, then each column's raw bytes (33
+per edge). The 10k-node graph-file entries write a graph of 10,000 nodes
+and about 2.5M edges (random jumps, random distances) to a file and load
+it back, and print the file size (MiB) and the traced peak of one write
+and of one load. The
 FK entry computes the joint states of the fixture's 2000 reference
 frames. The onset entries run onset detection on 2000 frames of 48 kHz clicks. The
 search entries run one default search (20 starts, k=4) for a 300-frame

@@ -470,8 +470,7 @@ def load_features(path: str | Path) -> AudioFeatureTrack:
             if not start <= end <= n:
                 raise ValidationError(f"keyword run [{start}, {end}) is not within frames 0..{n}")
             labels[start:end] = [word] * (end - start)
-        return AudioFeatureTrack(fps=real("fps", doc["fps"]), onsets=onsets,
-                                 keywords=tuple(labels))
+        return AudioFeatureTrack(fps=doc["fps"], onsets=onsets, keywords=tuple(labels))
 
     return read_document(Path(path).read_bytes(), f"feature file {path}", FEATURES_FORMAT, build)
 

@@ -118,9 +118,10 @@ def string(name: str, value) -> str:
 
 
 def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):
-    """Decode an engine file's bytes, read or mapped: UTF-8 JSON, its ``format``
-    tag unless ``fmt`` is None, then ``build(doc)``. Any failure, including a
-    field that ``build`` finds missing or mistyped, raises GraphParseError naming ``what``."""
+    """Decode the bytes of an engine file, or of a graph file's header line:
+    UTF-8 JSON, its ``format`` tag unless ``fmt`` is None, then ``build(doc)``.
+    Any failure, including a field that ``build`` finds missing or mistyped,
+    raises GraphParseError naming ``what``."""
     try:
         doc = json.loads(str(data, "utf-8"))
     except UnicodeDecodeError as exc:

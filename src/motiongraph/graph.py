@@ -8,10 +8,9 @@ mean distance between frames ``l`` apart.
 
 from __future__ import annotations
 
-import base64
+import io
 import json
 import math
-import mmap
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ from .pose import JointState, pair_distances, pose_distance, state_rows
 DEFAULT_OFFSET_L = 4
 DEFAULT_MIN_JUMP = 2
 
-GRAPH_FORMAT = "motion-graph/3"
+GRAPH_FORMAT = "motion-graph/4"
 
 #: Rows of the pair matrix gated at a time. Each gating temporary holds at
 #: most GATE_BLOCK x N float64 values, so the build never holds an N x N one.
@@ -342,8 +341,8 @@ def build_graph(
 
 
 # ---------------------------------------------------------------------------
-# serialization (JSON with sorted keys; each numeric or flag column is one
-# base64 string of its little-endian bytes, so values are bit-exact)
+# serialization (one line of compact sorted-key JSON, then each column's raw
+# little-endian bytes, so values are bit-exact)
 # ---------------------------------------------------------------------------
 
 
@@ -353,29 +352,22 @@ def _check_file_thresholds(thresholds: Thresholds) -> None:
         raise ValidationError(f"a graph file's thresholds must be finite, got {thresholds}")
 
 
-#: A graph file's columns, in ``VideoMotionGraph._init`` order: two per node
-#: (node i is frame i), then five per edge. Each but ``keyword``, a JSON list
-#: of strings, is stored as the bytes of this dtype; a flag is one byte, 0 or 1.
-FILE_COLUMNS = {"onset": np.dtype("u1"), "keyword": None, "src": np.dtype("<i8"),
-                "dst": np.dtype("<i8"), "synthetic": np.dtype("u1"),
-                "d_feat": np.dtype("<f8"), "d_img": np.dtype("<f8")}
+#: The columns after a graph file's header line, in file order, as the bytes
+#: of these dtypes: ``onset`` holds one value per node (node i is frame i),
+#: the rest one per edge, 33 bytes in all. A flag is one byte, 0 or 1.
+FILE_COLUMNS = {"onset": np.dtype("?"), "src": np.dtype("<i8"), "dst": np.dtype("<i8"),
+                "synthetic": np.dtype("?"), "d_feat": np.dtype("<f8"), "d_img": np.dtype("<f8")}
 
 
 def _graph_chunks(graph: VideoMotionGraph):
-    """The ``motion-graph/3`` document as UTF-8 chunks, at most one column's
-    bytes each. Joined, they are ``json.dumps(doc, sort_keys=True)``."""
-    doc = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
-           "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
-           **{name: getattr(graph, name) for name in FILE_COLUMNS},
-           "keyword": graph.keyword.tolist()}
-    for i, (key, value) in enumerate(sorted(doc.items())):
-        yield f"{', ' if i else '{'}{json.dumps(key)}: ".encode()
-        if isinstance(value, np.ndarray):
-            column = np.ascontiguousarray(value, FILE_COLUMNS[key])
-            yield from (b'"', base64.b64encode(column), b'"')
-        else:
-            yield json.dumps(value, sort_keys=True).encode()
-    yield b"}"
+    """The ``motion-graph/4`` file as chunks: the header line, then each
+    column's bytes."""
+    header = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
+              "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
+              "keyword": graph.keyword.tolist(), "edges": graph.src.size}
+    yield json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    for name, dtype in FILE_COLUMNS.items():
+        yield np.ascontiguousarray(getattr(graph, name), dtype)
 
 
 def save_graph(graph: VideoMotionGraph) -> bytes:
@@ -383,54 +375,49 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
     return b"".join(_graph_chunks(graph))
 
 
-def _file_column(doc: dict, name: str) -> np.ndarray:
-    """Column ``name`` of a graph document, taken out of ``doc`` so that its
-    base64 text can be freed once decoded."""
-    value, dtype = doc.pop(name), FILE_COLUMNS[name]
-    if dtype is None:
-        if not (isinstance(value, list) and all(isinstance(word, str) for word in value)):
-            raise ValidationError(f"{name} must be a list of strings")
-        return np.array(value, dtype=str)
-    if not isinstance(value, str):
-        raise ValidationError(f"{name} must be a base64 string, got {type(value).__name__}")
-    try:
-        data = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise ValidationError(f"{name} is not base64 text: {exc}") from exc
-    if len(data) % dtype.itemsize:
-        raise ValidationError(f"{name} holds {len(data)} bytes, not whole "
-                              f"{dtype.itemsize}-byte values")
-    column = np.frombuffer(data, dtype)
-    if dtype.kind == "u":  # a flag column
-        if (column > 1).any():
-            raise ValidationError(f"{name} bytes must be 0 or 1")
-        return column.view(bool)
-    return column
+def _read_graph(f, size: int) -> VideoMotionGraph:
+    """The graph in the ``size``-byte ``motion-graph/4`` stream ``f``: its
+    header line, then each column read into a new array once the header's
+    node and edge counts account for every byte."""
+    line = f.readline()
 
-
-def load_graph(stream: bytes | mmap.mmap) -> VideoMotionGraph:
     def build(doc):
-        header = {"format", "fps", "min_jump", "thresholds", "velocity_weight"}
-        if unknown := doc.keys() - header - FILE_COLUMNS.keys():
+        header = {"format", "fps", "min_jump", "velocity_weight", "thresholds", "keyword", "edges"}
+        if unknown := doc.keys() - header:
             raise ValidationError(f"unknown fields {sorted(unknown)}")
         t = doc["thresholds"]
         thresholds = Thresholds(real("tau_feat", t["tau_feat"]), real("tau_img", t["tau_img"]),
                                 t["offset_l"])
-        columns = [_file_column(doc, name) for name in FILE_COLUMNS]
-        onset, keyword, *edge_columns = columns
-        if keyword.shape != onset.shape or len({c.shape for c in edge_columns}) > 1:
-            raise StructuralError("graph columns differ in length: " + ", ".join(
-                f"{name} {c.shape}" for name, c in zip(FILE_COLUMNS, columns)))
-        return VideoMotionGraph._from_columns(*columns, thresholds, doc["fps"],
-                                              doc["min_jump"], doc["velocity_weight"])
+        keyword = doc["keyword"]
+        if not (isinstance(keyword, list) and all(isinstance(word, str) for word in keyword)):
+            raise ValidationError("keyword must be a list of strings")
+        n, edges, body = len(keyword), integer("edges", doc["edges"], 0), size - len(line)
+        if not line.endswith(b"\n") or body != n + 33 * edges:
+            raise StructuralError(f"{n} nodes and {edges} edges need a newline-ended header "
+                                  f"line and {n + 33 * edges} column bytes, got {body} after it")
+        columns = [np.empty(n if name == "onset" else edges, dtype)
+                   for name, dtype in FILE_COLUMNS.items()]
+        for name, column in zip(FILE_COLUMNS, columns):
+            if f.readinto(column) != column.nbytes:
+                raise StructuralError("the graph file ended while it was read")
+            if column.dtype == bool and (column.view(np.uint8) > 1).any():
+                raise ValidationError(f"{name} bytes must be 0 or 1")
+        onset, *edge_columns = columns
+        return VideoMotionGraph._from_columns(
+            onset, np.array(keyword, dtype=str), *edge_columns, thresholds,
+            doc["fps"], doc["min_jump"], doc["velocity_weight"])
 
-    return read_document(stream, "graph document", GRAPH_FORMAT, build)
+    return read_document(line, "graph document", GRAPH_FORMAT, build)
+
+
+def load_graph(data: bytes) -> VideoMotionGraph:
+    return _read_graph(io.BytesIO(data), len(data))
 
 
 def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:
-    """Write ``save_graph``'s bytes, one chunk at a time: the encoded document
-    is never held whole. The chunks go to ``<path>.partial``, which replaces
-    ``path`` only once complete, so a failed write leaves any earlier file."""
+    """Write ``save_graph``'s bytes, one chunk at a time: the file is never
+    held whole. The chunks go to ``<path>.partial``, which replaces ``path``
+    only once complete, so a failed write leaves any earlier file."""
     _check_file_thresholds(graph.thresholds)  # before any file opens
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
@@ -443,8 +430,5 @@ def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:
 
 
 def load_graph_file(path: str | Path) -> VideoMotionGraph:
-    with open(path, "rb") as f:  # mapped, not read: glibc keeps later read copies resident
-        if not os.fstat(f.fileno()).st_size:  # empty files and pipes cannot be mapped
-            return load_graph(f.read())
-        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return load_graph(data)
+    with open(path, "rb") as f:
+        return _read_graph(f, os.fstat(f.fileno()).st_size)

@@ -5,8 +5,8 @@ popcount-based mask intersection over candidate frame pairs, and the
 step-synchronous relaxation inside the search. Each has one
 implementation. The rasterizer draws a chunk of frames one bone at a time,
 each bone on one tile over the chunk's frames, so its numpy calls are per
-bone and chunk, not per bone and frame. Popcount uses ``np.bitwise_count`` where numpy provides it
-(numpy >= 2.0) and a byte lookup table otherwise; both count the same bits.
+bone and chunk, not per bone and frame. Popcount is ``np.bitwise_count`` over
+64-bit words, which is why the engine needs numpy >= 2.0.
 The walk relaxation is a row shift along the natural chain plus one
 gather-add and one segmented minimum over the synthetic edges per step and
 target state, over an edge layout built once per search. It records those
@@ -25,8 +25,6 @@ from .errors import StructuralError
 #: Recorded by callers that report which backend ran; numpy is the only one.
 BACKEND = "numpy"
 HAVE_NUMBA = False
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +141,14 @@ def pack_masks(masks):
 def pair_intersections(packed, pairs):
     """Count intersecting set bits for each (m, n) row pair of ``packed``."""
     pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
-    hw_popcount = getattr(np, "bitwise_count", None)
-    # Hardware popcount counts whole 64-bit words; the table counts bytes.
-    words = packed if hw_popcount is not None else packed.view(np.uint8)
     out = np.empty(pairs.shape[0], dtype=np.int64)
     # About 1 MiB of rows per temporary: small enough to stay in cache and
     # to be reused by the allocator instead of mapped fresh for each chunk.
-    chunk = max(1, (1 << 20) // max(words[:1].nbytes, 1))
+    chunk = max(1, (1 << 20) // max(packed[:1].nbytes, 1))
     for lo in range(0, pairs.shape[0], chunk):
         sel = pairs[lo : lo + chunk]
-        both = words[sel[:, 0]] & words[sel[:, 1]]
-        if hw_popcount is not None:
-            out[lo : lo + chunk] = hw_popcount(both).sum(axis=1, dtype=np.int64)
-        else:
-            out[lo : lo + chunk] = _POPCOUNT8[both].sum(axis=1)
+        both = packed[sel[:, 0]] & packed[sel[:, 1]]
+        out[lo : lo + chunk] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     return out
 
 

@@ -405,7 +405,7 @@ class TestFeatureFiles:
                          id="boolean-onset"),
             pytest.param(lambda doc: doc.update(keywords=[[0.2, 2.7, "hello"]]),
                          "keyword run start must be an integer", id="fractional-run"),
-            pytest.param(lambda doc: doc.update(fps="30"), "fps must be finite",
+            pytest.param(lambda doc: doc.update(fps="30"), "fps must be a finite number > 0",
                          id="text-fps"),
         ],
     )

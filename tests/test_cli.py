@@ -18,6 +18,8 @@ from motiongraph.pose import load_pose_track
 from motiongraph.search import BeamConfig, beam_search, load_search_result
 from motiongraph.silhouette import default_camera, save_camera
 
+from test_graph import decoded, encoded
+
 REF_FRAMES = 800
 TGT_FRAMES = 280
 SEED = 0
@@ -31,7 +33,7 @@ MASK_DUMP_SHA256 = "6e182d1f2b5228a5e5ce64ab6a8daf4d214d62dd080afb35f96a466bcb5c
 PREVIEW_SHA256 = "0cb7424e5bbe339ed88f95f24dcd4828bcf28b45a65a4ca85d9ce9127ae1d848"
 #: sha256 of the pipeline's ``edl.json``: entries, speed factors, blend poses
 #: and the graph file's hash.
-EDL_SHA256 = "0c478e5044ed43a5eecc1b7ac141681b3caffbc45790e2776284835479b4706e"
+EDL_SHA256 = "277ace5aab29fdb2b69e23836f184da0a0d9de14480d29d61aeddf4af7fd9828"
 #: sha256 of the same EDL document without ``provenance.graph_sha256``,
 #: re-encoded with sorted keys: everything but the graph file's hash. It was
 #: recorded from the ``motion-graph/2`` writer's run, so the same digest shows
@@ -666,15 +668,20 @@ def _truncated(data: bytes) -> bytes:
     return data[: len(data) // 2]
 
 
-def _edited(edit):
+def _edited(edit, decode=json.loads, encode=lambda doc: json.dumps(doc).encode()):
     """Mutation of a JSON file: decode, apply ``edit`` to the document, encode."""
 
     def mutate(data: bytes) -> bytes:
-        doc = json.loads(data)
+        doc = decode(data)
         edit(doc)
-        return json.dumps(doc).encode()
+        return encode(doc)
 
     return mutate
+
+
+def _graph_edited(edit):
+    """Mutation of a graph file's header fields and columns (``test_graph``'s codec)."""
+    return _edited(edit, decoded, encoded)
 
 
 def _drop(key):
@@ -793,14 +800,19 @@ MALFORMED = {
                  "infinite-count": _set("n_frames", float("inf")),
                  "fractional-endpoint": _edited(_fractional_endpoint),
                  "unknown-kind": _edited(lambda doc: doc["features"][0].update(kind="bogus"))},
-    "graph": {"broken-json": _truncated, "missing-field": _drop("src"),
-              "wrong-format": _set("format", "motion-graph/9"),
-              "format-1": _set("format", "motion-graph/1"),
-              "format-2": _set("format", "motion-graph/2"),
-              "nan-fps": _set("fps", float("nan")),
-              "negative-min-jump": _set("min_jump", -3),
-              "fractional-offset-l": _edited(lambda doc: doc["thresholds"].update(offset_l=4.9)),
-              "keywords-not-strings": _edited(_keywords_not_strings)},
+    "graph": {"broken-json": lambda data: data[: data.index(b"\n") // 2],
+              "missing-field": _graph_edited(lambda doc: doc.pop("edges")),
+              "wrong-format": _graph_edited(lambda doc: doc.update(format="motion-graph/9")),
+              "format-1": _graph_edited(lambda doc: doc.update(format="motion-graph/1")),
+              "format-2": _graph_edited(lambda doc: doc.update(format="motion-graph/2")),
+              "nan-fps": _graph_edited(lambda doc: doc.update(fps=float("nan"))),
+              "negative-min-jump": _graph_edited(lambda doc: doc.update(min_jump=-3)),
+              "fractional-offset-l": _graph_edited(
+                  lambda doc: doc["thresholds"].update(offset_l=4.9)),
+              "keywords-not-strings": _graph_edited(_keywords_not_strings),
+              "truncated-column": _truncated,
+              "trailing-byte": lambda data: data + b"\0",
+              "flag-byte-2": _graph_edited(lambda doc: doc["synthetic"].__setitem__(-1, 2))},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),
@@ -875,15 +887,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["search", "assemble"])
     def test_motion_graph_2_file_names_both_formats(self, tmp_path, capsys, input_files,
                                                     command):
-        # The pipeline's graph in the motion-graph/2 layout: one JSON array per column.
-        graph = load_graph_file(input_files["graph"])
-        doc = {"format": "motion-graph/2", "fps": graph.fps, "min_jump": graph.min_jump,
-               "velocity_weight": graph.velocity_weight,
-               "thresholds": {"tau_feat": graph.thresholds.tau_feat,
-                              "tau_img": graph.thresholds.tau_img,
-                              "offset_l": graph.thresholds.offset_l},
-               **{name: getattr(graph, name).tolist()
-                  for name in ("onset", "keyword", "src", "dst", "synthetic", "d_feat", "d_img")}}
+        # The pipeline's graph in the motion-graph/2 layout: one JSON document,
+        # each column a JSON array, flags as booleans.
+        doc = decoded(input_files["graph"].read_bytes())
+        del doc["edges"]
+        doc.update(format="motion-graph/2", onset=list(map(bool, doc["onset"])),
+                   synthetic=list(map(bool, doc["synthetic"])))
         old = tmp_path / "graph_2.json"
         old.write_text(json.dumps(doc, sort_keys=True))
         files = {name: str(input_files[name]) for name in ("segments", "poses", "path")}
@@ -895,5 +904,5 @@ class TestMalformedInputs:
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == (f"error in {command}: graph document has format "
-                                  "'motion-graph/2', expected 'motion-graph/3'")
+                                  "'motion-graph/2', expected 'motion-graph/4'")
         assert list(tmp_path.iterdir()) == [old]

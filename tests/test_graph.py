@@ -1,4 +1,5 @@
 import base64
+import io
 import json
 import math
 import struct
@@ -587,7 +588,7 @@ class TestSerialization:
     def test_truncated_stream_is_parse_error(self):
         blob = save_graph(self._toy_graph())
         with pytest.raises(GraphParseError) as err:
-            load_graph(blob[: len(blob) // 2])
+            load_graph(blob[: blob.index(b"\n") // 2])
         assert err.value.offset >= 0
 
     def test_garbage_is_parse_error(self):
@@ -603,7 +604,7 @@ class TestSerialization:
                       {"frame": 1, "onset": False, "keyword": ""}],
             "edges": [{"src": 0, "dst": 1, "kind": "natural", "d_feat": 0.0, "d_img": 0.0}],
         }
-        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/3'"):
+        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/4'"):
             load_graph(json.dumps(format_1).encode())
 
     def test_format_2_document_names_both_formats(self):
@@ -614,22 +615,38 @@ class TestSerialization:
             "onset": [True, False], "keyword": ["", ""], "src": [0], "dst": [1],
             "synthetic": [False], "d_feat": [0.0], "d_img": [0.0],
         }
-        with pytest.raises(GraphParseError, match="'motion-graph/2', expected 'motion-graph/3'"):
+        with pytest.raises(GraphParseError, match="'motion-graph/2', expected 'motion-graph/4'"):
             load_graph(json.dumps(format_2, sort_keys=True).encode())
+
+    def test_format_3_file_names_both_formats(self, tmp_path):
+        # A motion-graph/3 file was one JSON document with no newline, each
+        # column but keyword the base64 text of its little-endian bytes.
+        doc = decoded(save_graph(self._toy_graph()))
+        del doc["edges"]
+        for name, dtype in graph_mod.FILE_COLUMNS.items():
+            doc[name] = base64.b64encode(np.asarray(doc[name], dtype).tobytes()).decode()
+        doc["format"] = "motion-graph/3"
+        (tmp_path / "g.json").write_text(json.dumps(doc, sort_keys=True))
+        for read in (lambda: load_graph((tmp_path / "g.json").read_bytes()),
+                     lambda: load_graph_file(tmp_path / "g.json")):
+            with pytest.raises(GraphParseError,
+                               match="'motion-graph/3', expected 'motion-graph/4'"):
+                read()
 
     def test_file_holds_one_array_per_column(self):
         blob = save_graph(self._toy_graph())
-        doc = json.loads(blob)
-        # Each column but keyword is the base64 text of its little-endian bytes.
-        assert doc == {
-            "format": "motion-graph/3", "fps": 25.0, "min_jump": 2, "velocity_weight": 1.0,
-            "thresholds": {"tau_feat": 0.2, "tau_img": 0.6, "offset_l": 4},
-            "onset": "AQAA", "keyword": ["", "", "hi"], "synthetic": "AAAB",
-            "src": b64(struct.pack("<3q", 0, 1, 0)), "dst": b64(struct.pack("<3q", 1, 2, 2)),
-            "d_feat": b64(struct.pack("<3d", 0.0, 0.0, 0.123456789012345678)),
-            "d_img": b64(struct.pack("<3d", 0.0, 0.0, 0.5)),
-        }
+        # A compact sorted-key JSON header line, then each column's
+        # little-endian bytes: onset, src, dst, synthetic, d_feat, d_img.
+        assert blob == (
+            b'{"edges":3,"format":"motion-graph/4","fps":25.0,"keyword":["","","hi"],'
+            b'"min_jump":2,"thresholds":{"offset_l":4,"tau_feat":0.2,"tau_img":0.6},'
+            b'"velocity_weight":1.0}\n'
+            + bytes([1, 0, 0]) + struct.pack("<3q", 0, 1, 0) + struct.pack("<3q", 1, 2, 2)
+            + bytes([0, 0, 1]) + struct.pack("<3d", 0.0, 0.0, 0.123456789012345678)
+            + struct.pack("<3d", 0.0, 0.0, 0.5)
+        )
         assert decoded(blob)["synthetic"] == [0, 0, 1]
+        assert encoded(decoded(blob)) == blob
 
     def test_roundtrip_is_bit_exact(self):
         g = random_graph(np.random.default_rng(4), 20, 12)
@@ -651,19 +668,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, reason",
         [
-            pytest.param(lambda doc: doc.update(src="AAAA!AAA"), "src is not base64 text",
-                         id="not-base64"),
-            pytest.param(lambda doc: doc.update(d_img="AAAAAAAAAAA"), "d_img is not base64 text",
-                         id="bad-padding"),
-            pytest.param(lambda doc: doc.update(onset="AQ\u00e9A"), "onset is not base64 text",
-                         id="not-ascii"),
-            pytest.param(lambda doc: doc.update(dst=doc["dst"][:-4]),
-                         "dst holds 21 bytes, not whole 8-byte values", id="partial-value"),
-            pytest.param(lambda doc: doc.update(d_feat=[0.0, 0.0, 0.5]),
-                         "d_feat must be a base64 string, got list", id="list-column"),
-            pytest.param(lambda doc: doc.update(src=None), "src must be a base64 string",
-                         id="null-column"),
-            pytest.param(lambda doc: doc.pop("d_img"), "missing field 'd_img'",
+            pytest.param(lambda doc: doc.update(dst=struct.pack("<3q", *doc["dst"])[:-4]),
+                         "need a newline-ended header line and 102 column bytes, got 98",
+                         id="partial-value"),
+            pytest.param(lambda doc: doc.pop("d_img"), "102 column bytes, got 78",
                          id="missing-column"),
             pytest.param(lambda doc: doc.update(kind="AAAB"), r"unknown fields \['kind'\]",
                          id="extra-column"),
@@ -674,10 +682,48 @@ class TestSerialization:
         ],
     )
     def test_bad_column_text_is_parse_error(self, edit, reason):
-        doc = json.loads(save_graph(self._toy_graph()))
+        doc = decoded(save_graph(self._toy_graph()))
         edit(doc)
         with pytest.raises(GraphParseError, match=reason):
-            load_graph(json.dumps(doc).encode())
+            load_graph(encoded(doc))
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda blob: blob[:-1], "102 column bytes, got 101",
+                         id="truncated-column"),
+            pytest.param(lambda blob: blob + b"\0", "102 column bytes, got 103",
+                         id="trailing-byte"),
+            pytest.param(lambda blob: blob[: blob.index(b"\n")], "got 0 after it",
+                         id="no-newline"),
+            pytest.param(lambda blob: b"", "not valid JSON", id="empty-file"),
+            pytest.param(lambda blob: with_header(blob, edges=4), "135 column bytes, got 102",
+                         id="one-edge-more"),
+            pytest.param(lambda blob: with_header(blob, edges=2), "69 column bytes, got 102",
+                         id="one-edge-fewer"),
+            # A header that claims a terabyte of columns allocates none of them.
+            pytest.param(lambda blob: with_header(blob, edges=10**12),
+                         "33000000000003 column bytes", id="huge-edge-count"),
+            pytest.param(lambda blob: with_header(blob, edges=-1),
+                         "edges must be an integer >= 0", id="negative-edges"),
+            pytest.param(lambda blob: with_header(blob, edges=3.0),
+                         "edges must be an integer >= 0", id="fractional-edges"),
+            pytest.param(lambda blob: with_header(blob, edges=True),
+                         "edges must be an integer >= 0", id="boolean-edges"),
+        ],
+    )
+    def test_header_counts_that_miss_the_file_size_are_parse_error(self, edit, reason):
+        bad = edit(save_graph(self._toy_graph()))
+        with pytest.raises(GraphParseError, match=reason):
+            load_graph(bad)
+
+    def test_empty_graph_header_without_newline_is_parse_error(self):
+        # No column bytes follow a header of 0 nodes and 0 edges: only the
+        # missing newline is wrong.
+        blob = save_graph(VideoMotionGraph([], [], Thresholds(0.0, 0.0, 4)))
+        assert len(load_graph(blob)) == 0
+        with pytest.raises(GraphParseError, match="newline-ended header line and 0 column bytes"):
+            load_graph(blob[:-1])
 
     @pytest.mark.parametrize("column", ["synthetic", "onset"])
     @pytest.mark.parametrize("byte", [2, 255])
@@ -694,6 +740,7 @@ class TestSerialization:
             doc[name].append(getattr(bad, name))
         # A file holds a kind as a flag byte: an unknown kind is neither 0 nor 1.
         doc["synthetic"].append({"natural": 0, "synthetic": 1}.get(bad.kind, 2))
+        doc["edges"] += 1
         if bad.kind == "bogus":
             reason = "synthetic bytes must be 0 or 1"
         with pytest.raises(GraphParseError, match=reason):
@@ -704,7 +751,6 @@ class TestSerialization:
         [
             pytest.param(lambda doc: doc["src"].pop(), id="short-src"),
             pytest.param(lambda doc: doc["synthetic"].append(True), id="long-synthetic"),
-            # numpy would broadcast a length-1 column against the others.
             pytest.param(lambda doc: doc.update(d_feat=[0.0]), id="length-1-d-feat"),
             pytest.param(lambda doc: doc.update(d_img=[]), id="empty-d-img"),
             pytest.param(lambda doc: doc["keyword"].append("hi"), id="long-keyword"),
@@ -712,28 +758,27 @@ class TestSerialization:
         ],
     )
     def test_columns_of_unequal_length_are_parse_error(self, edit):
+        # The header's node and edge counts fix every column's length, so a
+        # column of another length leaves the file's size wrong.
         doc = decoded(save_graph(self._toy_graph()))
         edit(doc)
-        with pytest.raises(GraphParseError, match="columns differ in length"):
+        with pytest.raises(GraphParseError, match="newline-ended header line and"):
             load_graph(encoded(doc))
 
     @pytest.mark.parametrize("column", ["synthetic", "onset"])
     @pytest.mark.parametrize("value", [1, 0, 1.0, "true", None, [True]])
     def test_flag_that_is_not_a_json_boolean_is_parse_error(self, column, value):
-        # A flag is a byte of the column's base64 text, so a flags list in
-        # the motion-graph/2 layout is refused, with a non-boolean entry or not.
-        doc = json.loads(save_graph(self._toy_graph()))
+        # A flag is a byte after the header line, so a flags list in the
+        # header, as the motion-graph/2 layout held it, is refused, with a
+        # non-boolean entry or not.
         for flags in ([False, False, value], [False, False, True]):
-            doc[column] = flags
-            with pytest.raises(GraphParseError, match=f"{column} must be a base64 string"):
-                load_graph(json.dumps(doc).encode())
+            with pytest.raises(GraphParseError, match=rf"unknown fields \['{column}'\]"):
+                load_graph(with_header(save_graph(self._toy_graph()), **{column: flags}))
 
     @pytest.mark.parametrize("value", [0, True, "true", {"true": True}])
     def test_flags_column_that_is_not_a_list_is_parse_error(self, value):
-        doc = json.loads(save_graph(self._toy_graph()))
-        doc["synthetic"] = value
         with pytest.raises(GraphParseError):
-            load_graph(json.dumps(doc).encode())
+            load_graph(with_header(save_graph(self._toy_graph()), synthetic=value))
 
     def test_random_graph_roundtrip(self, smooth_setup):
         rng = np.random.default_rng(10)
@@ -771,12 +816,12 @@ class TestSerialization:
             save_graph_file(g, tmp_path / "g.json")
             blob = (tmp_path / "g.json").read_bytes()
             assert blob == save_graph(g)
-            assert blob == json.dumps(json.loads(blob), sort_keys=True).encode()
+            assert blob == encoded(decoded(blob))
             assert load_graph_file(tmp_path / "g.json").edges == g.edges
 
     def test_file_writer_peak_memory_bounded_by_the_chunk(self, tmp_path):
-        # save_graph holds the whole document's text. The file writer holds
-        # one column's bytes and their base64 text at a time.
+        # save_graph holds the whole file's bytes. The file writer holds the
+        # header line and at most one column's bytes at a time.
         g = random_graph(np.random.default_rng(3), 2000, 60000)
         tracemalloc.start()
         try:
@@ -805,14 +850,16 @@ class TestSerialization:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
     def test_file_reader_decodes_as_load_graph_does(self, tmp_path):
-        # load_graph_file maps the file; an empty file cannot be mapped and is read.
+        # load_graph reads the bytes through a stream and load_graph_file the
+        # open file: both checks and messages are the same.
         blob = save_graph(self._toy_graph())
         path = tmp_path / "g.json"
         path.write_bytes(blob)
         g = load_graph_file(path)
         assert (g.nodes, g.edges, g.thresholds) == (lambda h: (h.nodes, h.edges, h.thresholds))(
             load_graph(blob))
-        for bad in (b"", blob[: len(blob) // 2], b'{"format": "motion-graph/3", "x": "\xff"}'):
+        for bad in (b"", blob[: len(blob) // 2], blob + b"\0", blob[: blob.index(b"\n")],
+                    with_header(blob, edges=4), b'{"format": "motion-graph/4", "x": "\xff"}\n'):
             path.write_bytes(bad)
             with pytest.raises(GraphParseError) as from_bytes:
                 load_graph(bad)
@@ -820,6 +867,13 @@ class TestSerialization:
                 load_graph_file(path)
             assert (str(from_file.value), from_file.value.offset) == (
                 str(from_bytes.value), from_bytes.value.offset)
+
+    def test_file_cut_short_while_read_is_parse_error(self):
+        # The size is taken before the columns are read: a file that shrinks
+        # in between must not leave unread memory in a column.
+        blob = save_graph(self._toy_graph())
+        with pytest.raises(GraphParseError, match="ended while it was read"):
+            graph_mod._read_graph(io.BytesIO(blob[:-1]), len(blob))
 
     def test_non_finite_thresholds_stay_out_of_files(self, tmp_path):
         g = self._toy_graph()
@@ -856,32 +910,47 @@ class TestSerialization:
         ],
     )
     def test_bad_header_is_parse_error(self, edit):
-        doc = json.loads(save_graph(self._toy_graph()))
+        doc = decoded(save_graph(self._toy_graph()))
         edit(doc)
         with pytest.raises(GraphParseError):
-            load_graph(json.dumps(doc).encode())
-
-
-def b64(data):
-    return base64.b64encode(data).decode()
+            load_graph(encoded(doc))
 
 
 def decoded(blob):
-    """A graph file's document with each base64 column decoded to a list."""
-    doc = json.loads(blob)
+    """A graph file's header fields, and each column after its header line as
+    a list, a flag as its byte. The lengths are the header's counts."""
+    line, body = blob.split(b"\n", 1)
+    doc, offset = json.loads(line), 0
     for name, dtype in graph_mod.FILE_COLUMNS.items():
-        if dtype is not None:
-            doc[name] = np.frombuffer(base64.b64decode(doc[name]), dtype).tolist()
+        count = len(doc["keyword"]) if name == "onset" else doc["edges"]
+        doc[name] = np.frombuffer(body, flag_bytes(dtype), count, offset).tolist()
+        offset += count * dtype.itemsize
     return doc
 
 
 def encoded(doc):
-    """The file bytes of a document that ``decoded`` gave, edited or not."""
-    doc = dict(doc)
-    for name, dtype in graph_mod.FILE_COLUMNS.items():
-        if dtype is not None and name in doc:
-            doc[name] = b64(np.asarray(doc[name], dtype).tobytes())
-    return json.dumps(doc, sort_keys=True).encode()
+    """The file bytes of a document that ``decoded`` gave, edited or not: its
+    other fields as the header line, then the columns it holds, a column
+    given as ``bytes`` written as they are."""
+    columns = graph_mod.FILE_COLUMNS
+    header = {key: value for key, value in doc.items() if key not in columns}
+    return b"".join(
+        [json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"]
+        + [doc[name] if isinstance(doc[name], bytes)
+           else np.asarray(doc[name], flag_bytes(dtype)).tobytes()
+           for name, dtype in columns.items() if name in doc])
+
+
+def flag_bytes(dtype):
+    """A file column's dtype, with a flag as its byte: 2 is not a bool."""
+    return np.dtype("u1") if dtype == bool else dtype
+
+
+def with_header(blob, **fields):
+    """A graph file's bytes with ``fields`` set in its header line, the bytes
+    after it unchanged."""
+    line, body = blob.split(b"\n", 1)
+    return json.dumps({**json.loads(line), **fields}).encode() + b"\n" + body
 
 
 def random_graph(rng, n, n_synthetic):

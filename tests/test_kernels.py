@@ -6,7 +6,7 @@ from motiongraph.errors import StructuralError
 from oracles import meshgrid_rasterize_capsules
 
 
-def test_popcount_matches_direct_counting_any_backend(monkeypatch):
+def test_popcount_matches_direct_counting_any_backend():
     rng = np.random.default_rng(3)
     masks = rng.random((12, 33, 17)) < 0.5  # odd sizes exercise bit padding
     packed = kernels.pack_masks(masks)
@@ -14,9 +14,6 @@ def test_popcount_matches_direct_counting_any_backend(monkeypatch):
     got = kernels.pair_intersections(packed, pairs)
     direct = np.array([np.count_nonzero(masks[m] & masks[n]) for m, n in pairs])
     assert np.array_equal(got, direct)
-    # numpy < 2.0 has no bitwise_count: the byte lookup table counts instead.
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert np.array_equal(kernels.pair_intersections(packed, pairs), direct)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def random_toy(rng, max_nodes=15):
 
 class TestOutputBudget:
     """Every rank the search returns plays in the windows where the README
-    promises it: a high end of at most 1 + 1/(2k+2) (ROADMAP item 5)."""
+    promises it: a high end of at most 1 + 1/(2k+2). With a wider window a rank
+    may not play, a known defect: the search does not encode the output budget."""
 
     @staticmethod
     def ranks_that_fail(seed, config):
@@ -105,8 +106,8 @@ class TestOutputBudget:
             feasible += 1
         assert feasible >= 50
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the search does not encode "
-                       "the output budget, so a wide window can return an unplayable rank")
+    @pytest.mark.xfail(strict=True, reason="the search does not encode the output "
+                       "budget, so a wide window can return an unplayable rank")
     @pytest.mark.parametrize("seed", [5, 11, 29])
     def test_wide_window_counterexample(self, seed):
         assert self.ranks_that_fail(seed, BeamConfig(duration_window=(0.5, 2.0), blend_k=2)) == []

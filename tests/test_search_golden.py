@@ -9,11 +9,12 @@ smallest predecessor node, then smallest state) and its per-segment cost
 sums exactly.
 
 ``GRAPH_SHA256`` pins the ``save_graph`` bytes of the same reference graph in
-the ``motion-graph/3`` layout (base64 column bytes). ``GRAPH_VALUES_SHA256``
-pins its values independently of any file format: the sha256 over its edges
-sorted by (src, dst), one ``"src dst kind d_feat.hex() d_img.hex()"`` line
-each. It was recorded from the ``motion-graph/1`` writer's graph, so the same
-digest now shows that each change of layout left every edge value as it was.
+the ``motion-graph/4`` layout (a JSON header line, then raw column bytes).
+``GRAPH_VALUES_SHA256`` pins its values independently of any file format: the
+sha256 over its edges sorted by (src, dst), one
+``"src dst kind d_feat.hex() d_img.hex()"`` line each. It was recorded from
+the ``motion-graph/1`` writer's graph, so the same digest now shows that each
+change of layout left every edge value as it was.
 """
 
 import hashlib
@@ -47,7 +48,7 @@ GOLDEN = {
     ),
 }
 
-GRAPH_SHA256 = "b5d424fdc299b3f756b4672e4eba4ec7dcb354e164ad26c8ef5fbac8142e7b05"
+GRAPH_SHA256 = "4a9f12946972a14d716f5e7ccfda077d9176e9915737bcfe963215f323945a44"
 GRAPH_VALUES_SHA256 = "30b396ceea47d4cfccfb9a3a9b3c44379f97fd5230ab3a3c00328a84fa02de27"
 
 
