@@ -33,7 +33,10 @@ per segment) and its traceback (replay and walk recovery) are also timed
 apart, and the traced peak of the traceback alone is printed beside the
 search's. The render entry runs the README's quick start (`motiongraph run
 --seed 7` on the bundled fixture) once, untimed, and times
-`render_frames` over its 449-frame EDL, the images the preview writes. The
+`render_frames` over its 449-frame EDL, the images the preview writes. On
+that run's files the assembly entries time `assemble_edl` of its best path
+into that EDL and `load_edl` of it, and `load_search_result` of its 20 paths,
+each value checked by its type as it is built. The
 edges-view entries time and trace one read of `graph.edges` (154,527
 `GraphEdge` records) on that run's graph. The
 pose-track entry times `load_pose_track` on that fixture's 2000-frame
@@ -160,10 +163,24 @@ def run_benchmarks():
             ])
         edl = assembly.load_edl(out / "edl.json")
         track_skeleton, track = pose.load_pose_track(inputs["poses"])
+        # The assemble stage's own work on the run's files: rank 0 of its 20
+        # paths assembled into the 449-frame EDL, and the reads of the EDL
+        # and of the search result.
+        result = search.load_search_result(out / "path.json")
+        fixture_graph = graph.load_graph_file(out / "graph.json")
+        segments = audio.load_segments(out / "target_segments.json")
+        target = audio.load_features(out / "target_features.json")
+        assert len(result.paths) == 20, len(result.paths)
+        results["assemble_edl_449f"] = (_time(lambda: assembly.assemble_edl(
+            result.paths[0], fixture_graph, segments, track.frames, k=result.config.blend_k,
+            provenance=edl.provenance, speech_track=target)), "s")
+        results["load_edl_449f"] = (_time(lambda: assembly.load_edl(out / "edl.json")), "s")
+        results["load_search_result_20p"] = (
+            _time(lambda: search.load_search_result(out / "path.json")), "s"
+        )
         results["pose_track_load_2000_frames"] = (
             _time(lambda: pose.load_pose_track(inputs["poses"])), "s"
         )
-        fixture_graph = graph.load_graph_file(out / "graph.json")
         results["graph_edges_view_2000f"] = (_time(lambda: fixture_graph.edges), "s")
         results["graph_edges_view_traced_peak"] = (
             _traced_peak_mb(lambda: fixture_graph.edges), "MB"

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .audio import AudioFeatureTrack, SegmentList
-from .errors import (AssemblyError, StructuralError, ValidationError, integer, read_document,
-                     real)
+from .errors import (AssemblyError, StructuralError, ValidationError, integer, integers,
+                     read_document, real)
 from .graph import VideoMotionGraph
 # ``forward_kinematics`` stays importable from here: perfbench/tracing.py wraps it.
 from .pose import (  # noqa: F401
@@ -59,6 +59,11 @@ class BlendStep:
     dst_frame: int  # j in [n, n+k]
     pose: PoseFrame  # (1-alpha)*theta_i + alpha*theta_j
 
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", real("blend step alpha", self.alpha))
+        object.__setattr__(self, "src_frame", integer("blend step src", self.src_frame, 0))
+        object.__setattr__(self, "dst_frame", integer("blend step dst", self.dst_frame, 0))
+
 
 @dataclass(frozen=True)
 class BlendSchedule:
@@ -69,6 +74,8 @@ class BlendSchedule:
     steps: tuple[BlendStep, ...]
 
     def __post_init__(self):
+        for name in ("src_window", "dst_window"):
+            object.__setattr__(self, name, integers(name, getattr(self, name), 0))
         k = self.src_window[1] - self.src_window[0]
         if k < 1 or self.dst_window[1] - self.dst_window[0] != k:
             raise ValidationError("blend windows must both span k>=1 frames, got "
@@ -96,6 +103,11 @@ class RunEntry:
     speed_factor: float  # source frames per output frame
     frames: tuple[PlaybackEntry, ...]
 
+    def __post_init__(self):
+        for name in ("source_start", "source_end"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0))
+        object.__setattr__(self, "speed_factor", real("speed_factor", self.speed_factor))
+
     def __len__(self) -> int:
         return len(self.frames)
 
@@ -119,9 +131,18 @@ class EditDecisionList:
     speech_frames: tuple[int, ...] = ()  # output slots where the target speaks
 
     def __post_init__(self):
+        self.fps = real("fps", self.fps, 0, above=True)
+        self.total_frames = integer("total_frames", self.total_frames, 0)
+        self.start_frame = integer("start_frame", self.start_frame, 0)
+        self.blend_k = integer("blend_k", self.blend_k, 1)
+        self.speech_frames = integers("speech frame", self.speech_frames, 0)
         if not isinstance(self.provenance, dict):
             raise ValidationError(
                 f"provenance must be a dict, got {type(self.provenance).__name__}")
+        try:  # as ``save_edl`` writes it: strict JSON
+            json.dumps(self.provenance, allow_nan=False, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"provenance must be strict JSON: {exc}") from exc
         emitted = sum(len(e) for e in self.entries)
         if emitted != self.total_frames:
             raise StructuralError(
@@ -406,53 +427,28 @@ def save_edl(path: str | Path, edl: EditDecisionList) -> None:
 
 
 def load_edl(path: str | Path) -> EditDecisionList:
-    def window(name, frames):
-        return tuple(integer(name, v, 0) for v in frames)
-
     def step(s):
-        src = integer("blend step src", s["src"], 0)
-        return BlendStep(
-            alpha=real("blend step alpha", s["alpha"]),
-            src_frame=src,
-            dst_frame=integer("blend step dst", s["dst"], 0),
-            pose=PoseFrame(frame_index=src, root_translation=s["root"],
-                           joint_rotations=s["rotations"]),
-        )
+        return BlendStep(s["alpha"], s["src"], s["dst"],
+                         PoseFrame(s["src"], s["root"], s["rotations"]))
 
     def build(doc):
         entries: list = []
         for e in doc["entries"]:
             if e["type"] == "run":
-                entries.append(
-                    RunEntry(
-                        source_start=integer("source_start", e["source_start"], 0),
-                        source_end=integer("source_end", e["source_end"], 0),
-                        speed_factor=real("speed_factor", e["speed_factor"]),
-                        frames=tuple(
-                            PlaybackEntry(integer("frame source", f["source"], 0),
-                                          real("frame position", f["position"]))
-                            for f in e["frames"]
-                        ),
-                    )
-                )
+                frames = tuple(PlaybackEntry(f["source"], f["position"]) for f in e["frames"])
+                entries.append(RunEntry(e["source_start"], e["source_end"], e["speed_factor"],
+                                        frames))
             else:
-                entries.append(
-                    TransitionEntry(
-                        schedule=BlendSchedule(
-                            src_window=window("src_window", e["src_window"]),
-                            dst_window=window("dst_window", e["dst_window"]),
-                            steps=tuple(map(step, e["steps"])),
-                        )
-                    )
-                )
+                entries.append(TransitionEntry(BlendSchedule(
+                    e["src_window"], e["dst_window"], tuple(map(step, e["steps"])))))
         return EditDecisionList(
-            fps=real("fps", doc["fps"]),
-            total_frames=integer("total_frames", doc["total_frames"], 0),
-            start_frame=integer("start_frame", doc["start_frame"], 0),
-            blend_k=integer("blend_k", doc["blend_k"], 1),
+            fps=doc["fps"],
+            total_frames=doc["total_frames"],
+            start_frame=doc["start_frame"],
+            blend_k=doc["blend_k"],
             entries=entries,
             provenance=doc["provenance"],
-            speech_frames=tuple(integer("speech frame", i, 0) for i in doc["speech_frames"]),
+            speech_frames=doc["speech_frames"],
         )
 
     return read_document(Path(path).read_bytes(), f"EDL {path}", EDL_FORMAT, build)

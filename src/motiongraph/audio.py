@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import wave
 from dataclasses import dataclass
 from importlib import resources
@@ -25,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (GraphParseError, StructuralError, ValidationError, integer, read_document,
-                     real, string)
+from .errors import (GraphParseError, StructuralError, ValidationError, integer, integers,
+                     read_document, real, string)
 
 log = logging.getLogger(__name__)
 
@@ -180,11 +179,8 @@ class TranscriptWord:
 
     def __post_init__(self):
         string("transcript word", self.word)
-        if not (math.isfinite(self.start_time) and math.isfinite(self.end_time)):
-            raise ValidationError(
-                f"word {self.word!r}: times must be finite, got "
-                f"[{self.start_time}, {self.end_time}]"
-            )
+        for name in ("start_time", "end_time"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if not 0.0 <= self.start_time < self.end_time:
             raise ValidationError(
                 f"word {self.word!r}: need 0 <= start < end, got "
@@ -359,6 +355,8 @@ class SegmentList:
     features: tuple[EndpointFeature, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_frames", integer("n_frames", self.n_frames, 1))
+        object.__setattr__(self, "endpoints", integers("endpoint", self.endpoints, 1))
         if len(self.endpoints) < 2:
             raise ValidationError("segment list needs at least endpoints a_0 and a_{S+1}")
         if self.endpoints[0] != 1 or self.endpoints[-1] != self.n_frames:
@@ -424,11 +422,7 @@ def load_transcript(path: str | Path) -> list[TranscriptWord]:
     """Transcript file: JSON list of {word, start_time, end_time}."""
 
     def build(doc):
-        return [
-            TranscriptWord(w["word"], real("start_time", w["start_time"]),
-                           real("end_time", w["end_time"]))
-            for w in doc
-        ]
+        return [TranscriptWord(w["word"], w["start_time"], w["end_time"]) for w in doc]
 
     return read_document(Path(path).read_bytes(), f"transcript {path}", None, build)
 
@@ -488,8 +482,8 @@ def save_segments(path: str | Path, segments: SegmentList) -> None:
 def load_segments(path: str | Path) -> SegmentList:
     def build(doc):
         return SegmentList(
-            n_frames=integer("n_frames", doc["n_frames"], 1),
-            endpoints=tuple(integer("endpoint", a, 1) for a in doc["endpoints"]),
+            n_frames=doc["n_frames"],
+            endpoints=doc["endpoints"],
             features=tuple(EndpointFeature(kind=f["kind"], word=f["word"])
                            for f in doc["features"]),
         )

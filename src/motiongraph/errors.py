@@ -69,6 +69,16 @@ def integer(name: str, value, low: int) -> int:
     return int(value)
 
 
+def integers(name: str, values, low: int) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints if each one ``is_integer`` and is >= ``low``,
+    else the ValidationError of ``integer`` for the first that is not. A tuple of ints is
+    checked in one pass; the per-entry message is built only on failure."""
+    values = tuple(values)
+    if not (set(map(type, values)) <= {int} and min(values, default=low) >= low):
+        values = tuple(integer(name, v, low) for v in values)
+    return values
+
+
 def real(name: str, value, low: float | None = None, above: bool = False) -> float:
     """``value`` as a Python float if it ``is_real``, is finite and is >= ``low``
     (> ``low`` with ``above``), else ValidationError: a string or bool is refused,
@@ -119,11 +129,16 @@ def string(name: str, value) -> str:
 
 def read_document(data, what: str, fmt: str | None, build: Callable[[Any], Any]):
     """Decode the bytes of an engine file, or of a graph file's header line:
-    UTF-8 JSON, its ``format`` tag unless ``fmt`` is None, then ``build(doc)``.
-    Any failure, including a field that ``build`` finds missing or mistyped,
-    raises GraphParseError naming ``what``."""
+    strict UTF-8 JSON (``NaN`` and ``Infinity`` are no JSON numbers), its
+    ``format`` tag unless ``fmt`` is None, then ``build(doc)``. Any failure,
+    including a field that ``build`` finds missing or mistyped, raises
+    GraphParseError naming ``what``."""
+
+    def refuse(token):
+        raise GraphParseError(f"{what} is not valid JSON: {token} is not a JSON number")
+
     try:
-        doc = json.loads(str(data, "utf-8"))
+        doc = json.loads(str(data, "utf-8"), parse_constant=refuse)
     except UnicodeDecodeError as exc:
         raise GraphParseError(f"{what} is not UTF-8: {exc}", offset=exc.start) from exc
     except json.JSONDecodeError as exc:

@@ -12,6 +12,8 @@ import io
 import json
 import math
 import os
+import re
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, integer, read_document, real
+from .errors import StructuralError, ValidationError, integer, is_real, read_document, real
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -60,11 +62,13 @@ class Thresholds:
     offset_l: int
 
     def __post_init__(self):
-        # An infinite threshold is an open gate; NaN gates nothing.
-        if not (self.tau_feat >= 0 and self.tau_img >= 0):
-            raise ValidationError(
-                f"thresholds must be >= 0, got tau_feat={self.tau_feat}, tau_img={self.tau_img}"
-            )
+        for name in ("tau_feat", "tau_img"):
+            tau = getattr(self, name)
+            # An infinite threshold is an open gate; NaN gates nothing.
+            if not (is_real(tau) and tau >= 0):
+                raise ValidationError(f"{name} must be a real number >= 0 (inf is an open "
+                                      f"gate), got {tau!r}")
+            object.__setattr__(self, name, float(tau) if tau <= sys.float_info.max else math.inf)
         object.__setattr__(self, "offset_l", integer("offset_l", self.offset_l, 1))
 
 
@@ -375,11 +379,41 @@ def save_graph(graph: VideoMotionGraph) -> bytes:
     return b"".join(_graph_chunks(graph))
 
 
+#: Bytes of a graph file read at a time until its header line is known.
+HEADER_PIECE = 1 << 16
+#: A ``"format"`` member, its value a JSON string token.
+_FORMAT_MEMBER = re.compile(rb'"format"\s*:\s*("(?:[^"\\]|\\.)*")')
+
+
+def _header_line(f) -> bytes:
+    """The header line of the graph stream ``f``, read ``HEADER_PIECE`` bytes
+    at a time. A file in an older layout holds no newline. So when the first
+    piece holds neither a newline nor this layout's format member, the rest
+    is only scanned, piece by piece, for the file's ``"format"`` member, and
+    a line of that member alone stands in for the header (``{}`` if there is
+    none): the refusal names the format in bounded memory."""
+    line, current = f.readline(HEADER_PIECE), b'"%s"' % GRAPH_FORMAT.encode()
+    if line.endswith(b"\n") or len(line) < HEADER_PIECE:
+        return line  # the header line, or a file shorter than a piece
+    if b'"format":' + current in line:
+        return line + f.readline()
+    piece, tail = line, b""
+    while piece:
+        window = tail + piece
+        if found := _FORMAT_MEMBER.search(window):
+            if found[1] == current:  # a header line whose format member comes late
+                f.seek(0)
+                return f.readline()
+            return b'{"format":%s}' % found[1]
+        tail, piece = window[-256:], f.read(HEADER_PIECE)
+    return b"{}"
+
+
 def _read_graph(f, size: int) -> VideoMotionGraph:
     """The graph in the ``size``-byte ``motion-graph/4`` stream ``f``: its
     header line, then each column read into a new array once the header's
     node and edge counts account for every byte."""
-    line = f.readline()
+    line = _header_line(f)
 
     def build(doc):
         header = {"format", "fps", "min_jump", "velocity_weight", "thresholds", "keyword", "edges"}

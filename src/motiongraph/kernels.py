@@ -227,6 +227,10 @@ class BlendStates:
             **{b0(c): (b0(c - 1),) for c in range(2, top + 1)},
             **{b1(c): (b1(c - 1),) for c in range(2, top)},
         }
+        #: Every natural state q has q - 1 among its predecessors; these are
+        #: the (q, p) pairs of its other predecessors p.
+        self.extra_natural_preds = [(q, p) for q, preds in self.natural_preds.items()
+                                    for p in preds if p != q - 1]
         self.synthetic_preds = {p0(1): (0,), b0(1): (p0(k + 1), b0(top)),
                                 b1(1): (p0(k + 2), b1(top))}
         #: A cut from a key state lands in b0, from its value state in b1,
@@ -259,28 +263,27 @@ class BlendStates:
 
 
 def _step(layout: EdgeLayout, prev, states: BlendStates, relaxed, out, blocked):
-    """Write the step table after ``prev`` into ``out``: natural edges as
-    row shifts, none from a node a walk may not continue from (``blocked``,
-    from ``_blocked``, or None), then the cut minima ``relaxed`` ({state:
-    minima over ``layout.group_dst``}) into the run-start states."""
-    out[:, 0] = np.inf
-    out[states.cut_only] = np.inf
+    """Write the step table after ``prev`` into ``out``: natural edges as one
+    block copy of the row shifts (state q - 1 into q) and the minima with the
+    other predecessors, none from a node a walk may not continue from
+    (``blocked``, from ``_blocked``, or None), then the cut minima ``relaxed``
+    ({state: minima over ``layout.group_dst``}) into the run-start states."""
     shifted = prev[:, :-1] + layout.natural if layout.natural.any() else prev[:, :-1]
-    for q, preds in states.natural_preds.items():
-        out[q, 1:] = shifted[preds[0]]
-        for p in preds[1:]:
-            np.minimum(out[q, 1:], shifted[p], out=out[q, 1:])
+    out[1:, 1:] = shifted[:-1]
+    for q, p in states.extra_natural_preds:
+        np.minimum(out[q, 1:], shifted[p], out=out[q, 1:])
+    out[states.cut_only] = np.inf
+    out[:, 0] = np.inf
     if blocked is not None:
-        out[blocked] = np.inf
+        out[:, blocked] = np.inf
     for q, mins in relaxed.items():
         out[q, layout.group_dst] = np.minimum(out[q, layout.group_dst], mins)
 
 
-def _blocked(allowed, states: BlendStates):
-    """The entries of a step table that natural edges reach from nodes not
-    ``allowed``: an index of the natural states' rows at the nodes after them."""
-    after = np.flatnonzero(~np.asarray(allowed, dtype=bool)[:-1]) + 1
-    return np.ix_(list(states.natural_preds), after)
+def _blocked(allowed):
+    """The columns of a step table that natural edges reach from nodes not
+    ``allowed``: the nodes after them."""
+    return np.flatnonzero(~np.asarray(allowed, dtype=bool)[:-1]) + 1
 
 
 def walk_distances(layout: EdgeLayout, seed, allowed, length_costs, states: BlendStates):
@@ -297,7 +300,7 @@ def walk_distances(layout: EdgeLayout, seed, allowed, length_costs, states: Blen
     tables from ``seed`` and ``cuts``. Two step tables are held at a time.
     """
     blocked = np.flatnonzero(~np.asarray(allowed, dtype=bool))
-    natural_blocked = _blocked(allowed, states)
+    natural_blocked = _blocked(allowed)
     best = np.full_like(seed, np.inf)
     buffers = np.empty((2, *seed.shape))
     prev, cuts = seed, []
@@ -325,7 +328,7 @@ def replay_walk(layout: EdgeLayout, seed, allowed, states: BlendStates, cuts):
     rebuilt from the ``cuts`` it recorded: (len(cuts)+1, states.size,
     n_nodes), ``table[0] = seed`` and ``table[l]`` bit-equal to its ``l``-edge
     table. Natural edges are row shifts, and no synthetic edge is read."""
-    natural_blocked = _blocked(allowed, states)
+    natural_blocked = _blocked(allowed)
     table = np.empty((len(cuts) + 1, *np.shape(seed)))
     table[0] = seed
     for step, relaxed in enumerate(cuts, 1):

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .audio import EndpointFeature, SegmentList
 from .errors import (SegmentUnreachableError, StructuralError, ValidationError, integer,
-                     is_real, read_document, real)
+                     integers, is_real, read_document, real)
 from .graph import VideoMotionGraph
 
 DEFAULT_BEAM_WIDTH = 20
@@ -69,7 +69,12 @@ class PathCandidate:
     segment_boundaries: tuple[int, ...]  # indices into node_sequence, [0, ...]
 
     def __post_init__(self):
-        bounds, last = self.segment_boundaries, len(self.node_sequence) - 1
+        object.__setattr__(self, "node_sequence", integers("node", self.node_sequence, 0))
+        for name in ("transition_cost", "duration_cost"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        bounds = integers("boundary", self.segment_boundaries, 0)
+        object.__setattr__(self, "segment_boundaries", bounds)
+        last = len(self.node_sequence) - 1
         if len(bounds) < 2 or (bounds[0], bounds[-1]) != (0, last) or min(self.durations) < 1:
             raise ValidationError(
                 f"segment boundaries must rise strictly from 0 to {last}, got {bounds}")
@@ -90,6 +95,9 @@ class SearchResult:
     paths: tuple[PathCandidate, ...]  # sorted by total cost ascending
     seed: int
     config: BeamConfig
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
 
     @property
     def best(self) -> PathCandidate:
@@ -359,6 +367,10 @@ class PlaybackEntry:
     source_frame: int  # reference frame id (nearest run frame)
     position: float  # fractional index into the run, for downstream blending
 
+    def __post_init__(self):
+        object.__setattr__(self, "source_frame", integer("frame source", self.source_frame, 0))
+        object.__setattr__(self, "position", real("frame position", self.position))
+
 
 def resample_segment(node_run, target_length: int) -> tuple[PlaybackEntry, ...]:
     """Uniformly resample a frame run to ``target_length`` playback entries.
@@ -407,14 +419,9 @@ def save_search_result(path: str | Path, result: SearchResult) -> None:
 def load_search_result(path: str | Path) -> SearchResult:
     def build(doc):
         config = BeamConfig(**{f.name: doc[f.name] for f in fields(BeamConfig)})
-        paths = tuple(
-            PathCandidate(tuple(integer("node", v, 0) for v in p["nodes"]),
-                          real("transition_cost", p["transition_cost"]),
-                          real("duration_cost", p["duration_cost"]),
-                          tuple(integer("boundary", v, 0) for v in p["boundaries"]))
-            for p in doc["paths"]
-        )
-        return SearchResult(paths=paths, seed=integer("seed", doc["seed"], 0), config=config)
+        paths = tuple(PathCandidate(p["nodes"], p["transition_cost"], p["duration_cost"],
+                                    p["boundaries"]) for p in doc["paths"])
+        return SearchResult(paths=paths, seed=doc["seed"], config=config)
 
     return read_document(
         Path(path).read_bytes(), f"search result {path}", SEARCH_RESULT_FORMAT, build

@@ -255,7 +255,7 @@ class TestEdlFile:
             pytest.param(lambda doc: run_of(doc)["frames"][0].update(source="40"),
                          "frame source must be an integer", id="text-frame-source"),
             pytest.param(lambda doc: step_of(doc).update(src=60.5),
-                         "blend step src must be an integer", id="fractional-step-src"),
+                         "frame_index must be an integer", id="fractional-step-src"),
             pytest.param(lambda doc: step_of(doc).update(dst=False),
                          "blend step dst must be an integer", id="boolean-step-dst"),
             pytest.param(lambda doc: transition_of(doc).update(src_window=[56.5, 60.5]),
@@ -275,7 +275,8 @@ class TestEdlFile:
     @pytest.mark.parametrize(
         "edit, name",
         [
-            pytest.param(lambda doc: doc.update(fps="30"), "fps must be finite", id="text-fps"),
+            pytest.param(lambda doc: doc.update(fps="30"), "fps must be a finite number > 0",
+                         id="text-fps"),
             pytest.param(lambda doc: run_of(doc).update(speed_factor="1"),
                          "speed_factor must be finite", id="text-speed-factor"),
             pytest.param(lambda doc: run_of(doc)["frames"][0].update(position=None),

@@ -215,12 +215,16 @@ class TestMatchKeywords:
             TranscriptWord("hello", 0.9, 0.5)
 
     @pytest.mark.parametrize(
-        "start, end",
-        [(0.0, math.inf), (math.nan, 1.0), (0.5, math.nan), (math.inf, math.inf),
-         (-math.inf, 1.0)],
+        "start, end, field",
+        [pytest.param(0.0, math.inf, "end_time", id="0.0-inf"),
+         pytest.param(math.nan, 1.0, "start_time", id="nan-1.0"),
+         pytest.param(0.5, math.nan, "end_time", id="0.5-nan"),
+         pytest.param(math.inf, math.inf, "start_time", id="inf-inf"),
+         pytest.param(-math.inf, 1.0, "start_time", id="-inf-1.0"),
+         pytest.param("0.5", 1.0, "start_time", id="text-start")],
     )
-    def test_non_finite_times_rejected(self, start, end):
-        with pytest.raises(ValidationError, match="times must be finite"):
+    def test_non_finite_times_rejected(self, start, end, field):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
             TranscriptWord("hello", start, end)
 
     def test_far_times_label_up_to_the_last_frame(self):

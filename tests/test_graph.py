@@ -164,6 +164,14 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             Thresholds(tau_feat=-0.1, tau_img=0.0, offset_l=4)
 
+    def test_threshold_that_is_not_a_number_rejected(self):
+        with pytest.raises(ValidationError, match="tau_feat must be a real number >= 0"):
+            Thresholds("0.1", 0.5, 4)
+
+    def test_open_gate_threshold_is_kept_as_a_float(self):
+        assert Thresholds(np.inf, 10**400, np.int64(4)) == Thresholds(math.inf, math.inf, 4)
+        assert type(Thresholds(np.float64(0.5), 0, 4).tau_img) is float
+
     @pytest.mark.parametrize("offset_l", [4.9, 4.0, True, "4", 0, np.float64(4.0)])
     def test_offset_must_be_an_integer_at_least_1(self, offset_l):
         # A fractional offset is refused, not truncated.
@@ -632,6 +640,31 @@ class TestSerialization:
             with pytest.raises(GraphParseError,
                                match="'motion-graph/3', expected 'motion-graph/4'"):
                 read()
+
+    def test_format_3_file_is_refused_in_bounded_memory(self, tmp_path):
+        # The same document with 1.2M edges: a 52 MB line with no newline,
+        # its format member after three columns. The refusal reads it in
+        # pieces and keeps none of them.
+        doc = decoded(save_graph(self._toy_graph()))
+        del doc["edges"]
+        for name, dtype in graph_mod.FILE_COLUMNS.items():
+            column = np.resize(np.asarray(doc[name], dtype), 1_200_000)
+            doc[name] = base64.b64encode(column.tobytes()).decode()
+        doc["format"] = "motion-graph/3"
+        data = json.dumps(doc, sort_keys=True).encode()
+        del doc
+        assert len(data) >= 50_000_000 and b"\n" not in data
+        (tmp_path / "g.json").write_bytes(data)
+        for read in (lambda: load_graph(data), lambda: load_graph_file(tmp_path / "g.json")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(GraphParseError,
+                                   match="'motion-graph/3', expected 'motion-graph/4'"):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
 
     def test_file_holds_one_array_per_column(self):
         blob = save_graph(self._toy_graph())

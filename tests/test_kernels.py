@@ -301,6 +301,18 @@ class TestWalkDistances:
             states = kernels.BlendStates(k)
             assert sorted(index(states, s) for s in all_states(k)) == list(range(states.size))
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_natural_states_follow_the_state_before_them(self, k):
+        # The step's block copy writes state q - 1 into q for every natural
+        # state, then takes the minimum with the other predecessors only.
+        states = kernels.BlendStates(k)
+        assert all(q - 1 in preds for q, preds in states.natural_preds.items())
+        assert states.extra_natural_preds == [
+            (states.p0(k + 2), states.p0(k + 2)),
+            (states.b1(2 * k + 2), states.b0(2 * k + 2)),
+            (states.b1(2 * k + 2), states.b1(2 * k + 2)),
+        ]
+
     def test_bit_exact_with_smallest_predecessor(self):
         rng = np.random.default_rng(2)
         for trial in range(12):

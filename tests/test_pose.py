@@ -478,15 +478,22 @@ class TestPoseTrackFile:
             assert np.array_equal(a.root_translation, b.root_translation)
             assert np.array_equal(a.joint_rotations, b.joint_rotations)
 
-    @pytest.mark.parametrize("fps", [math.inf, math.nan, True, "30"])
-    def test_non_finite_fps_is_parse_error(self, tmp_path, chain_skeleton, fps):
+    @pytest.mark.parametrize(
+        "fps, message",
+        [pytest.param(math.inf, "fps must be a finite number > 0", id="inf"),
+         pytest.param(math.nan, "NaN is not a JSON number", id="nan"),
+         pytest.param(True, "fps must be a finite number > 0", id="True"),
+         pytest.param("30", "fps must be a finite number > 0", id="30")],
+    )
+    def test_non_finite_fps_is_parse_error(self, tmp_path, chain_skeleton, fps, message):
         path = tmp_path / "track.json"
         sequence = make_sequence(chain_skeleton, lambda t: ((0, 0, 3.0), None), 3)
         save_pose_track(path, chain_skeleton, sequence)
         doc = json.loads(path.read_text())
         doc["fps"] = fps
-        path.write_text(json.dumps(doc))
-        with pytest.raises(GraphParseError, match="fps must be a finite number > 0"):
+        # Infinity is no JSON number, but 1e400 is one, and it decodes to inf.
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        with pytest.raises(GraphParseError, match=message):
             load_pose_track(path)
 
     @pytest.mark.parametrize(
@@ -502,6 +509,6 @@ class TestPoseTrackFile:
         save_pose_track(path, chain_skeleton, sequence)
         doc = json.loads(path.read_text())
         doc["skeleton"]["joints"][2][field] = value
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))  # 1e400 decodes to inf
         with pytest.raises(GraphParseError, match=message):
             load_pose_track(path)
