@@ -80,7 +80,6 @@ from .search import (
 from .silhouette import (
     CameraModel,
     default_camera,
-    image_distance,
     rasterize_frames,
     rasterize_sequence,
     rasterize_silhouette,

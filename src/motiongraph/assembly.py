@@ -88,10 +88,6 @@ class BlendSchedule:
                     f"step {i} alpha {step.alpha} != {i / (2 * k)} on the uniform grid"
                 )
 
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(s.alpha for s in self.steps)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -428,8 +424,11 @@ def save_edl(path: str | Path, edl: EditDecisionList) -> None:
 
 def load_edl(path: str | Path) -> EditDecisionList:
     def step(s):
-        return BlendStep(s["alpha"], s["src"], s["dst"],
-                         PoseFrame(s["src"], s["root"], s["rotations"]))
+        # Both frames are checked under the step's names before the pose takes
+        # one as its index: ``interpolate_pose(a, b, 1.0)`` is b, else a's index.
+        src, dst = integer("blend step src", s["src"], 0), integer("blend step dst", s["dst"], 0)
+        frame = dst if s["alpha"] == 1 else src
+        return BlendStep(s["alpha"], src, dst, PoseFrame(frame, s["root"], s["rotations"]))
 
     def build(doc):
         entries: list = []

@@ -213,12 +213,6 @@ class KeywordDictionary:
     def words(self) -> frozenset[str]:
         return frozenset(w for ws in self.categories.values() for w in ws)
 
-    def category_of(self, word: str) -> str | None:
-        for cat, words in self.categories.items():
-            if word in words:
-                return cat
-        return None
-
 
 def default_dictionary() -> KeywordDictionary:
     """The dictionary of common referential-gesture keywords shipped with

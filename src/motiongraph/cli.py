@@ -11,9 +11,9 @@ Stages communicate via files, so each subcommand can run in isolation:
                    but hands the parsed pose track and the built graph
                    from stage to stage in memory
 
-Usage problems (unknown flags, missing input files) exit with code 2 before
-anything is written; pipeline failures exit 1 with a diagnostic naming the
-stage.
+Usage problems (unknown flags, missing input files, output files in a missing
+directory) exit with code 2 before anything is written; pipeline failures exit
+1 with a diagnostic naming the stage.
 """
 
 from __future__ import annotations
@@ -44,10 +44,15 @@ def _stage(name: str):
         raise SystemExit(f"error in {name}: {exc}") from exc
 
 
-def _require_files(parser: argparse.ArgumentParser, *paths) -> None:
+def _require_files(parser: argparse.ArgumentParser, *paths, outputs=()) -> None:
+    """Exit 2 unless every input file in ``paths`` exists and every file in
+    ``outputs`` names a directory that exists."""
     for p in paths:
         if p is not None and not Path(p).is_file():
             parser.error(f"input file not found: {p}")
+    for p in outputs:
+        if not Path(p).parent.is_dir():
+            parser.error(f"output directory not found: {p}")
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -135,7 +140,7 @@ def _beam_config(args) -> search.BeamConfig:
 def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
     """Build the graph of the pose track, or of ``track`` when ``run`` passes
     the one it parsed, and write it to ``args.out``."""
-    _require_files(parser, args.poses, args.features, args.camera)
+    _require_files(parser, args.poses, args.features, args.camera, outputs=[args.out])
     with _stage("build-graph"):
         skeleton, sequence = track or pose.load_pose_track(args.poses)
         features = audio.load_features(args.features)
@@ -175,7 +180,8 @@ def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
 
 
 def _cmd_analyze_audio(parser, args) -> None:
-    _require_files(parser, args.wav, args.transcript, args.dictionary)
+    _require_files(parser, args.wav, args.transcript, args.dictionary,
+                   outputs=[args.features_out, args.segments_out])
     with _stage("analyze-audio"):
         samples, rate = audio.read_wav(args.wav)
         transcript = audio.load_transcript(args.transcript) if args.transcript else []
@@ -195,7 +201,7 @@ def _cmd_analyze_audio(parser, args) -> None:
 def _cmd_search(parser, args, built=None) -> None:
     """Search the graph file, or ``built`` when ``run`` passes the graph it
     built, for the segments in ``args.segments``; write ``args.out``."""
-    _require_files(parser, args.graph, args.segments)
+    _require_files(parser, args.graph, args.segments, outputs=[args.out])
     with _stage("search"):
         config = _beam_config(args)  # a bad search parameter fails before the graph is read
         if built is None:
@@ -216,7 +222,8 @@ def _cmd_search(parser, args, built=None) -> None:
 def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
     """Assemble path ``args.path_index`` of ``args.path`` on the graph file and the
     pose track, or on ``built`` and ``sequence`` when ``run`` passes them; write ``args.out``."""
-    _require_files(parser, args.graph, args.poses, args.segments, args.path, args.target_features)
+    _require_files(parser, args.graph, args.poses, args.segments, args.path, args.target_features,
+                   outputs=[args.out])
     with _stage("assemble"):
         if built is None:
             built = graph_mod.load_graph_file(args.graph)

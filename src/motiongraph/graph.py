@@ -50,10 +50,6 @@ class GraphEdge:
     d_feat: float
     d_img: float
 
-    @property
-    def cost(self) -> float:
-        return self.d_feat + self.d_img
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -81,12 +77,12 @@ class VideoMotionGraph:
 
     Node i is reference frame i, with ``onset[i]`` and ``keyword[i]`` ("" when
     no dictionary word is active). Edge j runs ``src[j] -> dst[j]``, is
-    synthetic when ``synthetic[j]`` (else natural) and costs
-    ``d_feat[j] + d_img[j]``. The columns are read-only arrays, checked in
-    one vectorized pass on construction. ``nodes`` and ``edges`` give the
-    same graph as ``GraphNode``/``GraphEdge`` tuples: ``nodes`` is built on
-    first access and kept, ``edges`` is built on every read and kept by no
-    one but the caller (184 B per edge).
+    synthetic when ``synthetic[j]`` (else natural: m -> m + 1 with both
+    distances 0) and costs ``d_feat[j] + d_img[j]``. The columns are
+    read-only arrays, checked in one vectorized pass on construction.
+    ``nodes`` and ``edges`` give the same graph as ``GraphNode``/``GraphEdge``
+    tuples: ``nodes`` is built on first access and kept, ``edges`` is built on
+    every read and kept by no one but the caller (184 B per edge).
     """
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
@@ -175,6 +171,7 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
         (repeat, "duplicate edge ({s}, {d})"),
         (~(np.isfinite(d_feat) & np.isfinite(d_img)), "edge ({s}, {d}) has a non-finite distance"),
         (natural & (dst != src + 1), "natural edge ({s}, {d}) must connect consecutive frames"),
+        (natural & ((d_feat != 0) | (d_img != 0)), "natural edge ({s}, {d}) must cost 0"),
         (~(natural | synthetic), "edge ({s}, {d}) has unknown kind {kind!r}"),
         (synthetic & (np.abs(dst - src) < min_jump),
          "synthetic edge ({s}, {d}) jumps less than min_jump"),
@@ -241,7 +238,7 @@ def compute_thresholds(
 
 def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """d_img = 1 - IoU of each (m, n) row of ``pairs``, from exact popcounts
-    of the packed masks: bit-equal to ``silhouette.image_distance``."""
+    of the packed masks."""
     # Words that are zero in every mask add nothing to any count.
     packed = packed[:, packed.any(axis=0)]
     rows = np.arange(packed.shape[0])

@@ -168,16 +168,16 @@ def pair_intersections(packed, pairs):
 
 @dataclass(frozen=True)
 class EdgeLayout:
-    """Natural edge costs by source, synthetic edges grouped by destination.
+    """Synthetic edges grouped by destination.
 
-    ``natural[u]`` is the cost of u -> u+1. The synthetic in-edges of node v
-    are ``src[indptr[v]:indptr[v + 1]]`` (ascending) with costs
-    ``cost[indptr[v]:indptr[v + 1]]``; ``group_dst``/``group_start`` list the
-    nodes that have synthetic in-edges and where their groups begin.
+    The synthetic in-edges of node v are ``src[indptr[v]:indptr[v + 1]]``
+    (ascending) with costs ``cost[indptr[v]:indptr[v + 1]]``;
+    ``group_dst``/``group_start`` list the nodes that have synthetic in-edges
+    and where their groups begin. Natural edges are not stored: they are a
+    graph's full chain 0 -> 1 -> ... -> n_nodes-1 at cost 0.
     """
 
     n_nodes: int
-    natural: np.ndarray
     indptr: np.ndarray
     src: np.ndarray
     cost: np.ndarray
@@ -185,20 +185,17 @@ class EdgeLayout:
     group_start: np.ndarray
 
 
-def edge_layout(src, dst, cost, synthetic, n_nodes) -> EdgeLayout:
-    """Split a graph's edge columns for ``walk_distances``. The natural edges
-    must be the full chain 0 -> 1 -> ... -> n_nodes-1, as a graph's are."""
+def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
+    """Group the synthetic edges ``src -> dst`` of an ``n_nodes``-node graph
+    for ``walk_distances``."""
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    cost, synthetic = np.asarray(cost, dtype=np.float64), np.asarray(synthetic, dtype=bool)
-    natural = np.zeros(max(n_nodes - 1, 0))
-    natural[src[~synthetic]] = cost[~synthetic]
-    src, dst, cost = src[synthetic], dst[synthetic], cost[synthetic]
+    cost = np.asarray(cost, dtype=np.float64)
     order = np.lexsort((src, dst))
     counts = np.bincount(dst, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     group_dst = np.flatnonzero(counts)
-    return EdgeLayout(int(n_nodes), natural, indptr, src[order], cost[order], group_dst,
+    return EdgeLayout(int(n_nodes), indptr, src[order], cost[order], group_dst,
                       indptr[group_dst])
 
 
@@ -263,15 +260,15 @@ class BlendStates:
 
 
 def _step(layout: EdgeLayout, prev, states: BlendStates, relaxed, out, blocked):
-    """Write the step table after ``prev`` into ``out``: natural edges as one
-    block copy of the row shifts (state q - 1 into q) and the minima with the
-    other predecessors, none from a node a walk may not continue from
-    (``blocked``, from ``_blocked``, or None), then the cut minima ``relaxed``
-    ({state: minima over ``layout.group_dst``}) into the run-start states."""
-    shifted = prev[:, :-1] + layout.natural if layout.natural.any() else prev[:, :-1]
-    out[1:, 1:] = shifted[:-1]
+    """Write the step table after ``prev`` into ``out``: natural edges, which
+    cost 0, as one block copy of the row shifts (state q - 1 into q) and the
+    minima with the other predecessors, none from a node a walk may not
+    continue from (``blocked``, from ``_blocked``, or None), then the cut
+    minima ``relaxed`` ({state: minima over ``layout.group_dst``}) into the
+    run-start states."""
+    out[1:, 1:] = prev[:-1, :-1]
     for q, p in states.extra_natural_preds:
-        np.minimum(out[q, 1:], shifted[p], out=out[q, 1:])
+        np.minimum(out[q, 1:], prev[p, :-1], out=out[q, 1:])
     out[states.cut_only] = np.inf
     out[:, 0] = np.inf
     if blocked is not None:
@@ -360,8 +357,8 @@ def walk_back(layout: EdgeLayout, table, allowed, states: BlendStates, length, s
                 best = (int(preds[hits[0]]), p, float(layout.cost[lo + hits[0]]))
         if v >= 1 and (step == 1 or allowed[v - 1]) and (best is None or v - 1 < best[0]):
             for p in states.natural_preds.get(q, ()):
-                if prev[p, v - 1] + layout.natural[v - 1] == target:
-                    best = (v - 1, p, float(layout.natural[v - 1]))
+                if prev[p, v - 1] == target:
+                    best = (v - 1, p, 0.0)
                     break
         if best is None:
             raise StructuralError(

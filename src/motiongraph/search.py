@@ -128,8 +128,9 @@ class _SearchState:
 
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
-        self.layout = kernels.edge_layout(graph.src, graph.dst, graph.d_feat + graph.d_img,
-                                          graph.synthetic, n)
+        syn = graph.synthetic
+        self.layout = kernels.edge_layout(graph.src[syn], graph.dst[syn],
+                                          graph.d_feat[syn] + graph.d_img[syn], n)
         self.states = kernels.BlendStates(config.blend_k)
         self.onset, self.keywords = graph.onset, graph.keyword
         self.allowed = ~self.onset if config.avoid_onsets_mid_segment else np.ones(n, dtype=bool)
@@ -174,8 +175,7 @@ def expand_segment(
     The relaxation's cut minima are appended to ``_state.cuts``. Raises
     SegmentUnreachableError when no such walk exists.
     """
-    if target_length < 1:
-        raise ValidationError(f"target segment length must be >= 1, got {target_length}")
+    target_length = integer("target_length", target_length, 1)
     state = _state if _state is not None else _SearchState(graph, config)
     length_costs = _length_costs(target_length, config)
     best, cuts = kernels.walk_distances(state.layout, prefix, state.allowed, length_costs,
@@ -219,7 +219,8 @@ def _starts(graph: VideoMotionGraph, config: BeamConfig, seed: int, start_frame:
     """``beam_width`` random nodes under ``seed`` (all nodes, when
     ``beam_width`` is at least the graph's size), or the pinned ``start_frame``."""
     if start_frame is not None:
-        if not 0 <= start_frame < len(graph):
+        start_frame = integer("start_frame", start_frame, 0)
+        if start_frame >= len(graph):
             raise ValidationError(f"start_frame {start_frame} outside 0..{len(graph) - 1}")
         return [start_frame]
     if config.beam_width >= len(graph):
@@ -384,8 +385,7 @@ def resample_segment(node_run, target_length: int) -> tuple[PlaybackEntry, ...]:
     run = [int(f) for f in node_run]
     if not run:
         raise ValidationError("cannot resample an empty run")
-    if target_length < 1:
-        raise ValidationError(f"target_length must be >= 1, got {target_length}")
+    target_length = integer("target_length", target_length, 1)
     if target_length == 1:
         positions = [float(len(run) - 1)]
     else:

@@ -179,17 +179,6 @@ def unpack_mask(row: np.ndarray, width: int, height: int) -> np.ndarray:
     return bits.reshape(height, width)
 
 
-def image_distance(mask_m: np.ndarray, mask_n: np.ndarray) -> float:
-    """1 - IoU of two (H, W) bool masks; 0 when both are empty."""
-    if mask_m.shape != mask_n.shape:
-        raise StructuralError(f"mask shapes differ: {mask_m.shape} vs {mask_n.shape}")
-    inter = int(np.count_nonzero(mask_m & mask_n))
-    union = int(np.count_nonzero(mask_m | mask_n))
-    if union == 0:
-        return 0.0
-    return 1.0 - inter / union
-
-
 def write_pgm(image: np.ndarray, path: str | Path) -> None:
     """Write an (H, W) uint8 image as a binary portable graymap. A bool mask
     is refused; ``mask.view(np.uint8) * 255`` draws the body at 255."""

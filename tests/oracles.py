@@ -13,6 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from motiongraph.errors import StructuralError
 from motiongraph.search import duration_bounds
 
 
@@ -33,7 +34,7 @@ def enumerate_paths(graph, segments, config, starts):
     """All feasible complete paths as (node_seq, t_cost, d_cost) triples."""
     adj = defaultdict(list)
     for e in graph.edges:
-        adj[e.src].append((e.dst, e.cost))
+        adj[e.src].append((e.dst, e.d_feat + e.d_img))
     for dsts in adj.values():
         dsts.sort()
     low, high = config.duration_window
@@ -102,6 +103,18 @@ def assemblable(paths, graph, segments, k):
     return kept
 
 
+def image_distance(mask_m, mask_n):
+    """1 - IoU of two (H, W) bool masks, 0 when both are empty: the exact
+    reference for ``graph._image_distances``' packed popcounts."""
+    if mask_m.shape != mask_n.shape:
+        raise StructuralError(f"mask shapes differ: {mask_m.shape} vs {mask_n.shape}")
+    inter = int(np.count_nonzero(mask_m & mask_n))
+    union = int(np.count_nonzero(mask_m | mask_n))
+    if union == 0:
+        return 0.0
+    return 1.0 - inter / union
+
+
 def full_matrix_gate(joint_states, velocity_weight, tau_feat, min_jump):
     """Candidate pairs of the graph build's d_feat pre-gate, from the full
     N x N Gram-trick distance matrix and ``np.triu_indices``: (mm, nn) in
@@ -150,6 +163,8 @@ def first_graph_violation(nodes, edges, min_jump):
         if e.kind == "natural":
             if e.dst != e.src + 1:
                 return f"natural edge ({e.src}, {e.dst}) must connect consecutive frames"
+            if e.d_feat != 0 or e.d_img != 0:
+                return f"natural edge ({e.src}, {e.dst}) must cost 0"
             natural.add(e.src)
         elif e.kind != "synthetic":
             return f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}"

@@ -42,13 +42,12 @@ from motiongraph.search import (
 )
 from motiongraph.silhouette import (
     default_camera,
-    image_distance,
     rasterize_sequence,
     rasterize_silhouette,
 )
 from motiongraph.assembly import make_blend_schedule
 
-from oracles import assemblable, enumerate_paths, in_duration_window, optimum
+from oracles import assemblable, enumerate_paths, image_distance, in_duration_window, optimum
 from test_search import random_toy, toy_graph
 
 #: Cross-criterion artifacts (criterion 9 audits paths from 1 and 8).
@@ -178,7 +177,7 @@ def test_criterion_5_blend_schedule_contract():
     poses = puppet_sequence(900).frames
     for k in (1, 2, 4, 8):
         sched = make_blend_schedule(poses, 420, 111, k)
-        assert sched.alphas == tuple(i / (2 * k) for i in range(2 * k + 1))
+        assert tuple(s.alpha for s in sched.steps) == tuple(i / (2 * k) for i in range(2 * k + 1))
         first, last = sched.steps[0], sched.steps[-1]
         assert first.pose is poses[420 - k]
         assert last.pose is poses[111 + k]

@@ -44,13 +44,14 @@ class TestBlendSchedule:
     def test_alpha_grid_exact(self, wavy_poses, k):
         sched = make_blend_schedule(wavy_poses, 100, 400, k)
         assert len(sched) == 2 * k + 1
-        assert sched.alphas == tuple(i / (2 * k) for i in range(2 * k + 1))
-        diffs = {round(b - a, 15) for a, b in zip(sched.alphas, sched.alphas[1:])}
+        alphas = [s.alpha for s in sched.steps]
+        assert alphas == [i / (2 * k) for i in range(2 * k + 1)]
+        diffs = {round(b - a, 15) for a, b in zip(alphas, alphas[1:])}
         assert all(d > 0 for d in diffs)
 
     def test_documented_k2_example(self, wavy_poses):
         sched = make_blend_schedule(wavy_poses, 100, 400, 2)
-        assert sched.alphas == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert [s.alpha for s in sched.steps] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert sched.src_window == (98, 100)
         assert sched.dst_window == (400, 402)
         assert [s.src_frame for s in sched.steps] == [98, 99, 100, 100, 100]
@@ -255,7 +256,7 @@ class TestEdlFile:
             pytest.param(lambda doc: run_of(doc)["frames"][0].update(source="40"),
                          "frame source must be an integer", id="text-frame-source"),
             pytest.param(lambda doc: step_of(doc).update(src=60.5),
-                         "frame_index must be an integer", id="fractional-step-src"),
+                         "blend step src must be an integer", id="fractional-step-src"),
             pytest.param(lambda doc: step_of(doc).update(dst=False),
                          "blend step dst must be an integer", id="boolean-step-dst"),
             pytest.param(lambda doc: transition_of(doc).update(src_window=[56.5, 60.5]),
@@ -323,7 +324,10 @@ class TestEdlFile:
         orig = [e for e in edl.entries if isinstance(e, TransitionEntry)][0]
         for a, b in zip(orig.schedule.steps, trans.schedule.steps):
             assert a.alpha == b.alpha
+            assert a.pose.frame_index == b.pose.frame_index
             assert np.array_equal(a.pose.joint_rotations, b.pose.joint_rotations)
+        # interpolate_pose(a, b, 1.0) is b: the last step's pose is frame dst.
+        assert [s.pose.frame_index for s in trans.schedule.steps] == [56, 57, 58, 59] + [60] * 4 + [124]
 
 
 def run_of(doc):

@@ -497,6 +497,38 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("build-graph", "--out"), ("search", "--out"), ("assemble", "--out"),
+         ("analyze-audio", "--features-out"), ("analyze-audio", "--segments-out")],
+    )
+    def test_output_in_a_missing_directory_exits_2_without_writes(
+        self, tmp_path, capsys, input_files, command, flag
+    ):
+        inputs = {
+            "build-graph": ["--poses", "poses", "--features", "ref_features", "--out", "@g.json"],
+            "search": ["--graph", "graph", "--segments", "segments", "--out", "@p.json"],
+            "assemble": ["--graph", "graph", "--poses", "poses", "--segments", "segments",
+                         "--path", "path", "--out", "@edl.json"],
+            "analyze-audio": ["--wav", "target_wav", "--features-out", "@f.json",
+                              "--segments-out", "@s.json"],
+        }[command]
+        argv = [command]
+        for key, value in zip(inputs[::2], inputs[1::2]):
+            if key == flag:
+                value = str(tmp_path / "missing" / value[1:])
+            elif value[0] == "@":
+                value = str(tmp_path / value[1:])
+            else:
+                value = str(input_files[value])
+            argv += [key, value]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        missing = tmp_path / "missing"
+        assert f"output directory not found: {missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "edit, found",
         [
             pytest.param({"fps": 25.0}, f"{REF_FRAMES} frames at 25 fps", id="other-fps"),

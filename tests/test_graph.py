@@ -33,13 +33,18 @@ from motiongraph.pose import (
 from motiongraph.search import BeamConfig, beam_search
 from motiongraph.silhouette import (
     default_camera,
-    image_distance,
     rasterize_sequence,
     rasterize_silhouette,
 )
 
 from conftest import make_sequence
-from oracles import edge_dict, first_graph_violation, full_matrix_gate, per_row_pair_distances
+from oracles import (
+    edge_dict,
+    first_graph_violation,
+    full_matrix_gate,
+    image_distance,
+    per_row_pair_distances,
+)
 
 SMOOTH_CAMERA = default_camera((64, 64), focal_length=60.0)
 
@@ -423,6 +428,14 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError):
             VideoMotionGraph(self._nodes(4), edges, Thresholds(0, 0, 4))
 
+    @pytest.mark.parametrize("d_feat, d_img", [(0.25, 0.0), (0.0, 5e-324), (-0.5, 0.5)])
+    def test_costed_natural_edge_rejected(self, d_feat, d_img):
+        # The search plays a natural edge at cost 0, so a costed one is refused.
+        edges = self._chain(4)
+        edges[1] = GraphEdge(1, 2, "natural", d_feat, d_img)
+        with pytest.raises(ValidationError, match=r"^natural edge \(1, 2\) must cost 0$"):
+            VideoMotionGraph(self._nodes(4), edges, Thresholds(0, 0, 4))
+
     def test_self_edge_rejected(self):
         edges = self._chain(3) + [GraphEdge(1, 1, "synthetic", 0.0, 0.0)]
         with pytest.raises(ValidationError):
@@ -764,6 +777,12 @@ class TestSerialization:
         doc = decoded(save_graph(self._toy_graph()))
         doc[column][-1] = byte
         with pytest.raises(GraphParseError, match=f"{column} bytes must be 0 or 1"):
+            load_graph(encoded(doc))
+
+    def test_costed_natural_edge_is_parse_error(self):
+        doc = decoded(save_graph(self._toy_graph()))
+        doc["d_img"][1] = 0.5  # the natural edge (1, 2)
+        with pytest.raises(GraphParseError, match=r"natural edge \(1, 2\) must cost 0"):
             load_graph(encoded(doc))
 
     @pytest.mark.parametrize("bad, reason", BAD_EDGES)

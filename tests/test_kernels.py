@@ -215,10 +215,10 @@ class TestRasterizeCapsules:
 COSTS = [0.25, 0.5, 0.125, 0.375]
 
 
-def random_walk_graph(rng, n, natural_costs=False):
-    """Natural chain plus random synthetic edges, no self-edges or duplicates.
-    Natural edges cost 0, or one of ``COSTS`` each with ``natural_costs``."""
-    pairs = {(i, i + 1): float(rng.choice(COSTS)) if natural_costs else 0.0 for i in range(n - 1)}
+def random_walk_graph(rng, n):
+    """Natural chain at cost 0 plus random synthetic edges, no self-edges or
+    duplicates."""
+    pairs = {(i, i + 1): 0.0 for i in range(n - 1)}
     synthetic = []
     for _ in range(3 * n):
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -325,7 +325,7 @@ class TestWalkDistances:
             seed[states.anchor, rng.choice(n, size=2, replace=False)] = 0.0
             if trial % 3 == 0:  # a later segment: prefixes in several states
                 seed[rng.integers(0, states.size, size=6), rng.integers(0, n, size=6)] = 0.5
-            layout = kernels.edge_layout(src, dst, cost, synthetic, n)
+            layout = kernels.edge_layout(src[synthetic], dst[synthetic], cost[synthetic], n)
             steps = 3 * k + 5
             table = step_tables(layout, seed, allowed, steps, states)
             ref, parent = bellman_ford(src, dst, cost, synthetic, n, seed, allowed, steps, k)
@@ -345,29 +345,25 @@ class TestWalkDistances:
     def test_start_exempt_from_allowed(self):
         # 0 -> 1 -> 2 naturally, 2 -> 0 synthetically: a blocked start may
         # begin a walk but not recur in one.
-        src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
-        cost, synthetic = np.array([0.5, 0.25, 0.125]), np.array([False, False, True])
         allowed = np.array([False, True, True])
         states = kernels.BlendStates(1)
-        layout = kernels.edge_layout(src, dst, cost, synthetic, 3)
+        layout = kernels.edge_layout(np.array([2]), np.array([0]), np.array([0.125]), 3)
         seed = np.full((states.size, 3), np.inf)
         seed[states.anchor, 0] = 0.0
         table = step_tables(layout, seed, allowed, 5, states)
-        assert table[1].min(axis=0).tolist() == [np.inf, 0.5, np.inf]
+        assert table[1].min(axis=0).tolist() == [np.inf, 0.0, np.inf]
         # the cut 2 -> 0 leaves a run of 2 = k + 1 frames, which has no core
-        assert table[3, states.b0(1)].tolist() == [0.875, np.inf, np.inf]
+        assert table[3, states.b0(1)].tolist() == [0.125, np.inf, np.inf]
         assert np.isinf(table[4:]).all()  # continuing past the blocked start is not allowed
         walk, costs = kernels.walk_back(layout, table, allowed, states, 3, states.b0(1), 0)
-        assert [v for _, v in walk] == [0, 1, 2, 0] and costs == [0.5, 0.25, 0.125]
+        assert [v for _, v in walk] == [0, 1, 2, 0] and costs == [0.0, 0.0, 0.125]
 
     def test_cut_needs_a_run_long_enough_for_the_blend_windows(self):
         # 0 -> 1 -> ... -> 5 plus a cut 2 -> 5: from the anchor at 0 the run
         # before the cut is 1, 2, k + 1 frames only for k = 1.
-        src, dst = np.array([0, 1, 2, 3, 4, 2]), np.array([1, 2, 3, 4, 5, 5])
-        cost, synthetic = np.array([0.0] * 5 + [0.25]), np.array([False] * 5 + [True])
         for k, reached in ((1, 0.25), (2, np.inf)):
             states = kernels.BlendStates(k)
-            layout = kernels.edge_layout(src, dst, cost, synthetic, 6)
+            layout = kernels.edge_layout(np.array([2]), np.array([5]), np.array([0.25]), 6)
             seed = np.full((states.size, 6), np.inf)
             seed[states.anchor, 0] = 0.0
             table = step_tables(layout, seed, np.ones(6, dtype=bool), 3, states)
@@ -375,9 +371,8 @@ class TestWalkDistances:
 
     def test_unreachable_rows_stay_inf(self):
         n = 6
-        src, dst = np.arange(n - 1), np.arange(1, n)
         states = kernels.BlendStates(4)
-        layout = kernels.edge_layout(src, dst, np.zeros(n - 1), np.zeros(n - 1, dtype=bool), n)
+        layout = kernels.edge_layout(np.zeros(0), np.zeros(0), np.zeros(0), n)
         seed = np.full((states.size, n), np.inf)
         seed[states.anchor, 3] = 0.0
         table = step_tables(layout, seed, np.ones(n, dtype=bool), 8, states)
@@ -385,7 +380,7 @@ class TestWalkDistances:
         assert table[2, states.p0(2), 5] == 0.0
         assert np.isinf(table[3:]).all()
         assert np.isinf(np.delete(table[1].min(axis=0), 4)).all()
-        single = kernels.edge_layout(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), 1)
+        single = kernels.edge_layout(np.zeros(0), np.zeros(0), np.zeros(0), 1)
         seed = np.zeros((states.size, 1))
         only_seed = step_tables(single, seed, np.ones(1, dtype=bool), 3, states)
         assert (only_seed[0] == 0.0).all() and np.isinf(only_seed[1:]).all()
@@ -397,12 +392,11 @@ class TestWalkDistances:
 
 
 def random_replay_case(rng, k):
-    """A random toy with non-zero natural costs and onset-blocked nodes, one
-    of its starts on a blocked node, and a seed table as segment 0 or as a
-    later segment sees it."""
+    """A random toy with onset-blocked nodes, one of its starts on a blocked
+    node, and a seed table as segment 0 or as a later segment sees it."""
     n = int(rng.integers(6, 14))
     states = kernels.BlendStates(k)
-    src, dst, cost, synthetic = random_walk_graph(rng, n, natural_costs=True)
+    src, dst, cost, synthetic = random_walk_graph(rng, n)
     allowed = rng.random(n) > 0.25
     allowed[0] = False
     seed = np.full((states.size, n), np.inf)
@@ -410,8 +404,8 @@ def random_replay_case(rng, k):
     if rng.random() < 0.4:  # a later segment: prefixes in several states, none in the anchor
         seed = np.full((states.size, n), np.inf)
         seed[rng.integers(1, states.size, size=8), rng.integers(0, n, size=8)] = rng.choice(COSTS, 8)
-    return kernels.edge_layout(src, dst, cost, synthetic, n), seed, allowed, states, (src, dst, cost,
-                                                                                      synthetic, n)
+    layout = kernels.edge_layout(src[synthetic], dst[synthetic], cost[synthetic], n)
+    return layout, seed, allowed, states, (src, dst, cost, synthetic, n)
 
 
 class TestReplayWalk:
@@ -440,7 +434,8 @@ class TestReplayWalk:
         k = 2
         states = kernels.BlendStates(k)
         n = 40
-        layout = kernels.edge_layout(*random_walk_graph(rng, n), n)
+        src, dst, cost, synthetic = random_walk_graph(rng, n)
+        layout = kernels.edge_layout(src[synthetic], dst[synthetic], cost[synthetic], n)
         seed = np.full((states.size, n), np.inf)
         seed[states.anchor, [3, 17]] = 0.0
         best, cuts = kernels.walk_distances(layout, seed, np.ones(n, dtype=bool), {12: 0.0}, states)

@@ -213,6 +213,12 @@ class TestExpandSegment:
             )
         assert err.value.segment == 3
 
+    @pytest.mark.parametrize("length", [0, 2.5, True, "10"])
+    def test_target_length_must_be_an_integer_at_least_1(self, length):
+        graph = toy_graph(20)
+        with pytest.raises(ValidationError, match="target_length must be an integer >= 1"):
+            expand_segment(graph, start_table(graph, 0), EndpointFeature("end"), length)
+
     def test_synthetic_edge_cost_accumulates(self):
         graph = toy_graph(12, synthetic=[(3, 8, 0.25, 0.25)])
         config = BeamConfig(duration_window=(1.0, 1.0), blend_k=1)
@@ -291,6 +297,12 @@ class TestBeamSearch:
         graph = toy_graph(12)
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             beam_search(graph, segment_list(6, []), BeamConfig(beam_width=2, blend_k=1), seed=seed)
+
+    @pytest.mark.parametrize("start_frame", [-1, True, 2.5, 2.0, "3"])
+    def test_start_frame_must_be_an_integer_at_least_0(self, start_frame):
+        graph = toy_graph(12)
+        with pytest.raises(ValidationError, match="start_frame must be an integer >= 0"):
+            beam_search(graph, segment_list(6, []), BeamConfig(blend_k=1), start_frame=start_frame)
 
     def test_numpy_integers_are_stored_as_ints_and_written(self, tmp_path):
         graph = toy_graph(14, synthetic=[(2, 9, 0.1, 0.1), (9, 3, 0.2, 0.1)], onsets={6, 11})
@@ -532,3 +544,8 @@ class TestResample:
     def test_single_entry_emits_terminal(self):
         out = resample_segment([7, 8, 9], 1)
         assert [e.source_frame for e in out] == [9]
+
+    @pytest.mark.parametrize("length", [0, 2.5, True, "10"])
+    def test_target_length_must_be_an_integer_at_least_1(self, length):
+        with pytest.raises(ValidationError, match="target_length must be an integer >= 1"):
+            resample_segment([7, 8, 9], length)

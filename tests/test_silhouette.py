@@ -12,7 +12,6 @@ from motiongraph.silhouette import (
     RASTER_CHUNK,
     CameraModel,
     default_camera,
-    image_distance,
     load_camera,
     rasterize_frames,
     rasterize_sequence,
@@ -23,7 +22,7 @@ from motiongraph.silhouette import (
 )
 
 from conftest import make_pose
-from oracles import per_frame_silhouette
+from oracles import image_distance, per_frame_silhouette
 
 
 def sphere_skeleton(radius):
