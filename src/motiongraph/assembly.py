@@ -224,11 +224,13 @@ def assemble_edl(
 ) -> EditDecisionList:
     """Build the playback plan for one searched path.
 
-    Raises AssemblyError when a run bordering a synthetic transition is too
-    short to host its blend window, or when the output budget cannot cover
-    the transitions.
+    Raises StructuralError when ``poses`` has fewer frames than the graph has
+    nodes, AssemblyError when a run bordering a synthetic transition is too
+    short to host its blend window or the output budget cannot cover the transitions.
     """
     k = integer("blend neighborhood k", k, 1)
+    if len(poses) < len(graph):
+        raise StructuralError(f"{len(poses)} pose frames for {len(graph)} graph nodes")
     nodes = list(path.node_sequence)
     rows = graph.edge_rows(nodes[:-1], nodes[1:])
     if (rows < 0).any():

@@ -11,9 +11,9 @@ Stages communicate via files, so each subcommand can run in isolation:
                    but hands the parsed pose track and the built graph
                    from stage to stage in memory
 
-Usage problems (unknown flags, missing input files, output files in a missing
-directory) exit with code 2 before anything is written; pipeline failures exit
-1 with a diagnostic naming the stage.
+Usage problems (unknown flags, missing input files, an output in a missing
+directory or of the wrong kind) exit with code 2 before anything is written;
+pipeline failures exit 1 with a diagnostic naming the stage.
 """
 
 from __future__ import annotations
@@ -44,15 +44,20 @@ def _stage(name: str):
         raise SystemExit(f"error in {name}: {exc}") from exc
 
 
-def _require_files(parser: argparse.ArgumentParser, *paths, outputs=()) -> None:
-    """Exit 2 unless every input file in ``paths`` exists and every file in
-    ``outputs`` names a directory that exists."""
+def _require_files(parser: argparse.ArgumentParser, *paths, outputs=(), output_dirs=()) -> None:
+    """Exit 2 unless every input file in ``paths`` exists, every file in ``outputs``
+    is no directory and lies in one, and no ``output_dirs`` entry names a non-directory."""
     for p in paths:
         if p is not None and not Path(p).is_file():
             parser.error(f"input file not found: {p}")
     for p in outputs:
         if not Path(p).parent.is_dir():
             parser.error(f"output directory not found: {p}")
+        if Path(p).is_dir():
+            parser.error(f"output file is a directory: {p}")
+    for p in output_dirs:
+        if p is not None and Path(p).exists() and not Path(p).is_dir():
+            parser.error(f"output directory is not a directory: {p}")
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -140,7 +145,8 @@ def _beam_config(args) -> search.BeamConfig:
 def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
     """Build the graph of the pose track, or of ``track`` when ``run`` passes
     the one it parsed, and write it to ``args.out``."""
-    _require_files(parser, args.poses, args.features, args.camera, outputs=[args.out])
+    _require_files(parser, args.poses, args.features, args.camera, outputs=[args.out],
+                   output_dirs=[args.dump_masks])
     with _stage("build-graph"):
         skeleton, sequence = track or pose.load_pose_track(args.poses)
         features = audio.load_features(args.features)
@@ -229,6 +235,10 @@ def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
             built = graph_mod.load_graph_file(args.graph)
         if sequence is None:
             _, sequence = pose.load_pose_track(args.poses)
+        if (len(sequence), sequence.fps) != (len(built), built.fps):
+            raise ValidationError(f"pose track {args.poses} covers {len(sequence)} frames at "
+                                  f"{sequence.fps:g} fps, but the graph has {len(built)} "
+                                  f"frames at {built.fps:g} fps")
         segments = audio.load_segments(args.segments)
         result = search.load_search_result(args.path)
         speech = (
@@ -263,7 +273,7 @@ def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
 def _cmd_preview(parser, args, track=None) -> None:
     """Render ``args.edl`` over the pose track, or over ``track`` when ``run``
     passes the one it parsed, into ``args.out_dir``."""
-    _require_files(parser, args.edl, args.poses, args.camera)
+    _require_files(parser, args.edl, args.poses, args.camera, output_dirs=[args.out_dir])
     with _stage("preview"):
         skeleton, sequence = track or pose.load_pose_track(args.poses)
         edl = assembly.load_edl(args.edl)
@@ -279,7 +289,7 @@ def _cmd_run(parser, args) -> None:
     in memory, and every other input is read back from the file written."""
     _require_files(
         parser, args.poses, args.ref_wav, args.ref_transcript, args.wav,
-        args.transcript, args.camera, args.dictionary,
+        args.transcript, args.camera, args.dictionary, output_dirs=[args.out_dir],
     )
     # A bad search parameter fails before any input is read or output written.
     with _stage("search"):

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
-import re
-import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import StructuralError, ValidationError, integer, is_real, read_document, real
+from .errors import (GraphParseError, StructuralError, ValidationError, integer, is_integer,
+                     is_real, read_document, real)
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -59,12 +57,7 @@ class Thresholds:
 
     def __post_init__(self):
         for name in ("tau_feat", "tau_img"):
-            tau = getattr(self, name)
-            # An infinite threshold is an open gate; NaN gates nothing.
-            if not (is_real(tau) and tau >= 0):
-                raise ValidationError(f"{name} must be a real number >= 0 (inf is an open "
-                                      f"gate), got {tau!r}")
-            object.__setattr__(self, name, float(tau) if tau <= sys.float_info.max else math.inf)
+            object.__setattr__(self, name, real(name, getattr(self, name), 0))
         object.__setattr__(self, "offset_l", integer("offset_l", self.offset_l, 1))
 
 
@@ -89,16 +82,10 @@ class VideoMotionGraph:
                  thresholds: Thresholds, fps: float = 30.0,
                  min_jump: int = DEFAULT_MIN_JUMP, velocity_weight: float = 1.0):
         """A graph from node and edge records, edges kept in the given order.
-        Values convert as ``int``/``float``/``bool`` would, so a list-valued
-        field fails instead of adding a dimension."""
-        edge_fields = (("src", np.int64), ("dst", np.int64), ("kind", object),
-                       ("d_feat", np.float64), ("d_img", np.float64))
-        self._init(np.fromiter((v.onset for v in nodes), bool),
-                   np.array([v.keyword for v in nodes], dtype=str),
-                   *(np.fromiter((getattr(e, name) for e in edges), dtype)
-                     for name, dtype in edge_fields),
+        A field of the wrong type is refused before any column is built."""
+        frame, onset, keyword = (_record_column(nodes, f.name) for f in fields(GraphNode))
+        self._init(onset, keyword, *(_record_column(edges, f.name) for f in fields(GraphEdge)),
                    thresholds, fps, min_jump, velocity_weight)
-        frame = np.fromiter((v.frame_index for v in nodes), np.int64)
         if not np.array_equal(frame, np.arange(len(self))):
             raise ValidationError("node frame indices must be 0..N-1 in order")
 
@@ -151,6 +138,29 @@ class VideoMotionGraph:
         keys = self.src * len(self) + self.dst
         order = np.argsort(keys)
         return np.append(keys[order], len(self) ** 2), np.append(order, -1)
+
+
+_INTEGER, _REAL = (np.int64, is_integer, "an integer"), (np.float64, is_real, "a real number")
+_STRING = (lambda value: isinstance(value, str), "a string")
+#: Each record field's column dtype, a test that reads only a value's type and what it
+#: asks for. An endpoint outside the graph or a non-finite distance is left to ``_check_columns``.
+_RECORD_FIELDS = {"frame_index": _INTEGER, "src": _INTEGER, "dst": _INTEGER, "d_feat": _REAL,
+                  "d_img": _REAL, "keyword": (str, *_STRING), "kind": (object, *_STRING),
+                  "onset": (bool, lambda value: isinstance(value, (bool, np.bool_)), "a bool")}
+
+
+def _record_column(records, name: str) -> np.ndarray:
+    """Field ``name`` of each record as a column, once one value of each type passes."""
+    dtype, test, wanted = _RECORD_FIELDS[name]
+    values = [getattr(record, name) for record in records]
+    if failed := {kind for kind, value in dict(zip(map(type, values), values)).items()
+                  if not test(value)}:
+        value = next(value for value in values if type(value) in failed)
+        raise ValidationError(f"{name} must be {wanted}, got {value!r}")
+    try:
+        return np.array(values, dtype)
+    except OverflowError:  # an integer beyond int64 or float64
+        raise ValidationError(f"{name} must be {wanted} within {np.dtype(dtype)}") from None
 
 
 def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
@@ -347,12 +357,6 @@ def build_graph(
 # ---------------------------------------------------------------------------
 
 
-def _check_file_thresholds(thresholds: Thresholds) -> None:
-    """JSON has no infinity: an open-gate threshold stays in memory."""
-    if not (math.isfinite(thresholds.tau_feat) and math.isfinite(thresholds.tau_img)):
-        raise ValidationError(f"a graph file's thresholds must be finite, got {thresholds}")
-
-
 #: The columns after a graph file's header line, in file order, as the bytes
 #: of these dtypes: ``onset`` holds one value per node (node i is frame i),
 #: the rest one per edge, 33 bytes in all. A flag is one byte, 0 or 1.
@@ -372,38 +376,25 @@ def _graph_chunks(graph: VideoMotionGraph):
 
 
 def save_graph(graph: VideoMotionGraph) -> bytes:
-    _check_file_thresholds(graph.thresholds)
     return b"".join(_graph_chunks(graph))
 
 
-#: Bytes of a graph file read at a time until its header line is known.
+#: Bytes of a graph file's first line read before its format is known: more than
+#: the ~60 bytes up to its format member, which sorted keys put after ``edges``.
 HEADER_PIECE = 1 << 16
-#: A ``"format"`` member, its value a JSON string token.
-_FORMAT_MEMBER = re.compile(rb'"format"\s*:\s*("(?:[^"\\]|\\.)*")')
 
 
 def _header_line(f) -> bytes:
-    """The header line of the graph stream ``f``, read ``HEADER_PIECE`` bytes
-    at a time. A file in an older layout holds no newline. So when the first
-    piece holds neither a newline nor this layout's format member, the rest
-    is only scanned, piece by piece, for the file's ``"format"`` member, and
-    a line of that member alone stands in for the header (``{}`` if there is
-    none): the refusal names the format in bounded memory."""
-    line, current = f.readline(HEADER_PIECE), b'"%s"' % GRAPH_FORMAT.encode()
+    """The header line of the graph stream ``f``, refused unless its first
+    ``HEADER_PIECE`` bytes end it or hold this layout's format member."""
+    line = f.readline(HEADER_PIECE)
     if line.endswith(b"\n") or len(line) < HEADER_PIECE:
         return line  # the header line, or a file shorter than a piece
-    if b'"format":' + current in line:
+    if b'"format":"%s"' % GRAPH_FORMAT.encode() in line:
         return line + f.readline()
-    piece, tail = line, b""
-    while piece:
-        window = tail + piece
-        if found := _FORMAT_MEMBER.search(window):
-            if found[1] == current:  # a header line whose format member comes late
-                f.seek(0)
-                return f.readline()
-            return b'{"format":%s}' % found[1]
-        tail, piece = window[-256:], f.read(HEADER_PIECE)
-    return b"{}"
+    raise GraphParseError(f"graph document has no {GRAPH_FORMAT} header line in its first "
+                          f"{HEADER_PIECE} bytes; older layouts were one JSON document with "
+                          "no newline")
 
 
 def _read_graph(f, size: int) -> VideoMotionGraph:
@@ -417,8 +408,7 @@ def _read_graph(f, size: int) -> VideoMotionGraph:
         if unknown := doc.keys() - header:
             raise ValidationError(f"unknown fields {sorted(unknown)}")
         t = doc["thresholds"]
-        thresholds = Thresholds(real("tau_feat", t["tau_feat"]), real("tau_img", t["tau_img"]),
-                                t["offset_l"])
+        thresholds = Thresholds(t["tau_feat"], t["tau_img"], t["offset_l"])
         keyword = doc["keyword"]
         if not (isinstance(keyword, list) and all(isinstance(word, str) for word in keyword)):
             raise ValidationError("keyword must be a list of strings")
@@ -449,7 +439,6 @@ def save_graph_file(graph: VideoMotionGraph, path: str | Path) -> None:
     """Write ``save_graph``'s bytes, one chunk at a time: the file is never
     held whole. The chunks go to ``<path>.partial``, which replaces ``path``
     only once complete, so a failed write leaves any earlier file."""
-    _check_file_thresholds(graph.thresholds)  # before any file opens
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:

@@ -174,10 +174,9 @@ class EdgeLayout:
     (ascending) with costs ``cost[indptr[v]:indptr[v + 1]]``;
     ``group_dst``/``group_start`` list the nodes that have synthetic in-edges
     and where their groups begin. Natural edges are not stored: they are a
-    graph's full chain 0 -> 1 -> ... -> n_nodes-1 at cost 0.
+    graph's full chain 0 -> 1 -> ... -> N-1 at cost 0.
     """
 
-    n_nodes: int
     indptr: np.ndarray
     src: np.ndarray
     cost: np.ndarray
@@ -195,8 +194,7 @@ def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     group_dst = np.flatnonzero(counts)
-    return EdgeLayout(int(n_nodes), indptr, src[order], cost[order], group_dst,
-                      indptr[group_dst])
+    return EdgeLayout(indptr, src[order], cost[order], group_dst, indptr[group_dst])
 
 
 class BlendStates:

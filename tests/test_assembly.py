@@ -16,7 +16,7 @@ from motiongraph.assembly import (
     save_edl,
 )
 from motiongraph.audio import AudioFeatureTrack
-from motiongraph.errors import AssemblyError, GraphParseError, ValidationError
+from motiongraph.errors import AssemblyError, GraphParseError, StructuralError, ValidationError
 from motiongraph.pose import forward_kinematics, interpolate_pose
 from motiongraph.search import PathCandidate, resample_segment
 from motiongraph.silhouette import RASTER_CHUNK, default_camera, rasterize_silhouette
@@ -175,6 +175,13 @@ class TestAssembleEdl:
         path = PathCandidate((0, 1, 40, 41), 0.0, 0.0, (0, 3))
         with pytest.raises(AssemblyError, match=r"path step \(1, 40\) is not a graph edge"):
             assemble_edl(path, toy_graph(60), self._segments(4), wavy_poses, k=1)
+
+    def test_fewer_pose_frames_than_graph_nodes_rejected(self, wavy_poses):
+        # The path plays frames 1..30 only, but every node must have its pose.
+        path = PathCandidate(tuple(range(0, 31)), 0.0, 0.0, (0, 30))
+        with pytest.raises(StructuralError, match="^59 pose frames for 60 graph nodes$"):
+            assemble_edl(path, toy_graph(60), self._segments(31), wavy_poses[:59], k=4)
+        assert assemble_edl(path, toy_graph(60), self._segments(31), wavy_poses[:60], k=4)
 
     def test_synthetic_anchor_edge_is_hard_cut(self, wavy_poses):
         graph = toy_graph(300, synthetic=[(10, 150, 0.1, 0.1)])

@@ -529,6 +529,77 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("build-graph", "--out"), ("search", "--out"), ("assemble", "--out"),
+         ("analyze-audio", "--features-out"), ("analyze-audio", "--segments-out"),
+         ("build-graph", "--dump-masks"), ("preview", "--out-dir"), ("run", "--out-dir")],
+    )
+    def test_output_of_the_wrong_kind_exits_2_without_writes(
+        self, tmp_path, capsys, input_files, command, flag
+    ):
+        # An output file that is a directory, or an output directory that is a file.
+        inputs = {
+            "build-graph": ["--poses", "poses", "--features", "ref_features", "--out", "@g.json",
+                            "--dump-masks", "@masks"],
+            "search": ["--graph", "graph", "--segments", "segments", "--out", "@p.json"],
+            "assemble": ["--graph", "graph", "--poses", "poses", "--segments", "segments",
+                         "--path", "path", "--out", "@edl.json"],
+            "analyze-audio": ["--wav", "target_wav", "--features-out", "@f.json",
+                              "--segments-out", "@s.json"],
+            "preview": ["--edl", "edl", "--poses", "poses", "--out-dir", "@frames"],
+            "run": ["--poses", "poses", "--ref-wav", "ref_wav", "--wav", "target_wav",
+                    "--out-dir", "@out"],
+        }[command]
+        taken = tmp_path / "taken"
+        if flag in ("--dump-masks", "--out-dir"):
+            taken.write_bytes(b"")
+            reason = f"output directory is not a directory: {taken}"
+        else:
+            taken.mkdir()
+            reason = f"output file is a directory: {taken}"
+        argv = [command]
+        for key, value in zip(inputs[::2], inputs[1::2]):
+            if key == flag:
+                value = str(taken)
+            elif value[0] == "@":
+                value = str(tmp_path / value[1:])
+            else:
+                value = str(input_files[value])
+            argv += [key, value]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert reason in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert (list(taken.iterdir()) == []) if taken.is_dir() else (taken.read_bytes() == b"")
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            pytest.param(lambda doc: doc.update(frames=doc["frames"][:600]),
+                         "600 frames at 30 fps", id="short-track"),
+            pytest.param(lambda doc: doc.update(fps=25.0), f"{REF_FRAMES} frames at 25 fps",
+                         id="other-fps"),
+        ],
+    )
+    def test_pose_track_unlike_the_graph_is_stage_failure(
+        self, tmp_path, pipeline, fixture_files, edit, found
+    ):
+        doc = json.loads(fixture_files["poses"].read_text())
+        edit(doc)
+        poses = tmp_path / "poses.json"
+        poses.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                ["assemble", "--graph", str(pipeline / "graph.json"), "--poses", str(poses),
+                 "--segments", str(pipeline / "target_segments.json"),
+                 "--path", str(pipeline / "path.json"), "--out", str(tmp_path / "edl.json")]
+            )
+        assert err.value.code == (f"error in assemble: pose track {poses} covers {found}, "
+                                  f"but the graph has {REF_FRAMES} frames at 30 fps")
+        assert not (tmp_path / "edl.json").exists()
+
+    @pytest.mark.parametrize(
         "edit, found",
         [
             pytest.param({"fps": 25.0}, f"{REF_FRAMES} frames at 25 fps", id="other-fps"),
@@ -935,6 +1006,7 @@ class TestMalformedInputs:
                              "--out", str(tmp_path / "e.json")]}[command]
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
-        assert err.value.code == (f"error in {command}: graph document has format "
-                                  "'motion-graph/2', expected 'motion-graph/4'")
+        assert err.value.code == (f"error in {command}: graph document has no motion-graph/4 "
+                                  "header line in its first 65536 bytes; older layouts were one "
+                                  "JSON document with no newline")
         assert list(tmp_path.iterdir()) == [old]

@@ -1,7 +1,9 @@
 import base64
+import dataclasses
 import io
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -170,11 +172,14 @@ class TestThresholds:
             Thresholds(tau_feat=-0.1, tau_img=0.0, offset_l=4)
 
     def test_threshold_that_is_not_a_number_rejected(self):
-        with pytest.raises(ValidationError, match="tau_feat must be a real number >= 0"):
+        with pytest.raises(ValidationError, match="tau_feat must be a finite number >= 0"):
             Thresholds("0.1", 0.5, 4)
 
     def test_open_gate_threshold_is_kept_as_a_float(self):
-        assert Thresholds(np.inf, 10**400, np.int64(4)) == Thresholds(math.inf, math.inf, 4)
+        # A tau is finite: no infinite open gate, and no int beyond the float range.
+        for tau in (math.inf, np.inf, 10**400):
+            with pytest.raises(ValidationError, match="tau_feat must be a finite number >= 0"):
+                Thresholds(tau, 0.5, 4)
         assert type(Thresholds(np.float64(0.5), 0, 4).tau_img) is float
 
     @pytest.mark.parametrize("offset_l", [4.9, 4.0, True, "4", 0, np.float64(4.0)])
@@ -213,7 +218,7 @@ class TestBuildGraph:
     def test_open_gate_full_count(self, smooth_setup):
         states, masks = smooth_setup
         states, masks = states[:10], masks[:10]
-        g = build_graph(states, masks, no_feature(10), Thresholds(np.inf, 1.0, 4))
+        g = build_graph(states, masks, no_feature(10), Thresholds(1e9, 1.0, 4))
         n = 10
         synthetic = [e for e in g.edges if e.kind == "synthetic"]
         # All ordered pairs minus self and |m-n|=1 pairs: N^2 - 3N + 2.
@@ -271,7 +276,7 @@ class TestBuildGraph:
     def test_min_jump_respected(self, smooth_setup):
         states, masks = smooth_setup
         g = build_graph(
-            states, masks, no_feature(len(states)), Thresholds(np.inf, 1.0, 4), min_jump=8
+            states, masks, no_feature(len(states)), Thresholds(1e9, 1.0, 4), min_jump=8
         )
         assert all(abs(e.src - e.dst) >= 8 for e in g.edges if e.kind == "synthetic")
 
@@ -416,6 +421,27 @@ BAD_EDGES = [
 ]
 
 
+# Each replaces one field of node 1 or of the synthetic edge (0, 2) with a
+# value of another type, which is refused, never converted.
+BAD_RECORD_FIELDS = [
+    pytest.param("node", "frame_index", 1.0, "frame_index must be an integer, got 1.0",
+                 id="fractional-frame-index"),
+    pytest.param("node", "onset", 2, "onset must be a bool, got 2", id="integer-onset"),
+    pytest.param("node", "onset", "no", "onset must be a bool, got 'no'", id="text-onset"),
+    pytest.param("node", "keyword", 5, "keyword must be a string, got 5", id="integer-keyword"),
+    pytest.param("edge", "src", True, "src must be an integer, got True", id="boolean-src"),
+    pytest.param("edge", "dst", 2.7, "dst must be an integer, got 2.7", id="fractional-dst"),
+    pytest.param("edge", "dst", 2**70, "dst must be an integer within int64",
+                 id="dst-beyond-int64"),
+    pytest.param("edge", "kind", 1, "kind must be a string, got 1", id="integer-kind"),
+    pytest.param("edge", "d_feat", "0.1", "d_feat must be a real number, got '0.1'",
+                 id="text-d-feat"),
+    pytest.param("edge", "d_feat", True, "d_feat must be a real number, got True",
+                 id="boolean-d-feat"),
+    pytest.param("edge", "d_img", None, "d_img must be a real number, got None", id="null-d-img"),
+]
+
+
 class TestGraphInvariants:
     def _nodes(self, n):
         return [GraphNode(i, False, "") for i in range(n)]
@@ -484,6 +510,25 @@ class TestGraphInvariants:
             assert str(err.value) == expected
             raised += 1
         assert 300 < raised < 600
+
+    @pytest.mark.parametrize("record, field, value, message", BAD_RECORD_FIELDS)
+    def test_record_field_of_another_type_rejected(self, record, field, value, message):
+        nodes = self._nodes(4)
+        edges = self._chain(4) + [GraphEdge(0, 2, "synthetic", 0.5, 0.5)]
+        if record == "node":
+            nodes[1] = dataclasses.replace(nodes[1], **{field: value})
+        else:
+            edges[-1] = dataclasses.replace(edges[-1], **{field: value})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
+
+    def test_numpy_record_values_are_stored_as_given(self):
+        nodes = [GraphNode(np.int64(i), np.bool_(i == 1), np.str_("hi")) for i in range(4)]
+        edges = self._chain(4) + [GraphEdge(np.int32(0), np.uint8(2), np.str_("synthetic"),
+                                            np.float32(0.5), np.int64(1))]
+        graph = VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
+        assert graph.nodes == tuple(GraphNode(i, i == 1, "hi") for i in range(4))
+        assert graph.edges[-1] == GraphEdge(0, 2, "synthetic", 0.5, 1.0)
 
     @pytest.mark.parametrize("header, reason", BAD_HEADERS)
     def test_bad_header_rejected(self, header, reason):
@@ -588,6 +633,12 @@ class TestEdgeRows:
                    [e.dst for e in loaded.edges] + pairs[1])
 
 
+#: The refusal of a graph file whose first HEADER_PIECE bytes hold neither a
+#: newline nor the motion-graph/4 format member.
+NO_HEADER_LINE = (r"^graph document has no motion-graph/4 header line in its first \d+ bytes; "
+                  "older layouts were one JSON document with no newline$")
+
+
 class TestSerialization:
     def _toy_graph(self):
         nodes = [GraphNode(0, True, ""), GraphNode(1, False, ""), GraphNode(2, False, "hi")]
@@ -656,8 +707,7 @@ class TestSerialization:
 
     def test_format_3_file_is_refused_in_bounded_memory(self, tmp_path):
         # The same document with 1.2M edges: a 52 MB line with no newline,
-        # its format member after three columns. The refusal reads it in
-        # pieces and keeps none of them.
+        # its format member after three columns. The refusal reads one piece.
         doc = decoded(save_graph(self._toy_graph()))
         del doc["edges"]
         for name, dtype in graph_mod.FILE_COLUMNS.items():
@@ -671,13 +721,39 @@ class TestSerialization:
         for read in (lambda: load_graph(data), lambda: load_graph_file(tmp_path / "g.json")):
             tracemalloc.start()
             try:
-                with pytest.raises(GraphParseError,
-                                   match="'motion-graph/3', expected 'motion-graph/4'"):
+                with pytest.raises(GraphParseError, match=NO_HEADER_LINE):
                     read()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 2_000_000
+
+    def test_header_longer_than_a_piece_round_trips(self, tmp_path, monkeypatch):
+        # About 22k nodes' keywords make a header line longer than a real piece.
+        monkeypatch.setattr(graph_mod, "HEADER_PIECE", 256)
+        edges = random_graph(np.random.default_rng(12), 300, 400).edges
+        nodes = [GraphNode(i, i % 7 == 0, ("", "hello", "two")[i % 3]) for i in range(300)]
+        g = VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))
+        blob = save_graph(g)
+        assert blob.index(b"\n") > 4 * graph_mod.HEADER_PIECE
+        save_graph_file(g, tmp_path / "g.json")
+        for loaded in (load_graph(blob), load_graph_file(tmp_path / "g.json")):
+            assert save_graph(loaded) == blob
+            assert (loaded.nodes, loaded.edges) == (g.nodes, g.edges)
+
+    def test_older_document_longer_than_a_piece_is_refused_after_one_piece(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "HEADER_PIECE", 256)
+        doc = decoded(save_graph(random_graph(np.random.default_rng(13), 40, 60)))
+        del doc["edges"]
+        doc["format"] = "motion-graph/2"
+        data = json.dumps(doc, sort_keys=True).encode()
+        assert len(data) > 4 * graph_mod.HEADER_PIECE and b"\n" not in data
+        stream = io.BytesIO(data)
+        with pytest.raises(GraphParseError, match=NO_HEADER_LINE):
+            graph_mod._read_graph(stream, len(data))
+        assert stream.tell() == graph_mod.HEADER_PIECE
+        with pytest.raises(GraphParseError, match=NO_HEADER_LINE):
+            load_graph(data)
 
     def test_file_holds_one_array_per_column(self):
         blob = save_graph(self._toy_graph())
@@ -926,15 +1002,6 @@ class TestSerialization:
         blob = save_graph(self._toy_graph())
         with pytest.raises(GraphParseError, match="ended while it was read"):
             graph_mod._read_graph(io.BytesIO(blob[:-1]), len(blob))
-
-    def test_non_finite_thresholds_stay_out_of_files(self, tmp_path):
-        g = self._toy_graph()
-        open_gate = VideoMotionGraph(g.nodes, g.edges, Thresholds(math.inf, 0.6, 4))
-        with pytest.raises(ValidationError, match="thresholds must be finite"):
-            save_graph(open_gate)
-        with pytest.raises(ValidationError, match="thresholds must be finite"):
-            save_graph_file(open_gate, tmp_path / "g.json")
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "edit",
