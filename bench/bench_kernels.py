@@ -7,7 +7,8 @@ and the graph build's exact d_feat filter, over the pairs its pre-gate
 passes at the calibrated threshold. The walk entries time a
 search-like load: the edge layout a search builds once, then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
-2000-node graph with the bundled fixture's edge density, accepting the
+2000-node graph with the bundled fixture's edge density (distinct synthetic
+edges in (src, dst) order, as a graph stores them), accepting the
 lengths a 41-frame segment's duration window accepts (37..45), and the
 traceback's replay of its 45 step tables. The gating entries time the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
@@ -218,14 +219,17 @@ def run_benchmarks():
 
     # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
     # graph has 154k), 45 steps from 20 starts, as one search segment sees them.
+    # The synthetic edges are distinct pairs in (src, dst) order, as a graph
+    # stores them.
     n = 2000
     nat_src = np.arange(n - 1)
     syn_src = rng.integers(0, n, size=150000)
     syn_dst = rng.integers(0, n, size=150000)
     keep = syn_dst != syn_src
-    src = np.concatenate([nat_src, syn_src[keep]])
-    dst = np.concatenate([nat_src + 1, syn_dst[keep]])
-    cost = rng.uniform(0.01, 0.5, size=keep.sum())
+    pairs = np.unique(np.stack([syn_src[keep], syn_dst[keep]], axis=1), axis=0)
+    src = np.concatenate([nat_src, pairs[:, 0]])
+    dst = np.concatenate([nat_src + 1, pairs[:, 1]])
+    cost = rng.uniform(0.01, 0.5, size=len(pairs))
     allowed = np.ones(n, dtype=bool)
     allowed[rng.integers(0, n, size=60)] = False
     # The layout holds the synthetic edges; the natural chain costs 0.
@@ -248,9 +252,8 @@ def run_benchmarks():
         _time(lambda: kernels.replay_walk(layout, seed, allowed, states, cuts)), "s"
     )
 
-    # Graph file: the same 2000 nodes and edges, less repeated pairs and
-    # jumps shorter than min_jump, stored with random distances.
-    pairs = np.unique(np.stack([src[n - 1:], dst[n - 1:]], axis=1), axis=0)
+    # Graph file: the same 2000 nodes and edges, less jumps shorter than
+    # min_jump, stored with random distances.
     pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= graph.DEFAULT_MIN_JUMP]
     edges = [graph.GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
     edges += [

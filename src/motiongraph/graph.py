@@ -69,10 +69,10 @@ class VideoMotionGraph:
     """Reference frames joined by transitions, stored as columns.
 
     Node i is reference frame i, with ``onset[i]`` and ``keyword[i]`` ("" when
-    no dictionary word is active). Edge j runs ``src[j] -> dst[j]``, is
-    synthetic when ``synthetic[j]`` (else natural: m -> m + 1 with both
-    distances 0) and costs ``d_feat[j] + d_img[j]``. The columns are
-    read-only arrays, checked in one vectorized pass on construction.
+    no dictionary word is active). Edge j runs ``src[j] -> dst[j]`` and costs
+    ``d_feat[j] + d_img[j]``. In the canonical order, rows 0..N-2 are the natural
+    chain j -> j + 1 at distances 0, then the synthetic edges (``synthetic[j]``)
+    by rising (src, dst). The columns are read-only, checked in one vectorized pass.
     ``nodes`` and ``edges`` give the same graph as ``GraphNode``/``GraphEdge``
     tuples: ``nodes`` is built on first access and kept, ``edges`` is built on
     every read and kept by no one but the caller (184 B per edge).
@@ -81,7 +81,7 @@ class VideoMotionGraph:
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
                  thresholds: Thresholds, fps: float = 30.0,
                  min_jump: int = DEFAULT_MIN_JUMP, velocity_weight: float = 1.0):
-        """A graph from node and edge records, edges kept in the given order.
+        """A graph from node and edge records, the edges in the canonical order.
         A field of the wrong type is refused before any column is built."""
         frame, onset, keyword = (_record_column(nodes, f.name) for f in fields(GraphNode))
         self._init(onset, keyword, *(_record_column(edges, f.name) for f in fields(GraphEdge)),
@@ -98,6 +98,7 @@ class VideoMotionGraph:
     def _init(self, onset, keyword, src, dst, kind, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
         fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
+        keyword = _keyword_column(keyword)
         synthetic = _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
         for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
             column.flags.writeable = False
@@ -120,24 +121,17 @@ class VideoMotionGraph:
                          self.d_feat.tolist(), self.d_img.tolist()))
 
     def edge_rows(self, src, dst) -> np.ndarray:
-        """The row j of edge ``src[i] -> dst[i]`` for each i, or -1 where the
-        graph has no such edge. Node ids too large for int64 are absent too."""
+        """The row j of edge ``src[i] -> dst[i]`` for each i, or -1 where the graph has
+        no such edge (node ids beyond int64 included). By the canonical order, m -> m + 1
+        is row m, and a synthetic edge is found among the rising keys after the chain."""
         src, dst = np.asarray(src), np.asarray(dst)
         n = len(self)
-        keys, rows = self._edge_keys
         inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
         want = np.where(inside, src * n + dst, -1).astype(np.int64)
+        keys = np.append(self.src[n - 1:] * n + self.dst[n - 1:], n * n)  # above every key
         at = np.searchsorted(keys, want)
-        return np.where(keys[at] == want, rows[at], -1)
-
-    @cached_property
-    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge keys ``src * N + dst`` in increasing order and the row of
-        each, sorted once: the columns are read-only. A last key N * N, above
-        every edge's, keeps each ``searchsorted`` position inside the array."""
-        keys = self.src * len(self) + self.dst
-        order = np.argsort(keys)
-        return np.append(keys[order], len(self) ** 2), np.append(order, -1)
+        rows = np.where(keys[at] == want, at + n - 1, -1)
+        return np.where(inside & (dst == src + 1), src, rows).astype(np.int64)
 
 
 _INTEGER, _REAL = (np.int64, is_integer, "an integer"), (np.float64, is_real, "a real number")
@@ -145,7 +139,7 @@ _STRING = (lambda value: isinstance(value, str), "a string")
 #: Each record field's column dtype, a test that reads only a value's type and what it
 #: asks for. An endpoint outside the graph or a non-finite distance is left to ``_check_columns``.
 _RECORD_FIELDS = {"frame_index": _INTEGER, "src": _INTEGER, "dst": _INTEGER, "d_feat": _REAL,
-                  "d_img": _REAL, "keyword": (str, *_STRING), "kind": (object, *_STRING),
+                  "d_img": _REAL, "keyword": (object, *_STRING), "kind": (object, *_STRING),
                   "onset": (bool, lambda value: isinstance(value, (bool, np.bool_)), "a bool")}
 
 
@@ -163,28 +157,40 @@ def _record_column(records, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be {wanted} within {np.dtype(dtype)}") from None
 
 
+def _keyword_column(words) -> np.ndarray:
+    """``words`` as a ``str`` column, refused where it would change one (it drops trailing NULs)."""
+    column = np.array(words, dtype=str)
+    if changed := next(((w, k) for w, k in zip(words, column.tolist()) if w != k), None):
+        raise ValidationError("keyword {!r} would be stored as {!r}".format(*changed))
+    return column
+
+
 def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
-    """Check the edges of an ``n``-node graph and return the ``synthetic``
-    column. ``kind`` is that column, or the records' kind names. An invalid
-    edge raises ValidationError naming the first offending edge and the
-    first rule below that it breaks."""
+    """Check the edges of an ``n``-node graph and return the ``synthetic`` column
+    (``kind`` is that column, or the records' kind names): row j < n - 1 must be the
+    natural edge (j, j + 1), then the synthetic keys ``src * n + dst`` rise. The first
+    offending edge raises ValidationError with the first rule below that it breaks."""
     natural, synthetic = ((~kind, kind) if kind.dtype == bool
                           else (kind == "natural", kind == "synthetic"))
-    # A repeat follows an equal (src, dst) pair in the stable (src, dst) order.
-    order = np.lexsort((dst, src))
-    repeat = np.zeros(src.size, dtype=bool)
-    repeat[order[1:]] = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+    # Each row's key less the one before it, checked from the second synthetic row.
+    rise = np.diff(src * n + dst, prepend=0)
+    rise[:n] = 1
+    head = max(n - 1, 0)  # the rows of the natural chain
+    misplaced = natural | (rise < 0)
+    misplaced[:head] = synthetic[:head] | (src[:head] != np.arange(src[:head].size))
     rules = (
         ((src < 0) | (src >= n) | (dst < 0) | (dst >= n),
          "edge ({s}, {d}) has an endpoint outside frames 0..{last}"),
         (src == dst, "self-edge at frame {s}"),
-        (repeat, "duplicate edge ({s}, {d})"),
+        (rise == 0, "duplicate edge ({s}, {d})"),
         (~(np.isfinite(d_feat) & np.isfinite(d_img)), "edge ({s}, {d}) has a non-finite distance"),
         (natural & (dst != src + 1), "natural edge ({s}, {d}) must connect consecutive frames"),
         (natural & ((d_feat != 0) | (d_img != 0)), "natural edge ({s}, {d}) must cost 0"),
         (~(natural | synthetic), "edge ({s}, {d}) has unknown kind {kind!r}"),
         (synthetic & (np.abs(dst - src) < min_jump),
          "synthetic edge ({s}, {d}) jumps less than min_jump"),
+        (misplaced,
+         "edge ({s}, {d}) is out of order: the natural chain, then synthetic edges by (src, dst)"),
     )
     broken = np.logical_or.reduce([failed for failed, _ in rules])
     if broken.any():
@@ -193,9 +199,7 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
         raise ValidationError(
             message.format(s=int(src[j]), d=int(dst[j]), last=n - 1, kind=str(kind[j]))
         )
-    # Valid natural edges are distinct (m, m + 1) pairs inside the graph, so
-    # n - 1 of them are the whole chain.
-    if n >= 2 and np.count_nonzero(natural) != n - 1:
+    if src.size < n - 1:
         raise ValidationError("natural edges must form the full chain 0..N-1")
     return synthetic
 
@@ -334,16 +338,14 @@ def build_graph(
     keep = d_img <= thresholds.tau_img
     mm, nn, d_feat, d_img = mm[keep], nn[keep], d_feat[keep], d_img[keep]
 
-    # The natural chain, then both directions of every kept pair by (src, dst).
+    # The canonical order: the chain, then both directions of each kept pair by (src, dst).
     syn_src, syn_dst = np.concatenate([mm, nn]), np.concatenate([nn, mm])
     order = np.lexsort((syn_dst, syn_src))
-    chain = np.arange(n - 1)
+    chain, zeros = np.arange(n - 1), np.zeros(n - 1)
     src = np.concatenate([chain, syn_src[order]])
     dst = np.concatenate([chain + 1, syn_dst[order]])
-    zeros = np.zeros(n - 1)
     return VideoMotionGraph._from_columns(
-        np.fromiter((on for on, _ in features), bool),
-        np.array([kw for _, kw in features], dtype=str),
+        np.fromiter((on for on, _ in features), bool), [kw for _, kw in features],
         src, dst, np.repeat([False, True], [n - 1, syn_src.size]),
         np.concatenate([zeros, np.tile(d_feat, 2)[order]]),
         np.concatenate([zeros, np.tile(d_img, 2)[order]]),
@@ -407,8 +409,7 @@ def _read_graph(f, size: int) -> VideoMotionGraph:
         header = {"format", "fps", "min_jump", "velocity_weight", "thresholds", "keyword", "edges"}
         if unknown := doc.keys() - header:
             raise ValidationError(f"unknown fields {sorted(unknown)}")
-        t = doc["thresholds"]
-        thresholds = Thresholds(t["tau_feat"], t["tau_img"], t["offset_l"])
+        thresholds = Thresholds(**doc["thresholds"])
         keyword = doc["keyword"]
         if not (isinstance(keyword, list) and all(isinstance(word, str) for word in keyword)):
             raise ValidationError("keyword must be a list of strings")
@@ -424,9 +425,8 @@ def _read_graph(f, size: int) -> VideoMotionGraph:
             if column.dtype == bool and (column.view(np.uint8) > 1).any():
                 raise ValidationError(f"{name} bytes must be 0 or 1")
         onset, *edge_columns = columns
-        return VideoMotionGraph._from_columns(
-            onset, np.array(keyword, dtype=str), *edge_columns, thresholds,
-            doc["fps"], doc["min_jump"], doc["velocity_weight"])
+        return VideoMotionGraph._from_columns(onset, keyword, *edge_columns, thresholds,
+                                              doc["fps"], doc["min_jump"], doc["velocity_weight"])
 
     return read_document(line, "graph document", GRAPH_FORMAT, build)
 

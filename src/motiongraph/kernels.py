@@ -170,11 +170,11 @@ def pair_intersections(packed, pairs):
 class EdgeLayout:
     """Synthetic edges grouped by destination.
 
-    The synthetic in-edges of node v are ``src[indptr[v]:indptr[v + 1]]``
-    (ascending) with costs ``cost[indptr[v]:indptr[v + 1]]``;
+    The synthetic in-edges of node v are ``src[indptr[v]:indptr[v + 1]]``, ascending
+    as the graph's (src, dst) order leaves them, with costs ``cost[indptr[v]:indptr[v + 1]]``;
     ``group_dst``/``group_start`` list the nodes that have synthetic in-edges
     and where their groups begin. Natural edges are not stored: they are a
-    graph's full chain 0 -> 1 -> ... -> N-1 at cost 0.
+    graph's rows 0..N-2, the chain 0 -> 1 -> ... -> N-1 at cost 0.
     """
 
     indptr: np.ndarray
@@ -185,11 +185,11 @@ class EdgeLayout:
 
 
 def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
-    """Group the synthetic edges ``src -> dst`` of an ``n_nodes``-node graph
-    for ``walk_distances``."""
+    """Group the synthetic edges ``src -> dst`` of an ``n_nodes``-node graph, given
+    in (src, dst) order, by ``dst`` for ``walk_distances``."""
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     cost = np.asarray(cost, dtype=np.float64)
-    order = np.lexsort((src, dst))
+    order = np.argsort(dst, kind="stable")
     counts = np.bincount(dst, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -128,7 +128,7 @@ class _SearchState:
 
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
-        syn = graph.synthetic
+        syn = slice(n - 1, None)  # the synthetic edges: the rows after the natural chain
         self.layout = kernels.edge_layout(graph.src[syn], graph.dst[syn],
                                           graph.d_feat[syn] + graph.d_img[syn], n)
         self.states = kernels.BlendStates(config.blend_k)

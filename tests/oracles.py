@@ -146,18 +146,20 @@ def per_row_pair_distances(positions, velocities, mm, nn, velocity_weight=1.0):
 def first_graph_violation(nodes, edges, min_jump):
     """The message of the first graph invariant that ``nodes`` and ``edges``
     (GraphNode/GraphEdge records) break, or None: the edge-by-edge loop that
-    VideoMotionGraph's vectorized check must agree with."""
+    VideoMotionGraph's vectorized check must agree with. Edge j < N-1 must be
+    the natural edge (j, j+1); each later one a synthetic edge whose (src, dst)
+    comes after the one before it."""
     n = len(nodes)
-    seen = set()
-    natural = set()
-    for e in edges:
+    for j, e in enumerate(edges):
+        pair = (e.src, e.dst)
+        # The synthetic edge before this one, if there is one.
+        before = (edges[j - 1].src, edges[j - 1].dst) if j >= n else None
         if not (0 <= e.src < n and 0 <= e.dst < n):
             return f"edge ({e.src}, {e.dst}) has an endpoint outside frames 0..{n - 1}"
         if e.src == e.dst:
             return f"self-edge at frame {e.src}"
-        if (e.src, e.dst) in seen:
+        if pair == before:
             return f"duplicate edge ({e.src}, {e.dst})"
-        seen.add((e.src, e.dst))
         if not (np.isfinite(e.d_feat) and np.isfinite(e.d_img)):
             return f"edge ({e.src}, {e.dst}) has a non-finite distance"
         if e.kind == "natural":
@@ -165,12 +167,16 @@ def first_graph_violation(nodes, edges, min_jump):
                 return f"natural edge ({e.src}, {e.dst}) must connect consecutive frames"
             if e.d_feat != 0 or e.d_img != 0:
                 return f"natural edge ({e.src}, {e.dst}) must cost 0"
-            natural.add(e.src)
         elif e.kind != "synthetic":
             return f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}"
         elif abs(e.dst - e.src) < min_jump:
             return f"synthetic edge ({e.src}, {e.dst}) jumps less than min_jump"
-    if n >= 2 and natural != set(range(n - 1)):
+        in_order = ((e.kind, e.src) == ("natural", j) if j < n - 1
+                    else e.kind == "synthetic" and (before is None or pair > before))
+        if not in_order:
+            return (f"edge ({e.src}, {e.dst}) is out of order: the natural chain, then "
+                    "synthetic edges by (src, dst)")
+    if len(edges) < n - 1:
         return "natural edges must form the full chain 0..N-1"
     if any(node.frame_index != i for i, node in enumerate(nodes)):
         return "node frame indices must be 0..N-1 in order"

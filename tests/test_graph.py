@@ -209,6 +209,17 @@ class TestThresholds:
 
 
 class TestBuildGraph:
+    @pytest.mark.parametrize("word, message", [
+        pytest.param("hi\0", r"keyword 'hi\\x00' would be stored as 'hi'", id="ending-in-nul"),
+        pytest.param(None, "keyword None would be stored as 'None'", id="not-a-string"),
+    ])
+    def test_keyword_the_graph_cannot_hold_rejected(self, smooth_setup, word, message):
+        states, masks = smooth_setup
+        features = no_feature(len(states))
+        features[3] = (False, word)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_graph(states, masks, features, Thresholds(0.0, 0.0, 4))
+
     def test_zero_thresholds_only_natural_chain(self, smooth_setup):
         states, masks = smooth_setup
         g = build_graph(states, masks, no_feature(len(states)), Thresholds(0.0, 0.0, 4))
@@ -422,13 +433,17 @@ BAD_EDGES = [
 
 
 # Each replaces one field of node 1 or of the synthetic edge (0, 2) with a
-# value of another type, which is refused, never converted.
+# value of another type, or one its column would change, which is refused,
+# never converted.
 BAD_RECORD_FIELDS = [
     pytest.param("node", "frame_index", 1.0, "frame_index must be an integer, got 1.0",
                  id="fractional-frame-index"),
     pytest.param("node", "onset", 2, "onset must be a bool, got 2", id="integer-onset"),
     pytest.param("node", "onset", "no", "onset must be a bool, got 'no'", id="text-onset"),
     pytest.param("node", "keyword", 5, "keyword must be a string, got 5", id="integer-keyword"),
+    # A str column drops trailing NULs, so such a word is refused, not cut.
+    pytest.param("node", "keyword", "hi\0", "keyword 'hi\\x00' would be stored as 'hi'",
+                 id="keyword-ending-in-nul"),
     pytest.param("edge", "src", True, "src must be an integer, got True", id="boolean-src"),
     pytest.param("edge", "dst", 2.7, "dst must be an integer, got 2.7", id="fractional-dst"),
     pytest.param("edge", "dst", 2**70, "dst must be an integer within int64",
@@ -485,7 +500,7 @@ class TestGraphInvariants:
         # swapped frame index, or random extra edges.
         rng = np.random.default_rng(11)
         distances = [0.0, 0.25, 0.5, math.nan, math.inf]
-        raised = 0
+        raised = out_of_order = 0
         for _ in range(600):
             n = int(rng.integers(0, 7))
             min_jump = int(rng.integers(2, 4))
@@ -493,15 +508,20 @@ class TestGraphInvariants:
             if n > 1 and rng.random() < 0.1:
                 nodes[0], nodes[1] = GraphNode(1, False, ""), GraphNode(0, False, "")
             edges = [e for e in self._chain(n) if rng.random() > 0.05]
-            for _ in range(int(rng.integers(0, 6))):
-                edges.append(GraphEdge(
-                    int(rng.integers(-1, n + 1)), int(rng.integers(-1, n + 1)),
-                    str(rng.choice(["natural", "synthetic", "synthetic", "bogus"])),
-                    float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
-                    float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
-                ))
-            edges = [edges[i] for i in rng.permutation(len(edges))]
+            extra = [GraphEdge(
+                int(rng.integers(-1, n + 1)), int(rng.integers(-1, n + 1)),
+                str(rng.choice(["natural", "synthetic", "synthetic", "bogus"])),
+                float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
+                float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
+            ) for _ in range(int(rng.integers(0, 6)))]
+            # Half the lists in the canonical order, half shuffled.
+            if rng.random() < 0.5:
+                edges += sorted(extra, key=lambda e: (e.src, e.dst))
+            else:
+                edges += extra
+                edges = [edges[i] for i in rng.permutation(len(edges))]
             expected = first_graph_violation(nodes, edges, min_jump)
+            out_of_order += "out of order" in (expected or "")
             if expected is None:
                 VideoMotionGraph(nodes, edges, Thresholds(0, 0, 4), min_jump=min_jump)
                 continue
@@ -509,7 +529,12 @@ class TestGraphInvariants:
                 VideoMotionGraph(nodes, edges, Thresholds(0, 0, 4), min_jump=min_jump)
             assert str(err.value) == expected
             raised += 1
-        assert 300 < raised < 600
+        assert 300 < raised < 600 and out_of_order > 50
+
+    def test_keyword_with_a_nul_inside_is_kept(self):
+        nodes = [GraphNode(0, False, "h\0i"), GraphNode(1, False, "")]
+        graph = VideoMotionGraph(nodes, self._chain(2), Thresholds(0, 0, 4))
+        assert graph.keyword.tolist() == ["h\0i", ""]
 
     @pytest.mark.parametrize("record, field, value, message", BAD_RECORD_FIELDS)
     def test_record_field_of_another_type_rejected(self, record, field, value, message):
@@ -557,28 +582,25 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError, match=r"duplicate edge \(3, 1\)"):
             VideoMotionGraph(
                 self._nodes(4),
-                [GraphEdge(3, 1, "synthetic", 0.0, 0.0)] + self._chain(4)
-                + [GraphEdge(3, 1, "synthetic", 0.5, 0.5), bogus],
+                self._chain(4) + [GraphEdge(3, 1, "synthetic", 0.0, 0.0),
+                                  GraphEdge(3, 1, "synthetic", 0.5, 0.5), bogus],
                 Thresholds(0, 0, 4),
             )
 
-
-def shuffled_graph(rng, n, n_synthetic):
-    """A chain of ``n`` frames plus up to ``n_synthetic`` random synthetic
-    edges, some of them in both directions, all in a shuffled order."""
-    pairs = set()
-    for _ in range(n_synthetic):
-        a, b = (int(v) for v in rng.integers(0, n, size=2))
-        if abs(a - b) >= 2:
-            pairs.add((a, b))
-            if rng.random() < 0.5:
-                pairs.add((b, a))
-    edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    edges += [GraphEdge(a, b, "synthetic", *rng.uniform(0.0, 1.0, size=2).tolist())
-              for a, b in sorted(pairs)]
-    edges = [edges[i] for i in rng.permutation(len(edges))]
-    return VideoMotionGraph([GraphNode(i, False, "") for i in range(n)], edges,
-                            Thresholds(1.0, 1.0, 4))
+    @pytest.mark.parametrize("order, first", [
+        pytest.param([0, 1, 2, 4, 3], (0, 2), id="swapped-synthetic-rows"),
+        pytest.param([3, 0, 1, 2, 4], (0, 2), id="synthetic-before-the-chain"),
+        pytest.param([0, 1, 3, 2, 4], (0, 2), id="synthetic-inside-the-chain"),
+        pytest.param([1, 2, 0, 3, 4], (1, 2), id="chain-out-of-order"),
+        pytest.param([0, 1, 2, 3, 4, 0], (0, 1), id="natural-after-the-chain"),
+    ])
+    def test_record_list_out_of_order_is_refused(self, order, first):
+        # The chain of 4 frames, then the synthetic edges (0, 2) and (3, 1).
+        edges = self._chain(4) + [GraphEdge(0, 2, "synthetic", 0.5, 0.5),
+                                  GraphEdge(3, 1, "synthetic", 0.5, 0.5)]
+        with pytest.raises(ValidationError,
+                           match=rf"^edge \({first[0]}, {first[1]}\) is out of order: "):
+            VideoMotionGraph(self._nodes(4), [edges[i] for i in order], Thresholds(1, 1, 4))
 
 
 class TestEdgeRows:
@@ -590,12 +612,10 @@ class TestEdgeRows:
 
     def test_matches_the_edge_records_on_random_graphs(self):
         rng = np.random.default_rng(8)
-        unsorted = 0
         for _ in range(40):
             n = int(rng.integers(2, 40))
-            graph = shuffled_graph(rng, n, int(rng.integers(0, 3 * n)))
+            graph = random_graph(rng, n, min(int(rng.integers(0, 3 * n)), (n - 1) * (n - 2)))
             edges = graph.edges
-            unsorted += [(e.src, e.dst) for e in edges] != sorted((e.src, e.dst) for e in edges)
             # Every edge, its reverse, and random pairs, endpoints outside
             # the graph included.
             src = [e.src for e in edges] + [e.dst for e in edges]
@@ -604,10 +624,9 @@ class TestEdgeRows:
             got = self.check(graph, src + extra[0], dst + extra[1])
             assert got[: len(edges)].tolist() == list(range(len(edges)))
             assert (got[len(edges):] == -1).any()
-        assert unsorted > 30
 
     def test_graph_without_synthetic_edges(self):
-        graph = shuffled_graph(np.random.default_rng(1), 12, 0)
+        graph = random_graph(np.random.default_rng(1), 12, 0)
         assert not graph.synthetic.any()
         self.check(graph, list(range(12)) + [3, 5, 11], list(range(1, 13)) + [2, 7, 0])
         row = self.check(graph, [0], [1])[0]
@@ -619,18 +638,21 @@ class TestEdgeRows:
         assert graph.edge_rows([], []).shape == (0,)
 
     def test_node_ids_beyond_int64_are_absent(self):
-        graph = shuffled_graph(np.random.default_rng(2), 6, 4)
+        graph = random_graph(np.random.default_rng(2), 6, 4)
         got = graph.edge_rows([0, 2**70, 1], [1, 2, -(2**70)]).tolist()
         assert got == [edge_dict(graph)[0, 1], -1, -1]
 
-    def test_loaded_graph_in_unsorted_file_order(self):
-        graph = shuffled_graph(np.random.default_rng(5), 30, 60)
-        loaded = load_graph(save_graph(graph))
-        keys = loaded.src * len(loaded) + loaded.dst
-        assert (np.diff(keys) < 0).any()  # the file's edge order is not sorted
-        pairs = np.random.default_rng(6).integers(0, 30, size=(2, 300)).tolist()
-        self.check(loaded, [e.src for e in loaded.edges] + pairs[0],
-                   [e.dst for e in loaded.edges] + pairs[1])
+    def test_file_with_swapped_synthetic_rows_is_refused(self):
+        doc = decoded(save_graph(random_graph(np.random.default_rng(5), 30, 60)))
+        a, b = 29 + 10, 29 + 20  # two synthetic rows after the 29 natural ones
+        for name in ("src", "dst", "d_feat", "d_img"):
+            doc[name][a], doc[name][b] = doc[name][b], doc[name][a]
+        # Row a now holds the larger key, so the row after it is the first
+        # whose key does not rise.
+        first = doc["src"][a + 1], doc["dst"][a + 1]
+        with pytest.raises(GraphParseError,
+                           match=rf"edge \({first[0]}, {first[1]}\) is out of order: "):
+            load_graph(encoded(doc))
 
 
 #: The refusal of a graph file whose first HEADER_PIECE bytes hold neither a
@@ -801,6 +823,10 @@ class TestSerialization:
                          "keyword must be a list of strings", id="keywords-not-strings"),
             pytest.param(lambda doc: doc.update(keyword="hi"),
                          "keyword must be a list of strings", id="keywords-not-a-list"),
+            pytest.param(lambda doc: doc.update(keyword=["", "", "hi\0"]),
+                         r"keyword 'hi\\x00' would be stored as 'hi'$", id="keyword-ending-in-nul"),
+            pytest.param(lambda doc: doc["thresholds"].update(junk=1),
+                         "unexpected keyword argument 'junk'", id="unknown-threshold"),
         ],
     )
     def test_bad_column_text_is_parse_error(self, edit, reason):
@@ -925,6 +951,7 @@ class TestSerialization:
             edges.append(
                 GraphEdge(int(m), int(k), "synthetic", float(rng.random()), float(rng.random()))
             )
+        edges[n - 1:] = sorted(edges[n - 1:], key=lambda e: (e.src, e.dst))
         g = VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
         g2 = load_graph(save_graph(g))
         assert len(g2.edges) == len(g.edges)

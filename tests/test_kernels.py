@@ -217,19 +217,19 @@ COSTS = [0.25, 0.5, 0.125, 0.375]
 
 def random_walk_graph(rng, n):
     """Natural chain at cost 0 plus random synthetic edges, no self-edges or
-    duplicates."""
+    duplicates, in a graph's order: the chain, then the synthetic edges by
+    (src, dst)."""
     pairs = {(i, i + 1): 0.0 for i in range(n - 1)}
-    synthetic = []
     for _ in range(3 * n):
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a != b and (a, b) not in pairs:
             # few distinct costs, so equal-cost walks (and ties) are common
             pairs[a, b] = float(rng.choice(COSTS))
-            synthetic.append(True)
-    src = np.array([a for a, _ in pairs], dtype=np.int64)
-    dst = np.array([b for _, b in pairs], dtype=np.int64)
-    cost = np.array(list(pairs.values()))
-    return src, dst, cost, np.array([False] * (n - 1) + synthetic, dtype=bool)
+    edges = [*pairs.items()][: n - 1] + sorted([*pairs.items()][n - 1:])
+    src = np.array([a for (a, _), _ in edges], dtype=np.int64)
+    dst = np.array([b for (_, b), _ in edges], dtype=np.int64)
+    cost = np.array([c for _, c in edges])
+    return src, dst, cost, np.arange(len(edges)) >= n - 1
 
 
 def successors(state, synthetic, k):

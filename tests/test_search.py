@@ -30,11 +30,12 @@ from oracles import assemblable, enumerate_paths, in_duration_window, optimum
 
 
 def toy_graph(n, synthetic=(), onsets=(), keywords=None):
-    """Natural chain of n nodes plus synthetic edges (src, dst, d_feat, d_img)."""
+    """Natural chain of n nodes plus synthetic edges (src, dst, d_feat, d_img),
+    given in any order and stored in the graph's (src, dst) order."""
     keywords = keywords or {}
     nodes = [GraphNode(i, i in onsets, keywords.get(i, "")) for i in range(n)]
     edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    for src, dst, d_feat, d_img in synthetic:
+    for src, dst, d_feat, d_img in sorted(synthetic):
         edges.append(GraphEdge(src, dst, "synthetic", d_feat, d_img))
     return VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
 
