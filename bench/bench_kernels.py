@@ -7,8 +7,8 @@ and the graph build's exact d_feat filter, over the pairs its pre-gate
 passes at the calibrated threshold. The walk entries time a
 search-like load: the edge layout a search builds once, then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
-2000-node graph with the bundled fixture's edge density (distinct synthetic
-edges in (src, dst) order, as a graph stores them), accepting the
+2000-node graph with the bundled fixture's edge density (both synthetic edges
+of distinct random transitions, as a graph stores them), accepting the
 lengths a 41-frame segment's duration window accepts (37..45), and the
 traceback's replay of its 45 step tables. The gating entries time the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
@@ -17,14 +17,14 @@ print the traced peak memory (tracemalloc) of one gating call. The
 cold, as the first call in each of 5 fresh processes that first parse the
 pose track, then run FK, the rasterizer and the threshold calibration as
 `motiongraph run` does (median and max printed). The graph
-file entries save and load a 2000-node graph with the walk entries' edges,
-and print the file size (MiB) and the traced peak of one save plus one
-load; the file-writer entries time and trace one write of that graph to a
-file. A graph file is a JSON header line, then each column's raw bytes (33
-per edge). The 10k-node graph-file entries write a graph of 10,000 nodes
-and about 2.5M edges (random jumps, random distances) to a file and load
-it back, and print the file size (MiB) and the traced peak of one write
-and of one load. The
+file entries save and load the walk entries' 2000-node graph, and print
+the file size (MiB) and the traced peak of one save plus one load; the
+file-writer entries time and trace one write of that graph to a file. A
+graph file is a JSON header line, then each column's raw bytes (32 per
+transition, which is two edges). The 10k-node graph-file entries write a
+graph of 10,000 nodes and about 2.57M edges (random transitions, random
+distances) to a file and load it back, and print the file size (MiB) and
+the traced peak of one write and of one load. The
 FK entry computes the joint states of the fixture's 2000 reference
 frames. The onset entries run onset detection on 2000 frames of 48 kHz clicks. The
 search entries run one default search (20 starts, k=4) for a 300-frame
@@ -219,17 +219,22 @@ def run_benchmarks():
 
     # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
     # graph has 154k), 45 steps from 20 starts, as one search segment sees them.
-    # The synthetic edges are distinct pairs in (src, dst) order, as a graph
-    # stores them.
+    # The synthetic edges are both directions of distinct random transitions
+    # (m, n), n - m >= min_jump, with random distances, as a graph stores them.
     n = 2000
-    nat_src = np.arange(n - 1)
-    syn_src = rng.integers(0, n, size=150000)
-    syn_dst = rng.integers(0, n, size=150000)
-    keep = syn_dst != syn_src
-    pairs = np.unique(np.stack([syn_src[keep], syn_dst[keep]], axis=1), axis=0)
-    src = np.concatenate([nat_src, pairs[:, 0]])
-    dst = np.concatenate([nat_src + 1, pairs[:, 1]])
-    cost = rng.uniform(0.01, 0.5, size=len(pairs))
+    ends = np.sort(rng.integers(0, n, size=(75000, 2)), axis=1)
+    pairs = np.unique(ends[ends[:, 1] - ends[:, 0] >= graph.DEFAULT_MIN_JUMP], axis=0)
+    distances = rng.uniform(0.0, 0.1, size=(2, len(pairs)))
+
+    def pair_graph(onset):
+        return graph.VideoMotionGraph._from_columns(
+            onset, [""] * n, *graph._pair_rows(n, pairs[:, 0], pairs[:, 1], *distances),
+            graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,
+        )
+
+    motion_graph = pair_graph(np.zeros(n, dtype=bool))
+    src, dst = motion_graph.src, motion_graph.dst
+    cost = motion_graph.d_feat[n - 1:] + motion_graph.d_img[n - 1:]
     allowed = np.ones(n, dtype=bool)
     allowed[rng.integers(0, n, size=60)] = False
     # The layout holds the synthetic edges; the natural chain costs 0.
@@ -252,16 +257,7 @@ def run_benchmarks():
         _time(lambda: kernels.replay_walk(layout, seed, allowed, states, cuts)), "s"
     )
 
-    # Graph file: the same 2000 nodes and edges, less jumps shorter than
-    # min_jump, stored with random distances.
-    pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= graph.DEFAULT_MIN_JUMP]
-    edges = [graph.GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    edges += [
-        graph.GraphEdge(m, k, "synthetic", *rng.uniform(0.0, 0.1, size=2).tolist())
-        for m, k in pairs.tolist()
-    ]
-    nodes = [graph.GraphNode(i, False, "") for i in range(n)]
-    motion_graph = graph.VideoMotionGraph(nodes, edges, graph.Thresholds(0.1, 0.1, 4))
+    # Graph file: the same graph.
     blob = graph.save_graph(motion_graph)
     results["graph_save_2000f"] = (_time(lambda: graph.save_graph(motion_graph)), "s")
     results["graph_load_2000f"] = (_time(lambda: graph.load_graph(blob)), "s")
@@ -278,20 +274,16 @@ def run_benchmarks():
             _traced_peak_mb(lambda: graph.save_graph_file(motion_graph, path)), "MB"
         )
 
-    # Graph file at 10k nodes: the natural chain plus about 2.5M distinct
-    # random jumps of at least min_jump frames, built from columns.
+    # Graph file at 10k nodes: the natural chain plus about 1.3M distinct random
+    # transitions (m, n), n - m >= min_jump, each two edges, built from the pairs.
     big_n, big_rng = 10000, np.random.default_rng(10)
     keys = np.unique(big_rng.integers(0, big_n * big_n, size=2_600_000))
-    jump_src, jump_dst = keys // big_n, keys % big_n
-    keep = np.abs(jump_src - jump_dst) >= graph.DEFAULT_MIN_JUMP
-    jump_src, jump_dst = jump_src[keep], jump_dst[keep]
-    chain = np.arange(big_n - 1)
+    jump_m, jump_n = keys // big_n, keys % big_n
+    keep = jump_n - jump_m >= graph.DEFAULT_MIN_JUMP
     big_graph = graph.VideoMotionGraph._from_columns(
-        np.zeros(big_n, dtype=bool), np.full(big_n, "", dtype=str),
-        np.concatenate([chain, jump_src]), np.concatenate([chain + 1, jump_dst]),
-        np.repeat([False, True], [big_n - 1, jump_src.size]),
-        np.concatenate([np.zeros(big_n - 1), big_rng.uniform(0.0, 0.1, size=jump_src.size)]),
-        np.concatenate([np.zeros(big_n - 1), big_rng.uniform(0.0, 0.1, size=jump_src.size)]),
+        np.zeros(big_n, dtype=bool), [""] * big_n,
+        *graph._pair_rows(big_n, jump_m[keep], jump_n[keep],
+                          *big_rng.uniform(0.0, 0.1, size=(2, int(keep.sum())))),
         graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -324,11 +316,7 @@ def run_benchmarks():
     # Search: one 300-frame click target (its onsets as segment endpoints)
     # on the graph-file entries' edges, its nodes flagged at the reference
     # clicks, seed 0, default beam.
-    onset_set = set(onsets)
-    flagged = graph.VideoMotionGraph(
-        [graph.GraphNode(i, i in onset_set, "") for i in range(n)], edges,
-        graph.Thresholds(0.1, 0.1, 4),
-    )
+    flagged = pair_graph(np.isin(np.arange(n), onsets))
     target_clicks = fixtures.click_frames(300, fixtures.TARGET_GAPS, first=40)
     track = audio.analyze_audio(
         fixtures.click_signal(300, target_clicks, sample_rate=rate), rate, fps

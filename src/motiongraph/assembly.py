@@ -38,7 +38,8 @@ from .pose import (  # noqa: F401
     forward_kinematics,
     interpolate_pose,
 )
-from .search import DEFAULT_BLEND_K, PathCandidate, PlaybackEntry, resample_segment
+from .search import (DEFAULT_BLEND_K, PathCandidate, PlaybackEntry, _check_segment_count,
+                     resample_segment)
 # ``rasterize_silhouette`` stays importable from here: perfbench/tracing.py wraps it.
 from .silhouette import (  # noqa: F401
     CameraModel,
@@ -225,12 +226,14 @@ def assemble_edl(
     """Build the playback plan for one searched path.
 
     Raises StructuralError when ``poses`` has fewer frames than the graph has
-    nodes, AssemblyError when a run bordering a synthetic transition is too
-    short to host its blend window or the output budget cannot cover the transitions.
+    nodes or the path's segments are not one per target segment, AssemblyError
+    when a run bordering a synthetic transition is too short to host its blend
+    window or the output budget cannot cover the transitions.
     """
     k = integer("blend neighborhood k", k, 1)
     if len(poses) < len(graph):
         raise StructuralError(f"{len(poses)} pose frames for {len(graph)} graph nodes")
+    _check_segment_count(path, segments.durations)
     nodes = list(path.node_sequence)
     rows = graph.edge_rows(nodes[:-1], nodes[1:])
     if (rows < 0).any():

@@ -1,9 +1,9 @@
 """The video motion graph: reference frames as nodes, transitions as edges.
 
-Natural edges chain consecutive frames at zero cost. Synthetic edges connect
-disjoint frames whose pose distance (3D) and silhouette distance (image
-space) both fall below thresholds calibrated from the sequence itself: the
-mean distance between frames ``l`` apart.
+Natural edges chain consecutive frames at zero cost. Synthetic edges connect,
+both ways, disjoint frames whose pose distance (3D) and silhouette distance
+(image space) both fall below thresholds calibrated from the sequence itself:
+the mean distance between frames ``l`` apart.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .pose import JointState, pair_distances, pose_distance, state_rows
 DEFAULT_OFFSET_L = 4
 DEFAULT_MIN_JUMP = 2
 
-GRAPH_FORMAT = "motion-graph/4"
+GRAPH_FORMAT = "motion-graph/5"
 
 #: Rows of the pair matrix gated at a time. Each gating temporary holds at
 #: most GATE_BLOCK x N float64 values, so the build never holds an N x N one.
@@ -72,7 +72,8 @@ class VideoMotionGraph:
     no dictionary word is active). Edge j runs ``src[j] -> dst[j]`` and costs
     ``d_feat[j] + d_img[j]``. In the canonical order, rows 0..N-2 are the natural
     chain j -> j + 1 at distances 0, then the synthetic edges (``synthetic[j]``)
-    by rising (src, dst). The columns are read-only, checked in one vectorized pass.
+    by rising (src, dst), each beside its reverse at the same distances, bit for
+    bit: a transition is a symmetric pair. The columns are read-only.
     ``nodes`` and ``edges`` give the same graph as ``GraphNode``/``GraphEdge``
     tuples: ``nodes`` is built on first access and kept, ``edges`` is built on
     every read and kept by no one but the caller (184 B per edge).
@@ -88,6 +89,13 @@ class VideoMotionGraph:
                    thresholds, fps, min_jump, velocity_weight)
         if not np.array_equal(frame, np.arange(len(self))):
             raise ValidationError("node frame indices must be 0..N-1 in order")
+        syn = slice(len(self) - 1, None)
+        bits = np.stack([self.d_feat, self.d_img], axis=1).view(np.int64)
+        back = self.edge_rows(self.dst[syn], self.src[syn])
+        if (unpaired := (back < 0) | (bits[syn] != bits[back]).any(axis=1)).any():
+            s, d = self.src[syn][np.argmax(unpaired)], self.dst[syn][np.argmax(unpaired)]
+            raise ValidationError(f"synthetic edge ({s}, {d}) has no reverse ({d}, {s}) "
+                                  "with the same d_feat and d_img")
 
     @classmethod
     def _from_columns(cls, *columns) -> VideoMotionGraph:
@@ -144,9 +152,13 @@ _RECORD_FIELDS = {"frame_index": _INTEGER, "src": _INTEGER, "dst": _INTEGER, "d_
 
 
 def _record_column(records, name: str) -> np.ndarray:
-    """Field ``name`` of each record as a column, once one value of each type passes."""
+    """Field ``name`` of each record as a column, as ``_field_column`` checks it."""
+    return _field_column(name, [getattr(record, name) for record in records])
+
+
+def _field_column(name: str, values: list) -> np.ndarray:
+    """``values`` of record field ``name`` as a column, once one value of each type passes."""
     dtype, test, wanted = _RECORD_FIELDS[name]
-    values = [getattr(record, name) for record in records]
     if failed := {kind for kind, value in dict(zip(map(type, values), values)).items()
                   if not test(value)}:
         value = next(value for value in values if type(value) in failed)
@@ -202,6 +214,24 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
     if src.size < n - 1:
         raise ValidationError("natural edges must form the full chain 0..N-1")
     return synthetic
+
+
+def _pair_rows(size, m, n, d_feat, d_img) -> tuple[np.ndarray, ...]:
+    """The edge columns (src, dst, synthetic, d_feat, d_img) of a ``size``-node graph with the
+    transitions (m, n), given by strictly rising (m, n) with m < n or refused. Node s's rows
+    s -> m (by rising m) precede its rows s -> n (by rising n): one stable sort by src."""
+    keys = m * size + n
+    if (misplaced := (m >= n) | (np.diff(keys, prepend=keys[:1] - 1) <= 0)).any():
+        j = int(np.argmax(misplaced))
+        raise ValidationError(f"pair ({m[j]}, {n[j]}) is out of order: pairs rise strictly "
+                              "by (m, n), each with m < n")
+    src = np.concatenate([n, m])
+    order, chain = np.argsort(src, kind="stable"), np.arange(size - 1)
+    return (np.concatenate([chain, src[order]]),
+            np.concatenate([chain + 1, np.concatenate([m, n])[order]]),
+            np.arange(chain.size + src.size) >= chain.size,
+            *(np.concatenate([np.zeros(chain.size), np.take(d, order, mode="wrap")])
+              for d in (d_feat, d_img)))  # src[i] and src[i + P] are pair i's rows
 
 
 def _check_header(fps, min_jump, velocity_weight) -> tuple[float, int, float]:
@@ -314,12 +344,12 @@ def build_graph(
 ) -> VideoMotionGraph:
     """Assemble nodes and all natural + gated synthetic transitions.
 
-    A synthetic edge (m, n) exists iff |m - n| >= min_jump and both
-    d_feat(m, n) <= tau_feat and d_img(m, n) <= tau_img. Both directions are
-    created (the metrics are symmetric, playback is directed). Pairs are
-    pre-gated with a vectorized d_feat approximation, then re-checked with
-    the exact per-pair operations so the stored distances match them
-    bit-for-bit.
+    A transition (m, n), m < n, exists iff n - m >= min_jump and both
+    d_feat(m, n) <= tau_feat and d_img(m, n) <= tau_img; it is the pair of
+    synthetic edges m -> n and n -> m (the metrics are symmetric, playback is
+    directed). Pairs are pre-gated with a vectorized d_feat approximation, then
+    re-checked with the exact per-pair operations so the stored distances match
+    them bit-for-bit. An onset flag must be a bool, as in a ``GraphNode``.
     """
     n = len(joint_states)
     if n < 2:
@@ -328,6 +358,7 @@ def build_graph(
     if len(features) != n:
         raise StructuralError(f"{len(features)} feature records for {n} joint states")
     fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
+    onset = _field_column("onset", [on for on, _ in features])
 
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
     # Exact d_feat filter: pose_distance of every gated pair.
@@ -337,18 +368,8 @@ def build_graph(
     d_img = _image_distances(masks, np.stack([mm, nn], axis=1))
     keep = d_img <= thresholds.tau_img
     mm, nn, d_feat, d_img = mm[keep], nn[keep], d_feat[keep], d_img[keep]
-
-    # The canonical order: the chain, then both directions of each kept pair by (src, dst).
-    syn_src, syn_dst = np.concatenate([mm, nn]), np.concatenate([nn, mm])
-    order = np.lexsort((syn_dst, syn_src))
-    chain, zeros = np.arange(n - 1), np.zeros(n - 1)
-    src = np.concatenate([chain, syn_src[order]])
-    dst = np.concatenate([chain + 1, syn_dst[order]])
     return VideoMotionGraph._from_columns(
-        np.fromiter((on for on, _ in features), bool), [kw for _, kw in features],
-        src, dst, np.repeat([False, True], [n - 1, syn_src.size]),
-        np.concatenate([zeros, np.tile(d_feat, 2)[order]]),
-        np.concatenate([zeros, np.tile(d_img, 2)[order]]),
+        onset, [kw for _, kw in features], *_pair_rows(n, mm, nn, d_feat, d_img),
         thresholds, fps, min_jump, velocity_weight,
     )
 
@@ -360,29 +381,32 @@ def build_graph(
 
 
 #: The columns after a graph file's header line, in file order, as the bytes
-#: of these dtypes: ``onset`` holds one value per node (node i is frame i),
-#: the rest one per edge, 33 bytes in all. A flag is one byte, 0 or 1.
-FILE_COLUMNS = {"onset": np.dtype("?"), "src": np.dtype("<i8"), "dst": np.dtype("<i8"),
-                "synthetic": np.dtype("?"), "d_feat": np.dtype("<f8"), "d_img": np.dtype("<f8")}
+#: of these dtypes: ``onset`` holds one value per node (node i is frame i), a
+#: flag of one byte, 0 or 1; the rest one value per transition (m, n), 32 bytes in all.
+FILE_COLUMNS = {"onset": np.dtype("?"), "m": np.dtype("<i8"), "n": np.dtype("<i8"),
+                "d_feat": np.dtype("<f8"), "d_img": np.dtype("<f8")}
 
 
 def _graph_chunks(graph: VideoMotionGraph):
-    """The ``motion-graph/4`` file as chunks: the header line, then each
-    column's bytes."""
+    """The ``motion-graph/5`` file as chunks: the header line, then each
+    column's bytes. A transition is written once, as its edge m -> n with
+    m < n, and the rows of these edges rise by (m, n)."""
+    upper = graph.synthetic & (graph.src < graph.dst)
     header = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
               "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
-              "keyword": graph.keyword.tolist(), "edges": graph.src.size}
+              "keyword": graph.keyword.tolist(), "pairs": int(np.count_nonzero(upper))}
     yield json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    for name, dtype in FILE_COLUMNS.items():
-        yield np.ascontiguousarray(getattr(graph, name), dtype)
+    columns = graph.onset, graph.src, graph.dst, graph.d_feat, graph.d_img
+    for column, dtype in zip(columns, FILE_COLUMNS.values()):
+        yield np.ascontiguousarray(column if column is graph.onset else column[upper], dtype)
 
 
 def save_graph(graph: VideoMotionGraph) -> bytes:
     return b"".join(_graph_chunks(graph))
 
 
-#: Bytes of a graph file's first line read before its format is known: more than
-#: the ~60 bytes up to its format member, which sorted keys put after ``edges``.
+#: Bytes of a graph file's first line read before its format is known: far more
+#: than the 27 bytes up to the end of its format member, which sorted keys put first.
 HEADER_PIECE = 1 << 16
 
 
@@ -400,32 +424,33 @@ def _header_line(f) -> bytes:
 
 
 def _read_graph(f, size: int) -> VideoMotionGraph:
-    """The graph in the ``size``-byte ``motion-graph/4`` stream ``f``: its
+    """The graph in the ``size``-byte ``motion-graph/5`` stream ``f``: its
     header line, then each column read into a new array once the header's
-    node and edge counts account for every byte."""
+    node and pair counts account for every byte."""
     line = _header_line(f)
 
     def build(doc):
-        header = {"format", "fps", "min_jump", "velocity_weight", "thresholds", "keyword", "edges"}
+        header = {"format", "fps", "min_jump", "velocity_weight", "thresholds", "keyword", "pairs"}
         if unknown := doc.keys() - header:
             raise ValidationError(f"unknown fields {sorted(unknown)}")
         thresholds = Thresholds(**doc["thresholds"])
         keyword = doc["keyword"]
         if not (isinstance(keyword, list) and all(isinstance(word, str) for word in keyword)):
             raise ValidationError("keyword must be a list of strings")
-        n, edges, body = len(keyword), integer("edges", doc["edges"], 0), size - len(line)
-        if not line.endswith(b"\n") or body != n + 33 * edges:
-            raise StructuralError(f"{n} nodes and {edges} edges need a newline-ended header "
-                                  f"line and {n + 33 * edges} column bytes, got {body} after it")
-        columns = [np.empty(n if name == "onset" else edges, dtype)
+        n, pairs, body = len(keyword), integer("pairs", doc["pairs"], 0), size - len(line)
+        if not line.endswith(b"\n") or body != n + 32 * pairs:
+            raise StructuralError(f"{n} nodes and {pairs} pairs need a newline-ended header "
+                                  f"line and {n + 32 * pairs} column bytes, got {body} after it")
+        columns = [np.empty(n if name == "onset" else pairs, dtype)
                    for name, dtype in FILE_COLUMNS.items()]
         for name, column in zip(FILE_COLUMNS, columns):
             if f.readinto(column) != column.nbytes:
                 raise StructuralError("the graph file ended while it was read")
             if column.dtype == bool and (column.view(np.uint8) > 1).any():
                 raise ValidationError(f"{name} bytes must be 0 or 1")
-        onset, *edge_columns = columns
-        return VideoMotionGraph._from_columns(onset, keyword, *edge_columns, thresholds,
+        rows = _pair_rows(n, *columns[1:])
+        del columns[1:]  # the pairs, read: free them before the rows are checked
+        return VideoMotionGraph._from_columns(columns[0], keyword, *rows, thresholds,
                                               doc["fps"], doc["min_jump"], doc["velocity_weight"])
 
     return read_document(line, "graph document", GRAPH_FORMAT, build)

@@ -170,11 +170,10 @@ def pair_intersections(packed, pairs):
 class EdgeLayout:
     """Synthetic edges grouped by destination.
 
-    The synthetic in-edges of node v are ``src[indptr[v]:indptr[v + 1]]``, ascending
-    as the graph's (src, dst) order leaves them, with costs ``cost[indptr[v]:indptr[v + 1]]``;
-    ``group_dst``/``group_start`` list the nodes that have synthetic in-edges
-    and where their groups begin. Natural edges are not stored: they are a
-    graph's rows 0..N-2, the chain 0 -> 1 -> ... -> N-1 at cost 0.
+    The synthetic in-edges of node v come from ``src[indptr[v]:indptr[v + 1]]``, ascending,
+    with costs ``cost[indptr[v]:indptr[v + 1]]``; ``group_dst``/``group_start`` list the
+    nodes that have synthetic in-edges and where their groups begin. Natural edges are not
+    stored: they are a graph's rows 0..N-2, the chain 0 -> 1 -> ... -> N-1 at cost 0.
     """
 
     indptr: np.ndarray
@@ -185,16 +184,15 @@ class EdgeLayout:
 
 
 def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
-    """Group the synthetic edges ``src -> dst`` of an ``n_nodes``-node graph, given
-    in (src, dst) order, by ``dst`` for ``walk_distances``."""
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    cost = np.asarray(cost, dtype=np.float64)
-    order = np.argsort(dst, kind="stable")
-    counts = np.bincount(dst, minlength=n_nodes)
+    """Group the synthetic edges ``src -> dst`` of an ``n_nodes``-node graph, given in (src,
+    dst) order and in symmetric pairs at equal costs, by destination for ``walk_distances``:
+    the in-edges of v come from the ``dst`` of v's own rows, contiguous and ascending."""
+    counts = np.bincount(np.asarray(src, dtype=np.int64), minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     group_dst = np.flatnonzero(counts)
-    return EdgeLayout(indptr, src[order], cost[order], group_dst, indptr[group_dst])
+    return EdgeLayout(indptr, np.asarray(dst, dtype=np.int64),
+                      np.asarray(cost, dtype=np.float64), group_dst, indptr[group_dst])
 
 
 class BlendStates:

@@ -294,7 +294,7 @@ def _trace_back(state: _SearchState, tables, durations, config: BeamConfig):
     and consumes ``tables`` and ``state.cuts`` as it goes."""
     final = np.where(state.states.final[:, None], tables[-1], np.inf)
     ends = final.min(axis=0)
-    order = np.lexsort((np.arange(ends.size), ends))[: config.beam_width]
+    order = np.argsort(ends, kind="stable")[: config.beam_width]
     heads = [(int(np.argmin(final[:, v])), int(v)) for v in order if np.isfinite(ends[v])]
     if not heads:
         raise SegmentUnreachableError(
@@ -340,17 +340,20 @@ def beam_search(
     return SearchResult(paths=tuple(paths), seed=seed, config=config)
 
 
+def _check_segment_count(candidate: PathCandidate, target_durations) -> None:
+    """Refuse a path whose segments are not one per target duration."""
+    if len(candidate.durations) != len(target_durations):
+        raise StructuralError(
+            f"{len(candidate.durations)} matched segments vs {len(target_durations)} targets")
+
+
 def recompute_costs(
     graph: VideoMotionGraph, candidate: PathCandidate, target_durations
 ) -> tuple[float, float]:
     """Re-derive (transition_cost, duration_cost) from the graph through the
     search's own ``_path_costs``, so they equal the reported costs bit for bit."""
-    bounds = candidate.segment_boundaries
-    if len(bounds) != len(target_durations) + 1:
-        raise StructuralError(
-            f"{len(bounds) - 1} matched segments vs {len(target_durations)} targets"
-        )
-    nodes = candidate.node_sequence
+    _check_segment_count(candidate, target_durations)
+    bounds, nodes = candidate.segment_boundaries, candidate.node_sequence
     rows = graph.edge_rows(nodes[:-1], nodes[1:])
     if (rows < 0).any():
         i = int(np.argmax(rows < 0))

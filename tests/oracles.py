@@ -31,7 +31,8 @@ def _matches(node, feature):
 
 
 def enumerate_paths(graph, segments, config, starts):
-    """All feasible complete paths as (node_seq, t_cost, d_cost) triples."""
+    """All feasible complete paths as (node_seq, t_cost, d_cost, boundaries)
+    tuples, ``boundaries`` the indices into node_seq where segments meet."""
     adj = defaultdict(list)
     for e in graph.edges:
         adj[e.src].append((e.dst, e.d_feat + e.d_img))
@@ -43,13 +44,13 @@ def enumerate_paths(graph, segments, config, starts):
         for node in graph.nodes
     ]
 
-    candidates = [((s,), 0.0, 0.0) for s in starts]
+    candidates = [((s,), 0.0, 0.0, (0,)) for s in starts]
     for s in range(segments.segment_count):
         target = segments.durations[s]
         feature = segments.features[s + 1]
         lo, hi = duration_bounds(target, low, high)
         extended = []
-        for seq, t_cost, d_cost in candidates:
+        for seq, t_cost, d_cost, bounds in candidates:
             stack = [(seq[-1], 0, [], 0.0)]
             while stack:
                 node, steps, walk, cost = stack.pop()
@@ -63,6 +64,7 @@ def enumerate_paths(graph, segments, config, starts):
                             seq + tuple(walk),
                             t_cost + cost,
                             d_cost + abs(1.0 - steps / target),
+                            bounds + (len(seq) - 1 + steps,),
                         )
                     )
                 if steps == hi:
@@ -78,13 +80,13 @@ def enumerate_paths(graph, segments, config, starts):
 
 
 def optimum(paths, duration_weight=1.0):
-    return min(t + duration_weight * d for _, t, d in paths)
+    return min(t + duration_weight * d for _, t, d, _ in paths)
 
 
 def assemblable(paths, graph, segments, k):
-    """The paths ``assemble_edl`` accepts with blend size ``k``: (node_seq,
-    t_cost, d_cost) triples as ``enumerate_paths`` gives them, or
-    ``PathCandidate``s. Blends run over placeholder poses."""
+    """The paths ``assemble_edl`` accepts with blend size ``k``: tuples as
+    ``enumerate_paths`` gives them, or ``PathCandidate``s. Blends run over
+    placeholder poses."""
     from motiongraph.assembly import assemble_edl
     from motiongraph.errors import AssemblyError
     from motiongraph.pose import PoseFrame
@@ -94,7 +96,7 @@ def assemblable(paths, graph, segments, k):
     kept = []
     for path in paths:
         candidate = path if isinstance(path, PathCandidate) else PathCandidate(
-            path[0], 0.0, 0.0, (0, len(path[0]) - 1))
+            path[0], 0.0, 0.0, path[3])
         try:
             assemble_edl(candidate, graph, segments, poses, k=k)
         except AssemblyError:
@@ -148,7 +150,8 @@ def first_graph_violation(nodes, edges, min_jump):
     (GraphNode/GraphEdge records) break, or None: the edge-by-edge loop that
     VideoMotionGraph's vectorized check must agree with. Edge j < N-1 must be
     the natural edge (j, j+1); each later one a synthetic edge whose (src, dst)
-    comes after the one before it."""
+    comes after the one before it; and each synthetic edge's reverse an edge at
+    the same distances."""
     n = len(nodes)
     for j, e in enumerate(edges):
         pair = (e.src, e.dst)
@@ -180,6 +183,13 @@ def first_graph_violation(nodes, edges, min_jump):
         return "natural edges must form the full chain 0..N-1"
     if any(node.frame_index != i for i, node in enumerate(nodes)):
         return "node frame indices must be 0..N-1 in order"
+    # Each synthetic edge's reverse holds the same distances, bit for bit.
+    bits = {(e.src, e.dst): np.array([e.d_feat, e.d_img]).tobytes()
+            for e in edges if e.kind == "synthetic"}
+    for (s, d), value in bits.items():
+        if bits.get((d, s)) != value:
+            return (f"synthetic edge ({s}, {d}) has no reverse ({d}, {s}) "
+                    "with the same d_feat and d_img")
     return None
 
 
@@ -231,6 +241,24 @@ def meshgrid_rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
         rho = focal * radius[b] * ((1.0 - t) * iz0[b] + t * iz1[b])
         out[y_lo : y_hi + 1, x_lo : x_hi + 1] |= (px - sx) ** 2 + (py - sy) ** 2 <= rho * rho
     return out
+
+
+def dst_sorted_edge_layout(src, dst, cost, n_nodes):
+    """The synthetic edges ``src -> dst``, given in (src, dst) order, grouped by
+    ``dst`` with one stable argsort, so each group's sources stay ascending, and
+    their sources and costs gathered in that order: the layout of any directed
+    edge list. ``kernels.edge_layout`` reads the same groups off a graph's own
+    rows, which holds only for symmetric pairs."""
+    from motiongraph.kernels import EdgeLayout
+
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    order = np.argsort(dst, kind="stable")
+    counts = np.bincount(dst, minlength=n_nodes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    group_dst = np.flatnonzero(counts)
+    return EdgeLayout(indptr, src[order], np.asarray(cost, dtype=np.float64)[order], group_dst,
+                      indptr[group_dst])
 
 
 def edge_dict(graph):

@@ -183,6 +183,16 @@ class TestAssembleEdl:
             assemble_edl(path, toy_graph(60), self._segments(31), wavy_poses[:59], k=4)
         assert assemble_edl(path, toy_graph(60), self._segments(31), wavy_poses[:60], k=4)
 
+    def test_path_with_another_segment_count_rejected(self, wavy_poses):
+        # A 7-segment walk against a 1-segment target is refused before anything
+        # is built, as recompute_costs refuses it; as one segment it plays.
+        path = PathCandidate(tuple(range(201)), 0.0, 0.0, (0, 30, 60, 90, 120, 150, 180, 200))
+        with pytest.raises(StructuralError, match="^7 matched segments vs 1 targets$"):
+            assemble_edl(path, toy_graph(300), self._segments(241), wavy_poses, k=4)
+        whole = PathCandidate(path.node_sequence, 0.0, 0.0, (0, 200))
+        edl = assemble_edl(whole, toy_graph(300), self._segments(241), wavy_poses, k=4)
+        assert edl.total_frames == 240
+
     def test_synthetic_anchor_edge_is_hard_cut(self, wavy_poses):
         graph = toy_graph(300, synthetic=[(10, 150, 0.1, 0.1)])
         nodes = (10,) + tuple(range(150, 180))

@@ -10,7 +10,8 @@ import pytest
 import motiongraph
 from motiongraph import cli
 from motiongraph.assembly import TransitionEntry, assemble_edl, load_edl
-from motiongraph.audio import load_features, load_segments
+from motiongraph.audio import (EndpointFeature, SegmentList, load_features, load_segments,
+                               save_segments)
 from motiongraph.errors import GraphParseError
 from motiongraph.fixtures import make_fixture
 from motiongraph.graph import load_graph_file
@@ -33,7 +34,7 @@ MASK_DUMP_SHA256 = "6e182d1f2b5228a5e5ce64ab6a8daf4d214d62dd080afb35f96a466bcb5c
 PREVIEW_SHA256 = "0cb7424e5bbe339ed88f95f24dcd4828bcf28b45a65a4ca85d9ce9127ae1d848"
 #: sha256 of the pipeline's ``edl.json``: entries, speed factors, blend poses
 #: and the graph file's hash.
-EDL_SHA256 = "277ace5aab29fdb2b69e23836f184da0a0d9de14480d29d61aeddf4af7fd9828"
+EDL_SHA256 = "9b0d5aedf89cd5aa62be76444c95e14cb638bb0c053f63a5385a011f5f090737"
 #: sha256 of the same EDL document without ``provenance.graph_sha256``,
 #: re-encoded with sorted keys: everything but the graph file's hash. It was
 #: recorded from the ``motion-graph/2`` writer's run, so the same digest shows
@@ -86,6 +87,14 @@ class TestRunPipeline:
         assert graph.thresholds.offset_l == 4
         assert any(e.kind == "synthetic" for e in graph.edges)
         assert any(node.keyword == "hello" for node in graph.nodes)
+
+    def test_graph_file_is_the_header_line_and_32_bytes_per_pair(self, pipeline):
+        # Each transition is stored once: N onset bytes, then 32 bytes per pair.
+        blob = (pipeline / "graph.json").read_bytes()
+        line = blob[: blob.index(b"\n") + 1]
+        header = json.loads(line)
+        assert len(blob) == len(line) + REF_FRAMES + 32 * header["pairs"]
+        assert 2 * header["pairs"] == int(load_graph_file(pipeline / "graph.json").synthetic.sum())
 
     def test_path_matches_segments(self, pipeline):
         result = load_search_result(pipeline / "path.json")
@@ -599,6 +608,25 @@ class TestUsageErrors:
                                   f"but the graph has {REF_FRAMES} frames at 30 fps")
         assert not (tmp_path / "edl.json").exists()
 
+    def test_target_with_another_segment_count_is_stage_failure(self, tmp_path, pipeline,
+                                                                fixture_files):
+        # The run's paths have one segment per target segment; one segment of
+        # the same length is refused before anything is assembled.
+        segments = load_segments(pipeline / "target_segments.json")
+        paths = len(load_search_result(pipeline / "path.json").best.durations)
+        assert segments.segment_count == paths > 1
+        one = tmp_path / "one_segment.json"
+        end = EndpointFeature("end")
+        save_segments(one, SegmentList(segments.n_frames, (1, segments.n_frames), (end, end)))
+        with pytest.raises(SystemExit) as err:
+            cli.main(
+                ["assemble", "--graph", str(pipeline / "graph.json"),
+                 "--poses", str(fixture_files["poses"]), "--segments", str(one),
+                 "--path", str(pipeline / "path.json"), "--out", str(tmp_path / "edl.json")]
+            )
+        assert err.value.code == f"error in assemble: {paths} matched segments vs 1 targets"
+        assert sorted(tmp_path.iterdir()) == [one]
+
     @pytest.mark.parametrize(
         "edit, found",
         [
@@ -904,7 +932,7 @@ MALFORMED = {
                  "fractional-endpoint": _edited(_fractional_endpoint),
                  "unknown-kind": _edited(lambda doc: doc["features"][0].update(kind="bogus"))},
     "graph": {"broken-json": lambda data: data[: data.index(b"\n") // 2],
-              "missing-field": _graph_edited(lambda doc: doc.pop("edges")),
+              "missing-field": _graph_edited(lambda doc: doc.pop("pairs")),
               "wrong-format": _graph_edited(lambda doc: doc.update(format="motion-graph/9")),
               "format-1": _graph_edited(lambda doc: doc.update(format="motion-graph/1")),
               "format-2": _graph_edited(lambda doc: doc.update(format="motion-graph/2")),
@@ -915,7 +943,7 @@ MALFORMED = {
               "keywords-not-strings": _graph_edited(_keywords_not_strings),
               "truncated-column": _truncated,
               "trailing-byte": lambda data: data + b"\0",
-              "flag-byte-2": _graph_edited(lambda doc: doc["synthetic"].__setitem__(-1, 2))},
+              "flag-byte-2": _graph_edited(lambda doc: doc["onset"].__setitem__(-1, 2))},
     "search-result": {"broken-json": _truncated, "missing-field": _drop("paths"),
                       "wrong-format": _set("format", "search-result/9"),
                       "format-1": _set("format", "search-result/1"),
@@ -991,11 +1019,14 @@ class TestMalformedInputs:
     def test_motion_graph_2_file_names_both_formats(self, tmp_path, capsys, input_files,
                                                     command):
         # The pipeline's graph in the motion-graph/2 layout: one JSON document,
-        # each column a JSON array, flags as booleans.
+        # each column of every edge a JSON array, flags as booleans.
         doc = decoded(input_files["graph"].read_bytes())
-        del doc["edges"]
-        doc.update(format="motion-graph/2", onset=list(map(bool, doc["onset"])),
-                   synthetic=list(map(bool, doc["synthetic"])))
+        graph = load_graph_file(input_files["graph"])
+        for name in ("pairs", "m", "n"):
+            del doc[name]
+        doc.update(format="motion-graph/2", onset=graph.onset.tolist(), src=graph.src.tolist(),
+                   dst=graph.dst.tolist(), synthetic=graph.synthetic.tolist(),
+                   d_feat=graph.d_feat.tolist(), d_img=graph.d_img.tolist())
         old = tmp_path / "graph_2.json"
         old.write_text(json.dumps(doc, sort_keys=True))
         files = {name: str(input_files[name]) for name in ("segments", "poses", "path")}
@@ -1006,7 +1037,7 @@ class TestMalformedInputs:
                              "--out", str(tmp_path / "e.json")]}[command]
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
-        assert err.value.code == (f"error in {command}: graph document has no motion-graph/4 "
+        assert err.value.code == (f"error in {command}: graph document has no motion-graph/5 "
                                   "header line in its first 65536 bytes; older layouts were one "
                                   "JSON document with no newline")
         assert list(tmp_path.iterdir()) == [old]

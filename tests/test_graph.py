@@ -220,6 +220,18 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build_graph(states, masks, features, Thresholds(0.0, 0.0, 4))
 
+    @pytest.mark.parametrize("onset", ["no", 2, None, np.float64(0.5), 0])
+    def test_onset_flag_that_is_not_a_bool_rejected(self, smooth_setup, onset):
+        # The record constructor's rule: a flag is refused, never converted.
+        states, masks = smooth_setup
+        features = no_feature(len(states))
+        features[3] = (onset, "")
+        message = f"^onset must be a bool, got {re.escape(repr(onset))}$"
+        with pytest.raises(ValidationError, match=message):
+            build_graph(states, masks, features, Thresholds(0.0, 0.0, 4))
+        features[3] = (np.True_, "")
+        assert build_graph(states, masks, features, Thresholds(0.0, 0.0, 4)).onset[3]
+
     def test_zero_thresholds_only_natural_chain(self, smooth_setup):
         states, masks = smooth_setup
         g = build_graph(states, masks, no_feature(len(states)), Thresholds(0.0, 0.0, 4))
@@ -514,6 +526,8 @@ class TestGraphInvariants:
                 float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
                 float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
             ) for _ in range(int(rng.integers(0, 6)))]
+            if rng.random() < 0.5:  # each extra edge beside its reverse, as a graph holds it
+                extra += [dataclasses.replace(e, src=e.dst, dst=e.src) for e in extra]
             # Half the lists in the canonical order, half shuffled.
             if rng.random() < 0.5:
                 edges += sorted(extra, key=lambda e: (e.src, e.dst))
@@ -530,6 +544,28 @@ class TestGraphInvariants:
             assert str(err.value) == expected
             raised += 1
         assert 300 < raised < 600 and out_of_order > 50
+
+    def test_symmetry_messages_match_the_edge_loop(self):
+        # Random symmetric graphs with one synthetic edge dropped or one of
+        # its distances changed, by as little as one ulp.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(3, 12))
+            graph = random_graph(rng, n, int(rng.integers(1, (n - 1) * (n - 2) // 2 + 1)))
+            edges = list(graph.edges)
+            j = int(rng.integers(n - 1, len(edges)))
+            edit = int(rng.integers(0, 3))
+            if edit == 0:
+                del edges[j]
+            elif edit == 1:
+                edges[j] = dataclasses.replace(edges[j], d_feat=-edges[j].d_feat)
+            else:
+                d_img = float(np.nextafter(edges[j].d_img, 1))
+                edges[j] = dataclasses.replace(edges[j], d_img=d_img)
+            expected = first_graph_violation(self._nodes(n), edges, 2)
+            assert "has no reverse" in expected
+            with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+                VideoMotionGraph(self._nodes(n), edges, Thresholds(0, 0, 4))
 
     def test_keyword_with_a_nul_inside_is_kept(self):
         nodes = [GraphNode(0, False, "h\0i"), GraphNode(1, False, "")]
@@ -550,10 +586,11 @@ class TestGraphInvariants:
     def test_numpy_record_values_are_stored_as_given(self):
         nodes = [GraphNode(np.int64(i), np.bool_(i == 1), np.str_("hi")) for i in range(4)]
         edges = self._chain(4) + [GraphEdge(np.int32(0), np.uint8(2), np.str_("synthetic"),
-                                            np.float32(0.5), np.int64(1))]
+                                            np.float32(0.5), np.int64(1)),
+                                  GraphEdge(2, 0, "synthetic", 0.5, 1.0)]
         graph = VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
         assert graph.nodes == tuple(GraphNode(i, i == 1, "hi") for i in range(4))
-        assert graph.edges[-1] == GraphEdge(0, 2, "synthetic", 0.5, 1.0)
+        assert graph.edges[-2] == GraphEdge(0, 2, "synthetic", 0.5, 1.0)
 
     @pytest.mark.parametrize("header, reason", BAD_HEADERS)
     def test_bad_header_rejected(self, header, reason):
@@ -603,6 +640,26 @@ class TestGraphInvariants:
             VideoMotionGraph(self._nodes(4), [edges[i] for i in order], Thresholds(1, 1, 4))
 
 
+    @pytest.mark.parametrize("reverse, first", [
+        pytest.param(None, (0, 2), id="no-reverse"),
+        pytest.param((2, 0, 0.5, 0.25), (0, 2), id="other-d-img"),
+        pytest.param((2, 0, 0.25, 0.5), (0, 2), id="other-d-feat"),
+        pytest.param((2, 0, -0.0, 0.5), (0, 2), id="negative-zero"),
+        pytest.param((3, 1, 0.0, 0.5), (0, 2), id="another-edge"),
+    ])
+    def test_asymmetric_record_list_is_refused(self, reverse, first):
+        # A transition is stored once in a file, so its two edges must agree bit for bit.
+        edges = self._chain(4) + [GraphEdge(0, 2, "synthetic", 0.0, 0.5)]
+        if reverse is not None:
+            edges.append(GraphEdge(reverse[0], reverse[1], "synthetic", *reverse[2:]))
+        s, d = first
+        with pytest.raises(ValidationError, match=rf"^synthetic edge \({s}, {d}\) has no reverse "
+                           rf"\({d}, {s}\) with the same d_feat and d_img$"):
+            VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4))
+        edges[3:] = [GraphEdge(0, 2, "synthetic", 0.0, 0.5), GraphEdge(2, 0, "synthetic", 0.0, 0.5)]
+        assert VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4)).synthetic.sum() == 2
+
+
 class TestEdgeRows:
     def check(self, graph, src, dst):
         index = edge_dict(graph)
@@ -614,7 +671,8 @@ class TestEdgeRows:
         rng = np.random.default_rng(8)
         for _ in range(40):
             n = int(rng.integers(2, 40))
-            graph = random_graph(rng, n, min(int(rng.integers(0, 3 * n)), (n - 1) * (n - 2)))
+            n_pairs = min(int(rng.integers(0, 3 * n // 2)), (n - 1) * (n - 2) // 2)
+            graph = random_graph(rng, n, n_pairs)
             edges = graph.edges
             # Every edge, its reverse, and random pairs, endpoints outside
             # the graph included.
@@ -638,36 +696,51 @@ class TestEdgeRows:
         assert graph.edge_rows([], []).shape == (0,)
 
     def test_node_ids_beyond_int64_are_absent(self):
-        graph = random_graph(np.random.default_rng(2), 6, 4)
+        graph = random_graph(np.random.default_rng(2), 6, 2)
         got = graph.edge_rows([0, 2**70, 1], [1, 2, -(2**70)]).tolist()
         assert got == [edge_dict(graph)[0, 1], -1, -1]
 
     def test_file_with_swapped_synthetic_rows_is_refused(self):
-        doc = decoded(save_graph(random_graph(np.random.default_rng(5), 30, 60)))
-        a, b = 29 + 10, 29 + 20  # two synthetic rows after the 29 natural ones
-        for name in ("src", "dst", "d_feat", "d_img"):
+        doc = decoded(save_graph(random_graph(np.random.default_rng(5), 30, 30)))
+        a, b = 10, 20  # two of the file's pairs
+        for name in ("m", "n", "d_feat", "d_img"):
             doc[name][a], doc[name][b] = doc[name][b], doc[name][a]
-        # Row a now holds the larger key, so the row after it is the first
+        # Pair a now holds the larger key, so the pair after it is the first
         # whose key does not rise.
-        first = doc["src"][a + 1], doc["dst"][a + 1]
+        first = doc["m"][a + 1], doc["n"][a + 1]
+        with pytest.raises(GraphParseError, match=rf"pair \({first[0]}, {first[1]}\) is out of "
+                           r"order: pairs rise strictly by \(m, n\), each with m < n$"):
+            load_graph(encoded(doc))
+
+    @pytest.mark.parametrize("pair", [(2, 0), (1, 1)])
+    def test_file_pair_with_m_not_below_n_is_refused(self, pair):
+        # A lone pair (2, 0) would expand into rows in the canonical order:
+        # the pair rule refuses it, never swaps it.
+        doc = decoded(save_graph(random_graph(np.random.default_rng(6), 5, 0)))
+        doc.update(pairs=1, m=[pair[0]], n=[pair[1]], d_feat=[0.5], d_img=[0.5])
         with pytest.raises(GraphParseError,
-                           match=rf"edge \({first[0]}, {first[1]}\) is out of order: "):
+                           match=rf"pair \({pair[0]}, {pair[1]}\) is out of order"):
             load_graph(encoded(doc))
 
 
 #: The refusal of a graph file whose first HEADER_PIECE bytes hold neither a
-#: newline nor the motion-graph/4 format member.
-NO_HEADER_LINE = (r"^graph document has no motion-graph/4 header line in its first \d+ bytes; "
+#: newline nor the motion-graph/5 format member.
+NO_HEADER_LINE = (r"^graph document has no motion-graph/5 header line in its first \d+ bytes; "
                   "older layouts were one JSON document with no newline$")
 
 
 class TestSerialization:
     def _toy_graph(self):
-        nodes = [GraphNode(0, True, ""), GraphNode(1, False, ""), GraphNode(2, False, "hi")]
+        nodes = [GraphNode(0, True, ""), GraphNode(1, False, ""), GraphNode(2, False, "hi"),
+                 GraphNode(3, False, "")]
         edges = [
             GraphEdge(0, 1, "natural", 0.0, 0.0),
             GraphEdge(1, 2, "natural", 0.0, 0.0),
+            GraphEdge(2, 3, "natural", 0.0, 0.0),
             GraphEdge(0, 2, "synthetic", 0.123456789012345678, 0.5),
+            GraphEdge(1, 3, "synthetic", 0.25, 0.75),
+            GraphEdge(2, 0, "synthetic", 0.123456789012345678, 0.5),
+            GraphEdge(3, 1, "synthetic", 0.25, 0.75),
         ]
         return VideoMotionGraph(nodes, edges, Thresholds(0.2, 0.6, 4), fps=25.0)
 
@@ -698,7 +771,7 @@ class TestSerialization:
                       {"frame": 1, "onset": False, "keyword": ""}],
             "edges": [{"src": 0, "dst": 1, "kind": "natural", "d_feat": 0.0, "d_img": 0.0}],
         }
-        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/4'"):
+        with pytest.raises(GraphParseError, match="'motion-graph/1', expected 'motion-graph/5'"):
             load_graph(json.dumps(format_1).encode())
 
     def test_format_2_document_names_both_formats(self):
@@ -709,14 +782,30 @@ class TestSerialization:
             "onset": [True, False], "keyword": ["", ""], "src": [0], "dst": [1],
             "synthetic": [False], "d_feat": [0.0], "d_img": [0.0],
         }
-        with pytest.raises(GraphParseError, match="'motion-graph/2', expected 'motion-graph/4'"):
+        with pytest.raises(GraphParseError, match="'motion-graph/2', expected 'motion-graph/5'"):
             load_graph(json.dumps(format_2, sort_keys=True).encode())
+
+    def test_format_4_file_names_both_formats(self, tmp_path):
+        # A motion-graph/4 file was a header line with an edge count, then the
+        # columns onset, src, dst, synthetic, d_feat and d_img of every edge.
+        g = self._toy_graph()
+        header = {"edges": g.src.size, "format": "motion-graph/4", "fps": 25.0,
+                  "keyword": g.keyword.tolist(), "min_jump": 2, "velocity_weight": 1.0,
+                  "thresholds": {"offset_l": 4, "tau_feat": 0.2, "tau_img": 0.6}}
+        data = b"".join([json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+                         b"\n", g.onset.tobytes(), g.src.tobytes(), g.dst.tobytes(),
+                         g.synthetic.tobytes(), g.d_feat.tobytes(), g.d_img.tobytes()])
+        (tmp_path / "g.json").write_bytes(data)
+        for read in (lambda: load_graph(data), lambda: load_graph_file(tmp_path / "g.json")):
+            with pytest.raises(GraphParseError, match="^graph document has format "
+                               "'motion-graph/4', expected 'motion-graph/5'$"):
+                read()
 
     def test_format_3_file_names_both_formats(self, tmp_path):
         # A motion-graph/3 file was one JSON document with no newline, each
         # column but keyword the base64 text of its little-endian bytes.
         doc = decoded(save_graph(self._toy_graph()))
-        del doc["edges"]
+        del doc["pairs"]
         for name, dtype in graph_mod.FILE_COLUMNS.items():
             doc[name] = base64.b64encode(np.asarray(doc[name], dtype).tobytes()).decode()
         doc["format"] = "motion-graph/3"
@@ -724,14 +813,14 @@ class TestSerialization:
         for read in (lambda: load_graph((tmp_path / "g.json").read_bytes()),
                      lambda: load_graph_file(tmp_path / "g.json")):
             with pytest.raises(GraphParseError,
-                               match="'motion-graph/3', expected 'motion-graph/4'"):
+                               match="'motion-graph/3', expected 'motion-graph/5'"):
                 read()
 
     def test_format_3_file_is_refused_in_bounded_memory(self, tmp_path):
         # The same document with 1.2M edges: a 52 MB line with no newline,
         # its format member after three columns. The refusal reads one piece.
         doc = decoded(save_graph(self._toy_graph()))
-        del doc["edges"]
+        del doc["pairs"]
         for name, dtype in graph_mod.FILE_COLUMNS.items():
             column = np.resize(np.asarray(doc[name], dtype), 1_200_000)
             doc[name] = base64.b64encode(column.tobytes()).decode()
@@ -753,7 +842,7 @@ class TestSerialization:
     def test_header_longer_than_a_piece_round_trips(self, tmp_path, monkeypatch):
         # About 22k nodes' keywords make a header line longer than a real piece.
         monkeypatch.setattr(graph_mod, "HEADER_PIECE", 256)
-        edges = random_graph(np.random.default_rng(12), 300, 400).edges
+        edges = random_graph(np.random.default_rng(12), 300, 200).edges
         nodes = [GraphNode(i, i % 7 == 0, ("", "hello", "two")[i % 3]) for i in range(300)]
         g = VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))
         blob = save_graph(g)
@@ -765,8 +854,8 @@ class TestSerialization:
 
     def test_older_document_longer_than_a_piece_is_refused_after_one_piece(self, monkeypatch):
         monkeypatch.setattr(graph_mod, "HEADER_PIECE", 256)
-        doc = decoded(save_graph(random_graph(np.random.default_rng(13), 40, 60)))
-        del doc["edges"]
+        doc = decoded(save_graph(random_graph(np.random.default_rng(13), 40, 30)))
+        del doc["pairs"]
         doc["format"] = "motion-graph/2"
         data = json.dumps(doc, sort_keys=True).encode()
         assert len(data) > 4 * graph_mod.HEADER_PIECE and b"\n" not in data
@@ -780,16 +869,16 @@ class TestSerialization:
     def test_file_holds_one_array_per_column(self):
         blob = save_graph(self._toy_graph())
         # A compact sorted-key JSON header line, then each column's
-        # little-endian bytes: onset, src, dst, synthetic, d_feat, d_img.
+        # little-endian bytes: onset, then the pairs (0, 2) and (1, 3) as m, n,
+        # d_feat and d_img.
         assert blob == (
-            b'{"edges":3,"format":"motion-graph/4","fps":25.0,"keyword":["","","hi"],'
-            b'"min_jump":2,"thresholds":{"offset_l":4,"tau_feat":0.2,"tau_img":0.6},'
+            b'{"format":"motion-graph/5","fps":25.0,"keyword":["","","hi",""],"min_jump":2,'
+            b'"pairs":2,"thresholds":{"offset_l":4,"tau_feat":0.2,"tau_img":0.6},'
             b'"velocity_weight":1.0}\n'
-            + bytes([1, 0, 0]) + struct.pack("<3q", 0, 1, 0) + struct.pack("<3q", 1, 2, 2)
-            + bytes([0, 0, 1]) + struct.pack("<3d", 0.0, 0.0, 0.123456789012345678)
-            + struct.pack("<3d", 0.0, 0.0, 0.5)
+            + bytes([1, 0, 0, 0]) + struct.pack("<2q", 0, 1) + struct.pack("<2q", 2, 3)
+            + struct.pack("<2d", 0.123456789012345678, 0.25) + struct.pack("<2d", 0.5, 0.75)
         )
-        assert decoded(blob)["synthetic"] == [0, 0, 1]
+        assert (decoded(blob)["m"], decoded(blob)["n"]) == ([0, 1], [2, 3])
         assert encoded(decoded(blob)) == blob
 
     def test_roundtrip_is_bit_exact(self):
@@ -798,13 +887,16 @@ class TestSerialization:
                                 np.finfo(np.float64).max, -np.finfo(np.float64).max, 1 / 3,
                                 0.1, 1e-300, 7.0, -1.0, np.nextafter(1.0, 2.0)])
         doc = decoded(save_graph(g))
-        doc["d_feat"][-12:], doc["d_img"][-12:] = edge_values.tolist(), edge_values[::-1].tolist()
+        doc["d_feat"], doc["d_img"] = edge_values.tolist(), edge_values[::-1].tolist()
         original = load_graph(encoded(doc))
         loaded = load_graph(save_graph(original))
         for name in ("d_feat", "d_img"):
             assert np.array_equal(getattr(loaded, name).view(np.int64),
                                   getattr(original, name).view(np.int64))
-        assert loaded.d_feat[-12:].view(np.int64).tolist() == edge_values.view(np.int64).tolist()
+        # Both edges of pair i hold its values.
+        pair = np.minimum(original.src, original.dst) * 20 + np.maximum(original.src, original.dst)
+        index = np.searchsorted(np.array(doc["m"]) * 20 + np.array(doc["n"]), pair[19:])
+        assert (loaded.d_feat[19:].view(np.int64) == edge_values[index].view(np.int64)).all()
         for name in ("onset", "keyword", "src", "dst", "synthetic"):
             assert np.array_equal(getattr(loaded, name), getattr(original, name))
             assert getattr(loaded, name).dtype == getattr(original, name).dtype
@@ -812,10 +904,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, reason",
         [
-            pytest.param(lambda doc: doc.update(dst=struct.pack("<3q", *doc["dst"])[:-4]),
-                         "need a newline-ended header line and 102 column bytes, got 98",
+            pytest.param(lambda doc: doc.update(n=struct.pack("<2q", *doc["n"])[:-4]),
+                         "need a newline-ended header line and 68 column bytes, got 64",
                          id="partial-value"),
-            pytest.param(lambda doc: doc.pop("d_img"), "102 column bytes, got 78",
+            pytest.param(lambda doc: doc.pop("d_img"), "68 column bytes, got 52",
                          id="missing-column"),
             pytest.param(lambda doc: doc.update(kind="AAAB"), r"unknown fields \['kind'\]",
                          id="extra-column"),
@@ -823,7 +915,7 @@ class TestSerialization:
                          "keyword must be a list of strings", id="keywords-not-strings"),
             pytest.param(lambda doc: doc.update(keyword="hi"),
                          "keyword must be a list of strings", id="keywords-not-a-list"),
-            pytest.param(lambda doc: doc.update(keyword=["", "", "hi\0"]),
+            pytest.param(lambda doc: doc.update(keyword=["", "", "hi\0", ""]),
                          r"keyword 'hi\\x00' would be stored as 'hi'$", id="keyword-ending-in-nul"),
             pytest.param(lambda doc: doc["thresholds"].update(junk=1),
                          "unexpected keyword argument 'junk'", id="unknown-threshold"),
@@ -838,26 +930,26 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, reason",
         [
-            pytest.param(lambda blob: blob[:-1], "102 column bytes, got 101",
+            pytest.param(lambda blob: blob[:-1], "68 column bytes, got 67",
                          id="truncated-column"),
-            pytest.param(lambda blob: blob + b"\0", "102 column bytes, got 103",
+            pytest.param(lambda blob: blob + b"\0", "68 column bytes, got 69",
                          id="trailing-byte"),
             pytest.param(lambda blob: blob[: blob.index(b"\n")], "got 0 after it",
                          id="no-newline"),
             pytest.param(lambda blob: b"", "not valid JSON", id="empty-file"),
-            pytest.param(lambda blob: with_header(blob, edges=4), "135 column bytes, got 102",
+            pytest.param(lambda blob: with_header(blob, pairs=3), "100 column bytes, got 68",
                          id="one-edge-more"),
-            pytest.param(lambda blob: with_header(blob, edges=2), "69 column bytes, got 102",
+            pytest.param(lambda blob: with_header(blob, pairs=1), "36 column bytes, got 68",
                          id="one-edge-fewer"),
             # A header that claims a terabyte of columns allocates none of them.
-            pytest.param(lambda blob: with_header(blob, edges=10**12),
-                         "33000000000003 column bytes", id="huge-edge-count"),
-            pytest.param(lambda blob: with_header(blob, edges=-1),
-                         "edges must be an integer >= 0", id="negative-edges"),
-            pytest.param(lambda blob: with_header(blob, edges=3.0),
-                         "edges must be an integer >= 0", id="fractional-edges"),
-            pytest.param(lambda blob: with_header(blob, edges=True),
-                         "edges must be an integer >= 0", id="boolean-edges"),
+            pytest.param(lambda blob: with_header(blob, pairs=10**12),
+                         "32000000000004 column bytes", id="huge-edge-count"),
+            pytest.param(lambda blob: with_header(blob, pairs=-1),
+                         "pairs must be an integer >= 0", id="negative-edges"),
+            pytest.param(lambda blob: with_header(blob, pairs=1.0),
+                         "pairs must be an integer >= 0", id="fractional-edges"),
+            pytest.param(lambda blob: with_header(blob, pairs=True),
+                         "pairs must be an integer >= 0", id="boolean-edges"),
         ],
     )
     def test_header_counts_that_miss_the_file_size_are_parse_error(self, edit, reason):
@@ -873,7 +965,7 @@ class TestSerialization:
         with pytest.raises(GraphParseError, match="newline-ended header line and 0 column bytes"):
             load_graph(blob[:-1])
 
-    @pytest.mark.parametrize("column", ["synthetic", "onset"])
+    @pytest.mark.parametrize("column", ["onset"])
     @pytest.mark.parametrize("byte", [2, 255])
     def test_flag_byte_that_is_not_0_or_1_is_parse_error(self, column, byte):
         doc = decoded(save_graph(self._toy_graph()))
@@ -881,30 +973,29 @@ class TestSerialization:
         with pytest.raises(GraphParseError, match=f"{column} bytes must be 0 or 1"):
             load_graph(encoded(doc))
 
-    def test_costed_natural_edge_is_parse_error(self):
+    @pytest.mark.parametrize("i, bad, reason", [
+        pytest.param(1, (1, 7, 0.5, 0.5), r"edge \(1, 7\) has an endpoint outside frames 0..3",
+                     id="dst-past-end"),
+        pytest.param(0, (-1, 2, 0.5, 0.5), r"edge \(-1, 2\) has an endpoint outside frames 0..3",
+                     id="negative-src"),
+        pytest.param(0, (0, 2, math.nan, 0.5), r"edge \(0, 2\) has a non-finite distance",
+                     id="nan-distance"),
+        pytest.param(0, (0, 1, 0.5, 0.5), r"synthetic edge \(0, 1\) jumps less than min_jump",
+                     id="short-jump"),
+    ])
+    def test_bad_edge_is_parse_error(self, i, bad, reason):
+        # The toy's pair i replaced, in order: the rows it expands into break an edge rule.
         doc = decoded(save_graph(self._toy_graph()))
-        doc["d_img"][1] = 0.5  # the natural edge (1, 2)
-        with pytest.raises(GraphParseError, match=r"natural edge \(1, 2\) must cost 0"):
-            load_graph(encoded(doc))
-
-    @pytest.mark.parametrize("bad, reason", BAD_EDGES)
-    def test_bad_edge_is_parse_error(self, bad, reason):
-        doc = decoded(save_graph(self._toy_graph()))
-        for name in ("src", "dst", "d_feat", "d_img"):
-            doc[name].append(getattr(bad, name))
-        # A file holds a kind as a flag byte: an unknown kind is neither 0 nor 1.
-        doc["synthetic"].append({"natural": 0, "synthetic": 1}.get(bad.kind, 2))
-        doc["edges"] += 1
-        if bad.kind == "bogus":
-            reason = "synthetic bytes must be 0 or 1"
+        for name, value in zip(("m", "n", "d_feat", "d_img"), bad):
+            doc[name][i] = value
         with pytest.raises(GraphParseError, match=reason):
             load_graph(encoded(doc))
 
     @pytest.mark.parametrize(
         "edit",
         [
-            pytest.param(lambda doc: doc["src"].pop(), id="short-src"),
-            pytest.param(lambda doc: doc["synthetic"].append(True), id="long-synthetic"),
+            pytest.param(lambda doc: doc["m"].pop(), id="short-m"),
+            pytest.param(lambda doc: doc["n"].append(1), id="long-n"),
             pytest.param(lambda doc: doc.update(d_feat=[0.0]), id="length-1-d-feat"),
             pytest.param(lambda doc: doc.update(d_img=[]), id="empty-d-img"),
             pytest.param(lambda doc: doc["keyword"].append("hi"), id="long-keyword"),
@@ -924,8 +1015,8 @@ class TestSerialization:
     def test_flag_that_is_not_a_json_boolean_is_parse_error(self, column, value):
         # A flag is a byte after the header line, so a flags list in the
         # header, as the motion-graph/2 layout held it, is refused, with a
-        # non-boolean entry or not.
-        for flags in ([False, False, value], [False, False, True]):
+        # non-boolean entry or not. A file holds no synthetic flags at all.
+        for flags in ([False, False, False, value], [False, False, False, True]):
             with pytest.raises(GraphParseError, match=rf"unknown fields \['{column}'\]"):
                 load_graph(with_header(save_graph(self._toy_graph()), **{column: flags}))
 
@@ -943,14 +1034,14 @@ class TestSerialization:
         ]
         edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
         seen = set()
-        while len(seen) < 3000:
-            m, k = rng.integers(0, n, size=2)
-            if abs(int(m) - int(k)) < 2 or (int(m), int(k)) in seen:
+        while len(seen) < 1500:
+            m, k = sorted(int(v) for v in rng.integers(0, n, size=2))
+            if k - m < 2 or (m, k) in seen:
                 continue
-            seen.add((int(m), int(k)))
-            edges.append(
-                GraphEdge(int(m), int(k), "synthetic", float(rng.random()), float(rng.random()))
-            )
+            seen.add((m, k))
+            d_feat, d_img = float(rng.random()), float(rng.random())
+            edges += [GraphEdge(m, k, "synthetic", d_feat, d_img),
+                      GraphEdge(k, m, "synthetic", d_feat, d_img)]
         edges[n - 1:] = sorted(edges[n - 1:], key=lambda e: (e.src, e.dst))
         g = VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
         g2 = load_graph(save_graph(g))
@@ -966,7 +1057,7 @@ class TestSerialization:
     @pytest.mark.parametrize("seed", [1, 2, 7, 4096])
     def test_file_writer_writes_save_graph_bytes(self, tmp_path, seed):
         one_node = VideoMotionGraph([GraphNode(0, True, "hello")], [], Thresholds(0.0, 0.0, 4))
-        for g in (self._toy_graph(), random_graph(np.random.default_rng(seed), 50, 300),
+        for g in (self._toy_graph(), random_graph(np.random.default_rng(seed), 50, 150),
                   one_node):
             save_graph_file(g, tmp_path / "g.json")
             blob = (tmp_path / "g.json").read_bytes()
@@ -977,7 +1068,7 @@ class TestSerialization:
     def test_file_writer_peak_memory_bounded_by_the_chunk(self, tmp_path):
         # save_graph holds the whole file's bytes. The file writer holds the
         # header line and at most one column's bytes at a time.
-        g = random_graph(np.random.default_rng(3), 2000, 60000)
+        g = random_graph(np.random.default_rng(3), 2000, 30000)
         tracemalloc.start()
         try:
             save_graph_file(g, tmp_path / "g.json")
@@ -1000,7 +1091,7 @@ class TestSerialization:
         real_chunks = graph_mod._graph_chunks
         monkeypatch.setattr(graph_mod, "_graph_chunks", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            save_graph_file(random_graph(np.random.default_rng(5), 50, 300), tmp_path / "g.json")
+            save_graph_file(random_graph(np.random.default_rng(5), 50, 150), tmp_path / "g.json")
         assert (tmp_path / "g.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
@@ -1014,7 +1105,7 @@ class TestSerialization:
         assert (g.nodes, g.edges, g.thresholds) == (lambda h: (h.nodes, h.edges, h.thresholds))(
             load_graph(blob))
         for bad in (b"", blob[: len(blob) // 2], blob + b"\0", blob[: blob.index(b"\n")],
-                    with_header(blob, edges=4), b'{"format": "motion-graph/4", "x": "\xff"}\n'):
+                    with_header(blob, pairs=3), b'{"format": "motion-graph/5", "x": "\xff"}\n'):
             path.write_bytes(bad)
             with pytest.raises(GraphParseError) as from_bytes:
                 load_graph(bad)
@@ -1068,7 +1159,7 @@ def decoded(blob):
     line, body = blob.split(b"\n", 1)
     doc, offset = json.loads(line), 0
     for name, dtype in graph_mod.FILE_COLUMNS.items():
-        count = len(doc["keyword"]) if name == "onset" else doc["edges"]
+        count = len(doc["keyword"]) if name == "onset" else doc["pairs"]
         doc[name] = np.frombuffer(body, flag_bytes(dtype), count, offset).tolist()
         offset += count * dtype.itemsize
     return doc
@@ -1099,26 +1190,26 @@ def with_header(blob, **fields):
     return json.dumps({**json.loads(line), **fields}).encode() + b"\n" + body
 
 
-def random_graph(rng, n, n_synthetic):
-    """A graph of n featureless nodes: the natural chain plus n_synthetic
-    distinct random jumps with random distances."""
-    if n_synthetic > (n - 1) * (n - 2):
-        raise ValueError(f"a {n}-frame graph has only {(n - 1) * (n - 2)} distinct jumps, "
-                         f"not {n_synthetic}")
-    pairs = set()
-    while len(pairs) < n_synthetic:
-        m, k = (int(v) for v in rng.integers(0, n, size=2))
-        if abs(m - k) >= 2:
-            pairs.add((m, k))
+def random_graph(rng, n, n_pairs):
+    """A graph of n featureless nodes: the natural chain plus n_pairs distinct
+    random transitions (m, n), n - m >= 2, each as its two synthetic edges at
+    one pair of random distances."""
+    if n_pairs > (n - 1) * (n - 2) // 2:
+        raise ValueError(f"a {n}-frame graph has only {(n - 1) * (n - 2) // 2} distinct "
+                         f"transitions, not {n_pairs}")
+    pairs = {}
+    while len(pairs) < 2 * n_pairs:
+        m, k = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if k - m >= 2 and (m, k) not in pairs:
+            pairs[m, k] = pairs[k, m] = rng.uniform(0.0, 0.1, size=2).tolist()
     nodes = [GraphNode(i, False, "") for i in range(n)]
     edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    edges += [GraphEdge(m, k, "synthetic", *rng.uniform(0.0, 0.1, size=2).tolist())
-              for m, k in sorted(pairs)]
+    edges += [GraphEdge(m, k, "synthetic", *pairs[m, k]) for m, k in sorted(pairs)]
     return VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))
 
 
 def test_random_graph_refuses_more_jumps_than_the_graph_has():
     rng = np.random.default_rng(0)
-    assert int(random_graph(rng, 4, 6).synthetic.sum()) == 6
-    with pytest.raises(ValueError, match="only 2 distinct jumps"):
-        random_graph(rng, 3, 3)
+    assert int(random_graph(rng, 4, 3).synthetic.sum()) == 6
+    with pytest.raises(ValueError, match="only 1 distinct transitions"):
+        random_graph(rng, 3, 2)

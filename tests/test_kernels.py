@@ -3,7 +3,7 @@ import pytest
 
 from motiongraph import kernels
 from motiongraph.errors import StructuralError
-from oracles import meshgrid_rasterize_capsules
+from oracles import dst_sorted_edge_layout, meshgrid_rasterize_capsules
 
 
 def test_popcount_matches_direct_counting_any_backend():
@@ -216,20 +216,32 @@ COSTS = [0.25, 0.5, 0.125, 0.375]
 
 
 def random_walk_graph(rng, n):
-    """Natural chain at cost 0 plus random synthetic edges, no self-edges or
-    duplicates, in a graph's order: the chain, then the synthetic edges by
-    (src, dst)."""
-    pairs = {(i, i + 1): 0.0 for i in range(n - 1)}
-    for _ in range(3 * n):
-        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if a != b and (a, b) not in pairs:
+    """Natural chain at cost 0 plus random transitions (a, b), b - a >= 2, each
+    as the synthetic edges a -> b and b -> a at one cost, in a graph's order:
+    the chain, then the synthetic edges by (src, dst)."""
+    jumps = {}
+    for _ in range(3 * n // 2):
+        a, b = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if b - a >= 2 and (a, b) not in jumps:
             # few distinct costs, so equal-cost walks (and ties) are common
-            pairs[a, b] = float(rng.choice(COSTS))
-    edges = [*pairs.items()][: n - 1] + sorted([*pairs.items()][n - 1:])
+            jumps[a, b] = jumps[b, a] = float(rng.choice(COSTS))
+    edges = [((i, i + 1), 0.0) for i in range(n - 1)] + sorted(jumps.items())
     src = np.array([a for (a, _), _ in edges], dtype=np.int64)
     dst = np.array([b for (_, b), _ in edges], dtype=np.int64)
     cost = np.array([c for _, c in edges])
     return src, dst, cost, np.arange(len(edges)) >= n - 1
+
+
+def test_edge_layout_equals_the_dst_sorted_layout_on_symmetric_graphs():
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        n = int(rng.integers(1, 60))
+        src, dst, cost, synthetic = random_walk_graph(rng, n)
+        cost *= 1.0 + np.minimum(src, dst) * n + np.maximum(src, dst)  # one cost per pair
+        args = (src[synthetic], dst[synthetic], cost[synthetic], n)
+        got, want = kernels.edge_layout(*args), dst_sorted_edge_layout(*args)
+        for name in ("indptr", "src", "cost", "group_dst", "group_start"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def successors(state, synthetic, k):
@@ -343,15 +355,15 @@ class TestWalkDistances:
                     assert total == table[length, q, v]
 
     def test_start_exempt_from_allowed(self):
-        # 0 -> 1 -> 2 naturally, 2 -> 0 synthetically: a blocked start may
+        # 0 -> 1 -> 2 naturally, 0 <-> 2 synthetically: a blocked start may
         # begin a walk but not recur in one.
         allowed = np.array([False, True, True])
         states = kernels.BlendStates(1)
-        layout = kernels.edge_layout(np.array([2]), np.array([0]), np.array([0.125]), 3)
+        layout = kernels.edge_layout(np.array([0, 2]), np.array([2, 0]), np.array([0.125] * 2), 3)
         seed = np.full((states.size, 3), np.inf)
         seed[states.anchor, 0] = 0.0
         table = step_tables(layout, seed, allowed, 5, states)
-        assert table[1].min(axis=0).tolist() == [np.inf, 0.0, np.inf]
+        assert table[1].min(axis=0).tolist() == [np.inf, 0.0, 0.125]  # the anchor cut 0 -> 2
         # the cut 2 -> 0 leaves a run of 2 = k + 1 frames, which has no core
         assert table[3, states.b0(1)].tolist() == [0.125, np.inf, np.inf]
         assert np.isinf(table[4:]).all()  # continuing past the blocked start is not allowed
@@ -359,11 +371,12 @@ class TestWalkDistances:
         assert [v for _, v in walk] == [0, 1, 2, 0] and costs == [0.0, 0.0, 0.125]
 
     def test_cut_needs_a_run_long_enough_for_the_blend_windows(self):
-        # 0 -> 1 -> ... -> 5 plus a cut 2 -> 5: from the anchor at 0 the run
-        # before the cut is 1, 2, k + 1 frames only for k = 1.
+        # 0 -> 1 -> ... -> 5 plus cuts 2 <-> 5: from the anchor at 0 the run
+        # before the cut 2 -> 5 is 1, 2, k + 1 frames only for k = 1.
         for k, reached in ((1, 0.25), (2, np.inf)):
             states = kernels.BlendStates(k)
-            layout = kernels.edge_layout(np.array([2]), np.array([5]), np.array([0.25]), 6)
+            layout = kernels.edge_layout(np.array([2, 5]), np.array([5, 2]), np.array([0.25] * 2),
+                                         6)
             seed = np.full((states.size, 6), np.inf)
             seed[states.anchor, 0] = 0.0
             table = step_tables(layout, seed, np.ones(6, dtype=bool), 3, states)

@@ -30,12 +30,14 @@ from oracles import assemblable, enumerate_paths, in_duration_window, optimum
 
 
 def toy_graph(n, synthetic=(), onsets=(), keywords=None):
-    """Natural chain of n nodes plus synthetic edges (src, dst, d_feat, d_img),
-    given in any order and stored in the graph's (src, dst) order."""
+    """Natural chain of n nodes plus transitions (a, b, d_feat, d_img), given in
+    any order, each stored as the synthetic edges a -> b and b -> a in the
+    graph's (src, dst) order."""
     keywords = keywords or {}
     nodes = [GraphNode(i, i in onsets, keywords.get(i, "")) for i in range(n)]
     edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    for src, dst, d_feat, d_img in sorted(synthetic):
+    both = [(s, d, *costs) for a, b, *costs in synthetic for s, d in ((a, b), (b, a))]
+    for src, dst, d_feat, d_img in sorted(both):
         edges.append(GraphEdge(src, dst, "synthetic", d_feat, d_img))
     return VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
 
@@ -57,15 +59,14 @@ def random_toy(rng, max_nodes=15):
     keywords = {}
     if rng.random() < 0.5:
         keywords[int(rng.integers(0, n))] = "hello"
-    synthetic = []
-    tries = int(rng.integers(3, 9))
-    seen = set()
-    for _ in range(tries):
-        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if abs(a - b) < 2 or (a, b) in seen:
-            continue
-        seen.add((a, b))
-        synthetic.append((a, b, float(rng.uniform(0.01, 0.4)), float(rng.uniform(0.01, 0.4))))
+    # Two to four transitions (a, b), each added in both directions: few, since
+    # back jumps multiply the walks the brute-force oracle enumerates.
+    synthetic = {}
+    for _ in range(int(rng.integers(2, 5))):
+        a, b = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if b - a >= 2 and (a, b) not in synthetic:
+            synthetic[a, b] = (float(rng.uniform(0.01, 0.4)), float(rng.uniform(0.01, 0.4)))
+    synthetic = [(a, b, *costs) for (a, b), costs in synthetic.items()]
     graph = toy_graph(n, synthetic, onsets, keywords)
 
     n_segments = int(rng.integers(1, 4))
@@ -109,7 +110,7 @@ class TestOutputBudget:
 
     @pytest.mark.xfail(strict=True, reason="the search does not encode the output "
                        "budget, so a wide window can return an unplayable rank")
-    @pytest.mark.parametrize("seed", [5, 11, 29])
+    @pytest.mark.parametrize("seed", [29, 54, 72])
     def test_wide_window_counterexample(self, seed):
         assert self.ranks_that_fail(seed, BeamConfig(duration_window=(0.5, 2.0), blend_k=2)) == []
 
@@ -443,7 +444,7 @@ class TestBeamSearch:
         while len(synthetic) < 60:
             a, b = (int(x) for x in rng.integers(0, n, size=2))
             if abs(a - b) >= 4:
-                synthetic.add((a, b))
+                synthetic.add((min(a, b), max(a, b)))
         graph = toy_graph(n, [(a, b, *rng.choice([0.125, 0.25, 0.5], size=2)) for a, b in synthetic],
                           onsets)
         segments = segment_list(50, [(17, EndpointFeature("onset")), (33, EndpointFeature("onset"))])
@@ -497,7 +498,7 @@ class TestBeamSearch:
             search._trace_back(state, tables, segments.durations, config)
 
     def test_sorted_by_total_cost(self):
-        graph = toy_graph(14, synthetic=[(2, 9, 0.3, 0.1), (9, 2, 0.1, 0.1)])
+        graph = toy_graph(14, synthetic=[(2, 9, 0.3, 0.1), (4, 11, 0.1, 0.1)])
         segments = segment_list(10, [])
         result = beam_search(graph, segments, BeamConfig(beam_width=10), seed=0)
         costs = [p.total_cost() for p in result.paths]

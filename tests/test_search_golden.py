@@ -9,7 +9,7 @@ smallest predecessor node, then smallest state) and its per-segment cost
 sums exactly.
 
 ``GRAPH_SHA256`` pins the ``save_graph`` bytes of the same reference graph in
-the ``motion-graph/4`` layout (a JSON header line, then raw column bytes).
+the ``motion-graph/5`` layout (a JSON header line, then raw column bytes).
 ``GRAPH_VALUES_SHA256`` pins its values independently of any file format: the
 sha256 over its edges sorted by (src, dst), one
 ``"src dst kind d_feat.hex() d_img.hex()"`` line each. It was recorded from
@@ -48,7 +48,7 @@ GOLDEN = {
     ),
 }
 
-GRAPH_SHA256 = "4a9f12946972a14d716f5e7ccfda077d9176e9915737bcfe963215f323945a44"
+GRAPH_SHA256 = "eb5f6efb2b3947000949abd4ef752dba105f3f8ad8c7399c709f3065d28ffb0a"
 GRAPH_VALUES_SHA256 = "30b396ceea47d4cfccfb9a3a9b3c44379f97fd5230ab3a3c00328a84fa02de27"
 
 
