@@ -5,10 +5,11 @@ Prints the best-of-3 wall time of each kernel. The reference entries run
 the bundled fixture's 2000-frame puppet reference through the rasterizer
 and the graph build's exact d_feat filter, over the pairs its pre-gate
 passes at the calibrated threshold. The walk entries time a
-search-like load: the edge layout a search builds once, then one 45-step
+search-like load: the edge layout a search builds once from the graph's
+transitions (one stable sort of both edges of each), then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
-2000-node graph with the bundled fixture's edge density (both synthetic edges
-of distinct random transitions, as a graph stores them), accepting the
+2000-node graph with the bundled fixture's edge density (distinct random
+transitions (m, n), as a graph holds them), accepting the
 lengths a 41-frame segment's duration window accepts (37..45), and the
 traceback's replay of its 45 step tables. The gating entries time the graph build's d_feat
 pre-gate over all frame pairs of a 4000-frame puppet reference, and also
@@ -219,29 +220,29 @@ def run_benchmarks():
 
     # Walk-cost relaxation: 2000 nodes, ~150k edges (the 2000-frame fixture
     # graph has 154k), 45 steps from 20 starts, as one search segment sees them.
-    # The synthetic edges are both directions of distinct random transitions
-    # (m, n), n - m >= min_jump, with random distances, as a graph stores them.
+    # Distinct random transitions (m, n), n - m >= min_jump, with random
+    # distances, each two synthetic edges, as a graph holds them.
     n = 2000
     ends = np.sort(rng.integers(0, n, size=(75000, 2)), axis=1)
     pairs = np.unique(ends[ends[:, 1] - ends[:, 0] >= graph.DEFAULT_MIN_JUMP], axis=0)
     distances = rng.uniform(0.0, 0.1, size=(2, len(pairs)))
+    pair_m, pair_n = pairs.T.copy()  # rising (m, n), as a graph holds them
 
     def pair_graph(onset):
         return graph.VideoMotionGraph._from_columns(
-            onset, [""] * n, *graph._pair_rows(n, pairs[:, 0], pairs[:, 1], *distances),
+            onset, [""] * n, pair_m, pair_n, *distances,
             graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,
         )
 
     motion_graph = pair_graph(np.zeros(n, dtype=bool))
-    src, dst = motion_graph.src, motion_graph.dst
-    cost = motion_graph.d_feat[n - 1:] + motion_graph.d_img[n - 1:]
+    cost = motion_graph.d_feat + motion_graph.d_img
     allowed = np.ones(n, dtype=bool)
     allowed[rng.integers(0, n, size=60)] = False
-    # The layout holds the synthetic edges; the natural chain costs 0.
+    # The layout holds both synthetic edges of each pair; the natural chain costs 0.
     results["walk_layout_150k_edges"] = (
-        _time(lambda: kernels.edge_layout(src[n - 1:], dst[n - 1:], cost, n)), "s"
+        _time(lambda: kernels.edge_layout(pair_m, pair_n, cost, n)), "s"
     )
-    layout = kernels.edge_layout(src[n - 1:], dst[n - 1:], cost, n)
+    layout = kernels.edge_layout(pair_m, pair_n, cost, n)
     states = kernels.BlendStates(search.DEFAULT_BLEND_K)
     seed = np.full((states.size, n), np.inf)
     seed[states.anchor, rng.choice(n, size=20, replace=False)] = 0.0
@@ -281,9 +282,8 @@ def run_benchmarks():
     jump_m, jump_n = keys // big_n, keys % big_n
     keep = jump_n - jump_m >= graph.DEFAULT_MIN_JUMP
     big_graph = graph.VideoMotionGraph._from_columns(
-        np.zeros(big_n, dtype=bool), [""] * big_n,
-        *graph._pair_rows(big_n, jump_m[keep], jump_n[keep],
-                          *big_rng.uniform(0.0, 0.1, size=(2, int(keep.sum())))),
+        np.zeros(big_n, dtype=bool), [""] * big_n, jump_m[keep], jump_n[keep],
+        *big_rng.uniform(0.0, 0.1, size=(2, int(keep.sum()))),
         graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,
     )
     with tempfile.TemporaryDirectory() as tmp:

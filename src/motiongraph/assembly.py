@@ -147,13 +147,13 @@ class EditDecisionList:
             )
 
 
-def _split_runs(output_nodes, synthetic):
-    """Maximal natural stretches + the synthetic cuts between them;
-    ``synthetic[i]`` flags the step from ``output_nodes[i]`` to the next."""
+def _split_runs(output_nodes):
+    """Maximal natural stretches + the synthetic cuts between them: a step
+    a -> b is natural iff b == a + 1 (a synthetic edge jumps min_jump >= 2)."""
     runs = [[output_nodes[0]]]
     cuts = []
-    for a, b, cut in zip(output_nodes, output_nodes[1:], synthetic):
-        if cut:
+    for a, b in zip(output_nodes, output_nodes[1:]):
+        if b != a + 1:
             cuts.append((a, b))
             runs.append([b])
         else:
@@ -235,13 +235,13 @@ def assemble_edl(
         raise StructuralError(f"{len(poses)} pose frames for {len(graph)} graph nodes")
     _check_segment_count(path, segments.durations)
     nodes = list(path.node_sequence)
-    rows = graph.edge_rows(nodes[:-1], nodes[1:])
-    if (rows < 0).any():
-        i = int(np.argmax(rows < 0))
+    missing = np.isnan(graph.edge_costs(nodes[:-1], nodes[1:]))
+    if missing.any():
+        i = int(np.argmax(missing))
         raise AssemblyError(f"path step ({nodes[i]}, {nodes[i + 1]}) is not a graph edge")
     # A synthetic anchor edge is a cut before the first visible frame: there
     # is nothing played to blend with, so it is a hard cut without a schedule.
-    runs, cuts = _split_runs(nodes[1:], graph.synthetic[rows[1:]].tolist())
+    runs, cuts = _split_runs(nodes[1:])
 
     total = sum(segments.durations)
     slots_per_transition = 2 * k + 1

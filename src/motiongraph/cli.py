@@ -176,9 +176,9 @@ def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
             min_jump=args.min_jump, velocity_weight=args.velocity_weight, fps=sequence.fps,
         )
         graph_mod.save_graph_file(built, args.out)
-    print(
-        f"graph: {len(built)} nodes, {built.src.size} edges "
-        f"({int(built.synthetic.sum())} synthetic), "
+    print(  # each transition is two synthetic edges
+        f"graph: {len(built)} nodes, {len(built) - 1 + 2 * built.m.size} edges "
+        f"({2 * built.m.size} synthetic), "
         f"tau_feat={built.thresholds.tau_feat:.6g}, tau_img={built.thresholds.tau_img:.6g} "
         f"-> {args.out}"
     )

@@ -61,57 +61,55 @@ class Thresholds:
         object.__setattr__(self, "offset_l", integer("offset_l", self.offset_l, 1))
 
 
-#: Edge kind names, indexed by the ``synthetic`` column.
-KINDS = ("natural", "synthetic")
-
-
 class VideoMotionGraph:
     """Reference frames joined by transitions, stored as columns.
 
-    Node i is reference frame i, with ``onset[i]`` and ``keyword[i]`` ("" when
-    no dictionary word is active). Edge j runs ``src[j] -> dst[j]`` and costs
-    ``d_feat[j] + d_img[j]``. In the canonical order, rows 0..N-2 are the natural
-    chain j -> j + 1 at distances 0, then the synthetic edges (``synthetic[j]``)
-    by rising (src, dst), each beside its reverse at the same distances, bit for
-    bit: a transition is a symmetric pair. The columns are read-only.
-    ``nodes`` and ``edges`` give the same graph as ``GraphNode``/``GraphEdge``
-    tuples: ``nodes`` is built on first access and kept, ``edges`` is built on
-    every read and kept by no one but the caller (184 B per edge).
-    """
+    Node i is reference frame i, with ``onset[i]`` and ``keyword[i]`` ("" when no
+    dictionary word is active). Transition j, by strictly rising (m, n) with m < n, is the
+    synthetic edges ``m[j] -> n[j]`` and back, each costing ``d_feat[j] + d_img[j]`` (both
+    metrics are symmetric). The natural chain 0 -> 1 -> ... -> N-1 costs 0 and is not
+    stored. The columns are read-only. ``nodes`` and ``edges`` give the graph as tuples of
+    ``GraphNode``/``GraphEdge``: ``nodes`` is built on first access and kept, ``edges``
+    (the chain, then the synthetic edges by (src, dst)) on every read, kept by the caller."""
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
                  thresholds: Thresholds, fps: float = 30.0,
                  min_jump: int = DEFAULT_MIN_JUMP, velocity_weight: float = 1.0):
-        """A graph from node and edge records, the edges in the canonical order.
-        A field of the wrong type is refused before any column is built."""
+        """A graph from node and edge records, the edges as ``edges`` lists them, each
+        synthetic one beside its reverse at the same distances, bit for bit. A field of
+        the wrong type is refused before any column is built."""
         frame, onset, keyword = (_record_column(nodes, f.name) for f in fields(GraphNode))
-        self._init(onset, keyword, *(_record_column(edges, f.name) for f in fields(GraphEdge)),
-                   thresholds, fps, min_jump, velocity_weight)
-        if not np.array_equal(frame, np.arange(len(self))):
+        src, dst, kind, d_feat, d_img = (_record_column(edges, f.name) for f in fields(GraphEdge))
+        fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
+        keyword = _keyword_column(keyword)
+        _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
+        if not np.array_equal(frame, np.arange(onset.size)):
             raise ValidationError("node frame indices must be 0..N-1 in order")
-        syn = slice(len(self) - 1, None)
-        bits = np.stack([self.d_feat, self.d_img], axis=1).view(np.int64)
-        back = self.edge_rows(self.dst[syn], self.src[syn])
-        if (unpaired := (back < 0) | (bits[syn] != bits[back]).any(axis=1)).any():
-            s, d = self.src[syn][np.argmax(unpaired)], self.dst[syn][np.argmax(unpaired)]
-            raise ValidationError(f"synthetic edge ({s}, {d}) has no reverse ({d}, {s}) "
-                                  "with the same d_feat and d_img")
+        syn = np.arange(src.size) >= onset.size - 1  # the rows after the natural chain
+        bits = dict(zip(zip(src[syn].tolist(), dst[syn].tolist()),
+                        np.stack([d_feat, d_img], axis=1)[syn].view(np.int64).tolist()))
+        if unpaired := next((e for e, value in bits.items() if bits.get(e[::-1]) != value), None):
+            raise ValidationError("synthetic edge ({0}, {1}) has no reverse ({1}, {0}) with the "
+                                  "same d_feat and d_img".format(*unpaired))
+        upper = syn & (src < dst)
+        self._init(onset, keyword, src[upper], dst[upper], d_feat[upper], d_img[upper],
+                   thresholds, fps, min_jump, velocity_weight)
 
     @classmethod
-    def _from_columns(cls, *columns) -> VideoMotionGraph:
+    def _from_columns(cls, *columns, **named) -> VideoMotionGraph:
         graph = cls.__new__(cls)
-        graph._init(*columns)
+        graph._init(*columns, **named)
         return graph
 
-    def _init(self, onset, keyword, src, dst, kind, d_feat, d_img,
+    def _init(self, onset, keyword, m, n, d_feat, d_img,
               thresholds, fps, min_jump, velocity_weight) -> None:
         fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
         keyword = _keyword_column(keyword)
-        synthetic = _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
-        for column in (onset, keyword, src, dst, synthetic, d_feat, d_img):
+        _check_pairs(onset.size, m, n, d_feat, d_img, min_jump)
+        for column in (onset, keyword, m, n, d_feat, d_img):
             column.flags.writeable = False
-        self.onset, self.keyword, self.src, self.dst = onset, keyword, src, dst
-        self.synthetic, self.d_feat, self.d_img = synthetic, d_feat, d_img
+        self.onset, self.keyword, self.m, self.n = onset, keyword, m, n
+        self.d_feat, self.d_img = d_feat, d_img
         self.thresholds, self.fps = thresholds, fps
         self.min_jump, self.velocity_weight = min_jump, velocity_weight
 
@@ -124,22 +122,28 @@ class VideoMotionGraph:
 
     @property
     def edges(self) -> tuple[GraphEdge, ...]:
-        kinds = [KINDS[s] for s in self.synthetic.tolist()]
-        return tuple(map(GraphEdge, self.src.tolist(), self.dst.tolist(), kinds,
-                         self.d_feat.tolist(), self.d_img.tolist()))
+        size = len(self)
+        feat, img = (kernels.edge_layout(self.m, self.n, column, size)
+                     for column in (self.d_feat, self.d_img))
+        # Node v's in-edges from u, by rising (v, u), are its edges v -> u: a pair holds both.
+        v = np.repeat(np.arange(size), np.diff(feat.indptr))
+        return (*(GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(size - 1)),
+                *map(GraphEdge, v.tolist(), feat.src.tolist(), ["synthetic"] * v.size,
+                     feat.cost.tolist(), img.cost.tolist()))
 
-    def edge_rows(self, src, dst) -> np.ndarray:
-        """The row j of edge ``src[i] -> dst[i]`` for each i, or -1 where the graph has
-        no such edge (node ids beyond int64 included). By the canonical order, m -> m + 1
-        is row m, and a synthetic edge is found among the rising keys after the chain."""
+    def edge_costs(self, src, dst) -> np.ndarray:
+        """The cost of edge ``src[i] -> dst[i]`` for each i: 0.0 for a natural step m -> m + 1,
+        ``d_feat + d_img`` of the transition found among the rising keys ``m * N + n`` by the
+        frames' (min, max), or NaN where there is no edge (node ids beyond int64 included)."""
         src, dst = np.asarray(src), np.asarray(dst)
-        n = len(self)
-        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-        want = np.where(inside, src * n + dst, -1).astype(np.int64)
-        keys = np.append(self.src[n - 1:] * n + self.dst[n - 1:], n * n)  # above every key
+        size = len(self)
+        inside = (src >= 0) & (src < size) & (dst >= 0) & (dst < size)
+        low, high = np.minimum(src, dst), np.maximum(src, dst)
+        want = np.where(inside, low * size + high, -1).astype(np.int64)
+        keys = np.append(self.m * size + self.n, size * size)  # above every key
         at = np.searchsorted(keys, want)
-        rows = np.where(keys[at] == want, at + n - 1, -1)
-        return np.where(inside & (dst == src + 1), src, rows).astype(np.int64)
+        costs = np.where(keys[at] == want, np.append(self.d_feat + self.d_img, np.nan)[at], np.nan)
+        return np.where(inside & (dst == src + 1), 0.0, costs)
 
 
 _INTEGER, _REAL = (np.int64, is_integer, "an integer"), (np.float64, is_real, "a real number")
@@ -177,13 +181,11 @@ def _keyword_column(words) -> np.ndarray:
     return column
 
 
-def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
-    """Check the edges of an ``n``-node graph and return the ``synthetic`` column
-    (``kind`` is that column, or the records' kind names): row j < n - 1 must be the
+def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> None:
+    """Check the edge records' columns of an ``n``-node graph: row j < n - 1 must be the
     natural edge (j, j + 1), then the synthetic keys ``src * n + dst`` rise. The first
     offending edge raises ValidationError with the first rule below that it breaks."""
-    natural, synthetic = ((~kind, kind) if kind.dtype == bool
-                          else (kind == "natural", kind == "synthetic"))
+    natural, synthetic = kind == "natural", kind == "synthetic"
     # Each row's key less the one before it, checked from the second synthetic row.
     rise = np.diff(src * n + dst, prepend=0)
     rise[:n] = 1
@@ -208,30 +210,28 @@ def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> np.ndarray:
     if broken.any():
         j = int(np.argmax(broken))
         message = next(message for failed, message in rules if failed[j])
-        raise ValidationError(
-            message.format(s=int(src[j]), d=int(dst[j]), last=n - 1, kind=str(kind[j]))
-        )
+        raise ValidationError(message.format(s=int(src[j]), d=int(dst[j]), last=n - 1,
+                                             kind=str(kind[j])))
     if src.size < n - 1:
         raise ValidationError("natural edges must form the full chain 0..N-1")
-    return synthetic
 
 
-def _pair_rows(size, m, n, d_feat, d_img) -> tuple[np.ndarray, ...]:
-    """The edge columns (src, dst, synthetic, d_feat, d_img) of a ``size``-node graph with the
-    transitions (m, n), given by strictly rising (m, n) with m < n or refused. Node s's rows
-    s -> m (by rising m) precede its rows s -> n (by rising n): one stable sort by src."""
+def _check_pairs(size, m, n, d_feat, d_img, min_jump) -> None:
+    """Check the transitions (m, n) of a ``size``-node graph: the first offending pair raises
+    ValidationError with the first rule below that it breaks, named by its edge m -> n."""
     keys = m * size + n
-    if (misplaced := (m >= n) | (np.diff(keys, prepend=keys[:1] - 1) <= 0)).any():
-        j = int(np.argmax(misplaced))
-        raise ValidationError(f"pair ({m[j]}, {n[j]}) is out of order: pairs rise strictly "
-                              "by (m, n), each with m < n")
-    src = np.concatenate([n, m])
-    order, chain = np.argsort(src, kind="stable"), np.arange(size - 1)
-    return (np.concatenate([chain, src[order]]),
-            np.concatenate([chain + 1, np.concatenate([m, n])[order]]),
-            np.arange(chain.size + src.size) >= chain.size,
-            *(np.concatenate([np.zeros(chain.size), np.take(d, order, mode="wrap")])
-              for d in (d_feat, d_img)))  # src[i] and src[i + P] are pair i's rows
+    rules = (
+        ((m >= n) | (np.diff(keys, prepend=keys[:1] - 1) <= 0),
+         "pair ({s}, {d}) is out of order: pairs rise strictly by (m, n), each with m < n"),
+        ((m < 0) | (n >= size), "edge ({s}, {d}) has an endpoint outside frames 0..{last}"),
+        (~(np.isfinite(d_feat) & np.isfinite(d_img)), "edge ({s}, {d}) has a non-finite distance"),
+        (n - m < min_jump, "synthetic edge ({s}, {d}) jumps less than min_jump"),
+    )
+    broken = np.logical_or.reduce([failed for failed, _ in rules])
+    if broken.any():
+        j = int(np.argmax(broken))
+        message = next(message for failed, message in rules if failed[j])
+        raise ValidationError(message.format(s=int(m[j]), d=int(n[j]), last=size - 1))
 
 
 def _check_header(fps, min_jump, velocity_weight) -> tuple[float, int, float]:
@@ -345,8 +345,8 @@ def build_graph(
     """Assemble nodes and all natural + gated synthetic transitions.
 
     A transition (m, n), m < n, exists iff n - m >= min_jump and both
-    d_feat(m, n) <= tau_feat and d_img(m, n) <= tau_img; it is the pair of
-    synthetic edges m -> n and n -> m (the metrics are symmetric, playback is
+    d_feat(m, n) <= tau_feat and d_img(m, n) <= tau_img; the gate visits them
+    by rising (m, n), the graph's order (the metrics are symmetric, playback is
     directed). Pairs are pre-gated with a vectorized d_feat approximation, then
     re-checked with the exact per-pair operations so the stored distances match
     them bit-for-bit. An onset flag must be a bool, as in a ``GraphNode``.
@@ -369,7 +369,7 @@ def build_graph(
     keep = d_img <= thresholds.tau_img
     mm, nn, d_feat, d_img = mm[keep], nn[keep], d_feat[keep], d_img[keep]
     return VideoMotionGraph._from_columns(
-        onset, [kw for _, kw in features], *_pair_rows(n, mm, nn, d_feat, d_img),
+        onset, [kw for _, kw in features], mm, nn, d_feat, d_img,
         thresholds, fps, min_jump, velocity_weight,
     )
 
@@ -380,25 +380,22 @@ def build_graph(
 # ---------------------------------------------------------------------------
 
 
-#: The columns after a graph file's header line, in file order, as the bytes
-#: of these dtypes: ``onset`` holds one value per node (node i is frame i), a
-#: flag of one byte, 0 or 1; the rest one value per transition (m, n), 32 bytes in all.
+#: The graph's columns, in file order after the header line, as the bytes of these
+#: dtypes: ``onset`` holds one value per node (node i is frame i), a flag of one
+#: byte, 0 or 1; the rest one value per transition (m, n), 32 bytes in all.
 FILE_COLUMNS = {"onset": np.dtype("?"), "m": np.dtype("<i8"), "n": np.dtype("<i8"),
                 "d_feat": np.dtype("<f8"), "d_img": np.dtype("<f8")}
 
 
 def _graph_chunks(graph: VideoMotionGraph):
     """The ``motion-graph/5`` file as chunks: the header line, then each
-    column's bytes. A transition is written once, as its edge m -> n with
-    m < n, and the rows of these edges rise by (m, n)."""
-    upper = graph.synthetic & (graph.src < graph.dst)
+    column's bytes, as the graph holds it."""
     header = {"format": GRAPH_FORMAT, "fps": graph.fps, "min_jump": graph.min_jump,
               "velocity_weight": graph.velocity_weight, "thresholds": asdict(graph.thresholds),
-              "keyword": graph.keyword.tolist(), "pairs": int(np.count_nonzero(upper))}
+              "keyword": graph.keyword.tolist(), "pairs": graph.m.size}
     yield json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    columns = graph.onset, graph.src, graph.dst, graph.d_feat, graph.d_img
-    for column, dtype in zip(columns, FILE_COLUMNS.values()):
-        yield np.ascontiguousarray(column if column is graph.onset else column[upper], dtype)
+    for name, dtype in FILE_COLUMNS.items():
+        yield np.ascontiguousarray(getattr(graph, name), dtype)
 
 
 def save_graph(graph: VideoMotionGraph) -> bytes:
@@ -441,17 +438,16 @@ def _read_graph(f, size: int) -> VideoMotionGraph:
         if not line.endswith(b"\n") or body != n + 32 * pairs:
             raise StructuralError(f"{n} nodes and {pairs} pairs need a newline-ended header "
                                   f"line and {n + 32 * pairs} column bytes, got {body} after it")
-        columns = [np.empty(n if name == "onset" else pairs, dtype)
-                   for name, dtype in FILE_COLUMNS.items()]
-        for name, column in zip(FILE_COLUMNS, columns):
+        columns = {name: np.empty(n if name == "onset" else pairs, dtype)
+                   for name, dtype in FILE_COLUMNS.items()}
+        for name, column in columns.items():
             if f.readinto(column) != column.nbytes:
                 raise StructuralError("the graph file ended while it was read")
             if column.dtype == bool and (column.view(np.uint8) > 1).any():
                 raise ValidationError(f"{name} bytes must be 0 or 1")
-        rows = _pair_rows(n, *columns[1:])
-        del columns[1:]  # the pairs, read: free them before the rows are checked
-        return VideoMotionGraph._from_columns(columns[0], keyword, *rows, thresholds,
-                                              doc["fps"], doc["min_jump"], doc["velocity_weight"])
+        return VideoMotionGraph._from_columns(
+            **columns, keyword=keyword, thresholds=thresholds, fps=doc["fps"],
+            min_jump=doc["min_jump"], velocity_weight=doc["velocity_weight"])
 
     return read_document(line, "graph document", GRAPH_FORMAT, build)
 

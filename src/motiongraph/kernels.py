@@ -8,9 +8,9 @@ each bone on one tile over the chunk's frames, so its numpy calls are per
 bone and chunk, not per bone and frame. Popcount is ``np.bitwise_count`` over
 64-bit words, which is why the engine needs numpy >= 2.0.
 The walk relaxation is a row shift along the natural chain plus one
-gather-add and one segmented minimum over the synthetic edges per step and
-target state, over an edge layout built once per search. It records those
-minima, so a segment's step tables can be replayed from row shifts alone.
+gather-add and one segmented minimum per step and target state over the
+synthetic edges, both ways of each transition, laid out once per search. It
+records those minima, so a segment's step tables are replayed from row shifts.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class EdgeLayout:
     The synthetic in-edges of node v come from ``src[indptr[v]:indptr[v + 1]]``, ascending,
     with costs ``cost[indptr[v]:indptr[v + 1]]``; ``group_dst``/``group_start`` list the
     nodes that have synthetic in-edges and where their groups begin. Natural edges are not
-    stored: they are a graph's rows 0..N-2, the chain 0 -> 1 -> ... -> N-1 at cost 0.
+    stored: they are the chain 0 -> 1 -> ... -> N-1 at cost 0.
     """
 
     indptr: np.ndarray
@@ -183,16 +183,20 @@ class EdgeLayout:
     group_start: np.ndarray
 
 
-def edge_layout(src, dst, cost, n_nodes) -> EdgeLayout:
-    """Group the synthetic edges ``src -> dst`` of an ``n_nodes``-node graph, given in (src,
-    dst) order and in symmetric pairs at equal costs, by destination for ``walk_distances``:
-    the in-edges of v come from the ``dst`` of v's own rows, contiguous and ascending."""
-    counts = np.bincount(np.asarray(src, dtype=np.int64), minlength=n_nodes)
+def edge_layout(m, n, cost, n_nodes) -> EdgeLayout:
+    """Group by destination, for ``walk_distances``, the synthetic edges of an ``n_nodes``-node
+    graph's transitions (m, n), by strictly rising (m, n) with m < n: edges i and i + P are
+    ``m[i] -> n[i]`` and back, at ``cost[i]``. A stable sort of them by destination lists
+    each node's sources ascending (the m below it by rising m, then the n above it)."""
+    dst = np.concatenate([n, m]).astype(np.int64)
+    order = np.argsort(dst, kind="stable")
+    counts = np.bincount(dst, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     group_dst = np.flatnonzero(counts)
-    return EdgeLayout(indptr, np.asarray(dst, dtype=np.int64),
-                      np.asarray(cost, dtype=np.float64), group_dst, indptr[group_dst])
+    return EdgeLayout(indptr, np.concatenate([m, n]).astype(np.int64)[order],
+                      np.take(np.asarray(cost, dtype=np.float64), order, mode="wrap"),  # i + P: i
+                      group_dst, indptr[group_dst])
 
 
 class BlendStates:

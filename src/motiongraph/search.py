@@ -128,9 +128,7 @@ class _SearchState:
 
     def __init__(self, graph: VideoMotionGraph, config: BeamConfig):
         n = len(graph)
-        syn = slice(n - 1, None)  # the synthetic edges: the rows after the natural chain
-        self.layout = kernels.edge_layout(graph.src[syn], graph.dst[syn],
-                                          graph.d_feat[syn] + graph.d_img[syn], n)
+        self.layout = kernels.edge_layout(graph.m, graph.n, graph.d_feat + graph.d_img, n)
         self.states = kernels.BlendStates(config.blend_k)
         self.onset, self.keywords = graph.onset, graph.keyword
         self.allowed = ~self.onset if config.avoid_onsets_mid_segment else np.ones(n, dtype=bool)
@@ -354,11 +352,11 @@ def recompute_costs(
     search's own ``_path_costs``, so they equal the reported costs bit for bit."""
     _check_segment_count(candidate, target_durations)
     bounds, nodes = candidate.segment_boundaries, candidate.node_sequence
-    rows = graph.edge_rows(nodes[:-1], nodes[1:])
-    if (rows < 0).any():
-        i = int(np.argmax(rows < 0))
+    costs = graph.edge_costs(nodes[:-1], nodes[1:])
+    if np.isnan(costs).any():
+        i = int(np.argmax(np.isnan(costs)))
         raise ValidationError(f"path step ({nodes[i]}, {nodes[i + 1]}) is not a graph edge")
-    return _path_costs((graph.d_feat[rows] + graph.d_img[rows]).tolist(), bounds, target_durations)
+    return _path_costs(costs.tolist(), bounds, target_durations)
 
 
 # ---------------------------------------------------------------------------

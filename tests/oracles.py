@@ -243,12 +243,25 @@ def meshgrid_rasterize_capsules(p0, p1, iz0, iz1, radius, focal, width, height):
     return out
 
 
+def pair_rows(size, m, n, d_feat, d_img):
+    """The edge rows (src, dst, synthetic, d_feat, d_img) of a ``size``-node graph
+    with the transitions (m, n), m < n, as one plain sort: the natural chain at rows
+    0..N-2 at distances 0, then both edges m -> n and n -> m of every pair, at the
+    pair's distances, by (src, dst). ``graph.edges`` lists these rows, and
+    ``kernels.edge_layout`` groups their synthetic edges."""
+    pairs = zip(*(np.asarray(column).tolist() for column in (m, n, d_feat, d_img)))
+    rows = [(i, i + 1, False, 0.0, 0.0) for i in range(size - 1)] + sorted(
+        edge for a, b, f, i in pairs for edge in ((a, b, True, f, i), (b, a, True, f, i)))
+    return tuple(np.array([row[k] for row in rows], dtype=dtype)
+                 for k, dtype in enumerate((np.int64, np.int64, bool, np.float64, np.float64)))
+
+
 def dst_sorted_edge_layout(src, dst, cost, n_nodes):
     """The synthetic edges ``src -> dst``, given in (src, dst) order, grouped by
     ``dst`` with one stable argsort, so each group's sources stay ascending, and
     their sources and costs gathered in that order: the layout of any directed
-    edge list. ``kernels.edge_layout`` reads the same groups off a graph's own
-    rows, which holds only for symmetric pairs."""
+    edge list. ``kernels.edge_layout`` builds the same groups from a graph's
+    transitions, each of which is two edges at one cost."""
     from motiongraph.kernels import EdgeLayout
 
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
@@ -259,11 +272,6 @@ def dst_sorted_edge_layout(src, dst, cost, n_nodes):
     group_dst = np.flatnonzero(counts)
     return EdgeLayout(indptr, src[order], np.asarray(cost, dtype=np.float64)[order], group_dst,
                       indptr[group_dst])
-
-
-def edge_dict(graph):
-    """Row of each (src, dst) edge, from the ``graph.edges`` records."""
-    return {(e.src, e.dst): j for j, e in enumerate(graph.edges)}
 
 
 def axis_angle_matrix(aa):

@@ -94,7 +94,10 @@ class TestRunPipeline:
         line = blob[: blob.index(b"\n") + 1]
         header = json.loads(line)
         assert len(blob) == len(line) + REF_FRAMES + 32 * header["pairs"]
-        assert 2 * header["pairs"] == int(load_graph_file(pipeline / "graph.json").synthetic.sum())
+        graph = load_graph_file(pipeline / "graph.json")
+        # The loaded graph holds one row per pair, each two synthetic edges.
+        assert graph.m.size == graph.n.size == graph.d_feat.size == header["pairs"]
+        assert 2 * header["pairs"] == sum(e.kind == "synthetic" for e in graph.edges)
 
     def test_path_matches_segments(self, pipeline):
         result = load_search_result(pipeline / "path.json")
@@ -1024,9 +1027,11 @@ class TestMalformedInputs:
         graph = load_graph_file(input_files["graph"])
         for name in ("pairs", "m", "n"):
             del doc[name]
-        doc.update(format="motion-graph/2", onset=graph.onset.tolist(), src=graph.src.tolist(),
-                   dst=graph.dst.tolist(), synthetic=graph.synthetic.tolist(),
-                   d_feat=graph.d_feat.tolist(), d_img=graph.d_img.tolist())
+        edges = graph.edges
+        doc.update(format="motion-graph/2", onset=graph.onset.tolist(),
+                   src=[e.src for e in edges], dst=[e.dst for e in edges],
+                   synthetic=[e.kind == "synthetic" for e in edges],
+                   d_feat=[e.d_feat for e in edges], d_img=[e.d_img for e in edges])
         old = tmp_path / "graph_2.json"
         old.write_text(json.dumps(doc, sort_keys=True))
         files = {name: str(input_files[name]) for name in ("segments", "poses", "path")}

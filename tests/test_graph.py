@@ -41,10 +41,10 @@ from motiongraph.silhouette import (
 
 from conftest import make_sequence
 from oracles import (
-    edge_dict,
     first_graph_violation,
     full_matrix_gate,
     image_distance,
+    pair_rows,
     per_row_pair_distances,
 )
 
@@ -361,15 +361,17 @@ class TestBuildGraph:
         thr = compute_thresholds(states, masks, offset_l=4)
         built = build_graph(states, masks, no_feature(len(states)), thr)
         loaded = load_graph(save_graph(built))
-        assert loaded.synthetic.any()
+        assert loaded.m.size > 0
         end = EndpointFeature("end")
         segments = SegmentList(n_frames=21, endpoints=(1, 11, 21), features=(end, end, end))
         assert beam_search(loaded, segments, BeamConfig(), seed=0).paths
 
     def test_columns_are_read_only(self, smooth_setup):
         states, masks = smooth_setup
-        g = build_graph(states, masks, no_feature(len(states)), Thresholds(0.0, 0.0, 4))
-        for column in (g.onset, g.keyword, g.src, g.dst, g.synthetic, g.d_feat, g.d_img):
+        # Thresholds that keep some pairs, so every column has a row to write.
+        g = build_graph(states, masks, no_feature(len(states)), Thresholds(0.5, 0.5, 4))
+        assert g.m.size > 1
+        for column in (g.onset, g.keyword, g.m, g.n, g.d_feat, g.d_img):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
 
@@ -657,14 +659,18 @@ class TestGraphInvariants:
                            rf"\({d}, {s}\) with the same d_feat and d_img$"):
             VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4))
         edges[3:] = [GraphEdge(0, 2, "synthetic", 0.0, 0.5), GraphEdge(2, 0, "synthetic", 0.0, 0.5)]
-        assert VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4)).synthetic.sum() == 2
+        graph = VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4))
+        assert (graph.m.tolist(), graph.n.tolist()) == ([0], [2])
 
 
 class TestEdgeRows:
+    """Edges found by their endpoints: ``edge_costs`` against the ``edges`` records."""
+
     def check(self, graph, src, dst):
-        index = edge_dict(graph)
-        got = graph.edge_rows(src, dst)
-        assert got.tolist() == [index.get((a, b), -1) for a, b in zip(src, dst)]
+        cost = {(e.src, e.dst): e.d_feat + e.d_img for e in graph.edges}
+        got = graph.edge_costs(src, dst)
+        want = np.array([cost.get((a, b), math.nan) for a, b in zip(src, dst)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         return got
 
     def test_matches_the_edge_records_on_random_graphs(self):
@@ -680,25 +686,45 @@ class TestEdgeRows:
             dst = [e.dst for e in edges] + [e.src for e in edges]
             extra = rng.integers(-2, n + 2, size=(2, 50)).tolist()
             got = self.check(graph, src + extra[0], dst + extra[1])
-            assert got[: len(edges)].tolist() == list(range(len(edges)))
-            assert (got[len(edges):] == -1).any()
+            assert not np.isnan(got[: len(edges)]).any()
+            assert np.isnan(got[len(edges):]).any()
 
     def test_graph_without_synthetic_edges(self):
         graph = random_graph(np.random.default_rng(1), 12, 0)
-        assert not graph.synthetic.any()
+        assert graph.m.size == 0
         self.check(graph, list(range(12)) + [3, 5, 11], list(range(1, 13)) + [2, 7, 0])
-        row = self.check(graph, [0], [1])[0]
-        assert (graph.src[row], graph.dst[row]) == (0, 1)
+        assert self.check(graph, [0], [1]).tolist() == [0.0]
+
+    def test_edges_are_the_row_expansion_of_the_pairs(self):
+        # Random transitions of graphs of 0, 1, 2, 3 nodes and more, none among them at
+        # times, at distances that include -0.0, a subnormal and ties.
+        rng = np.random.default_rng(15)
+        values = [-0.0, 0.0, 5e-324, 0.1, 1 / 3]
+        for size in [0, 1, 2, 3, *rng.integers(4, 30, size=60).tolist()]:
+            ends = np.array([(a, b) for a in range(size) for b in range(a + 2, size)],
+                            dtype=np.int64).reshape(-1, 2)
+            m, n = ends[rng.random(len(ends)) < rng.choice([0.0, rng.random()])].T
+            d_feat, d_img = rng.choice(values, size=(2, m.size))
+            graph = VideoMotionGraph._from_columns(np.zeros(size, dtype=bool), [""] * size, m, n,
+                                                   d_feat, d_img, Thresholds(1.0, 1.0, 4),
+                                                   30.0, 2, 1.0)
+            src, dst, synthetic, f, i = pair_rows(size, m, n, d_feat, d_img)
+            kinds = np.where(synthetic, "synthetic", "natural").tolist()
+            want = list(zip(src.tolist(), dst.tolist(), kinds, map(float.hex, f.tolist()),
+                            map(float.hex, i.tolist())))
+            assert [(e.src, e.dst, e.kind, e.d_feat.hex(), e.d_img.hex())
+                    for e in graph.edges] == want
+            assert all(type(v) is int for e in graph.edges for v in (e.src, e.dst))
 
     def test_single_frame_graph_has_no_edges(self):
         graph = VideoMotionGraph([GraphNode(0, False, "")], [], Thresholds(1.0, 1.0, 4))
-        assert graph.edge_rows([0, 0, 1], [0, 1, 0]).tolist() == [-1, -1, -1]
-        assert graph.edge_rows([], []).shape == (0,)
+        assert np.isnan(graph.edge_costs([0, 0, 1], [0, 1, 0])).all()
+        assert graph.edge_costs([], []).shape == (0,)
 
     def test_node_ids_beyond_int64_are_absent(self):
         graph = random_graph(np.random.default_rng(2), 6, 2)
-        got = graph.edge_rows([0, 2**70, 1], [1, 2, -(2**70)]).tolist()
-        assert got == [edge_dict(graph)[0, 1], -1, -1]
+        got = graph.edge_costs([0, 2**70, 1], [1, 2, -(2**70)])
+        assert got[0] == 0.0 and np.isnan(got[1:]).all()
 
     def test_file_with_swapped_synthetic_rows_is_refused(self):
         doc = decoded(save_graph(random_graph(np.random.default_rng(5), 30, 30)))
@@ -789,12 +815,16 @@ class TestSerialization:
         # A motion-graph/4 file was a header line with an edge count, then the
         # columns onset, src, dst, synthetic, d_feat and d_img of every edge.
         g = self._toy_graph()
-        header = {"edges": g.src.size, "format": "motion-graph/4", "fps": 25.0,
+        edges = g.edges
+        header = {"edges": len(edges), "format": "motion-graph/4", "fps": 25.0,
                   "keyword": g.keyword.tolist(), "min_jump": 2, "velocity_weight": 1.0,
                   "thresholds": {"offset_l": 4, "tau_feat": 0.2, "tau_img": 0.6}}
+        columns = [np.array([getattr(e, name) for e in edges], dtype=dtype) for name, dtype in
+                   (("src", np.int64), ("dst", np.int64), ("d_feat", float), ("d_img", float))]
+        synthetic = np.array([e.kind == "synthetic" for e in edges])
         data = b"".join([json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
-                         b"\n", g.onset.tobytes(), g.src.tobytes(), g.dst.tobytes(),
-                         g.synthetic.tobytes(), g.d_feat.tobytes(), g.d_img.tobytes()])
+                         b"\n", g.onset.tobytes(), columns[0].tobytes(), columns[1].tobytes(),
+                         synthetic.tobytes(), columns[2].tobytes(), columns[3].tobytes()])
         (tmp_path / "g.json").write_bytes(data)
         for read in (lambda: load_graph(data), lambda: load_graph_file(tmp_path / "g.json")):
             with pytest.raises(GraphParseError, match="^graph document has format "
@@ -893,11 +923,14 @@ class TestSerialization:
         for name in ("d_feat", "d_img"):
             assert np.array_equal(getattr(loaded, name).view(np.int64),
                                   getattr(original, name).view(np.int64))
-        # Both edges of pair i hold its values.
-        pair = np.minimum(original.src, original.dst) * 20 + np.maximum(original.src, original.dst)
-        index = np.searchsorted(np.array(doc["m"]) * 20 + np.array(doc["n"]), pair[19:])
-        assert (loaded.d_feat[19:].view(np.int64) == edge_values[index].view(np.int64)).all()
-        for name in ("onset", "keyword", "src", "dst", "synthetic"):
+        # Pair i holds its values, and so do both of its edges.
+        assert (loaded.d_feat.view(np.int64) == edge_values.view(np.int64)).all()
+        edges = loaded.edges[19:]
+        pair = [min(e.src, e.dst) * 20 + max(e.src, e.dst) for e in edges]
+        index = np.searchsorted(np.array(doc["m"]) * 20 + np.array(doc["n"]), pair)
+        got = np.array([e.d_feat for e in edges])
+        assert (got.view(np.int64) == edge_values[index].view(np.int64)).all()
+        for name in ("onset", "keyword", "m", "n"):
             assert np.array_equal(getattr(loaded, name), getattr(original, name))
             assert getattr(loaded, name).dtype == getattr(original, name).dtype
 
@@ -1210,6 +1243,6 @@ def random_graph(rng, n, n_pairs):
 
 def test_random_graph_refuses_more_jumps_than_the_graph_has():
     rng = np.random.default_rng(0)
-    assert int(random_graph(rng, 4, 3).synthetic.sum()) == 6
+    assert random_graph(rng, 4, 3).m.size == 3
     with pytest.raises(ValueError, match="only 1 distinct transitions"):
         random_graph(rng, 3, 2)

@@ -3,7 +3,7 @@ import pytest
 
 from motiongraph import kernels
 from motiongraph.errors import StructuralError
-from oracles import dst_sorted_edge_layout, meshgrid_rasterize_capsules
+from oracles import dst_sorted_edge_layout, meshgrid_rasterize_capsules, pair_rows
 
 
 def test_popcount_matches_direct_counting_any_backend():
@@ -232,15 +232,28 @@ def random_walk_graph(rng, n):
     return src, dst, cost, np.arange(len(edges)) >= n - 1
 
 
+def pair_layout(src, dst, cost, synthetic, n):
+    """``kernels.edge_layout`` of a ``random_walk_graph``'s transitions: its
+    synthetic rows m -> n with m < n."""
+    pairs = synthetic & (src < dst)
+    return kernels.edge_layout(src[pairs], dst[pairs], cost[pairs], n)
+
+
 def test_edge_layout_equals_the_dst_sorted_layout_on_symmetric_graphs():
+    # Random transitions of graphs of 0, 1, 2, 3 nodes and more, none among them at
+    # times, each at its own cost: the layout of the pairs is the dst-sorted layout
+    # of the rows they expand into, bit for bit, dtypes included.
     rng = np.random.default_rng(14)
-    for _ in range(60):
-        n = int(rng.integers(1, 60))
-        src, dst, cost, synthetic = random_walk_graph(rng, n)
-        cost *= 1.0 + np.minimum(src, dst) * n + np.maximum(src, dst)  # one cost per pair
-        args = (src[synthetic], dst[synthetic], cost[synthetic], n)
-        got, want = kernels.edge_layout(*args), dst_sorted_edge_layout(*args)
+    for n in [0, 1, 2, 3, *rng.integers(4, 60, size=80).tolist()]:
+        ends = np.array([(a, b) for a in range(n) for b in range(a + 2, n)],
+                        dtype=np.int64).reshape(-1, 2)
+        m, nn = ends[rng.random(len(ends)) < rng.choice([0.0, rng.random()])].T
+        cost = rng.uniform(0.0, 1.0, size=m.size)
+        src, dst, synthetic, d_feat, _ = pair_rows(n, m, nn, cost, np.zeros(m.size))
+        got = kernels.edge_layout(m, nn, cost, n)
+        want = dst_sorted_edge_layout(src[synthetic], dst[synthetic], d_feat[synthetic], n)
         for name in ("indptr", "src", "cost", "group_dst", "group_start"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -337,7 +350,7 @@ class TestWalkDistances:
             seed[states.anchor, rng.choice(n, size=2, replace=False)] = 0.0
             if trial % 3 == 0:  # a later segment: prefixes in several states
                 seed[rng.integers(0, states.size, size=6), rng.integers(0, n, size=6)] = 0.5
-            layout = kernels.edge_layout(src[synthetic], dst[synthetic], cost[synthetic], n)
+            layout = pair_layout(src, dst, cost, synthetic, n)
             steps = 3 * k + 5
             table = step_tables(layout, seed, allowed, steps, states)
             ref, parent = bellman_ford(src, dst, cost, synthetic, n, seed, allowed, steps, k)
@@ -359,7 +372,7 @@ class TestWalkDistances:
         # begin a walk but not recur in one.
         allowed = np.array([False, True, True])
         states = kernels.BlendStates(1)
-        layout = kernels.edge_layout(np.array([0, 2]), np.array([2, 0]), np.array([0.125] * 2), 3)
+        layout = kernels.edge_layout(np.array([0]), np.array([2]), np.array([0.125]), 3)
         seed = np.full((states.size, 3), np.inf)
         seed[states.anchor, 0] = 0.0
         table = step_tables(layout, seed, allowed, 5, states)
@@ -375,8 +388,7 @@ class TestWalkDistances:
         # before the cut 2 -> 5 is 1, 2, k + 1 frames only for k = 1.
         for k, reached in ((1, 0.25), (2, np.inf)):
             states = kernels.BlendStates(k)
-            layout = kernels.edge_layout(np.array([2, 5]), np.array([5, 2]), np.array([0.25] * 2),
-                                         6)
+            layout = kernels.edge_layout(np.array([2]), np.array([5]), np.array([0.25]), 6)
             seed = np.full((states.size, 6), np.inf)
             seed[states.anchor, 0] = 0.0
             table = step_tables(layout, seed, np.ones(6, dtype=bool), 3, states)
@@ -417,7 +429,7 @@ def random_replay_case(rng, k):
     if rng.random() < 0.4:  # a later segment: prefixes in several states, none in the anchor
         seed = np.full((states.size, n), np.inf)
         seed[rng.integers(1, states.size, size=8), rng.integers(0, n, size=8)] = rng.choice(COSTS, 8)
-    layout = kernels.edge_layout(src[synthetic], dst[synthetic], cost[synthetic], n)
+    layout = pair_layout(src, dst, cost, synthetic, n)
     return layout, seed, allowed, states, (src, dst, cost, synthetic, n)
 
 
@@ -448,7 +460,7 @@ class TestReplayWalk:
         states = kernels.BlendStates(k)
         n = 40
         src, dst, cost, synthetic = random_walk_graph(rng, n)
-        layout = kernels.edge_layout(src[synthetic], dst[synthetic], cost[synthetic], n)
+        layout = pair_layout(src, dst, cost, synthetic, n)
         seed = np.full((states.size, n), np.inf)
         seed[states.anchor, [3, 17]] = 0.0
         best, cuts = kernels.walk_distances(layout, seed, np.ones(n, dtype=bool), {12: 0.0}, states)
