@@ -229,7 +229,7 @@ def run_benchmarks():
     pair_m, pair_n = pairs.T.copy()  # rising (m, n), as a graph holds them
 
     def pair_graph(onset):
-        return graph.VideoMotionGraph._from_columns(
+        return graph.VideoMotionGraph(
             onset, [""] * n, pair_m, pair_n, *distances,
             graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,
         )
@@ -281,7 +281,7 @@ def run_benchmarks():
     keys = np.unique(big_rng.integers(0, big_n * big_n, size=2_600_000))
     jump_m, jump_n = keys // big_n, keys % big_n
     keep = jump_n - jump_m >= graph.DEFAULT_MIN_JUMP
-    big_graph = graph.VideoMotionGraph._from_columns(
+    big_graph = graph.VideoMotionGraph(
         np.zeros(big_n, dtype=bool), [""] * big_n, jump_m[keep], jump_n[keep],
         *big_rng.uniform(0.0, 0.1, size=(2, int(keep.sum()))),
         graph.Thresholds(0.1, 0.1, 4), 30.0, graph.DEFAULT_MIN_JUMP, 1.0,

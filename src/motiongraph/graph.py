@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import (GraphParseError, StructuralError, ValidationError, integer, is_integer,
-                     is_real, read_document, real)
+from .errors import (GraphParseError, StructuralError, ValidationError, integer, read_document,
+                     real)
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -68,43 +68,27 @@ class VideoMotionGraph:
     dictionary word is active). Transition j, by strictly rising (m, n) with m < n, is the
     synthetic edges ``m[j] -> n[j]`` and back, each costing ``d_feat[j] + d_img[j]`` (both
     metrics are symmetric). The natural chain 0 -> 1 -> ... -> N-1 costs 0 and is not
-    stored. The columns are read-only. ``nodes`` and ``edges`` give the graph as tuples of
-    ``GraphNode``/``GraphEdge``: ``nodes`` is built on first access and kept, ``edges``
-    (the chain, then the synthetic edges by (src, dst)) on every read, kept by the caller."""
+    stored. The columns are read-only. ``nodes`` and ``edges`` are read-only views of the
+    graph as tuples of ``GraphNode``/``GraphEdge``, which nothing in the library reads (the
+    benchmark does): ``nodes`` is built on first access and kept, ``edges`` (the chain, then
+    the synthetic edges by (src, dst)) on every read, kept by the caller."""
 
-    def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[GraphEdge],
-                 thresholds: Thresholds, fps: float = 30.0,
-                 min_jump: int = DEFAULT_MIN_JUMP, velocity_weight: float = 1.0):
-        """A graph from node and edge records, the edges as ``edges`` lists them, each
-        synthetic one beside its reverse at the same distances, bit for bit. A field of
-        the wrong type is refused before any column is built."""
-        frame, onset, keyword = (_record_column(nodes, f.name) for f in fields(GraphNode))
-        src, dst, kind, d_feat, d_img = (_record_column(edges, f.name) for f in fields(GraphEdge))
+    def __init__(self, onset, keyword, m, n, d_feat, d_img, thresholds: Thresholds,
+                 fps: float = 30.0, min_jump: int = DEFAULT_MIN_JUMP,
+                 velocity_weight: float = 1.0):
+        """A graph from its columns, each 1-D: ``onset`` (bools) and ``keyword`` (strings)
+        per node, ``m``, ``n`` (integers) and ``d_feat``, ``d_img`` (real numbers) per
+        transition. A column of another kind, shape or length is refused, naming it, before
+        ``_check_pairs`` names the first offending pair. A column given as an array of the
+        graph's dtype is held, not copied, and made read-only."""
         fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
+        onset, m, n, d_feat, d_img = map(_column, FILE_COLUMNS, (onset, m, n, d_feat, d_img))
         keyword = _keyword_column(keyword)
-        _check_columns(onset.size, src, dst, kind, d_feat, d_img, min_jump)
-        if not np.array_equal(frame, np.arange(onset.size)):
-            raise ValidationError("node frame indices must be 0..N-1 in order")
-        syn = np.arange(src.size) >= onset.size - 1  # the rows after the natural chain
-        bits = dict(zip(zip(src[syn].tolist(), dst[syn].tolist()),
-                        np.stack([d_feat, d_img], axis=1)[syn].view(np.int64).tolist()))
-        if unpaired := next((e for e, value in bits.items() if bits.get(e[::-1]) != value), None):
-            raise ValidationError("synthetic edge ({0}, {1}) has no reverse ({1}, {0}) with the "
-                                  "same d_feat and d_img".format(*unpaired))
-        upper = syn & (src < dst)
-        self._init(onset, keyword, src[upper], dst[upper], d_feat[upper], d_img[upper],
-                   thresholds, fps, min_jump, velocity_weight)
-
-    @classmethod
-    def _from_columns(cls, *columns, **named) -> VideoMotionGraph:
-        graph = cls.__new__(cls)
-        graph._init(*columns, **named)
-        return graph
-
-    def _init(self, onset, keyword, m, n, d_feat, d_img,
-              thresholds, fps, min_jump, velocity_weight) -> None:
-        fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
-        keyword = _keyword_column(keyword)
+        for name, column, count in (("keyword", keyword, onset.size), ("n", n, m.size),
+                                    ("d_feat", d_feat, m.size), ("d_img", d_img, m.size)):
+            if column.size != count:
+                what = "nodes" if name == "keyword" else "pairs"
+                raise StructuralError(f"{name} holds {column.size} values for {count} {what}")
         _check_pairs(onset.size, m, n, d_feat, d_img, min_jump)
         for column in (onset, keyword, m, n, d_feat, d_img):
             column.flags.writeable = False
@@ -146,74 +130,35 @@ class VideoMotionGraph:
         return np.where(inside & (dst == src + 1), 0.0, costs)
 
 
-_INTEGER, _REAL = (np.int64, is_integer, "an integer"), (np.float64, is_real, "a real number")
-_STRING = (lambda value: isinstance(value, str), "a string")
-#: Each record field's column dtype, a test that reads only a value's type and what it
-#: asks for. An endpoint outside the graph or a non-finite distance is left to ``_check_columns``.
-_RECORD_FIELDS = {"frame_index": _INTEGER, "src": _INTEGER, "dst": _INTEGER, "d_feat": _REAL,
-                  "d_img": _REAL, "keyword": (object, *_STRING), "kind": (object, *_STRING),
-                  "onset": (bool, lambda value: isinstance(value, (bool, np.bool_)), "a bool")}
+#: The dtype kinds each kind of graph column is made from, without rounding or parsing.
+_SOURCE_KINDS = {"b": ("b", "bools"), "i": ("iu", "integers within int64"),
+                 "f": ("iuf", "real numbers")}
 
 
-def _record_column(records, name: str) -> np.ndarray:
-    """Field ``name`` of each record as a column, as ``_field_column`` checks it."""
-    return _field_column(name, [getattr(record, name) for record in records])
-
-
-def _field_column(name: str, values: list) -> np.ndarray:
-    """``values`` of record field ``name`` as a column, once one value of each type passes."""
-    dtype, test, wanted = _RECORD_FIELDS[name]
-    if failed := {kind for kind, value in dict(zip(map(type, values), values)).items()
-                  if not test(value)}:
-        value = next(value for value in values if type(value) in failed)
-        raise ValidationError(f"{name} must be {wanted}, got {value!r}")
-    try:
-        return np.array(values, dtype)
-    except OverflowError:  # an integer beyond int64 or float64
-        raise ValidationError(f"{name} must be {wanted} within {np.dtype(dtype)}") from None
+def _column(name: str, values) -> np.ndarray:
+    """``values`` as the graph column ``name`` (of ``FILE_COLUMNS``), if they are a 1-D array
+    or list that converts to its dtype exactly, or an empty one; else ValidationError."""
+    dtype = FILE_COLUMNS[name]
+    kinds, wanted = _SOURCE_KINDS[dtype.kind]
+    column = np.asarray(values)
+    if column.ndim != 1:
+        got = f"shape {column.shape}"
+    elif column.size and not (column.dtype.kind in kinds and np.can_cast(column.dtype, dtype)):
+        got = f"dtype {column.dtype}"
+    else:
+        return column.astype(dtype, copy=False)
+    raise ValidationError(f"{name} must be a 1-D column of {wanted}, got {got}")
 
 
 def _keyword_column(words) -> np.ndarray:
-    """``words`` as a ``str`` column, refused where it would change one (it drops trailing NULs)."""
+    """``words`` as a 1-D ``str`` column, refused where it would change one (it drops
+    trailing NULs)."""
     column = np.array(words, dtype=str)
+    if column.ndim != 1:
+        raise ValidationError(f"keyword must be a 1-D column of strings, got shape {column.shape}")
     if changed := next(((w, k) for w, k in zip(words, column.tolist()) if w != k), None):
         raise ValidationError("keyword {!r} would be stored as {!r}".format(*changed))
     return column
-
-
-def _check_columns(n, src, dst, kind, d_feat, d_img, min_jump) -> None:
-    """Check the edge records' columns of an ``n``-node graph: row j < n - 1 must be the
-    natural edge (j, j + 1), then the synthetic keys ``src * n + dst`` rise. The first
-    offending edge raises ValidationError with the first rule below that it breaks."""
-    natural, synthetic = kind == "natural", kind == "synthetic"
-    # Each row's key less the one before it, checked from the second synthetic row.
-    rise = np.diff(src * n + dst, prepend=0)
-    rise[:n] = 1
-    head = max(n - 1, 0)  # the rows of the natural chain
-    misplaced = natural | (rise < 0)
-    misplaced[:head] = synthetic[:head] | (src[:head] != np.arange(src[:head].size))
-    rules = (
-        ((src < 0) | (src >= n) | (dst < 0) | (dst >= n),
-         "edge ({s}, {d}) has an endpoint outside frames 0..{last}"),
-        (src == dst, "self-edge at frame {s}"),
-        (rise == 0, "duplicate edge ({s}, {d})"),
-        (~(np.isfinite(d_feat) & np.isfinite(d_img)), "edge ({s}, {d}) has a non-finite distance"),
-        (natural & (dst != src + 1), "natural edge ({s}, {d}) must connect consecutive frames"),
-        (natural & ((d_feat != 0) | (d_img != 0)), "natural edge ({s}, {d}) must cost 0"),
-        (~(natural | synthetic), "edge ({s}, {d}) has unknown kind {kind!r}"),
-        (synthetic & (np.abs(dst - src) < min_jump),
-         "synthetic edge ({s}, {d}) jumps less than min_jump"),
-        (misplaced,
-         "edge ({s}, {d}) is out of order: the natural chain, then synthetic edges by (src, dst)"),
-    )
-    broken = np.logical_or.reduce([failed for failed, _ in rules])
-    if broken.any():
-        j = int(np.argmax(broken))
-        message = next(message for failed, message in rules if failed[j])
-        raise ValidationError(message.format(s=int(src[j]), d=int(dst[j]), last=n - 1,
-                                             kind=str(kind[j])))
-    if src.size < n - 1:
-        raise ValidationError("natural edges must form the full chain 0..N-1")
 
 
 def _check_pairs(size, m, n, d_feat, d_img, min_jump) -> None:
@@ -349,7 +294,7 @@ def build_graph(
     by rising (m, n), the graph's order (the metrics are symmetric, playback is
     directed). Pairs are pre-gated with a vectorized d_feat approximation, then
     re-checked with the exact per-pair operations so the stored distances match
-    them bit-for-bit. An onset flag must be a bool, as in a ``GraphNode``.
+    them bit-for-bit. An onset flag must be a bool: it is refused, never converted.
     """
     n = len(joint_states)
     if n < 2:
@@ -358,7 +303,9 @@ def build_graph(
     if len(features) != n:
         raise StructuralError(f"{len(features)} feature records for {n} joint states")
     fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
-    onset = _field_column("onset", [on for on, _ in features])
+    for on, _ in features:
+        if not isinstance(on, (bool, np.bool_)):
+            raise ValidationError(f"onset must be a bool, got {on!r}")
 
     mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
     # Exact d_feat filter: pose_distance of every gated pair.
@@ -368,8 +315,8 @@ def build_graph(
     d_img = _image_distances(masks, np.stack([mm, nn], axis=1))
     keep = d_img <= thresholds.tau_img
     mm, nn, d_feat, d_img = mm[keep], nn[keep], d_feat[keep], d_img[keep]
-    return VideoMotionGraph._from_columns(
-        onset, [kw for _, kw in features], mm, nn, d_feat, d_img,
+    return VideoMotionGraph(
+        [on for on, _ in features], [kw for _, kw in features], mm, nn, d_feat, d_img,
         thresholds, fps, min_jump, velocity_weight,
     )
 
@@ -445,7 +392,7 @@ def _read_graph(f, size: int) -> VideoMotionGraph:
                 raise StructuralError("the graph file ended while it was read")
             if column.dtype == bool and (column.view(np.uint8) > 1).any():
                 raise ValidationError(f"{name} bytes must be 0 or 1")
-        return VideoMotionGraph._from_columns(
+        return VideoMotionGraph(
             **columns, keyword=keyword, thresholds=thresholds, fps=doc["fps"],
             min_jump=doc["min_jump"], velocity_weight=doc["velocity_weight"])
 

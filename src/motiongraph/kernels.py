@@ -187,9 +187,11 @@ def edge_layout(m, n, cost, n_nodes) -> EdgeLayout:
     """Group by destination, for ``walk_distances``, the synthetic edges of an ``n_nodes``-node
     graph's transitions (m, n), by strictly rising (m, n) with m < n: edges i and i + P are
     ``m[i] -> n[i]`` and back, at ``cost[i]``. A stable sort of them by destination lists
-    each node's sources ascending (the m below it by rising m, then the n above it)."""
-    dst = np.concatenate([n, m]).astype(np.int64)
-    order = np.argsort(dst, kind="stable")
+    each node's sources ascending (the m below it by rising m, then the n above it). The
+    sort reads the destinations in the smallest type that holds a node id: below 65,536
+    nodes numpy sorts it by radix, not by timsort, with the same one stable result."""
+    dst = np.concatenate([n, m]).astype(np.int64, copy=False)
+    order = np.argsort(dst.astype(np.min_scalar_type(n_nodes)), kind="stable")
     counts = np.bincount(dst, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

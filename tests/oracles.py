@@ -145,51 +145,24 @@ def per_row_pair_distances(positions, velocities, mm, nn, velocity_weight=1.0):
         for p, v in zip(positions[mm] - positions[nn], velocities[mm] - velocities[nn])
     ], dtype=np.float64)
 
-def first_graph_violation(nodes, edges, min_jump):
-    """The message of the first graph invariant that ``nodes`` and ``edges``
-    (GraphNode/GraphEdge records) break, or None: the edge-by-edge loop that
-    VideoMotionGraph's vectorized check must agree with. Edge j < N-1 must be
-    the natural edge (j, j+1); each later one a synthetic edge whose (src, dst)
-    comes after the one before it; and each synthetic edge's reverse an edge at
-    the same distances."""
-    n = len(nodes)
-    for j, e in enumerate(edges):
-        pair = (e.src, e.dst)
-        # The synthetic edge before this one, if there is one.
-        before = (edges[j - 1].src, edges[j - 1].dst) if j >= n else None
-        if not (0 <= e.src < n and 0 <= e.dst < n):
-            return f"edge ({e.src}, {e.dst}) has an endpoint outside frames 0..{n - 1}"
-        if e.src == e.dst:
-            return f"self-edge at frame {e.src}"
-        if pair == before:
-            return f"duplicate edge ({e.src}, {e.dst})"
-        if not (np.isfinite(e.d_feat) and np.isfinite(e.d_img)):
-            return f"edge ({e.src}, {e.dst}) has a non-finite distance"
-        if e.kind == "natural":
-            if e.dst != e.src + 1:
-                return f"natural edge ({e.src}, {e.dst}) must connect consecutive frames"
-            if e.d_feat != 0 or e.d_img != 0:
-                return f"natural edge ({e.src}, {e.dst}) must cost 0"
-        elif e.kind != "synthetic":
-            return f"edge ({e.src}, {e.dst}) has unknown kind {e.kind!r}"
-        elif abs(e.dst - e.src) < min_jump:
-            return f"synthetic edge ({e.src}, {e.dst}) jumps less than min_jump"
-        in_order = ((e.kind, e.src) == ("natural", j) if j < n - 1
-                    else e.kind == "synthetic" and (before is None or pair > before))
-        if not in_order:
-            return (f"edge ({e.src}, {e.dst}) is out of order: the natural chain, then "
-                    "synthetic edges by (src, dst)")
-    if len(edges) < n - 1:
-        return "natural edges must form the full chain 0..N-1"
-    if any(node.frame_index != i for i, node in enumerate(nodes)):
-        return "node frame indices must be 0..N-1 in order"
-    # Each synthetic edge's reverse holds the same distances, bit for bit.
-    bits = {(e.src, e.dst): np.array([e.d_feat, e.d_img]).tobytes()
-            for e in edges if e.kind == "synthetic"}
-    for (s, d), value in bits.items():
-        if bits.get((d, s)) != value:
-            return (f"synthetic edge ({s}, {d}) has no reverse ({d}, {s}) "
-                    "with the same d_feat and d_img")
+def first_pair_violation(size, pairs, min_jump):
+    """The message of the first rule that the transitions ``pairs`` ((m, n, d_feat, d_img)
+    tuples) of a ``size``-node graph break, or None: the pair-by-pair loop that
+    VideoMotionGraph's vectorized check must agree with. Each pair's key m * size + n
+    must rise above the one before it, with m < n; its frames lie in the graph, its
+    distances are finite, and n - m is at least ``min_jump``."""
+    before = None
+    for m, n, d_feat, d_img in pairs:
+        if m >= n or (before is not None and m * size + n <= before):
+            return (f"pair ({m}, {n}) is out of order: pairs rise strictly by (m, n), "
+                    "each with m < n")
+        if m < 0 or n >= size:
+            return f"edge ({m}, {n}) has an endpoint outside frames 0..{size - 1}"
+        if not (math.isfinite(d_feat) and math.isfinite(d_img)):
+            return f"edge ({m}, {n}) has a non-finite distance"
+        if n - m < min_jump:
+            return f"synthetic edge ({m}, {n}) jumps less than min_jump"
+        before = m * size + n
     return None
 
 

@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import io
 import json
 import math
@@ -41,7 +40,7 @@ from motiongraph.silhouette import (
 
 from conftest import make_sequence
 from oracles import (
-    first_graph_violation,
+    first_pair_violation,
     full_matrix_gate,
     image_distance,
     pair_rows,
@@ -204,7 +203,7 @@ class TestThresholds:
         thresholds = Thresholds(0.1, 0.1, np.int64(4))
         assert thresholds.offset_l == 4
         assert type(thresholds.offset_l) is int  # so the graph writer can encode it
-        graph = VideoMotionGraph([GraphNode(0, False, "")], [], thresholds)
+        graph = column_graph(1, thresholds=thresholds)
         assert load_graph(save_graph(graph)).thresholds == thresholds
 
 
@@ -222,7 +221,7 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("onset", ["no", 2, None, np.float64(0.5), 0])
     def test_onset_flag_that_is_not_a_bool_rejected(self, smooth_setup, onset):
-        # The record constructor's rule: a flag is refused, never converted.
+        # build_graph's rule: a flag is refused, never converted.
         states, masks = smooth_setup
         features = no_feature(len(states))
         features[3] = (onset, "")
@@ -435,232 +434,234 @@ class TestPairGating:
         assert peak < 24e6, f"build_graph peaked at {peak / 1e6:.1f} MB"
 
 
-# Each breaks exactly one edge rule (endpoint range, kind, finite distance,
-# min_jump = 2) when added to a 3- or 4-frame natural chain.
+# Each breaks exactly one pair rule (endpoint range, finite distance, min_jump = 2)
+# as the one transition of a 4-frame graph.
 BAD_EDGES = [
-    pytest.param(GraphEdge(0, 7, "synthetic", 0.0, 0.0), "outside frames", id="dst-past-end"),
-    pytest.param(GraphEdge(-1, 2, "synthetic", 0.0, 0.0), "outside frames", id="negative-src"),
-    pytest.param(GraphEdge(2, 0, "bogus", 0.0, 0.0), "unknown kind", id="bogus-kind"),
-    pytest.param(GraphEdge(2, 0, "synthetic", math.nan, 0.0), "non-finite", id="nan-distance"),
-    pytest.param(GraphEdge(2, 1, "synthetic", 0.0, 0.0), "min_jump", id="short-jump"),
+    pytest.param((0, 7, 0.0, 0.0), "outside frames", id="dst-past-end"),
+    pytest.param((-1, 2, 0.0, 0.0), "outside frames", id="negative-src"),
+    pytest.param((0, 2, math.nan, 0.0), "non-finite", id="nan-distance"),
+    pytest.param((1, 2, 0.0, 0.0), "min_jump", id="short-jump"),
 ]
 
 
-# Each replaces one field of node 1 or of the synthetic edge (0, 2) with a
-# value of another type, or one its column would change, which is refused,
-# never converted.
+# Each replaces node 1's value in a node column, or the transition (0, 2)'s value in a
+# pair column, with a value of another type, or one its column would change, which is
+# refused, never converted.
 BAD_RECORD_FIELDS = [
-    pytest.param("node", "frame_index", 1.0, "frame_index must be an integer, got 1.0",
-                 id="fractional-frame-index"),
-    pytest.param("node", "onset", 2, "onset must be a bool, got 2", id="integer-onset"),
-    pytest.param("node", "onset", "no", "onset must be a bool, got 'no'", id="text-onset"),
-    pytest.param("node", "keyword", 5, "keyword must be a string, got 5", id="integer-keyword"),
+    pytest.param("onset", 2, "onset must be a 1-D column of bools, got dtype int64",
+                 id="integer-onset"),
+    pytest.param("onset", "no", "onset must be a 1-D column of bools, got dtype <U5",
+                 id="text-onset"),
+    pytest.param("keyword", 5, "keyword 5 would be stored as '5'", id="integer-keyword"),
     # A str column drops trailing NULs, so such a word is refused, not cut.
-    pytest.param("node", "keyword", "hi\0", "keyword 'hi\\x00' would be stored as 'hi'",
+    pytest.param("keyword", "hi\0", "keyword 'hi\\x00' would be stored as 'hi'",
                  id="keyword-ending-in-nul"),
-    pytest.param("edge", "src", True, "src must be an integer, got True", id="boolean-src"),
-    pytest.param("edge", "dst", 2.7, "dst must be an integer, got 2.7", id="fractional-dst"),
-    pytest.param("edge", "dst", 2**70, "dst must be an integer within int64",
+    pytest.param("m", True, "m must be a 1-D column of integers within int64, got dtype bool",
+                 id="boolean-src"),
+    pytest.param("n", 2.7, "n must be a 1-D column of integers within int64, got dtype float64",
+                 id="fractional-dst"),
+    pytest.param("n", 2**70, "n must be a 1-D column of integers within int64, got dtype object",
                  id="dst-beyond-int64"),
-    pytest.param("edge", "kind", 1, "kind must be a string, got 1", id="integer-kind"),
-    pytest.param("edge", "d_feat", "0.1", "d_feat must be a real number, got '0.1'",
+    pytest.param("d_feat", "0.1", "d_feat must be a 1-D column of real numbers, got dtype <U3",
                  id="text-d-feat"),
-    pytest.param("edge", "d_feat", True, "d_feat must be a real number, got True",
+    pytest.param("d_feat", True, "d_feat must be a 1-D column of real numbers, got dtype bool",
                  id="boolean-d-feat"),
-    pytest.param("edge", "d_img", None, "d_img must be a real number, got None", id="null-d-img"),
+    pytest.param("d_img", None, "d_img must be a 1-D column of real numbers, got dtype object",
+                 id="null-d-img"),
+]
+
+
+#: The columns of a 4-frame graph with the transitions (0, 2) and (1, 3).
+GOOD_COLUMNS = dict(onset=[False] * 4, keyword=[""] * 4, m=[0, 1], n=[2, 3],
+                    d_feat=[0.5, 0.25], d_img=[0.5, 0.25])
+OUT_OF_ORDER = "is out of order: pairs rise strictly by (m, n), each with m < n"
+
+# Each edits GOOD_COLUMNS into a graph that a column rule or a pair rule refuses,
+# with the whole message, which names the first offending column or pair.
+BAD_COLUMNS = [
+    pytest.param({"onset": [[False] * 4]}, ValidationError,
+                 "onset must be a 1-D column of bools, got shape (1, 4)", id="2-d-onset"),
+    pytest.param({"onset": np.zeros(4, dtype=np.uint8)}, ValidationError,
+                 "onset must be a 1-D column of bools, got dtype uint8", id="byte-onset"),
+    pytest.param({"keyword": [[""]] * 4}, ValidationError,
+                 "keyword must be a 1-D column of strings, got shape (4, 1)", id="2-d-keyword"),
+    pytest.param({"keyword": [""] * 3}, StructuralError, "keyword holds 3 values for 4 nodes",
+                 id="keyword-count"),
+    pytest.param({"m": 0}, ValidationError,
+                 "m must be a 1-D column of integers within int64, got shape ()", id="scalar-m"),
+    pytest.param({"m": [0.0, 1.0]}, ValidationError,
+                 "m must be a 1-D column of integers within int64, got dtype float64",
+                 id="float-m"),
+    pytest.param({"n": np.array([2, 3], dtype=np.uint64)}, ValidationError,
+                 "n must be a 1-D column of integers within int64, got dtype uint64",
+                 id="uint64-n"),
+    pytest.param({"d_feat": [0.5 + 0j, 0.25]}, ValidationError,
+                 "d_feat must be a 1-D column of real numbers, got dtype complex128",
+                 id="complex-d-feat"),
+    pytest.param({"d_img": np.zeros((2, 1))}, ValidationError,
+                 "d_img must be a 1-D column of real numbers, got shape (2, 1)", id="2-d-d-img"),
+    pytest.param({"n": [2]}, StructuralError, "n holds 1 values for 2 pairs", id="short-n"),
+    pytest.param({"d_feat": [0.5, 0.25, 0.0]}, StructuralError,
+                 "d_feat holds 3 values for 2 pairs", id="long-d-feat"),
+    pytest.param({"d_img": []}, StructuralError, "d_img holds 0 values for 2 pairs",
+                 id="empty-d-img"),
+    # The column rules come before the pair rules.
+    pytest.param({"m": [1, 0], "d_img": [True, False]}, ValidationError,
+                 "d_img must be a 1-D column of real numbers, got dtype bool",
+                 id="column-before-pair"),
+    pytest.param({"m": [0, 0], "n": [2, 2]}, ValidationError, f"pair (0, 2) {OUT_OF_ORDER}",
+                 id="duplicate-pair"),
+    pytest.param({"m": [1, 0], "n": [3, 2]}, ValidationError, f"pair (0, 2) {OUT_OF_ORDER}",
+                 id="falling-pairs"),
+    pytest.param({"m": [2, 1], "n": [0, 3]}, ValidationError, f"pair (2, 0) {OUT_OF_ORDER}",
+                 id="m-above-n"),
+    pytest.param({"m": [0, 1], "n": [2, 1]}, ValidationError, f"pair (1, 1) {OUT_OF_ORDER}",
+                 id="self-pair"),
+    pytest.param({"n": [2, 4]}, ValidationError,
+                 "edge (1, 4) has an endpoint outside frames 0..3", id="n-past-the-end"),
+    pytest.param({"m": [-1, 1]}, ValidationError,
+                 "edge (-1, 2) has an endpoint outside frames 0..3", id="negative-m"),
+    pytest.param({"d_img": [0.5, math.inf]}, ValidationError,
+                 "edge (1, 3) has a non-finite distance", id="infinite-d-img"),
+    pytest.param({"d_feat": [math.nan, 0.25], "n": [2, 9]}, ValidationError,
+                 "edge (0, 2) has a non-finite distance", id="first-of-two-bad-pairs"),
+    pytest.param({"m": [0, 2], "n": [2, 3]}, ValidationError,
+                 "synthetic edge (2, 3) jumps less than min_jump", id="short-jump"),
 ]
 
 
 class TestGraphInvariants:
-    def _nodes(self, n):
-        return [GraphNode(i, False, "") for i in range(n)]
+    """A graph's columns, and each node's and each transition's record across them."""
 
-    def _chain(self, n):
-        return [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
+    @pytest.mark.parametrize("edit, error, message", BAD_COLUMNS)
+    def test_constructor_refuses_bad_columns_and_pairs(self, edit, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            VideoMotionGraph(**(GOOD_COLUMNS | edit), thresholds=Thresholds(1, 1, 4))
+        graph = VideoMotionGraph(**GOOD_COLUMNS, thresholds=Thresholds(1, 1, 4))
+        assert (graph.m.tolist(), graph.n.tolist()) == ([0, 1], [2, 3])
 
-    def test_missing_natural_edge_rejected(self):
-        edges = self._chain(4)[:-1]
-        with pytest.raises(ValidationError):
-            VideoMotionGraph(self._nodes(4), edges, Thresholds(0, 0, 4))
+    def test_min_jump_is_the_graphs(self):
+        with pytest.raises(ValidationError, match=r"^synthetic edge \(0, 2\) jumps less than "):
+            VideoMotionGraph(**GOOD_COLUMNS, thresholds=Thresholds(1, 1, 4), min_jump=3)
 
     @pytest.mark.parametrize("d_feat, d_img", [(0.25, 0.0), (0.0, 5e-324), (-0.5, 0.5)])
     def test_costed_natural_edge_rejected(self, d_feat, d_img):
-        # The search plays a natural edge at cost 0, so a costed one is refused.
-        edges = self._chain(4)
-        edges[1] = GraphEdge(1, 2, "natural", d_feat, d_img)
-        with pytest.raises(ValidationError, match=r"^natural edge \(1, 2\) must cost 0$"):
-            VideoMotionGraph(self._nodes(4), edges, Thresholds(0, 0, 4))
+        # The search plays a natural edge at cost 0, so a transition between
+        # consecutive frames, which would give it a cost, is refused.
+        with pytest.raises(ValidationError,
+                           match=r"^synthetic edge \(1, 2\) jumps less than min_jump$"):
+            column_graph(4, [(1, 2, d_feat, d_img)])
+        assert column_graph(4).edge_costs([1], [2]).tolist() == [0.0]
 
     def test_self_edge_rejected(self):
-        edges = self._chain(3) + [GraphEdge(1, 1, "synthetic", 0.0, 0.0)]
-        with pytest.raises(ValidationError):
-            VideoMotionGraph(self._nodes(3), edges, Thresholds(0, 0, 4))
+        with pytest.raises(ValidationError, match=rf"^pair \(1, 1\) {re.escape(OUT_OF_ORDER)}$"):
+            column_graph(3, [(1, 1, 0.0, 0.0)])
 
     def test_duplicate_edge_rejected(self):
-        edges = self._chain(4) + [
-            GraphEdge(0, 2, "synthetic", 0.0, 0.0),
-            GraphEdge(0, 2, "synthetic", 0.0, 0.0),
-        ]
-        with pytest.raises(ValidationError):
-            VideoMotionGraph(self._nodes(4), edges, Thresholds(0, 0, 4))
+        with pytest.raises(ValidationError, match=rf"^pair \(0, 2\) {re.escape(OUT_OF_ORDER)}$"):
+            column_graph(4, [(0, 2, 0.0, 0.0), (0, 2, 0.0, 0.0)])
 
     @pytest.mark.parametrize("bad, reason", BAD_EDGES)
     def test_bad_edge_rejected(self, bad, reason):
         with pytest.raises(ValidationError, match=reason):
-            VideoMotionGraph(self._nodes(4), self._chain(4) + [bad], Thresholds(0, 0, 4))
+            column_graph(4, [bad])
 
     def test_messages_match_the_edge_loop(self):
-        # Random small graphs, most with a defect: a missing chain link, a
-        # swapped frame index, or random extra edges.
+        # Random small graphs, most with a defect: random extra transitions, some with
+        # an endpoint outside the graph or a non-finite distance, half of them shuffled.
         rng = np.random.default_rng(11)
         distances = [0.0, 0.25, 0.5, math.nan, math.inf]
-        raised = out_of_order = 0
+        raised, rules = 0, set()
         for _ in range(600):
-            n = int(rng.integers(0, 7))
+            size = int(rng.integers(0, 7))
             min_jump = int(rng.integers(2, 4))
-            nodes = self._nodes(n)
-            if n > 1 and rng.random() < 0.1:
-                nodes[0], nodes[1] = GraphNode(1, False, ""), GraphNode(0, False, "")
-            edges = [e for e in self._chain(n) if rng.random() > 0.05]
-            extra = [GraphEdge(
-                int(rng.integers(-1, n + 1)), int(rng.integers(-1, n + 1)),
-                str(rng.choice(["natural", "synthetic", "synthetic", "bogus"])),
-                float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
-                float(rng.choice(distances, p=[0.6, 0.2, 0.1, 0.05, 0.05])),
-            ) for _ in range(int(rng.integers(0, 6)))]
-            if rng.random() < 0.5:  # each extra edge beside its reverse, as a graph holds it
-                extra += [dataclasses.replace(e, src=e.dst, dst=e.src) for e in extra]
-            # Half the lists in the canonical order, half shuffled.
+            pairs = {(a, b) for a in range(size) for b in range(a + min_jump, size)
+                     if rng.random() < 0.3}
+            pairs |= {(int(rng.integers(-1, size + 1)), int(rng.integers(-1, size + 1)))
+                      for _ in range(int(rng.integers(0, 3)))}
+            pairs = [(a, b, *(float(rng.choice(distances, p=[0.6, 0.2, 0.16, 0.02, 0.02]))
+                              for _ in range(2))) for a, b in sorted(pairs)]
             if rng.random() < 0.5:
-                edges += sorted(extra, key=lambda e: (e.src, e.dst))
-            else:
-                edges += extra
-                edges = [edges[i] for i in rng.permutation(len(edges))]
-            expected = first_graph_violation(nodes, edges, min_jump)
-            out_of_order += "out of order" in (expected or "")
+                pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            expected = first_pair_violation(size, pairs, min_jump)
             if expected is None:
-                VideoMotionGraph(nodes, edges, Thresholds(0, 0, 4), min_jump=min_jump)
+                column_graph(size, pairs, min_jump=min_jump)
                 continue
             with pytest.raises(ValidationError) as err:
-                VideoMotionGraph(nodes, edges, Thresholds(0, 0, 4), min_jump=min_jump)
+                column_graph(size, pairs, min_jump=min_jump)
             assert str(err.value) == expected
             raised += 1
-        assert 300 < raised < 600 and out_of_order > 50
-
-    def test_symmetry_messages_match_the_edge_loop(self):
-        # Random symmetric graphs with one synthetic edge dropped or one of
-        # its distances changed, by as little as one ulp.
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            n = int(rng.integers(3, 12))
-            graph = random_graph(rng, n, int(rng.integers(1, (n - 1) * (n - 2) // 2 + 1)))
-            edges = list(graph.edges)
-            j = int(rng.integers(n - 1, len(edges)))
-            edit = int(rng.integers(0, 3))
-            if edit == 0:
-                del edges[j]
-            elif edit == 1:
-                edges[j] = dataclasses.replace(edges[j], d_feat=-edges[j].d_feat)
-            else:
-                d_img = float(np.nextafter(edges[j].d_img, 1))
-                edges[j] = dataclasses.replace(edges[j], d_img=d_img)
-            expected = first_graph_violation(self._nodes(n), edges, 2)
-            assert "has no reverse" in expected
-            with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
-                VideoMotionGraph(self._nodes(n), edges, Thresholds(0, 0, 4))
+            rules.add(expected.split(") ", 1)[1][:16])  # the rule, after the pair
+        assert 200 < raised < 550 and len(rules) == 4
 
     def test_keyword_with_a_nul_inside_is_kept(self):
-        nodes = [GraphNode(0, False, "h\0i"), GraphNode(1, False, "")]
-        graph = VideoMotionGraph(nodes, self._chain(2), Thresholds(0, 0, 4))
+        graph = column_graph(2, keyword=["h\0i", ""])
         assert graph.keyword.tolist() == ["h\0i", ""]
 
-    @pytest.mark.parametrize("record, field, value, message", BAD_RECORD_FIELDS)
-    def test_record_field_of_another_type_rejected(self, record, field, value, message):
-        nodes = self._nodes(4)
-        edges = self._chain(4) + [GraphEdge(0, 2, "synthetic", 0.5, 0.5)]
-        if record == "node":
-            nodes[1] = dataclasses.replace(nodes[1], **{field: value})
-        else:
-            edges[-1] = dataclasses.replace(edges[-1], **{field: value})
+    @pytest.mark.parametrize("column, value, message", BAD_RECORD_FIELDS)
+    def test_record_field_of_another_type_rejected(self, column, value, message):
+        columns = dict(onset=[False] * 4, keyword=[""] * 4, m=[0], n=[2], d_feat=[0.5],
+                       d_img=[0.5])
+        columns[column][1 if column in ("onset", "keyword") else 0] = value
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
+            VideoMotionGraph(**columns, thresholds=Thresholds(1.0, 1.0, 4))
 
     def test_numpy_record_values_are_stored_as_given(self):
-        nodes = [GraphNode(np.int64(i), np.bool_(i == 1), np.str_("hi")) for i in range(4)]
-        edges = self._chain(4) + [GraphEdge(np.int32(0), np.uint8(2), np.str_("synthetic"),
-                                            np.float32(0.5), np.int64(1)),
-                                  GraphEdge(2, 0, "synthetic", 0.5, 1.0)]
-        graph = VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
+        # Numpy scalars and arrays of narrower dtypes are held in the graph's dtypes.
+        graph = VideoMotionGraph(
+            [np.bool_(i == 1) for i in range(4)], np.array(["hi"] * 4), np.array([0], np.int32),
+            np.array([2], np.uint8), np.array([0.5], np.float32), [np.int64(1)],
+            Thresholds(1.0, 1.0, 4))
         assert graph.nodes == tuple(GraphNode(i, i == 1, "hi") for i in range(4))
-        assert graph.edges[-2] == GraphEdge(0, 2, "synthetic", 0.5, 1.0)
+        assert graph.edges[-2:] == (GraphEdge(0, 2, "synthetic", 0.5, 1.0),
+                                    GraphEdge(2, 0, "synthetic", 0.5, 1.0))
+        assert [c.dtype for c in (graph.onset, graph.m, graph.n, graph.d_feat, graph.d_img)] == [
+            np.dtype(bool), np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64),
+            np.dtype(np.float64)]
+
+    def test_columns_of_the_graphs_dtypes_are_held_and_made_read_only(self):
+        m, n = np.array([0, 1]), np.array([2, 3])
+        graph = VideoMotionGraph(np.zeros(4, dtype=bool), [""] * 4, m, n, np.full(2, 0.5),
+                                 np.full(2, 0.5), Thresholds(1.0, 1.0, 4))
+        assert graph.m is m and graph.n is n
+        with pytest.raises(ValueError, match="read-only"):
+            m[0] = 1
 
     @pytest.mark.parametrize("header, reason", BAD_HEADERS)
     def test_bad_header_rejected(self, header, reason):
         with pytest.raises(ValidationError, match=reason):
-            VideoMotionGraph(self._nodes(4), self._chain(4), Thresholds(0, 0, 4), **header)
+            column_graph(4, **header)
 
     def test_integer_min_jump_kept_as_int(self):
-        graph = VideoMotionGraph(self._nodes(4), self._chain(4), Thresholds(0, 0, 4),
-                                 min_jump=np.int64(3))
+        graph = column_graph(4, min_jump=np.int64(3))
         assert graph.min_jump == 3 and type(graph.min_jump) is int
 
     def test_numpy_header_reals_kept_as_floats(self):
-        graph = VideoMotionGraph(self._nodes(4), self._chain(4), Thresholds(0, 0, 4),
-                                 fps=np.float32(25.0), velocity_weight=np.int64(2))
+        graph = column_graph(4, fps=np.float32(25.0), velocity_weight=np.int64(2))
         assert (graph.fps, graph.velocity_weight) == (25.0, 2.0)
         assert type(graph.fps) is float and type(graph.velocity_weight) is float
 
     def test_first_offending_edge_is_named(self):
-        bogus = GraphEdge(2, 0, "bogus", 0.0, 0.0)
-        outside = GraphEdge(0, 7, "synthetic", 0.0, 0.0)
-        with pytest.raises(ValidationError, match=r"edge \(2, 0\) has unknown kind 'bogus'"):
-            VideoMotionGraph(self._nodes(4), self._chain(4) + [bogus, outside], Thresholds(0, 0, 4))
+        outside, short = (0, 7, 0.0, 0.0), (1, 2, 0.0, 0.0)
         with pytest.raises(ValidationError, match=r"edge \(0, 7\) has an endpoint outside"):
-            VideoMotionGraph(self._nodes(4), self._chain(4) + [outside, bogus], Thresholds(0, 0, 4))
+            column_graph(4, [outside, short])
+        with pytest.raises(ValidationError, match=r"synthetic edge \(1, 2\) jumps less than"):
+            column_graph(4, [short, (1, 7, 0.0, 0.0)])
         # The second of two equal pairs is the duplicate.
-        with pytest.raises(ValidationError, match=r"duplicate edge \(3, 1\)"):
-            VideoMotionGraph(
-                self._nodes(4),
-                self._chain(4) + [GraphEdge(3, 1, "synthetic", 0.0, 0.0),
-                                  GraphEdge(3, 1, "synthetic", 0.5, 0.5), bogus],
-                Thresholds(0, 0, 4),
-            )
+        with pytest.raises(ValidationError, match=r"pair \(1, 3\) is out of order"):
+            column_graph(4, [(1, 3, 0.0, 0.0), (1, 3, 0.5, 0.5), short])
 
     @pytest.mark.parametrize("order, first", [
-        pytest.param([0, 1, 2, 4, 3], (0, 2), id="swapped-synthetic-rows"),
-        pytest.param([3, 0, 1, 2, 4], (0, 2), id="synthetic-before-the-chain"),
-        pytest.param([0, 1, 3, 2, 4], (0, 2), id="synthetic-inside-the-chain"),
-        pytest.param([1, 2, 0, 3, 4], (1, 2), id="chain-out-of-order"),
-        pytest.param([0, 1, 2, 3, 4, 0], (0, 1), id="natural-after-the-chain"),
+        pytest.param([0, 2, 1], (0, 3), id="swapped-synthetic-rows"),
+        pytest.param([1, 0, 2], (0, 2), id="falling-n"),
+        pytest.param([2, 0, 1], (0, 2), id="last-row-first"),
     ])
     def test_record_list_out_of_order_is_refused(self, order, first):
-        # The chain of 4 frames, then the synthetic edges (0, 2) and (3, 1).
-        edges = self._chain(4) + [GraphEdge(0, 2, "synthetic", 0.5, 0.5),
-                                  GraphEdge(3, 1, "synthetic", 0.5, 0.5)]
+        # The transitions (0, 2), (0, 3) and (1, 3) of a 4-frame graph, in another order.
+        pairs = [(0, 2, 0.5, 0.5), (0, 3, 0.5, 0.5), (1, 3, 0.5, 0.5)]
         with pytest.raises(ValidationError,
-                           match=rf"^edge \({first[0]}, {first[1]}\) is out of order: "):
-            VideoMotionGraph(self._nodes(4), [edges[i] for i in order], Thresholds(1, 1, 4))
-
-
-    @pytest.mark.parametrize("reverse, first", [
-        pytest.param(None, (0, 2), id="no-reverse"),
-        pytest.param((2, 0, 0.5, 0.25), (0, 2), id="other-d-img"),
-        pytest.param((2, 0, 0.25, 0.5), (0, 2), id="other-d-feat"),
-        pytest.param((2, 0, -0.0, 0.5), (0, 2), id="negative-zero"),
-        pytest.param((3, 1, 0.0, 0.5), (0, 2), id="another-edge"),
-    ])
-    def test_asymmetric_record_list_is_refused(self, reverse, first):
-        # A transition is stored once in a file, so its two edges must agree bit for bit.
-        edges = self._chain(4) + [GraphEdge(0, 2, "synthetic", 0.0, 0.5)]
-        if reverse is not None:
-            edges.append(GraphEdge(reverse[0], reverse[1], "synthetic", *reverse[2:]))
-        s, d = first
-        with pytest.raises(ValidationError, match=rf"^synthetic edge \({s}, {d}\) has no reverse "
-                           rf"\({d}, {s}\) with the same d_feat and d_img$"):
-            VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4))
-        edges[3:] = [GraphEdge(0, 2, "synthetic", 0.0, 0.5), GraphEdge(2, 0, "synthetic", 0.0, 0.5)]
-        graph = VideoMotionGraph(self._nodes(4), edges, Thresholds(1, 1, 4))
-        assert (graph.m.tolist(), graph.n.tolist()) == ([0], [2])
+                           match=rf"^pair \({first[0]}, {first[1]}\) is out of order: "):
+            column_graph(4, [pairs[i] for i in order], Thresholds(1, 1, 4))
 
 
 class TestEdgeRows:
@@ -705,9 +706,8 @@ class TestEdgeRows:
                             dtype=np.int64).reshape(-1, 2)
             m, n = ends[rng.random(len(ends)) < rng.choice([0.0, rng.random()])].T
             d_feat, d_img = rng.choice(values, size=(2, m.size))
-            graph = VideoMotionGraph._from_columns(np.zeros(size, dtype=bool), [""] * size, m, n,
-                                                   d_feat, d_img, Thresholds(1.0, 1.0, 4),
-                                                   30.0, 2, 1.0)
+            graph = VideoMotionGraph(np.zeros(size, dtype=bool), [""] * size, m, n, d_feat, d_img,
+                                     Thresholds(1.0, 1.0, 4))
             src, dst, synthetic, f, i = pair_rows(size, m, n, d_feat, d_img)
             kinds = np.where(synthetic, "synthetic", "natural").tolist()
             want = list(zip(src.tolist(), dst.tolist(), kinds, map(float.hex, f.tolist()),
@@ -717,7 +717,7 @@ class TestEdgeRows:
             assert all(type(v) is int for e in graph.edges for v in (e.src, e.dst))
 
     def test_single_frame_graph_has_no_edges(self):
-        graph = VideoMotionGraph([GraphNode(0, False, "")], [], Thresholds(1.0, 1.0, 4))
+        graph = column_graph(1)
         assert np.isnan(graph.edge_costs([0, 0, 1], [0, 1, 0])).all()
         assert graph.edge_costs([], []).shape == (0,)
 
@@ -757,18 +757,9 @@ NO_HEADER_LINE = (r"^graph document has no motion-graph/5 header line in its fir
 
 class TestSerialization:
     def _toy_graph(self):
-        nodes = [GraphNode(0, True, ""), GraphNode(1, False, ""), GraphNode(2, False, "hi"),
-                 GraphNode(3, False, "")]
-        edges = [
-            GraphEdge(0, 1, "natural", 0.0, 0.0),
-            GraphEdge(1, 2, "natural", 0.0, 0.0),
-            GraphEdge(2, 3, "natural", 0.0, 0.0),
-            GraphEdge(0, 2, "synthetic", 0.123456789012345678, 0.5),
-            GraphEdge(1, 3, "synthetic", 0.25, 0.75),
-            GraphEdge(2, 0, "synthetic", 0.123456789012345678, 0.5),
-            GraphEdge(3, 1, "synthetic", 0.25, 0.75),
-        ]
-        return VideoMotionGraph(nodes, edges, Thresholds(0.2, 0.6, 4), fps=25.0)
+        return column_graph(4, [(0, 2, 0.123456789012345678, 0.5), (1, 3, 0.25, 0.75)],
+                            Thresholds(0.2, 0.6, 4), onset=[True, False, False, False],
+                            keyword=["", "", "hi", ""], fps=25.0)
 
     def test_roundtrip_field_equality(self):
         g = self._toy_graph()
@@ -872,9 +863,10 @@ class TestSerialization:
     def test_header_longer_than_a_piece_round_trips(self, tmp_path, monkeypatch):
         # About 22k nodes' keywords make a header line longer than a real piece.
         monkeypatch.setattr(graph_mod, "HEADER_PIECE", 256)
-        edges = random_graph(np.random.default_rng(12), 300, 200).edges
-        nodes = [GraphNode(i, i % 7 == 0, ("", "hello", "two")[i % 3]) for i in range(300)]
-        g = VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))
+        pairs = random_graph(np.random.default_rng(12), 300, 200)
+        g = VideoMotionGraph([i % 7 == 0 for i in range(300)],
+                             [("", "hello", "two")[i % 3] for i in range(300)], pairs.m, pairs.n,
+                             pairs.d_feat, pairs.d_img, Thresholds(0.1, 0.1, 4))
         blob = save_graph(g)
         assert blob.index(b"\n") > 4 * graph_mod.HEADER_PIECE
         save_graph_file(g, tmp_path / "g.json")
@@ -993,7 +985,7 @@ class TestSerialization:
     def test_empty_graph_header_without_newline_is_parse_error(self):
         # No column bytes follow a header of 0 nodes and 0 edges: only the
         # missing newline is wrong.
-        blob = save_graph(VideoMotionGraph([], [], Thresholds(0.0, 0.0, 4)))
+        blob = save_graph(column_graph(0))
         assert len(load_graph(blob)) == 0
         with pytest.raises(GraphParseError, match="newline-ended header line and 0 column bytes"):
             load_graph(blob[:-1])
@@ -1061,22 +1053,15 @@ class TestSerialization:
     def test_random_graph_roundtrip(self, smooth_setup):
         rng = np.random.default_rng(10)
         n = 1000
-        nodes = [
-            GraphNode(i, bool(rng.random() < 0.1), rng.choice(["", "", "hello", "two"]))
-            for i in range(n)
-        ]
-        edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-        seen = set()
-        while len(seen) < 1500:
+        onset = [bool(rng.random() < 0.1) for _ in range(n)]
+        keyword = [str(rng.choice(["", "", "hello", "two"])) for _ in range(n)]
+        pairs = {}
+        while len(pairs) < 1500:
             m, k = sorted(int(v) for v in rng.integers(0, n, size=2))
-            if k - m < 2 or (m, k) in seen:
-                continue
-            seen.add((m, k))
-            d_feat, d_img = float(rng.random()), float(rng.random())
-            edges += [GraphEdge(m, k, "synthetic", d_feat, d_img),
-                      GraphEdge(k, m, "synthetic", d_feat, d_img)]
-        edges[n - 1:] = sorted(edges[n - 1:], key=lambda e: (e.src, e.dst))
-        g = VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
+            if k - m >= 2 and (m, k) not in pairs:
+                pairs[m, k] = float(rng.random()), float(rng.random())
+        g = column_graph(n, [(m, k, *pairs[m, k]) for m, k in sorted(pairs)],
+                         Thresholds(1.0, 1.0, 4), onset=onset, keyword=keyword)
         g2 = load_graph(save_graph(g))
         assert len(g2.edges) == len(g.edges)
         assert {(e.src, e.dst): (e.d_feat, e.d_img) for e in g2.edges} == {
@@ -1089,7 +1074,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("seed", [1, 2, 7, 4096])
     def test_file_writer_writes_save_graph_bytes(self, tmp_path, seed):
-        one_node = VideoMotionGraph([GraphNode(0, True, "hello")], [], Thresholds(0.0, 0.0, 4))
+        one_node = column_graph(1, onset=[True], keyword=["hello"])
         for g in (self._toy_graph(), random_graph(np.random.default_rng(seed), 50, 150),
                   one_node):
             save_graph_file(g, tmp_path / "g.json")
@@ -1231,14 +1216,21 @@ def random_graph(rng, n, n_pairs):
         raise ValueError(f"a {n}-frame graph has only {(n - 1) * (n - 2) // 2} distinct "
                          f"transitions, not {n_pairs}")
     pairs = {}
-    while len(pairs) < 2 * n_pairs:
+    while len(pairs) < n_pairs:
         m, k = sorted(int(v) for v in rng.integers(0, n, size=2))
         if k - m >= 2 and (m, k) not in pairs:
-            pairs[m, k] = pairs[k, m] = rng.uniform(0.0, 0.1, size=2).tolist()
-    nodes = [GraphNode(i, False, "") for i in range(n)]
-    edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    edges += [GraphEdge(m, k, "synthetic", *pairs[m, k]) for m, k in sorted(pairs)]
-    return VideoMotionGraph(nodes, edges, Thresholds(0.1, 0.1, 4))
+            pairs[m, k] = rng.uniform(0.0, 0.1, size=2).tolist()
+    return column_graph(n, [(m, k, *pairs[m, k]) for m, k in sorted(pairs)],
+                        Thresholds(0.1, 0.1, 4))
+
+
+def column_graph(size, pairs=(), thresholds=Thresholds(0.0, 0.0, 4), onset=None, keyword=None,
+                 **header):
+    """A graph of ``size`` nodes, featureless unless ``onset`` or ``keyword`` is given, and
+    the transitions ``pairs`` (m, n, d_feat, d_img) in the order given."""
+    m, n, d_feat, d_img = map(list, zip(*pairs)) if pairs else ([], [], [], [])
+    return VideoMotionGraph(onset or [False] * size, keyword or [""] * size, m, n, d_feat, d_img,
+                            thresholds, **header)
 
 
 def test_random_graph_refuses_more_jumps_than_the_graph_has():

@@ -25,6 +25,8 @@ def test_library_use_block_runs_on_a_fixture(tmp_path, monkeypatch):
     edl = scope["edl"]
     assert isinstance(edl, EditDecisionList)
     assert edl.total_frames == scope["segments"].n_frames - 1
+    graph, near = scope["graph"], scope["near"]
+    assert 0 < near.m.size == int((graph.n - graph.m <= 90).sum()) < graph.m.size
     mask = scope["mask_0"]
     assert mask.dtype == bool and mask.shape == (256, 256) and mask.any()
     pgm = (tmp_path / "mask_0.pgm").read_bytes()

@@ -12,7 +12,7 @@ from motiongraph.errors import (
     StructuralError,
     ValidationError,
 )
-from motiongraph.graph import GraphEdge, GraphNode, Thresholds, VideoMotionGraph
+from motiongraph.graph import Thresholds, VideoMotionGraph
 from motiongraph.search import (
     BeamConfig,
     PathCandidate,
@@ -31,15 +31,14 @@ from oracles import assemblable, enumerate_paths, in_duration_window, optimum
 
 def toy_graph(n, synthetic=(), onsets=(), keywords=None):
     """Natural chain of n nodes plus transitions (a, b, d_feat, d_img), given in
-    any order, each stored as the synthetic edges a -> b and b -> a in the
-    graph's (src, dst) order."""
+    any order and either direction, each stored as the graph's pair (m, n),
+    m < n, which is the synthetic edges a -> b and b -> a."""
     keywords = keywords or {}
-    nodes = [GraphNode(i, i in onsets, keywords.get(i, "")) for i in range(n)]
-    edges = [GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(n - 1)]
-    both = [(s, d, *costs) for a, b, *costs in synthetic for s, d in ((a, b), (b, a))]
-    for src, dst, d_feat, d_img in sorted(both):
-        edges.append(GraphEdge(src, dst, "synthetic", d_feat, d_img))
-    return VideoMotionGraph(nodes, edges, Thresholds(1.0, 1.0, 4))
+    pairs = sorted((min(a, b), max(a, b), *costs) for a, b, *costs in synthetic)
+    m, k, d_feat, d_img = map(list, zip(*pairs)) if pairs else ([], [], [], [])
+    return VideoMotionGraph([i in onsets for i in range(n)],
+                            [keywords.get(i, "") for i in range(n)], m, k, d_feat, d_img,
+                            Thresholds(1.0, 1.0, 4))
 
 
 def segment_list(n_frames, marks):
