@@ -46,7 +46,7 @@ from .silhouette import (  # noqa: F401
     default_camera,
     rasterize_chunks,
     rasterize_silhouette,
-    write_pgm,
+    write_pgm_frames,
 )
 
 
@@ -363,15 +363,9 @@ def render_preview(
     output_dir: str | Path = "preview",
     camera: CameraModel | None = None,
 ) -> list[Path]:
-    """Write ``render_frames``' images as numbered PGM frames under ``output_dir``."""
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, image in enumerate(render_frames(edl, skeleton, poses, camera)):
-        target = out_dir / f"frame_{i:06d}.pgm"
-        write_pgm(image, target)
-        written.append(target)
-    return written
+    """Write ``render_frames``' images as numbered PGM frames under ``output_dir``, deleting
+    the numbered frames of an earlier, longer preview there (``write_pgm_frames``)."""
+    return write_pgm_frames(render_frames(edl, skeleton, poses, camera), output_dir, "frame")
 
 
 # ---------------------------------------------------------------------------

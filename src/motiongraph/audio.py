@@ -362,6 +362,12 @@ class SegmentList:
             raise ValidationError("endpoints must be strictly increasing")
         if len(self.features) != len(self.endpoints):
             raise StructuralError("one feature per endpoint required")
+        for feature in self.features:
+            if not isinstance(feature, EndpointFeature):
+                raise ValidationError(f"a feature must be an EndpointFeature, got {feature!r}")
+        if self.features[-1].kind != "end":
+            raise ValidationError(
+                f"the final endpoint's feature must be 'end', got {self.features[-1].kind!r}")
 
     @property
     def durations(self) -> tuple[int, ...]:

@@ -162,12 +162,9 @@ def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
             skeleton, (s.positions for s in states), camera
         )
         if args.dump_masks:
-            dump = Path(args.dump_masks)
-            dump.mkdir(parents=True, exist_ok=True)
             w, h = camera.image_size
-            for i, row in enumerate(masks):
-                mask = silhouette.unpack_mask(row, w, h)
-                silhouette.write_pgm(mask.view(np.uint8) * 255, dump / f"mask_{i:06d}.pgm")
+            images = (silhouette.unpack_mask(row, w, h).view(np.uint8) * 255 for row in masks)
+            silhouette.write_pgm_frames(images, args.dump_masks, "mask")
         thresholds = graph_mod.compute_thresholds(
             states, masks, offset_l=args.threshold_offset, velocity_weight=args.velocity_weight
         )

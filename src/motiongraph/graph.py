@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import (GraphParseError, StructuralError, ValidationError, integer, read_document,
-                     real)
+from .errors import (GraphParseError, StructuralError, ValidationError, integer, is_integer,
+                     read_document, real)
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -106,20 +106,23 @@ class VideoMotionGraph:
 
     @property
     def edges(self) -> tuple[GraphEdge, ...]:
-        size = len(self)
-        feat, img = (kernels.edge_layout(self.m, self.n, column, size)
-                     for column in (self.d_feat, self.d_img))
-        # Node v's in-edges from u, by rising (v, u), are its edges v -> u: a pair holds both.
-        v = np.repeat(np.arange(size), np.diff(feat.indptr))
-        return (*(GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(size - 1)),
-                *map(GraphEdge, v.tolist(), feat.src.tolist(), ["synthetic"] * v.size,
-                     feat.cost.tolist(), img.cost.tolist()))
+        # Pair j is the edges m -> n and n -> m, here at j and P + j, sorted by (src, dst).
+        src, dst = np.concatenate([self.m, self.n]), np.concatenate([self.n, self.m])
+        order = np.lexsort((dst, src))
+        pair = order % max(self.m.size, 1)
+        columns = (src[order].tolist(), dst[order].tolist(), ["synthetic"] * order.size,
+                   self.d_feat[pair].tolist(), self.d_img[pair].tolist())
+        # The index arrays go before the records are made, which lowers the view's peak.
+        del src, dst, order, pair
+        return (*(GraphEdge(i, i + 1, "natural", 0.0, 0.0) for i in range(len(self) - 1)),
+                *map(GraphEdge, *columns))
 
     def edge_costs(self, src, dst) -> np.ndarray:
         """The cost of edge ``src[i] -> dst[i]`` for each i: 0.0 for a natural step m -> m + 1,
         ``d_feat + d_img`` of the transition found among the rising keys ``m * N + n`` by the
-        frames' (min, max), or NaN where there is no edge (node ids beyond int64 included)."""
-        src, dst = np.asarray(src), np.asarray(dst)
+        frames' (min, max), or NaN where there is no edge (node ids beyond int64 included).
+        A bool or fractional id is refused with ValidationError, never truncated."""
+        src, dst = _node_ids("src", src), _node_ids("dst", dst)
         size = len(self)
         inside = (src >= 0) & (src < size) & (dst >= 0) & (dst < size)
         low, high = np.minimum(src, dst), np.maximum(src, dst)
@@ -128,6 +131,17 @@ class VideoMotionGraph:
         at = np.searchsorted(keys, want)
         costs = np.where(keys[at] == want, np.append(self.d_feat + self.d_img, np.nan)[at], np.nan)
         return np.where(inside & (dst == src + 1), 0.0, costs)
+
+
+def _node_ids(name: str, ids) -> np.ndarray:
+    """``np.asarray(ids)`` if each id is an integer (Python ints beyond int64 included), else
+    ValidationError: numpy reads ``[True, 3]`` as ``[1, 3]``, so a list's own entries are looked at,
+    one of each type (a type is an integer or not whatever its value)."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        for value in {type(v): v for v in np.asarray(ids, dtype=object).flat}.values():
+            if not is_integer(value):
+                raise ValidationError(f"{name} node ids must be integers, got {value!r}")
+    return np.asarray(ids)
 
 
 #: The dtype kinds each kind of graph column is made from, without rounding or parsing.
@@ -230,9 +244,7 @@ def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     of the packed masks."""
     # Words that are zero in every mask add nothing to any count.
     packed = packed[:, packed.any(axis=0)]
-    rows = np.arange(packed.shape[0])
-    # A row ANDed with itself counts its own bits: the mask's area.
-    areas = kernels.pair_intersections(packed, np.stack([rows, rows], axis=1))
+    areas = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     inter = kernels.pair_intersections(packed, pairs)
     union = areas[pairs[:, 0]] + areas[pairs[:, 1]] - inter
     # Two empty masks are identical: distance 0.

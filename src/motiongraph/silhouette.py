@@ -11,6 +11,7 @@ IoU of their masks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,6 +187,24 @@ def write_pgm(image: np.ndarray, path: str | Path) -> None:
         raise StructuralError(f"a PGM image is (H, W) uint8, got {image.shape} {image.dtype}")
     h, w = image.shape
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes())
+
+
+def write_pgm_frames(images, directory: str | Path, prefix: str) -> list[Path]:
+    """Write each image as ``<prefix>_<i:06d>.pgm`` under ``directory`` and return the
+    paths. Then delete the numbered frames an earlier, longer run left: the files named
+    ``<prefix>_<digits>.pgm`` numbered at or past the count written. Nothing else is touched."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    written = []
+    for i, image in enumerate(images):
+        written.append(directory / f"{prefix}_{i:06d}.pgm")
+        write_pgm(image, written[-1])
+    numbered = re.compile(rf"{prefix}_([0-9]+)\.pgm")
+    for path in directory.iterdir():
+        match = numbered.fullmatch(path.name)
+        if match and int(match[1]) >= len(written) and path.is_file():
+            path.unlink()
+    return written
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,26 @@ class TestPreview:
         for p in written:
             assert p.read_bytes().startswith(b"P5\n32 32\n255\n")
 
+    def test_preview_deletes_the_stale_frames_of_a_longer_one(self, tmp_path, chain_skeleton,
+                                                              wavy_poses):
+        camera = default_camera((32, 32), 30.0)
+        longer = assemble_edl(PathCandidate(tuple(range(0, 9)), 0.0, 0.0, (0, 8)), toy_graph(60),
+                              segment_list(9, []), wavy_poses, k=2)
+        shorter = assemble_edl(PathCandidate(tuple(range(0, 4)), 0.0, 0.0, (0, 3)),
+                               toy_graph(60), segment_list(4, []), wavy_poses, k=2)
+        out = tmp_path / "frames"
+        render_preview(longer, chain_skeleton, wavy_poses, out, camera)
+        keep = ["frame_1.pgm", "frame_000009.txt", "frames_000009.pgm", "mask_000009.pgm",
+                "notes.txt"]
+        for name in keep:
+            (out / name).write_text("bystander")
+        (out / "frame_000100.pgm").mkdir()
+        written = render_preview(shorter, chain_skeleton, wavy_poses, out, camera)
+        names = [f"frame_{i:06d}.pgm" for i in range(3)]
+        assert [p.name for p in written] == names
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + keep + ["frame_000100.pgm"])
+        assert all((out / name).read_text() == "bystander" for name in keep)
+
     def test_no_stroke_radius_override(self, chain_skeleton, wavy_poses):
         # The preview draws the skeleton's own capsule radii.
         edl = assemble_edl(PathCandidate(tuple(range(0, 6)), 0.0, 0.0, (0, 5)), toy_graph(60),

@@ -11,6 +11,7 @@ from motiongraph.audio import (
     AudioFeatureTrack,
     EndpointFeature,
     KeywordDictionary,
+    SegmentList,
     TranscriptWord,
     analyze_audio,
     default_dictionary,
@@ -372,6 +373,19 @@ class TestEndpointFeature:
             EndpointFeature(kind, word)
 
 
+class TestSegmentList:
+    def test_final_feature_must_be_end(self):
+        with pytest.raises(ValidationError,
+                           match=r"^the final endpoint's feature must be 'end', got 'onset'$"):
+            SegmentList(9, (1, 5, 9), (EndpointFeature("end"), EndpointFeature("end"),
+                                       EndpointFeature("onset")))
+
+    @pytest.mark.parametrize("feature", ["end", {"kind": "end", "word": ""}, None])
+    def test_features_must_be_endpoint_features(self, feature):
+        with pytest.raises(ValidationError, match=r"^a feature must be an EndpointFeature, got "):
+            SegmentList(9, (1, 5, 9), (EndpointFeature("end"), feature, EndpointFeature("end")))
+
+
 class TestFeatureFiles:
     def test_feature_roundtrip(self, tmp_path):
         n = 120
@@ -435,6 +449,22 @@ class TestFeatureFiles:
         ],
     )
     def test_segment_file_values_are_refused_not_converted(self, tmp_path, edit, reason):
+        flags = np.zeros(9, dtype=bool)
+        flags[4] = True
+        save_segments(tmp_path / "s.json", segment_target(AudioFeatureTrack(FPS, flags, ("",) * 9)))
+        doc = json.loads((tmp_path / "s.json").read_text())
+        edit(doc)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        with pytest.raises(GraphParseError, match=reason):
+            load_segments(tmp_path / "s.json")
+
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(lambda doc: doc["features"][-1].update(kind="onset"),
+                     "final endpoint's feature must be 'end', got 'onset'", id="final-onset"),
+        pytest.param(lambda doc: doc["features"].__setitem__(1, "end"), "malformed",
+                     id="feature-not-an-object"),
+    ])
+    def test_segment_file_features_are_checked(self, tmp_path, edit, reason):
         flags = np.zeros(9, dtype=bool)
         flags[4] = True
         save_segments(tmp_path / "s.json", segment_target(AudioFeatureTrack(FPS, flags, ("",) * 9)))

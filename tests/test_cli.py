@@ -411,6 +411,27 @@ class TestStages:
         assert digest.hexdigest() == MASK_DUMP_SHA256
         assert (tmp_path / "g.json").read_bytes() == (pipeline / "graph.json").read_bytes()
 
+    def test_mask_dump_deletes_stale_masks_only(self, tmp_path, fixture_files, pipeline):
+        masks = tmp_path / "masks"
+        masks.mkdir()
+        stale = [f"mask_{i:06d}.pgm" for i in (REF_FRAMES, REF_FRAMES + 7)]
+        keep = ["frame_000000.pgm", f"mask_{REF_FRAMES}.txt", "readme.txt"]
+        for name in stale + keep:
+            (masks / name).write_text("earlier")
+        rc = cli.main(
+            [
+                "build-graph",
+                "--poses", str(fixture_files["poses"]),
+                "--features", str(pipeline / "reference_features.json"),
+                "--out", str(tmp_path / "g.json"),
+                "--dump-masks", str(masks),
+            ]
+        )
+        assert rc == 0
+        names = {p.name for p in masks.iterdir()}
+        assert names == {f"mask_{i:06d}.pgm" for i in range(REF_FRAMES)} | set(keep)
+        assert all((masks / name).read_text() == "earlier" for name in keep)
+
 
 class TestDefaults:
     def test_documented_flag_defaults(self):

@@ -726,6 +726,26 @@ class TestEdgeRows:
         got = graph.edge_costs([0, 2**70, 1], [1, 2, -(2**70)])
         assert got[0] == 0.0 and np.isnan(got[1:]).all()
 
+    @pytest.mark.parametrize("src, dst, name", [
+        pytest.param([0.0001], [2], "src", id="fraction-read-as-node-0"),
+        pytest.param([0.0001], [1.0001], "src", id="fractions-read-as-a-natural-step"),
+        pytest.param([True], [2], "src", id="bool-read-as-node-1"),
+        pytest.param([0], np.array([2.0]), "dst", id="float-array"),
+        pytest.param([2**70, 1.5], [2, 3], "src", id="fraction-among-big-ints"),
+        pytest.param([0, 1], [True, 3], "dst", id="bool-among-ints"),
+    ])
+    def test_bool_and_fractional_ids_are_refused_not_truncated(self, src, dst, name):
+        graph = column_graph(4, [(0, 2, 0.25, 0.5)], Thresholds(1, 1, 4))
+        with pytest.raises(ValidationError, match=rf"^{name} node ids must be integers, got "):
+            graph.edge_costs(src, dst)
+
+    def test_integer_ids_of_any_integer_type_are_looked_up(self):
+        graph = column_graph(4, [(0, 2, 0.25, 0.5)], Thresholds(1, 1, 4))
+        for src in ([2, 0], np.array([2, 0], dtype=np.uint8), [np.int32(2), 0]):
+            assert graph.edge_costs(src, [0, 1]).tolist() == [0.75, 0.0]
+        got = graph.edge_costs(np.array([2, 2**70], dtype=object), [0, 3])
+        assert got[0] == 0.75 and np.isnan(got[1])
+
     def test_file_with_swapped_synthetic_rows_is_refused(self):
         doc = decoded(save_graph(random_graph(np.random.default_rng(5), 30, 30)))
         a, b = 10, 20  # two of the file's pairs
