@@ -3,8 +3,9 @@
 
 Prints the best-of-3 wall time of each kernel. The reference entries run
 the bundled fixture's 2000-frame puppet reference through the rasterizer
-and the graph build's exact d_feat filter, over the pairs its pre-gate
-passes at the calibrated threshold. The walk entries time a
+(also printing the traced peak memory of one pass) and the graph build's
+exact d_feat filter, over the pairs its pre-gate passes at the calibrated
+threshold. The walk entries time a
 search-like load: the edge layout a search builds once from the graph's
 transitions (one stable sort of both edges of each), then one 45-step
 relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
@@ -137,6 +138,9 @@ def run_benchmarks():
     ref_positions = [s.positions for s in ref_states]
     results["rasterize_sequence_2000f"] = (
         _time(lambda: rasterize_sequence(skeleton, ref_positions, camera)), "s"
+    )
+    results["rasterize_sequence_2000f_traced_peak"] = (
+        _traced_peak_mb(lambda: rasterize_sequence(skeleton, ref_positions, camera)), "MB"
     )
     ref_masks = rasterize_sequence(skeleton, ref_positions, camera)
     tau_feat = graph.compute_thresholds(ref_states, ref_masks).tau_feat

@@ -28,9 +28,10 @@ DEFAULT_MIN_JUMP = 2
 
 GRAPH_FORMAT = "motion-graph/5"
 
-#: Rows of the pair matrix gated at a time. Each gating temporary holds at
-#: most GATE_BLOCK x N float64 values, so the build never holds an N x N one.
-GATE_BLOCK = 128
+#: Pair-matrix entries gated at a time: max(1, GATE_CELLS // N) rows of N.
+#: Each gating temporary holds at most that many float64 values, so the build
+#: never holds an N x N one, and few blocks mean few matrix products.
+GATE_CELLS = 400_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,8 +261,8 @@ def _gate_pairs(
     """Candidate pairs (m, n), n - m >= min_jump, in row-major order, whose
     approximate d_feat (Gram trick) is within a small margin of ``tau_feat``.
 
-    The upper triangle is visited ``GATE_BLOCK`` rows at a time, so memory
-    is O(GATE_BLOCK * N). Every entry is computed with the same operations,
+    The upper triangle is visited ``GATE_CELLS // N`` rows at a time, so memory
+    is O(GATE_CELLS). Every entry is computed with the same operations,
     in the same order, as the full-matrix formula.
     """
     n = len(joint_states)
@@ -277,8 +278,9 @@ def _gate_pairs(
         return np.sqrt(d, out=d)
 
     mm, nn = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, n - min_jump, GATE_BLOCK):
-        rows = slice(lo, min(lo + GATE_BLOCK, n - min_jump))
+    block = max(1, GATE_CELLS // n)
+    for lo in range(0, n - min_jump, block):
+        rows = slice(lo, min(lo + block, n - min_jump))
         cols = slice(lo + min_jump, n)
         approx = dists(pos, sq_pos, rows, cols)
         approx += velocity_weight * dists(vel, sq_vel, rows, cols)

@@ -3,10 +3,12 @@
 Three inner loops dominate the engine's runtime: capsule rasterization,
 popcount-based mask intersection over candidate frame pairs, and the
 step-synchronous relaxation inside the search. Each has one
-implementation. The rasterizer draws a chunk of frames one bone at a time,
-each bone on one tile over the chunk's frames, so its numpy calls are per
-bone and chunk, not per bone and frame. Popcount is ``np.bitwise_count`` over
-64-bit words, which is why the engine needs numpy >= 2.0.
+implementation. The rasterizer works on the pixel rows of every bone of a
+chunk of frames at once: it sets the part of each row well inside the bone's
+capsule without a test and tests only a thin band along the outline, so its
+numpy calls are per block of rows, not per bone or frame. Popcount is
+``np.bitwise_count`` over 64-bit words, which is why the engine needs
+numpy >= 2.0.
 The walk relaxation is a row shift along the natural chain plus one
 gather-add and one segmented minimum per step and target state over the
 synthetic edges, both ways of each transition, laid out once per search. It
@@ -34,15 +36,81 @@ HAVE_NUMBA = False
 # perspective-scaled radius: with screen endpoints p0, p1, inverse depths
 # iz0, iz1 and world radius r, the nearest segment point at parameter t has
 # projected radius f*r*((1-t)*iz0 + t*iz1). Inverse depth interpolates
-# linearly along the *projected* segment.
+# linearly along the *projected* segment. Only pixels of a bone's box (its
+# endpoints' bounds widened by f*r*max(iz0, iz1) + 1, clipped to the image)
+# are ever set. ``_capsule_test`` is that test, pixel by pixel.
 #
-# The loop runs over bones. A bone's pixel box is about the same size from
-# one frame to the next, so each bone is drawn in all frames at once on one
-# (frames, box height, box width) tile, each frame's box at the tile's
-# origin and each frame's parameters broadcast as (frames, 1, 1). Every
-# pixel goes through the same float operations, in the same order, as when
-# its frame is drawn alone, so a frame's mask does not depend on the others.
+# The radius lies between rmin = f*r*min(iz0, iz1) and rmax = f*r*max(iz0, iz1),
+# so the test is foregone away from the outline. Each row of each bone's box
+# gets two x-spans, its cuts through two capsules of constant radius (two end
+# discs and the strip between them): an outer one of radius rmax + M and an
+# inner one of radius rmin - M. Pixels in the inner span are set untested,
+# pixels outside the outer span are skipped, and only the band between the
+# two goes through the test. All bones of a chunk are drawn together, their
+# boxes' rows in blocks of about RASTER_BLOCK pixels.
+#
+# The result is the test's, bit for bit. Let S be a bone's largest coordinate
+# or radius magnitude. Each float operation rounds by at most 2^-53 of its
+# result, and the test and each span end chain a few dozen of them on values
+# below about 4S, so rounding moves every distance they stand for by far less
+# than 2^-40 S. (Where a span end is ill-conditioned, as for a nearly level
+# strip edge, it moves along a line on which the distance to the segment
+# barely changes.) A capsule is convex, so the pixels between a span's ends
+# are as close. M = 2^-8 + 2^-30 S dominates the rounding: a pixel in the
+# inner span lies within rmin - M + 2^-40 S of the segment, where the test
+# reads it inside, and a pixel outside the outer span lies farther than
+# rmax + M - 2^-40 S, where the test reads it outside. Every span operation is
+# monotone in the radius, so the inner span lies within the outer one. A bone
+# with S >= 2^60 (or NaN), whose spans could overflow, goes through the test
+# alone over its whole box. A bone with a non-finite endpoint or a NaN
+# f*r*max(iz0, iz1) draws nothing, as the test reads it.
 # ---------------------------------------------------------------------------
+
+
+def _capsule_test(flat_index, params, width, height):
+    """Which pixels of ``flat_index`` (frame * H * W + row * W + column) lie
+    within their capsule, of (7, n) ``params`` (ax, ay, bx, by, iz0, iz1, f*r)."""
+    ax, ay, bx, by, za, zb, fr = params
+    px = flat_index % width + 0.5
+    py = flat_index // width % height + 0.5
+    dx = bx - ax
+    dy = by - ay
+    denom = dx * dx + dy * dy
+    t = (px - ax) * dx + (py - ay) * dy
+    t /= np.where(denom > 0.0, denom, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    t[denom <= 0.0] = 0.0  # a zero-length bone is a disc
+    d2 = t * dx
+    d2 += ax
+    np.subtract(px, d2, out=d2)
+    d2 *= d2
+    rho2 = t * dy
+    rho2 += ay
+    np.subtract(py, rho2, out=rho2)
+    rho2 *= rho2
+    d2 += rho2
+    np.subtract(1.0, t, out=rho2)
+    rho2 *= za
+    t *= zb
+    rho2 += t
+    rho2 *= fr
+    rho2 *= rho2
+    return d2 <= rho2
+
+
+def _runs(starts, lengths):
+    """The indices of the runs ``starts[i] .. starts[i] + lengths[i] - 1``, in order."""
+    ends = np.cumsum(lengths, dtype=starts.dtype)
+    index = np.arange(ends[-1] if ends.size else 0, dtype=starts.dtype)
+    ends -= lengths
+    ends -= starts
+    index -= np.repeat(ends, lengths)
+    return index
+
+
+#: Box pixels drawn at a time, in whole capsules: each block's arrays stay in
+#: cache and hold about that many values, plus at most one box's.
+RASTER_BLOCK = 2**18
 
 
 def rasterize_capsules(p0, p1, iz0, iz1, radius, visible, focal, width, height):
@@ -58,68 +126,126 @@ def rasterize_capsules(p0, p1, iz0, iz1, radius, visible, focal, width, height):
     iz0 = np.asarray(iz0, dtype=np.float64)
     frames, bones = iz0.shape
     out = np.zeros((frames, height, width), dtype=bool)
-    flat = out.reshape(-1)
-    visible = np.asarray(visible, dtype=bool)
-    # One (7, F, B) stack, so each bone's frames are gathered in one call;
-    # hidden bones read as zeros.
-    params = np.where(visible, np.stack([
+    stack = np.stack([
         p0[..., 0], p0[..., 1], p1[..., 0], p1[..., 1], iz0,
         np.asarray(iz1, dtype=np.float64),
         focal * np.broadcast_to(np.asarray(radius, dtype=np.float64), (frames, bones)),
-    ]), 0.0)
-    # Every bone's pixel box in every frame. Clamping x_lo to at most width
-    # and x_hi to at least -1 keeps an off-screen box empty (x_lo > x_hi).
-    ax, ay, bx, by, za, zb, fr = params
+    ])
+    visible = np.asarray(visible, dtype=bool) & np.isfinite(stack[:4]).all(axis=0)
+    # Hidden bones read as zeros. Clamping x_lo to at most width and x_hi to
+    # at least -1 keeps an off-screen box empty (x_lo > x_hi), and so does a
+    # NaN radius, taken as -inf.
+    ax, ay, bx, by, za, zb, fr = np.where(visible, stack, 0.0)
     rmax = fr * np.maximum(za, zb)
+    rmax[np.isnan(rmax)] = -np.inf
     x_lo = np.clip(np.floor(np.minimum(ax, bx) - rmax - 1.0), 0, width).astype(np.int64)
     x_hi = np.clip(np.ceil(np.maximum(ax, bx) + rmax + 1.0), -1, width - 1).astype(np.int64)
     y_lo = np.clip(np.floor(np.minimum(ay, by) - rmax - 1.0), 0, height).astype(np.int64)
     y_hi = np.clip(np.ceil(np.maximum(ay, by) + rmax + 1.0), -1, height - 1).astype(np.int64)
-    drawn = visible & (x_lo <= x_hi) & (y_lo <= y_hi)
-    first = np.arange(frames)[:, None] * (height * width) + y_lo * width + x_lo
-    boxes = np.stack([first, x_lo, y_lo, x_hi - x_lo + 1, y_hi - y_lo + 1])
-    for b in range(bones):
-        f_idx = np.flatnonzero(drawn[:, b])
-        if f_idx.size == 0:
-            continue
-        ax, ay, bx, by, za, zb, fr = params[:, f_idx, b, None, None]
-        first, x_lo, y_lo, box_w, box_h = boxes[:, f_idx, b, None, None]
-        cols = np.arange(box_w.max())
-        rows = np.arange(box_h.max())[:, None]
-        # Pixel centers as one row and one column per frame: every operation
-        # below broadcasts them to the tile, pixel by pixel.
-        px = (x_lo + cols) + 0.5
-        py = (y_lo + rows) + 0.5
-        dx = bx - ax
-        dy = by - ay
-        denom = dx * dx + dy * dy
-        # t, then the squared distance d2 and the squared radius rho2, each
-        # computed in place (a + b and a * b are the same floats as b + a
-        # and b * a).
-        t = (px - ax) * dx + (py - ay) * dy
-        t /= np.where(denom > 0.0, denom, 1.0)
-        np.clip(t, 0.0, 1.0, out=t)
-        t[denom[:, 0, 0] <= 0.0] = 0.0  # a zero-length bone is a disc
-        d2 = t * dx
-        d2 += ax
-        np.subtract(px, d2, out=d2)
-        d2 *= d2
-        rho2 = t * dy
-        rho2 += ay
-        np.subtract(py, rho2, out=rho2)
-        rho2 *= rho2
-        d2 += rho2
-        np.subtract(1.0, t, out=rho2)
-        rho2 *= za
-        t *= zb
-        rho2 += t
-        rho2 *= fr
-        rho2 *= rho2
-        inside = d2 <= rho2
-        # Drop the padding: the cells past each frame's own (clipped) box.
-        inside &= (rows < box_h) & (cols < box_w)
-        flat[(first + (rows * width + cols))[inside]] = True
+    f_idx, b_idx = np.nonzero(visible & (x_lo <= x_hi) & (y_lo <= y_hi))
+    if f_idx.size == 0:
+        return out
+    # From here on, one value per drawn capsule.
+    capsules = stack[:, f_idx, b_idx]
+    x_lo, x_hi, y_lo, y_hi = (v[f_idx, b_idx] for v in (x_lo, x_hi, y_lo, y_hi))
+    geometry = _span_geometry(capsules, x_lo, x_hi, y_lo)
+    heights = y_hi - y_lo + 1
+    pixels = np.cumsum(heights * (x_hi - x_lo + 1))
+    first = f_idx * (height * width) + y_lo * width  # each box's top left pixel
+    block = np.concatenate([[0], pixels[:-1] // RASTER_BLOCK])
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), f_idx.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        _draw_rows(out.reshape(-1), capsules[:, lo:hi], geometry[:, lo:hi], first[lo:hi],
+                   heights[lo:hi], width, height)
     return out
+
+
+def _span_geometry(capsules, x_lo, x_hi, y_lo):
+    """Per capsule, the (18, n) constants ``_draw_rows`` takes its rows' spans
+    from, in column units (pixel x's center at x + 0.5)."""
+    ax, ay, bx, by, za, zb, fr = capsules
+    r0, r1 = fr * za, fr * zb
+    scale = np.max(np.abs([ax, ay, bx, by, r0, r1]), axis=0, initial=0.0)
+    margin = 2.0**-8 + 2.0**-30 * scale
+    exact = scale < 2.0**60
+    outer = np.where(exact, np.maximum(np.abs(r0), np.abs(r1)) + margin, np.inf)
+    inner = np.minimum(r0, r1) - margin
+    inner[~(exact & (inner > 0.0))] = np.nan
+    # A bone drawn by the test alone is taken as a point at 0 with an infinite
+    # outer radius and no inner one.
+    ax, ay, bx, by = np.where(exact, capsules[:4], 0.0) - 0.5
+    dx, dy = bx - ax, by - ay
+    length = np.sqrt(dx * dx + dy * dy)
+    # The strip |across| <= R, 0 <= along <= length is, in row v = py - ay,
+    # x - ax in [v*dx/dy -+ R*length/|dy|] and in v*dy/dx + [0, length^2/dx];
+    # a zero dx or dy is taken as 2^-60 length (zero length: no strip).
+    with np.errstate(invalid="ignore"):
+        tilt = 2.0**-60 * length
+        cross_dy = np.where(dy == 0.0, tilt, dy)
+        cross_dx = np.where(dx == 0.0, tilt, dx)
+        widen = length / np.abs(cross_dy)
+        along = length * length / cross_dx
+        return np.stack([
+            y_lo - ay, dy, ax, bx, outer * outer, inner * inner, dx / cross_dy, dy / cross_dx,
+            ax - outer * widen, ax + outer * widen, ax - inner * widen, ax + inner * widen,
+            ax + np.minimum(along, 0.0), ax + np.maximum(along, 0.0),
+            x_lo, x_hi, x_lo - 1, x_hi + 1,
+        ])
+
+
+def _draw_rows(flat, capsules, geometry, first, heights, width, height):
+    """Draw the box rows of a block of capsules into ``flat``: set their inner
+    spans, test their bands and skip the rest."""
+    with np.errstate(invalid="ignore"):
+        (va, dy, ax, bx, outer2, inner2, slope, run, out_lo, out_hi, in_lo, in_hi,
+         along_lo, along_hi, x_lo, x_hi, x_lo1, x_hi1) = np.repeat(geometry, heights, axis=1)
+        row = _runs(np.zeros_like(first), heights)  # within its box
+        va += row  # py - ay
+        vb = va - dy
+        q = va * slope
+        run *= va
+        along_lo -= run
+        along_hi -= run
+        va *= va
+        vb *= vb
+        spans = []
+        for r2, lo, hi in ((outer2, out_lo, out_hi), (inner2, in_lo, in_hi)):
+            lo += q
+            hi += q
+            np.maximum(lo, along_lo, out=lo)
+            np.minimum(hi, along_hi, out=hi)
+            missed = lo > hi  # the row misses the strip
+            lo[missed] = hi[missed] = np.nan
+            ha = np.sqrt(r2 - va)
+            hb = np.sqrt(r2 - vb)
+            np.fmin(lo, ax - ha, out=lo)
+            np.fmin(lo, bx - hb, out=lo)
+            np.fmax(hi, ax + ha, out=hi)
+            np.fmax(hi, bx + hb, out=hi)
+            # NaN: the row misses the capsule, so lo goes past x_hi.
+            np.fmin(lo, x_hi1, out=lo)
+            np.maximum(lo, x_lo, out=lo)
+            np.fmax(hi, x_lo1, out=hi)
+            np.minimum(hi, x_hi, out=hi)
+            spans.append((np.ceil(lo).astype(first.dtype), np.floor(hi).astype(first.dtype)))
+    # Every operation above is monotone in the radius, so the inner span lies
+    # within the outer one.
+    (o_lo, o_hi), (i_lo, i_hi) = spans
+    row_first = np.repeat(first, heights) + row * width
+    filled = i_hi - i_lo + 1
+    np.maximum(filled, 0, out=filled)
+    flat[_runs(row_first + i_lo, filled)] = True
+    # The band: the outer span left and right of the inner one, all of it
+    # where the inner one is empty.
+    left_end = np.minimum(i_lo, o_hi + 1)
+    right_start = np.maximum(i_hi + 1, left_end)
+    band = np.concatenate([left_end - o_lo, o_hi + 1 - right_start])
+    runs = np.flatnonzero(band > 0)
+    band = band[runs]
+    cells = _runs(np.concatenate([row_first + o_lo, row_first + right_start])[runs], band)
+    owner = np.searchsorted(np.cumsum(heights), runs % row.size, side="right")
+    inside = _capsule_test(cells, capsules[:, np.repeat(owner, band)], width, height)
+    flat[cells[inside]] = True
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ NEAR_PLANE = 1e-4
 #: calibration, so silhouettes need not match the source video resolution.
 DEFAULT_RESOLUTION = (256, 256)
 
-#: Frames rasterized together: each bone is drawn on one tile over this many
-#: frames. 24 to 48 ran equally fast on the fixture; the transient is one
-#: (RASTER_CHUNK, H, W) bool buffer plus one bone's float64 tiles.
+#: Frames rasterized together, all their bones at once. On the fixture 32 to
+#: 128 ran equally fast and 4 to 24 slower. The transient is one
+#: (RASTER_CHUNK, H, W) bool buffer plus one block of ``kernels.RASTER_BLOCK``
+#: box pixels.
 RASTER_CHUNK = 32
 
 
@@ -175,7 +176,13 @@ def rasterize_sequence(
 
 def unpack_mask(row: np.ndarray, width: int, height: int) -> np.ndarray:
     """The (H, W) bool mask of one packed row of ``rasterize_sequence``
-    (padding dropped)."""
+    (padding dropped). The row must hold exactly the uint64 words of a
+    ``width`` x ``height`` mask."""
+    words = -(-width * height // 64)
+    if not (isinstance(row, np.ndarray) and row.dtype == np.uint64 and row.shape == (words,)):
+        raise StructuralError(
+            f"a packed {width}x{height} mask is {words} uint64 words, got "
+            f"{getattr(row, 'shape', None)} {getattr(row, 'dtype', type(row).__name__)}")
     bits = np.unpackbits(row.view(np.uint8), count=width * height).view(bool)
     return bits.reshape(height, width)
 

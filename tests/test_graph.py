@@ -394,7 +394,9 @@ class TestPairGating:
         rng = np.random.default_rng(block)
         states = random_states(rng, 50)
         tau = float(np.median([pose_distance(states[0], s, velocity_weight) for s in states[1:]]))
-        monkeypatch.setattr(graph_mod, "GATE_BLOCK", block)
+        # Blocks of 1, 7 and 64 rows of the 50: the budget in entries, one short
+        # of the next row.
+        monkeypatch.setattr(graph_mod, "GATE_CELLS", block * 50 + 49)
         counts = []
         for tau_feat in (0.0, tau, np.inf):
             mm, nn = graph_mod._gate_pairs(states, velocity_weight, tau_feat, min_jump)
@@ -421,7 +423,7 @@ class TestPairGating:
 
     def test_build_peak_memory_below_one_pair_matrix(self):
         # One N x N float64 matrix at N = 3000 is 72 MB; the tiled gate keeps a
-        # few GATE_BLOCK x N blocks.
+        # few blocks of GATE_CELLS entries.
         n = 3000
         states = random_states(np.random.default_rng(0), n)
         masks = kernels.pack_masks(np.zeros((n, 1, 1), dtype=bool))

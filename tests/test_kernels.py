@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,14 +44,14 @@ def box(p0, p1, iz0, iz1, radius):
     return lo[0], hi[0], lo[1], hi[1]
 
 
-def oracle_frames(p0, p1, iz0, iz1, radius, visible):
+def oracle_frames(p0, p1, iz0, iz1, radius, visible,
+                  focal=RASTER_FOCAL, width=RASTER_W, height=RASTER_H):
     """Each frame of a (F, B) batch drawn alone by the full-grid oracle,
     from its visible bones only."""
-    masks = np.zeros((len(iz0), RASTER_H, RASTER_W), dtype=bool)
+    masks = np.zeros((len(iz0), height, width), dtype=bool)
     for f, keep in enumerate(visible):
         masks[f] = meshgrid_rasterize_capsules(p0[f][keep], p1[f][keep], iz0[f][keep],
-                                               iz1[f][keep], radius[f][keep],
-                                               RASTER_FOCAL, RASTER_W, RASTER_H)
+                                               iz1[f][keep], radius[f][keep], focal, width, height)
     return masks
 
 
@@ -205,6 +207,152 @@ class TestRasterizeCapsules:
                                 np.zeros((4, 0)), np.zeros((4, 0)), np.zeros((4, 0), dtype=bool))
         assert empty.shape == (4, RASTER_H, RASTER_W) and not empty.any()
 
+
+
+# ---------------------------------------------------------------------------
+# capsule rasterization on the cases where the inner span, the band and the
+# skipped pixels meet: each bone only ever drawn as the full-grid formula draws it
+# ---------------------------------------------------------------------------
+
+
+def adversarial_capsules(rng, frames, bones, focal, width, height):
+    """A (F, B) batch mixing every case the kernel splits on: ordinary bones,
+    zero-length, exactly horizontal and exactly vertical ones (some on pixel
+    centers), radii from zero to past the image, bones off every border, and
+    hidden ones."""
+    n = frames * bones
+    margin = np.array([width, height]) / 2
+    p0 = rng.uniform(-margin, [width, height] + margin, size=(n, 2))
+    p1 = p0 + rng.normal(0.0, 0.3 * max(width, height), size=(n, 2))
+    kind = rng.integers(0, 6, size=n)
+    p1[kind == 1] = p0[kind == 1]
+    p1[kind == 2, 1] = p0[kind == 2, 1]
+    p1[kind == 3, 0] = p0[kind == 3, 0]
+    centered = kind >= 4  # endpoints on pixel centers
+    p0[centered] = np.floor(p0[centered]) + 0.5
+    p1[centered] = np.floor(p1[centered]) + 0.5
+    iz0, iz1 = rng.uniform(0.1, 3.0, size=(2, n))
+    # Pixel radii f * r * iz from 0 to past the image size.
+    radius = np.exp(rng.uniform(np.log(1e-3), np.log(2.0 * max(width, height)), size=n)) / focal
+    radius[rng.random(n) < 0.05] = 0.0
+    visible = rng.random(n) < 0.9
+    shaped = [v.reshape(frames, bones, *np.shape(v)[1:]) for v in (p0, p1, iz0, iz1, radius)]
+    return (*shaped, visible.reshape(frames, bones))
+
+
+class TestRasterizeBands:
+    @pytest.mark.parametrize("focal, width, height", [
+        (50.0, 64, 48), (300.0, 256, 256), (1000.0, 33, 17), (5.0, 100, 7), (120.0, 1, 40),
+    ])
+    def test_seeded_sweeps_equal_the_full_grid(self, focal, width, height):
+        rng = np.random.default_rng(width * height)
+        for _ in range(6):
+            batch = adversarial_capsules(rng, 9, 12, focal, width, height)
+            got = kernels.rasterize_capsules(*batch, focal, width, height)
+            assert np.array_equal(got, oracle_frames(*batch, focal, width, height))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.25, 1e-9])
+    def test_horizontal_and_vertical_bones_on_and_off_pixel_centers(self, offset):
+        # Bones along a pixel row or column (offset 0.5: through the centers),
+        # with radii on and next to whole and half pixels, one bone a frame.
+        radii = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 1.0 + 1e-12, 2.0 - 1e-12, 3.25])
+        radius = np.tile(radii, 2)[:, None] / RASTER_FOCAL
+        p0 = np.tile([20.0 + offset, 10.0 + offset], (radius.size, 1, 1))
+        p1 = p0.copy()
+        p1[: radii.size, 0, 0] += 17.0  # level
+        p1[radii.size :, 0, 1] += 23.0  # upright
+        iz = np.ones((radius.size, 1))
+        visible = np.ones((radius.size, 1), dtype=bool)
+        got = rasterize_batch(p0, p1, iz, iz, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz, iz, radius, visible))
+
+    def test_capsules_too_thin_for_an_inner_span(self):
+        # f * r * iz at most a few hundredths of a pixel, zero included: every
+        # pixel drawn is a band pixel, and a segment through pixel centers
+        # draws them even at radius 0.
+        rng = np.random.default_rng(21)
+        frames, bones = 8, 10
+        p0 = np.floor(rng.uniform(5, 40, size=(frames, bones, 2))) + 0.5
+        p1 = p0 + rng.integers(-6, 7, size=(frames, bones, 2))
+        iz0, iz1 = rng.uniform(0.5, 1.5, size=(2, frames, bones))
+        radius = rng.uniform(0.0, 0.04, size=(frames, bones)) / RASTER_FOCAL
+        radius[:, :2] = 0.0
+        # Bone 1 runs a thousandth of a pixel beside the centers: not drawn.
+        p0[:, 1] += [0.0, 1e-3]
+        p1[:, 1] = p0[:, 1] + [9.0, 0.0]
+        visible = np.ones((frames, bones), dtype=bool)
+        got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz0, iz1, radius, visible))
+        assert got.any(axis=(1, 2)).all()
+
+    def test_bones_crossing_the_near_plane(self):
+        # One end clipped to a depth of 1e-4 (inverse depth 1e4) lands up to
+        # 1e7 pixels off the image, with a pixel radius there far past it.
+        rng = np.random.default_rng(22)
+        frames, bones = 6, 4
+        p0 = rng.uniform(-1e7, 1e7, size=(frames, bones, 2))
+        p1 = rng.uniform((0, 0), (RASTER_W, RASTER_H), size=(frames, bones, 2))
+        iz0 = np.full((frames, bones), 1e4)
+        iz1 = rng.uniform(0.3, 2.0, size=(frames, bones))
+        radius = rng.uniform(1e-6, 0.05, size=(frames, bones))
+        visible = np.ones((frames, bones), dtype=bool)
+        got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        want = oracle_frames(p0, p1, iz0, iz1, radius, visible)
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
+
+    @pytest.mark.parametrize("scale", [1e3, 1e12, 1e20])
+    def test_radius_covering_the_whole_image(self, scale):
+        # Pixel radii up to 1e20: past 2^60 a bone is drawn by the test alone.
+        p0 = np.array([[[10.0, 10.0], [-5e3, 20.0], [30.0, 1e19]]])
+        p1 = np.array([[[12.0, 30.0], [-4e3, 25.0], [31.0, 1e19]]])
+        iz = np.ones((1, 3))
+        radius = np.array([[1.0, 2.0, 3.0]]) * scale / RASTER_FOCAL
+        visible = np.ones((1, 3), dtype=bool)
+        got = rasterize_batch(p0, p1, iz, iz, radius, visible)
+        assert np.array_equal(got, oracle_frames(p0, p1, iz, iz, radius, visible))
+        assert got.all()
+
+    @pytest.mark.parametrize("far", [1e30, 1e200])
+    def test_coordinates_past_2_to_the_60_are_drawn_by_the_test_alone(self, far):
+        # Whatever the test reads there: at 1e200 the squared length
+        # overflows, at 1e30 the segment's far end swallows its near one.
+        p0 = np.array([[[far, 10.0], [far, -far]]])
+        p1 = np.array([[[20.0, 10.0], [30.0, 30.0]]])
+        iz = np.ones((1, 2))
+        radius = np.array([[5.0, 8.0]]) / RASTER_FOCAL
+        visible = np.ones((1, 2), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = rasterize_batch(p0, p1, iz, iz, radius, visible)
+            assert np.array_equal(got, oracle_frames(p0, p1, iz, iz, radius, visible))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_bone_with_a_non_finite_endpoint_draws_nothing(self, bad):
+        rng = np.random.default_rng(23)
+        p0, p1, iz0, iz1, radius = (np.asarray(v).reshape(4, 3, *np.shape(v)[1:])
+                                    for v in random_capsules(rng, 12))
+        p0[:, :] = rng.uniform((10, 10), (50, 40), size=(4, 3, 2))
+        p0[0, 1, 0] = p0[1, 1, 1] = p1[2, 1, 0] = p1[3, 1, 1] = bad
+        visible = np.ones((4, 3), dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rasterize_batch(p0, p1, iz0, iz1, radius, visible)
+        visible[:, 1] = False
+        assert np.array_equal(got, oracle_frames(p0, p1, iz0, iz1, radius, visible))
+
+    def test_a_non_finite_depth_or_radius_goes_through_the_test(self):
+        # Its box is the whole image; the test reads NaN as outside and an
+        # infinite radius as covering every pixel it reaches (t < 1 at an
+        # infinite depth's end: (1 - t) * inf).
+        p0, p1 = np.array([[[10.0, 10.0]]]), np.array([[[20.0, 20.0]]])
+        one, radius = np.ones((1, 1)), np.full((1, 1), 0.02)
+        visible = np.ones((1, 1), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            assert not rasterize_batch(p0, p1, one * np.nan, one, radius, visible).any()
+            assert not rasterize_batch(p0, p1, one, one, radius * np.nan, visible).any()
+            assert rasterize_batch(p0, p1, one, one, radius * np.inf, visible).all()
+            got = rasterize_batch(p0, p1, one * np.inf, one, radius, visible)[0]
+        assert got.any() and not got.all()
 
 # ---------------------------------------------------------------------------
 # walk relaxation against a plain-Python exact-length Bellman-Ford over

@@ -458,3 +458,16 @@ def test_masks_are_bool_images(chain_skeleton):
     for m in (mask, unpack_mask(row, 61, 37)):
         assert isinstance(m, np.ndarray) and m.dtype == bool and m.shape == (37, 61)
     assert np.array_equal(unpack_mask(row, 61, 37), mask) and mask.any()
+
+
+def test_unpack_mask_refuses_a_row_of_the_wrong_size():
+    # A 256x256 row is 1024 words. A cut row would read as an empty mask (the
+    # missing bits as zeros), and one read as 300x300 as a garbled one.
+    masks = np.zeros((1, 256, 256), dtype=bool)
+    masks[0, 100:140, 30:90] = True
+    row = kernels.pack_masks(masks)[0]
+    assert np.array_equal(unpack_mask(row, 256, 256), masks[0])
+    for bad, w, h in ((row[:10], 256, 256), (row, 300, 300), (row, 255, 256),
+                      (row.view(np.int64), 256, 256), (row.tolist(), 256, 256)):
+        with pytest.raises(StructuralError, match=f"packed {w}x{h} mask is "):
+            unpack_mask(bad, w, h)
