@@ -13,7 +13,8 @@ relaxation over (blend state, node) at k=4, seeded at 20 start nodes, on a
 transitions (m, n), as a graph holds them), accepting the
 lengths a 41-frame segment's duration window accepts (37..45), and the
 traceback's replay of its 45 step tables. The gating entries time the graph build's d_feat
-pre-gate over all frame pairs of a 4000-frame puppet reference, and also
+pre-gate over all frame pairs of a 4000-frame puppet reference, on the state
+rows `build_graph` stacks once for it and the exact filter, and also
 print the traced peak memory (tracemalloc) of one gating call. The
 2000-frame gating entries time it on the fixture's reference: warm, and
 cold, as the first call in each of 5 fresh processes that first parse the
@@ -107,8 +108,9 @@ def _cold_gate_s(poses) -> float:
     states = pose.compute_joint_states(skeleton, sequence)
     masks = rasterize_sequence(skeleton, (s.positions for s in states), default_camera())
     tau_feat = graph.compute_thresholds(states, masks).tau_feat
+    rows = pose.state_rows(states)
     t0 = time.perf_counter()
-    graph._gate_pairs(states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
+    graph._gate_pairs(*rows, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
     return time.perf_counter() - t0
 
 
@@ -144,13 +146,12 @@ def run_benchmarks():
     )
     ref_masks = rasterize_sequence(skeleton, ref_positions, camera)
     tau_feat = graph.compute_thresholds(ref_states, ref_masks).tau_feat
-    mm, nn = graph._gate_pairs(ref_states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
+    ref_rows = state_rows(ref_states)
+    mm, nn = graph._gate_pairs(*ref_rows, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)
     results["gate_2000f"] = (
-        _time(lambda: graph._gate_pairs(ref_states, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)), "s"
+        _time(lambda: graph._gate_pairs(*ref_rows, 1.0, tau_feat, graph.DEFAULT_MIN_JUMP)), "s"
     )
-    results["exact_dfeat_filter"] = (
-        _time(lambda: pair_distances(*state_rows(ref_states), mm, nn)), "s"
-    )
+    results["exact_dfeat_filter"] = (_time(lambda: pair_distances(*ref_rows, mm, nn)), "s")
 
     # The preview: every image of the quick start's EDL (seed 7), rendered
     # in memory.
@@ -216,8 +217,10 @@ def run_benchmarks():
         pose_distance(a, b) for a, b in zip(long_states, long_states[offset:])
     ]))
 
+    long_rows = state_rows(long_states)
+
     def gate():
-        return graph._gate_pairs(long_states, 1.0, tau, graph.DEFAULT_MIN_JUMP)
+        return graph._gate_pairs(*long_rows, 1.0, tau, graph.DEFAULT_MIN_JUMP)
 
     results["gate_4000f"] = (_time(gate), "s")
     results["gate_4000f_traced_peak"] = (_traced_peak_mb(gate), "MB")

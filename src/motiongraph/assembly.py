@@ -132,7 +132,10 @@ class EditDecisionList:
         self.total_frames = integer("total_frames", self.total_frames, 0)
         self.start_frame = integer("start_frame", self.start_frame, 0)
         self.blend_k = integer("blend_k", self.blend_k, 1)
-        self.speech_frames = integers("speech frame", self.speech_frames, 0)
+        self.speech_frames = slots = integers("speech frame", self.speech_frames, 0)
+        if slots and not (slots[-1] < self.total_frames and list(slots) == sorted(set(slots))):
+            raise ValidationError("speech frames must be strictly rising output slots below "
+                                  f"total_frames={self.total_frames}, got {slots}")
         if not isinstance(self.provenance, dict):
             raise ValidationError(
                 f"provenance must be a dict, got {type(self.provenance).__name__}")
@@ -333,26 +336,21 @@ def render_frames(
 
     Run frames draw the nearest source pose; transition frames draw the
     stored interpolated pose. Every run's source frames are checked before
-    the first image is yielded. Forward kinematics runs once per entry, and
-    the frames are rasterized ``silhouette.RASTER_CHUNK`` at a time across
-    entries through ``camera`` (default ``default_camera()``). Deterministic.
+    the first image is yielded. Forward kinematics runs once over all output
+    poses, and the frames are rasterized ``silhouette.RASTER_CHUNK`` at a time
+    through ``camera`` (default ``default_camera()``). Deterministic.
     """
     camera = camera or default_camera()
+    frames = []
     for entry in edl.entries:
         if isinstance(entry, RunEntry):
             for pb in entry.frames:
                 if not 0 <= pb.source_frame < len(poses):
                     raise AssemblyError(f"missing source frame {pb.source_frame}")
-
-    def positions():
-        for entry in edl.entries:
-            if isinstance(entry, RunEntry):
-                entry_poses = [poses[pb.source_frame] for pb in entry.frames]
-            else:
-                entry_poses = [step.pose for step in entry.schedule.steps]
-            yield from batch_forward_kinematics(skeleton, entry_poses)
-
-    for masks in rasterize_chunks(skeleton, positions(), camera):
+                frames.append(poses[pb.source_frame])
+        else:
+            frames.extend(step.pose for step in entry.schedule.steps)
+    for masks in rasterize_chunks(skeleton, batch_forward_kinematics(skeleton, frames), camera):
         yield from masks.view(np.uint8) * 255
 
 
@@ -436,9 +434,11 @@ def load_edl(path: str | Path) -> EditDecisionList:
                 frames = tuple(PlaybackEntry(f["source"], f["position"]) for f in e["frames"])
                 entries.append(RunEntry(e["source_start"], e["source_end"], e["speed_factor"],
                                         frames))
-            else:
+            elif e["type"] == "transition":
                 entries.append(TransitionEntry(BlendSchedule(
                     e["src_window"], e["dst_window"], tuple(map(step, e["steps"])))))
+            else:
+                raise ValidationError(f"unknown EDL entry type {e['type']!r}")
         return EditDecisionList(
             fps=doc["fps"],
             total_frames=doc["total_frames"],

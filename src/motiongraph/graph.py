@@ -253,20 +253,21 @@ def _image_distances(packed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _gate_pairs(
-    joint_states: Sequence[JointState],
+    pos: np.ndarray,
+    vel: np.ndarray,
     velocity_weight: float,
     tau_feat: float,
     min_jump: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate pairs (m, n), n - m >= min_jump, in row-major order, whose
-    approximate d_feat (Gram trick) is within a small margin of ``tau_feat``.
+    approximate d_feat (Gram trick) is within a small margin of ``tau_feat``;
+    ``pos`` and ``vel`` are ``state_rows``' arrays.
 
     The upper triangle is visited ``GATE_CELLS // N`` rows at a time, so memory
     is O(GATE_CELLS). Every entry is computed with the same operations,
     in the same order, as the full-matrix formula.
     """
-    n = len(joint_states)
-    pos, vel = state_rows(joint_states)
+    n = len(pos)
     sq_pos = np.sum(pos * pos, axis=1)
     sq_vel = np.sum(vel * vel, axis=1)
     gate = tau_feat + 1e-8 * (1.0 + tau_feat)
@@ -321,9 +322,10 @@ def build_graph(
         if not isinstance(on, (bool, np.bool_)):
             raise ValidationError(f"onset must be a bool, got {on!r}")
 
-    mm, nn = _gate_pairs(joint_states, velocity_weight, thresholds.tau_feat, min_jump)
+    pos, vel = state_rows(joint_states)
+    mm, nn = _gate_pairs(pos, vel, velocity_weight, thresholds.tau_feat, min_jump)
     # Exact d_feat filter: pose_distance of every gated pair.
-    d_feat = pair_distances(*state_rows(joint_states), mm, nn, velocity_weight)
+    d_feat = pair_distances(pos, vel, mm, nn, velocity_weight)
     keep = d_feat <= thresholds.tau_feat
     mm, nn, d_feat = mm[keep], nn[keep], d_feat[keep]
     d_img = _image_distances(masks, np.stack([mm, nn], axis=1))

@@ -143,35 +143,32 @@ def rasterize_silhouette(
     return rasterize_frames(skeleton, joint_positions[None], camera)[0]
 
 
-def rasterize_chunks(skeleton: Skeleton, positions_per_frame, camera: CameraModel):
-    """Yield the silhouettes of an iterable of (J, 3) joint positions, in
-    order, as (F, H, W) bool arrays of ``RASTER_CHUNK`` frames (the last
-    one may hold fewer)."""
-    chunk = []
-    for positions in positions_per_frame:
-        positions = np.asarray(positions, dtype=np.float64)
-        _check_positions(skeleton, positions.shape)
-        chunk.append(positions)
-        if len(chunk) == RASTER_CHUNK:
-            yield rasterize_frames(skeleton, chunk, camera)
-            chunk = []
-    if chunk:
-        yield rasterize_frames(skeleton, chunk, camera)
+def rasterize_chunks(skeleton: Skeleton, positions: np.ndarray, camera: CameraModel):
+    """Yield the silhouettes of (F, J, 3) joint positions, in order, as
+    (RASTER_CHUNK, H, W) bool arrays (the last one may hold fewer frames)."""
+    for lo in range(0, len(positions), RASTER_CHUNK):
+        yield rasterize_frames(skeleton, positions[lo : lo + RASTER_CHUNK], camera)
 
 
 def rasterize_sequence(
     skeleton: Skeleton, positions_per_frame, camera: CameraModel
 ) -> np.ndarray:
-    """Bit-packed per-frame silhouettes: one ``kernels.pack_masks`` row per
-    frame, shape (N, W64) ``uint64``. Frames are drawn and packed
-    ``RASTER_CHUNK`` at a time, so at most one chunk of unpacked masks is
-    alive at a time; ``unpack_mask`` turns a row back into an (H, W) mask."""
+    """Bit-packed silhouettes of an iterable of (J, 3) joint positions: one
+    ``kernels.pack_masks`` row per frame, shape (N, W64) ``uint64``. The frames
+    are stacked, then drawn ``RASTER_CHUNK`` at a time, each chunk packed into
+    the result, so one chunk of unpacked masks is alive at a time;
+    ``unpack_mask`` turns a row back into an (H, W) mask."""
+    frames = []
+    for positions in positions_per_frame:
+        positions = np.asarray(positions, dtype=np.float64)
+        _check_positions(skeleton, positions.shape)
+        frames.append(positions)
+    positions = np.array(frames).reshape(len(frames), len(skeleton), 3)
     w, h = camera.image_size
-    chunks = rasterize_chunks(skeleton, positions_per_frame, camera)
-    rows = [kernels.pack_masks(masks) for masks in chunks]
-    if not rows:
-        return kernels.pack_masks(np.zeros((0, h, w), dtype=bool))
-    return np.concatenate(rows)
+    packed = np.empty((len(frames), -(-w * h // 64)), dtype=np.uint64)
+    for i, masks in enumerate(rasterize_chunks(skeleton, positions, camera)):
+        packed[i * RASTER_CHUNK : (i + 1) * RASTER_CHUNK] = kernels.pack_masks(masks)
+    return packed
 
 
 def unpack_mask(row: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -206,7 +203,7 @@ def write_pgm_frames(images, directory: str | Path, prefix: str) -> list[Path]:
     for i, image in enumerate(images):
         written.append(directory / f"{prefix}_{i:06d}.pgm")
         write_pgm(image, written[-1])
-    numbered = re.compile(rf"{prefix}_([0-9]+)\.pgm")
+    numbered = re.compile(rf"{re.escape(prefix)}_([0-9]+)\.pgm")
     for path in directory.iterdir():
         match = numbered.fullmatch(path.name)
         if match and int(match[1]) >= len(written) and path.is_file():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from motiongraph import assembly
 from motiongraph.assembly import (
     BlendSchedule,
     RunEntry,
@@ -17,7 +18,7 @@ from motiongraph.assembly import (
 )
 from motiongraph.audio import AudioFeatureTrack
 from motiongraph.errors import AssemblyError, GraphParseError, StructuralError, ValidationError
-from motiongraph.pose import forward_kinematics, interpolate_pose
+from motiongraph.pose import batch_forward_kinematics, forward_kinematics, interpolate_pose
 from motiongraph.search import PathCandidate, resample_segment
 from motiongraph.silhouette import RASTER_CHUNK, default_camera, rasterize_silhouette
 
@@ -322,6 +323,16 @@ class TestEdlFile:
                          "got dtype <U1", id="text-root"),
             pytest.param(lambda doc: doc.update(provenance=[["path_rank", 0]]),
                          "provenance must be a dict, got list", id="list-provenance"),
+            pytest.param(lambda doc: transition_of(doc).update(type="bogus"),
+                         "unknown EDL entry type 'bogus'", id="unknown-entry-type"),
+            pytest.param(lambda doc: doc.update(speech_frames=[9, 3, 3]),
+                         "speech frames must be strictly rising output slots below "
+                         "total_frames=40, got (9, 3, 3)", id="falling-speech-frames"),
+            pytest.param(lambda doc: doc.update(speech_frames=[2, 3, 3]),
+                         "speech frames must be strictly rising", id="repeated-speech-frame"),
+            pytest.param(lambda doc: doc.update(speech_frames=[0, doc["total_frames"]]),
+                         "speech frames must be strictly rising output slots below "
+                         "total_frames=40, got (0, 40)", id="speech-frame-past-the-output"),
         ],
     )
     def test_file_poses_and_provenance_are_refused_not_converted(self, tmp_path, wavy_poses,
@@ -372,7 +383,7 @@ class TestPreview:
             mask = rasterize_silhouette(chain_skeleton, forward_kinematics(chain_skeleton, pose), cam)
             assert np.array_equal(img, mask.astype(np.uint8) * 255)
 
-    def test_same_images_as_per_frame_kinematics(self, chain_skeleton, wavy_poses):
+    def test_same_images_as_per_frame_kinematics(self, chain_skeleton, wavy_poses, monkeypatch):
         # Two cuts, so the EDL holds runs and blend schedules.
         graph = toy_graph(300, synthetic=[(60, 120, 0.1, 0.1), (150, 220, 0.1, 0.1)])
         nodes = tuple(range(40, 61)) + tuple(range(120, 151)) + tuple(range(220, 240))
@@ -380,7 +391,16 @@ class TestPreview:
         edl = assemble_edl(path, graph, segment_list(len(nodes), []), wavy_poses, k=4)
         assert sum(isinstance(e, TransitionEntry) for e in edl.entries) == 2
         cam = default_camera((64, 64), focal_length=60.0)
+        fk_calls = []
+
+        def batch_fk(skeleton, frames):
+            fk_calls.append(len(frames))
+            return batch_forward_kinematics(skeleton, frames)
+
+        monkeypatch.setattr(assembly, "batch_forward_kinematics", batch_fk)
         frames = list(render_frames(edl, chain_skeleton, wavy_poses, camera=cam))
+        # One forward-kinematics pass over every output pose.
+        assert fk_calls == [edl.total_frames]
         poses = []
         for entry in edl.entries:
             if isinstance(entry, RunEntry):

@@ -399,7 +399,8 @@ class TestPairGating:
         monkeypatch.setattr(graph_mod, "GATE_CELLS", block * 50 + 49)
         counts = []
         for tau_feat in (0.0, tau, np.inf):
-            mm, nn = graph_mod._gate_pairs(states, velocity_weight, tau_feat, min_jump)
+            mm, nn = graph_mod._gate_pairs(*state_rows(states), velocity_weight, tau_feat,
+                                           min_jump)
             ref_mm, ref_nn = full_matrix_gate(states, velocity_weight, tau_feat, min_jump)
             assert np.array_equal(mm, ref_mm) and np.array_equal(nn, ref_nn)
             counts.append(len(mm))
@@ -413,9 +414,9 @@ class TestPairGating:
         offset = graph_mod.DEFAULT_OFFSET_L
         tau = sum(pose_distance(a, b) for a, b in zip(states, states[offset:]))
         tau /= len(states) - offset
-        mm, nn = graph_mod._gate_pairs(states, 1.0, tau, graph_mod.DEFAULT_MIN_JUMP)
-        assert len(mm) == 114042
         rows = state_rows(states)
+        mm, nn = graph_mod._gate_pairs(*rows, 1.0, tau, graph_mod.DEFAULT_MIN_JUMP)
+        assert len(mm) == 114042
         for velocity_weight in (1.0, 0.37):
             got = pair_distances(*rows, mm, nn, velocity_weight)
             want = per_row_pair_distances(*rows, mm, nn, velocity_weight)

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from motiongraph import kernels
+from motiongraph import fixtures, kernels
 from motiongraph.errors import GraphParseError, StructuralError, ValidationError
-from motiongraph.pose import Joint, Skeleton, forward_kinematics
+from motiongraph.pose import Joint, Skeleton, compute_joint_states, forward_kinematics
 from motiongraph.silhouette import (
     NEAR_PLANE,
     RASTER_CHUNK,
@@ -19,6 +20,7 @@ from motiongraph.silhouette import (
     save_camera,
     unpack_mask,
     write_pgm,
+    write_pgm_frames,
 )
 
 from conftest import make_pose
@@ -447,6 +449,33 @@ def test_pgm_refuses_anything_but_a_uint8_image(tmp_path, image):
     with pytest.raises(StructuralError, match="uint8"):
         write_pgm(image, out)
     assert not out.exists()
+
+
+def test_pgm_frames_prefix_matches_only_itself(tmp_path):
+    # The "." of "f.ame" is no wildcard: its stale frame goes, and
+    # "fxame_000005.pgm", another prefix's frame, stays.
+    image = np.zeros((2, 3), dtype=np.uint8)
+    write_pgm_frames([image] * 2, tmp_path, "f.ame")
+    (tmp_path / "fxame_000005.pgm").write_text("bystander")
+    write_pgm_frames([image], tmp_path, "f.ame")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ame_000000.pgm", "fxame_000005.pgm"]
+
+
+def test_sequence_holds_its_packed_rows_once():
+    # The fixture's 2000 frames pack into 15.6 MiB of rows. Besides them the
+    # peak holds the stacked positions and one chunk's masks and transients,
+    # well under a second copy of the rows.
+    skeleton = fixtures.puppet_skeleton()
+    states = compute_joint_states(skeleton, fixtures.puppet_sequence(2000))
+    positions = [s.positions for s in states]
+    tracemalloc.start()
+    try:
+        rows = rasterize_sequence(skeleton, positions, default_camera())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (2000, 1024)
+    assert peak < 1.75 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the packed rows"
 
 
 def test_masks_are_bool_images(chain_skeleton):
