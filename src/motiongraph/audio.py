@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (GraphParseError, StructuralError, ValidationError, integer, integers,
-                     read_document, real, string)
+from .errors import (GraphParseError, StructuralError, ValidationError, column, integer,
+                     integers, read_document, real, string)
 
 log = logging.getLogger(__name__)
 
@@ -264,23 +264,6 @@ def match_keywords(
 # ---------------------------------------------------------------------------
 
 
-def _flags(name: str, value) -> np.ndarray:
-    """``value`` as a bool array if it is a 1-D bool array or a list or tuple
-    of bools, else ValidationError: a number or string is refused, never converted."""
-    if isinstance(value, np.ndarray):
-        problem = None if value.dtype == bool and value.ndim == 1 else (
-            f"dtype {value.dtype}, shape {value.shape}")
-    elif not isinstance(value, (list, tuple)):
-        problem = type(value).__name__
-    else:
-        problem = next((f"entry {v!r}" for v in value if not isinstance(v, (bool, np.bool_))),
-                       None)
-    if problem is not None:
-        raise ValidationError(f"{name} must be a 1-D bool array or a sequence of bools, "
-                              f"got {problem}")
-    return np.asarray(value, dtype=bool)
-
-
 @dataclass(frozen=True)
 class AudioFeatureTrack:
     fps: float
@@ -291,7 +274,7 @@ class AudioFeatureTrack:
         object.__setattr__(self, "fps", real("fps", self.fps, 0, above=True))
         for label in self.keywords:
             string("keyword label", label)
-        object.__setattr__(self, "onsets", _flags("onsets", self.onsets))
+        object.__setattr__(self, "onsets", column("onset", self.onsets, bool))
         if len(self.onsets) != len(self.keywords):
             raise StructuralError(
                 f"{len(self.onsets)} onset flags vs {len(self.keywords)} keyword labels"

@@ -161,10 +161,6 @@ def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
         masks = silhouette.rasterize_sequence(
             skeleton, (s.positions for s in states), camera
         )
-        if args.dump_masks:
-            w, h = camera.image_size
-            images = (silhouette.unpack_mask(row, w, h).view(np.uint8) * 255 for row in masks)
-            silhouette.write_pgm_frames(images, args.dump_masks, "mask")
         thresholds = graph_mod.compute_thresholds(
             states, masks, offset_l=args.threshold_offset, velocity_weight=args.velocity_weight
         )
@@ -173,6 +169,10 @@ def _cmd_build_graph(parser, args, track=None) -> graph_mod.VideoMotionGraph:
             min_jump=args.min_jump, velocity_weight=args.velocity_weight, fps=sequence.fps,
         )
         graph_mod.save_graph_file(built, args.out)
+        if args.dump_masks:  # only once the graph is saved, so a failed build writes none
+            w, h = camera.image_size
+            images = (silhouette.unpack_mask(row, w, h).view(np.uint8) * 255 for row in masks)
+            silhouette.write_pgm_frames(images, args.dump_masks, "mask")
     print(  # each transition is two synthetic edges
         f"graph: {len(built)} nodes, {len(built) - 1 + 2 * built.m.size} edges "
         f"({2 * built.m.size} synthetic), "
@@ -192,8 +192,8 @@ def _cmd_analyze_audio(parser, args) -> None:
         track = audio.analyze_audio(
             samples, rate, args.fps, transcript, dictionary, args.onset_delta
         )
+        segments = audio.segment_target(track)  # before any write: it can fail
         audio.save_features(args.features_out, track)
-        segments = audio.segment_target(track)
         audio.save_segments(args.segments_out, segments)
     print(
         f"features: {len(track)} frames, {int(track.onsets.sum())} onsets, "
@@ -228,6 +228,13 @@ def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
     _require_files(parser, args.graph, args.poses, args.segments, args.path, args.target_features,
                    outputs=[args.out])
     with _stage("assemble"):
+        result = search.load_search_result(args.path)
+        rank = args.path_index  # checked before the graph is read and hashed
+        if rank >= len(result.paths):
+            raise ValidationError(
+                f"--path-index {rank} is out of range: {args.path} "
+                f"holds {len(result.paths)} paths"
+            )
         if built is None:
             built = graph_mod.load_graph_file(args.graph)
         if sequence is None:
@@ -237,7 +244,6 @@ def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
                                   f"{sequence.fps:g} fps, but the graph has {len(built)} "
                                   f"frames at {built.fps:g} fps")
         segments = audio.load_segments(args.segments)
-        result = search.load_search_result(args.path)
         speech = (
             audio.load_features(args.target_features) if args.target_features else None
         )
@@ -249,12 +255,6 @@ def _cmd_assemble(parser, args, built=None, sequence=None) -> None:
             "graph_sha256": digest.hexdigest(),
             "search_seed": result.seed,
         }
-        rank = args.path_index
-        if rank >= len(result.paths):
-            raise ValidationError(
-                f"--path-index {rank} is out of range: {args.path} "
-                f"holds {len(result.paths)} paths"
-            )
         edl = assembly.assemble_edl(
             result.paths[rank], built, segments, sequence.frames, k=result.config.blend_k,
             provenance=dict(provenance, path_rank=rank), speech_track=speech,

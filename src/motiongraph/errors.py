@@ -1,6 +1,7 @@
 """Exception types shared across the engine, the number tests and the rules of
-every integer, real, real-array and string field, and the decoder every engine
-file goes through, which reports a malformed file as one of them."""
+every integer, real, real-array and string field and of every 1-D column, and
+the decoder every engine file goes through, which reports a malformed file as
+one of them."""
 
 from __future__ import annotations
 
@@ -106,9 +107,7 @@ def reals(name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
     else:
         if array.dtype.kind not in "iuf":
             problem = f"dtype {array.dtype}"
-        # np.asarray([0.0, True]) is float64, so a list's own entries are looked at.
-        elif not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(
-                set(map(type, np.asarray(value, dtype=object).flat))):
+        elif _bool_entry(value):
             problem = "a boolean entry"
         elif array.ndim != len(shape) or any(
                 n not in (None, m) for n, m in zip(shape, array.shape)):
@@ -118,6 +117,50 @@ def reals(name: str, value, shape: tuple[int | None, ...]) -> np.ndarray:
         else:
             return array.astype(np.float64, copy=False)
     raise ValidationError(f"{name} must be a finite real array of shape {shape}, got {problem}")
+
+
+def _bool_entry(values) -> bool:
+    """Whether ``values``, unless an array (whose dtype says it), holds a bool at any
+    depth: ``np.asarray([0.0, True])`` is float64, so a list's own entries are looked at."""
+    return not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+        map(type, np.asarray(values, dtype=object).flat))
+
+
+#: Per column dtype kind, the dtype kinds it is made from without rounding or parsing
+#: (a str column takes any and compares what it stores instead), and what it holds.
+_COLUMN_KINDS = {"b": ("b", "bools"), "i": ("iu", "integers within int64"),
+                 "f": ("iuf", "real numbers"), "U": (None, "strings")}
+
+
+def column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a 1-D column of ``dtype`` (bool, int64, float64 or str) if they are a
+    1-D array or list that it holds unchanged, or an empty one, else ``<name> must be a 1-D
+    column of <kind>, got <problem>`` (ValidationError), the problem being a ragged nesting,
+    the shape, the dtype or a boolean entry in a number column. A str column refuses the
+    first entry it would change, a non-string or a word ending in NUL, with ``<name> <entry>
+    would be stored as <stored>``. An array of ``dtype`` is returned uncopied."""
+    dtype = np.dtype(dtype)
+    kinds, wanted = _COLUMN_KINDS[dtype.kind]
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        problem = "a ragged nesting"
+    else:
+        if array.ndim != 1:
+            problem = f"shape {array.shape}"
+        elif kinds and array.size and not (
+                array.dtype.kind in kinds and np.can_cast(array.dtype, dtype)):
+            problem = f"dtype {array.dtype}"
+        elif dtype.kind in "if" and _bool_entry(values):
+            problem = "a boolean entry"
+        else:
+            stored = array.astype(dtype, copy=False)
+            changed = kinds is None and next(
+                ((v, s) for v, s in zip(values, stored.tolist()) if v != s), None)
+            if not changed:
+                return stored
+            raise ValidationError("{} {!r} would be stored as {!r}".format(name, *changed))
+    raise ValidationError(f"{name} must be a 1-D column of {wanted}, got {problem}")
 
 
 def string(name: str, value) -> str:

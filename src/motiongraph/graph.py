@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import (GraphParseError, StructuralError, ValidationError, integer, is_integer,
-                     read_document, real)
+from .errors import (GraphParseError, StructuralError, ValidationError, column, integer,
+                     is_integer, read_document, real)
 from .pose import JointState, pair_distances, pose_distance, state_rows
 
 DEFAULT_OFFSET_L = 4
@@ -79,20 +79,21 @@ class VideoMotionGraph:
                  velocity_weight: float = 1.0):
         """A graph from its columns, each 1-D: ``onset`` (bools) and ``keyword`` (strings)
         per node, ``m``, ``n`` (integers) and ``d_feat``, ``d_img`` (real numbers) per
-        transition. A column of another kind, shape or length is refused, naming it, before
-        ``_check_pairs`` names the first offending pair. A column given as an array of the
-        graph's dtype is held, not copied, and made read-only."""
+        transition. A column that ``errors.column`` refuses, or one of another length, is
+        refused, naming it, before ``_check_pairs`` names the first offending pair. A column
+        given as an array of the graph's dtype is held, not copied, and made read-only."""
         fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
-        onset, m, n, d_feat, d_img = map(_column, FILE_COLUMNS, (onset, m, n, d_feat, d_img))
-        keyword = _keyword_column(keyword)
-        for name, column, count in (("keyword", keyword, onset.size), ("n", n, m.size),
+        onset, m, n, d_feat, d_img = map(column, FILE_COLUMNS, (onset, m, n, d_feat, d_img),
+                                         FILE_COLUMNS.values())
+        keyword = column("keyword", keyword, str)
+        for name, values, count in (("keyword", keyword, onset.size), ("n", n, m.size),
                                     ("d_feat", d_feat, m.size), ("d_img", d_img, m.size)):
-            if column.size != count:
+            if values.size != count:
                 what = "nodes" if name == "keyword" else "pairs"
-                raise StructuralError(f"{name} holds {column.size} values for {count} {what}")
+                raise StructuralError(f"{name} holds {values.size} values for {count} {what}")
         _check_pairs(onset.size, m, n, d_feat, d_img, min_jump)
-        for column in (onset, keyword, m, n, d_feat, d_img):
-            column.flags.writeable = False
+        for values in (onset, keyword, m, n, d_feat, d_img):
+            values.flags.writeable = False
         self.onset, self.keyword, self.m, self.n = onset, keyword, m, n
         self.d_feat, self.d_img = d_feat, d_img
         self.thresholds, self.fps = thresholds, fps
@@ -143,37 +144,6 @@ def _node_ids(name: str, ids) -> np.ndarray:
             if not is_integer(value):
                 raise ValidationError(f"{name} node ids must be integers, got {value!r}")
     return np.asarray(ids)
-
-
-#: The dtype kinds each kind of graph column is made from, without rounding or parsing.
-_SOURCE_KINDS = {"b": ("b", "bools"), "i": ("iu", "integers within int64"),
-                 "f": ("iuf", "real numbers")}
-
-
-def _column(name: str, values) -> np.ndarray:
-    """``values`` as the graph column ``name`` (of ``FILE_COLUMNS``), if they are a 1-D array
-    or list that converts to its dtype exactly, or an empty one; else ValidationError."""
-    dtype = FILE_COLUMNS[name]
-    kinds, wanted = _SOURCE_KINDS[dtype.kind]
-    column = np.asarray(values)
-    if column.ndim != 1:
-        got = f"shape {column.shape}"
-    elif column.size and not (column.dtype.kind in kinds and np.can_cast(column.dtype, dtype)):
-        got = f"dtype {column.dtype}"
-    else:
-        return column.astype(dtype, copy=False)
-    raise ValidationError(f"{name} must be a 1-D column of {wanted}, got {got}")
-
-
-def _keyword_column(words) -> np.ndarray:
-    """``words`` as a 1-D ``str`` column, refused where it would change one (it drops
-    trailing NULs)."""
-    column = np.array(words, dtype=str)
-    if column.ndim != 1:
-        raise ValidationError(f"keyword must be a 1-D column of strings, got shape {column.shape}")
-    if changed := next(((w, k) for w, k in zip(words, column.tolist()) if w != k), None):
-        raise ValidationError("keyword {!r} would be stored as {!r}".format(*changed))
-    return column
 
 
 def _check_pairs(size, m, n, d_feat, d_img, min_jump) -> None:
@@ -309,7 +279,7 @@ def build_graph(
     by rising (m, n), the graph's order (the metrics are symmetric, playback is
     directed). Pairs are pre-gated with a vectorized d_feat approximation, then
     re-checked with the exact per-pair operations so the stored distances match
-    them bit-for-bit. An onset flag must be a bool: it is refused, never converted.
+    them bit-for-bit. The onset flags are checked as a column before any of that.
     """
     n = len(joint_states)
     if n < 2:
@@ -318,9 +288,7 @@ def build_graph(
     if len(features) != n:
         raise StructuralError(f"{len(features)} feature records for {n} joint states")
     fps, min_jump, velocity_weight = _check_header(fps, min_jump, velocity_weight)
-    for on, _ in features:
-        if not isinstance(on, (bool, np.bool_)):
-            raise ValidationError(f"onset must be a bool, got {on!r}")
+    onset = column("onset", [on for on, _ in features], bool)
 
     pos, vel = state_rows(joint_states)
     mm, nn = _gate_pairs(pos, vel, velocity_weight, thresholds.tau_feat, min_jump)
@@ -332,7 +300,7 @@ def build_graph(
     keep = d_img <= thresholds.tau_img
     mm, nn, d_feat, d_img = mm[keep], nn[keep], d_feat[keep], d_img[keep]
     return VideoMotionGraph(
-        [on for on, _ in features], [kw for _, kw in features], mm, nn, d_feat, d_img,
+        onset, [kw for _, kw in features], mm, nn, d_feat, d_img,
         thresholds, fps, min_jump, velocity_weight,
     )
 
@@ -394,19 +362,17 @@ def _read_graph(f, size: int) -> VideoMotionGraph:
         if unknown := doc.keys() - header:
             raise ValidationError(f"unknown fields {sorted(unknown)}")
         thresholds = Thresholds(**doc["thresholds"])
-        keyword = doc["keyword"]
-        if not (isinstance(keyword, list) and all(isinstance(word, str) for word in keyword)):
-            raise ValidationError("keyword must be a list of strings")
-        n, pairs, body = len(keyword), integer("pairs", doc["pairs"], 0), size - len(line)
+        keyword = column("keyword", doc["keyword"], str)
+        n, pairs, body = keyword.size, integer("pairs", doc["pairs"], 0), size - len(line)
         if not line.endswith(b"\n") or body != n + 32 * pairs:
             raise StructuralError(f"{n} nodes and {pairs} pairs need a newline-ended header "
                                   f"line and {n + 32 * pairs} column bytes, got {body} after it")
         columns = {name: np.empty(n if name == "onset" else pairs, dtype)
                    for name, dtype in FILE_COLUMNS.items()}
-        for name, column in columns.items():
-            if f.readinto(column) != column.nbytes:
+        for name, values in columns.items():
+            if f.readinto(values) != values.nbytes:
                 raise StructuralError("the graph file ended while it was read")
-            if column.dtype == bool and (column.view(np.uint8) > 1).any():
+            if values.dtype == bool and (values.view(np.uint8) > 1).any():
                 raise ValidationError(f"{name} bytes must be 0 or 1")
         return VideoMotionGraph(
             **columns, keyword=keyword, thresholds=thresholds, fps=doc["fps"],

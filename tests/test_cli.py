@@ -5,17 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import motiongraph
 from motiongraph import cli
 from motiongraph.assembly import TransitionEntry, assemble_edl, load_edl
-from motiongraph.audio import (EndpointFeature, SegmentList, load_features, load_segments,
-                               save_segments)
+from motiongraph.audio import (AudioFeatureTrack, EndpointFeature, SegmentList, load_features,
+                               load_segments, save_features, save_segments, write_wav)
 from motiongraph.errors import GraphParseError
-from motiongraph.fixtures import make_fixture
+from motiongraph.fixtures import FIXTURE_FPS, make_fixture, puppet_sequence, puppet_skeleton
 from motiongraph.graph import load_graph_file
-from motiongraph.pose import load_pose_track
+from motiongraph.pose import load_pose_track, save_pose_track
 from motiongraph.search import BeamConfig, beam_search, load_search_result
 from motiongraph.silhouette import default_camera, save_camera
 
@@ -710,7 +711,14 @@ class TestUsageErrors:
         assert "argument --path-index: a path rank is >= 0" in capsys.readouterr().err
         assert not (tmp_path / "edl.json").exists()
 
-    def test_path_index_past_the_paths_is_stage_failure(self, tmp_path, pipeline, fixture_files):
+    def test_path_index_past_the_paths_is_stage_failure(self, tmp_path, monkeypatch, pipeline,
+                                                        fixture_files):
+        # The index is checked before the graph and the pose track are read.
+        def unread(*args):
+            raise AssertionError("an input past the search result was read")
+
+        monkeypatch.setattr(cli.graph_mod, "load_graph_file", unread)
+        monkeypatch.setattr(cli.pose, "load_pose_track", unread)
         with pytest.raises(SystemExit) as err:
             self._assemble(tmp_path, pipeline, fixture_files, "99")
         assert str(err.value.code).startswith("error in assemble: --path-index 99 is out of range")
@@ -772,6 +780,53 @@ class TestBadParameters:
             cli.main(argv + flag)
         assert str(err.value.code).startswith(f"error in {command}: {message}")
         assert list(tmp_path.iterdir()) == []
+
+
+def _one_frame_wav(tmp_path):
+    """A WAV of 1600 samples at 48 kHz: one video frame at 30 fps, too few to segment."""
+    write_wav(tmp_path / "short.wav", np.zeros(1600), 48000)
+    return tmp_path / "short.wav"
+
+
+def _failing_analyze_audio(tmp_path, fixture_files):
+    out = tmp_path / "out"
+    return (["analyze-audio", "--wav", str(_one_frame_wav(tmp_path)),
+             "--features-out", str(out / "f.json"), "--segments-out", str(out / "s.json")],
+            "analyze-audio", [out / "f.json", out / "s.json"])
+
+
+def _failing_run_target(tmp_path, fixture_files):
+    out = tmp_path / "out"
+    argv = _run_args(fixture_files, out)
+    argv[argv.index("--wav") + 1] = str(_one_frame_wav(tmp_path))
+    return argv, "analyze-audio", [out / "target_features.json", out / "target_segments.json"]
+
+
+def _failing_mask_dump(tmp_path, fixture_files):
+    # 3 frames are too few for the default threshold offset l = 4.
+    save_pose_track(tmp_path / "poses.json", puppet_skeleton(), puppet_sequence(3))
+    save_features(tmp_path / "features.json",
+                  AudioFeatureTrack(FIXTURE_FPS, [False] * 3, ("",) * 3))
+    out = tmp_path / "out"
+    return (["build-graph", "--poses", str(tmp_path / "poses.json"),
+             "--features", str(tmp_path / "features.json"), "--out", str(out / "g.json"),
+             "--dump-masks", str(out / "masks")],
+            "build-graph", [out / "g.json", out / "masks"])
+
+
+class TestFailingStageWritesNothing:
+    @pytest.mark.parametrize("case", [
+        pytest.param(_failing_analyze_audio, id="analyze-audio-one-frame"),
+        pytest.param(_failing_run_target, id="run-target-one-frame"),
+        pytest.param(_failing_mask_dump, id="build-graph-dump-masks-three-frames"),
+    ])
+    def test_no_output_path_is_left(self, tmp_path, fixture_files, case):
+        argv, stage, outputs = case(tmp_path, fixture_files)
+        (tmp_path / "out").mkdir()
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert str(err.value.code).startswith(f"error in {stage}: ")
+        assert [p for p in outputs if p.exists()] == []
 
 
 class TestSearchParametersFirst:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from motiongraph.errors import ValidationError, real, reals
+from motiongraph.errors import ValidationError, column, real, reals
 
 
 @pytest.mark.parametrize(
@@ -87,3 +87,31 @@ def test_reals(value, shape, expected):
         assert array.dtype == np.float64 and np.array_equal(array, expected)
         if isinstance(value, np.ndarray) and value.dtype == np.float64:
             assert array is value
+
+
+#: An int64 input, which ``column`` returns as the same object.
+INTS = np.arange(3)
+
+
+@pytest.mark.parametrize(
+    "value, dtype, expected",
+    [
+        pytest.param([[1], [2, 3]], np.int64, "x must be a 1-D column of integers within "
+                     "int64, got a ragged nesting", id="ragged"),
+        pytest.param(INTS, np.int64, INTS, id="int64-uncopied"),
+        pytest.param([0, 2], float, np.array([0.0, 2.0]), id="ints-as-reals"),
+        pytest.param(np.array(["a", "bc"], dtype=object), str, np.array(["a", "bc"]),
+                     id="object-array-of-strings"),
+    ],
+)
+def test_column(value, dtype, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as err:
+            column("x", value, dtype)
+        assert str(err.value) == expected
+    else:
+        got = column("x", value, dtype)
+        # A str column's dtype has the length of its longest word.
+        assert got.dtype == np.dtype(dtype) or got.dtype.kind == np.dtype(dtype).kind == "U"
+        assert got.tolist() == expected.tolist()
+        assert (got is value) == (value is INTS)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from motiongraph import fixtures, graph as graph_mod, kernels
-from motiongraph.audio import EndpointFeature, SegmentList
+from motiongraph.audio import AudioFeatureTrack, EndpointFeature, SegmentList
 from motiongraph.errors import GraphParseError, StructuralError, ValidationError
 from motiongraph.graph import (
     GraphEdge,
@@ -219,17 +219,37 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build_graph(states, masks, features, Thresholds(0.0, 0.0, 4))
 
-    @pytest.mark.parametrize("onset", ["no", 2, None, np.float64(0.5), 0])
-    def test_onset_flag_that_is_not_a_bool_rejected(self, smooth_setup, onset):
+    @pytest.mark.parametrize("onset, dtype", [
+        pytest.param(onset, dtype, id=str(onset)) for onset, dtype in
+        [("no", "<U5"), (2, "int64"), (None, "object"), (np.float64(0.5), "float64"),
+         (0, "int64")]])
+    def test_onset_flag_that_is_not_a_bool_rejected(self, smooth_setup, onset, dtype):
         # build_graph's rule: a flag is refused, never converted.
         states, masks = smooth_setup
         features = no_feature(len(states))
         features[3] = (onset, "")
-        message = f"^onset must be a bool, got {re.escape(repr(onset))}$"
+        message = f"^onset must be a 1-D column of bools, got dtype {dtype}$"
         with pytest.raises(ValidationError, match=message):
             build_graph(states, masks, features, Thresholds(0.0, 0.0, 4))
         features[3] = (np.True_, "")
         assert build_graph(states, masks, features, Thresholds(0.0, 0.0, 4)).onset[3]
+
+    @pytest.mark.parametrize("flags, dtype", [
+        pytest.param(lambda n: [True, 1] * (n // 2), "int64", id="integer-among-bools"),
+        pytest.param(lambda n: ["no"] * n, "<U2", id="text"),
+        pytest.param(lambda n: np.linspace(0.0, 1.0, n), "float64", id="float-array"),
+    ])
+    def test_bad_onset_flags_get_one_message_everywhere(self, smooth_setup, flags, dtype):
+        # The track, the graph build and the graph check onsets by the one column rule.
+        states, masks = smooth_setup
+        onset, n = flags(len(states)), len(states)
+        message = f"^onset must be a 1-D column of bools, got dtype {dtype}$"
+        with pytest.raises(ValidationError, match=message):
+            AudioFeatureTrack(30.0, onset, ("",) * n)
+        with pytest.raises(ValidationError, match=message):
+            build_graph(states, masks, [(on, "") for on in onset], Thresholds(0.0, 0.0, 4))
+        with pytest.raises(ValidationError, match=message):
+            VideoMotionGraph(onset, [""] * n, [], [], [], [], Thresholds(0.0, 0.0, 4))
 
     def test_zero_thresholds_only_natural_chain(self, smooth_setup):
         states, masks = smooth_setup
@@ -503,6 +523,19 @@ BAD_COLUMNS = [
                  id="complex-d-feat"),
     pytest.param({"d_img": np.zeros((2, 1))}, ValidationError,
                  "d_img must be a 1-D column of real numbers, got shape (2, 1)", id="2-d-d-img"),
+    # np.asarray reads a bool among numbers as 0 or 1, so a list's own entries are looked at.
+    pytest.param({"m": [0, True]}, ValidationError,
+                 "m must be a 1-D column of integers within int64, got a boolean entry",
+                 id="bool-in-m"),
+    pytest.param({"n": [True, 3]}, ValidationError,
+                 "n must be a 1-D column of integers within int64, got a boolean entry",
+                 id="bool-in-n"),
+    pytest.param({"d_feat": [0.5, True]}, ValidationError,
+                 "d_feat must be a 1-D column of real numbers, got a boolean entry",
+                 id="bool-in-d-feat"),
+    pytest.param({"d_img": [0.5, np.True_]}, ValidationError,
+                 "d_img must be a 1-D column of real numbers, got a boolean entry",
+                 id="numpy-bool-in-d-img"),
     pytest.param({"n": [2]}, StructuralError, "n holds 1 values for 2 pairs", id="short-n"),
     pytest.param({"d_feat": [0.5, 0.25, 0.0]}, StructuralError,
                  "d_feat holds 3 values for 2 pairs", id="long-d-feat"),
@@ -960,9 +993,10 @@ class TestSerialization:
             pytest.param(lambda doc: doc.update(kind="AAAB"), r"unknown fields \['kind'\]",
                          id="extra-column"),
             pytest.param(lambda doc: doc.update(keyword=[1, None, 2.5]),
-                         "keyword must be a list of strings", id="keywords-not-strings"),
+                         "keyword 1 would be stored as '1'$", id="keywords-not-strings"),
             pytest.param(lambda doc: doc.update(keyword="hi"),
-                         "keyword must be a list of strings", id="keywords-not-a-list"),
+                         r"keyword must be a 1-D column of strings, got shape \(\)$",
+                         id="keywords-not-a-list"),
             pytest.param(lambda doc: doc.update(keyword=["", "", "hi\0", ""]),
                          r"keyword 'hi\\x00' would be stored as 'hi'$", id="keyword-ending-in-nul"),
             pytest.param(lambda doc: doc["thresholds"].update(junk=1),
